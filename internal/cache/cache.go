@@ -8,7 +8,10 @@
 // prefetcher" the paper credits for FMA's behaviour).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -74,9 +77,11 @@ func (s Stats) MissRate() float64 {
 // Cache is one set-associative, write-back, write-allocate level.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set-major: set i holds lines[i*ways : (i+1)*ways]
+	ways     int
 	setMask  uint64
 	lineBits uint
+	tagShift uint // bits of the set index, stripped from a line address
 	clock    uint64
 	stats    Stats
 }
@@ -88,20 +93,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Sets()
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	lb := uint(0)
-	for 1<<lb < cfg.LineBytes {
-		lb++
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, nsets*cfg.Ways),
+		ways:     cfg.Ways,
 		setMask:  uint64(nsets - 1),
-		lineBits: lb,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift: uint(bits.TrailingZeros(uint(nsets))),
 	}, nil
 }
 
@@ -128,8 +126,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	c.stats.Accesses++
 	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popBits(c.setMask)
+	set := c.set(lineAddr)
+	tag := lineAddr >> c.tagShift
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -170,8 +168,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popBits(c.setMask)
+	set := c.set(lineAddr)
+	tag := lineAddr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true
@@ -185,8 +183,8 @@ func (c *Cache) Contains(addr uint64) bool {
 func (c *Cache) Fill(addr uint64) Result {
 	c.clock++
 	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popBits(c.setMask)
+	set := c.set(lineAddr)
+	tag := lineAddr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return Result{Hit: true}
@@ -215,17 +213,14 @@ func (c *Cache) Fill(addr uint64) Result {
 	return res
 }
 
-func (c *Cache) rebuild(tag, setIdx uint64) uint64 {
-	return (tag<<popBits(c.setMask) | setIdx) << c.lineBits
+// set returns the ways of lineAddr's set.
+func (c *Cache) set(lineAddr uint64) []line {
+	i := int(lineAddr&c.setMask) * c.ways
+	return c.lines[i : i+c.ways]
 }
 
-func popBits(mask uint64) uint {
-	n := uint(0)
-	for mask != 0 {
-		n++
-		mask >>= 1
-	}
-	return n
+func (c *Cache) rebuild(tag, setIdx uint64) uint64 {
+	return (tag<<c.tagShift | setIdx) << c.lineBits
 }
 
 // LineBytes returns the line size in bytes.

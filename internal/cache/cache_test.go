@@ -240,12 +240,3 @@ func TestStreamPrefetcherTracksMultipleStreams(t *testing.T) {
 		t.Errorf("stream B prefetch = %v", got)
 	}
 }
-
-func TestStreamPrefetcherUsefulCounter(t *testing.T) {
-	p := NewStreamPrefetcher(64, 4, 2)
-	p.NoteUseful()
-	p.NoteUseful()
-	if p.Useful() != 2 {
-		t.Errorf("Useful = %d, want 2", p.Useful())
-	}
-}

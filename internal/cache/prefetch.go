@@ -9,9 +9,9 @@ type StreamPrefetcher struct {
 	streams   []stream
 	degree    int
 	clock     uint64
+	ahead     []uint64 // OnMiss's reused result buffer, degree long
 
 	issued uint64
-	useful uint64
 }
 
 type stream struct {
@@ -35,11 +35,13 @@ func NewStreamPrefetcher(lineBytes, nStreams, degree int) *StreamPrefetcher {
 		lineBytes: uint64(lineBytes),
 		streams:   make([]stream, nStreams),
 		degree:    degree,
+		ahead:     make([]uint64, degree),
 	}
 }
 
 // OnMiss records a demand miss at addr and returns the line-aligned
-// addresses the prefetcher wants fetched (possibly none).
+// addresses the prefetcher wants fetched (possibly none). The returned
+// slice is valid only until the next call.
 func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
 	p.clock++
 	lineAddr := addr &^ (p.lineBytes - 1)
@@ -54,11 +56,10 @@ func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
 			s.lru = p.clock
 			if s.conf >= 2 {
 				p.issued += uint64(p.degree)
-				out := make([]uint64, p.degree)
-				for d := 0; d < p.degree; d++ {
-					out[d] = next + uint64(d)*p.lineBytes
+				for d := range p.ahead {
+					p.ahead[d] = next + uint64(d)*p.lineBytes
 				}
-				return out
+				return p.ahead
 			}
 			return nil
 		}
@@ -78,12 +79,5 @@ func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
 	return nil
 }
 
-// NoteUseful records that a prefetched line was later hit by a demand
-// access; exposed so the hierarchy can track prefetch accuracy.
-func (p *StreamPrefetcher) NoteUseful() { p.useful++ }
-
 // Issued returns the number of prefetch requests issued.
 func (p *StreamPrefetcher) Issued() uint64 { return p.issued }
-
-// Useful returns the number of prefetches recorded as useful.
-func (p *StreamPrefetcher) Useful() uint64 { return p.useful }

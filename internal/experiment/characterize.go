@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"aapm/internal/machine"
@@ -380,10 +381,14 @@ func (c *Context) TableIIIWorstCase() (*TableIIIResult, error) {
 }
 
 func (c *Context) tableIIIWorstCase() (*TableIIIResult, error) {
-	p, err := mloops.Characterize(mloops.Config{Loop: mloops.FMA, Footprint: mloops.FootprintL2}, trainingInstructions)
+	set, err := mloops.TrainingSet()
 	if err != nil {
 		return nil, err
 	}
+	// Reuse the training set's FMA-256KB: Instructions is the only
+	// field Characterize takes from its phase-length argument.
+	p := set[slices.Index(mloops.Configs(), mloops.Config{Loop: mloops.FMA, Footprint: mloops.FootprintL2})]
+	p.Instructions = trainingInstructions
 	res := &TableIIIResult{}
 	for i := 0; i < c.table.Len(); i++ {
 		st := c.table.At(i)

@@ -38,7 +38,9 @@ type Generator interface {
 	// Reset rewinds the generator to the start of the loop.
 	Reset()
 	// Next returns the next operation. Generators cycle indefinitely
-	// over their footprint.
+	// over their footprint. Op.Refs is valid only until the next call:
+	// a generator may reuse its backing array, so callers must not
+	// keep the slice.
 	Next() Op
 }
 

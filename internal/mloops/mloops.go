@@ -11,7 +11,10 @@ package mloops
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"aapm/internal/kernel"
 	"aapm/internal/phase"
@@ -148,6 +151,7 @@ type generator struct {
 	n     uint64 // elements per array
 	rng   uint64 // LCG state for MLOAD_RAND
 	costs loopCosts
+	refs  [3]kernel.Ref // Next's reused reference buffer
 }
 
 // NewGenerator returns the reference generator for loop l at
@@ -187,33 +191,43 @@ const (
 	baseB = 0x50000000
 )
 
+// Next returns the next loop iteration. Its Refs alias the generator's
+// own buffer, so they are valid only until the next call.
 func (g *generator) Next() Op {
-	defer func() { g.i = (g.i + 1) % g.n }()
 	c := g.costs
 	op := Op{Instrs: c.instrs, CoreCycles: c.coreCycles}
+	r := &g.refs
 	switch g.loop {
 	case DAXPY:
-		op.Refs = []kernel.Ref{
-			{Addr: baseA + g.i*elemBytes},
-			{Addr: baseB + g.i*elemBytes},
-			{Addr: baseB + g.i*elemBytes, Write: true},
-		}
+		r[0] = kernel.Ref{Addr: baseA + g.i*elemBytes}
+		r[1] = kernel.Ref{Addr: baseB + g.i*elemBytes}
+		r[2] = kernel.Ref{Addr: baseB + g.i*elemBytes, Write: true}
+		op.Refs = r[:3]
 	case FMA:
 		// adjacent pair a[2i], a[2i+1]; wrap at n elements.
-		idx := (2 * g.i) % g.n
-		op.Refs = []kernel.Ref{
-			{Addr: baseA + idx*elemBytes},
-			{Addr: baseA + (idx+1)%g.n*elemBytes},
+		idx := 2 * g.i
+		if idx >= g.n {
+			idx -= g.n
 		}
+		next := idx + 1
+		if next == g.n {
+			next = 0
+		}
+		r[0] = kernel.Ref{Addr: baseA + idx*elemBytes}
+		r[1] = kernel.Ref{Addr: baseA + next*elemBytes}
+		op.Refs = r[:2]
 	case MCOPY:
-		op.Refs = []kernel.Ref{
-			{Addr: baseA + g.i*elemBytes},
-			{Addr: baseB + g.i*elemBytes, Write: true},
-		}
+		r[0] = kernel.Ref{Addr: baseA + g.i*elemBytes}
+		r[1] = kernel.Ref{Addr: baseB + g.i*elemBytes, Write: true}
+		op.Refs = r[:2]
 	case MLOADRand:
 		g.rng = g.rng*6364136223846793005 + 1442695040888963407
 		idx := (g.rng >> 17) % g.n
-		op.Refs = []kernel.Ref{{Addr: baseA + idx*elemBytes}}
+		r[0] = kernel.Ref{Addr: baseA + idx*elemBytes}
+		op.Refs = r[:1]
+	}
+	if g.i++; g.i == g.n {
+		g.i = 0
 	}
 	return op
 }
@@ -310,22 +324,51 @@ var trainingCache struct {
 	err    error
 }
 
-// TrainingSet characterizes all 12 configurations. Characterization
-// simulates millions of cache accesses, so the result is computed once
-// per process and shared; callers must not mutate the returned slice.
+// TrainingSet characterizes all 12 configurations on
+// runtime.GOMAXPROCS(0) goroutines; entry i belongs to Configs()[i].
+// Characterization simulates millions of cache accesses, so the result
+// is computed once per process and shared; callers must not mutate the
+// returned slice.
 func TrainingSet() ([]phase.Params, error) {
 	trainingCache.once.Do(func() {
-		cfgs := Configs()
-		out := make([]phase.Params, 0, len(cfgs))
-		for _, c := range cfgs {
-			p, err := Characterize(c, DefaultInstructions)
-			if err != nil {
-				trainingCache.err = err
-				return
-			}
-			out = append(out, p)
-		}
-		trainingCache.params = out
+		trainingCache.params, trainingCache.err = characterizeAll(Configs(), runtime.GOMAXPROCS(0))
 	})
 	return trainingCache.params, trainingCache.err
+}
+
+// characterizeAll runs Characterize over cfgs on up to workers
+// goroutines and returns the results in cfgs order. Every call builds
+// its own hierarchy and generator, so the results do not depend on the
+// worker count. Work is handed out largest footprint first so the
+// slowest configuration never starts last. Of several failures, the one
+// at the lowest index is reported.
+func characterizeAll(cfgs []Config, workers int) ([]phase.Params, error) {
+	order := make([]int, len(cfgs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return cfgs[order[a]].Footprint.Bytes() > cfgs[order[b]].Footprint.Bytes()
+	})
+	out := make([]phase.Params, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, len(cfgs))); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(order); k = int(next.Add(1) - 1) {
+				i := order[k]
+				out[i], errs[i] = Characterize(cfgs[i], DefaultInstructions)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

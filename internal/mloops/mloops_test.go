@@ -1,9 +1,15 @@
 package mloops
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"aapm/internal/kernel"
+	"aapm/internal/phase"
 	"aapm/internal/pstate"
 )
 
@@ -167,5 +173,100 @@ func TestWorkloadIsRunnable(t *testing.T) {
 	}
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// paramsBits flattens every numeric field of p to its exact bits.
+func paramsBits(p phase.Params) []uint64 {
+	return []uint64{
+		math.Float64bits(p.Instructions), uint64(p.IdleDuration),
+		math.Float64bits(p.CPICore), math.Float64bits(p.L2APKI),
+		math.Float64bits(p.MemAPKI), math.Float64bits(p.MemBPI),
+		math.Float64bits(p.MLP), math.Float64bits(p.SpecFactor),
+		math.Float64bits(p.StallFrac),
+	}
+}
+
+// TestTrainingSetMatchesSerial checks that the parallel training set
+// is bit-identical to characterizing Configs() one at a time, in order,
+// at any GOMAXPROCS.
+func TestTrainingSetMatchesSerial(t *testing.T) {
+	cfgs := Configs()
+	want := make([]phase.Params, len(cfgs))
+	for i, c := range cfgs {
+		p, err := Characterize(c, DefaultInstructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	check := func(t *testing.T, got []phase.Params) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("got %d entries, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Name != want[i].Name || !slices.Equal(paramsBits(got[i]), paramsBits(want[i])) {
+				t.Errorf("entry %d: got %#v, want %#v", i, got[i], want[i])
+			}
+		}
+	}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, err := characterizeAll(cfgs, runtime.GOMAXPROCS(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, got)
+		})
+	}
+	t.Run("TrainingSet", func(t *testing.T) {
+		got, err := TrainingSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, got)
+	})
+}
+
+// TestCharacterizeAllReportsLowestIndexError checks that of several
+// failing configurations the one first in input order is reported, even
+// when a later one is handed out first.
+func TestCharacterizeAllReportsLowestIndexError(t *testing.T) {
+	cfgs := []Config{
+		{Loop: DAXPY, Footprint: FootprintL1},
+		{Loop: Loop(9), Footprint: FootprintL1},
+		{Loop: Loop(8), Footprint: FootprintMem}, // largest: runs first
+	}
+	got, err := characterizeAll(cfgs, 2)
+	if err == nil || !strings.Contains(err.Error(), "loop(9)") {
+		t.Fatalf("err = %v, want the loop(9) failure", err)
+	}
+	if got != nil {
+		t.Errorf("got %d params alongside an error", len(got))
+	}
+}
+
+// TestCharacterizeAllocs gates the characterization hot loop: every
+// generator runs through kernel.Characterize without allocating, so no
+// allocation grows with the window.
+func TestCharacterizeAllocs(t *testing.T) {
+	for _, c := range Configs() {
+		h, err := kernel.NewPentiumMHierarchy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGenerator(c.Loop, c.Footprint)
+		for _, window := range []int{1_000, 4_000} {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := kernel.Characterize(g, h, window, window); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: Characterize over a %d-op window allocates %.1f times, want 0", c, window, allocs)
+			}
+		}
 	}
 }
