@@ -27,8 +27,10 @@ fuzz-short:
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
 
-# Refresh the golden trace fixtures after an intentional trace change.
-# Also covers the Prometheus exposition fixture in internal/telemetry.
+# Refresh the golden trace fixtures after an intentional trace change:
+# the single-machine PM/PS traces and the shared-budget cluster fixture
+# (TestGoldenCluster, testdata/golden_cluster.csv). Also covers the
+# Prometheus exposition fixture in internal/telemetry.
 .PHONY: golden-update
 golden-update:
 	go test -run TestGolden -update .
@@ -201,11 +203,12 @@ tick-gate:
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must
 # finish and stay inside the tested per-node memory budget (the
-# TotalAlloc gate in TestFleetMemoryBudget), plus the one-level and
-# multi-level determinism differentials.
+# TotalAlloc gate in TestFleetMemoryBudget), plus the one-level golden
+# fixture and the multi-level determinism differential.
 .PHONY: fleet-smoke
 fleet-smoke:
-	go test -run 'TestFleetOneLevelMatchesFlat|TestFleetMultiLevelDeterministic' ./internal/cluster/
+	go test -run TestGoldenCluster .
+	go test -run TestFleetMultiLevelDeterministic ./internal/cluster/
 	go test -run TestFleetMemoryBudget -count=1 ./internal/cluster/
 
 # Hierarchical fleet coordinator throughput in node-ticks/sec; the

@@ -211,30 +211,35 @@ func MixWorkloads() []WorkloadSpec { return mixes.All() }
 // co-simulation.
 type ClusterNode = cluster.Node
 
-// ClusterConfig describes a shared-budget co-simulation.
+// ClusterConfig describes a shared-budget co-simulation; it is
+// FleetConfig, run as a one-level tree unless Levels says otherwise.
+// Telemetry receives the coordinator's aapm_fleet_* series only; attach
+// per-node hooks (a NewTelemetryObserver, a TraceEventWriter run hook)
+// through Observe, which returns node i's hooks.
 type ClusterConfig = cluster.Config
 
-// ClusterResult is a co-simulation outcome.
+// ClusterResult is a co-simulation outcome (the same type as
+// FleetResult).
 type ClusterResult = cluster.Result
 
-// RunCluster co-simulates several machines under one power budget; see
-// internal/cluster for the coordinator's water-filling policy.
+// RunCluster co-simulates several machines under one power budget,
+// retaining every node's trace rows; see internal/cluster for the
+// coordinator's water-filling policy.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) { return cluster.Run(cfg) }
 
-// FleetConfig describes a hierarchical shared-budget co-simulation:
-// the flat coordinator's budget policy run at every tier of an
+// FleetConfig describes a shared-budget co-simulation over an
 // allocation tree (root over pods over racks over nodes), sized for
 // fleets of 10⁵+ nodes in one process.
 type FleetConfig = cluster.FleetConfig
 
-// FleetResult is a hierarchical co-simulation outcome.
+// FleetResult is a co-simulation outcome.
 type FleetResult = cluster.FleetResult
 
-// RunFleet co-simulates a node fleet under the hierarchical
-// coordinator. A one-level fleet reproduces RunCluster byte for byte;
-// deeper trees re-run the same allocator over per-group aggregates at
-// each level. See the "Hierarchical fleet coordinator" section of
-// DESIGN.md.
+// RunFleet co-simulates a node fleet under the one coordinator: a
+// one-level fleet is RunCluster (minus the retained rows, unless
+// RetainTraces asks for them); deeper trees re-run the same allocator
+// over per-group aggregates at each level. See the "Hierarchical fleet
+// coordinator" section of DESIGN.md.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) { return cluster.RunFleet(cfg) }
 
 // SyntheticFleetNodes builds n synthetic leaf nodes (three fixed

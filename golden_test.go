@@ -45,27 +45,34 @@ func checkGolden(t *testing.T, name string, run *Run) {
 	if err := run.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenBytes(t, name, buf.Bytes())
+}
+
+// checkGoldenBytes compares a rendered fixture against testdata/<name>
+// line by line, or rewrites the fixture under -update.
+func checkGoldenBytes(t *testing.T, name string, data []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(data))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run `go test -run TestGolden -update .` to create fixtures)", err)
 	}
-	if bytes.Equal(buf.Bytes(), want) {
+	if bytes.Equal(data, want) {
 		return
 	}
 	// Row-level diff so a drift report names the first diverging
 	// intervals rather than just "files differ".
-	got := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	got := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	exp := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
 	var diffs []string
 	n := len(got)

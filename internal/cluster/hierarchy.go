@@ -1,21 +1,17 @@
-// Hierarchical fleet coordinator: the flat shared-budget loop scaled
-// to 10⁵+ nodes by running the level-agnostic allocator (package
-// alloc) at every tier of a tree. Leaves are index ranges of one
-// kernel.BatchState stepped by the existing worker pool; interior
-// levels aggregate their children's epoch demands into group
-// summaries and re-run the same Allocator; the root holds the global
-// cap. Grouping is by consecutive node index with a fixed fanout, so
-// group membership is a pure function of (index, fanout) and needs no
-// per-node storage.
+// The coordinator: the shared-budget loop, run as the level-agnostic
+// allocator (package alloc) at every tier of a tree. Leaves are index
+// ranges of one kernel.BatchState stepped by the worker pool; interior
+// levels aggregate their children's epoch demands into group summaries
+// and re-run the same Allocator; the root holds the global cap.
+// Grouping is by consecutive node index with a fixed fanout, so group
+// membership is a pure function of (index, fanout) and needs no
+// per-node storage. With Levels == 1 (the flat cluster Run drives) the
+// tree is a single Allocate over all leaves.
 //
-// Determinism anchor: with Levels == 1 the hierarchy degenerates to a
-// single Allocate over all leaves — operation-for-operation the flat
-// coordinator's reallocation — so traces, energy integrals and
-// degradation logs are byte-identical to Run on the same Config
-// inputs. With Levels > 1 every cross-node read still happens
-// post-barrier in index order on the coordinator goroutine and the
-// top-down recursion visits groups in index order, so traces are
-// byte-identical for every worker count.
+// Determinism anchor: every cross-node read happens post-barrier in
+// index order on the coordinator goroutine and the top-down recursion
+// visits groups in index order, so traces are byte-identical for every
+// worker count (testdata/golden_cluster.csv pins the flat case).
 //
 // Memory: the per-node footprint is the BatchState's lanes plus one
 // machine/PM/run header — no per-node goroutines, hooks, RNGs (unless
@@ -27,6 +23,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -44,29 +41,41 @@ import (
 	"aapm/internal/trace"
 )
 
-// FleetConfig describes a hierarchical shared-budget co-simulation.
+// FleetConfig describes a shared-budget co-simulation: the flat
+// cluster (Levels 1) or a tree of groups above the nodes.
 type FleetConfig struct {
-	// BudgetW is the global power cap held by the root.
+	// BudgetW is the global power cap held by the root; it must be
+	// positive and finite.
 	BudgetW float64
 	// Nodes are the leaf machines (see SyntheticFleet for bulk
 	// construction).
 	Nodes []Node
-	// Seed drives each node's noise/jitter (offset per node, same
-	// scheme as Config.Seed).
+	// Seed drives each node's noise/jitter (offset per node).
 	Seed int64
 	// Chain is each node's measurement chain.
 	Chain sensor.Chain
-	// EpochTicks is the reallocation period; 0 selects 50.
+	// EpochTicks is the reallocation period in monitoring intervals;
+	// 0 selects 50 (500 ms at the default 10 ms period).
 	EpochTicks int
-	// FloorW is the per-node minimum allocation; 0 selects 4 W.
+	// FloorW is the per-node minimum allocation; 0 selects 4 W
+	// (enough for the lowest p-state under any workload). Negative or
+	// non-finite floors are rejected.
 	FloorW float64
-	// Workers bounds the stepping goroutines, as Config.Workers.
+	// Static disables reallocation (and with it the control-plane
+	// epochs): every node keeps BudgetW/len(Nodes) for the whole run
+	// (the naive equal-split baseline).
+	Static bool
+	// Workers bounds the stepping goroutines: each tick the active
+	// nodes are stepped concurrently across min(Workers, nodes)
+	// workers. 0 selects min(GOMAXPROCS, nodes); 1 steps every node in
+	// the coordinator goroutine (the serial reference). The traces are
+	// identical for every value.
 	Workers int
 	// Levels is the allocation-tree depth above the leaves: 1 (the
 	// default) is the root allocating straight over nodes — the flat
-	// coordinator, byte for byte; 2 inserts one tier of groups; and so
-	// on. Each extra level re-runs the same allocator over the level
-	// below's aggregates.
+	// cluster; 2 inserts one tier of groups; and so on. Each extra
+	// level re-runs the same allocator over the level below's
+	// aggregates.
 	Levels int
 	// Fanout is the maximum children per group (consecutive node
 	// indices); 0 selects 64. Must be >= 2 when Levels > 1.
@@ -82,21 +91,30 @@ type FleetConfig struct {
 	// apply to that epoch's allocation. See FleetControl.
 	Control FleetControl
 	// Faults, when non-nil, supplies node i's fault-injection plan
-	// (nil result = no faults for that node), the PR-1 machinery the
+	// (nil result = no faults for that node), the machinery the
 	// control plane's hard escalation is exercised against.
 	Faults func(i int) *faults.Plan
-	// RetainTraces keeps every node's per-interval rows. Off by
-	// default: at fleet scale the rows dwarf the simulation state.
+	// RetainTraces keeps every node's per-interval rows (Run always
+	// sets it). Off by default: at fleet scale the rows dwarf the
+	// simulation state.
 	RetainTraces bool
-	// Telemetry, when non-nil, receives the fleet-level series:
-	// per-level group budgets and over-budget counters, per-level
-	// allocation wall, and the cluster-wide aggregates. Purely
-	// observational.
+	// Telemetry, when non-nil, receives the coordinator's series:
+	// cluster-wide aggregates, per-level group budgets (level 0 is the
+	// per-node limit) and over-budget counters, per-level allocation
+	// wall and per-worker shard wall. Per-node series come from
+	// Observe, never from here, so a 10⁵-node fleet mints none. Purely
+	// observational — the registry never feeds back into stepping or
+	// reallocation.
 	Telemetry *telemetry.Registry
+	// Observe, when non-nil, returns node i's observer hooks,
+	// subscribed before the run (an empty return leaves the node
+	// unobserved) — e.g. a telemetry.Observer or a TraceEventWriter
+	// run hook per node. Hooks move the batch kernel onto its generic
+	// body; traces stay byte-identical.
+	Observe func(i int) []machine.Hook
 }
 
-// FleetResult is the hierarchical co-simulation outcome. The flat
-// aggregate fields mean exactly what they do on Result.
+// FleetResult is the co-simulation outcome.
 type FleetResult struct {
 	Nodes  int
 	Levels int
@@ -104,15 +122,33 @@ type FleetResult struct {
 	// GroupsPerLevel[l] is the group count at interior level l+1
 	// (empty when Levels == 1).
 	GroupsPerLevel []int
-	// Runs/Names as Result; with RetainTraces off each Run carries
-	// aggregates (duration, energy, transitions) but no rows.
+	// Runs holds each node's trace in FleetConfig.Nodes order; with
+	// RetainTraces off each Run carries aggregates (duration, energy,
+	// transitions) but no rows. Names mirrors Runs.
 	Runs  []*trace.Run
 	Names []string
 
-	MachineSeconds     float64
-	Makespan           time.Duration
-	PeakTotalW         float64
-	OverFrac           float64
+	// MachineSeconds is the sum of node completion times (lower is
+	// better for equal work).
+	MachineSeconds float64
+	// Makespan is the time until the last node finished.
+	Makespan time.Duration
+	// PeakTotalW is the highest lockstep-interval sum of measured
+	// node powers across the whole run.
+	PeakTotalW float64
+	// OverFrac is the fraction of all lockstep intervals — including
+	// the tail where some nodes have already finished — whose total
+	// measured power exceeded the budget. It is the physical
+	// shared-supply view: the supply is violated whenever the sum of
+	// whatever is still drawing exceeds the cap, so tail intervals
+	// legitimately count (and, with fewer nodes drawing, almost never
+	// violate, which dilutes the ratio on runs with long tails).
+	OverFrac float64
+	// ContendedOverFrac is the same ratio restricted to contended
+	// intervals — those where every node was still active. It is the
+	// coordinator-quality view: the only intervals where reallocation
+	// has to arbitrate the full population, undiluted by the tail.
+	// ContendedIntervals counts them.
 	ContendedOverFrac  float64
 	ContendedIntervals int
 	// Intervals counts lockstep intervals; Epochs counts completed
@@ -122,6 +158,13 @@ type FleetResult struct {
 	Epochs    int
 	NodeTicks int64
 
+	// Workers is the stepping-goroutine count the run used. TickWall
+	// is the per-worker shard-stepping wall-clock, merged across all
+	// workers (metrics.WallClock.Merge) so the distribution tails —
+	// the fastest and slowest shard-ticks — survive aggregation;
+	// WorkerWall keeps the unmerged per-worker aggregates. CoordWall
+	// times the coordinator's post-barrier work per tick (aggregation
+	// and reallocation). All purely observational wall-clock.
 	Workers    int
 	TickWall   metrics.WallClock
 	WorkerWall []metrics.WallClock
@@ -180,13 +223,14 @@ func (g *groupAgg) RecentPowerW() float64       { return 0 }
 func (g *groupAgg) RecentDPC() float64          { return 0 }
 func (g *groupAgg) MinW(floorW float64) float64 { return g.minW }
 
-// RunFleet executes the hierarchical co-simulation to completion.
+// RunFleet executes the co-simulation to completion.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	return RunFleetContext(context.Background(), cfg)
 }
 
-// RunFleetContext executes the hierarchical co-simulation under ctx,
-// observing cancellation between lockstep ticks.
+// RunFleetContext executes the co-simulation under ctx, observing
+// cancellation between lockstep ticks. It is the package's one
+// coordinator loop; Run is this with RetainTraces set.
 func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -195,8 +239,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	if n == 0 {
 		return nil, fmt.Errorf("fleet: no nodes")
 	}
-	if cfg.BudgetW <= 0 {
-		return nil, fmt.Errorf("fleet: non-positive budget")
+	if !(cfg.BudgetW > 0) || math.IsInf(cfg.BudgetW, 1) {
+		return nil, fmt.Errorf("fleet: budget %g W must be positive and finite", cfg.BudgetW)
+	}
+	if !(cfg.FloorW >= 0) || math.IsInf(cfg.FloorW, 1) {
+		return nil, fmt.Errorf("fleet: floor %g W must be non-negative and finite", cfg.FloorW)
 	}
 	floor := cfg.FloorW
 	if floor == 0 {
@@ -257,7 +304,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 
 	// One ground truth (and so one p-state table) for the whole fleet:
 	// the per-node values are identical to what machine.New would build
-	// per node, so traces match the flat coordinator bit for bit, but a
+	// per node, so traces match a standalone machine bit for bit, but a
 	// single shared table keeps the kernel's interned behavior/frequency
 	// caches to one entry set instead of one per node.
 	truth := power.PentiumM755Truth()
@@ -295,19 +342,21 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	for i, node := range cfg.Nodes {
 		bnodes[i] = kernel.BatchNode{Machine: machines[i], Workload: node.Workload, Governor: pms[i]}
 	}
-	bs, err := kernel.NewBatch(bnodes, kernel.BatchOptions{RetainTraces: cfg.RetainTraces})
+	// The coordinator reads node observations through the kernel's
+	// per-node accessors rather than a hook tap, so a run without
+	// Observe keeps the specialized (hook-free) step bodies.
+	bs, err := kernel.NewBatch(bnodes, kernel.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	eng := &batchEngine{b: bs}
 
 	// Control-plane state: node overrides are written post-barrier on
 	// the coordinator goroutine and read by the workers only after the
 	// next generation advance, so the pool's happens-before edges cover
 	// them. With Control nil none of this exists and the step function
-	// is the engine's, untouched.
+	// is the kernel's, untouched.
 	ctl := cfg.Control
-	stepFn := eng.step
+	stepFn := bs.StepNode
 	var nodeOv []NodeOverride
 	var ctlW []float64
 	ctlTicks := 0
@@ -320,7 +369,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			if nodeOv[i] == NodeOffline {
 				return false
 			}
-			return eng.step(i)
+			return bs.StepNode(i)
 		}
 	}
 
@@ -341,10 +390,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		pool = newWorkerPool(ctx, fmt.Sprintf("fleet-l%d", levels), workers, st.shard)
 		defer pool.close()
 	}
-	// Tracing is epoch-granular here too: an unsampled (or absent)
-	// trace makes spans nil and the per-tick loop does no span work.
-	spans := newCoordSpans(obs.FromContext(ctx), machines[0].SamplePeriod(), st, workers)
-	spans.trackLevels(shape.counts)
+	// Tracing is epoch-granular: an unsampled (or absent) trace makes
+	// spans nil and the per-tick loop does no span work at all — the
+	// nil-safe guard is the only cost, and the tracing-off budget test
+	// pins it.
+	spans := newCoordSpans(obs.FromContext(ctx), machines[0].SamplePeriod(), st, workers, shape.counts)
 
 	res := &FleetResult{
 		Nodes: n, Levels: levels, Fanout: fanout,
@@ -354,31 +404,32 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		res.GroupsPerLevel = append(res.GroupsPerLevel, shape.counts[l])
 	}
 
-	limits := make([]float64, n)
+	limits := make([]float64, n) // each node's current share
 	for i := range limits {
 		limits[i] = share
 	}
+	// Per-epoch accumulators: usable (finite) measured power and
+	// observed decode rate, and the count of usable ticks. recentN==0
+	// at a reallocation means the node produced no usable observation
+	// the whole epoch.
 	recentW := make([]float64, n)
 	recentDPC := make([]float64, n)
 	recentN := make([]int, n)
-	lastSeq := make([]uint64, n)
-	epochFresh := make([]bool, n)
+	lastSeq := make([]uint64, n)  // kernel sequence at the previous tick
+	epochFresh := make([]bool, n) // sequence advanced at all this epoch
 	demands := make([]demand, n)
 
-	// Persistent allocation state: leaf adapters over the demand
-	// records, one groupAgg row per interior level, one Allocator per
-	// level (scratch is reused across epochs, and the top-down
-	// recursion runs level l's Allocate to completion inside level
-	// l+1's apply callback, so per-level instances never re-enter).
-	leafAggs := make([]nodeAgg, n)
-	leafKids := make([]alloc.Aggregate, n)
-	for i := range leafAggs {
-		leafAggs[i] = nodeAgg{d: &demands[i], pm: pms[i], table: table, limits: limits, i: i}
-		leafKids[i] = &leafAggs[i]
-	}
+	// Persistent allocation state: the leaf allocation over the demand
+	// records, one groupAgg row and one Allocator per interior level
+	// (scratch is reused across epochs, and the top-down recursion runs
+	// level l's Allocate to completion inside level l+1's apply
+	// callback, so per-level instances never re-enter). budgets[l][g]
+	// is the grant of level-l entity g; level 0 is the per-node limit.
+	leaf := newLeafAlloc(table, demands, pms, limits)
 	groupAggs := make([][]groupAgg, levels)
 	groupKids := make([][]alloc.Aggregate, levels)
 	budgets := make([][]float64, levels)
+	budgets[0] = limits
 	for l := 1; l < levels; l++ {
 		groupAggs[l] = make([]groupAgg, shape.counts[l])
 		groupKids[l] = make([]alloc.Aggregate, shape.counts[l])
@@ -392,15 +443,8 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			budgets[l][g] = cfg.BudgetW * float64(hi-lo) / float64(n)
 		}
 	}
-	applyLeaf := func(lo int) func(k int, w float64) {
-		return func(k int, w float64) {
-			i := lo + k
-			limits[i] = w
-			pms[i].SetLimit(w)
-		}
-	}
 	allocators := make([]alloc.Allocator, levels)
-	for l := range allocators {
+	for l := 1; l < levels; l++ {
 		allocators[l].MarginW = budgetMarginW
 	}
 	// distribute splits budget over level-l entities [lo, hi): leaves
@@ -414,11 +458,10 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		if ft != nil || spans.active() {
 			t0 = time.Now()
 		}
-		al := &allocators[l]
 		if l == 0 {
-			al.Allocate(budget, floor, leafKids[lo:hi], applyLeaf(lo))
+			leaf.allocate(budget, floor, lo, hi)
 		} else {
-			al.Allocate(budget, floor, groupKids[l][lo:hi], func(k int, w float64) {
+			allocators[l].Allocate(budget, floor, groupKids[l][lo:hi], func(k int, w float64) {
 				g := lo + k
 				budgets[l][g] = w
 				clo, chi := shape.childRange(l, g)
@@ -442,11 +485,10 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// group minima and the control plane's epoch directives fold in
 	// after the child sums — with neither configured the loop is the
 	// plain sum, byte-identical to a control-free run.
-	pol := &allocators[0]
 	var dirGroups [][]GroupDirective
 	aggregate := func() {
 		for l := 1; l < levels; l++ {
-			kids := leafKids
+			kids := leaf.kids
 			if l > 1 {
 				kids = groupKids[l-1]
 			}
@@ -470,7 +512,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 						continue
 					}
 					ga.minW += c.MinW(floor)
-					ga.askW += pol.EffectiveDesireW(c, floor)
+					ga.askW += leaf.al.EffectiveDesireW(c, floor)
 				}
 				if l == 1 && staticMin != nil && ga.minW < staticMin[g] {
 					ga.minW = staticMin[g]
@@ -511,10 +553,12 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			st.shard(0)
 		}
 		t0 := time.Now()
-		// Post-barrier: identical structure (and index order) to the
-		// flat coordinator's aggregation pass.
+		// Post-barrier: every cross-node read below happens in
+		// node-index order on the coordinator goroutine, so the
+		// aggregate state is identical for every worker count. The
+		// first error by node index wins, deterministically.
 		for i := 0; i < n; i++ {
-			if err := eng.err(i); err != nil {
+			if err := bs.NodeErr(i); err != nil {
 				return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 			}
 		}
@@ -528,13 +572,16 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			}
 			anyActive = true
 			res.NodeTicks++
-			if eng.seq(i) == lastSeq[i] {
+			// Only a node refreshed by this tick contributes; a node
+			// that stepped into completion without emitting an interval
+			// would otherwise replay its previous tick's power.
+			if bs.Seq(i) == lastSeq[i] {
 				continue
 			}
-			lastSeq[i] = eng.seq(i)
+			lastSeq[i] = bs.Seq(i)
 			epochFresh[i] = true
-			w := eng.lastPowerW(i)
-			dpc := eng.lastDPC(i)
+			w := bs.LastPowerW(i)
+			dpc := bs.LastDPC(i)
 			if !usable(w) || !usable(dpc) {
 				continue
 			}
@@ -575,13 +622,13 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			ctlTicks++
 		}
 
-		if tick > 0 && tick%epoch == 0 {
+		if !cfg.Static && tick > 0 && tick%epoch == 0 {
 			for i := range demands {
-				done := eng.done(i)
+				done := bs.NodeDone(i)
 				if nodeOv != nil && nodeOv[i] == NodeOffline {
 					done = true
 				}
-				assembleDemand(&demands[i], done, recentW[i], recentDPC[i], recentN[i], epochFresh[i], eng.seq(i), eng.lastDPC(i))
+				assembleDemand(&demands[i], done, recentW[i], recentDPC[i], recentN[i], epochFresh[i], bs.Seq(i), bs.LastDPC(i))
 			}
 			if ctl != nil {
 				dirGroups, nodeOv = runControlEpoch(ctl, controlEpochIn{
@@ -618,7 +665,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 				}
 			}
 			res.Epochs++
-			spans.fleetEpoch(tick, cfg.BudgetW)
+			spans.fleetEpoch(tick, cfg.BudgetW, recentW, recentDPC, recentN)
 			for i := range recentW {
 				recentW[i], recentDPC[i], recentN[i], epochFresh[i] = 0, 0, 0, false
 			}
@@ -629,6 +676,9 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		res.CoordWall.Add(time.Since(t0))
 	}
 
+	// Fold every worker's shard timing into one aggregate; Merge
+	// keeps the Min/Max tails, so a straggler worker stays visible in
+	// the merged distribution.
 	res.WorkerWall = st.wall
 	for k := range st.wall {
 		res.TickWall.Merge(st.wall[k])
@@ -636,7 +686,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	res.Intervals = intervals
 	res.Runs = make([]*trace.Run, n)
 	for i := 0; i < n; i++ {
-		run := eng.result(i)
+		run := bs.Result(i)
 		res.Runs[i] = run
 		res.MachineSeconds += run.Duration.Seconds()
 		if run.Duration > res.Makespan {
@@ -681,9 +731,10 @@ func SyntheticFleet(n, ticks int) []Node {
 }
 
 // maxGroupSeries caps per-group telemetry: a level with more groups
-// than this gets one aggregated over-budget series (group="all") and
-// no per-group budget gauges, so a 100k-node fleet does not mint tens
-// of thousands of series.
+// (or, at level 0, nodes) than this gets no per-group budget gauges
+// and, above the leaves, one aggregated over-budget series
+// (group="all"), so a 100k-node fleet does not mint tens of thousands
+// of series.
 const maxGroupSeries = 64
 
 // fleetEpochWallBuckets bound the per-level allocation wall: leaf
@@ -702,9 +753,11 @@ type fleetTelemetry struct {
 	contended *telemetry.Series
 	epochs    *telemetry.Series
 	overRoot  *telemetry.Series
-	// overBy[l][g] / budgetBy[l][g] are per-group series for interior
-	// level l (nil rows when the level exceeds maxGroupSeries, in
-	// which case overAll[l] aggregates the group-interval violations).
+	// overBy[l][g] / budgetBy[l][g] are per-group series for level l
+	// (nil rows when the level exceeds maxGroupSeries, in which case
+	// overAll[l] aggregates the group-interval violations). Level 0
+	// has budget gauges only: its groups are single nodes and their
+	// budgets the PM limits.
 	overBy    [][]*telemetry.Series
 	overAll   []*telemetry.Series
 	budgetBy  [][]*telemetry.Series
@@ -729,11 +782,16 @@ func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, sha
 	ft.epochs = reg.Counter("aapm_fleet_reallocation_epochs_total", "Budget reallocation epochs completed.").With()
 	over := reg.Counter("aapm_fleet_over_budget_intervals_total", "Intervals where measured power exceeded the budget at the labeled level/group (level \"root\" is the global cap; group \"all\" aggregates levels too wide for per-group series).", "level", "group")
 	ft.overRoot = over.With("root", "")
-	groupBudget := reg.Gauge("aapm_fleet_group_budget_watts", "Budget granted to the labeled interior group at the last reallocation.", "level", "group")
+	groupBudget := reg.Gauge("aapm_fleet_group_budget_watts", "Budget granted to the labeled group at the last reallocation (level \"0\" groups are single nodes: the value is the node's PM limit).", "level", "group")
 	ft.overBy = make([][]*telemetry.Series, shape.levels)
 	ft.budgetBy = make([][]*telemetry.Series, shape.levels)
 	ft.overAll = make([]*telemetry.Series, shape.levels)
 	ft.groupW = make([][]float64, shape.levels)
+	if shape.counts[0] <= maxGroupSeries {
+		for i := 0; i < shape.counts[0]; i++ {
+			ft.budgetBy[0] = append(ft.budgetBy[0], groupBudget.With("0", fmt.Sprint(i)))
+		}
+	}
 	for l := 1; l < shape.levels; l++ {
 		ft.groupW[l] = make([]float64, shape.counts[l])
 		if shape.counts[l] > maxGroupSeries {
@@ -797,10 +855,11 @@ func (ft *fleetTelemetry) tick(totalW float64, over, allActive bool, budgets [][
 }
 
 // epoch publishes one reallocation's outcome: the granted group
-// budgets and the per-level allocation wall.
+// budgets (budgets[0] being the per-node limits) and the per-level
+// allocation wall.
 func (ft *fleetTelemetry) epoch(budgets [][]float64) {
 	ft.epochs.Inc()
-	for l := 1; l < ft.shape.levels; l++ {
+	for l := range ft.budgetBy {
 		for g, s := range ft.budgetBy[l] {
 			s.Set(budgets[l][g])
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,21 +11,6 @@ import (
 	"aapm/internal/sensor"
 	"aapm/internal/telemetry"
 )
-
-// fleetCSV serializes every node trace of a fleet result, in node
-// order, in the same format tracesCSV uses for flat results so the
-// two are directly comparable.
-func fleetCSV(t testing.TB, res *FleetResult) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for i, run := range res.Runs {
-		fmt.Fprintf(&buf, "# node %d %s\n", i, res.Names[i])
-		if err := run.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
 
 // diffLines fails the test at the first diverging line of two trace
 // serializations.
@@ -40,65 +26,6 @@ func diffLines(t *testing.T, what string, a, b []byte) {
 		}
 	}
 	t.Fatalf("%s: traces differ in length: %d vs %d lines", what, len(al), len(bl))
-}
-
-// TestFleetOneLevelMatchesFlat is the hierarchy's determinism anchor:
-// a one-level fleet — the root allocating straight over the leaves —
-// must reproduce the flat coordinator byte for byte: traces, energy
-// integrals, degradation logs and budget accounting, at any worker
-// count.
-func TestFleetOneLevelMatchesFlat(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			flat, err := Run(Config{
-				BudgetW: 104,
-				Nodes:   eightNodes(t),
-				Seed:    seed,
-				Chain:   sensor.NIDefault(),
-				Workers: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fleet, err := RunFleet(FleetConfig{
-				BudgetW:      104,
-				Nodes:        eightNodes(t),
-				Seed:         seed,
-				Chain:        sensor.NIDefault(),
-				Workers:      8,
-				Levels:       1,
-				RetainTraces: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffLines(t, "flat vs one-level fleet", tracesCSV(t, flat), fleetCSV(t, fleet))
-			for i := range flat.Runs {
-				fr, hr := flat.Runs[i], fleet.Runs[i]
-				if fr.EnergyJ != hr.EnergyJ || fr.MeasuredEnergyJ != hr.MeasuredEnergyJ {
-					t.Errorf("node %d energy diverges: flat %v/%v J, fleet %v/%v J",
-						i, fr.EnergyJ, fr.MeasuredEnergyJ, hr.EnergyJ, hr.MeasuredEnergyJ)
-				}
-				if len(fr.Degradations) != len(hr.Degradations) {
-					t.Errorf("node %d degradation logs diverge: %d vs %d entries",
-						i, len(fr.Degradations), len(hr.Degradations))
-				}
-			}
-			if flat.MachineSeconds != fleet.MachineSeconds || flat.Makespan != fleet.Makespan {
-				t.Errorf("aggregates diverge: flat %v/%v, fleet %v/%v",
-					flat.MachineSeconds, flat.Makespan, fleet.MachineSeconds, fleet.Makespan)
-			}
-			if flat.PeakTotalW != fleet.PeakTotalW || flat.OverFrac != fleet.OverFrac ||
-				flat.ContendedOverFrac != fleet.ContendedOverFrac ||
-				flat.ContendedIntervals != fleet.ContendedIntervals {
-				t.Errorf("budget accounting diverges: flat peak=%v over=%v cover=%v cint=%d, fleet peak=%v over=%v cover=%v cint=%d",
-					flat.PeakTotalW, flat.OverFrac, flat.ContendedOverFrac, flat.ContendedIntervals,
-					fleet.PeakTotalW, fleet.OverFrac, fleet.ContendedOverFrac, fleet.ContendedIntervals)
-			}
-		})
-	}
 }
 
 // TestFleetMultiLevelDeterministic pins the multi-level contract: a
@@ -123,7 +50,7 @@ func TestFleetMultiLevelDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, fleetCSV(t, res)
+				return res, tracesCSV(t, res)
 			}
 			ref, refCSV := run(1)
 			if ref.Levels != levels || ref.Epochs == 0 || ref.Intervals == 0 {
@@ -159,6 +86,18 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := RunFleet(FleetConfig{BudgetW: 10, Nodes: nodes}); err == nil {
 		t.Error("budget below the floor guarantee accepted")
+	}
+	// NaN and +Inf slip past a plain non-positive check (NaN <= 0 is
+	// false) and would run with a meaningless cap.
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunFleet(FleetConfig{BudgetW: b, Nodes: nodes, EpochTicks: 10}); err == nil {
+			t.Errorf("budget %v accepted", b)
+		}
+	}
+	for _, f := range []float64{-5, math.NaN(), math.Inf(1)} {
+		if _, err := RunFleet(FleetConfig{BudgetW: 100, FloorW: f, Nodes: nodes}); err == nil {
+			t.Errorf("floor %v accepted", f)
+		}
 	}
 	if _, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 2, Fanout: 1}); err == nil {
 		t.Error("fanout 1 with 2 levels accepted")
@@ -301,7 +240,7 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rec, fleetCSV(t, res)
+		return res, rec, tracesCSV(t, res)
 	}
 	floors := []GroupSpec{{MinW: 80}, {}, {}, {}}
 	ref, rec, refCSV := run(1, floors)

@@ -8,12 +8,12 @@ import (
 
 // coordSpans records a coordinator run's epoch-granularity spans on
 // the job trace carried by the run's context: one "reallocate" span
-// per epoch (per level, for the fleet hierarchy) and one "shard-step"
-// span per worker covering the ticks between reallocations. It exists
-// only when the trace is sampled — a nil *coordSpans is the off state,
-// every method is nil-safe, and nothing here runs per tick — so with
-// tracing off (or unsampled) the coordinator's hot loop is unchanged
-// and the tracing-off overhead budget holds.
+// per level per epoch and one "shard-step" span per worker covering
+// the ticks between reallocations. It exists only when the trace is
+// sampled — a nil *coordSpans is the off state, every method is
+// nil-safe, and nothing here runs per tick — so with tracing off (or
+// unsampled) the coordinator's hot loop is unchanged and the
+// tracing-off overhead budget holds.
 type coordSpans struct {
 	tr       *obs.Trace
 	periodUS float64 // virtual microseconds per monitoring interval
@@ -22,24 +22,27 @@ type coordSpans struct {
 	wallMark []time.Duration // st.wall[k].Total at the last boundary
 	from     int             // tick the current shard-span window opened at
 
-	// levelWall/levelCount track the fleet hierarchy's per-level
-	// allocation wall between epochs (nil for the flat coordinator).
+	// levelWall/levelCount track the per-level allocation wall
+	// between epochs; levelCount[l] is the entity count at level l.
 	levelWall  []time.Duration
 	levelCount []int
 }
 
-// newCoordSpans builds the span recorder, or nil when the trace is
-// absent or unsampled.
-func newCoordSpans(tr *obs.Trace, period time.Duration, st *stepper, workers int) *coordSpans {
+// newCoordSpans builds the span recorder for a tree whose level l has
+// levelCount[l] entities, or nil when the trace is absent or
+// unsampled.
+func newCoordSpans(tr *obs.Trace, period time.Duration, st *stepper, workers int, levelCount []int) *coordSpans {
 	if !tr.Sampled() {
 		return nil
 	}
 	return &coordSpans{
-		tr:       tr,
-		periodUS: float64(period) / float64(time.Microsecond),
-		st:       st,
-		workers:  workers,
-		wallMark: make([]time.Duration, workers),
+		tr:         tr,
+		periodUS:   float64(period) / float64(time.Microsecond),
+		st:         st,
+		workers:    workers,
+		wallMark:   make([]time.Duration, workers),
+		levelWall:  make([]time.Duration, len(levelCount)),
+		levelCount: levelCount,
 	}
 }
 
@@ -47,76 +50,49 @@ func newCoordSpans(tr *obs.Trace, period time.Duration, st *stepper, workers int
 // setup cost — a time.Now before an Allocate — guard on it).
 func (c *coordSpans) active() bool { return c != nil }
 
-// trackLevels arms per-level allocation-wall accounting for the fleet
-// hierarchy; counts[l] is the entity count at level l.
-func (c *coordSpans) trackLevels(counts []int) {
-	if c == nil {
-		return
-	}
-	c.levelWall = make([]time.Duration, len(counts))
-	c.levelCount = counts
-}
-
 // levelDur folds one distribute call's wall into its level.
 func (c *coordSpans) levelDur(l int, d time.Duration) {
-	if c == nil || c.levelWall == nil {
+	if c == nil {
 		return
 	}
 	c.levelWall[l] += d
 }
 
-// reallocEpoch records the flat coordinator's reallocation at tick:
-// the reallocate span (with the epoch's demand aggregates, read before
-// the caller resets the accumulators) and the shard-step spans for the
-// window that just closed.
-func (c *coordSpans) reallocEpoch(tick int, reallocStart time.Time, budgetW float64, recentW, recentDPC []float64, recentN []int) {
-	if c == nil {
-		return
-	}
-	var sumW, sumDPC float64
-	var cnt int
-	for i := range recentN {
-		sumW += recentW[i]
-		sumDPC += recentDPC[i]
-		cnt += recentN[i]
-	}
-	attrs := map[string]float64{
-		"budget_w": budgetW,
-		"nodes":    float64(len(recentN)),
-	}
-	if cnt > 0 {
-		attrs["avg_node_power_w"] = sumW / float64(cnt)
-		attrs["avg_node_dpc"] = sumDPC / float64(cnt)
-	}
-	c.tr.Record(obs.Span{
-		Name:      "reallocate",
-		VirtUS:    float64(tick) * c.periodUS,
-		Start:     reallocStart,
-		WallDurUS: float64(time.Since(reallocStart)) / float64(time.Microsecond),
-		Attrs:     attrs,
-	})
-	c.shardSpans(tick)
-}
-
-// fleetEpoch records the hierarchy's reallocation at tick: one
-// reallocate span per level (wall from the distribute recursion,
-// deepest level first so the Perfetto nesting reads root-outward) and
-// the window's shard-step spans.
-func (c *coordSpans) fleetEpoch(tick int, budgetW float64) {
+// fleetEpoch records the reallocation at tick: one reallocate span
+// per level (wall from the distribute recursion, deepest level first
+// so the Perfetto nesting reads root-outward) and the window's
+// shard-step spans. The level-0 span also carries the epoch's demand
+// aggregates, read from the accumulators before the caller resets
+// them.
+func (c *coordSpans) fleetEpoch(tick int, budgetW float64, recentW, recentDPC []float64, recentN []int) {
 	if c == nil {
 		return
 	}
 	for l := range c.levelWall {
+		attrs := map[string]float64{
+			"budget_w": budgetW,
+			"level":    float64(l),
+			"entities": float64(c.levelCount[l]),
+		}
+		if l == 0 {
+			var sumW, sumDPC float64
+			var cnt int
+			for i := range recentN {
+				sumW += recentW[i]
+				sumDPC += recentDPC[i]
+				cnt += recentN[i]
+			}
+			if cnt > 0 {
+				attrs["avg_node_power_w"] = sumW / float64(cnt)
+				attrs["avg_node_dpc"] = sumDPC / float64(cnt)
+			}
+		}
 		c.tr.Record(obs.Span{
 			Name:      "reallocate",
 			VirtUS:    float64(tick) * c.periodUS,
 			Start:     time.Now(),
 			WallDurUS: float64(c.levelWall[l]) / float64(time.Microsecond),
-			Attrs: map[string]float64{
-				"budget_w": budgetW,
-				"level":    float64(l),
-				"entities": float64(c.levelCount[l]),
-			},
+			Attrs:     attrs,
 		})
 		c.levelWall[l] = 0
 	}

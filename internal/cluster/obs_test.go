@@ -49,8 +49,8 @@ func sampledCtx(job string) (context.Context, *obs.Tracer, *obs.Trace) {
 // TestClusterTraceSpans proves the coordinator's span layer is purely
 // observational — traces from a run with a sampled job trace attached
 // are byte-identical to an untraced run — and that the trace carries
-// the epoch structure: reallocate spans at each epoch plus per-worker
-// shard-step windows.
+// the epoch structure: one level-0 reallocate span per epoch, with the
+// epoch's demand averages, plus per-worker shard-step windows.
 func TestClusterTraceSpans(t *testing.T) {
 	cfg := Config{
 		BudgetW:    30,
@@ -91,8 +91,14 @@ func TestClusterTraceSpans(t *testing.T) {
 			if s.Attrs["budget_w"] != cfg.BudgetW {
 				t.Errorf("reallocate budget_w = %v, want %v", s.Attrs["budget_w"], cfg.BudgetW)
 			}
-			if s.Attrs["nodes"] != 2 {
-				t.Errorf("reallocate nodes = %v, want 2", s.Attrs["nodes"])
+			if s.Attrs["level"] != 0 || s.Attrs["entities"] != 2 {
+				t.Errorf("reallocate level/entities = %v/%v, want 0/2", s.Attrs["level"], s.Attrs["entities"])
+			}
+			if w, ok := s.Attrs["avg_node_power_w"]; !ok || w <= 0 || w > cfg.BudgetW {
+				t.Errorf("reallocate avg_node_power_w = %v (present %v), want within (0, budget]", w, ok)
+			}
+			if dpc, ok := s.Attrs["avg_node_dpc"]; !ok || dpc <= 0 {
+				t.Errorf("reallocate avg_node_dpc = %v (present %v), want positive", dpc, ok)
 			}
 		case "shard-step":
 			shardSteps++
@@ -108,8 +114,8 @@ func TestClusterTraceSpans(t *testing.T) {
 	if len(traced.Runs[0].Rows) <= cfg.EpochTicks {
 		t.Fatalf("run too short to cross an epoch: %d ticks", len(traced.Runs[0].Rows))
 	}
-	if reallocs == 0 {
-		t.Error("no reallocate spans recorded across epochs")
+	if reallocs == 0 || reallocs != traced.Epochs {
+		t.Errorf("%d reallocate spans for %d epochs, want one per epoch", reallocs, traced.Epochs)
 	}
 	if shardSteps == 0 || !workersSeen[0] || !workersSeen[1] {
 		t.Errorf("shard-step spans missing workers: %d spans, seen %v", shardSteps, workersSeen)
@@ -196,15 +202,14 @@ func TestFleetTraceSpansPerLevel(t *testing.T) {
 func TestTracingOffNoAllocs(t *testing.T) {
 	tracer := obs.NewTracer(obs.Config{SampleRate: 0})
 	unsampled := tracer.Start("job", "t", nil)
-	if cs := newCoordSpans(unsampled, 10*time.Millisecond, nil, 2); cs != nil {
+	if cs := newCoordSpans(unsampled, 10*time.Millisecond, nil, 2, []int{2}); cs != nil {
 		t.Fatal("unsampled trace built a span recorder")
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr := obs.FromContext(ctx)
-		cs := newCoordSpans(tr, 10*time.Millisecond, nil, 2)
-		cs.reallocEpoch(50, time.Time{}, 30, nil, nil, nil)
-		cs.fleetEpoch(50, 30)
+		cs := newCoordSpans(tr, 10*time.Millisecond, nil, 2, []int{2})
+		cs.fleetEpoch(50, 30, nil, nil, nil)
 		cs.levelDur(0, time.Millisecond)
 		cs.finish(60)
 		_ = cs.active()

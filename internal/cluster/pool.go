@@ -17,16 +17,16 @@ import (
 // sharded: worker k steps nodes k, k+workers, k+2*workers, … so a
 // node is stepped by the same goroutine for the whole run and no two
 // workers ever touch the same node state, stepped flag or error slot
-// — with the staged engine each node is its own session; with the
-// batch engine the shards step disjoint index ranges of one
-// BatchState, which the kernel's concurrency contract permits. The
-// coordinator reads stepped/errs (via the engine) only after the tick
+// — the shards step disjoint node lanes of one BatchState, which the
+// kernel's concurrency contract permits. The coordinator reads
+// stepped and the kernel's per-node errors only after the tick
 // barrier.
 type stepper struct {
 	workers int
 	n       int
 	// step advances node i by one interval if it is still active,
-	// reporting whether it was stepped. Provided by the engine.
+	// reporting whether it was stepped (the kernel's StepNode, behind
+	// the control plane's offline gate when one is attached).
 	step func(i int) bool
 	// stepped[i] records that node i was active at tick start and was
 	// stepped this tick. Entry i is written only by the worker owning
@@ -66,7 +66,7 @@ func (st *stepper) shard(k int) {
 // per cluster run instead of per tick: a run is millions of ticks and
 // per-tick goroutine churn would dwarf the stepping work. The tick
 // handoff is a generation-counter barrier rather than channels — a
-// session step is a few hundred nanoseconds, so two channel operations
+// node step is a few hundred nanoseconds, so two channel operations
 // per worker per tick would cost more than the work being
 // parallelized. Workers spin (yielding to the scheduler) on the
 // generation counter, step their shard when it advances, and bump the
@@ -85,8 +85,8 @@ func (st *stepper) shard(k int) {
 // same atomics and never touches the mutex.
 //
 // The sequentially consistent atomics give the happens-before edges
-// the determinism argument needs: workers' writes (session state,
-// taps, stepped, errs) are made before the done-counter add and so
+// the determinism argument needs: workers' writes (node lanes,
+// stepped flags, errors) are made before the done-counter add and so
 // visible to the coordinator once it observes the full count, and the
 // coordinator's writes (SetLimit, cleared stepped flags) are made
 // before the generation advance and so visible to every worker that

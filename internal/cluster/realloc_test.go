@@ -40,13 +40,13 @@ func TestReallocateConsumesAverageNotTap(t *testing.T) {
 	}
 
 	steady, steadyLimits := mk()
-	reallocate(30, 4, table, steady, testPMs(t, 2, 15), steadyLimits)
+	newLeafAlloc(table, steady, testPMs(t, 2, 15), steadyLimits).allocate(30, 4, 0, len(steady))
 
 	// Same epoch averages; node 0's tap spiked on the final tick of
 	// the epoch. The demand record is built from the averages, so the
 	// allocator's output must be bit-identical.
 	spiked, spikedLimits := mk()
-	reallocate(30, 4, table, spiked, testPMs(t, 2, 15), spikedLimits)
+	newLeafAlloc(table, spiked, testPMs(t, 2, 15), spikedLimits).allocate(30, 4, 0, len(spiked))
 	for i := range steadyLimits {
 		if steadyLimits[i] != spikedLimits[i] {
 			t.Errorf("node %d share moved on a last-tick spike: %.3f -> %.3f", i, steadyLimits[i], spikedLimits[i])
@@ -75,7 +75,7 @@ func TestReallocateAvgPowerFloorsDesire(t *testing.T) {
 	modelDesire := pms[0].BudgetDesireW(table, 0.1) + budgetMarginW
 	demands := []demand{{active: true, useDPC: true, dpc: 0.1, avgW: modelDesire + 5}}
 	limits := []float64{15}
-	reallocate(40, 4, table, demands, pms, limits)
+	newLeafAlloc(table, demands, pms, limits).allocate(40, 4, 0, len(demands))
 	if gotDesire != modelDesire+5 {
 		t.Errorf("desire %.2f W, want the %.2f W epoch-average draw to floor it", gotDesire, modelDesire+5)
 	}
@@ -95,7 +95,7 @@ func TestReallocateHoldsStaleNode(t *testing.T) {
 		{active: false},                        // finished
 	}
 	limits := []float64{10, 12, 8}
-	reallocate(30, 4, table, demands, pms, limits)
+	newLeafAlloc(table, demands, pms, limits).allocate(30, 4, 0, len(demands))
 
 	if limits[1] != 12 {
 		t.Errorf("held node's share moved: %.2f, want 12", limits[1])
@@ -126,7 +126,7 @@ func TestReallocateHoldRespectsFloorGuarantee(t *testing.T) {
 		{active: true, hold: true},
 	}
 	limits := []float64{4, 18}
-	reallocate(20, 4, table, demands, pms, limits)
+	newLeafAlloc(table, demands, pms, limits).allocate(20, 4, 0, len(demands))
 	if limits[0] < 4 {
 		t.Errorf("fresh node starved below the 4 W floor: %.2f", limits[0])
 	}

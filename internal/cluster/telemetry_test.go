@@ -7,13 +7,15 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aapm/internal/machine"
 	"aapm/internal/sensor"
 	"aapm/internal/telemetry"
 )
 
 // TestClusterTelemetry runs a parallel shared-budget co-simulation with
-// a registry attached while concurrent goroutines scrape it — the
-// telemetry layer's -race exercise — then checks the coordinator-level
+// a registry attached — coordinator series through Telemetry, per-node
+// observers through Observe — while concurrent goroutines scrape it
+// (the telemetry layer's -race exercise), then checks the coordinator
 // families landed with plausible values.
 func TestClusterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -37,13 +39,17 @@ func TestClusterTelemetry(t *testing.T) {
 		}()
 	}
 
+	ns := eightNodes(t)
 	res, err := Run(Config{
 		BudgetW:   104,
-		Nodes:     eightNodes(t),
+		Nodes:     ns,
 		Seed:      7,
 		Chain:     sensor.NIDefault(),
 		Workers:   4,
 		Telemetry: reg,
+		Observe: func(i int) []machine.Hook {
+			return []machine.Hook{telemetry.NewObserver(reg, ns[i].Workload.Name, "pm")}
+		},
 	})
 	stop.Store(true)
 	wg.Wait()
@@ -61,23 +67,24 @@ func TestClusterTelemetry(t *testing.T) {
 		return telemetry.FamilySnapshot{}, false
 	}
 
-	nodes, ok := get("aapm_cluster_nodes")
+	nodes, ok := get("aapm_fleet_nodes")
 	if !ok || nodes.Series[0].Value != 8 {
-		t.Errorf("aapm_cluster_nodes = %+v (ok=%v), want 8", nodes, ok)
+		t.Errorf("aapm_fleet_nodes = %+v (ok=%v), want 8", nodes, ok)
 	}
-	budget, _ := get("aapm_cluster_budget_watts")
+	budget, _ := get("aapm_fleet_budget_watts")
 	if budget.Series[0].Value != 104 {
 		t.Errorf("budget gauge = %v", budget.Series[0].Value)
 	}
-	intervals, ok := get("aapm_cluster_intervals_total")
-	if !ok || intervals.Series[0].Value <= 0 {
-		t.Error("no lockstep intervals counted")
+	intervals, ok := get("aapm_fleet_intervals_total")
+	if !ok || int(intervals.Series[0].Value) != res.Intervals || res.Intervals <= 0 {
+		t.Errorf("lockstep intervals counted %v, result %d", intervals.Series, res.Intervals)
 	}
-	epochs, ok := get("aapm_cluster_reallocation_epochs_total")
-	if !ok || epochs.Series[0].Value <= 0 {
-		t.Error("no reallocation epochs counted")
+	epochs, ok := get("aapm_fleet_reallocation_epochs_total")
+	if !ok || int(epochs.Series[0].Value) != res.Epochs || res.Epochs <= 0 {
+		t.Errorf("reallocation epochs counted %v, result %d", epochs.Series, res.Epochs)
 	}
-	limits, ok := get("aapm_cluster_node_limit_watts")
+	// Level-0 groups are single nodes: one budget gauge per node.
+	limits, ok := get("aapm_fleet_group_budget_watts")
 	if !ok || len(limits.Series) != 8 {
 		t.Fatalf("per-node limit series = %d, want 8", len(limits.Series))
 	}
@@ -86,6 +93,9 @@ func TestClusterTelemetry(t *testing.T) {
 	// budget at end of run — finished nodes keep their final gauge
 	// value while their released share is reallocated.)
 	for _, s := range limits.Series {
+		if s.Labels[0] != "0" {
+			t.Errorf("budget gauge %v on a one-level run, want level 0 only", s.Labels)
+		}
 		if s.Value < 4 || s.Value > 104 {
 			t.Errorf("node %v limit %v, want within [floor, budget]", s.Labels, s.Value)
 		}
@@ -93,7 +103,7 @@ func TestClusterTelemetry(t *testing.T) {
 
 	// Shard wall-clock histograms: one series per worker, and their
 	// total observation count matches the merged TickWall.
-	shard, ok := get("aapm_cluster_shard_wall_seconds")
+	shard, ok := get("aapm_fleet_shard_wall_seconds")
 	if !ok || len(shard.Series) == 0 {
 		t.Fatal("no shard wall-clock series")
 	}

@@ -30,8 +30,10 @@ type FleetScaleResult struct {
 	PeakTotalW      float64
 	OverFrac        float64
 
-	// FlatIdentical is true when a one-level fleet reproduced the flat
-	// coordinator's aggregates exactly on an 8-node suite population.
+	// FlatIdentical is true when a one-level fleet at the default
+	// worker count, rows discarded, reproduced the flat cluster's
+	// aggregates (serial, rows retained) exactly on an 8-node suite
+	// population.
 	FlatIdentical bool
 }
 
@@ -58,7 +60,9 @@ func (c *Context) FleetScale() (*FleetScaleResult, error) {
 	}
 	fanout := c.opts.FleetFanout
 
-	// Determinism cross-check on real workloads with the noisy chain.
+	// Determinism cross-check on real workloads with the noisy chain:
+	// the flat cluster is the same coordinator, so this pins that
+	// neither the worker count nor trace retention moves the schedule.
 	names := []string{"swim", "mcf", "lucas", "crafty", "gzip", "gcc", "art", "ammp"}
 	var ns []cluster.Node
 	for _, name := range names {

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"aapm/internal/cluster"
-	"aapm/internal/obs"
 	"aapm/internal/control"
 	"aapm/internal/experiment"
 	"aapm/internal/kernel"
 	"aapm/internal/machine"
+	"aapm/internal/obs"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
 	"aapm/internal/telemetry"
@@ -152,8 +152,14 @@ func (s *Service) runCluster(ctx context.Context, j *Job) (Result, *trace.Run, e
 		Seed:      js.Seed,
 		Chain:     chainFor(js.Chain),
 		Telemetry: s.reg,
-		Observe: func(i int, name string) machine.Hook {
-			return newProgressHook(j.events, j.flight, name, s.cfg.ProgressEvery)
+		// Per-node aapm_* series on /metrics, then the job's progress
+		// stream.
+		Observe: func(i int) []machine.Hook {
+			name := nodes[i].Name
+			return []machine.Hook{
+				telemetry.NewObserver(s.reg, name, "pm"),
+				newProgressHook(j.events, j.flight, name, s.cfg.ProgressEvery),
+			}
 		},
 	})
 	if err != nil {
