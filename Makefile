@@ -30,17 +30,20 @@ fuzz-short:
 # Refresh the golden trace fixtures after an intentional trace change:
 # the single-machine PM/PS traces and the shared-budget cluster fixture
 # (TestGoldenCluster, testdata/golden_cluster.csv). Also covers the
-# Prometheus exposition fixture in internal/telemetry.
+# Prometheus exposition fixture in internal/telemetry and the tick
+# engine's differential reference (internal/kernel/testdata/
+# staged_reference.json, every TestBatchMatchesStaged case).
 .PHONY: golden-update
 golden-update:
 	go test -run TestGolden -update .
 	go test -run TestPrometheusGolden -update ./internal/telemetry
+	go test -run TestBatchMatchesStaged -update ./internal/kernel
 
 # One-iteration telemetry overhead smoke: the hook-bus/observer cost
 # benchmarks compile and run.
 .PHONY: telemetry-smoke
 telemetry-smoke:
-	go test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkStagedTick' -benchtime 1x .
+	go test -run '^$$' -bench 'BenchmarkTelemetry' -benchtime 1x .
 
 # End-to-end smoke of the run service: build aapm-serve, start it on a
 # loopback port, submit the golden-config job over HTTP, poll until
@@ -186,19 +189,13 @@ intent-race:
 serve-churn:
 	go test -race -run 'TestSustainedChurn|TestEvictionPrefersLRUAndSkipsLive|TestMaxResultBytesEviction' -count=1 ./internal/serve/
 
-# Batch tick kernel throughput versus the staged reference paths; the
-# committed BENCH_tick.json tracks the trajectory. Append a datapoint
-# with `go run ./cmd/aapm-tickbench -json`.
-.PHONY: tick-bench
-tick-bench:
-	go run ./cmd/aapm-tickbench -count 3
-
-# Allocation gate + batch differential, exactly as CI runs them: the
-# specialized bodies must stay at zero heap allocations per tick and
-# byte-identical to the staged engine.
+# Allocation gate + fixture differential, exactly as CI runs them: the
+# specialized bodies must stay at zero heap allocations per tick, and
+# every body must reproduce the recorded reference fixture
+# (internal/kernel/testdata/staged_reference.json) bit for bit.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged' ./internal/kernel/
+	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged' ./internal/kernel/
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

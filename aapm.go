@@ -29,7 +29,6 @@ import (
 	"aapm/internal/control"
 	"aapm/internal/faults"
 	"aapm/internal/intent"
-	"aapm/internal/kernel"
 	"aapm/internal/machine"
 	"aapm/internal/metrics"
 	"aapm/internal/mixes"
@@ -59,10 +58,11 @@ type TickInfo = machine.TickInfo
 type Governor = machine.Governor
 
 // Session is an in-progress run advanced one monitoring interval at a
-// time; subscribe Hooks to it before stepping.
+// time — a one-lane view of the tick engine (see BatchState); subscribe
+// Hooks to it before stepping.
 type Session = machine.Session
 
-// Hook observes the staged tick engine: one OnTick per interval, plus
+// Hook observes the tick engine: one OnTick per interval, plus
 // transition, degradation and run-done events. Embed HookBase and
 // override only what you need, then pass the hook to
 // Platform.RunWith or Session.Subscribe.
@@ -71,7 +71,7 @@ type Hook = machine.Hook
 // HookBase is a no-op Hook for embedding.
 type HookBase = machine.BaseHook
 
-// TickState is the per-interval record the staged engine delivers to
+// TickState is the per-interval record the tick engine delivers to
 // every Hook.
 type TickState = machine.TickState
 
@@ -293,35 +293,33 @@ func IntentCapabilityOf(cfg FleetConfig) IntentCapability { return intent.Capabi
 func NewIntentController(cfg IntentConfig) (*IntentController, error) { return intent.New(cfg) }
 
 // BatchNode binds one node's platform, workload and governor for a
-// batch-kernel run. The governor must be a fresh instance, exactly as
-// with Platform.Run.
-type BatchNode = kernel.BatchNode
+// batch run. The governor must be a fresh instance, exactly as with
+// Platform.Run.
+type BatchNode = machine.BatchNode
 
-// BatchOptions configures a batch-kernel run (trace retention,
-// observer hooks).
-type BatchOptions = kernel.BatchOptions
+// BatchOptions configures a batch run (trace retention, observer
+// hooks).
+type BatchOptions = machine.BatchOptions
 
-// BatchState is the batch tick kernel: contiguous per-node tick state
+// BatchState is the tick engine: contiguous per-node tick state
 // stepped by per-run specialized loop bodies with zero heap
-// allocations per tick. It is the simulator's throughput path — the
-// staged Session remains the reference implementation, and every
-// batch run is byte-identical to it (same trace rows, same energy
-// integrals, same transition and degradation logs). Step it with
-// StepNode/StepAll/Run and read results with Result; see
-// internal/kernel and the "Batch kernel" section of DESIGN.md.
-type BatchState = kernel.BatchState
+// allocations per tick. It is the only implementation of the 10 ms
+// loop — Platform.Run and Session step a one-lane BatchState — so a
+// node's run is byte-identical in any batch and alone. Step it with
+// StepNode/StepAll/Run and read results with Result; see the "Tick
+// engine and Hook bus" section of DESIGN.md.
+type BatchState = machine.BatchState
 
-// NewBatch builds a batch kernel over the given nodes, initialized
-// exactly as staged sessions would be.
+// NewBatch builds a tick engine over the given nodes, each initialized
+// exactly as a Session of it would be.
 func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
-	return kernel.NewBatch(nodes, opts)
+	return machine.NewBatch(nodes, opts)
 }
 
-// RunBatch steps every node of a batch to completion on the batch
-// kernel and returns the per-node runs in node order. It is the
-// high-throughput equivalent of calling Platform.Run per node.
+// RunBatch steps every node of a batch to completion and returns the
+// per-node runs in node order: Platform.Run for many nodes at once.
 func RunBatch(nodes []BatchNode, opts BatchOptions) ([]*Run, error) {
-	b, err := kernel.NewBatch(nodes, opts)
+	b, err := machine.NewBatch(nodes, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,6 @@ import (
 	"aapm/internal/experiment"
 	"aapm/internal/kernel"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/mloops"
 	"aapm/internal/model"
 	"aapm/internal/sensor"
@@ -401,46 +400,9 @@ func BenchmarkMachineTick(b *testing.B) {
 	}
 }
 
-// BenchmarkStagedTick measures the same per-interval cost with the
-// staged engine driven by hand — a metrics collector subscribed and
-// sessions stepped manually — to pin the hook bus overhead against
-// BenchmarkMachineTick (budget: ≤5%).
-func BenchmarkStagedTick(b *testing.B) {
-	w, err := spec.ByName("ammp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{Chain: sensor.NIDefault(), Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	ticks := 0
-	for ticks < b.N {
-		s, err := m.NewSession(w, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		col := &metrics.Collector{}
-		s.Subscribe(col)
-		for {
-			done, err := s.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if done {
-				break
-			}
-		}
-		s.Result()
-		ticks += col.Ticks
-	}
-}
-
 // BenchmarkTelemetryOff measures the per-interval cost with the
 // telemetry layer compiled in but no subscriber attached — the
-// partner of BenchmarkStagedTick for the ≤5% self-observation budget
-// (asserted by TestTelemetryOffOverhead).
+// partner of BenchmarkTelemetryOn.
 func BenchmarkTelemetryOff(b *testing.B) {
 	w, err := spec.ByName("ammp")
 	if err != nil {
@@ -503,17 +465,18 @@ func BenchmarkTelemetryOn(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchTick measures the batch kernel's cost per node-tick on
+// BenchmarkBatchTick measures the tick engine's cost per node-tick on
 // its specialized PM path: the cluster benchmark's eight-node mix (NI
 // chain, per-node PM at the same 13 W share) stepped as one BatchState
 // with trace retention off — the telemetry-off, faults-off hot path
 // the zero-allocation gate (TestBatchTickAllocs) pins. Compare ns/op
 // here against BenchmarkClusterTick's ns/step divided by its node
-// count; `make tick-bench` records the ratio in BENCH_tick.json.
+// count; perfbench's fleet workload reports the same body cost as
+// kernel.pm_ns_per_node_tick.
 func BenchmarkBatchTick(b *testing.B) {
 	names := []string{"swim", "mcf", "lucas", "crafty", "gzip", "gcc", "art", "ammp"}
-	build := func() *kernel.BatchState {
-		nodes := make([]kernel.BatchNode, len(names))
+	build := func() *machine.BatchState {
+		nodes := make([]machine.BatchNode, len(names))
 		for i, name := range names {
 			w, err := spec.ByName(name)
 			if err != nil {
@@ -531,9 +494,9 @@ func BenchmarkBatchTick(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nodes[i] = kernel.BatchNode{Machine: m, Workload: w, Governor: pm}
+			nodes[i] = machine.BatchNode{Machine: m, Workload: w, Governor: pm}
 		}
-		bs, err := kernel.NewBatch(nodes, kernel.BatchOptions{})
+		bs, err := machine.NewBatch(nodes, machine.BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

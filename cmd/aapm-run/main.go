@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "simulation seed")
 	csvPath := flag.String("csv", "", "write the full 10 ms trace to this CSV file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
-	showMetrics := flag.Bool("metrics", false, "print staged-engine counters (ticks, transitions, stall, per-stage wall-clock)")
+	showMetrics := flag.Bool("metrics", false, "print tick-engine counters (ticks, transitions, stall, per-stage wall-clock)")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	flag.Parse()
 

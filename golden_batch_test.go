@@ -1,11 +1,12 @@
 package aapm
 
-// Golden-trace acceptance for the batch tick kernel at the facade
-// level: the same pinned fixtures the staged engine is checked
-// against, re-run through NewBatch/RunBatch. The kernel's specialized
-// bodies and its generic (hook-carrying) body must both reproduce the
-// staged traces byte-for-byte — the fixtures stay owned by the staged
-// tests (TestGoldenPMTrace), so -update runs skip these.
+// Golden-trace acceptance for NewBatch at the facade level: the same
+// pinned fixtures Platform.Run is checked against, built as an explicit
+// batch so the test can also assert which step body was selected. The
+// specialized in-place body and the generic (hook-carrying) body must
+// both reproduce the fixtures byte-for-byte. The fixtures stay owned
+// by TestGoldenPMTrace and TestGoldenPSTrace, so -update runs skip
+// these.
 
 import (
 	"bytes"
@@ -13,19 +14,11 @@ import (
 	"testing"
 )
 
-// goldenBatchRun executes the canonical fixture configuration (one
-// iteration of ammp, NI chain, seed 1) through the batch kernel.
+// goldenBatchRun executes the canonical fixture configuration through
+// a one-lane batch.
 func goldenBatchRun(t *testing.T, gov Governor, opts BatchOptions) (*Run, *BatchState) {
 	t.Helper()
-	w, err := Workload("ammp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Iterations = 1
-	m, err := NewPlatform(PlatformConfig{Chain: NIChain(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, w := goldenPlatform(t)
 	opts.RetainTraces = true
 	b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: gov}}, opts)
 	if err != nil {
@@ -61,16 +54,16 @@ func TestGoldenPSTraceBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, b := goldenBatchRun(t, ps, BatchOptions{})
-	if b.Kind() != "psave" {
-		t.Fatalf("golden PS run selected step body %q, want the specialized psave body", b.Kind())
+	if b.Kind() != "pm" {
+		t.Fatalf("golden PS run selected step body %q, want the specialized pm body", b.Kind())
 	}
 	checkGolden(t, "golden_ps_ammp.csv", run)
 }
 
-// TestGoldenTraceWithTelemetryBatch is the batch analogue of
-// TestGoldenTraceWithTelemetry: observer hooks demote the batch to its
-// generic body, which must still replicate the staged event order —
-// same fixture bytes, exporters fully fed.
+// TestGoldenTraceWithTelemetryBatch subscribes observers through
+// BatchOptions.Hooks rather than Session.Subscribe: the hooks demote
+// the batch to its generic body, which must still produce the fixture
+// bytes with the exporters fully fed.
 func TestGoldenTraceWithTelemetryBatch(t *testing.T) {
 	if *update {
 		t.Skip("fixture owned by TestGoldenPMTrace")

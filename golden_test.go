@@ -15,11 +15,11 @@ import (
 //	go test -run TestGolden -update .
 var update = flag.Bool("update", false, "rewrite golden trace fixtures under testdata/")
 
-// goldenRun executes one iteration of ammp at seed 1 on the NI
-// measurement chain — the canonical fixture configuration. Everything
-// in the simulation is virtual-time and seed-driven, so the resulting
-// trace must reproduce byte-for-byte on every platform.
-func goldenRun(t *testing.T, gov Governor) *Run {
+// goldenPlatform returns the canonical fixture configuration: one
+// iteration of ammp at seed 1 on the NI measurement chain. Everything
+// in the simulation is virtual-time and seed-driven, so its traces
+// must reproduce byte-for-byte on every platform.
+func goldenPlatform(t *testing.T) (*Platform, WorkloadSpec) {
 	t.Helper()
 	w, err := Workload("ammp")
 	if err != nil {
@@ -30,6 +30,14 @@ func goldenRun(t *testing.T, gov Governor) *Run {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, w
+}
+
+// goldenRun runs the fixture configuration under gov through
+// Platform.Run, the facade's one-shot entry point.
+func goldenRun(t *testing.T, gov Governor) *Run {
+	t.Helper()
+	m, w := goldenPlatform(t)
 	run, err := m.Run(w, gov)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +120,8 @@ func TestGoldenPSTrace(t *testing.T) {
 }
 
 // The fixtures must also be insensitive to run order and repetition —
-// two back-to-back runs on fresh platforms produce identical bytes.
+// two back-to-back Platform.Run calls on fresh platforms produce
+// identical bytes, and they are the fixture's bytes.
 func TestGoldenRunIsDeterministic(t *testing.T) {
 	mk := func() *bytes.Buffer {
 		pm, err := NewPerformanceMaximizer(PMConfig{LimitW: 14.5})
@@ -125,7 +134,11 @@ func TestGoldenRunIsDeterministic(t *testing.T) {
 		}
 		return &buf
 	}
-	if !bytes.Equal(mk().Bytes(), mk().Bytes()) {
+	first := mk()
+	if !bytes.Equal(first.Bytes(), mk().Bytes()) {
 		t.Fatal("two identical-seed runs produced different traces")
+	}
+	if !*update {
+		checkGoldenBytes(t, "golden_pm_ammp.csv", first.Bytes())
 	}
 }

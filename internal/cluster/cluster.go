@@ -67,7 +67,7 @@ func usable(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >=
 
 // demand is one node's reallocation input, assembled post-barrier by
 // the coordinator from the epoch accumulators and the node's tap (its
-// latest interval observation, read through the batch kernel's
+// latest interval observation, read through the tick engine's
 // Seq/LastPowerW/LastDPC accessors).
 type demand struct {
 	// active is false once the node finished (its share is released).
@@ -87,7 +87,7 @@ type demand struct {
 
 // assembleDemand builds one node's reallocation input from its epoch
 // accumulators and tap state: done/seq/lastDPC come from the batch
-// kernel's post-barrier accessors, the rest are the coordinator's
+// engine's post-barrier accessors, the rest are the coordinator's
 // per-epoch accumulators.
 func assembleDemand(d *demand, done bool, recentW, recentDPC float64, recentN int, epochFresh bool, seq uint64, lastDPC float64) {
 	*d = demand{active: !done}

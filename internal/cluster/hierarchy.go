@@ -1,6 +1,6 @@
 // The coordinator: the shared-budget loop, run as the level-agnostic
 // allocator (package alloc) at every tier of a tree. Leaves are index
-// ranges of one kernel.BatchState stepped by the worker pool; interior
+// ranges of one machine.BatchState stepped by the worker pool; interior
 // levels aggregate their children's epoch demands into group summaries
 // and re-run the same Allocator; the root holds the global cap.
 // Grouping is by consecutive node index with a fixed fanout, so group
@@ -30,7 +30,6 @@ import (
 	"aapm/internal/alloc"
 	"aapm/internal/control"
 	"aapm/internal/faults"
-	"aapm/internal/kernel"
 	"aapm/internal/machine"
 	"aapm/internal/metrics"
 	"aapm/internal/obs"
@@ -109,7 +108,7 @@ type FleetConfig struct {
 	// Observe, when non-nil, returns node i's observer hooks,
 	// subscribed before the run (an empty return leaves the node
 	// unobserved) — e.g. a telemetry.Observer or a TraceEventWriter
-	// run hook per node. Hooks move the batch kernel onto its generic
+	// run hook per node. Hooks move the tick engine onto its generic
 	// body; traces stay byte-identical.
 	Observe func(i int) []machine.Hook
 }
@@ -305,7 +304,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// One ground truth (and so one p-state table) for the whole fleet:
 	// the per-node values are identical to what machine.New would build
 	// per node, so traces match a standalone machine bit for bit, but a
-	// single shared table keeps the kernel's interned behavior/frequency
+	// single shared table keeps the engine's interned behavior/frequency
 	// caches to one entry set instead of one per node.
 	truth := power.PentiumM755Truth()
 	table := truth.Table()
@@ -338,14 +337,14 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		machines[i] = m
 		pms[i] = pm
 	}
-	bnodes := make([]kernel.BatchNode, n)
+	bnodes := make([]machine.BatchNode, n)
 	for i, node := range cfg.Nodes {
-		bnodes[i] = kernel.BatchNode{Machine: machines[i], Workload: node.Workload, Governor: pms[i]}
+		bnodes[i] = machine.BatchNode{Machine: machines[i], Workload: node.Workload, Governor: pms[i]}
 	}
-	// The coordinator reads node observations through the kernel's
+	// The coordinator reads node observations through the engine's
 	// per-node accessors rather than a hook tap, so a run without
 	// Observe keeps the specialized (hook-free) step bodies.
-	bs, err := kernel.NewBatch(bnodes, kernel.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
+	bs, err := machine.NewBatch(bnodes, machine.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -354,7 +353,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// the coordinator goroutine and read by the workers only after the
 	// next generation advance, so the pool's happens-before edges cover
 	// them. With Control nil none of this exists and the step function
-	// is the kernel's, untouched.
+	// is the engine's, untouched.
 	ctl := cfg.Control
 	stepFn := bs.StepNode
 	var nodeOv []NodeOverride
@@ -415,7 +414,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	recentW := make([]float64, n)
 	recentDPC := make([]float64, n)
 	recentN := make([]int, n)
-	lastSeq := make([]uint64, n)  // kernel sequence at the previous tick
+	lastSeq := make([]uint64, n)  // engine sequence at the previous tick
 	epochFresh := make([]bool, n) // sequence advanced at all this epoch
 	demands := make([]demand, n)
 
@@ -707,7 +706,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 // fixed single-phase profiles (CPU-bound, mixed, memory-ish) assigned
 // round-robin, each sized to retire in roughly ticks monitoring
 // intervals at the top p-state (2 GHz x 10 ms = 2e7 cycles per tick).
-// The three Workload values are shared across nodes, so the kernel's
+// The three Workload values are shared across nodes, so the engine's
 // interned behavior caches hold three entries regardless of n, and
 // with zero jitter no node carries an RNG.
 func SyntheticFleet(n, ticks int) []Node {

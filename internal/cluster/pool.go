@@ -18,14 +18,14 @@ import (
 // node is stepped by the same goroutine for the whole run and no two
 // workers ever touch the same node state, stepped flag or error slot
 // — the shards step disjoint node lanes of one BatchState, which the
-// kernel's concurrency contract permits. The coordinator reads
-// stepped and the kernel's per-node errors only after the tick
+// engine's concurrency contract permits. The coordinator reads
+// stepped and the engine's per-node errors only after the tick
 // barrier.
 type stepper struct {
 	workers int
 	n       int
 	// step advances node i by one interval if it is still active,
-	// reporting whether it was stepped (the kernel's StepNode, behind
+	// reporting whether it was stepped (the engine's StepNode, behind
 	// the control plane's offline gate when one is attached).
 	step func(i int) bool
 	// stepped[i] records that node i was active at tick start and was

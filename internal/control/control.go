@@ -48,6 +48,13 @@ func (s *StaticClock) Name() string { return s.label }
 // Tick always returns the pinned index.
 func (s *StaticClock) Tick(machine.TickInfo) int { return s.Index }
 
+// TickP is Tick for the tick engine's in-place body; a pinned clock
+// never notes degradations.
+func (s *StaticClock) TickP(*machine.TickInfo) (int, bool) { return s.Index, false }
+
+// DrainDegradations reports nothing: a pinned clock never degrades.
+func (s *StaticClock) DrainDegradations() []trace.Degradation { return nil }
+
 // InitialIndex pins the run's starting p-state so a static run never
 // spends its first interval at the platform default.
 func (s *StaticClock) InitialIndex(int) int { return s.Index }
@@ -199,13 +206,18 @@ func (pm *PerformanceMaximizer) Limit() float64 { return pm.limitW }
 // the guardband widens by cfg.DegradeGuardbandW and the feedback
 // correction freezes at its last good value.
 func (pm *PerformanceMaximizer) Tick(info machine.TickInfo) int {
-	return pm.TickP(&info)
+	return pm.tick(&info)
 }
 
-// TickP is Tick without the TickInfo copy, for callers that already
-// hold the interval record in memory (the batch kernel's hot path).
-// Identical decision arithmetic.
-func (pm *PerformanceMaximizer) TickP(info *machine.TickInfo) int {
+// TickP is Tick without the TickInfo copy, for the tick engine's
+// in-place body (machine.InPlaceTicker): the same decision, plus
+// whether it noted degradation events to drain.
+func (pm *PerformanceMaximizer) TickP(info *machine.TickInfo) (int, bool) {
+	want := pm.tick(info)
+	return want, len(pm.degr) != 0
+}
+
+func (pm *PerformanceMaximizer) tick(info *machine.TickInfo) int {
 	dpc := info.Sample.DPC()
 	counterOK := !info.Sample.Implausible() && !math.IsNaN(dpc) && !math.IsInf(dpc, 0) && dpc >= 0
 	if pm.cfg.Degrade {
@@ -449,12 +461,18 @@ func sampleUsable(ipc, dcu float64) bool {
 // recently busy) replay the last good sample for up to StaleTicks
 // intervals, then fall back to the offline core-bound model.
 func (ps *PowerSave) Tick(info machine.TickInfo) int {
-	return ps.TickP(&info)
+	return ps.tick(&info)
 }
 
-// TickP is Tick without the TickInfo copy, for the batch kernel's hot
-// path. Identical decision arithmetic.
-func (ps *PowerSave) TickP(info *machine.TickInfo) int {
+// TickP is Tick without the TickInfo copy, for the tick engine's
+// in-place body (machine.InPlaceTicker): the same decision, plus
+// whether it noted degradation events to drain.
+func (ps *PowerSave) TickP(info *machine.TickInfo) (int, bool) {
+	want := ps.tick(info)
+	return want, len(ps.degr) != 0
+}
+
+func (ps *PowerSave) tick(info *machine.TickInfo) int {
 	ipc := info.Sample.IPC()
 	dcu := info.Sample.DCUPerInst()
 	from := info.PState.FreqMHz

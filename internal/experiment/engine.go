@@ -25,7 +25,7 @@ type EngineRow struct {
 	Degradations      int
 }
 
-// EngineMetricsResult reports the staged tick engine's per-run
+// EngineMetricsResult reports the tick engine's per-run
 // counters — collected through the Hook bus, not the trace — for the
 // probe workload under the paper's three canonical policies.
 type EngineMetricsResult struct {

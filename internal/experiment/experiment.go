@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"aapm/internal/control"
-	"aapm/internal/kernel"
 	"aapm/internal/machine"
 	"aapm/internal/model"
 	"aapm/internal/phase"
@@ -52,14 +51,6 @@ type Options struct {
 	// unchanged. Runs may execute concurrently — the factory and its
 	// hooks must tolerate that.
 	Observer func(workload, policy string) machine.Hook
-	// Engine selects the tick engine executing each run: "" or
-	// "batch" steps runs through the batch kernel (internal/kernel)
-	// — the zero-allocation fast path — while "staged" forces the
-	// staged reference engine (machine.Session). The two are
-	// byte-identical by construction (the differential suite pins
-	// it), so results and caches are engine-independent; "staged"
-	// exists for cross-checks and honest baseline timing.
-	Engine string
 	// FleetNodes sizes the fleetscale experiment's population; 0
 	// selects 100,000 nodes.
 	FleetNodes int
@@ -122,11 +113,6 @@ func NewContext(opts Options) (*Context, error) {
 	}
 	if opts.ScaleDown < 0 {
 		return nil, fmt.Errorf("experiment: negative ScaleDown")
-	}
-	switch opts.Engine {
-	case "", "batch", "staged":
-	default:
-		return nil, fmt.Errorf("experiment: unknown engine %q", opts.Engine)
 	}
 	ws, err := spec.All()
 	if err != nil {
@@ -213,7 +199,7 @@ func (c *Context) run(key, workload string, f govFactory) (*trace.Run, error) {
 				hooks = append(hooks, h)
 			}
 		}
-		r, err := c.execute(m, w, g, hooks)
+		r, err := m.RunWith(w, g, hooks...)
 		if err != nil {
 			return nil, err
 		}
@@ -224,28 +210,6 @@ func (c *Context) run(key, workload string, f govFactory) (*trace.Run, error) {
 	c.runs[key] = r
 	c.mu.Unlock()
 	return r, nil
-}
-
-// execute runs one workload/governor pair on the configured engine.
-// The default is the batch kernel, which is byte-identical to the
-// staged reference by construction; Options.Engine == "staged" forces
-// the reference path for cross-checks and baseline timing.
-func (c *Context) execute(m *machine.Machine, w phase.Workload, g machine.Governor, hooks []machine.Hook) (*trace.Run, error) {
-	if c.opts.Engine == "staged" {
-		return m.RunWith(w, g, hooks...)
-	}
-	opts := kernel.BatchOptions{RetainTraces: true}
-	if len(hooks) > 0 {
-		opts.Hooks = func(int) []machine.Hook { return hooks }
-	}
-	b, err := kernel.NewBatch([]kernel.BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Run(); err != nil {
-		return nil, err
-	}
-	return b.Result(0), nil
 }
 
 // medianByDuration returns the run with the median execution time (the

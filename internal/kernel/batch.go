@@ -1,534 +1,22 @@
 package kernel
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
+import "aapm/internal/machine"
 
-	"aapm/internal/control"
-	"aapm/internal/counters"
-	"aapm/internal/faults"
-	"aapm/internal/machine"
-	"aapm/internal/phase"
-	"aapm/internal/power"
-	"aapm/internal/pstate"
-	"aapm/internal/sensor"
-	"aapm/internal/thermal"
-	"aapm/internal/trace"
-)
+// The batch tick engine lives in package machine. These aliases and
+// NewBatch forward to it only because the benchmark module (perfbench/)
+// imports the engine from here; code inside this module uses
+// machine.NewBatch directly.
 
-// The batch tick engine steps many nodes through their monitoring
-// intervals with a struct-of-arrays layout and per-run specialized
-// step bodies. It is the throughput path of the simulator: the staged
-// engine (internal/machine, Session.Step) remains the reference
-// implementation, and every batch run is required to be byte-identical
-// to it — same trace rows, same energy integrals, same transition and
-// degradation logs — which the differential suite pins across
-// governors, fault plans and randomized specs.
-//
-// Where the staged engine builds a ~400-byte TickState per interval
-// and fans it out to a hook bus, the batch engine keeps all mutable
-// per-node state in contiguous parallel slices (BatchState) and
-// selects one of a small set of step bodies once per run:
-//
-//	body        governor          faults  thermal  hooks
-//	pinned      nil, StaticClock  off     off      none
-//	pm          PerformanceMax.   off     off      none
-//	psave       PowerSave         off     off      none
-//	generic     any               any     any      any
-//
-// The specialized bodies allocate nothing per tick (asserted by
-// TestBatchTickAllocs); the generic body reproduces the full staged
-// event order including hook fan-out, fault drains and throttling.
+// BatchNode is machine.BatchNode.
+type BatchNode = machine.BatchNode
 
-// BatchNode binds one node's machine, workload and governor. The
-// governor must be a fresh instance (its state is mutated by the run),
-// exactly as with machine.NewSession.
-type BatchNode struct {
-	Machine  *machine.Machine
-	Workload phase.Workload
-	Governor machine.Governor
-}
+// BatchOptions is machine.BatchOptions.
+type BatchOptions = machine.BatchOptions
 
-// BatchOptions configures a batch run.
-type BatchOptions struct {
-	// RetainTraces keeps per-interval trace rows in each node's
-	// trace.Run. Off by default: the hot path then writes no rows and
-	// the per-node Result carries only run-level totals.
-	RetainTraces bool
-	// Hooks, when non-nil, returns the observer hooks to subscribe for
-	// node i (nil for none). Any hook forces the generic step body for
-	// the whole batch, mirroring the staged bus semantics exactly.
-	Hooks func(i int) []machine.Hook
-}
+// BatchState is machine.BatchState.
+type BatchState = machine.BatchState
 
-// stepKind identifies the specialized step body a batch selected.
-type stepKind uint8
-
-const (
-	stepGeneric stepKind = iota
-	stepPinned
-	stepPM
-	stepPS
-)
-
-func (k stepKind) String() string {
-	switch k {
-	case stepPinned:
-		return "pinned"
-	case stepPM:
-		return "pm"
-	case stepPS:
-		return "psave"
-	default:
-		return "generic"
-	}
-}
-
-// BatchState holds the tick state of every node in a batch as
-// parallel slices, stepped in lockstep by StepNode/StepAll. One
-// BatchState is single-coordinator: distinct index ranges may be
-// stepped concurrently (the cluster pool shards them), but each node
-// index must be stepped by one goroutine at a time with a
-// happens-before edge between rounds, as with machine.Session.
-type BatchState struct {
-	n      int
-	retain bool
-	kind   stepKind
-	step   func(b *BatchState, i int)
-
-	// Immutable per-node wiring, fixed at construction.
-	machines []*machine.Machine
-	truths   []*power.GroundTruth
-	govs     []machine.Governor
-	pms      []*control.PerformanceMaximizer
-	pss      []*control.PowerSave
-	acts     []*pstate.Actuator
-	rngs     []*rand.Rand
-	injs     []*faults.Injector
-	tms      []*thermal.Model
-	chains   []sensor.Prepared
-	tables   []*pstate.Table
-	states   [][]pstate.PState
-	freqHz   [][]float64
-	behav    [][]phase.Behavior // flat [state*nPhases+phase] cache of Params.At
-	phases   [][]phase.Params
-	period   []time.Duration
-	perSec   []float64 // period[i].Seconds(), cached for full intervals
-	jitter   []float64 // workload JitterPct
-	maxTicks []int
-	repeats  []int32
-	policy   []string
-	runs     []*trace.Run
-	hooks    [][]machine.Hook
-
-	// Hot mutable state, one lane per node.
-	curIdx    []int32
-	phaseIdx  []int32
-	iter      []int32
-	tick      []int
-	duty      []float64
-	remInstr  []float64
-	remIdle   []time.Duration
-	now       []time.Duration
-	pendStall []time.Duration
-	instrTot  []float64
-	lastW     []float64
-	seq       []uint64
-	exhausted []bool
-	done      []bool
-	finalized []bool
-	errs      []error
-
-	energyTrue []power.Energy
-	energyMeas []power.Energy
-	// tinfo holds each node's persistent TickInfo: the true PMU sample
-	// is accumulated in place (never copied), and the constant fields
-	// (Table, Duty=1) are set once, so the specialized bodies only
-	// touch the per-tick fields before handing the record to TickP.
-	tinfo []machine.TickInfo
-	obs   []counters.Sample // governor-visible sample (faulted runs only)
-}
-
-// behavKey identifies one node's pure-value behavior cache: nodes
-// sharing a p-state table and a phase list (fleet runs repeat a few
-// workload profiles across 10⁵+ nodes) share one cache instead of
-// each carrying its own copy.
-type behavKey struct {
-	table  *pstate.Table
-	phase0 *phase.Params
-	n      int
-}
-
-// NewBatch validates the nodes and builds a batch ready to step. Each
-// node is initialized exactly as machine.NewSession initializes a
-// session — same actuator positioning, same RNG and injector seeds —
-// except that no acquisition marks are written to the machines'
-// sensor.Recorder (the batch engine bypasses the shared acquisition
-// stream; see DESIGN.md).
-//
-// The per-node footprint is kept lean for fleet-scale batches: the
-// ~5 KB rand.Rand source is allocated only for nodes that can draw
-// from it (workload jitter or chain noise — without either, the
-// staged engine never consumes the stream, so a nil RNG is
-// bit-identical), and the p-state/behavior caches are interned per
-// (table, phase list) so homogeneous fleets share them.
+// NewBatch is machine.NewBatch.
 func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("kernel: batch needs at least one node")
-	}
-	n := len(nodes)
-	b := &BatchState{
-		n:      n,
-		retain: opts.RetainTraces,
-
-		machines: make([]*machine.Machine, n),
-		truths:   make([]*power.GroundTruth, n),
-		govs:     make([]machine.Governor, n),
-		pms:      make([]*control.PerformanceMaximizer, n),
-		pss:      make([]*control.PowerSave, n),
-		acts:     make([]*pstate.Actuator, n),
-		rngs:     make([]*rand.Rand, n),
-		injs:     make([]*faults.Injector, n),
-		tms:      make([]*thermal.Model, n),
-		chains:   make([]sensor.Prepared, n),
-		tables:   make([]*pstate.Table, n),
-		states:   make([][]pstate.PState, n),
-		freqHz:   make([][]float64, n),
-		behav:    make([][]phase.Behavior, n),
-		phases:   make([][]phase.Params, n),
-		period:   make([]time.Duration, n),
-		perSec:   make([]float64, n),
-		jitter:   make([]float64, n),
-		maxTicks: make([]int, n),
-		repeats:  make([]int32, n),
-		policy:   make([]string, n),
-		runs:     make([]*trace.Run, n),
-		hooks:    make([][]machine.Hook, n),
-
-		curIdx:    make([]int32, n),
-		phaseIdx:  make([]int32, n),
-		iter:      make([]int32, n),
-		tick:      make([]int, n),
-		duty:      make([]float64, n),
-		remInstr:  make([]float64, n),
-		remIdle:   make([]time.Duration, n),
-		now:       make([]time.Duration, n),
-		pendStall: make([]time.Duration, n),
-		instrTot:  make([]float64, n),
-		lastW:     make([]float64, n),
-		seq:       make([]uint64, n),
-		exhausted: make([]bool, n),
-		done:      make([]bool, n),
-		finalized: make([]bool, n),
-		errs:      make([]error, n),
-
-		energyTrue: make([]power.Energy, n),
-		energyMeas: make([]power.Energy, n),
-		tinfo:      make([]machine.TickInfo, n),
-		obs:        make([]counters.Sample, n),
-	}
-	statesCache := make(map[*pstate.Table][]pstate.PState)
-	freqCache := make(map[*pstate.Table][]float64)
-	behavCache := make(map[behavKey][]phase.Behavior)
-	anyHooks := false
-	for i, node := range nodes {
-		m, w, g := node.Machine, node.Workload, node.Governor
-		if m == nil {
-			return nil, fmt.Errorf("kernel: batch node %d has no machine", i)
-		}
-		if err := w.Validate(); err != nil {
-			return nil, err
-		}
-		act := pstate.NewActuator(m.Table())
-		act.SetTransitionLatency(m.TransitionLatency())
-		if _, err := act.Set(m.StartIndex(g)); err != nil {
-			return nil, err
-		}
-		act.ResetStats() // positioning is not a policy transition
-
-		policy := "static"
-		if g != nil {
-			policy = g.Name()
-		}
-		if tc := m.ThermalConfig(); tc != nil {
-			tm, err := thermal.New(*tc)
-			if err != nil {
-				return nil, err
-			}
-			b.tms[i] = tm
-		}
-		if plan := m.FaultPlan(); plan != nil {
-			inj, err := faults.NewInjector(*plan, m.SessionSeed(w.Name))
-			if err != nil {
-				return nil, err
-			}
-			b.injs[i] = inj
-		}
-		b.machines[i] = m
-		b.truths[i] = m.Truth()
-		b.govs[i] = g
-		b.acts[i] = act
-		if w.JitterPct > 0 || m.Chain().NoiseStdW > 0 {
-			// Only jitter draws and noise draws consume the stream;
-			// without either the RNG is dead weight (~5 KB/node at
-			// fleet scale) and a nil RNG is bit-identical.
-			b.rngs[i] = rand.New(rand.NewSource(m.SessionSeed(w.Name)))
-		}
-		b.chains[i] = m.Chain().Prepare()
-		b.tables[i] = m.Table()
-		if sts, ok := statesCache[b.tables[i]]; ok {
-			b.states[i] = sts
-		} else {
-			b.states[i] = m.Table().States()
-			statesCache[b.tables[i]] = b.states[i]
-		}
-		b.phases[i] = w.Phases
-		b.period[i] = m.SamplePeriod()
-		b.perSec[i] = m.SamplePeriod().Seconds()
-		b.jitter[i] = w.JitterPct
-		b.maxTicks[i] = m.MaxTicks()
-		b.repeats[i] = int32(w.Repeats())
-		b.policy[i] = policy
-		b.runs[i] = &trace.Run{Workload: w.Name, Policy: policy}
-		if opts.Hooks != nil {
-			b.hooks[i] = opts.Hooks(i)
-			if len(b.hooks[i]) > 0 {
-				anyHooks = true
-			}
-		}
-
-		// Behavior cache: Params.At is pure in (phase, p-state), so the
-		// staged engine's per-tick evaluation can be precomputed without
-		// changing a single float bit — and shared across every node
-		// with the same table and phase list.
-		sts := b.states[i]
-		if f, ok := freqCache[b.tables[i]]; ok {
-			b.freqHz[i] = f
-		} else {
-			f = make([]float64, len(sts))
-			for si, ps := range sts {
-				f[si] = ps.FreqHz()
-			}
-			b.freqHz[i] = f
-			freqCache[b.tables[i]] = f
-		}
-		var ph0 *phase.Params
-		if len(w.Phases) > 0 {
-			ph0 = &w.Phases[0]
-		}
-		bk := behavKey{table: b.tables[i], phase0: ph0, n: len(w.Phases)}
-		if bv, ok := behavCache[bk]; ok {
-			b.behav[i] = bv
-		} else {
-			bv = make([]phase.Behavior, len(sts)*len(w.Phases))
-			for si, ps := range sts {
-				for pi, p := range w.Phases {
-					bv[si*len(w.Phases)+pi] = p.At(ps)
-				}
-			}
-			b.behav[i] = bv
-			behavCache[bk] = bv
-		}
-
-		b.curIdx[i] = int32(act.CurrentIndex())
-		b.duty[i] = 1.0
-		// Constant TickInfo fields for the specialized bodies; the
-		// per-tick fields are written in place each interval.
-		b.tinfo[i].Table = b.tables[i]
-		b.tinfo[i].Duty = 1
-		b.loadPhase(i)
-	}
-	b.kind = b.selectKind(anyHooks)
-	switch b.kind {
-	case stepPinned:
-		b.step = stepPinnedBody
-	case stepPM:
-		b.step = stepPMBody
-	case stepPS:
-		b.step = stepPSBody
-	default:
-		b.step = stepGenericBody
-	}
-	return b, nil
-}
-
-// selectKind picks the most specialized step body that is exact for
-// every node in the batch. Any node that needs the full staged event
-// order — fault injection, a thermal model, observer hooks, a
-// throttling or otherwise unrecognized governor — demotes the whole
-// batch to the generic body; a mixed set of recognized governors does
-// too, so the per-tick body stays branch-free on governor kind.
-func (b *BatchState) selectKind(anyHooks bool) stepKind {
-	if anyHooks {
-		return stepGeneric
-	}
-	kind := stepKind(0xff)
-	for i := 0; i < b.n; i++ {
-		if b.injs[i] != nil || b.tms[i] != nil {
-			return stepGeneric
-		}
-		if _, ok := b.govs[i].(machine.Throttler); ok {
-			return stepGeneric
-		}
-		var k stepKind
-		switch g := b.govs[i].(type) {
-		case nil:
-			k = stepPinned
-		case *control.StaticClock:
-			_ = g
-			k = stepPinned
-		case *control.PerformanceMaximizer:
-			b.pms[i] = g
-			k = stepPM
-		case *control.PowerSave:
-			b.pss[i] = g
-			k = stepPS
-		default:
-			return stepGeneric
-		}
-		if kind == 0xff {
-			kind = k
-		} else if kind != k {
-			return stepGeneric
-		}
-	}
-	return kind
-}
-
-// Kind reports which step body the batch selected (for tests and
-// diagnostics).
-func (b *BatchState) Kind() string { return b.kind.String() }
-
-// Len returns the number of nodes.
-func (b *BatchState) Len() int { return b.n }
-
-// loadPhase mirrors the staged runState.load: position the node at the
-// next runnable phase, wrapping repeats, or mark it exhausted.
-func (b *BatchState) loadPhase(i int) {
-	phs := b.phases[i]
-	for {
-		if int(b.phaseIdx[i]) >= len(phs) {
-			b.phaseIdx[i] = 0
-			b.iter[i]++
-			if b.iter[i] >= b.repeats[i] {
-				b.exhausted[i] = true
-				return
-			}
-		}
-		p := &phs[b.phaseIdx[i]]
-		if p.Idle() {
-			b.remIdle[i] = p.IdleDuration
-			if b.remIdle[i] > 0 {
-				return
-			}
-		} else if p.Instructions > 0 {
-			b.remInstr[i] = p.Instructions
-			return
-		}
-		b.phaseIdx[i]++
-	}
-}
-
-// StepNode advances node i by one monitoring interval, reporting
-// whether the node was stepped (false once it is done or errored).
-func (b *BatchState) StepNode(i int) bool {
-	if b.done[i] || b.errs[i] != nil {
-		return false
-	}
-	b.step(b, i)
-	return true
-}
-
-// StepAll advances every unfinished node one interval in node order,
-// reporting whether any node was stepped.
-func (b *BatchState) StepAll() bool {
-	active := false
-	for i := 0; i < b.n; i++ {
-		if b.StepNode(i) {
-			active = true
-		}
-	}
-	return active
-}
-
-// Run steps all nodes to completion and returns the first error by
-// node index, if any.
-func (b *BatchState) Run() error {
-	for b.StepAll() {
-		if err := b.Err(); err != nil {
-			return err
-		}
-	}
-	return b.Err()
-}
-
-// Done reports whether every node has completed (or errored).
-func (b *BatchState) Done() bool {
-	for i := 0; i < b.n; i++ {
-		if !b.done[i] && b.errs[i] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// NodeDone reports whether node i has completed.
-func (b *BatchState) NodeDone(i int) bool { return b.done[i] }
-
-// NodeErr returns node i's error, if stepping failed.
-func (b *BatchState) NodeErr(i int) error { return b.errs[i] }
-
-// Err returns the first node error by index, or nil.
-func (b *BatchState) Err() error {
-	for i := 0; i < b.n; i++ {
-		if b.errs[i] != nil {
-			return b.errs[i]
-		}
-	}
-	return nil
-}
-
-// Seq returns the count of recorded intervals of node i — the batch
-// analogue of a coordinator tap's sequence number. It advances exactly
-// once per emitted interval.
-func (b *BatchState) Seq(i int) uint64 { return b.seq[i] }
-
-// LastPowerW returns node i's most recent measured power.
-func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
-
-// LastDPC returns the decode rate of node i's most recent
-// governor-visible sample — what a coordinator tap would read from the
-// staged bus.
-func (b *BatchState) LastDPC(i int) float64 {
-	if b.injs[i] != nil {
-		return b.obs[i].DPC()
-	}
-	return b.tinfo[i].Sample.DPC()
-}
-
-// Ticks returns the number of intervals node i has executed.
-func (b *BatchState) Ticks(i int) int { return b.tick[i] }
-
-// Governor returns node i's governor.
-func (b *BatchState) Governor(i int) machine.Governor { return b.govs[i] }
-
-// Result finalizes and returns node i's recorded run. Idempotent;
-// fires each subscribed hook's OnDone exactly once, like
-// Session.Result.
-func (b *BatchState) Result(i int) *trace.Run {
-	if !b.finalized[i] {
-		run := b.runs[i]
-		run.Duration = b.now[i]
-		run.EnergyJ = b.energyTrue[i].Joules()
-		run.MeasuredEnergyJ = b.energyMeas[i].Joules()
-		run.Transitions = b.acts[i].Transitions()
-		run.FailedTransitions = b.acts[i].FailedTransitions()
-		run.Instructions = b.instrTot[i]
-		b.finalized[i] = true
-		for _, h := range b.hooks[i] {
-			h.OnDone(run)
-		}
-	}
-	return b.runs[i]
+	return machine.NewBatch(nodes, opts)
 }

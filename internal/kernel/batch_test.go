@@ -1,10 +1,7 @@
 package kernel
 
 import (
-	"bytes"
-	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -16,11 +13,10 @@ import (
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
 	"aapm/internal/thermal"
-	"aapm/internal/trace"
 )
 
-// govFactory builds a fresh governor instance; both engines need their
-// own because governors are stateful.
+// govFactory builds a fresh governor instance; every run needs its own
+// because governors are stateful.
 type govFactory func(t *testing.T) machine.Governor
 
 func pmGov(limitW, gain float64, degrade bool) govFactory {
@@ -147,14 +143,14 @@ func diffCases() []diffCase {
 			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "gzip", 1) },
 			gov:      staticGov(0),
 			cfg:      machine.Config{Chain: ni, Seed: 4},
-			wantKind: "pinned",
+			wantKind: "pm",
 		},
 		{
 			name:     "mcf/psave/ni",
 			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "mcf", 1) },
 			gov:      psGov(0.8, false),
 			cfg:      machine.Config{Chain: ni, Seed: 5},
-			wantKind: "psave",
+			wantKind: "pm",
 		},
 		{
 			name:     "synthetic/pm/ni",
@@ -199,6 +195,15 @@ func diffCases() []diffCase {
 			wantKind: "generic",
 		},
 		{
+			// Idle phases leave PS-degrade stale counters with no fault
+			// plan, so the specialized body drains degradation events.
+			name:     "synthetic/psave-degrade/ni",
+			workload: func(t *testing.T) phase.Workload { return syntheticWorkload() },
+			gov:      psGov(0.8, true),
+			cfg:      machine.Config{Chain: ni, Seed: 13},
+			wantKind: "pm",
+		},
+		{
 			name:     "ammp/phaseaware/ni",
 			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "ammp", 1) },
 			gov:      phaseAwareGov(14.5),
@@ -219,9 +224,9 @@ func diffCases() []diffCase {
 	}{
 		{"pm", func(r *rand.Rand) govFactory { return pmGov(10+8*r.Float64(), 0.25, false) }, "pm"},
 		{"pm-degrade", func(r *rand.Rand) govFactory { return pmGov(10+8*r.Float64(), 0.25, true) }, "pm"},
-		{"psave", func(r *rand.Rand) govFactory { return psGov(0.6+0.3*r.Float64(), false) }, "psave"},
-		{"psave-degrade", func(r *rand.Rand) govFactory { return psGov(0.6+0.3*r.Float64(), true) }, "psave"},
-		{"static", func(r *rand.Rand) govFactory { return staticGov(r.Intn(6)) }, "pinned"},
+		{"psave", func(r *rand.Rand) govFactory { return psGov(0.6+0.3*r.Float64(), false) }, "pm"},
+		{"psave-degrade", func(r *rand.Rand) govFactory { return psGov(0.6+0.3*r.Float64(), true) }, "pm"},
+		{"static", func(r *rand.Rand) govFactory { return staticGov(r.Intn(6)) }, "pm"},
 		{"pinned", func(r *rand.Rand) govFactory { return nilGov() }, "pinned"},
 		{"ondemand", func(r *rand.Rand) govFactory { return onDemandGov() }, "generic"},
 	}
@@ -249,162 +254,119 @@ func diffCases() []diffCase {
 	return cases
 }
 
-func csvBytes(t *testing.T, run *trace.Run) []byte {
+// multiNode describes the lanes of TestBatchMultiNodeMatchesStaged: a
+// homogeneous PM batch over four workloads, each lane recorded in the
+// reference fixture as its own single-lane run ("multi/<workload>").
+var multiNode = []string{"swim", "mcf", "gzip", "ammp"}
+
+func multiNodeConfig() machine.Config {
+	return machine.Config{Chain: sensor.NIDefault(), Seed: 77}
+}
+
+func multiNodeGov(i int) govFactory { return pmGov(11+float64(i), 0.25, false) }
+
+// runHooked runs one lane with a metrics collector subscribed — a hook
+// that records without perturbing, so the batch steps the generic body.
+func runHooked(t *testing.T, cfg machine.Config, w phase.Workload, g machine.Governor) (*BatchState, *metrics.Collector) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := run.WriteCSV(&buf); err != nil {
+	m, err := machine.New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	col := &metrics.Collector{LimitW: 12}
+	b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: g}}, BatchOptions{
+		RetainTraces: true,
+		Hooks:        func(int) []machine.Hook { return []machine.Hook{col} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Kind() != "generic" {
+		t.Errorf("hooked batch should demote to generic, got %q", b.Kind())
+	}
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return b, col
 }
 
-// compareRuns asserts the two runs are byte-identical as CSV and equal
-// in every run-level total, degradation log included.
-func compareRuns(t *testing.T, label string, want, got *trace.Run) {
-	t.Helper()
-	wantCSV, gotCSV := csvBytes(t, want), csvBytes(t, got)
-	if !bytes.Equal(wantCSV, gotCSV) {
-		reportCSVDiff(t, label, wantCSV, gotCSV)
+// recordAll re-records the fixture from the current engine (generic
+// body, collector attached) for every differential and multi-node case.
+func recordAll(t *testing.T) {
+	var refs []reference
+	for _, tc := range diffCases() {
+		b, col := runHooked(t, tc.cfg, tc.workload(t), tc.gov(t))
+		refs = append(refs, recordRun(t, tc.name, b.Result(0), col))
 	}
-	if want.Workload != got.Workload || want.Policy != got.Policy {
-		t.Errorf("%s: identity mismatch: staged %s/%s, batch %s/%s",
-			label, want.Workload, want.Policy, got.Workload, got.Policy)
+	for i, name := range multiNode {
+		b, col := runHooked(t, multiNodeConfig(), specWorkload(t, name, 1), multiNodeGov(i)(t))
+		refs = append(refs, recordRun(t, "multi/"+name, b.Result(0), col))
 	}
-	if want.Duration != got.Duration {
-		t.Errorf("%s: duration: staged %v, batch %v", label, want.Duration, got.Duration)
-	}
-	if math.Float64bits(want.EnergyJ) != math.Float64bits(got.EnergyJ) {
-		t.Errorf("%s: energy: staged %v, batch %v", label, want.EnergyJ, got.EnergyJ)
-	}
-	if math.Float64bits(want.MeasuredEnergyJ) != math.Float64bits(got.MeasuredEnergyJ) {
-		t.Errorf("%s: measured energy: staged %v, batch %v", label, want.MeasuredEnergyJ, got.MeasuredEnergyJ)
-	}
-	if math.Float64bits(want.Instructions) != math.Float64bits(got.Instructions) {
-		t.Errorf("%s: instructions: staged %v, batch %v", label, want.Instructions, got.Instructions)
-	}
-	if want.Transitions != got.Transitions || want.FailedTransitions != got.FailedTransitions {
-		t.Errorf("%s: transitions: staged %d/%d, batch %d/%d",
-			label, want.Transitions, want.FailedTransitions, got.Transitions, got.FailedTransitions)
-	}
-	if !reflect.DeepEqual(want.Degradations, got.Degradations) {
-		t.Errorf("%s: degradation logs differ: staged %d entries, batch %d entries",
-			label, len(want.Degradations), len(got.Degradations))
-	}
-	if !reflect.DeepEqual(want.DegradationCounts, got.DegradationCounts) {
-		t.Errorf("%s: degradation counts differ: staged %v, batch %v",
-			label, want.DegradationCounts, got.DegradationCounts)
-	}
+	writeReferences(t, refs)
 }
 
-func reportCSVDiff(t *testing.T, label string, want, got []byte) {
-	t.Helper()
-	wantLines := bytes.Split(want, []byte("\n"))
-	gotLines := bytes.Split(got, []byte("\n"))
-	n := len(wantLines)
-	if len(gotLines) < n {
-		n = len(gotLines)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(wantLines[i], gotLines[i]) {
-			t.Fatalf("%s: CSV line %d differs\nstaged: %s\nbatch:  %s", label, i+1, wantLines[i], gotLines[i])
-		}
-	}
-	t.Fatalf("%s: CSV row counts differ: staged %d lines, batch %d lines", label, len(wantLines), len(gotLines))
-}
-
-// TestBatchMatchesStaged is the batch kernel's correctness anchor:
-// randomized and hand-picked specs run through both engines must
-// produce byte-identical CSV traces, equal run summaries and equal
-// metrics snapshots. Each case runs the batch twice — once bare (the
-// specialized body when eligible) and once under a metrics hook (the
-// generic body) — so both step paths are pinned against the staged
-// reference.
+// TestBatchMatchesStaged is the tick engine's correctness anchor. The
+// fixture holds every case's outputs as recorded from the staged
+// engine the batch engine replaced; each case runs twice — bare (its
+// specialized body when eligible) and under a metrics hook (the
+// generic body) — and both runs must reproduce the recording bit for
+// bit, metrics snapshot included.
 func TestBatchMatchesStaged(t *testing.T) {
+	if *update {
+		recordAll(t)
+		return
+	}
+	refs := loadReferences(t)
 	for _, tc := range diffCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			want, ok := refs[tc.name]
+			if !ok {
+				t.Fatalf("no recorded reference for %s", tc.name)
+			}
 			w := tc.workload(t)
 
-			// Staged reference run, with a metrics snapshot.
-			mRef, err := machine.New(tc.cfg)
+			m, err := machine.New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			colRef := &metrics.Collector{LimitW: 12}
-			want, err := mRef.RunWith(w, tc.gov(t), colRef)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Batch run on the specialized path (no hooks).
-			mFast, err := machine.New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bFast, err := NewBatch(
-				[]BatchNode{{Machine: mFast, Workload: w, Governor: tc.gov(t)}},
+			b, err := NewBatch(
+				[]BatchNode{{Machine: m, Workload: w, Governor: tc.gov(t)}},
 				BatchOptions{RetainTraces: true},
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bFast.Kind() != tc.wantKind {
-				t.Errorf("specialization: got %q, want %q", bFast.Kind(), tc.wantKind)
+			if b.Kind() != tc.wantKind {
+				t.Errorf("specialization: got %q, want %q", b.Kind(), tc.wantKind)
 			}
-			if err := bFast.Run(); err != nil {
+			if err := b.Run(); err != nil {
 				t.Fatal(err)
 			}
-			compareRuns(t, "fast", want, bFast.Result(0))
+			checkReference(t, "specialized", want, b.Result(0), nil)
 
-			// Batch run on the generic path (metrics hook subscribed),
-			// comparing the full metrics snapshot too.
-			mGen, err := machine.New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			colGen := &metrics.Collector{LimitW: 12}
-			bGen, err := NewBatch(
-				[]BatchNode{{Machine: mGen, Workload: w, Governor: tc.gov(t)}},
-				BatchOptions{RetainTraces: true, Hooks: func(int) []machine.Hook {
-					return []machine.Hook{colGen}
-				}},
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bGen.Kind() != "generic" {
-				t.Errorf("hooked batch should demote to generic, got %q", bGen.Kind())
-			}
-			if err := bGen.Run(); err != nil {
-				t.Fatal(err)
-			}
-			run := bGen.Result(0)
-			compareRuns(t, "generic", want, run)
-			if !reflect.DeepEqual(colRef, colGen) {
-				t.Errorf("metrics snapshots differ:\nstaged: %+v\nbatch:  %+v", colRef, colGen)
-			}
+			gen, col := runHooked(t, tc.cfg, w, tc.gov(t))
+			checkReference(t, "generic", want, gen.Result(0), col)
 		})
 	}
 }
 
 // TestBatchMultiNodeMatchesStaged steps a heterogeneous batch in
-// lockstep and checks every node against its own staged run — the
-// interleaving must not leak state across lanes.
+// lockstep and checks every lane against its own recorded single-lane
+// staged run — the interleaving must not leak state across lanes.
 func TestBatchMultiNodeMatchesStaged(t *testing.T) {
-	names := []string{"swim", "mcf", "gzip", "ammp"}
-	cfg := machine.Config{Chain: sensor.NIDefault(), Seed: 77}
-	nodes := make([]BatchNode, len(names))
-	for i, name := range names {
-		m, err := machine.New(cfg)
+	if *update {
+		t.Skip("fixture owned by TestBatchMatchesStaged")
+	}
+	refs := loadReferences(t)
+	nodes := make([]BatchNode, len(multiNode))
+	for i, name := range multiNode {
+		m, err := machine.New(multiNodeConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: 11 + float64(i), FeedbackGain: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = BatchNode{Machine: m, Workload: specWorkload(t, name, 1), Governor: pm}
+		nodes[i] = BatchNode{Machine: m, Workload: specWorkload(t, name, 1), Governor: multiNodeGov(i)(t)}
 	}
 	b, err := NewBatch(nodes, BatchOptions{RetainTraces: true})
 	if err != nil {
@@ -416,20 +378,12 @@ func TestBatchMultiNodeMatchesStaged(t *testing.T) {
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range names {
-		m, err := machine.New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for i, name := range multiNode {
+		want, ok := refs["multi/"+name]
+		if !ok {
+			t.Fatalf("no recorded reference for multi/%s", name)
 		}
-		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: 11 + float64(i), FeedbackGain: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := m.Run(specWorkload(t, name, 1), pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareRuns(t, name, want, b.Result(i))
+		checkReference(t, name, want, b.Result(i), nil)
 	}
 }
 
@@ -462,22 +416,22 @@ func TestBatchTickAllocs(t *testing.T) {
 		return b
 	}
 	kinds := []struct {
-		kind string
-		gov  govFactory
+		name, kind string
+		gov        govFactory
 	}{
-		{"pm", pmGov(13, 0.25, false)},
-		{"psave", psGov(0.8, false)},
-		{"pinned", nilGov()},
+		{"pm", "pm", pmGov(13, 0.25, false)},
+		{"psave", "pm", psGov(0.8, false)},
+		{"pinned", "pinned", nilGov()},
 	}
 	for _, k := range kinds {
 		k := k
-		t.Run(k.kind, func(t *testing.T) {
+		t.Run(k.name, func(t *testing.T) {
 			b := build(t, k.gov, k.kind)
 			allocs := testing.AllocsPerRun(200, func() {
 				b.StepAll()
 			})
 			if allocs != 0 {
-				t.Fatalf("%s step body allocates %.1f times per lockstep round, want 0", k.kind, allocs)
+				t.Fatalf("%s on the %s step body allocates %.1f times per lockstep round, want 0", k.name, k.kind, allocs)
 			}
 			if b.Done() {
 				t.Fatal("workload exhausted during the measurement window; grow it")

@@ -13,16 +13,17 @@ import (
 	"aapm/internal/trace"
 )
 
-// FuzzBatchStep is the fuzzing arm of the batch/staged differential:
-// arbitrary float bit patterns (NaN, infinities, denormals, huge
-// magnitudes) become phase parameters, jitter amplitudes and governor
-// limits, and whatever the staged engine does with them — reject the
-// spec, error mid-run, or complete — the batch kernel must do
-// byte-for-byte the same. Counter and power corruption is covered by
-// routing part of the input space through fault plans, whose injector
-// writes NaN/Inf and wrapped counter values into the governor-visible
-// stream. It mirrors FuzzGovernorDecisions one layer up: there a
-// single Tick is probed, here the whole tick loop.
+// FuzzBatchStep is the fuzzing arm of the specialized-vs-generic
+// differential: arbitrary float bit patterns (NaN, infinities,
+// denormals, huge magnitudes) become phase parameters, jitter
+// amplitudes and governor limits, and whatever the bare run does with
+// them on its specialized body — reject the spec, error mid-run, or
+// complete — the same spec with a no-op hook attached (the generic
+// body) must do byte-for-byte the same. Counter and power corruption
+// is covered by routing part of the input space through fault plans,
+// whose injector writes NaN/Inf and wrapped counter values into the
+// governor-visible stream. It mirrors FuzzGovernorDecisions one layer
+// up: there a single Tick is probed, here the whole tick loop.
 func FuzzBatchStep(f *testing.F) {
 	bits := math.Float64bits
 	// Plausible spec, idle-only, NaN params, Inf intensity, huge
@@ -58,8 +59,8 @@ func FuzzBatchStep(f *testing.F) {
 		if w.Phases[1].IdleDuration == 0 {
 			w.Phases[1].IdleDuration = time.Millisecond
 		}
-		// MaxTicks bounds both engines on huge/non-finite specs; the
-		// cap itself is part of the differential (both must trip it
+		// MaxTicks bounds both runs on huge/non-finite specs; the cap
+		// itself is part of the differential (both bodies must trip it
 		// identically).
 		cfg := machine.Config{Chain: sensor.NIDefault(), Seed: seed, MaxTicks: 500}
 		if faultSel%4 != 0 {
@@ -83,11 +84,11 @@ func FuzzBatchStep(f *testing.F) {
 		}
 		if _, err := mkGov(); err != nil {
 			// The governor spec itself is invalid (e.g. NaN limit);
-			// neither engine would get past construction.
+			// neither run would get past construction.
 			return
 		}
 
-		runStaged := func() (*trace.Run, error) {
+		run := func(hooked bool) (*trace.Run, error) {
 			m, err := machine.New(cfg)
 			if err != nil {
 				return nil, err
@@ -96,32 +97,16 @@ func FuzzBatchStep(f *testing.F) {
 			if err != nil {
 				return nil, err
 			}
-			s, err := m.NewSession(w, g)
+			opts := BatchOptions{RetainTraces: true}
+			if hooked {
+				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
+			}
+			b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
 			if err != nil {
 				return nil, err
 			}
-			for {
-				done, err := s.Step()
-				if err != nil {
-					return nil, err
-				}
-				if done {
-					return s.Result(), nil
-				}
-			}
-		}
-		runBatch := func() (*trace.Run, error) {
-			m, err := machine.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			g, err := mkGov()
-			if err != nil {
-				return nil, err
-			}
-			b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: g}}, BatchOptions{RetainTraces: true})
-			if err != nil {
-				return nil, err
+			if hooked && b.Kind() != "generic" {
+				t.Fatalf("hooked batch stepped the %q body", b.Kind())
 			}
 			for b.StepNode(0) {
 			}
@@ -131,17 +116,17 @@ func FuzzBatchStep(f *testing.F) {
 			return b.Result(0), nil
 		}
 
-		want, errS := runStaged()
-		got, errB := runBatch()
-		if (errS == nil) != (errB == nil) {
-			t.Fatalf("engines disagree on failure: staged err=%v, batch err=%v", errS, errB)
+		want, errS := run(false)
+		got, errG := run(true)
+		if (errS == nil) != (errG == nil) {
+			t.Fatalf("bodies disagree on failure: specialized err=%v, generic err=%v", errS, errG)
 		}
 		if errS != nil {
-			if errS.Error() != errB.Error() {
-				t.Fatalf("engines fail differently: staged %q, batch %q", errS, errB)
+			if errS.Error() != errG.Error() {
+				t.Fatalf("bodies fail differently: specialized %q, generic %q", errS, errG)
 			}
 			return
 		}
-		compareRuns(t, "fuzz", want, got)
+		checkReference(t, "fuzz", recordRun(t, "fuzz", want, nil), got, nil)
 	})
 }

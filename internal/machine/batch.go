@@ -1,0 +1,525 @@
+package machine
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"aapm/internal/counters"
+	"aapm/internal/faults"
+	"aapm/internal/phase"
+	"aapm/internal/power"
+	"aapm/internal/pstate"
+	"aapm/internal/sensor"
+	"aapm/internal/thermal"
+	"aapm/internal/trace"
+)
+
+// The tick engine steps one or many nodes through their monitoring
+// intervals with a struct-of-arrays layout and per-run specialized
+// step bodies. It is the only implementation of the paper's 10 ms
+// loop: a Session is a one-lane BatchState, and the fleet, serve and
+// experiment paths step many-lane ones. All mutable per-node state
+// lives in contiguous parallel slices, and one of a small set of step
+// bodies is selected once per run:
+//
+//	body      governor                     faults  thermal  hooks
+//	pinned    nil                          off     off      none
+//	pm        InPlaceTicker, not Throttler off     off      none
+//	generic   any                          any     any      any
+//
+// The pm body is named for its first user; PerformanceMaximizer,
+// PowerSave and StaticClock all take it. The specialized bodies
+// allocate nothing per tick (TestBatchTickAllocs); the generic body
+// builds a TickState per interval and runs the full event order:
+// fault drains, throttling, stage timing and hook fan-out. Every body
+// reproduces the recorded reference outputs bit for bit
+// (internal/kernel's TestBatchMatchesStaged).
+
+// BatchNode binds one node's machine, workload and governor. The
+// governor must be a fresh instance (its state is mutated by the run),
+// exactly as with NewSession.
+type BatchNode struct {
+	Machine  *Machine
+	Workload phase.Workload
+	Governor Governor
+}
+
+// BatchOptions configures a batch run.
+type BatchOptions struct {
+	// RetainTraces keeps per-interval trace rows in each node's
+	// trace.Run. Off by default: the hot path then writes no rows and
+	// the per-node Result carries only run-level totals.
+	RetainTraces bool
+	// Hooks, when non-nil, returns the observer hooks to subscribe for
+	// node i (nil for none). Any hook forces the generic step body for
+	// the whole batch.
+	Hooks func(i int) []Hook
+}
+
+// stepKind identifies the specialized step body a batch selected.
+type stepKind uint8
+
+const (
+	stepGeneric stepKind = iota
+	stepPinned
+	stepInPlace
+)
+
+func (k stepKind) String() string {
+	switch k {
+	case stepPinned:
+		return "pinned"
+	case stepInPlace:
+		return "pm"
+	default:
+		return "generic"
+	}
+}
+
+// BatchState holds the tick state of every node in a batch as
+// parallel slices, stepped in lockstep by StepNode/StepAll. One
+// BatchState is single-coordinator: distinct index ranges may be
+// stepped concurrently (the cluster pool shards them), but each node
+// index must be stepped by one goroutine at a time with a
+// happens-before edge between rounds, as with Session.
+type BatchState struct {
+	n      int
+	retain bool
+	timing bool // stamp StageNanos on the generic body
+	kind   stepKind
+	step   func(b *BatchState, i int)
+
+	// Immutable per-node wiring, fixed at construction.
+	truths   []*power.GroundTruth
+	govs     []Governor
+	inplace  []InPlaceTicker // set on the pm body only
+	acts     []*pstate.Actuator
+	rngs     []*rand.Rand
+	injs     []*faults.Injector
+	tms      []*thermal.Model
+	chains   []sensor.Prepared
+	tables   []*pstate.Table
+	states   [][]pstate.PState
+	freqHz   [][]float64
+	behav    [][]phase.Behavior // flat [state*nPhases+phase] cache of Params.At
+	phases   [][]phase.Params
+	period   []time.Duration
+	perSec   []float64 // period[i].Seconds(), cached for full intervals
+	jitter   []float64 // workload JitterPct
+	maxTicks []int
+	repeats  []int32
+	policy   []string
+	runs     []*trace.Run
+	hooks    [][]Hook
+
+	// Hot mutable state, one lane per node.
+	curIdx    []int32
+	phaseIdx  []int32
+	iter      []int32
+	tick      []int
+	duty      []float64
+	remInstr  []float64
+	remIdle   []time.Duration
+	now       []time.Duration
+	pendStall []time.Duration
+	instrTot  []float64
+	lastW     []float64
+	seq       []uint64
+	exhausted []bool
+	done      []bool
+	finalized []bool
+	errs      []error
+
+	energyTrue []power.Energy
+	energyMeas []power.Energy
+	// tinfo holds each node's persistent TickInfo: the true PMU sample
+	// is accumulated in place (never copied), and the constant fields
+	// (Table, Duty=1) are set once, so the specialized bodies only
+	// touch the per-tick fields before handing the record to TickP.
+	tinfo []TickInfo
+	obs   []counters.Sample // governor-visible sample (faulted runs only)
+}
+
+// behavKey identifies one node's pure-value behavior cache: nodes
+// sharing a p-state table and a phase list (fleet runs repeat a few
+// workload profiles across 10⁵+ nodes) share one cache instead of
+// each carrying its own copy.
+type behavKey struct {
+	table  *pstate.Table
+	phase0 *phase.Params
+	n      int
+}
+
+// NewBatch validates the nodes and builds a batch ready to step. Each
+// node's actuator starts at the machine's start state (or the
+// governor's InitialStater choice), and its noise/jitter RNG and fault
+// injector are seeded from the machine seed and the workload name, so
+// a node's run is the same in any batch and in a Session.
+//
+// The per-node footprint is kept lean for fleet-scale batches: the
+// ~5 KB rand.Rand source is allocated only for nodes that can draw
+// from it (workload jitter or chain noise — without either, the
+// stream is never consumed, so a nil RNG is bit-identical), and the
+// p-state/behavior caches are interned per (table, phase list) so
+// homogeneous fleets share them.
+func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("machine: batch needs at least one node")
+	}
+	n := len(nodes)
+	b := &BatchState{
+		n:      n,
+		retain: opts.RetainTraces,
+
+		truths:   make([]*power.GroundTruth, n),
+		govs:     make([]Governor, n),
+		inplace:  make([]InPlaceTicker, n),
+		acts:     make([]*pstate.Actuator, n),
+		rngs:     make([]*rand.Rand, n),
+		injs:     make([]*faults.Injector, n),
+		tms:      make([]*thermal.Model, n),
+		chains:   make([]sensor.Prepared, n),
+		tables:   make([]*pstate.Table, n),
+		states:   make([][]pstate.PState, n),
+		freqHz:   make([][]float64, n),
+		behav:    make([][]phase.Behavior, n),
+		phases:   make([][]phase.Params, n),
+		period:   make([]time.Duration, n),
+		perSec:   make([]float64, n),
+		jitter:   make([]float64, n),
+		maxTicks: make([]int, n),
+		repeats:  make([]int32, n),
+		policy:   make([]string, n),
+		runs:     make([]*trace.Run, n),
+		hooks:    make([][]Hook, n),
+
+		curIdx:    make([]int32, n),
+		phaseIdx:  make([]int32, n),
+		iter:      make([]int32, n),
+		tick:      make([]int, n),
+		duty:      make([]float64, n),
+		remInstr:  make([]float64, n),
+		remIdle:   make([]time.Duration, n),
+		now:       make([]time.Duration, n),
+		pendStall: make([]time.Duration, n),
+		instrTot:  make([]float64, n),
+		lastW:     make([]float64, n),
+		seq:       make([]uint64, n),
+		exhausted: make([]bool, n),
+		done:      make([]bool, n),
+		finalized: make([]bool, n),
+		errs:      make([]error, n),
+
+		energyTrue: make([]power.Energy, n),
+		energyMeas: make([]power.Energy, n),
+		tinfo:      make([]TickInfo, n),
+		obs:        make([]counters.Sample, n),
+	}
+	statesCache := make(map[*pstate.Table][]pstate.PState)
+	freqCache := make(map[*pstate.Table][]float64)
+	behavCache := make(map[behavKey][]phase.Behavior)
+	anyHooks := false
+	for i, node := range nodes {
+		m, w, g := node.Machine, node.Workload, node.Governor
+		if m == nil {
+			return nil, fmt.Errorf("machine: batch node %d has no machine", i)
+		}
+		if err := w.Validate(); err != nil {
+			return nil, err
+		}
+		act := pstate.NewActuator(m.table)
+		act.SetTransitionLatency(m.translat)
+		start := m.startIdx
+		if is, ok := g.(InitialStater); ok {
+			start = is.InitialIndex(start)
+		}
+		if _, err := act.Set(start); err != nil {
+			return nil, err
+		}
+		act.ResetStats() // positioning is not a policy transition
+
+		policy := "static"
+		if g != nil {
+			policy = g.Name()
+		}
+		if m.thermal != nil {
+			tm, err := thermal.New(*m.thermal)
+			if err != nil {
+				return nil, err
+			}
+			b.tms[i] = tm
+		}
+		// The injector draws from its own stream (same seed, separate
+		// source), so enabling faults does not perturb noise or jitter.
+		seed := m.seed ^ int64(hashName(w.Name))
+		if m.faults != nil {
+			inj, err := faults.NewInjector(*m.faults, seed)
+			if err != nil {
+				return nil, err
+			}
+			b.injs[i] = inj
+		}
+		b.truths[i] = m.truth
+		b.govs[i] = g
+		b.acts[i] = act
+		if w.JitterPct > 0 || m.chain.NoiseStdW > 0 {
+			// Only jitter draws and noise draws consume the stream;
+			// without either the RNG is dead weight (~5 KB/node at
+			// fleet scale) and a nil RNG is bit-identical.
+			b.rngs[i] = rand.New(rand.NewSource(seed))
+		}
+		b.chains[i] = m.chain.Prepare()
+		b.tables[i] = m.table
+		if sts, ok := statesCache[b.tables[i]]; ok {
+			b.states[i] = sts
+		} else {
+			b.states[i] = m.table.States()
+			statesCache[b.tables[i]] = b.states[i]
+		}
+		b.phases[i] = w.Phases
+		b.period[i] = m.period
+		b.perSec[i] = m.period.Seconds()
+		b.jitter[i] = w.JitterPct
+		b.maxTicks[i] = m.maxTicks
+		b.repeats[i] = int32(w.Repeats())
+		b.policy[i] = policy
+		b.runs[i] = &trace.Run{Workload: w.Name, Policy: policy}
+		if opts.Hooks != nil {
+			b.hooks[i] = opts.Hooks(i)
+			if len(b.hooks[i]) > 0 {
+				anyHooks = true
+			}
+		}
+
+		// Behavior cache: Params.At is pure in (phase, p-state), so the
+		// per-tick evaluation can be precomputed without changing a
+		// single float bit — and shared across every node
+		// with the same table and phase list.
+		sts := b.states[i]
+		if f, ok := freqCache[b.tables[i]]; ok {
+			b.freqHz[i] = f
+		} else {
+			f = make([]float64, len(sts))
+			for si, ps := range sts {
+				f[si] = ps.FreqHz()
+			}
+			b.freqHz[i] = f
+			freqCache[b.tables[i]] = f
+		}
+		var ph0 *phase.Params
+		if len(w.Phases) > 0 {
+			ph0 = &w.Phases[0]
+		}
+		bk := behavKey{table: b.tables[i], phase0: ph0, n: len(w.Phases)}
+		if bv, ok := behavCache[bk]; ok {
+			b.behav[i] = bv
+		} else {
+			bv = make([]phase.Behavior, len(sts)*len(w.Phases))
+			for si, ps := range sts {
+				for pi, p := range w.Phases {
+					bv[si*len(w.Phases)+pi] = p.At(ps)
+				}
+			}
+			b.behav[i] = bv
+			behavCache[bk] = bv
+		}
+
+		b.curIdx[i] = int32(act.CurrentIndex())
+		b.duty[i] = 1.0
+		// Constant TickInfo fields for the specialized bodies; the
+		// per-tick fields are written in place each interval.
+		b.tinfo[i].Table = b.tables[i]
+		b.tinfo[i].Duty = 1
+		b.loadPhase(i)
+	}
+	b.setKind(b.selectKind(anyHooks))
+	return b, nil
+}
+
+// selectKind picks the most specialized step body that is exact for
+// every node in the batch. Any node that needs the full event order —
+// fault injection, a thermal model, observer hooks, a throttling
+// governor or one without TickP — demotes the whole batch to the
+// generic body, and so does a mix of pinned and governed nodes, so the
+// per-tick body never branches on node kind.
+func (b *BatchState) selectKind(anyHooks bool) stepKind {
+	if anyHooks {
+		return stepGeneric
+	}
+	kind := stepKind(0xff)
+	for i := 0; i < b.n; i++ {
+		if b.injs[i] != nil || b.tms[i] != nil {
+			return stepGeneric
+		}
+		k := stepPinned
+		if g := b.govs[i]; g != nil {
+			t, ok := g.(InPlaceTicker)
+			if _, throttles := g.(Throttler); !ok || throttles {
+				return stepGeneric
+			}
+			b.inplace[i] = t
+			k = stepInPlace
+		}
+		if kind == 0xff {
+			kind = k
+		} else if kind != k {
+			return stepGeneric
+		}
+	}
+	return kind
+}
+
+// setKind installs the step body for kind.
+func (b *BatchState) setKind(kind stepKind) {
+	b.kind = kind
+	switch kind {
+	case stepPinned:
+		b.step = stepPinnedBody
+	case stepInPlace:
+		b.step = stepInPlaceBody
+	default:
+		b.step = stepGenericBody
+	}
+}
+
+// subscribe appends h to node i's hooks, moving the batch onto the
+// generic body that fans events out to them.
+func (b *BatchState) subscribe(i int, h Hook) {
+	b.hooks[i] = append(b.hooks[i], h)
+	b.setKind(stepGeneric)
+}
+
+// Kind reports which step body the batch selected (for tests and
+// diagnostics).
+func (b *BatchState) Kind() string { return b.kind.String() }
+
+// Len returns the number of nodes.
+func (b *BatchState) Len() int { return b.n }
+
+// loadPhase positions node i at the next runnable phase, wrapping
+// repeats, or marks it exhausted.
+func (b *BatchState) loadPhase(i int) {
+	phs := b.phases[i]
+	for {
+		if int(b.phaseIdx[i]) >= len(phs) {
+			b.phaseIdx[i] = 0
+			b.iter[i]++
+			if b.iter[i] >= b.repeats[i] {
+				b.exhausted[i] = true
+				return
+			}
+		}
+		p := &phs[b.phaseIdx[i]]
+		if p.Idle() {
+			b.remIdle[i] = p.IdleDuration
+			if b.remIdle[i] > 0 {
+				return
+			}
+		} else if p.Instructions > 0 {
+			b.remInstr[i] = p.Instructions
+			return
+		}
+		b.phaseIdx[i]++
+	}
+}
+
+// StepNode advances node i by one monitoring interval, reporting
+// whether the node was stepped (false once it is done or errored).
+func (b *BatchState) StepNode(i int) bool {
+	if b.done[i] || b.errs[i] != nil {
+		return false
+	}
+	b.step(b, i)
+	return true
+}
+
+// StepAll advances every unfinished node one interval in node order,
+// reporting whether any node was stepped.
+func (b *BatchState) StepAll() bool {
+	active := false
+	for i := 0; i < b.n; i++ {
+		if b.StepNode(i) {
+			active = true
+		}
+	}
+	return active
+}
+
+// Run steps all nodes to completion and returns the first error by
+// node index, if any.
+func (b *BatchState) Run() error {
+	for b.StepAll() {
+		if err := b.Err(); err != nil {
+			return err
+		}
+	}
+	return b.Err()
+}
+
+// Done reports whether every node has completed (or errored).
+func (b *BatchState) Done() bool {
+	for i := 0; i < b.n; i++ {
+		if !b.done[i] && b.errs[i] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// NodeDone reports whether node i has completed.
+func (b *BatchState) NodeDone(i int) bool { return b.done[i] }
+
+// NodeErr returns node i's error, if stepping failed.
+func (b *BatchState) NodeErr(i int) error { return b.errs[i] }
+
+// Err returns the first node error by index, or nil.
+func (b *BatchState) Err() error {
+	for i := 0; i < b.n; i++ {
+		if b.errs[i] != nil {
+			return b.errs[i]
+		}
+	}
+	return nil
+}
+
+// Seq returns the count of recorded intervals of node i. It advances
+// exactly once per emitted interval.
+func (b *BatchState) Seq(i int) uint64 { return b.seq[i] }
+
+// LastPowerW returns node i's most recent measured power.
+func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
+
+// LastDPC returns the decode rate of node i's most recent
+// governor-visible sample.
+func (b *BatchState) LastDPC(i int) float64 {
+	if b.injs[i] != nil {
+		return b.obs[i].DPC()
+	}
+	return b.tinfo[i].Sample.DPC()
+}
+
+// Ticks returns the number of intervals node i has executed.
+func (b *BatchState) Ticks(i int) int { return b.tick[i] }
+
+// Governor returns node i's governor.
+func (b *BatchState) Governor(i int) Governor { return b.govs[i] }
+
+// Result finalizes and returns node i's recorded run. Idempotent;
+// fires each subscribed hook's OnDone exactly once.
+func (b *BatchState) Result(i int) *trace.Run {
+	if !b.finalized[i] {
+		run := b.runs[i]
+		run.Duration = b.now[i]
+		run.EnergyJ = b.energyTrue[i].Joules()
+		run.MeasuredEnergyJ = b.energyMeas[i].Joules()
+		run.Transitions = b.acts[i].Transitions()
+		run.FailedTransitions = b.acts[i].FailedTransitions()
+		run.Instructions = b.instrTot[i]
+		b.finalized[i] = true
+		for _, h := range b.hooks[i] {
+			h.OnDone(run)
+		}
+	}
+	return b.runs[i]
+}

@@ -3,13 +3,14 @@
 // measurement chain, driven by a virtual 10 ms sampling clock.
 //
 // A Machine executes a phase-trace workload (package phase) under a
-// Governor — the power-management policy. Each tick runs the staged
-// engine (stages.go): execute synthesizes the interval's counter
-// activity from the active phase and p-state, measure computes true
-// power and the sensed sample, observe exposes the PMU/thermal view,
-// govern asks the policy for the next p-state, and actuate applies
-// it. Cross-cutting consumers — trace recording, degradation logs,
-// metrics, cluster coordination — subscribe to the per-tick Hook bus
+// Governor — the power-management policy. One tick engine (batch.go,
+// batch_step.go) runs every interval: execute synthesizes the
+// interval's counter activity from the active phase and p-state,
+// measure computes true power and the sensed sample, observe exposes
+// the PMU/thermal view, govern asks the policy for the next p-state,
+// and actuate applies it. A Session is a one-lane view of that engine;
+// fleets and batches step many lanes at once. Cross-cutting consumers
+// — metrics, telemetry, tracing — subscribe to the per-tick Hook bus
 // (tick.go) rather than living inline in the loop. Everything runs on
 // virtual time with a seeded RNG, so runs are deterministic and free
 // of host GC/runtime jitter.
@@ -18,7 +19,6 @@ package machine
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"aapm/internal/counters"
@@ -95,6 +95,19 @@ type DegradationReporter interface {
 	DrainDegradations() []trace.Degradation
 }
 
+// InPlaceTicker is optionally implemented by governors that can decide
+// from the engine's persistent interval record instead of a copy. A
+// batch whose governors all implement it — and that has no hooks,
+// faults, thermal model or Throttler — runs on the allocation-free pm
+// step body.
+type InPlaceTicker interface {
+	// TickP returns what Tick returns for the same record, and whether
+	// the tick left events for DrainDegradations, so the hot path
+	// drains only when there is something to drain.
+	TickP(*TickInfo) (want int, degraded bool)
+	DegradationReporter
+}
+
 // Config describes a platform instance.
 type Config struct {
 	// Table is the p-state table; nil selects the Pentium M 755 table.
@@ -147,8 +160,6 @@ type Machine struct {
 	seed     int64
 	startIdx int
 	maxTicks int
-
-	recorder *sensor.Recorder
 }
 
 // New validates cfg and builds a Machine.
@@ -224,7 +235,6 @@ func New(cfg Config) (*Machine, error) {
 		seed:     cfg.Seed,
 		startIdx: start,
 		maxTicks: maxTicks,
-		recorder: &sensor.Recorder{},
 	}, nil
 }
 
@@ -239,248 +249,10 @@ func (m *Machine) Truth() *power.GroundTruth { return m.truth }
 // SamplePeriod returns the monitoring interval.
 func (m *Machine) SamplePeriod() time.Duration { return m.period }
 
-// Recorder returns the acquisition stream of all runs so far.
-func (m *Machine) Recorder() *sensor.Recorder { return m.recorder }
-
-// runState tracks workload progress across intervals.
-type runState struct {
-	w         phase.Workload
-	iter      int     // current repeat
-	idx       int     // current phase within the list
-	remInstr  float64 // remaining instructions of current phase
-	remIdle   time.Duration
-	exhausted bool
-}
-
-func newRunState(w phase.Workload) *runState {
-	s := &runState{w: w}
-	s.load()
-	return s
-}
-
-func (s *runState) load() {
-	for {
-		if s.idx >= len(s.w.Phases) {
-			s.idx = 0
-			s.iter++
-			if s.iter >= s.w.Repeats() {
-				s.exhausted = true
-				return
-			}
-		}
-		p := s.w.Phases[s.idx]
-		if p.Idle() {
-			s.remIdle = p.IdleDuration
-			if s.remIdle > 0 {
-				return
-			}
-		} else if p.Instructions > 0 {
-			s.remInstr = p.Instructions
-			return
-		}
-		s.idx++
-	}
-}
-
-func (s *runState) current() phase.Params { return s.w.Phases[s.idx] }
-
-func (s *runState) advance() {
-	s.idx++
-	s.load()
-}
-
-// Session is an in-progress run advanced one monitoring interval at a
-// time. It exists for co-simulation: a coordinator can interleave the
-// steps of several machines and retarget their governors between
-// intervals (e.g. reassigning per-machine power limits from a shared
-// budget). Machine.Run is the single-machine convenience wrapper.
-//
-// Concurrency: a Session is not safe for concurrent use — one
-// goroutine at a time may call Step (or any other method), though the
-// goroutine may change between calls given a happens-before edge (the
-// cluster worker pool's barrier provides one). Distinct sessions may
-// be stepped concurrently: a session's mutable state is its own
-// (per-session RNG, actuator, thermal model, trace, hooks), and the
-// machine state it shares — the p-state table, sensor chain, power
-// truth, config — is read-only after New; the shared sensor.Recorder
-// is internally locked. Governor retargeting (e.g. SetLimit) must
-// happen between steps, from the coordinating goroutine.
-type Session struct {
-	m      *Machine
-	w      phase.Workload
-	g      Governor
-	policy string
-
-	rng *rand.Rand
-	act *pstate.Actuator
-	st  *runState
-	tm  *thermal.Model
-	inj *faults.Injector
-	run *trace.Run
-
-	hooks []Hook
-	clock stageClock
-
-	now        time.Duration
-	pendStall  time.Duration
-	energyTrue power.Energy
-	energyMeas power.Energy
-	duty       float64
-	tick       int
-	done       bool
-	finalized  bool
-}
-
-// NewSession validates the workload and prepares an incremental run.
-func (m *Machine) NewSession(w phase.Workload, g Governor) (*Session, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	act := pstate.NewActuator(m.table)
-	act.SetTransitionLatency(m.translat)
-	start := m.startIdx
-	if is, ok := g.(InitialStater); ok {
-		start = is.InitialIndex(start)
-	}
-	if _, err := act.Set(start); err != nil {
-		return nil, err
-	}
-	act.ResetStats() // positioning is not a policy transition
-
-	policy := "static"
-	if g != nil {
-		policy = g.Name()
-	}
-	var tm *thermal.Model
-	if m.thermal != nil {
-		var err error
-		tm, err = thermal.New(*m.thermal)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var inj *faults.Injector
-	if m.faults != nil {
-		// The injector's streams derive from seed+workload (like the
-		// noise stream) so fault timelines are stable per run and
-		// identical across policies — but from a separate source, so
-		// enabling faults does not perturb the existing noise/jitter
-		// sequence.
-		var err error
-		inj, err = faults.NewInjector(*m.faults, m.seed^int64(hashName(w.Name)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	s := &Session{
-		m:      m,
-		w:      w,
-		g:      g,
-		policy: policy,
-		rng:    rand.New(rand.NewSource(m.seed ^ int64(hashName(w.Name)))),
-		act:    act,
-		st:     newRunState(w),
-		tm:     tm,
-		inj:    inj,
-		run:    &trace.Run{Workload: w.Name, Policy: policy},
-		duty:   1.0,
-	}
-	// The canonical trace recorder is the bus's first subscriber; every
-	// row and degradation entry the rest of the system reads is built
-	// by this hook, not by the engine itself.
-	s.hooks = []Hook{&runRecorder{run: s.run}}
-	m.recorder.Mark(0, w.Name, true)
-	return s, nil
-}
-
-// Subscribe adds h to the session's observer bus. Hooks fire in
-// subscription order, after the canonical trace recorder. Subscribe
-// before the first Step; hooks must not mutate the session.
-func (s *Session) Subscribe(h Hook) { s.hooks = append(s.hooks, h) }
-
-// EnableStageTiming records per-stage wall-clock into every
-// TickState.StageNanos the bus delivers. Off by default (each tick
-// costs a handful of clock reads when on); purely observational, so
-// virtual-time results are unaffected either way.
-func (s *Session) EnableStageTiming() { s.clock.enabled = true }
-
-// Done reports whether the workload has completed.
-func (s *Session) Done() bool { return s.done }
-
-// Now returns the session's virtual time.
-func (s *Session) Now() time.Duration { return s.now }
-
-// Governor returns the session's policy (nil for a pinned run).
-func (s *Session) Governor() Governor { return s.g }
-
-// LastRow returns the most recent trace row, if any interval completed.
-func (s *Session) LastRow() (trace.Row, bool) {
-	if len(s.run.Rows) == 0 {
-		return trace.Row{}, false
-	}
-	return s.run.Rows[len(s.run.Rows)-1], true
-}
-
-// Result finalizes and returns the recorded trace. It may be called
-// once the session is done (or early, to inspect a truncated run);
-// finalization is idempotent and fires each hook's OnDone exactly
-// once.
-func (s *Session) Result() *trace.Run {
-	if !s.finalized {
-		s.m.recorder.Mark(s.now, s.w.Name, false)
-		s.run.Duration = s.now
-		s.run.EnergyJ = s.energyTrue.Joules()
-		s.run.MeasuredEnergyJ = s.energyMeas.Joules()
-		s.run.Transitions = s.act.Transitions()
-		s.run.FailedTransitions = s.act.FailedTransitions()
-		s.finalized = true
-		for _, h := range s.hooks {
-			h.OnDone(s.run)
-		}
-	}
-	return s.run
-}
-
-// Run executes w under governor g (nil g pins the start p-state) and
-// returns the recorded trace.
-func (m *Machine) Run(w phase.Workload, g Governor) (*trace.Run, error) {
-	return m.RunWith(w, g)
-}
-
-// RunWith executes w under governor g with the given hooks subscribed
-// to the session's tick bus, returning the recorded trace.
-func (m *Machine) RunWith(w phase.Workload, g Governor, hooks ...Hook) (*trace.Run, error) {
-	s, err := m.NewSession(w, g)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range hooks {
-		s.Subscribe(h)
-	}
-	for {
-		done, err := s.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return s.Result(), nil
-		}
-	}
-}
-
-// addActivity accumulates cycles of execution of behaviour b (with
-// intensity jitter applied to the instruction-proportional rates) into
-// the interval sample.
-func addActivity(s *counters.Sample, b phase.Behavior, jitter, cycles float64) {
-	addActivityP(s, &b, jitter, cycles)
-}
-
-// addActivityP is addActivity without the Behavior copy — the batch
-// kernel's entry point (machine.AddActivityP). Same operations in the
-// same order.
-// setActivityP is addActivityP when the sample is known to be zero —
-// adding to zero counts is setting them, so the read-modify-write pairs
-// collapse to stores. Bit-identical results.
+// setActivityP is addActivityP for a sample known to be all-zero (the
+// first busy segment after the per-tick reset): adding to zero counts
+// is setting them, so the read-modify-write pairs collapse to stores.
+// Bit-identical results.
 func setActivityP(s *counters.Sample, b *phase.Behavior, jitter, cycles float64) {
 	s.SetCount(counters.Cycles, uint64(cycles+0.5))
 	s.SetCount(counters.InstDecoded, uint64(b.DPC*jitter*cycles+0.5))
@@ -491,10 +263,13 @@ func setActivityP(s *counters.Sample, b *phase.Behavior, jitter, cycles float64)
 	s.SetCount(counters.ResourceStalls, uint64(b.StallPC*cycles+0.5))
 }
 
+// addActivityP accumulates cycles of execution of behaviour b (with
+// intensity jitter applied to the instruction-proportional rates) into
+// the interval sample.
 func addActivityP(s *counters.Sample, b *phase.Behavior, jitter, cycles float64) {
 	// Unrolled (no closure) so the sample stays in registers on the
-	// batch hot path; each count is rate*cycles+0.5 truncated, with the
-	// rate grouped exactly as before (b.X*jitter, then *cycles).
+	// hot path; each count is rate*cycles+0.5 truncated, with the rate
+	// grouped as b.X*jitter, then *cycles.
 	s.SetCount(counters.Cycles, s.Count(counters.Cycles)+uint64(cycles+0.5))
 	s.SetCount(counters.InstDecoded, s.Count(counters.InstDecoded)+uint64(b.DPC*jitter*cycles+0.5))
 	s.SetCount(counters.InstRetired, s.Count(counters.InstRetired)+uint64(b.IPC*jitter*cycles+0.5))
@@ -511,17 +286,17 @@ const idlePowerFraction = 0.5
 // intervalPower returns the interval-average true power: active power
 // from counter rates over the busy portion, gated idle power over the
 // rest.
-func (m *Machine) intervalPower(idx int, s *counters.Sample, busy, total time.Duration) float64 {
+func intervalPower(truth *power.GroundTruth, idx int, s *counters.Sample, busy, total time.Duration) float64 {
 	if total <= 0 {
 		return 0
 	}
-	c := m.truth.Coefficients(idx)
+	c := truth.Coefficients(idx)
 	idleW := c.Base * idlePowerFraction
 	if busy <= 0 {
 		return idleW
 	}
 	dpc, l2pc, mempc, dcu := s.PowerRates()
-	activeW := m.truth.PowerFromRates(idx, dpc, l2pc, mempc, dcu)
+	activeW := truth.PowerFromRates(idx, dpc, l2pc, mempc, dcu)
 	if busy == total {
 		// bf below would be exactly 1 (x/x for finite nonzero x), making
 		// the blend activeW*1 + idleW*0 — bit-identical to activeW for

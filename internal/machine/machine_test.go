@@ -229,20 +229,6 @@ func TestMaxTicksGuard(t *testing.T) {
 	}
 }
 
-func TestRecorderMarksRunBoundaries(t *testing.T) {
-	m, _ := New(Config{Seed: 1})
-	if _, err := m.Run(testWorkload(3e8), nil); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := m.Recorder().Between("test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Error("no samples between GPIO markers")
-	}
-}
-
 func TestTruthAndTableMismatch(t *testing.T) {
 	tab := pstate.PentiumM755()
 	m, err := New(Config{Table: tab})

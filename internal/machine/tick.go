@@ -8,9 +8,9 @@ import (
 	"aapm/internal/trace"
 )
 
-// The staged tick engine decomposes one monitoring interval into five
-// named stages, mirroring the paper's Monitor → Estimate/Predict →
-// Control loop (§III) plus the physics that drives it:
+// The tick engine runs one monitoring interval as five named stages,
+// mirroring the paper's Monitor → Estimate/Predict → Control loop
+// (§III) plus the physics that drives it:
 //
 //	execute  — phase advance, stall accounting, instruction/cycle work
 //	measure  — ground-truth power → sensor chain → fault corruption
@@ -34,9 +34,9 @@ const (
 var StageNames = [NumStages]string{"execute", "measure", "observe", "govern", "actuate"}
 
 // TickState is the single record one monitoring interval accumulates
-// as it flows through the staged engine. Every stage reads what
-// earlier stages wrote and fills in its own fields; hooks receive the
-// completed record once per interval.
+// on the generic step body. Every stage reads what earlier stages
+// wrote and fills in its own fields; hooks receive the completed
+// record once per interval.
 type TickState struct {
 	// Tick is the 1-based interval ordinal within the run.
 	Tick int
@@ -107,10 +107,12 @@ type Transition struct {
 	Stall time.Duration
 }
 
-// Hook observes a session's staged tick engine. Implementations
-// subscribe via Session.Subscribe and receive events in subscription
-// order; embed BaseHook to implement only the events of interest.
-// Hooks must not mutate the session they observe.
+// Hook observes a run's ticks. Implementations subscribe via
+// Session.Subscribe, Machine.RunWith or BatchOptions.Hooks and receive
+// events in subscription order, after the run's own trace row and
+// degradation log entry are recorded; embed BaseHook to implement only
+// the events of interest. Hooks must not mutate the run they observe.
+// Any hook moves its batch onto the generic step body.
 type Hook interface {
 	// OnTick fires once per recorded interval, after every stage ran.
 	OnTick(TickState)
@@ -139,71 +141,6 @@ func (BaseHook) OnDegradation(trace.Degradation) {}
 
 // OnDone implements Hook.
 func (BaseHook) OnDone(*trace.Run) {}
-
-// emitTick fans a completed interval out to the bus.
-func (s *Session) emitTick(ts TickState) {
-	for _, h := range s.hooks {
-		h.OnTick(ts)
-	}
-}
-
-// emitTransition fans a resolved transition out to the bus.
-func (s *Session) emitTransition(tr Transition) {
-	for _, h := range s.hooks {
-		h.OnTransition(tr)
-	}
-}
-
-// emitDegradation fans one degradation event out to the bus. All
-// degradation routing — injector drains and governor drains alike —
-// funnels through here, so the log lives behind the bus instead of
-// three inline drain loops.
-func (s *Session) emitDegradation(d trace.Degradation) {
-	for _, h := range s.hooks {
-		h.OnDegradation(d)
-	}
-}
-
-// drainInjector forwards the fault injector's pending events to the
-// bus, stamped at virtual time t.
-func (s *Session) drainInjector(t time.Duration) {
-	for _, e := range s.inj.Drain() {
-		s.emitDegradation(trace.Degradation{T: t, Source: e.Source, Kind: e.Kind, Detail: e.Detail})
-	}
-}
-
-// runRecorder is the canonical trace hook: it builds the trace.Run
-// rows and degradation log every consumer reads. It is always the
-// bus's first subscriber.
-type runRecorder struct {
-	run *trace.Run
-}
-
-func (r *runRecorder) OnTick(ts TickState) {
-	r.run.Rows = append(r.run.Rows, trace.Row{
-		T:              ts.Start,
-		Interval:       ts.Used,
-		FreqMHz:        ts.PState.FreqMHz,
-		DPC:            ts.Observed.DPC(),
-		IPC:            ts.Observed.IPC(),
-		DCU:            ts.Observed.DCU(),
-		L2PC:           ts.Observed.L2PC(),
-		MemPC:          ts.Observed.MemPC(),
-		TruePowerW:     ts.TruePowerW,
-		MeasuredPowerW: ts.MeasuredPowerW,
-		Instructions:   ts.Instructions,
-		Phase:          ts.Phase,
-		TempC:          ts.TempC,
-		Duty:           ts.Duty,
-	})
-	r.run.Instructions += ts.Instructions
-}
-
-func (r *runRecorder) OnTransition(Transition) {}
-
-func (r *runRecorder) OnDegradation(d trace.Degradation) { r.run.AddDegradation(d) }
-
-func (r *runRecorder) OnDone(*trace.Run) {}
 
 // stageClock stamps per-stage wall-clock into a TickState when
 // enabled; disabled it costs one branch per stage.

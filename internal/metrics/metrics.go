@@ -1,5 +1,5 @@
 // Package metrics aggregates per-run engine counters from the
-// machine's staged tick engine. A Collector subscribes to a session's
+// machine's tick engine. A Collector subscribes to a session's
 // Hook bus (machine.Session.Subscribe / Machine.RunWith) and tallies
 // ticks, transitions, stall time, energy, power-limit violations,
 // degradation events and — when the session has stage timing enabled —

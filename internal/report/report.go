@@ -116,7 +116,7 @@ func Generate(ctx *experiment.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p.h2("Staged engine metrics")
+	p.h2("Tick engine metrics")
 	p.linef("Per-run counters aggregated by a Hook-bus subscriber on %s (PM limit %.1f W).",
 		eng.Workload, eng.LimitW)
 	p.table([]string{"policy", "ticks", "transitions", "stall ms", "energy J", "avg W", "over-limit"}, func(add func(...string)) {

@@ -1,9 +1,7 @@
 // Package sensor simulates the paper's power-measurement apparatus: a
 // Radisys board with high-precision sense resistors between the
 // voltage regulators and the processor, feeding a National Instruments
-// SCXI-1125 + PCI-6052E data-acquisition chain, plus the 3.3 V GPIO
-// the authors toggle to synchronize workload execution with the
-// acquired samples.
+// SCXI-1125 + PCI-6052E data-acquisition chain.
 //
 // The simulated chain converts true power (package power) into the
 // measured samples the evaluation sees: shunt + amplifier gain error,
@@ -14,8 +12,6 @@ package sensor
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 )
 
 // Chain models the analog front end and digitizer.
@@ -112,94 +108,4 @@ func (p *Prepared) Measure(trueW float64, rng *rand.Rand) float64 {
 		v = 0
 	}
 	return v
-}
-
-// Sample is one acquired power reading.
-type Sample struct {
-	T      time.Duration
-	PowerW float64
-}
-
-// Marker is a GPIO edge used to synchronize workload execution with
-// the acquisition stream.
-type Marker struct {
-	T      time.Duration
-	Label  string
-	Rising bool
-}
-
-// Recorder accumulates the acquisition stream of one machine. A
-// machine's sessions share its recorder, and parallel drivers (the
-// cluster coordinator's worker pool) may step sessions of different
-// machines — or, for sequential workloads on one board, interleave
-// sessions — from multiple goroutines, so the appends are
-// mutex-guarded. The stream stays in acquisition order per goroutine;
-// callers wanting a strict global time order across concurrently
-// stepped sessions must sort.
-type Recorder struct {
-	mu      sync.Mutex
-	samples []Sample
-	markers []Marker
-}
-
-// Record appends one power sample.
-func (r *Recorder) Record(t time.Duration, powerW float64) {
-	r.mu.Lock()
-	r.samples = append(r.samples, Sample{T: t, PowerW: powerW})
-	r.mu.Unlock()
-}
-
-// Mark appends a GPIO edge.
-func (r *Recorder) Mark(t time.Duration, label string, rising bool) {
-	r.mu.Lock()
-	r.markers = append(r.markers, Marker{T: t, Label: label, Rising: rising})
-	r.mu.Unlock()
-}
-
-// Samples returns the acquired samples in acquisition order. The
-// returned slice is shared with the recorder; do not append to it
-// while sessions are still being stepped.
-func (r *Recorder) Samples() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samples
-}
-
-// Markers returns the GPIO edges in acquisition order, under the same
-// sharing caveat as Samples.
-func (r *Recorder) Markers() []Marker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.markers
-}
-
-// Between returns the samples acquired between the rising and falling
-// edges of the marker with the given label, mirroring how the paper
-// crops acquisition data to one benchmark run.
-func (r *Recorder) Between(label string) ([]Sample, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var start, end time.Duration
-	var haveStart, haveEnd bool
-	for _, m := range r.markers {
-		if m.Label != label {
-			continue
-		}
-		if m.Rising && !haveStart {
-			start, haveStart = m.T, true
-		}
-		if !m.Rising && haveStart && !haveEnd {
-			end, haveEnd = m.T, true
-		}
-	}
-	if !haveStart || !haveEnd {
-		return nil, fmt.Errorf("sensor: no complete marker pair %q", label)
-	}
-	var out []Sample
-	for _, s := range r.samples {
-		if s.T >= start && s.T <= end {
-			out = append(out, s)
-		}
-	}
-	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestChainValidation(t *testing.T) {
@@ -85,54 +84,5 @@ func TestMeasureClampsNegative(t *testing.T) {
 	c := Chain{GainError: -0.5}
 	if got := c.Measure(0.0001, nil); got < 0 {
 		t.Errorf("negative measurement %g", got)
-	}
-}
-
-func TestRecorderBetweenMarkers(t *testing.T) {
-	var r Recorder
-	r.Record(0, 1)
-	r.Mark(5*time.Millisecond, "run", true)
-	r.Record(10*time.Millisecond, 2)
-	r.Record(20*time.Millisecond, 3)
-	r.Mark(25*time.Millisecond, "run", false)
-	r.Record(30*time.Millisecond, 4)
-
-	got, err := r.Between("run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].PowerW != 2 || got[1].PowerW != 3 {
-		t.Errorf("Between = %+v", got)
-	}
-	if len(r.Samples()) != 4 || len(r.Markers()) != 2 {
-		t.Errorf("recorder holds %d samples, %d markers", len(r.Samples()), len(r.Markers()))
-	}
-}
-
-func TestRecorderBetweenMissingMarker(t *testing.T) {
-	var r Recorder
-	r.Mark(0, "only-rising", true)
-	if _, err := r.Between("only-rising"); err == nil {
-		t.Error("incomplete marker pair accepted")
-	}
-	if _, err := r.Between("absent"); err == nil {
-		t.Error("absent marker accepted")
-	}
-}
-
-func TestRecorderBetweenFirstPair(t *testing.T) {
-	var r Recorder
-	r.Mark(0, "w", true)
-	r.Record(1*time.Millisecond, 10)
-	r.Mark(2*time.Millisecond, "w", false)
-	r.Mark(3*time.Millisecond, "w", true)
-	r.Record(4*time.Millisecond, 20)
-	r.Mark(5*time.Millisecond, "w", false)
-	got, err := r.Between("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].PowerW != 10 {
-		t.Errorf("Between picked %+v, want first pair's sample", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"aapm/internal/cluster"
 	"aapm/internal/control"
 	"aapm/internal/experiment"
-	"aapm/internal/kernel"
 	"aapm/internal/machine"
 	"aapm/internal/obs"
 	"aapm/internal/sensor"
@@ -74,12 +73,10 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 	if gov != nil {
 		policy = gov.Name()
 	}
-	// The run is stepped through the batch kernel. The observer hooks
-	// demote it to the kernel's generic body, which replicates the
-	// staged event order exactly, so the trace stays byte-identical to
-	// a direct machine run of the same spec — the golden-through-serve
-	// test pins that equivalence, and with it the kernel itself.
-	batch, err := kernel.NewBatch([]kernel.BatchNode{{Machine: m, Workload: w, Governor: gov}}, kernel.BatchOptions{
+	// The observer hooks move the run onto the tick engine's generic
+	// body, whose trace is byte-identical to the specialized bodies' —
+	// the golden-through-serve test pins that equivalence.
+	batch, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: gov}}, machine.BatchOptions{
 		RetainTraces: true,
 		Hooks: func(int) []machine.Hook {
 			return []machine.Hook{

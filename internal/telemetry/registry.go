@@ -1,4 +1,4 @@
-// Package telemetry is the live observability layer over the staged
+// Package telemetry is the live observability layer over the tick
 // engine and the cluster coordinator: a dependency-free metrics
 // registry (counters, gauges, fixed-bucket histograms with labeled
 // series) fed by Hook-bus subscribers, exported as Prometheus text
@@ -9,8 +9,7 @@
 // Hook bus like any other consumer and never mutate the session, so
 // golden traces stay byte-identical with telemetry enabled, and with
 // no subscriber attached the engine pays nothing beyond the existing
-// bus fan-out (pinned by BenchmarkTelemetryOff against
-// BenchmarkStagedTick, budget ≤5%).
+// bus fan-out (TestTelemetryOffOverhead, budget ≤5%).
 //
 // The registry is safe for concurrent use: cluster workers feed
 // series from their stepping goroutines while a scrape renders the

@@ -15,9 +15,11 @@ import (
 )
 
 // TestGoldenTraceWithTelemetry re-runs the canonical golden
-// configuration with a telemetry observer AND a trace-event exporter
-// subscribed, and compares against the same pinned fixture as the
-// plain run: telemetry must not perturb a single byte of the trace.
+// configuration as a Session with a telemetry observer, a trace-event
+// exporter and a metrics collector subscribed and stage timing on —
+// the generic step body with everything observational switched on —
+// and compares against the same pinned fixture as the bare run:
+// observation must not perturb a single byte of the trace.
 func TestGoldenTraceWithTelemetry(t *testing.T) {
 	if *update {
 		t.Skip("fixture owned by TestGoldenPMTrace")
@@ -26,23 +28,28 @@ func TestGoldenTraceWithTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Workload("ammp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Iterations = 1
-	m, err := NewPlatform(PlatformConfig{Chain: NIChain(), Seed: 1})
+	m, w := goldenPlatform(t)
+	s, err := m.NewSession(w, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := NewTelemetryRegistry()
 	tw := NewTraceEventWriter(io.Discard)
-	run, err := m.RunWith(w, pm,
-		NewTelemetryObserver(reg, "golden", "pm"),
-		tw.RunHook("golden", "pm"))
-	if err != nil {
-		t.Fatal(err)
+	col := NewMetricsCollector(14.5)
+	s.Subscribe(NewTelemetryObserver(reg, "golden", "pm"))
+	s.Subscribe(tw.RunHook("golden", "pm"))
+	s.Subscribe(col)
+	s.EnableStageTiming()
+	for {
+		done, err := s.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
 	}
+	run := s.Result()
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +63,21 @@ func TestGoldenTraceWithTelemetry(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("registry empty after observed run; test is vacuous")
 	}
+	if col.Ticks != len(run.Rows) {
+		t.Errorf("collector saw %d ticks, trace has %d rows", col.Ticks, len(run.Rows))
+	}
+	if col.StageTotal() <= 0 {
+		t.Error("stage timing enabled but nothing recorded")
+	}
 	checkGolden(t, "golden_pm_ammp.csv", run)
 }
 
-// tickCost measures the per-tick wall-clock of a full ammp run with
-// the given extra hook (nil = none), minimum over trials — the
-// standard way to strip scheduler noise from a microbenchmark.
+// tickCost measures the per-tick wall-clock of a full ammp run under
+// the OnDemand governor with the given extra hook (nil = none),
+// minimum over trials — the standard way to strip scheduler noise
+// from a microbenchmark. OnDemand has no in-place TickP, so both the
+// bare and the hooked run step the generic body and the difference is
+// the hook fan-out alone.
 func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 	t.Helper()
 	w, err := spec.ByName("ammp")
@@ -75,7 +91,7 @@ func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := m.NewSession(w, nil)
+		s, err := m.NewSession(w, &OnDemand{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +125,12 @@ func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 
 // TestTelemetryOffOverhead is the self-observation budget: with no
 // telemetry subscriber attached, the hook-bus dispatch a subscriber
-// would ride must cost ≤5% per tick versus a bare session. A no-op
-// hook isolates exactly the fan-out path — the telemetry layer's cost
-// floor when it is compiled in but disabled. Min-of-trials on both
+// would ride must cost ≤5% per tick versus a bare session on the same
+// (generic) step body. A no-op hook isolates exactly the fan-out path
+// — the telemetry layer's cost floor when it is compiled in but
+// disabled. What a hook costs by moving a run off a specialized body
+// is a different question, reported by perfbench as
+// kernel.demotion_ratio. Min-of-trials on both
 // sides (the standard way to strip scheduler noise), interleaved and
 // retried so drifting CI load hits both configurations alike.
 func TestTelemetryOffOverhead(t *testing.T) {
