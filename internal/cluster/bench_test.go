@@ -9,10 +9,12 @@ import (
 )
 
 // BenchmarkClusterTick measures the coordinator's per-tick cost on an
-// 8-node shared-budget run, serially and across the worker pool. The
-// serial/parallel pair is the speedup record for EXPERIMENTS.md; on a
-// single-core host the parallel variant mostly measures pool overhead
-// (the barrier handoffs), which is the other number worth pinning.
+// 8-node shared-budget run, serially and across an 8-worker pool. With
+// 8 nodes each worker steps one node per tick, so the parallel variant
+// mostly measures pool overhead (the barrier handoffs), and whenever
+// GOMAXPROCS is below 8 the workers also queue for cores; its name
+// records GOMAXPROCS. Worker scaling at fleet size is the perfbench
+// fleet ledger's cluster.worker_speedup.
 func BenchmarkClusterTick(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		name := "serial"

@@ -14,12 +14,13 @@
 // deeper trees insert tiers of groups between the root and the nodes.
 //
 // Stepping is parallel: each tick the active nodes are stepped
-// concurrently across a persistent worker pool (Workers), with a
-// barrier before the coordinator reads any node state. Traces are
-// identical for every worker count — each node owns its seeded RNG,
-// workers never share mutable state, and all cross-node reads happen
-// post-barrier in node-index order (see DESIGN.md, "Parallel cluster
-// coordinator").
+// concurrently across a persistent worker pool (Workers), each worker
+// owning one contiguous, cache-line-aligned node range and folding its
+// own nodes' observations, with a barrier before the coordinator reads
+// any of them. Traces are identical for every worker count — each node
+// owns its seeded RNG, workers never share mutable state, and all
+// cross-node reads happen post-barrier in node-index order (see
+// DESIGN.md, "Parallel cluster coordinator").
 package cluster
 
 import (
@@ -28,6 +29,7 @@ import (
 
 	"aapm/internal/alloc"
 	"aapm/internal/control"
+	"aapm/internal/machine"
 	"aapm/internal/phase"
 	"aapm/internal/pstate"
 )
@@ -66,9 +68,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 func usable(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 }
 
 // demand is one node's reallocation input, assembled post-barrier by
-// the coordinator from the epoch accumulators and the node's tap (its
-// latest interval observation, read through the tick engine's
-// Seq/LastPowerW/LastDPC accessors).
+// the coordinator from the node's epoch accumulator (folded by its
+// shard each tick) and, as a fallback, the engine's last decode rate.
 type demand struct {
 	// active is false once the node finished (its share is released).
 	active bool
@@ -85,33 +86,35 @@ type demand struct {
 	avgW float64
 }
 
-// assembleDemand builds one node's reallocation input from its epoch
-// accumulators and tap state: done/seq/lastDPC come from the batch
-// engine's post-barrier accessors, the rest are the coordinator's
-// per-epoch accumulators.
-func assembleDemand(d *demand, done bool, recentW, recentDPC float64, recentN int, epochFresh bool, seq uint64, lastDPC float64) {
+// assembleDemand builds node i's reallocation input from its epoch
+// accumulator a. The engine's LastDPC is read only in the fallback
+// case that needs it, so an epoch does not walk every node's sample
+// record.
+func assembleDemand(d *demand, done bool, a *nodeAcc, bs *machine.BatchState, i int) {
 	*d = demand{active: !done}
 	if !d.active {
 		return
 	}
 	switch {
-	case recentN > 0:
+	case a.recentN > 0:
 		// The epoch average, not the last tick: a one-tick
 		// spike must not swing a whole epoch's shares.
 		d.useDPC = true
-		d.dpc = recentDPC / float64(recentN)
-		d.avgW = recentW / float64(recentN)
-	case !epochFresh && seq > 0:
+		d.dpc = a.recentDPC / float64(a.recentN)
+		d.avgW = a.recentW / float64(a.recentN)
+	case !a.fresh && a.lastSeq > 0:
 		// The tap was last written in an earlier epoch: the
 		// node has effectively gone dark (e.g. degraded
 		// offline mid-epoch). Hold its previous share rather
 		// than reallocating on stale data.
 		d.hold = true
-	case seq > 0 && usable(lastDPC):
+	case a.lastSeq > 0:
 		// Fresh tap but no full-epoch average (e.g. power
 		// readings dropped all epoch): fall back to the tap.
-		d.useDPC = true
-		d.dpc = lastDPC
+		if dpc := bs.LastDPC(i); usable(dpc) {
+			d.useDPC = true
+			d.dpc = dpc
+		}
 	}
 }
 

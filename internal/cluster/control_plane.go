@@ -176,10 +176,11 @@ type controlEpochIn struct {
 }
 
 // runControlEpoch assembles the epoch observation, invokes the control
-// plane, and folds its node overrides into the sticky per-leaf state.
+// plane, folds its node overrides into the sticky per-leaf state
+// in.nodeOv in place, and returns its group directives.
 // Runs on the coordinator goroutine at epoch granularity — nothing
 // here touches the per-tick hot path.
-func runControlEpoch(ctl FleetControl, in controlEpochIn) ([][]GroupDirective, []NodeOverride) {
+func runControlEpoch(ctl FleetControl, in controlEpochIn) [][]GroupDirective {
 	n := len(in.demands)
 	o := FleetEpochObs{
 		Epoch: in.epoch, Tick: in.tick,
@@ -217,5 +218,5 @@ func runControlEpoch(ctl FleetControl, in controlEpochIn) ([][]GroupDirective, [
 			in.nodeOv[i] = d.Nodes[i]
 		}
 	}
-	return d.Groups, in.nodeOv
+	return d.Groups
 }

@@ -352,10 +352,9 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// Control-plane state: node overrides are written post-barrier on
 	// the coordinator goroutine and read by the workers only after the
 	// next generation advance, so the pool's happens-before edges cover
-	// them. With Control nil none of this exists and the step function
-	// is the engine's, untouched.
+	// them. With Control nil none of this exists and the workers step
+	// the engine ungated.
 	ctl := cfg.Control
-	stepFn := bs.StepNode
 	var nodeOv []NodeOverride
 	var ctlW []float64
 	ctlTicks := 0
@@ -364,21 +363,9 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		if levels > 1 {
 			ctlW = make([]float64, shape.counts[1])
 		}
-		stepFn = func(i int) bool {
-			if nodeOv[i] == NodeOffline {
-				return false
-			}
-			return bs.StepNode(i)
-		}
 	}
 
-	st := &stepper{
-		workers: workers,
-		n:       n,
-		step:    stepFn,
-		stepped: make([]bool, n),
-		wall:    make([]metrics.WallClock, workers),
-	}
+	st := newStepper(bs, nodeOv, workers)
 	var ft *fleetTelemetry
 	if cfg.Telemetry != nil {
 		ft = newFleetTelemetry(cfg.Telemetry, cfg.BudgetW, workers, shape)
@@ -407,15 +394,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	for i := range limits {
 		limits[i] = share
 	}
-	// Per-epoch accumulators: usable (finite) measured power and
-	// observed decode rate, and the count of usable ticks. recentN==0
-	// at a reallocation means the node produced no usable observation
-	// the whole epoch.
-	recentW := make([]float64, n)
-	recentDPC := make([]float64, n)
-	recentN := make([]int, n)
-	lastSeq := make([]uint64, n)  // engine sequence at the previous tick
-	epochFresh := make([]bool, n) // sequence advanced at all this epoch
 	demands := make([]demand, n)
 
 	// Persistent allocation state: the leaf allocation over the demand
@@ -543,56 +521,56 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fleet: abandoned after %d ticks: %w", tick, err)
 		}
-		for i := range st.stepped {
-			st.stepped[i] = false
-		}
 		if pool != nil {
 			pool.tick()
 		} else {
 			st.shard(0)
 		}
 		t0 := time.Now()
-		// Post-barrier: every cross-node read below happens in
-		// node-index order on the coordinator goroutine, so the
-		// aggregate state is identical for every worker count. The
-		// first error by node index wins, deterministically.
-		for i := 0; i < n; i++ {
-			if err := bs.NodeErr(i); err != nil {
-				return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
+		// Post-barrier: the shards have folded their own nodes; what
+		// remains are the cross-node reads, made in node-index order on
+		// the coordinator goroutine so the aggregate state is identical
+		// for every worker count. The first error by node index wins,
+		// deterministically.
+		stepped, failed := 0, false
+		for k := range st.tally {
+			stepped += st.tally[k].stepped
+			failed = failed || st.tally[k].failed
+		}
+		if failed {
+			for i := 0; i < n; i++ {
+				if err := bs.NodeErr(i); err != nil {
+					return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
+				}
 			}
 		}
-		anyActive := false
-		allActive := true
+		anyActive := stepped > 0
+		allActive := stepped == n
+		res.NodeTicks += int64(stepped)
+		// The power sums stay serial and in index order: per-shard
+		// partial sums would reassociate the float additions and make
+		// PeakTotalW/OverFrac depend on the worker count.
 		var totalW float64
-		for i := 0; i < n; i++ {
-			if !st.stepped[i] {
-				allActive = false
-				continue
+		var groupW []float64
+		if ft != nil && levels > 1 {
+			groupW = ft.groupW[1]
+		}
+		if groupW == nil && ctlW == nil {
+			for _, w := range st.power {
+				totalW += w
 			}
-			anyActive = true
-			res.NodeTicks++
-			// Only a node refreshed by this tick contributes; a node
-			// that stepped into completion without emitting an interval
-			// would otherwise replay its previous tick's power.
-			if bs.Seq(i) == lastSeq[i] {
-				continue
-			}
-			lastSeq[i] = bs.Seq(i)
-			epochFresh[i] = true
-			w := bs.LastPowerW(i)
-			dpc := bs.LastDPC(i)
-			if !usable(w) || !usable(dpc) {
-				continue
-			}
-			totalW += w
-			recentW[i] += w
-			recentDPC[i] += dpc
-			recentN[i]++
-			if ft != nil && levels > 1 {
-				ft.groupW[1][i/fanout] += w
-			}
-			if ctlW != nil {
-				ctlW[i/fanout] += w
+		} else {
+			for g := 0; g < shape.counts[1]; g++ {
+				lo, hi := shape.childRange(1, g)
+				for _, w := range st.power[lo:hi] {
+					totalW += w
+					if groupW != nil {
+						groupW[g] += w
+					}
+					if ctlW != nil {
+						ctlW[g] += w
+					}
+				}
 			}
 		}
 		if !anyActive {
@@ -623,14 +601,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 
 		if !cfg.Static && tick > 0 && tick%epoch == 0 {
 			for i := range demands {
-				done := bs.NodeDone(i)
-				if nodeOv != nil && nodeOv[i] == NodeOffline {
-					done = true
-				}
-				assembleDemand(&demands[i], done, recentW[i], recentDPC[i], recentN[i], epochFresh[i], bs.Seq(i), bs.LastDPC(i))
+				done := bs.NodeDone(i) || nodeOv != nil && nodeOv[i] == NodeOffline
+				assembleDemand(&demands[i], done, &st.acc[i], bs, i)
 			}
 			if ctl != nil {
-				dirGroups, nodeOv = runControlEpoch(ctl, controlEpochIn{
+				dirGroups = runControlEpoch(ctl, controlEpochIn{
 					epoch: res.Epochs, tick: tick,
 					periodUS: float64(machines[0].SamplePeriod()) / float64(time.Microsecond),
 					budgetW:  cfg.BudgetW, floorW: floor,
@@ -664,9 +639,9 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 				}
 			}
 			res.Epochs++
-			spans.fleetEpoch(tick, cfg.BudgetW, recentW, recentDPC, recentN)
-			for i := range recentW {
-				recentW[i], recentDPC[i], recentN[i], epochFresh[i] = 0, 0, 0, false
+			spans.fleetEpoch(tick, cfg.BudgetW, st.acc)
+			for i := range st.acc {
+				st.acc[i].reset()
 			}
 			if ft != nil {
 				ft.epoch(budgets)
@@ -678,9 +653,10 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// Fold every worker's shard timing into one aggregate; Merge
 	// keeps the Min/Max tails, so a straggler worker stays visible in
 	// the merged distribution.
-	res.WorkerWall = st.wall
-	for k := range st.wall {
-		res.TickWall.Merge(st.wall[k])
+	res.WorkerWall = make([]metrics.WallClock, workers)
+	for k := range st.tally {
+		res.WorkerWall[k] = st.tally[k].wall
+		res.TickWall.Merge(st.tally[k].wall)
 	}
 	res.Intervals = intervals
 	res.Runs = make([]*trace.Run, n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,50 +29,143 @@ func diffLines(t *testing.T, what string, a, b []byte) {
 	t.Fatalf("%s: traces differ in length: %d vs %d lines", what, len(al), len(bl))
 }
 
+// epochScript is a deterministic control plane for the determinism
+// suite: it records every epoch observation (copied, since the
+// coordinator reuses the buffers) and at epoch 1 offlines one node,
+// pins another and reweights and caps two groups, so the offline gate
+// in the shards and the directive folding are exercised.
+type epochScript struct {
+	seen []FleetEpochObs
+}
+
+func (s *epochScript) Epoch(o FleetEpochObs) FleetDirectives {
+	o.Groups = append([]GroupObs(nil), o.Groups...)
+	o.NodeActive = append([]bool(nil), o.NodeActive...)
+	s.seen = append(s.seen, o)
+	if o.Epoch != 1 {
+		return FleetDirectives{}
+	}
+	nodes := make([]NodeOverride, len(o.NodeActive))
+	nodes[25] = NodeOffline // the 2-worker shard boundary
+	nodes[33] = NodePinned  // next to a 3-worker one
+	groups := make([]GroupDirective, len(o.Groups))
+	groups[0].Weight = 2
+	groups[1].CapW = 40
+	return FleetDirectives{Groups: [][]GroupDirective{nil, groups}, Nodes: nodes}
+}
+
+// deterministicExposition is the registry's Prometheus text without
+// the wall-clock families (per-level allocation wall and per-worker
+// shard wall), which measure the host rather than the run.
+func deterministicExposition(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var keep []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.Contains(line, "_wall_seconds") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
 // TestFleetMultiLevelDeterministic pins the multi-level contract: a
-// hierarchy of any depth produces byte-identical traces and aggregates
-// for every worker count.
+// hierarchy of any depth produces byte-identical traces and bit-equal
+// aggregates for every worker count, including counts whose
+// contiguous shard boundaries cut a fanout-4 group. The observed
+// variant attaches a telemetry registry and a control plane and also
+// requires equal control-plane observations and equal /metrics text.
 func TestFleetMultiLevelDeterministic(t *testing.T) {
+	const n = 50
+	for _, w := range []int{2, 3} {
+		cut := false
+		for _, b := range shardBounds(n, w)[1:w] {
+			cut = cut || b%4 != 0
+		}
+		if !cut {
+			t.Fatalf("%d-worker shard bounds %v cut no fanout-4 group", w, shardBounds(n, w))
+		}
+	}
+	type outcome struct {
+		res     *FleetResult
+		csv     []byte
+		epochs  []FleetEpochObs
+		metrics string
+	}
 	for _, levels := range []int{2, 3} {
-		levels := levels
-		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
-			t.Parallel()
-			run := func(workers int) (*FleetResult, []byte) {
-				res, err := RunFleet(FleetConfig{
-					BudgetW:      16 * 48,
-					Nodes:        SyntheticFleet(48, 60),
-					Seed:         7,
-					Chain:        sensor.NIDefault(),
-					Workers:      workers,
-					Levels:       levels,
-					Fanout:       4,
-					RetainTraces: true,
-				})
-				if err != nil {
-					t.Fatal(err)
+		for _, observed := range []bool{false, true} {
+			levels, observed := levels, observed
+			name := fmt.Sprintf("levels=%d", levels)
+			if observed {
+				name += "-observed"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				run := func(workers int) outcome {
+					cfg := FleetConfig{
+						BudgetW:      16 * n,
+						Nodes:        SyntheticFleet(n, 60),
+						Seed:         7,
+						Chain:        sensor.NIDefault(),
+						Workers:      workers,
+						Levels:       levels,
+						Fanout:       4,
+						RetainTraces: true,
+					}
+					var ctl *epochScript
+					var reg *telemetry.Registry
+					if observed {
+						ctl, reg = &epochScript{}, telemetry.NewRegistry()
+						cfg.Control, cfg.Telemetry, cfg.EpochTicks = ctl, reg, 10
+					}
+					res, err := RunFleet(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := outcome{res: res, csv: tracesCSV(t, res)}
+					if observed {
+						o.epochs, o.metrics = ctl.seen, deterministicExposition(t, reg)
+					}
+					return o
 				}
-				return res, tracesCSV(t, res)
-			}
-			ref, refCSV := run(1)
-			if ref.Levels != levels || ref.Epochs == 0 || ref.Intervals == 0 {
-				t.Fatalf("degenerate reference run: %+v", ref)
-			}
-			wantGroups := []int{12, 3}[:levels-1]
-			for i, g := range wantGroups {
-				if ref.GroupsPerLevel[i] != g {
-					t.Errorf("GroupsPerLevel[%d] = %d, want %d", i, ref.GroupsPerLevel[i], g)
+				ref := run(1)
+				if ref.res.Levels != levels || ref.res.Epochs == 0 || ref.res.Intervals == 0 {
+					t.Fatalf("degenerate reference run: %+v", ref.res)
 				}
-			}
-			for _, workers := range []int{5, 8} {
-				res, csv := run(workers)
-				diffLines(t, fmt.Sprintf("workers 1 vs %d", workers), refCSV, csv)
-				if res.MachineSeconds != ref.MachineSeconds || res.Makespan != ref.Makespan ||
-					res.PeakTotalW != ref.PeakTotalW || res.OverFrac != ref.OverFrac ||
-					res.NodeTicks != ref.NodeTicks || res.Epochs != ref.Epochs {
-					t.Errorf("workers=%d aggregates diverge from serial", workers)
+				wantGroups := []int{13, 4}[:levels-1]
+				for i, g := range wantGroups {
+					if ref.res.GroupsPerLevel[i] != g {
+						t.Errorf("GroupsPerLevel[%d] = %d, want %d", i, ref.res.GroupsPerLevel[i], g)
+					}
 				}
-			}
-		})
+				if observed {
+					if len(ref.epochs) < 3 || ref.epochs[len(ref.epochs)-1].NodeActive[25] {
+						t.Fatalf("control plane saw %d epochs; node 25 never went offline", len(ref.epochs))
+					}
+				}
+				for _, workers := range []int{2, 3, 5, 8} {
+					got := run(workers)
+					diffLines(t, fmt.Sprintf("workers 1 vs %d", workers), ref.csv, got.csv)
+					a, b := ref.res, got.res
+					if a.MachineSeconds != b.MachineSeconds || a.Makespan != b.Makespan ||
+						math.Float64bits(a.PeakTotalW) != math.Float64bits(b.PeakTotalW) ||
+						math.Float64bits(a.OverFrac) != math.Float64bits(b.OverFrac) ||
+						math.Float64bits(a.ContendedOverFrac) != math.Float64bits(b.ContendedOverFrac) ||
+						a.NodeTicks != b.NodeTicks || a.Epochs != b.Epochs || a.Intervals != b.Intervals {
+						t.Errorf("workers=%d aggregates diverge from serial", workers)
+					}
+					if !reflect.DeepEqual(ref.epochs, got.epochs) {
+						t.Errorf("workers=%d control-plane observations diverge from serial", workers)
+					}
+					if ref.metrics != got.metrics {
+						t.Errorf("workers=%d /metrics exposition diverges from serial:\n%s\nvs\n%s", workers, got.metrics, ref.metrics)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -155,6 +249,62 @@ func TestFleetMemoryBudget(t *testing.T) {
 	}
 	if perNode > fleetBytesPerNodeBudget {
 		t.Errorf("allocated %.0f B/node, budget %d", perNode, fleetBytesPerNodeBudget)
+	}
+}
+
+// fleetTickAllocSlack bounds the difference in heap allocations
+// between a short and a long fleet run. Construction is identical, so
+// one allocation per tick would add 180 objects over the 180 extra
+// ticks; what remains is runtime noise from the pool's goroutines
+// (goroutine and sudog records come from the heap when the runtime's
+// free lists are empty), which the minimum over a few runs mostly
+// removes.
+const fleetTickAllocSlack = 64
+
+// TestFleetTickAllocs is the fleet tick's allocation gate: a 3-level
+// run allocates the same number of heap objects at 60 and at 240
+// ticks, serially and across two workers, so the stepping, shard fold
+// and post-barrier coordinator work allocate nothing per tick.
+// EpochTicks lies past both runs, so no reallocation epoch fires.
+func TestFleetTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is race-instrumented")
+	}
+	const n, trials = 3_000, 3
+	mallocs := func(ticks, workers int) uint64 {
+		best := uint64(math.MaxUint64)
+		for trial := 0; trial < trials; trial++ {
+			nodes := SyntheticFleet(n, ticks)
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			res, err := RunFleet(FleetConfig{
+				BudgetW:    30 * n,
+				Nodes:      nodes,
+				Seed:       1,
+				Levels:     3,
+				Fanout:     64,
+				Workers:    workers,
+				EpochTicks: 1_000,
+			})
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Epochs != 0 || res.Intervals < ticks {
+				t.Fatalf("%d-tick run: %d epochs, %d intervals", ticks, res.Epochs, res.Intervals)
+			}
+			best = min(best, m1.Mallocs-m0.Mallocs)
+		}
+		return best
+	}
+	for _, workers := range []int{1, 2} {
+		short, long := mallocs(60, workers), mallocs(240, workers)
+		t.Logf("workers=%d: %d mallocs at 60 ticks, %d at 240", workers, short, long)
+		if long > short+fleetTickAllocSlack || short > long+fleetTickAllocSlack {
+			t.Errorf("workers=%d: %d mallocs at 60 ticks vs %d at 240, slack %d",
+				workers, short, long, fleetTickAllocSlack)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ type coordSpans struct {
 	periodUS float64 // virtual microseconds per monitoring interval
 	st       *stepper
 	workers  int
-	wallMark []time.Duration // st.wall[k].Total at the last boundary
+	wallMark []time.Duration // st.tally[k].wall.Total at the last boundary
 	from     int             // tick the current shard-span window opened at
 
 	// levelWall/levelCount track the per-level allocation wall
@@ -62,9 +62,9 @@ func (c *coordSpans) levelDur(l int, d time.Duration) {
 // per level (wall from the distribute recursion, deepest level first
 // so the Perfetto nesting reads root-outward) and the window's
 // shard-step spans. The level-0 span also carries the epoch's demand
-// aggregates, read from the accumulators before the caller resets
-// them.
-func (c *coordSpans) fleetEpoch(tick int, budgetW float64, recentW, recentDPC []float64, recentN []int) {
+// aggregates, read from the node accumulators before the caller
+// resets them.
+func (c *coordSpans) fleetEpoch(tick int, budgetW float64, acc []nodeAcc) {
 	if c == nil {
 		return
 	}
@@ -77,10 +77,10 @@ func (c *coordSpans) fleetEpoch(tick int, budgetW float64, recentW, recentDPC []
 		if l == 0 {
 			var sumW, sumDPC float64
 			var cnt int
-			for i := range recentN {
-				sumW += recentW[i]
-				sumDPC += recentDPC[i]
-				cnt += recentN[i]
+			for i := range acc {
+				sumW += acc[i].recentW
+				sumDPC += acc[i].recentDPC
+				cnt += int(acc[i].recentN)
 			}
 			if cnt > 0 {
 				attrs["avg_node_power_w"] = sumW / float64(cnt)
@@ -105,8 +105,9 @@ func (c *coordSpans) fleetEpoch(tick int, budgetW float64, recentW, recentDPC []
 // workers already maintain — no extra work on the stepping path).
 func (c *coordSpans) shardSpans(tick int) {
 	for k := 0; k < c.workers; k++ {
-		d := c.st.wall[k].Total - c.wallMark[k]
-		c.wallMark[k] = c.st.wall[k].Total
+		total := c.st.tally[k].wall.Total
+		d := total - c.wallMark[k]
+		c.wallMark[k] = total
 		c.tr.Record(obs.Span{
 			Name:      "shard-step",
 			VirtUS:    float64(c.from) * c.periodUS,

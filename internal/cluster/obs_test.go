@@ -209,7 +209,7 @@ func TestTracingOffNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr := obs.FromContext(ctx)
 		cs := newCoordSpans(tr, 10*time.Millisecond, nil, 2, []int{2})
-		cs.fleetEpoch(50, 30, nil, nil, nil)
+		cs.fleetEpoch(50, 30, nil)
 		cs.levelDur(0, time.Millisecond)
 		cs.finish(60)
 		_ = cs.active()

@@ -9,53 +9,161 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aapm/internal/machine"
 	"aapm/internal/metrics"
 	"aapm/internal/telemetry"
 )
 
-// stepper owns the per-tick stepping work. Nodes are statically
-// sharded: worker k steps nodes k, k+workers, k+2*workers, … so a
-// node is stepped by the same goroutine for the whole run and no two
-// workers ever touch the same node state, stepped flag or error slot
-// — the shards step disjoint node lanes of one BatchState, which the
-// engine's concurrency contract permits. The coordinator reads
-// stepped and the engine's per-node errors only after the tick
-// barrier.
+// cacheLine is the coherence unit the stepping layout keeps workers
+// apart on (64 bytes on the x86-64 and arm64 hosts this targets).
+const cacheLine = 64
+
+// shardAlign is the node granularity of shard boundaries: a boundary
+// on a multiple of 64 nodes falls on a cache-line edge of every
+// per-node lane, the 1-byte ones included.
+const shardAlign = 64
+
+// shardBounds splits n nodes into workers contiguous ranges: worker k
+// owns [b[k], b[k+1]). Boundaries are rounded to multiples of
+// shardAlign so no cache line of per-node state is written by two
+// workers. A fleet too small to give every worker a whole 64-node
+// unit splits at node granularity instead: its lanes span a handful
+// of lines, and every worker still steps a share.
+func shardBounds(n, workers int) []int {
+	align := shardAlign
+	if n < align*workers {
+		align = 1
+	}
+	units := (n + align - 1) / align
+	b := make([]int, workers+1)
+	for k := range b {
+		b[k] = min(k*units/workers*align, n)
+	}
+	return b
+}
+
+// nodeAcc is one node's epoch accumulator, folded by the worker that
+// steps the node right after StepNode, while the node's lanes are
+// still in its cache. One packed 32-byte record per node (two per
+// cache line) instead of parallel slices: the fold touches one line
+// per pair of nodes, and shard boundaries on 64-node multiples keep
+// those lines worker-private.
+type nodeAcc struct {
+	// recentW and recentDPC sum the usable (finite, non-negative)
+	// measured power and observed decode rate over the epoch; recentN
+	// counts the usable ticks (bounded by the machine's MaxTicks, so
+	// int32 holds it). recentN == 0 at a reallocation means the node
+	// produced no usable observation the whole epoch.
+	recentW   float64
+	recentDPC float64
+	// lastSeq is the engine sequence at the node's last fold; it
+	// equals BatchState.Seq after every tick.
+	lastSeq uint64
+	recentN int32
+	// fresh records that the sequence advanced at all this epoch.
+	fresh bool
+}
+
+// reset starts a new epoch; lastSeq carries over.
+func (a *nodeAcc) reset() {
+	a.recentW, a.recentDPC, a.recentN, a.fresh = 0, 0, 0, false
+}
+
+// shardTally is worker k's report, padded to a cache line of its own
+// so the workers' per-tick writes never share one.
+type shardTally struct {
+	// wall aggregates the worker's per-tick shard wall-clock (ticks
+	// where the shard stepped at least one node); the coordinator
+	// merges the workers' aggregates into Result.TickWall after the
+	// run.
+	wall metrics.WallClock
+	// stepped counts the nodes the shard stepped this tick; failed
+	// flags that one of them returned an error.
+	stepped int
+	failed  bool
+	_       [cacheLine - 48]byte // the fields above take 48 bytes
+}
+
+// stepper owns the per-tick stepping work. Each worker owns one
+// contiguous node range of the batch (shardBounds) for the whole run
+// and, per node it steps, folds the fresh observation into the node's
+// epoch accumulator and this tick's power lane — all writes to lines
+// no other worker touches, as the engine's concurrency contract
+// (disjoint index ranges) permits. The coordinator reads the tallies,
+// accumulators and power lane only after the tick barrier, and keeps
+// only the cross-node reads: the index-ordered power sums and, when a
+// shard flagged one, the first-error-by-index scan.
 type stepper struct {
-	workers int
-	n       int
-	// step advances node i by one interval if it is still active,
-	// reporting whether it was stepped (the engine's StepNode, behind
-	// the control plane's offline gate when one is attached).
-	step func(i int) bool
-	// stepped[i] records that node i was active at tick start and was
-	// stepped this tick. Entry i is written only by the worker owning
-	// shard i%workers.
-	stepped []bool
-	// wall[k] aggregates worker k's per-tick shard wall-clock (ticks
-	// where the shard had at least one active node). Each entry is
-	// written only by its owning worker; the coordinator merges them
-	// into Result.TickWall after the run.
-	wall []metrics.WallClock
-	// shardWall[k], when telemetry is enabled, receives the same
-	// samples as a labeled histogram series.
+	bs *machine.BatchState
+	// offline, when a control plane is attached, gates stepping: an
+	// offlined node is skipped like a finished one.
+	offline []NodeOverride
+	bounds  []int
+	acc     []nodeAcc
+	// power[i] is node i's usable measured power this tick, or +0 when
+	// the node did not contribute (not stepped, no fresh interval, or
+	// an unusable reading). Summed in index order post-barrier, the +0
+	// entries leave every float bit of the sum as it would be without
+	// them.
+	power []float64
+	tally []shardTally
+	// shardWall[k], when telemetry is enabled, receives worker k's
+	// shard wall samples as a labeled histogram series.
 	shardWall []*telemetry.Series
 }
 
-// shard steps worker k's nodes for one tick, timing the shard when it
-// did any work.
+func newStepper(bs *machine.BatchState, offline []NodeOverride, workers int) *stepper {
+	n := bs.Len()
+	return &stepper{
+		bs:      bs,
+		offline: offline,
+		bounds:  shardBounds(n, workers),
+		acc:     make([]nodeAcc, n),
+		power:   make([]float64, n),
+		tally:   make([]shardTally, workers),
+	}
+}
+
+// shard steps worker k's nodes for one tick and folds each stepped
+// node's observation, timing the shard when it did any work. Only a
+// node refreshed by this tick contributes: one that stepped into
+// completion without emitting an interval would otherwise replay its
+// previous tick's power.
 func (st *stepper) shard(k int) {
 	start := time.Now()
-	any := false
-	for i := k; i < st.n; i += st.workers {
-		if st.step(i) {
-			any = true
-			st.stepped[i] = true
+	bs, acc, power, offline := st.bs, st.acc, st.power, st.offline
+	stepped, failed := 0, false
+	for i := st.bounds[k]; i < st.bounds[k+1]; i++ {
+		power[i] = 0
+		if offline != nil && offline[i] == NodeOffline || !bs.StepNode(i) {
+			continue
 		}
+		stepped++
+		if bs.NodeErr(i) != nil {
+			failed = true
+			continue
+		}
+		a := &acc[i]
+		seq := bs.Seq(i)
+		if seq == a.lastSeq {
+			continue
+		}
+		a.lastSeq = seq
+		a.fresh = true
+		w, dpc := bs.LastPowerW(i), bs.LastDPC(i)
+		if !usable(w) || !usable(dpc) {
+			continue
+		}
+		a.recentW += w
+		a.recentDPC += dpc
+		a.recentN++
+		power[i] = w
 	}
-	if any {
+	t := &st.tally[k]
+	t.stepped, t.failed = stepped, failed
+	if stepped > 0 {
 		d := time.Since(start)
-		st.wall[k].Add(d)
+		t.wall.Add(d)
 		if st.shardWall != nil {
 			st.shardWall[k].Observe(d.Seconds())
 		}
@@ -86,11 +194,12 @@ func (st *stepper) shard(k int) {
 //
 // The sequentially consistent atomics give the happens-before edges
 // the determinism argument needs: workers' writes (node lanes,
-// stepped flags, errors) are made before the done-counter add and so
-// visible to the coordinator once it observes the full count, and the
-// coordinator's writes (SetLimit, cleared stepped flags) are made
-// before the generation advance and so visible to every worker that
-// observes the new generation. Parking changes only who is scheduled
+// errors, epoch accumulators, the power lane, their tallies) are made
+// before the done-counter add and so visible to the coordinator once
+// it observes the full count, and the coordinator's writes (SetLimit,
+// node overrides, accumulator resets) are made before the generation
+// advance and so visible to every worker that observes the new
+// generation. Parking changes only who is scheduled
 // when — the barrier order, and therefore every trace byte, is
 // identical to the pure-spin pool.
 type workerPool struct {
