@@ -35,9 +35,9 @@ fuzz-short:
 # staged_reference.json, every TestBatchMatchesStaged case).
 .PHONY: golden-update
 golden-update:
-	go test -run TestGolden -update .
-	go test -run TestPrometheusGolden -update ./internal/telemetry
-	go test -run TestBatchMatchesStaged -update ./internal/kernel
+	go test . -run TestGolden -update
+	go test ./internal/telemetry -run TestPrometheusGolden -update
+	go test ./internal/kernel -run TestBatchMatchesStaged -update
 
 # One-iteration telemetry overhead smoke: the hook-bus/observer cost
 # benchmarks compile and run.
@@ -207,13 +207,6 @@ fleet-smoke:
 	go test -run TestGoldenCluster .
 	go test -run TestFleetMultiLevelDeterministic ./internal/cluster/
 	go test -run TestFleetMemoryBudget -count=1 ./internal/cluster/
-
-# Hierarchical fleet coordinator throughput in node-ticks/sec; the
-# committed BENCH_fleet.json tracks the trajectory. Append a datapoint
-# with `go run ./cmd/aapm-fleetbench -json`.
-.PHONY: fleet-bench
-fleet-bench:
-	go run ./cmd/aapm-fleetbench -count 3
 
 .PHONY: all
 all: vet test race

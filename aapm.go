@@ -30,7 +30,6 @@ import (
 	"aapm/internal/faults"
 	"aapm/internal/intent"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/mixes"
 	"aapm/internal/model"
 	"aapm/internal/phase"
@@ -78,18 +77,6 @@ type TickState = machine.TickState
 // Transition describes one p-state change the engine's actuate stage
 // resolved.
 type Transition = machine.Transition
-
-// RunMetrics aggregates per-run engine counters (ticks, transitions,
-// stall time, energy, violations, per-stage wall-clock) from the Hook
-// bus; see NewMetricsCollector.
-type RunMetrics = metrics.Collector
-
-// NewMetricsCollector returns a Hook that aggregates engine counters
-// over one run. limitW > 0 additionally counts intervals whose
-// measured power exceeded it; pass 0 to disable violation counting.
-func NewMetricsCollector(limitW float64) *RunMetrics {
-	return &metrics.Collector{LimitW: limitW}
-}
 
 // Run is a recorded workload execution.
 type Run = trace.Run

@@ -16,16 +16,18 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"time"
 
 	"aapm/internal/control"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/model"
 	"aapm/internal/phase"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
 	"aapm/internal/telemetry"
+	"aapm/internal/trace"
 )
 
 func main() {
@@ -72,7 +74,7 @@ func main() {
 		fatal(err)
 	}
 
-	// The collector counts over-limit intervals only when the policy
+	// -metrics counts over-limit intervals only when the policy
 	// declares a power limit to judge against.
 	var limitW float64
 	var gov machine.Governor
@@ -126,13 +128,11 @@ func main() {
 }
 
 func runAndReport(m *machine.Machine, w phase.Workload, gov machine.Governor, csvPath, traceOut string, showMetrics bool, limitW float64) {
-	col := &metrics.Collector{LimitW: limitW}
 	s, err := m.NewSession(w, gov)
 	if err != nil {
 		fatal(err)
 	}
 	if showMetrics {
-		s.Subscribe(col)
 		s.EnableStageTiming()
 	}
 	var tw *telemetry.TraceEventWriter
@@ -161,7 +161,7 @@ func runAndReport(m *machine.Machine, w phase.Workload, gov machine.Governor, cs
 		fatal(err)
 	}
 	if showMetrics {
-		if err := col.Print(os.Stdout); err != nil {
+		if err := printMetrics(os.Stdout, run, limitW, s.StageNanos()); err != nil {
 			fatal(err)
 		}
 	}
@@ -187,6 +187,60 @@ func runAndReport(m *machine.Machine, w phase.Workload, gov machine.Governor, cs
 		}
 		fmt.Printf("trace events written to %s (%d events)\n", traceOut, tw.Events())
 	}
+}
+
+// printMetrics writes the run's engine counters as an aligned table:
+// violations only when limitW is positive, per-stage wall-clock rows
+// only when stage timing recorded any.
+func printMetrics(w io.Writer, run *trace.Run, limitW float64, stageNanos [machine.NumStages]int64) error {
+	p := func(format string, args ...any) error {
+		_, err := fmt.Fprintf(w, format, args...)
+		return err
+	}
+	if err := p("engine metrics:\n"); err != nil {
+		return err
+	}
+	rows := [][2]string{
+		{"ticks", fmt.Sprintf("%d", run.Ticks)},
+		{"virtual time", fmt.Sprintf("%.2fs", run.Duration.Seconds())},
+		{"transitions", fmt.Sprintf("%d", run.Transitions)},
+		{"failed transitions", fmt.Sprintf("%d", run.FailedTransitions)},
+		{"stall time", fmt.Sprintf("%.1fms", float64(run.StallTime)/float64(time.Millisecond))},
+		{"busy time", fmt.Sprintf("%.2fs", run.BusyTime.Seconds())},
+		{"energy", fmt.Sprintf("%.1fJ", run.EnergyJ)},
+		{"avg power", fmt.Sprintf("%.2fW", run.AvgPowerW())},
+		{"degradations", fmt.Sprintf("%d", run.DegradationTotal())},
+	}
+	if limitW > 0 {
+		over, frac := run.IntervalsOver(limitW), 0.0
+		if run.Ticks > 0 {
+			frac = float64(over) / float64(run.Ticks)
+		}
+		rows = append(rows, [2]string{
+			"violations", fmt.Sprintf("%d (%.1f%% of intervals over %.1fW)", over, frac*100, limitW),
+		})
+	}
+	for _, r := range rows {
+		if err := p("  %-20s %s\n", r[0], r[1]); err != nil {
+			return err
+		}
+	}
+	var total int64
+	for _, n := range stageNanos {
+		total += n
+	}
+	if total <= 0 {
+		return nil
+	}
+	if err := p("  per-stage wall-clock (total %v):\n", time.Duration(total).Round(time.Microsecond)); err != nil {
+		return err
+	}
+	for i, n := range stageNanos {
+		if err := p("    %-10s %10v  %5.1f%%\n", machine.StageNames[i], time.Duration(n).Round(time.Microsecond), 100*float64(n)/float64(total)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -31,7 +31,6 @@ import (
 	"aapm/internal/control"
 	"aapm/internal/faults"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/obs"
 	"aapm/internal/phase"
 	"aapm/internal/power"
@@ -159,15 +158,15 @@ type FleetResult struct {
 
 	// Workers is the stepping-goroutine count the run used. TickWall
 	// is the per-worker shard-stepping wall-clock, merged across all
-	// workers (metrics.WallClock.Merge) so the distribution tails —
+	// workers (WallClock.Merge) so the distribution tails —
 	// the fastest and slowest shard-ticks — survive aggregation;
 	// WorkerWall keeps the unmerged per-worker aggregates. CoordWall
 	// times the coordinator's post-barrier work per tick (aggregation
 	// and reallocation). All purely observational wall-clock.
 	Workers    int
-	TickWall   metrics.WallClock
-	WorkerWall []metrics.WallClock
-	CoordWall  metrics.WallClock
+	TickWall   WallClock
+	WorkerWall []WallClock
+	CoordWall  WallClock
 }
 
 // fleetShape is the static tree geometry: counts[0] is the node
@@ -653,7 +652,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// Fold every worker's shard timing into one aggregate; Merge
 	// keeps the Min/Max tails, so a straggler worker stays visible in
 	// the merged distribution.
-	res.WorkerWall = make([]metrics.WallClock, workers)
+	res.WorkerWall = make([]WallClock, workers)
 	for k := range st.tally {
 		res.WorkerWall[k] = st.tally[k].wall
 		res.TickWall.Merge(st.tally[k].wall)

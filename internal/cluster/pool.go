@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/telemetry"
 )
 
@@ -76,7 +75,7 @@ type shardTally struct {
 	// where the shard stepped at least one node); the coordinator
 	// merges the workers' aggregates into Result.TickWall after the
 	// run.
-	wall metrics.WallClock
+	wall WallClock
 	// stepped counts the nodes the shard stepped this tick; failed
 	// flags that one of them returned an error.
 	stepped int

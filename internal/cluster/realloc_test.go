@@ -233,7 +233,7 @@ func TestTailPhaseAccounting(t *testing.T) {
 }
 
 // TestTickWallCollected pins that the coordinator publishes its
-// per-tick wall-clock through metrics.WallClock.
+// per-tick wall-clock through WallClock.
 func TestTickWallCollected(t *testing.T) {
 	ws := nodes(t, "gzip", "gcc")
 	ws[0].Workload.Iterations = 1

@@ -15,7 +15,6 @@ import (
 
 	"aapm/internal/control"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
 	"aapm/internal/telemetry"
@@ -108,8 +107,8 @@ type runRow struct {
 	Phase   string  `json:"phase"`
 }
 
-// runMetrics is the engine-counter block of /api/run, aggregated by a
-// metrics.Collector on the session's Hook bus.
+// runMetrics is the engine-counter block of /api/run: the run's own
+// totals and the session's per-stage wall-clock.
 type runMetrics struct {
 	Ticks             int     `json:"ticks"`
 	Transitions       int     `json:"transitions"`
@@ -193,7 +192,6 @@ func (srv *server) apiRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	col := &metrics.Collector{}
 	s, err := m.NewSession(wl, gov)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
@@ -203,7 +201,6 @@ func (srv *server) apiRun(w http.ResponseWriter, r *http.Request) {
 	if gov != nil {
 		policy = gov.Name()
 	}
-	s.Subscribe(col)
 	s.Subscribe(telemetry.NewObserver(srv.reg, name, policy))
 	s.EnableStageTiming()
 	ctx := r.Context()
@@ -223,10 +220,10 @@ func (srv *server) apiRun(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, toResponse(s.Result(), col))
+	writeJSON(w, toResponse(s.Result(), s.StageNanos()))
 }
 
-func toResponse(run *trace.Run, col *metrics.Collector) runResponse {
+func toResponse(run *trace.Run, stageNanos [machine.NumStages]int64) runResponse {
 	resp := runResponse{
 		Workload:    run.Workload,
 		Policy:      run.Policy,
@@ -235,16 +232,16 @@ func toResponse(run *trace.Run, col *metrics.Collector) runResponse {
 		AvgPowerW:   run.AvgPowerW(),
 		Transitions: run.Transitions,
 		Metrics: runMetrics{
-			Ticks:             col.Ticks,
-			Transitions:       col.Transitions,
-			FailedTransitions: col.FailedTransitions,
-			StallMs:           float64(col.StallTime) / float64(time.Millisecond),
-			Degradations:      col.Degradations,
+			Ticks:             run.Ticks,
+			Transitions:       run.Transitions,
+			FailedTransitions: run.FailedTransitions,
+			StallMs:           float64(run.StallTime) / float64(time.Millisecond),
+			Degradations:      run.DegradationTotal(),
 		},
 	}
-	if col.StageTotal() > 0 {
+	if stageNanos != ([machine.NumStages]int64{}) {
 		resp.Metrics.StageUs = make(map[string]float64, machine.NumStages)
-		for i, n := range col.StageNanos {
+		for i, n := range stageNanos {
 			resp.Metrics.StageUs[machine.StageNames[i]] = float64(n) / 1e3
 		}
 	}

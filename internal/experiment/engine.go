@@ -7,7 +7,6 @@ import (
 
 	"aapm/internal/control"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/model"
 )
 
@@ -25,9 +24,9 @@ type EngineRow struct {
 	Degradations      int
 }
 
-// EngineMetricsResult reports the tick engine's per-run
-// counters — collected through the Hook bus, not the trace — for the
-// probe workload under the paper's three canonical policies.
+// EngineMetricsResult reports the tick engine's per-run counters —
+// the totals each run carries — for the probe workload under the
+// paper's three canonical policies.
 type EngineMetricsResult struct {
 	Workload string
 	LimitW   float64
@@ -36,7 +35,7 @@ type EngineMetricsResult struct {
 
 // Print renders the counters table.
 func (r *EngineMetricsResult) Print(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Engine metrics on %s (Hook-bus collectors; PM limit %.1f W):\n", r.Workload, r.LimitW); err != nil {
+	if _, err := fmt.Fprintf(w, "Engine metrics on %s (run totals; PM limit %.1f W):\n", r.Workload, r.LimitW); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%-14s %7s %6s %6s %9s %9s %7s %6s %6s\n",
@@ -54,10 +53,9 @@ func (r *EngineMetricsResult) Print(w io.Writer) error {
 }
 
 // EngineMetrics runs the probe workload under unconstrained, PM and PS
-// policies with a metrics.Collector subscribed to each session's Hook
-// bus and reports the aggregated counters. It demonstrates (and pins
-// under test) that per-run accounting flows through the observer bus
-// rather than through trace post-processing.
+// policies and reports the counters the tick engine totals into each
+// run: ticks, transitions, stall time, energy and degradations, plus
+// the intervals over the PM limit.
 func (c *Context) EngineMetrics() (*EngineMetricsResult, error) {
 	const workload = "ammp"
 	const limitW = 14.5
@@ -68,7 +66,7 @@ func (c *Context) EngineMetrics() (*EngineMetricsResult, error) {
 	res := &EngineMetricsResult{Workload: workload, LimitW: limitW}
 	type policy struct {
 		name   string
-		limitW float64 // violation threshold for the collector; 0 = off
+		limitW float64 // violation threshold; 0 = off
 		mk     func() (machine.Governor, error)
 	}
 	policies := []policy{
@@ -92,20 +90,20 @@ func (c *Context) EngineMetrics() (*EngineMetricsResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		col := &metrics.Collector{LimitW: p.limitW}
-		if _, err := m.RunWith(w, g, col); err != nil {
+		run, err := m.Run(w, g)
+		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, EngineRow{
 			Policy:            p.name,
-			Ticks:             col.Ticks,
-			Transitions:       col.Transitions,
-			FailedTransitions: col.FailedTransitions,
-			StallMs:           float64(col.StallTime) / float64(time.Millisecond),
-			EnergyJ:           col.EnergyJ,
-			AvgPowerW:         col.AvgPowerW(),
-			Violations:        col.Violations,
-			Degradations:      col.Degradations,
+			Ticks:             run.Ticks,
+			Transitions:       run.Transitions,
+			FailedTransitions: run.FailedTransitions,
+			StallMs:           float64(run.StallTime) / float64(time.Millisecond),
+			EnergyJ:           run.EnergyJ,
+			AvgPowerW:         run.AvgPowerW(),
+			Violations:        run.IntervalsOver(p.limitW),
+			Degradations:      run.DegradationTotal(),
 		})
 	}
 	return res, nil

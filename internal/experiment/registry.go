@@ -51,7 +51,7 @@ func Registry() []Named {
 		{"seeds", "headline-metric stability across seeds", func(c *Context) (Printable, error) { return c.SeedSensitivity() }},
 		{"guardband", "PM guardband sweep on galgel", func(c *Context) (Printable, error) { return c.GuardbandSweep() }},
 		{"faults", "governor robustness under injected faults", func(c *Context) (Printable, error) { return c.FaultSweep() }},
-		{"engine", "tick-engine counters via the Hook bus", func(c *Context) (Printable, error) { return c.EngineMetrics() }},
+		{"engine", "tick-engine counters from each run's totals", func(c *Context) (Printable, error) { return c.EngineMetrics() }},
 		{"platform", "power-model platform specificity", func(c *Context) (Printable, error) { return c.PlatformSpecificity() }},
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"aapm/internal/control"
 	"aapm/internal/faults"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/phase"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
@@ -265,18 +264,17 @@ func multiNodeConfig() machine.Config {
 
 func multiNodeGov(i int) govFactory { return pmGov(11+float64(i), 0.25, false) }
 
-// runHooked runs one lane with a metrics collector subscribed — a hook
-// that records without perturbing, so the batch steps the generic body.
-func runHooked(t *testing.T, cfg machine.Config, w phase.Workload, g machine.Governor) (*BatchState, *metrics.Collector) {
+// runHooked runs one lane with an inert hook subscribed, so the batch
+// steps the generic body.
+func runHooked(t *testing.T, cfg machine.Config, w phase.Workload, g machine.Governor) *BatchState {
 	t.Helper()
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &metrics.Collector{LimitW: 12}
 	b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: g}}, BatchOptions{
 		RetainTraces: true,
-		Hooks:        func(int) []machine.Hook { return []machine.Hook{col} },
+		Hooks:        func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,20 +285,20 @@ func runHooked(t *testing.T, cfg machine.Config, w phase.Workload, g machine.Gov
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return b, col
+	return b
 }
 
 // recordAll re-records the fixture from the current engine (generic
-// body, collector attached) for every differential and multi-node case.
+// body) for every differential and multi-node case.
 func recordAll(t *testing.T) {
 	var refs []reference
 	for _, tc := range diffCases() {
-		b, col := runHooked(t, tc.cfg, tc.workload(t), tc.gov(t))
-		refs = append(refs, recordRun(t, tc.name, b.Result(0), col))
+		b := runHooked(t, tc.cfg, tc.workload(t), tc.gov(t))
+		refs = append(refs, recordRun(t, tc.name, b.Result(0)))
 	}
 	for i, name := range multiNode {
-		b, col := runHooked(t, multiNodeConfig(), specWorkload(t, name, 1), multiNodeGov(i)(t))
-		refs = append(refs, recordRun(t, "multi/"+name, b.Result(0), col))
+		b := runHooked(t, multiNodeConfig(), specWorkload(t, name, 1), multiNodeGov(i)(t))
+		refs = append(refs, recordRun(t, "multi/"+name, b.Result(0)))
 	}
 	writeReferences(t, refs)
 }
@@ -308,9 +306,9 @@ func recordAll(t *testing.T) {
 // TestBatchMatchesStaged is the tick engine's correctness anchor. The
 // fixture holds every case's outputs as recorded from the staged
 // engine the batch engine replaced; each case runs twice — bare (its
-// specialized body when eligible) and under a metrics hook (the
+// specialized body when eligible) and under an inert hook (the
 // generic body) — and both runs must reproduce the recording bit for
-// bit, metrics snapshot included.
+// bit, metrics block included.
 func TestBatchMatchesStaged(t *testing.T) {
 	if *update {
 		recordAll(t)
@@ -344,10 +342,8 @@ func TestBatchMatchesStaged(t *testing.T) {
 			if err := b.Run(); err != nil {
 				t.Fatal(err)
 			}
-			checkReference(t, "specialized", want, b.Result(0), nil)
-
-			gen, col := runHooked(t, tc.cfg, w, tc.gov(t))
-			checkReference(t, "generic", want, gen.Result(0), col)
+			checkReference(t, "specialized", want, b.Result(0))
+			checkReference(t, "generic", want, runHooked(t, tc.cfg, w, tc.gov(t)).Result(0))
 		})
 	}
 }
@@ -383,7 +379,7 @@ func TestBatchMultiNodeMatchesStaged(t *testing.T) {
 		if !ok {
 			t.Fatalf("no recorded reference for multi/%s", name)
 		}
-		checkReference(t, name, want, b.Result(i), nil)
+		checkReference(t, name, want, b.Result(i))
 	}
 }
 

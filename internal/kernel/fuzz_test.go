@@ -127,6 +127,6 @@ func FuzzBatchStep(f *testing.F) {
 			}
 			return
 		}
-		checkReference(t, "fuzz", recordRun(t, "fuzz", want, nil), got, nil)
+		checkReference(t, "fuzz", recordRun(t, "fuzz", want), got)
 	})
 }

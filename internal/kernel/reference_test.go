@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"aapm/internal/metrics"
 	"aapm/internal/trace"
 )
 
@@ -43,13 +42,16 @@ type reference struct {
 	FailedTransitions   int                 `json:"failed_transitions"`
 	Degradations        []trace.Degradation `json:"degradations"`
 	DegradationCounts   map[string]int      `json:"degradation_counts"`
-	Metrics             collectorRecord     `json:"metrics"`
+	Metrics             metricsRecord       `json:"metrics"`
 	CSV                 []string            `json:"csv"`
 }
 
-// collectorRecord is a metrics.Collector snapshot without its
-// wall-clock stage timings, which are never deterministic.
-type collectorRecord struct {
+// metricsRecord is the run's counter block: ticks, virtual time,
+// stall and busy time, energy and event counts, plus the intervals
+// over refLimitW. It was first recorded from a per-run Hook-bus
+// collector, so it also pins that the run's own totals count what a
+// bus subscriber would.
+type metricsRecord struct {
 	LimitW            float64 `json:"limit_w"`
 	Ticks             int     `json:"ticks"`
 	DurationNs        int64   `json:"duration_ns"`
@@ -63,27 +65,14 @@ type collectorRecord struct {
 	Done              bool    `json:"done"`
 }
 
-func recordCollector(c *metrics.Collector) collectorRecord {
-	return collectorRecord{
-		LimitW:            c.LimitW,
-		Ticks:             c.Ticks,
-		DurationNs:        int64(c.Duration),
-		Transitions:       c.Transitions,
-		FailedTransitions: c.FailedTransitions,
-		StallNs:           int64(c.StallTime),
-		BusyNs:            int64(c.BusyTime),
-		EnergyJBits:       math.Float64bits(c.EnergyJ),
-		Violations:        c.Violations,
-		Degradations:      c.Degradations,
-		Done:              c.Done,
-	}
-}
+// refLimitW is the power limit the metrics block counts violations
+// against.
+const refLimitW = 12
 
-// recordRun captures run (and, when non-nil, the collector that
-// observed it) as a reference entry.
-func recordRun(t *testing.T, name string, run *trace.Run, col *metrics.Collector) reference {
+// recordRun captures a finalized run as a reference entry.
+func recordRun(t *testing.T, name string, run *trace.Run) reference {
 	t.Helper()
-	ref := reference{
+	return reference{
 		Name:                name,
 		Workload:            run.Workload,
 		Policy:              run.Policy,
@@ -95,12 +84,21 @@ func recordRun(t *testing.T, name string, run *trace.Run, col *metrics.Collector
 		FailedTransitions:   run.FailedTransitions,
 		Degradations:        run.Degradations,
 		DegradationCounts:   run.DegradationCounts,
-		CSV:                 strings.Split(strings.TrimSuffix(string(csvBytes(t, run)), "\n"), "\n"),
+		Metrics: metricsRecord{
+			LimitW:            refLimitW,
+			Ticks:             run.Ticks,
+			DurationNs:        int64(run.Duration),
+			Transitions:       run.Transitions,
+			FailedTransitions: run.FailedTransitions,
+			StallNs:           int64(run.StallTime),
+			BusyNs:            int64(run.BusyTime),
+			EnergyJBits:       math.Float64bits(run.EnergyJ),
+			Violations:        run.IntervalsOver(refLimitW),
+			Degradations:      run.DegradationTotal(),
+			Done:              true,
+		},
+		CSV: strings.Split(strings.TrimSuffix(string(csvBytes(t, run)), "\n"), "\n"),
 	}
-	if col != nil {
-		ref.Metrics = recordCollector(col)
-	}
-	return ref
 }
 
 // loadReferences reads the fixture, keyed by case name.
@@ -137,13 +135,12 @@ func writeReferences(t *testing.T, refs []reference) {
 	t.Logf("rewrote %s (%d cases, %d bytes)", referencePath, len(refs), len(data)+1)
 }
 
-// checkReference asserts run (and col, when non-nil) reproduce the
-// recorded entry exactly: CSV bytes, float bits of every run-level
-// total, transition counts, the degradation log and the metrics
-// snapshot.
-func checkReference(t *testing.T, label string, want reference, run *trace.Run, col *metrics.Collector) {
+// checkReference asserts run reproduces the recorded entry exactly:
+// CSV bytes, float bits of every run-level total, transition counts,
+// the degradation log and the metrics block.
+func checkReference(t *testing.T, label string, want reference, run *trace.Run) {
 	t.Helper()
-	got := recordRun(t, want.Name, run, col)
+	got := recordRun(t, want.Name, run)
 	if !reflect.DeepEqual(want.CSV, got.CSV) {
 		reportCSVDiff(t, label, want.CSV, got.CSV)
 	}
@@ -175,8 +172,8 @@ func checkReference(t *testing.T, label string, want reference, run *trace.Run, 
 	if !reflect.DeepEqual(want.DegradationCounts, got.DegradationCounts) {
 		t.Errorf("%s: degradation counts: recorded %v, got %v", label, want.DegradationCounts, got.DegradationCounts)
 	}
-	if col != nil && want.Metrics != got.Metrics {
-		t.Errorf("%s: metrics snapshot:\nrecorded %+v\ngot      %+v", label, want.Metrics, got.Metrics)
+	if want.Metrics != got.Metrics {
+		t.Errorf("%s: metrics block:\nrecorded %+v\ngot      %+v", label, want.Metrics, got.Metrics)
 	}
 }
 

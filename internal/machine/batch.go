@@ -89,6 +89,9 @@ type BatchState struct {
 	timing bool // stamp StageNanos on the generic body
 	kind   stepKind
 	step   func(b *BatchState, i int)
+	// stageNanos sums the generic body's per-stage wall-clock over
+	// every tick when timing is on (Session.StageNanos).
+	stageNanos [NumStages]int64
 
 	// Immutable per-node wiring, fixed at construction.
 	truths   []*power.GroundTruth
@@ -124,6 +127,8 @@ type BatchState struct {
 	now       []time.Duration
 	pendStall []time.Duration
 	instrTot  []float64
+	stallTot  []time.Duration
+	busyTot   []time.Duration
 	lastW     []float64
 	seq       []uint64
 	exhausted []bool
@@ -204,6 +209,8 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		now:       make([]time.Duration, n),
 		pendStall: make([]time.Duration, n),
 		instrTot:  make([]float64, n),
+		stallTot:  make([]time.Duration, n),
+		busyTot:   make([]time.Duration, n),
 		lastW:     make([]float64, n),
 		seq:       make([]uint64, n),
 		exhausted: make([]bool, n),
@@ -510,7 +517,10 @@ func (b *BatchState) Governor(i int) Governor { return b.govs[i] }
 func (b *BatchState) Result(i int) *trace.Run {
 	if !b.finalized[i] {
 		run := b.runs[i]
+		run.Ticks = int(b.seq[i])
 		run.Duration = b.now[i]
+		run.StallTime = b.stallTot[i]
+		run.BusyTime = b.busyTot[i]
 		run.EnergyJ = b.energyTrue[i].Joules()
 		run.MeasuredEnergyJ = b.energyMeas[i].Joules()
 		run.Transitions = b.acts[i].Transitions()

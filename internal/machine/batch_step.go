@@ -35,8 +35,10 @@ func (b *BatchState) advancePhase(i int) {
 // executeTick is the execute stage: draw the interval's intensity
 // jitter, charge pending stall and the stopped fraction of a modulated
 // clock, then walk phases accumulating cycles, instructions and
-// counter activity into the node's sample lane. ok is false when the
-// workload was already exhausted (zero-length interval).
+// counter activity into the node's sample lane, and the interval's
+// stall and busy time into the run totals. ok is false when the
+// workload was already exhausted (zero-length interval, nothing
+// charged).
 func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, instr, jitter float64, phName string, ok bool) {
 	jitter = 1.0
 	if b.jitter[i] > 0 {
@@ -116,6 +118,8 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 	}
 	used = interval - remaining
 	ok = used > 0
+	b.stallTot[i] += stall
+	b.busyTot[i] += busy
 	return
 }
 
@@ -319,7 +323,7 @@ func stepGenericBody(b *BatchState, i int) {
 	}
 	ts.WantIndex = cur
 	ts.NextDuty = ts.Duty
-	clock := stageClock{enabled: b.timing}
+	clock := stageClock{enabled: b.timing, total: &b.stageNanos}
 	clock.start()
 
 	// execute

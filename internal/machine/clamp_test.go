@@ -28,10 +28,10 @@ func TestJitterFactor(t *testing.T) {
 		{0.1, 0, 1},
 		{0.1, 1, 1.1},
 		{0.1, -1, 0.9},
-		{0.1, 5, 1.2},   // draw clamps at +2σ
-		{0.1, -5, 0.8},  // draw clamps at -2σ
-		{0.5, -2, 0.2},  // 1 - 0.5*2 = 0 floors at 0.2
-		{0.9, -2, 0.2},  // would be negative without the floor
+		{0.1, 5, 1.2},  // draw clamps at +2σ
+		{0.1, -5, 0.8}, // draw clamps at -2σ
+		{0.5, -2, 0.2}, // 1 - 0.5*2 = 0 floors at 0.2
+		{0.9, -2, 0.2}, // would be negative without the floor
 	}
 	for _, c := range cases {
 		if got := jitterFactor(c.pct, c.g); got != c.want {

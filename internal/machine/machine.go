@@ -9,8 +9,10 @@
 // measure computes true power and the sensed sample, observe exposes
 // the PMU/thermal view, govern asks the policy for the next p-state,
 // and actuate applies it. A Session is a one-lane view of that engine;
-// fleets and batches step many lanes at once. Cross-cutting consumers
-// — metrics, telemetry, tracing — subscribe to the per-tick Hook bus
+// fleets and batches step many lanes at once. The engine totals each
+// run's counters (ticks, virtual, stall and busy time, energy,
+// transitions, degradations) into its trace.Run; live consumers —
+// telemetry, tracing, progress — subscribe to the per-tick Hook bus
 // (tick.go) rather than living inline in the loop. Everything runs on
 // virtual time with a seeded RNG, so runs are deterministic and free
 // of host GC/runtime jitter.

@@ -141,3 +141,34 @@ func TestSessionEarlyResultTruncates(t *testing.T) {
 		t.Errorf("duration %v != now %v", run.Duration, s.Now())
 	}
 }
+
+// The session's stage totals fill only when stage timing is on, and
+// timing alone (no subscriber) moves the session onto the generic body
+// that does the timing.
+func TestSessionStageNanos(t *testing.T) {
+	for _, timed := range []bool{false, true} {
+		m, _ := New(Config{Seed: 1})
+		s, err := m.NewSession(testWorkload(2e8), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if timed {
+			s.EnableStageTiming()
+		}
+		for done := false; !done; {
+			if done, err = s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var total int64
+		for _, n := range s.StageNanos() {
+			total += n
+		}
+		if timed && (total <= 0 || s.b.Kind() != "generic") {
+			t.Errorf("timing on: stage total %d ns on the %s body, want > 0 on generic", total, s.b.Kind())
+		}
+		if !timed && total != 0 {
+			t.Errorf("timing off: stage total %d ns, want 0", total)
+		}
+	}
+}

@@ -85,7 +85,8 @@ type TickState struct {
 
 	// StageNanos holds per-stage wall-clock when the session has
 	// stage timing enabled (Session.EnableStageTiming); all zero
-	// otherwise. Purely observational — never part of virtual time.
+	// otherwise; Session.StageNanos sums it over the run. Purely
+	// observational — never part of virtual time.
 	StageNanos [NumStages]int64
 
 	// Final marks the run's last recorded interval.
@@ -142,11 +143,13 @@ func (BaseHook) OnDegradation(trace.Degradation) {}
 // OnDone implements Hook.
 func (BaseHook) OnDone(*trace.Run) {}
 
-// stageClock stamps per-stage wall-clock into a TickState when
-// enabled; disabled it costs one branch per stage.
+// stageClock stamps per-stage wall-clock into a TickState, and adds
+// it to the batch's running total, when enabled; disabled it costs one
+// branch per stage.
 type stageClock struct {
 	enabled bool
 	last    time.Time
+	total   *[NumStages]int64
 }
 
 func (c *stageClock) start() {
@@ -160,6 +163,8 @@ func (c *stageClock) mark(ts *TickState, stage int) {
 		return
 	}
 	now := time.Now()
-	ts.StageNanos[stage] = now.Sub(c.last).Nanoseconds()
+	n := now.Sub(c.last).Nanoseconds()
+	ts.StageNanos[stage] = n
+	c.total[stage] += n
 	c.last = now
 }

@@ -236,9 +236,9 @@ func TestFlightStampsWall(t *testing.T) {
 // fakeClock drives the SLO engine deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) step(d time.Duration)        { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_000_000, 0)} }
+func (c *fakeClock) now() time.Time       { return c.t }
+func (c *fakeClock) step(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock            { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 func objState(t *testing.T, e *Engine, name string) ObjectiveStatus {
 	t.Helper()
 	for _, o := range e.Status().Objectives {

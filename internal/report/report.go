@@ -117,7 +117,7 @@ func Generate(ctx *experiment.Context, w io.Writer) error {
 		return err
 	}
 	p.h2("Tick engine metrics")
-	p.linef("Per-run counters aggregated by a Hook-bus subscriber on %s (PM limit %.1f W).",
+	p.linef("Per-run counters the tick engine totals into each run on %s (PM limit %.1f W).",
 		eng.Workload, eng.LimitW)
 	p.table([]string{"policy", "ticks", "transitions", "stall ms", "energy J", "avg W", "over-limit"}, func(add func(...string)) {
 		for _, r := range eng.Rows {

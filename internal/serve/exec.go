@@ -108,7 +108,7 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 			VirtDurUS: float64(run.Duration) / float64(time.Microsecond),
 			WallDurUS: float64(time.Since(stepStart)) / float64(time.Microsecond),
 			Attrs: map[string]float64{
-				"nodes": 1, "ticks": float64(len(run.Rows)),
+				"nodes": 1, "ticks": float64(run.Ticks),
 			},
 		})
 	}
@@ -120,7 +120,7 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 		EnergyJ:     run.EnergyJ,
 		AvgPowerW:   run.AvgPowerW(),
 		Transitions: run.Transitions,
-		Ticks:       len(run.Rows),
+		Ticks:       run.Ticks,
 	}, run, nil
 }
 
@@ -185,7 +185,7 @@ func (s *Service) runCluster(ctx context.Context, j *Job) (Result, *trace.Run, e
 		})
 		out.EnergyJ += run.EnergyJ
 		out.Transitions += run.Transitions
-		out.Ticks += len(run.Rows)
+		out.Ticks += run.Ticks
 	}
 	out.DurationSec = res.Makespan.Seconds()
 	return out, nil, nil

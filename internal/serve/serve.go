@@ -376,20 +376,22 @@ func (s *Service) Submit(js JobSpec) (j *Job, created bool, err error) {
 	}
 
 	// The trace, flight ring and event log must exist before admitLocked
-	// makes the job poppable — a worker may lock it the moment it hits
-	// the queue.
+	// makes the job poppable, and j.mu is held across admission as on
+	// the re-enqueue path: a worker may pop the job at once, but cannot
+	// announce or count "running" before "queued" is.
 	j = &Job{ID: id, Spec: norm, state: StateQueued}
 	s.mintTraceLocked(j, intakeStart)
+	j.mu.Lock()
 	if err := s.admitLocked(j); err != nil {
+		j.mu.Unlock()
 		return nil, false, err
 	}
+	s.tel.transition("", StateQueued)
+	j.announceLocked(StateQueued, "")
+	j.mu.Unlock()
 	s.store.add(j)
 	s.evictLocked()
 	s.tel.cacheMiss.Inc()
-	s.tel.transition("", StateQueued)
-	j.mu.Lock()
-	j.announceLocked(StateQueued, "")
-	j.mu.Unlock()
 	s.slo.ObserveLatency(SLOSubmitLatency, time.Since(intakeStart).Seconds())
 	return j, true, nil
 }

@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -725,4 +727,97 @@ func TestDeadlineFailsJob(t *testing.T) {
 		t.Errorf("resubmit of failed job = %d, want 202", code)
 	}
 	waitTerminal(t, ts.URL, st.ID)
+}
+
+// TestSubmitAnnouncesQueuedFirst races distinct submissions against
+// idle workers, round after round. A worker may pop a job the moment
+// admission queues it, so Submit must announce and count "queued"
+// before any worker can announce "running": every event log starts
+// with queued, and the queued gauge never dips below zero.
+func TestSubmitAnnouncesQueuedFirst(t *testing.T) {
+	const (
+		rounds     = 300
+		submitters = 4
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var negative atomic.Int64
+	var svc *Service
+	svc = New(Config{
+		Workers: 8,
+		// Evicting finished jobs keeps the store small and puts
+		// eviction work on the submit path, next to admission.
+		MaxJobs: 16,
+		beforeRun: func(*Job) {
+			svc.tel.mu.Lock()
+			if svc.tel.counts[StateQueued] < 0 {
+				negative.Add(1)
+			}
+			svc.tel.mu.Unlock()
+		},
+	})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = svc.Shutdown(ctx)
+	}()
+
+	deadline := time.Now().Add(60 * time.Second)
+	for r := 0; r < rounds; r++ {
+		// Each round starts with every worker parked on the empty
+		// queue, so each admission can be popped at once.
+		jobs := make([]*Job, submitters)
+		var wg sync.WaitGroup
+		for g := range jobs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// One tick and out: the job fails at once.
+				js := quickSpec()
+				js.Seed = int64(r*submitters + g + 1)
+				js.MaxTicks = 1
+				j, created, err := svc.Submit(js)
+				if err != nil || !created {
+					t.Errorf("submit seed %d: created=%v err=%v", js.Seed, created, err)
+					return
+				}
+				jobs[g] = j
+			}(g)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for _, j := range jobs {
+			for !j.State().Terminal() {
+				if time.Now().After(deadline) {
+					t.Fatalf("job %s stuck in %s", j.ID, j.State())
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			j.mu.Lock()
+			ev := j.events
+			j.mu.Unlock()
+			replay, _, cancel := ev.subscribe()
+			cancel()
+			if len(replay) == 0 {
+				t.Fatalf("job %s: empty event log", j.ID)
+			}
+			var first progressEvent
+			if err := json.Unmarshal(replay[0], &first); err != nil {
+				t.Fatal(err)
+			}
+			if first.Seq != 1 || first.Type != "state" || first.State != StateQueued {
+				t.Fatalf("round %d, job %s: first event = %+v, want seq 1 state/queued", r, j.ID, first)
+			}
+		}
+	}
+	if n := negative.Load(); n > 0 {
+		t.Errorf("queued gauge was negative at %d job starts", n)
+	}
+	svc.tel.mu.Lock()
+	queued, running := svc.tel.counts[StateQueued], svc.tel.counts[StateRunning]
+	svc.tel.mu.Unlock()
+	if queued != 0 || running != 0 {
+		t.Errorf("after drain: queued %d, running %d, want 0 and 0", queued, running)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"aapm/internal/control"
 	"aapm/internal/faults"
 	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/phase"
 	"aapm/internal/sensor"
 )
@@ -22,10 +21,11 @@ func testWorkload() phase.Workload {
 	}
 }
 
-// TestObserverMatchesCollector cross-checks the registry totals against
-// the canonical metrics.Collector on the same bus.
-func TestObserverMatchesCollector(t *testing.T) {
-	m, err := machine.New(machine.Config{Seed: 1, Chain: sensor.NIDefault()})
+// TestObserverMatchesRun cross-checks the registry totals against the
+// counters the tick engine totals into the run the observer watched.
+func TestObserverMatchesRun(t *testing.T) {
+	// A nonzero switch cost gives the stall counter something to count.
+	m, err := machine.New(machine.Config{Seed: 1, Chain: sensor.NIDefault(), TransitionLatency: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,7 @@ func TestObserverMatchesCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	obs := NewObserver(reg, "n0", "pm")
-	col := &metrics.Collector{}
-	run, err := m.RunWith(testWorkload(), pm, obs, col)
+	run, err := m.RunWith(testWorkload(), pm, NewObserver(reg, "n0", "pm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,39 +65,48 @@ func TestObserverMatchesCollector(t *testing.T) {
 	}
 
 	ticks, ok := get(MetricTicks, "n0", "pm")
-	if !ok || int(ticks.Value) != col.Ticks {
-		t.Errorf("ticks = %v (ok=%v), want %d", ticks.Value, ok, col.Ticks)
+	if !ok || int(ticks.Value) != run.Ticks {
+		t.Errorf("ticks = %v (ok=%v), want %d", ticks.Value, ok, run.Ticks)
 	}
-	virt, _ := get(MetricVirtualSec, "n0", "pm")
-	if math.Abs(virt.Value-col.Duration.Seconds()) > 1e-9 {
-		t.Errorf("virtual seconds = %g, want %g", virt.Value, col.Duration.Seconds())
+	if run.Ticks != len(run.Rows) {
+		t.Errorf("run ticks %d != trace rows %d", run.Ticks, len(run.Rows))
 	}
-	energy, _ := get(MetricEnergy, "n0", "pm")
-	if math.Abs(energy.Value-col.EnergyJ) > 1e-9*col.EnergyJ {
-		t.Errorf("energy = %g, want %g", energy.Value, col.EnergyJ)
+	for _, c := range []struct {
+		fam       string
+		want, tol float64
+	}{
+		{MetricVirtualSec, run.Duration.Seconds(), 1e-9},
+		{MetricEnergy, run.EnergyJ, 1e-9 * run.EnergyJ},
+		{MetricStallSec, run.StallTime.Seconds(), 1e-9},
+		{MetricBusySec, run.BusyTime.Seconds(), 1e-9},
+	} {
+		got, _ := get(c.fam, "n0", "pm")
+		if math.Abs(got.Value-c.want) > c.tol {
+			t.Errorf("%s = %g, want %g", c.fam, got.Value, c.want)
+		}
+	}
+	if run.StallTime <= 0 || run.BusyTime <= 0 {
+		t.Errorf("stall %v, busy %v: want both positive for a PM run with transitions", run.StallTime, run.BusyTime)
 	}
 	transOK, _ := get(MetricTransitions, "n0", "pm", "ok")
-	if int(transOK.Value) != col.Transitions {
-		t.Errorf("ok transitions = %v, want %d", transOK.Value, col.Transitions)
+	if int(transOK.Value) != run.Transitions {
+		t.Errorf("ok transitions = %v, want %d", transOK.Value, run.Transitions)
 	}
 	transFail, ok := get(MetricTransitions, "n0", "pm", "failed")
-	if !ok || int(transFail.Value) != col.FailedTransitions {
-		t.Errorf("failed transitions = %v, want %d", transFail.Value, col.FailedTransitions)
+	if !ok || int(transFail.Value) != run.FailedTransitions {
+		t.Errorf("failed transitions = %v, want %d", transFail.Value, run.FailedTransitions)
 	}
 	done, _ := get(MetricRunsDone, "n0", "pm")
 	if done.Value != 1 {
 		t.Errorf("runs completed = %v, want 1", done.Value)
 	}
 	hist, ok := get(MetricIntervalW, "n0", "pm")
-	if !ok || hist.Count != uint64(col.Ticks) {
-		t.Errorf("interval histogram count = %d, want %d ticks", hist.Count, col.Ticks)
+	if !ok || hist.Count != uint64(run.Ticks) {
+		t.Errorf("interval histogram count = %d, want %d ticks", hist.Count, run.Ticks)
 	}
 	freq, _ := get(MetricFreq, "n0", "pm")
 	if freq.Value <= 0 {
 		t.Errorf("frequency gauge = %v", freq.Value)
-	}
-	if len(run.Rows) != col.Ticks {
-		t.Fatalf("collector ticks %d != trace rows %d", col.Ticks, len(run.Rows))
 	}
 }
 
@@ -113,11 +120,11 @@ func TestObserverDegradations(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	col := &metrics.Collector{}
-	if _, err := m.RunWith(testWorkload(), nil, NewObserver(reg, "n0", "none"), col); err != nil {
+	run, err := m.RunWith(testWorkload(), nil, NewObserver(reg, "n0", "none"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Degradations == 0 {
+	if run.DegradationTotal() == 0 {
 		t.Fatal("fault preset produced no degradations; test is vacuous")
 	}
 	var total float64
@@ -129,8 +136,8 @@ func TestObserverDegradations(t *testing.T) {
 			total += s.Value
 		}
 	}
-	if int(total) != col.Degradations {
-		t.Errorf("degradation series sum = %v, want %d", total, col.Degradations)
+	if int(total) != run.DegradationTotal() {
+		t.Errorf("degradation series sum = %v, want %d", total, run.DegradationTotal())
 	}
 	for _, f := range reg.Snapshot().Families {
 		for _, s := range f.Series {

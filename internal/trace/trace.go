@@ -43,8 +43,14 @@ type Run struct {
 	Policy   string
 	Rows     []Row
 
-	// Duration is total wall-clock (virtual) time.
-	Duration time.Duration
+	// Ticks counts the recorded monitoring intervals; Duration is
+	// their total virtual time, of which StallTime was halted
+	// (transition latency plus the stopped fraction of a modulated
+	// clock) and BusyTime computing.
+	Ticks     int
+	Duration  time.Duration
+	StallTime time.Duration
+	BusyTime  time.Duration
 	// Instructions is total retired instructions.
 	Instructions float64
 	// EnergyJ integrates true power; MeasuredEnergyJ integrates the
@@ -114,6 +120,22 @@ func (r *Run) AvgPowerW() float64 {
 		return 0
 	}
 	return r.EnergyJ / r.Duration.Seconds()
+}
+
+// IntervalsOver counts the retained rows whose measured power exceeds
+// limitW — the paper's power-limit adherence view of a run. A
+// non-positive limit counts nothing.
+func (r *Run) IntervalsOver(limitW float64) int {
+	if limitW <= 0 {
+		return 0
+	}
+	n := 0
+	for _, row := range r.Rows {
+		if row.MeasuredPowerW > limitW {
+			n++
+		}
+	}
+	return n
 }
 
 // IPS returns average instructions per second (the paper's performance

@@ -46,6 +46,16 @@ func TestRunAggregates(t *testing.T) {
 	if got := r.Freqs(); got[0] != 2000 {
 		t.Errorf("Freqs = %v", got)
 	}
+	if got := r.IntervalsOver(11); got != 2 {
+		t.Errorf("IntervalsOver(11) = %d, want 2", got)
+	}
+	if got := r.IntervalsOver(0); got != 0 {
+		t.Errorf("IntervalsOver(0) = %d, want 0 (no limit)", got)
+	}
+	r.Rows[3].MeasuredPowerW = math.NaN() // a dropped acquisition is no violation
+	if got := r.IntervalsOver(11); got != 1 {
+		t.Errorf("IntervalsOver(11) with a NaN row = %d, want 1", got)
+	}
 	empty := &Run{}
 	if empty.AvgPowerW() != 0 || empty.IPS() != 0 {
 		t.Error("empty run aggregates nonzero")

@@ -12,18 +12,15 @@ import (
 )
 
 // stagedGoldenRun steps a Session over the canonical fixture
-// configuration with a metrics collector and a second, inert
-// subscriber and stage timing enabled — everything that must NOT
-// perturb the trace.
-func stagedGoldenRun(t *testing.T, gov Governor) (*Run, *RunMetrics) {
+// configuration with an inert subscriber and stage timing enabled —
+// everything that must NOT perturb the trace.
+func stagedGoldenRun(t *testing.T, gov Governor) (*Run, *Session) {
 	t.Helper()
 	m, w := goldenPlatform(t)
 	s, err := m.NewSession(w, gov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewMetricsCollector(14.5)
-	s.Subscribe(col)
 	s.Subscribe(HookBase{})
 	s.EnableStageTiming()
 	for {
@@ -35,7 +32,16 @@ func stagedGoldenRun(t *testing.T, gov Governor) (*Run, *RunMetrics) {
 			break
 		}
 	}
-	return s.Result(), col
+	return s.Result(), s
+}
+
+// stageTotal sums the session's per-stage wall-clock.
+func stageTotal(s *Session) int64 {
+	var total int64
+	for _, n := range s.StageNanos() {
+		total += n
+	}
+	return total
 }
 
 func TestStagedEngineMatchesGoldenPM(t *testing.T) {
@@ -46,12 +52,12 @@ func TestStagedEngineMatchesGoldenPM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, col := stagedGoldenRun(t, pm)
+	run, s := stagedGoldenRun(t, pm)
 	checkGolden(t, "golden_pm_ammp.csv", run)
-	if col.Ticks != len(run.Rows) {
-		t.Errorf("collector saw %d ticks, trace has %d rows", col.Ticks, len(run.Rows))
+	if run.Ticks != len(run.Rows) {
+		t.Errorf("run counted %d ticks, trace has %d rows", run.Ticks, len(run.Rows))
 	}
-	if col.StageTotal() <= 0 {
+	if stageTotal(s) <= 0 {
 		t.Error("stage timing enabled but nothing recorded")
 	}
 }
@@ -64,10 +70,10 @@ func TestStagedEngineMatchesGoldenPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, col := stagedGoldenRun(t, ps)
+	run, _ := stagedGoldenRun(t, ps)
 	checkGolden(t, "golden_ps_ammp.csv", run)
-	if col.Ticks != len(run.Rows) {
-		t.Errorf("collector saw %d ticks, trace has %d rows", col.Ticks, len(run.Rows))
+	if run.Ticks != len(run.Rows) {
+		t.Errorf("run counted %d ticks, trace has %d rows", run.Ticks, len(run.Rows))
 	}
 }
 

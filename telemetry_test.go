@@ -15,8 +15,8 @@ import (
 )
 
 // TestGoldenTraceWithTelemetry re-runs the canonical golden
-// configuration as a Session with a telemetry observer, a trace-event
-// exporter and a metrics collector subscribed and stage timing on —
+// configuration as a Session with a telemetry observer and a
+// trace-event exporter subscribed and stage timing on —
 // the generic step body with everything observational switched on —
 // and compares against the same pinned fixture as the bare run:
 // observation must not perturb a single byte of the trace.
@@ -35,10 +35,8 @@ func TestGoldenTraceWithTelemetry(t *testing.T) {
 	}
 	reg := NewTelemetryRegistry()
 	tw := NewTraceEventWriter(io.Discard)
-	col := NewMetricsCollector(14.5)
 	s.Subscribe(NewTelemetryObserver(reg, "golden", "pm"))
 	s.Subscribe(tw.RunHook("golden", "pm"))
-	s.Subscribe(col)
 	s.EnableStageTiming()
 	for {
 		done, err := s.Step()
@@ -63,10 +61,10 @@ func TestGoldenTraceWithTelemetry(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("registry empty after observed run; test is vacuous")
 	}
-	if col.Ticks != len(run.Rows) {
-		t.Errorf("collector saw %d ticks, trace has %d rows", col.Ticks, len(run.Rows))
+	if run.Ticks != len(run.Rows) {
+		t.Errorf("run counted %d ticks, trace has %d rows", run.Ticks, len(run.Rows))
 	}
-	if col.StageTotal() <= 0 {
+	if stageTotal(s) <= 0 {
 		t.Error("stage timing enabled but nothing recorded")
 	}
 	checkGolden(t, "golden_pm_ammp.csv", run)
