@@ -28,10 +28,8 @@ import (
 	"math"
 
 	"aapm/internal/alloc"
-	"aapm/internal/control"
 	"aapm/internal/machine"
 	"aapm/internal/phase"
-	"aapm/internal/pstate"
 )
 
 // Node is one machine's assignment.
@@ -128,53 +126,52 @@ const budgetMarginW = alloc.DefaultMarginW
 // share as of the epoch boundary (apply callbacks fire only after all
 // summaries are read).
 type nodeAgg struct {
-	d      *demand
-	pm     *control.PerformanceMaximizer
-	table  *pstate.Table
-	limits []float64
-	i      int
+	la *leafAlloc
+	i  int
 }
 
-func (a *nodeAgg) Active() bool { return a.d.active }
-func (a *nodeAgg) Stale() bool  { return a.d.hold }
-func (a *nodeAgg) HeldW() float64 {
-	return a.limits[a.i]
-}
+func (a *nodeAgg) Active() bool   { return a.la.demands[a.i].active }
+func (a *nodeAgg) Stale() bool    { return a.la.demands[a.i].hold }
+func (a *nodeAgg) HeldW() float64 { return a.la.limits[a.i] }
 func (a *nodeAgg) DesireW() float64 {
-	if !a.d.useDPC {
+	d := &a.la.demands[a.i]
+	if !d.useDPC {
 		return math.NaN()
 	}
-	return a.pm.BudgetDesireW(a.table, a.d.dpc)
+	return a.la.bs.BudgetDesireW(a.i, d.dpc)
 }
-func (a *nodeAgg) RecentPowerW() float64       { return a.d.avgW }
-func (a *nodeAgg) RecentDPC() float64          { return a.d.dpc }
+func (a *nodeAgg) RecentPowerW() float64       { return a.la.demands[a.i].avgW }
+func (a *nodeAgg) RecentDPC() float64          { return a.la.demands[a.i].dpc }
 func (a *nodeAgg) MinW(floorW float64) float64 { return floorW }
 
 // leafAlloc is the coordinator's level-0 allocation: one
 // alloc.Aggregate adapter per node over its demand record, with each
-// grant applied to the node's recorded share and its PM limit. Each
-// node with a usable epoch average asks for the power its PM would
-// need to run the top p-state at that average decode rate (at least
-// its average measured draw), held nodes keep their previous share off
-// the top of the budget, and finished nodes release theirs. The policy
-// and water-fill live in package alloc.
+// grant applied to the node's recorded share and its PM limit (the
+// node's lane in the batch). Each node with a usable epoch average
+// asks for the power its PM would need to run the top p-state at that
+// average decode rate (at least its average measured draw), held nodes
+// keep their previous share off the top of the budget, and finished
+// nodes release theirs. The policy and water-fill live in package
+// alloc.
 type leafAlloc struct {
-	al     alloc.Allocator
-	kids   []alloc.Aggregate
-	limits []float64
-	pms    []*control.PerformanceMaximizer
+	al      alloc.Allocator
+	kids    []alloc.Aggregate
+	bs      *machine.BatchState
+	demands []demand
+	limits  []float64
 }
 
-func newLeafAlloc(table *pstate.Table, demands []demand, pms []*control.PerformanceMaximizer, limits []float64) *leafAlloc {
+func newLeafAlloc(bs *machine.BatchState, demands []demand, limits []float64) *leafAlloc {
 	aggs := make([]nodeAgg, len(demands))
 	la := &leafAlloc{
-		al:     alloc.Allocator{MarginW: budgetMarginW, OnDecision: debugHook},
-		kids:   make([]alloc.Aggregate, len(demands)),
-		limits: limits,
-		pms:    pms,
+		al:      alloc.Allocator{MarginW: budgetMarginW, OnDecision: debugHook},
+		kids:    make([]alloc.Aggregate, len(demands)),
+		bs:      bs,
+		demands: demands,
+		limits:  limits,
 	}
 	for i := range aggs {
-		aggs[i] = nodeAgg{d: &demands[i], pm: pms[i], table: table, limits: limits, i: i}
+		aggs[i] = nodeAgg{la: la, i: i}
 		la.kids[i] = &aggs[i]
 	}
 	return la
@@ -186,7 +183,7 @@ func (la *leafAlloc) allocate(budget, floor float64, lo, hi int) {
 	la.al.Allocate(budget, floor, la.kids[lo:hi], func(k int, w float64) {
 		i := lo + k
 		la.limits[i] = w
-		la.pms[i].SetLimit(w)
+		la.bs.SetLimit(i, w)
 	})
 }
 

@@ -13,11 +13,12 @@
 // visits groups in index order, so traces are byte-identical for every
 // worker count (testdata/golden_cluster.csv pins the flat case).
 //
-// Memory: the per-node footprint is the BatchState's lanes plus one
-// machine/PM/run header — no per-node goroutines, hooks, RNGs (unless
-// the workload jitters or the chain is noisy) or retained trace rows
-// unless FleetConfig.RetainTraces asks for them. TestFleetMemoryBudget
-// pins the measured bytes/node.
+// Memory: the per-node footprint is the BatchState's lanes (the PM
+// state included: the fleet shares one PM policy) plus one machine and
+// one run header — no per-node governors, actuators, goroutines, hooks,
+// RNGs (unless the workload jitters or the chain is noisy) or retained
+// trace rows unless FleetConfig.RetainTraces asks for them.
+// TestFleetMemoryBudget pins the measured bytes/node.
 package cluster
 
 import (
@@ -306,10 +307,16 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// single shared table keeps the engine's interned behavior/frequency
 	// caches to one entry set instead of one per node.
 	truth := power.PentiumM755Truth()
-	table := truth.Table()
 	share := cfg.BudgetW / float64(n)
+	// One PM policy for the whole fleet: each node's PM state is a
+	// lane of the batch (SetLimit/BudgetDesireW go through the batch),
+	// so no node owns a governor or actuator object.
+	pol, err := control.NewPMPolicy(control.PMConfig{FeedbackGain: 0.25})
+	if err != nil {
+		return nil, err
+	}
+	lane := pol.Lane(share)
 	machines := make([]*machine.Machine, n)
-	pms := make([]*control.PerformanceMaximizer, n)
 	names := make([]string, n)
 	for i, node := range cfg.Nodes {
 		name := node.Name
@@ -329,16 +336,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		if err != nil {
 			return nil, err
 		}
-		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: share, FeedbackGain: 0.25})
-		if err != nil {
-			return nil, err
-		}
 		machines[i] = m
-		pms[i] = pm
 	}
 	bnodes := make([]machine.BatchNode, n)
 	for i, node := range cfg.Nodes {
-		bnodes[i] = machine.BatchNode{Machine: machines[i], Workload: node.Workload, Governor: pms[i]}
+		bnodes[i] = machine.BatchNode{Machine: machines[i], Workload: node.Workload, Policy: pol, Lane: lane}
 	}
 	// The coordinator reads node observations through the engine's
 	// per-node accessors rather than a hook tap, so a run without
@@ -401,7 +403,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// level l's Allocate to completion inside level l+1's apply
 	// callback, so per-level instances never re-enter). budgets[l][g]
 	// is the grant of level-l entity g; level 0 is the per-node limit.
-	leaf := newLeafAlloc(table, demands, pms, limits)
+	leaf := newLeafAlloc(bs, demands, limits)
 	groupAggs := make([][]groupAgg, levels)
 	groupKids := make([][]alloc.Aggregate, levels)
 	budgets := make([][]float64, levels)
@@ -633,7 +635,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 				for i, ov := range nodeOv {
 					if ov == NodePinned {
 						limits[i] = pinLimitW
-						pms[i].SetLimit(pinLimitW)
+						bs.SetLimit(i, pinLimitW)
 					}
 				}
 			}

@@ -203,11 +203,13 @@ func TestFleetValidation(t *testing.T) {
 
 // fleetBytesPerNodeBudget caps the per-node allocation cost of a
 // fleet run (cumulative bytes allocated during RunFleet divided by
-// the node count). The footprint is the BatchState's lanes plus one
-// machine/PM/run header per node; the budget holds headroom over the
-// measured ~1.7 KiB so a regression that, say, reintroduces per-node
-// RNGs (~5 KiB each) or per-node tables fails loudly.
-const fleetBytesPerNodeBudget = 2560
+// the node count). The footprint is the BatchState's lanes (the PM
+// state included) plus one machine and one run header per node; the
+// budget sits just above the measured ~1.1 KiB, so a regression that
+// brings back a per-node governor, actuator or power model (a private
+// Table II model was ~650 B) — let alone per-node RNGs (~5 KiB each) —
+// fails loudly.
+const fleetBytesPerNodeBudget = 1200
 
 // TestFleetMemoryBudget is the scale gate: one process steps 100,000
 // nodes through a multi-epoch hierarchical run, within the per-node

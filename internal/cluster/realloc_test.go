@@ -6,23 +6,36 @@ import (
 	"time"
 
 	"aapm/internal/control"
+	"aapm/internal/machine"
 	"aapm/internal/phase"
 	"aapm/internal/pstate"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
 )
 
-func testPMs(t *testing.T, n int, limitW float64) []*control.PerformanceMaximizer {
+// testPMs builds n PMs of the fleet's configuration at limit limitW
+// and binds them into one batch, as the leaf allocator's lanes.
+func testPMs(t *testing.T, n int, limitW float64) (*machine.BatchState, []*control.PerformanceMaximizer) {
 	t.Helper()
 	pms := make([]*control.PerformanceMaximizer, n)
+	nodes := make([]machine.BatchNode, n)
 	for i := range pms {
 		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW, FeedbackGain: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m, err := machine.New(machine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		pms[i] = pm
+		nodes[i] = machine.BatchNode{Machine: m, Workload: SyntheticFleet(1, 10)[0].Workload, Governor: pm}
 	}
-	return pms
+	bs, err := machine.NewBatch(nodes, machine.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs, pms
 }
 
 // TestReallocateConsumesAverageNotTap pins the reallocation input
@@ -31,7 +44,6 @@ func testPMs(t *testing.T, n int, limitW float64) []*control.PerformanceMaximize
 // average unchanged cannot move the shares (the regression the old
 // last-tap-only coordinator had).
 func TestReallocateConsumesAverageNotTap(t *testing.T) {
-	table := pstate.PentiumM755()
 	mk := func() ([]demand, []float64) {
 		return []demand{
 			{active: true, useDPC: true, dpc: 0.5},
@@ -40,13 +52,15 @@ func TestReallocateConsumesAverageNotTap(t *testing.T) {
 	}
 
 	steady, steadyLimits := mk()
-	newLeafAlloc(table, steady, testPMs(t, 2, 15), steadyLimits).allocate(30, 4, 0, len(steady))
+	bs, _ := testPMs(t, 2, 15)
+	newLeafAlloc(bs, steady, steadyLimits).allocate(30, 4, 0, len(steady))
 
 	// Same epoch averages; node 0's tap spiked on the final tick of
 	// the epoch. The demand record is built from the averages, so the
 	// allocator's output must be bit-identical.
 	spiked, spikedLimits := mk()
-	newLeafAlloc(table, spiked, testPMs(t, 2, 15), spikedLimits).allocate(30, 4, 0, len(spiked))
+	bs, _ = testPMs(t, 2, 15)
+	newLeafAlloc(bs, spiked, spikedLimits).allocate(30, 4, 0, len(spiked))
 	for i := range steadyLimits {
 		if steadyLimits[i] != spikedLimits[i] {
 			t.Errorf("node %d share moved on a last-tick spike: %.3f -> %.3f", i, steadyLimits[i], spikedLimits[i])
@@ -71,11 +85,11 @@ func TestReallocateAvgPowerFloorsDesire(t *testing.T) {
 	}
 	defer func() { debugHook = nil }()
 
-	pms := testPMs(t, 1, 15)
+	bs, pms := testPMs(t, 1, 15)
 	modelDesire := pms[0].BudgetDesireW(table, 0.1) + budgetMarginW
 	demands := []demand{{active: true, useDPC: true, dpc: 0.1, avgW: modelDesire + 5}}
 	limits := []float64{15}
-	newLeafAlloc(table, demands, pms, limits).allocate(40, 4, 0, len(demands))
+	newLeafAlloc(bs, demands, limits).allocate(40, 4, 0, len(demands))
 	if gotDesire != modelDesire+5 {
 		t.Errorf("desire %.2f W, want the %.2f W epoch-average draw to floor it", gotDesire, modelDesire+5)
 	}
@@ -87,15 +101,14 @@ func TestReallocateAvgPowerFloorsDesire(t *testing.T) {
 // finished node's share is released, and only the fresh node is
 // waterfilled over what remains.
 func TestReallocateHoldsStaleNode(t *testing.T) {
-	table := pstate.PentiumM755()
-	pms := testPMs(t, 3, 10)
+	bs, pms := testPMs(t, 3, 10)
 	demands := []demand{
 		{active: true, useDPC: true, dpc: 2.0}, // fresh, hungry
 		{active: true, hold: true},             // active but dark
 		{active: false},                        // finished
 	}
 	limits := []float64{10, 12, 8}
-	newLeafAlloc(table, demands, pms, limits).allocate(30, 4, 0, len(demands))
+	newLeafAlloc(bs, demands, limits).allocate(30, 4, 0, len(demands))
 
 	if limits[1] != 12 {
 		t.Errorf("held node's share moved: %.2f, want 12", limits[1])
@@ -119,14 +132,13 @@ func TestReallocateHoldsStaleNode(t *testing.T) {
 // case: when held shares squeeze the fresh nodes below their floors,
 // the floor guarantee wins over the budget.
 func TestReallocateHoldRespectsFloorGuarantee(t *testing.T) {
-	table := pstate.PentiumM755()
-	pms := testPMs(t, 2, 10)
+	bs, _ := testPMs(t, 2, 10)
 	demands := []demand{
 		{active: true, useDPC: true, dpc: 0.1},
 		{active: true, hold: true},
 	}
 	limits := []float64{4, 18}
-	newLeafAlloc(table, demands, pms, limits).allocate(20, 4, 0, len(demands))
+	newLeafAlloc(bs, demands, limits).allocate(20, 4, 0, len(demands))
 	if limits[0] < 4 {
 		t.Errorf("fresh node starved below the 4 W floor: %.2f", limits[0])
 	}

@@ -119,30 +119,25 @@ func sensorReadingOK(w float64) bool {
 	return !math.IsNaN(w) && !math.IsInf(w, 0) && w > 0
 }
 
-// PerformanceMaximizer implements the PM policy.
-type PerformanceMaximizer struct {
-	cfg       PMConfig
-	limitW    float64
-	pendingUp int
-	// corr is the feedback correction factor (1 = trust the model).
-	corr float64
-
-	// Graceful-degradation state (cfg.Degrade).
-	lastGoodDPC float64
-	lastDPC     float64 // decode rate the last tick evaluated
-	lastGB      float64 // guardband the last tick applied
-	inDropout   bool
-	inHold      bool
-	degr        []trace.Degradation
+// PMPolicy is the shared, immutable part of the PM policy: the
+// configuration and the power model (eq. 2, the eq. 4 projection, the
+// guardband and the hysteresis length). Its per-node state — limit,
+// up-shift streak, feedback correction, degradation episodes and the
+// decode rate last evaluated — is a machine.GovLane, so every node of
+// one configuration can share one PMPolicy (a fleet builds one) while
+// the tick engine keeps the nodes' state in contiguous lanes
+// (machine.LanePolicy).
+type PMPolicy struct {
+	cfg PMConfig
 }
 
-// NewPerformanceMaximizer builds a PM with the given configuration.
-func NewPerformanceMaximizer(cfg PMConfig) (*PerformanceMaximizer, error) {
+// NewPMPolicy validates cfg and returns a policy every node of that
+// configuration can share. cfg.LimitW is per-node state, not policy:
+// it is ignored here and set per node by Lane.
+func NewPMPolicy(cfg PMConfig) (*PMPolicy, error) {
+	cfg.LimitW = 0
 	if cfg.Model == nil {
 		cfg.Model = model.PaperPowerModel()
-	}
-	if cfg.LimitW <= 0 {
-		return nil, fmt.Errorf("control: PM needs a positive power limit, got %g", cfg.LimitW)
 	}
 	switch {
 	case cfg.GuardbandW == 0:
@@ -153,6 +148,9 @@ func NewPerformanceMaximizer(cfg PMConfig) (*PerformanceMaximizer, error) {
 	if cfg.RaiseTicks <= 0 {
 		cfg.RaiseTicks = DefaultRaiseTicks
 	}
+	if cfg.RaiseTicks > math.MaxInt32 {
+		return nil, fmt.Errorf("control: PM raise ticks %d exceed %d", cfg.RaiseTicks, math.MaxInt32)
+	}
 	if cfg.FeedbackGain < 0 || cfg.FeedbackGain > 1 {
 		return nil, fmt.Errorf("control: PM feedback gain %g outside [0,1]", cfg.FeedbackGain)
 	}
@@ -162,145 +160,234 @@ func NewPerformanceMaximizer(cfg PMConfig) (*PerformanceMaximizer, error) {
 	if cfg.Degrade && cfg.DegradeGuardbandW == 0 {
 		cfg.DegradeGuardbandW = DefaultDegradeGuardbandW
 	}
-	return &PerformanceMaximizer{cfg: cfg, limitW: cfg.LimitW, corr: 1, lastGB: cfg.GuardbandW}, nil
+	return &PMPolicy{cfg: cfg}, nil
 }
 
-// Name identifies the policy in traces.
-func (pm *PerformanceMaximizer) Name() string {
+// Lane returns a fresh node state under the policy with power limit
+// limitW.
+func (p *PMPolicy) Lane(limitW float64) machine.GovLane {
+	return machine.GovLane{LimitW: limitW, Corr: 1}
+}
+
+// GovLane.Flags bits: the degradation episodes in progress.
+const (
+	pmInDropout uint8 = 1 << iota // sensor unreadable, guardband widened
+	pmInHold                      // counters implausible, DPC held
+)
+
+// TickLane events, in the order a tick notes them.
+const (
+	pmCountersRestored uint8 = 1 << iota
+	pmHoldDPC
+	pmSensorDropout
+	pmSensorRestored
+)
+
+// LaneName identifies the policy in traces.
+func (p *PMPolicy) LaneName(st *machine.GovLane) string {
 	suffix := ""
-	if pm.cfg.Degrade {
+	if p.cfg.Degrade {
 		suffix = "+dg"
 	}
-	if pm.cfg.FeedbackGain > 0 {
-		return fmt.Sprintf("PM+fb%s(%.1fW)", suffix, pm.limitW)
+	if p.cfg.FeedbackGain > 0 {
+		return fmt.Sprintf("PM+fb%s(%.1fW)", suffix, st.LimitW)
 	}
-	return fmt.Sprintf("PM%s(%.1fW)", suffix, pm.limitW)
+	return fmt.Sprintf("PM%s(%.1fW)", suffix, st.LimitW)
 }
 
-// SetLimit changes the power limit, effective at the next tick — the
-// simulation analogue of the SIGUSR1/SIGUSR2 runtime limit changes the
-// prototype accepts.
-func (pm *PerformanceMaximizer) SetLimit(w float64) {
-	pm.limitW = w
-	pm.pendingUp = 0
+// guardbandW is the guardband a lane's most recent tick applied:
+// cfg.GuardbandW, widened by cfg.DegradeGuardbandW during a sensor
+// dropout.
+func (p *PMPolicy) guardbandW(st *machine.GovLane) float64 {
+	gb := p.cfg.GuardbandW
+	if st.Flags&pmInDropout != 0 {
+		gb += p.cfg.DegradeGuardbandW
+	}
+	return gb
 }
 
-// BypassHysteresis arms the next tick to raise immediately if its
-// estimate permits, instead of waiting out the full RaiseTicks streak.
-// Phase-aware wrappers call it when the workload demonstrably switched
-// regimes, making the conservative streak requirement moot.
-func (pm *PerformanceMaximizer) BypassHysteresis() {
-	pm.pendingUp = pm.cfg.RaiseTicks - 1
-}
-
-// Limit returns the active power limit.
-func (pm *PerformanceMaximizer) Limit() float64 { return pm.limitW }
-
-// Tick chooses the highest p-state whose corrected power estimate,
-// plus guardband, fits the limit. Down-shifts apply immediately;
-// up-shifts wait for RaiseTicks consecutive supporting samples.
+// TickLane chooses the highest p-state whose corrected power estimate,
+// plus guardband, fits the lane's limit. Down-shifts apply
+// immediately; up-shifts wait for RaiseTicks consecutive supporting
+// samples.
 //
 // With cfg.Degrade, faulted inputs degrade the policy gracefully
 // instead of corrupting it: an implausible counter sample evaluates
-// at the last good decode rate, and while the sensor is unreadable
-// the guardband widens by cfg.DegradeGuardbandW and the feedback
+// at the last good decode rate (st.DPC, which under Degrade only ever
+// holds a good rate), and while the sensor is unreadable the
+// guardband widens by cfg.DegradeGuardbandW and the feedback
 // correction freezes at its last good value.
-func (pm *PerformanceMaximizer) Tick(info machine.TickInfo) int {
-	return pm.tick(&info)
-}
-
-// TickP is Tick without the TickInfo copy, for the tick engine's
-// in-place body (machine.InPlaceTicker): the same decision, plus
-// whether it noted degradation events to drain.
-func (pm *PerformanceMaximizer) TickP(info *machine.TickInfo) (int, bool) {
-	want := pm.tick(info)
-	return want, len(pm.degr) != 0
-}
-
-func (pm *PerformanceMaximizer) tick(info *machine.TickInfo) int {
+func (p *PMPolicy) TickLane(st *machine.GovLane, info *machine.TickInfo) (int, uint8) {
+	cfg := &p.cfg
+	var ev uint8
 	dpc := info.Sample.DPC()
-	counterOK := !info.Sample.Implausible() && !math.IsNaN(dpc) && !math.IsInf(dpc, 0) && dpc >= 0
-	if pm.cfg.Degrade {
-		if counterOK {
-			pm.lastGoodDPC = dpc
-			if pm.inHold {
-				pm.inHold = false
-				pm.note("pm", "counters-restored", "")
+	if cfg.Degrade {
+		if !info.Sample.Implausible() && !math.IsNaN(dpc) && !math.IsInf(dpc, 0) && dpc >= 0 {
+			if st.Flags&pmInHold != 0 {
+				st.Flags &^= pmInHold
+				ev |= pmCountersRestored
 			}
 		} else {
-			dpc = pm.lastGoodDPC
-			if !pm.inHold {
-				pm.inHold = true
-				pm.note("pm", "hold-dpc", fmt.Sprintf("implausible sample; evaluating at last good DPC %.3f", dpc))
+			dpc = st.DPC
+			if st.Flags&pmInHold == 0 {
+				st.Flags |= pmInHold
+				ev |= pmHoldDPC
 			}
 		}
 	}
 	sensorOK := sensorReadingOK(info.MeasuredPowerW)
-	gb := pm.cfg.GuardbandW
-	if pm.cfg.Degrade && !sensorOK {
-		gb += pm.cfg.DegradeGuardbandW
-		if !pm.inDropout {
-			pm.inDropout = true
-			pm.note("pm", "sensor-dropout", fmt.Sprintf("guardband widened to %.2f W; feedback frozen", gb))
+	if cfg.Degrade && !sensorOK {
+		if st.Flags&pmInDropout == 0 {
+			st.Flags |= pmInDropout
+			ev |= pmSensorDropout
 		}
-	} else if pm.inDropout {
-		pm.inDropout = false
-		pm.note("pm", "sensor-restored", "")
+	} else if st.Flags&pmInDropout != 0 {
+		st.Flags &^= pmInDropout
+		ev |= pmSensorRestored
 	}
-	pm.lastGB = gb
-	if pm.cfg.FeedbackGain > 0 && sensorOK {
-		est := pm.corr * pm.cfg.Model.Estimate(info.PStateIndex, dpc)
+	gb := p.guardbandW(st)
+	if cfg.FeedbackGain > 0 && sensorOK {
+		est := st.Corr * cfg.Model.Estimate(info.PStateIndex, dpc)
 		if est > 0 {
-			g := pm.cfg.FeedbackGain
-			pm.corr *= 1 + g*(info.MeasuredPowerW/est-1)
-			if pm.corr < 0.5 {
-				pm.corr = 0.5
+			g := cfg.FeedbackGain
+			st.Corr *= 1 + g*(info.MeasuredPowerW/est-1)
+			if st.Corr < 0.5 {
+				st.Corr = 0.5
 			}
-			if pm.corr > 2 {
-				pm.corr = 2
+			if st.Corr > 2 {
+				st.Corr = 2
 			}
 		}
 	}
-	pm.lastDPC = dpc
+	st.DPC = dpc
 	want := 0
 	for i := info.Table.Len() - 1; i >= 0; i-- {
 		var est float64
-		if pm.cfg.DisableDPCProjection {
-			est = pm.cfg.Model.Estimate(i, dpc)
+		if cfg.DisableDPCProjection {
+			est = cfg.Model.Estimate(i, dpc)
 		} else {
-			est = pm.cfg.Model.EstimateAt(i, dpc, info.PState.FreqMHz)
+			est = cfg.Model.EstimateAt(i, dpc, info.PState.FreqMHz)
 		}
-		est = pm.corr*est + gb
-		if est <= pm.limitW {
+		est = st.Corr*est + gb
+		if est <= st.LimitW {
 			want = i
 			break
 		}
 	}
 	switch {
 	case want < info.PStateIndex:
-		pm.pendingUp = 0
-		return want
+		st.PendingUp = 0
+		return want, ev
 	case want > info.PStateIndex:
-		pm.pendingUp++
-		if pm.pendingUp >= pm.cfg.RaiseTicks {
-			pm.pendingUp = 0
-			return want
+		st.PendingUp++
+		if int(st.PendingUp) >= cfg.RaiseTicks {
+			st.PendingUp = 0
+			return want, ev
 		}
-		return info.PStateIndex
+		return info.PStateIndex, ev
 	default:
-		pm.pendingUp = 0
-		return info.PStateIndex
+		st.PendingUp = 0
+		return info.PStateIndex, ev
 	}
 }
 
-// note records a degradation event for the machine to drain. Events
-// carry no timestamp; the machine stamps virtual time when draining.
-func (pm *PerformanceMaximizer) note(source, kind, detail string) {
-	pm.degr = append(pm.degr, trace.Degradation{Source: source, Kind: kind, Detail: detail})
+// LaneDegradations renders the events of the tick that just updated
+// st. Events carry no timestamp; the engine stamps virtual time.
+func (p *PMPolicy) LaneDegradations(st *machine.GovLane, ev uint8) []trace.Degradation {
+	var ds []trace.Degradation
+	if ev&pmCountersRestored != 0 {
+		ds = append(ds, trace.Degradation{Source: "pm", Kind: "counters-restored"})
+	}
+	if ev&pmHoldDPC != 0 {
+		ds = append(ds, trace.Degradation{Source: "pm", Kind: "hold-dpc",
+			Detail: fmt.Sprintf("implausible sample; evaluating at last good DPC %.3f", st.DPC)})
+	}
+	if ev&pmSensorDropout != 0 {
+		ds = append(ds, trace.Degradation{Source: "pm", Kind: "sensor-dropout",
+			Detail: fmt.Sprintf("guardband widened to %.2f W; feedback frozen", p.guardbandW(st))})
+	}
+	if ev&pmSensorRestored != 0 {
+		ds = append(ds, trace.Degradation{Source: "pm", Kind: "sensor-restored"})
+	}
+	return ds
+}
+
+// LaneDesireW returns the power limit a lane would need to run the
+// table's top p-state for the given recent decode rate, including the
+// guardband and (when feedback is enabled) the learned measurement
+// correction. Budget coordinators use it as a node's demand signal.
+func (p *PMPolicy) LaneDesireW(st *machine.GovLane, table *pstate.Table, dpc float64) float64 {
+	top := table.Len() - 1
+	return st.Corr*p.cfg.Model.Estimate(top, dpc) + p.cfg.GuardbandW
+}
+
+// PerformanceMaximizer implements the PM policy for one node: a handle
+// onto one GovLane under its PMPolicy (machine.LaneGovernor). On
+// its own it owns its lane; as a batch or Session governor the engine
+// rebinds it to the batch's lane, and its methods then act on the
+// state the engine steps.
+type PerformanceMaximizer struct {
+	pol  *PMPolicy
+	st   *machine.GovLane
+	own  machine.GovLane
+	degr []trace.Degradation
+}
+
+// NewPerformanceMaximizer builds a PM with the given configuration.
+func NewPerformanceMaximizer(cfg PMConfig) (*PerformanceMaximizer, error) {
+	if cfg.LimitW <= 0 {
+		return nil, fmt.Errorf("control: PM needs a positive power limit, got %g", cfg.LimitW)
+	}
+	pol, err := NewPMPolicy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pm := &PerformanceMaximizer{pol: pol, own: pol.Lane(cfg.LimitW)}
+	pm.st = &pm.own
+	return pm, nil
+}
+
+// Name identifies the policy in traces.
+func (pm *PerformanceMaximizer) Name() string { return pm.pol.LaneName(pm.st) }
+
+// Policy returns the PM's shared policy (machine.LaneGovernor).
+func (pm *PerformanceMaximizer) Policy() machine.LanePolicy { return pm.pol }
+
+// BindLane moves the PM's state into *l (machine.LaneGovernor).
+func (pm *PerformanceMaximizer) BindLane(l *machine.GovLane) {
+	*l = *pm.st
+	pm.st = l
+}
+
+// SetLimit changes the power limit, effective at the next tick — the
+// simulation analogue of the SIGUSR1/SIGUSR2 runtime limit changes the
+// prototype accepts.
+func (pm *PerformanceMaximizer) SetLimit(w float64) { pm.st.SetLimit(w) }
+
+// BypassHysteresis arms the next tick to raise immediately if its
+// estimate permits, instead of waiting out the full RaiseTicks streak.
+// Phase-aware wrappers call it when the workload demonstrably switched
+// regimes, making the conservative streak requirement moot.
+func (pm *PerformanceMaximizer) BypassHysteresis() {
+	pm.st.PendingUp = int32(pm.pol.cfg.RaiseTicks - 1)
+}
+
+// Limit returns the active power limit.
+func (pm *PerformanceMaximizer) Limit() float64 { return pm.st.LimitW }
+
+// Tick is PMPolicy.TickLane over the PM's lane, with the tick's
+// degradation events kept for DrainDegradations.
+func (pm *PerformanceMaximizer) Tick(info machine.TickInfo) int {
+	want, ev := pm.pol.TickLane(pm.st, &info)
+	if ev != 0 {
+		pm.degr = append(pm.degr, pm.pol.LaneDegradations(pm.st, ev)...)
+	}
+	return want
 }
 
 // DrainDegradations returns and clears degradation events recorded
-// since the last drain (machine.DegradationReporter).
+// since the last drain (machine.DegradationReporter). A PM bound to a
+// batch lane records none: the engine logs them in the run directly.
 func (pm *PerformanceMaximizer) DrainDegradations() []trace.Degradation {
 	d := pm.degr
 	pm.degr = nil
@@ -310,19 +397,17 @@ func (pm *PerformanceMaximizer) DrainDegradations() []trace.Degradation {
 // EffectiveGuardbandW returns the guardband the most recent tick
 // applied — cfg.GuardbandW, widened by cfg.DegradeGuardbandW while a
 // degraded PM's sensor is unreadable.
-func (pm *PerformanceMaximizer) EffectiveGuardbandW() float64 { return pm.lastGB }
+func (pm *PerformanceMaximizer) EffectiveGuardbandW() float64 { return pm.pol.guardbandW(pm.st) }
 
 // LastEvalDPC returns the decode rate the most recent tick evaluated
 // the power model at (the held last-good value during a counter hold).
-func (pm *PerformanceMaximizer) LastEvalDPC() float64 { return pm.lastDPC }
+func (pm *PerformanceMaximizer) LastEvalDPC() float64 { return pm.st.DPC }
 
 // BudgetDesireW returns the power limit this PM would need to run the
-// platform's top p-state for the given recent decode rate, including
-// its guardband and (when feedback is enabled) the learned measurement
-// correction. Budget coordinators use it as a node's demand signal.
+// platform's top p-state for the given recent decode rate
+// (PMPolicy.LaneDesireW).
 func (pm *PerformanceMaximizer) BudgetDesireW(table *pstate.Table, dpc float64) float64 {
-	top := table.Len() - 1
-	return pm.corr*pm.cfg.Model.Estimate(top, dpc) + pm.cfg.GuardbandW
+	return pm.pol.LaneDesireW(pm.st, table, dpc)
 }
 
 // PSConfig parameterizes a PowerSave policy.

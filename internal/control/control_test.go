@@ -68,16 +68,16 @@ func TestPMValidation(t *testing.T) {
 func TestPMGuardbandSemantics(t *testing.T) {
 	// Zero value selects the paper's 0.5 W; negative disables.
 	def, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5})
-	if def.cfg.GuardbandW != DefaultGuardbandW {
-		t.Errorf("default guardband = %g, want %g", def.cfg.GuardbandW, DefaultGuardbandW)
+	if def.pol.cfg.GuardbandW != DefaultGuardbandW {
+		t.Errorf("default guardband = %g, want %g", def.pol.cfg.GuardbandW, DefaultGuardbandW)
 	}
 	off, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5, GuardbandW: -1})
-	if off.cfg.GuardbandW != 0 {
-		t.Errorf("disabled guardband = %g, want 0", off.cfg.GuardbandW)
+	if off.pol.cfg.GuardbandW != 0 {
+		t.Errorf("disabled guardband = %g, want 0", off.pol.cfg.GuardbandW)
 	}
 	exp, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5, GuardbandW: 1.25})
-	if exp.cfg.GuardbandW != 1.25 {
-		t.Errorf("explicit guardband = %g", exp.cfg.GuardbandW)
+	if exp.pol.cfg.GuardbandW != 1.25 {
+		t.Errorf("explicit guardband = %g", exp.pol.cfg.GuardbandW)
 	}
 }
 

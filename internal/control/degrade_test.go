@@ -107,12 +107,12 @@ func TestPMNaiveFeedbackIgnoresInfReading(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm.Tick(tick(2000, 1.0, 1.0, 0, 12))
-	before := pm.corr
+	before := pm.st.Corr
 	info := tick(2000, 1.0, 1.0, 0, 0)
 	info.MeasuredPowerW = math.Inf(1)
 	pm.Tick(info)
-	if pm.corr != before {
-		t.Fatalf("corr moved on +Inf reading: %g -> %g", before, pm.corr)
+	if pm.st.Corr != before {
+		t.Fatalf("corr moved on +Inf reading: %g -> %g", before, pm.st.Corr)
 	}
 }
 

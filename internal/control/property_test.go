@@ -54,7 +54,7 @@ func TestPropertyPMEstimateNeverExceedsLimit(t *testing.T) {
 				got = cur
 			}
 			if got > 0 {
-				est := pm.corr*pow.EstimateAt(got, pm.LastEvalDPC(), tab.At(cur).FreqMHz) + pm.EffectiveGuardbandW()
+				est := pm.st.Corr*pow.EstimateAt(got, pm.LastEvalDPC(), tab.At(cur).FreqMHz) + pm.EffectiveGuardbandW()
 				if est > limit+1e-9 {
 					t.Fatalf("trial %d step %d: selected state %d with estimate %.4f W over limit %.4f W (dpc %.3f, degrade %v)",
 						trial, step, got, est, limit, dpc, cfg.Degrade)

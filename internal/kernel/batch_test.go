@@ -383,6 +383,167 @@ func TestBatchMultiNodeMatchesStaged(t *testing.T) {
 	}
 }
 
+// mixedLane is one lane of TestBatchMixedConfigMatchesSessions: a
+// governor configuration (or a bare PM lane, no handle), its machine
+// and workload, and the limit a mid-run SetLimit moves it to (0 for
+// none).
+type mixedLane struct {
+	name     string
+	cfg      machine.Config
+	workload func(t *testing.T) phase.Workload
+	pm       *control.PMConfig // PM lanes
+	bare     bool              // PM lane with no handle, on an earlier lane's policy
+	gov      govFactory        // non-PM lanes
+	retarget float64
+}
+
+// noisyChain reads often enough at or below zero on idle intervals
+// that a degrading PM notes sensor dropouts without any fault plan, so
+// its degradation path runs on the specialized body.
+var noisyChain = sensor.Chain{NoiseStdW: 4}
+
+func mixedLanes() []mixedLane {
+	ni := sensor.NIDefault()
+	spec := func(name string) func(t *testing.T) phase.Workload {
+		return func(t *testing.T) phase.Workload { return specWorkload(t, name, 1) }
+	}
+	synth := func(t *testing.T) phase.Workload {
+		w := syntheticWorkload()
+		w.Iterations = 12
+		return w
+	}
+	return []mixedLane{
+		{name: "pm-fb", cfg: machine.Config{Chain: ni, Seed: 21}, workload: spec("swim"),
+			pm: &control.PMConfig{LimitW: 12, FeedbackGain: 0.25}, retarget: 15},
+		{name: "pm", cfg: machine.Config{Chain: ni, Seed: 22}, workload: spec("mcf"),
+			pm: &control.PMConfig{LimitW: 14}},
+		{name: "pm-fb-bare", cfg: machine.Config{Chain: ni, Seed: 23}, workload: spec("gzip"),
+			pm: &control.PMConfig{LimitW: 12, FeedbackGain: 0.25}, bare: true, retarget: 10.5},
+		{name: "pm-fb-degrade", cfg: machine.Config{Chain: noisyChain, Seed: 24}, workload: synth,
+			pm: &control.PMConfig{LimitW: 13, FeedbackGain: 0.25, Degrade: true}},
+		{name: "pm-degrade", cfg: machine.Config{Chain: noisyChain, Seed: 25}, workload: synth,
+			pm: &control.PMConfig{LimitW: 11, Degrade: true}, retarget: 16},
+		{name: "pm-degrade-bare", cfg: machine.Config{Chain: ni, Seed: 26}, workload: spec("ammp"),
+			pm: &control.PMConfig{LimitW: 12.5, Degrade: true}, bare: true},
+		{name: "psave", cfg: machine.Config{Chain: ni, Seed: 27}, workload: spec("art"), gov: psGov(0.8, false)},
+		{name: "psave-degrade", cfg: machine.Config{Chain: ni, Seed: 28}, workload: synth, gov: psGov(0.7, true)},
+	}
+}
+
+// TestBatchMixedConfigMatchesSessions steps one batch whose lanes run
+// different PM configurations — with and without feedback, with and
+// without Degrade, at different limits, as handles and as bare lanes,
+// some retargeted mid-run — next to PowerSave lanes, and checks every
+// lane bit for bit against its own one-lane Session under a fresh
+// governor. Each bare lane shares the policy of the handle lane with
+// its configuration, at its own limit: a policy is shared per
+// configuration, never across configurations, and holds no node's
+// state.
+func TestBatchMixedConfigMatchesSessions(t *testing.T) {
+	const retargetTick = 40
+	lanes := mixedLanes()
+	nodes := make([]BatchNode, len(lanes))
+	for i, l := range lanes {
+		m, err := machine.New(l.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = BatchNode{Machine: m, Workload: l.workload(t)}
+		switch {
+		case l.bare:
+			var pol *control.PMPolicy
+			for j, o := range lanes[:i] {
+				if o.pm != nil && !o.bare && o.pm.FeedbackGain == l.pm.FeedbackGain && o.pm.Degrade == l.pm.Degrade {
+					pol = nodes[j].Governor.(*control.PerformanceMaximizer).Policy().(*control.PMPolicy)
+				}
+			}
+			if pol == nil {
+				t.Fatalf("%s: no handle lane of the same configuration", l.name)
+			}
+			nodes[i].Policy, nodes[i].Lane = pol, pol.Lane(l.pm.LimitW)
+		case l.pm != nil:
+			nodes[i].Governor = pmGov(l.pm.LimitW, l.pm.FeedbackGain, l.pm.Degrade)(t)
+		default:
+			nodes[i].Governor = l.gov(t)
+		}
+	}
+	// Lanes of different configurations never share a policy.
+	policy := func(i int) machine.LanePolicy {
+		if lanes[i].bare {
+			return nodes[i].Policy
+		}
+		return nodes[i].Governor.(*control.PerformanceMaximizer).Policy()
+	}
+	for i := range lanes {
+		for j := i + 1; j < len(lanes); j++ {
+			ci, cj := lanes[i].pm, lanes[j].pm
+			if ci == nil || cj == nil {
+				continue
+			}
+			a, c := *ci, *cj
+			a.LimitW, c.LimitW = 0, 0
+			if a != c && policy(i) == policy(j) {
+				t.Errorf("lanes %s and %s share a policy across configurations", lanes[i].name, lanes[j].name)
+			}
+		}
+	}
+	b, err := NewBatch(nodes, BatchOptions{RetainTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Kind() != "pm" {
+		t.Fatalf("mixed PM/PS batch should specialize, got %q", b.Kind())
+	}
+	for tick := 0; b.StepAll(); tick++ {
+		if tick != retargetTick {
+			continue
+		}
+		for i, l := range lanes {
+			switch {
+			case l.retarget == 0:
+			case l.bare:
+				b.SetLimit(i, l.retarget)
+			default:
+				nodes[i].Governor.(*control.PerformanceMaximizer).SetLimit(l.retarget)
+			}
+		}
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	degraded := 0
+	for i, l := range lanes {
+		m, err := machine.New(l.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := l.gov
+		if l.pm != nil {
+			g = pmGov(l.pm.LimitW, l.pm.FeedbackGain, l.pm.Degrade)
+		}
+		gov := g(t)
+		s, err := m.NewSession(l.workload(t), gov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := 0; !s.Done(); tick++ {
+			if _, err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if tick == retargetTick && l.retarget != 0 {
+				gov.(*control.PerformanceMaximizer).SetLimit(l.retarget)
+			}
+		}
+		want := s.Result()
+		degraded += len(want.Degradations)
+		checkReference(t, l.name, recordRun(t, l.name, want), b.Result(i))
+	}
+	if degraded == 0 {
+		t.Error("no lane noted a degradation; the degrade paths went unexercised")
+	}
+}
+
 // TestBatchTickAllocs is the allocation-budget gate: on the
 // specialized (telemetry-off, faults-off) paths a tick allocates
 // nothing. Trace retention is off, as in the cluster's default

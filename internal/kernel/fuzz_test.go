@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -24,6 +25,12 @@ import (
 // whose injector writes NaN/Inf and wrapped counter values into the
 // governor-visible stream. It mirrors FuzzGovernorDecisions one layer
 // up: there a single Tick is probed, here the whole tick loop.
+//
+// A governor selector with its top bit set steps a mixed batch instead
+// of one lane: PM lanes with and without feedback and Degrade at and
+// around the fuzzed limit (one of them a bare policy lane with no
+// handle), PowerSave lanes with and without Degrade and a static lane,
+// interleaved on one body; every lane must agree across the bodies.
 func FuzzBatchStep(f *testing.F) {
 	bits := math.Float64bits
 	// Plausible spec, idle-only, NaN params, Inf intensity, huge
@@ -34,6 +41,7 @@ func FuzzBatchStep(f *testing.F) {
 	f.Add(bits(1e6), bits(1.2), bits(math.Inf(1)), bits(math.Inf(1)), bits(0.3), bits(0.8), uint16(0), uint8(2), uint8(3), int64(4))
 	f.Add(bits(1e300), bits(1e-300), bits(50), bits(40), bits(0.5), bits(13.5), uint16(1), uint8(3), uint8(4), int64(5))
 	f.Add(bits(2e6), bits(1.0), bits(20), bits(5), bits(0.2), bits(12.0), uint16(7), uint8(7), uint8(0), int64(6))
+	f.Add(bits(30e6), bits(1.1), bits(8), bits(2), bits(0.2), bits(13.0), uint16(30), uint8(0), uint8(0x80), int64(7))
 
 	f.Fuzz(func(t *testing.T, instrBits, cpiBits, l2Bits, memBits, jitBits, limitBits uint64,
 		idleMs uint16, faultSel, govSel uint8, seed int64) {
@@ -68,58 +76,105 @@ func FuzzBatchStep(f *testing.F) {
 			cfg.Faults = &plan
 		}
 		limit := math.Float64frombits(limitBits)
-		mkGov := func() (machine.Governor, error) {
-			switch govSel % 5 {
-			case 0:
-				return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, FeedbackGain: 0.2})
-			case 1:
-				return control.NewPowerSave(control.PSConfig{Floor: 0.8})
-			case 2:
-				return nil, nil
-			case 3:
-				return control.NewStaticClock(3, "static-fuzz"), nil
-			default:
-				return &control.OnDemand{}, nil
-			}
+		mixed := govSel&0x80 != 0
+		lanes := 1
+		if mixed {
+			lanes = 7
 		}
-		if _, err := mkGov(); err != nil {
-			// The governor spec itself is invalid (e.g. NaN limit);
-			// neither run would get past construction.
-			return
+		pm := func(limitW, gain float64, degrade bool) (machine.Governor, error) {
+			return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW, FeedbackGain: gain, Degrade: degrade})
+		}
+		// mkNode fills lane k's governor (or bare PM policy).
+		mkNode := func(k int, node *BatchNode) (err error) {
+			if !mixed {
+				switch govSel % 5 {
+				case 0:
+					node.Governor, err = pm(limit, 0.2, false)
+				case 1:
+					node.Governor, err = control.NewPowerSave(control.PSConfig{Floor: 0.8})
+				case 2:
+				case 3:
+					node.Governor = control.NewStaticClock(3, "static-fuzz")
+				default:
+					node.Governor = &control.OnDemand{}
+				}
+				return err
+			}
+			switch k {
+			case 0:
+				node.Governor, err = pm(limit, 0.2, false)
+			case 1:
+				node.Governor, err = pm(limit+1, 0, true)
+			case 2:
+				node.Governor, err = pm(limit/2, 0.25, true)
+			case 3:
+				var pol *control.PMPolicy
+				pol, err = control.NewPMPolicy(control.PMConfig{FeedbackGain: 0.2})
+				if err == nil {
+					node.Policy, node.Lane = pol, pol.Lane(limit)
+				}
+			case 4:
+				node.Governor, err = control.NewPowerSave(control.PSConfig{Floor: 0.8})
+			case 5:
+				node.Governor, err = control.NewPowerSave(control.PSConfig{Floor: 0.7, Degrade: true})
+			default:
+				node.Governor = control.NewStaticClock(3, "static-fuzz")
+			}
+			return err
+		}
+		for k := 0; k < lanes; k++ {
+			if err := mkNode(k, &BatchNode{}); err != nil {
+				// The governor spec itself is invalid (e.g. a
+				// non-positive limit); neither run would get past
+				// construction.
+				return
+			}
 		}
 
-		run := func(hooked bool) (*trace.Run, error) {
-			m, err := machine.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			g, err := mkGov()
-			if err != nil {
-				return nil, err
+		run := func(hooked bool) ([]*trace.Run, []error, error) {
+			nodes := make([]BatchNode, lanes)
+			for k := range nodes {
+				c := cfg
+				c.Seed += int64(k)
+				m, err := machine.New(c)
+				if err != nil {
+					return nil, nil, err
+				}
+				nodes[k] = BatchNode{Machine: m, Workload: w}
+				if err := mkNode(k, &nodes[k]); err != nil {
+					return nil, nil, err
+				}
 			}
 			opts := BatchOptions{RetainTraces: true}
 			if hooked {
 				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
 			}
-			b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
+			b, err := NewBatch(nodes, opts)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if hooked && b.Kind() != "generic" {
 				t.Fatalf("hooked batch stepped the %q body", b.Kind())
 			}
-			for b.StepNode(0) {
+			if mixed && !hooked && cfg.Faults == nil && b.Kind() != "pm" {
+				t.Fatalf("fault-free mixed batch stepped the %q body, want pm", b.Kind())
 			}
-			if err := b.NodeErr(0); err != nil {
-				return nil, err
+			for b.StepAll() {
 			}
-			return b.Result(0), nil
+			runs := make([]*trace.Run, lanes)
+			errs := make([]error, lanes)
+			for k := range runs {
+				if errs[k] = b.NodeErr(k); errs[k] == nil {
+					runs[k] = b.Result(k)
+				}
+			}
+			return runs, errs, nil
 		}
 
-		want, errS := run(false)
-		got, errG := run(true)
+		want, wantErrs, errS := run(false)
+		got, gotErrs, errG := run(true)
 		if (errS == nil) != (errG == nil) {
-			t.Fatalf("bodies disagree on failure: specialized err=%v, generic err=%v", errS, errG)
+			t.Fatalf("bodies disagree on construction: specialized err=%v, generic err=%v", errS, errG)
 		}
 		if errS != nil {
 			if errS.Error() != errG.Error() {
@@ -127,6 +182,18 @@ func FuzzBatchStep(f *testing.F) {
 			}
 			return
 		}
-		checkReference(t, "fuzz", recordRun(t, "fuzz", want), got)
+		for k := range want {
+			errS, errG := wantErrs[k], gotErrs[k]
+			if (errS == nil) != (errG == nil) {
+				t.Fatalf("lane %d: bodies disagree on failure: specialized err=%v, generic err=%v", k, errS, errG)
+			}
+			if errS != nil {
+				if errS.Error() != errG.Error() {
+					t.Fatalf("lane %d: bodies fail differently: specialized %q, generic %q", k, errS, errG)
+				}
+				continue
+			}
+			checkReference(t, fmt.Sprintf("fuzz lane %d", k), recordRun(t, "fuzz", want[k]), got[k])
+		}
 	})
 }

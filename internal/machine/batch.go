@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -23,13 +24,18 @@ import (
 // lives in contiguous parallel slices, and one of a small set of step
 // bodies is selected once per run:
 //
-//	body      governor                     faults  thermal  hooks
-//	pinned    nil                          off     off      none
-//	pm        InPlaceTicker, not Throttler off     off      none
-//	generic   any                          any     any      any
+//	body      governor                          faults  thermal  hooks
+//	pinned    nil                               off     off      none
+//	pm        LanePolicy, or InPlaceTicker      off     off      none
+//	          that is not a Throttler
+//	generic   any                               any     any      any
 //
-// The pm body is named for its first user; PerformanceMaximizer,
-// PowerSave and StaticClock all take it. The specialized bodies
+// The pm body is named for its first user; PerformanceMaximizer (a
+// lane policy), PowerSave and StaticClock all take it. A lane-policy
+// node's governor state is a GovLane in the batch's lanes slab and its
+// actuator is three lanes (p-state index, transition and failure
+// counts, latency), so such a node owns no governor or actuator object
+// at all (see lane.go). The specialized bodies
 // allocate nothing per tick (TestBatchTickAllocs); the generic body
 // builds a TickState per interval and runs the full event order:
 // fault drains, throttling, stage timing and hook fan-out. Every body
@@ -39,10 +45,17 @@ import (
 // BatchNode binds one node's machine, workload and governor. The
 // governor must be a fresh instance (its state is mutated by the run),
 // exactly as with NewSession.
+//
+// A node may instead name a shared LanePolicy and its initial GovLane,
+// leaving Governor nil: the node then has no governor object, only its
+// lane. A LaneGovernor passed as Governor is bound to its lane the
+// same way (see LaneGovernor).
 type BatchNode struct {
 	Machine  *Machine
 	Workload phase.Workload
 	Governor Governor
+	Policy   LanePolicy
+	Lane     GovLane
 }
 
 // BatchOptions configures a batch run.
@@ -95,9 +108,10 @@ type BatchState struct {
 
 	// Immutable per-node wiring, fixed at construction.
 	truths   []*power.GroundTruth
-	govs     []Governor
-	inplace  []InPlaceTicker // set on the pm body only
-	acts     []*pstate.Actuator
+	govs     []Governor      // nil for pinned and lane-only nodes
+	inplace  []InPlaceTicker // set on the pm body only, if any node is not a lane node
+	lpol     []LanePolicy    // shared lane policy, nil for other nodes
+	latency  []time.Duration // actuator transition latency
 	rngs     []*rand.Rand
 	injs     []*faults.Injector
 	tms      []*thermal.Model
@@ -116,8 +130,12 @@ type BatchState struct {
 	runs     []*trace.Run
 	hooks    [][]Hook
 
-	// Hot mutable state, one lane per node.
+	// Hot mutable state, one lane per node. curIdx, trans and failed
+	// are the node's p-state actuator; lanes its lane-policy state.
 	curIdx    []int32
+	lanes     []GovLane
+	trans     []int
+	failed    []int
 	phaseIdx  []int32
 	iter      []int32
 	tick      []int
@@ -141,9 +159,10 @@ type BatchState struct {
 	// tinfo holds each node's persistent TickInfo: the true PMU sample
 	// is accumulated in place (never copied), and the constant fields
 	// (Table, Duty=1) are set once, so the specialized bodies only
-	// touch the per-tick fields before handing the record to TickP.
+	// touch the per-tick fields before handing the record to TickLane
+	// or TickP.
 	tinfo []TickInfo
-	obs   []counters.Sample // governor-visible sample (faulted runs only)
+	obs   []counters.Sample // governor-visible sample; allocated only for batches with faults
 }
 
 // behavKey identifies one node's pure-value behavior cache: nodes
@@ -179,8 +198,8 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 
 		truths:   make([]*power.GroundTruth, n),
 		govs:     make([]Governor, n),
-		inplace:  make([]InPlaceTicker, n),
-		acts:     make([]*pstate.Actuator, n),
+		lpol:     make([]LanePolicy, n),
+		latency:  make([]time.Duration, n),
 		rngs:     make([]*rand.Rand, n),
 		injs:     make([]*faults.Injector, n),
 		tms:      make([]*thermal.Model, n),
@@ -200,6 +219,9 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		hooks:    make([][]Hook, n),
 
 		curIdx:    make([]int32, n),
+		lanes:     make([]GovLane, n),
+		trans:     make([]int, n),
+		failed:    make([]int, n),
 		phaseIdx:  make([]int32, n),
 		iter:      make([]int32, n),
 		tick:      make([]int, n),
@@ -221,33 +243,52 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		energyTrue: make([]power.Energy, n),
 		energyMeas: make([]power.Energy, n),
 		tinfo:      make([]TickInfo, n),
-		obs:        make([]counters.Sample, n),
 	}
 	statesCache := make(map[*pstate.Table][]pstate.PState)
 	freqCache := make(map[*pstate.Table][]float64)
 	behavCache := make(map[behavKey][]phase.Behavior)
+	// Consecutive lane nodes of one policy starting from one state (a
+	// homogeneous fleet) share one name string.
+	var (
+		namedPol  LanePolicy
+		namedLane GovLane
+		laneName  string
+	)
 	anyHooks := false
 	for i, node := range nodes {
-		m, w, g := node.Machine, node.Workload, node.Governor
+		m, w, g, lp := node.Machine, node.Workload, node.Governor, node.Policy
 		if m == nil {
 			return nil, fmt.Errorf("machine: batch node %d has no machine", i)
+		}
+		if g != nil && lp != nil {
+			return nil, fmt.Errorf("machine: batch node %d has both a governor and a lane policy", i)
 		}
 		if err := w.Validate(); err != nil {
 			return nil, err
 		}
-		act := pstate.NewActuator(m.table)
-		act.SetTransitionLatency(m.translat)
 		start := m.startIdx
 		if is, ok := g.(InitialStater); ok {
 			start = is.InitialIndex(start)
 		}
-		if _, err := act.Set(start); err != nil {
+		if err := m.table.CheckIndex(start); err != nil {
 			return nil, err
 		}
-		act.ResetStats() // positioning is not a policy transition
 
+		if lg, ok := g.(LaneGovernor); ok {
+			lp = lg.Policy()
+			lg.BindLane(&b.lanes[i])
+		} else if lp != nil {
+			b.lanes[i] = node.Lane
+		}
 		policy := "static"
-		if g != nil {
+		switch {
+		case lp != nil:
+			if lp != namedPol || b.lanes[i] != namedLane {
+				namedPol, namedLane = lp, b.lanes[i]
+				laneName = lp.LaneName(&b.lanes[i])
+			}
+			policy = laneName
+		case g != nil:
 			policy = g.Name()
 		}
 		if m.thermal != nil {
@@ -266,10 +307,14 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 				return nil, err
 			}
 			b.injs[i] = inj
+			if b.obs == nil {
+				b.obs = make([]counters.Sample, n)
+			}
 		}
 		b.truths[i] = m.truth
 		b.govs[i] = g
-		b.acts[i] = act
+		b.lpol[i] = lp
+		b.latency[i] = m.translat
 		if w.JitterPct > 0 || m.chain.NoiseStdW > 0 {
 			// Only jitter draws and noise draws consume the stream;
 			// without either the RNG is dead weight (~5 KB/node at
@@ -332,7 +377,7 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 			behavCache[bk] = bv
 		}
 
-		b.curIdx[i] = int32(act.CurrentIndex())
+		b.curIdx[i] = int32(start)
 		b.duty[i] = 1.0
 		// Constant TickInfo fields for the specialized bodies; the
 		// per-tick fields are written in place each interval.
@@ -347,9 +392,9 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 // selectKind picks the most specialized step body that is exact for
 // every node in the batch. Any node that needs the full event order —
 // fault injection, a thermal model, observer hooks, a throttling
-// governor or one without TickP — demotes the whole batch to the
-// generic body, and so does a mix of pinned and governed nodes, so the
-// per-tick body never branches on node kind.
+// governor or one that is neither a lane policy nor has TickP —
+// demotes the whole batch to the generic body, and so does a mix of
+// pinned and governed nodes.
 func (b *BatchState) selectKind(anyHooks bool) stepKind {
 	if anyHooks {
 		return stepGeneric
@@ -360,10 +405,15 @@ func (b *BatchState) selectKind(anyHooks bool) stepKind {
 			return stepGeneric
 		}
 		k := stepPinned
-		if g := b.govs[i]; g != nil {
+		if b.lpol[i] != nil {
+			k = stepInPlace
+		} else if g := b.govs[i]; g != nil {
 			t, ok := g.(InPlaceTicker)
 			if _, throttles := g.(Throttler); !ok || throttles {
 				return stepGeneric
+			}
+			if b.inplace == nil {
+				b.inplace = make([]InPlaceTicker, b.n)
 			}
 			b.inplace[i] = t
 			k = stepInPlace
@@ -509,8 +559,36 @@ func (b *BatchState) LastDPC(i int) float64 {
 // Ticks returns the number of intervals node i has executed.
 func (b *BatchState) Ticks(i int) int { return b.tick[i] }
 
-// Governor returns node i's governor.
+// Governor returns node i's governor: nil for a pinned node and for a
+// lane-policy node built without a handle (BatchNode.Policy).
 func (b *BatchState) Governor(i int) Governor { return b.govs[i] }
+
+// SetLimit changes lane-policy node i's power limit, effective at its
+// next tick (GovLane.SetLimit). Like any retargeting it must happen
+// between the node's steps.
+func (b *BatchState) SetLimit(i int, w float64) { b.lanes[i].SetLimit(w) }
+
+// BudgetDesireW returns the power limit lane-policy node i would need
+// to run its top p-state at decode rate dpc (LanePolicy.LaneDesireW),
+// or NaN for a node without a lane policy.
+func (b *BatchState) BudgetDesireW(i int, dpc float64) float64 {
+	p := b.lpol[i]
+	if p == nil {
+		return math.NaN()
+	}
+	return p.LaneDesireW(&b.lanes[i], b.tables[i], dpc)
+}
+
+// setPState moves node i's actuator to p-state index want (which
+// differs from the current one) and returns the transition's stall.
+func (b *BatchState) setPState(i, want int) (time.Duration, error) {
+	if err := b.tables[i].CheckIndex(want); err != nil {
+		return 0, err
+	}
+	b.curIdx[i] = int32(want)
+	b.trans[i]++
+	return b.latency[i], nil
+}
 
 // Result finalizes and returns node i's recorded run. Idempotent;
 // fires each subscribed hook's OnDone exactly once.
@@ -523,8 +601,8 @@ func (b *BatchState) Result(i int) *trace.Run {
 		run.BusyTime = b.busyTot[i]
 		run.EnergyJ = b.energyTrue[i].Joules()
 		run.MeasuredEnergyJ = b.energyMeas[i].Joules()
-		run.Transitions = b.acts[i].Transitions()
-		run.FailedTransitions = b.acts[i].FailedTransitions()
+		run.Transitions = b.trans[i]
+		run.FailedTransitions = b.failed[i]
 		run.Instructions = b.instrTot[i]
 		b.finalized[i] = true
 		for _, h := range b.hooks[i] {

@@ -201,8 +201,9 @@ func stepPinnedBody(b *BatchState, i int) {
 	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, phName)
 }
 
-// stepInPlaceBody steps a node whose governor decides in place
-// (InPlaceTicker) on the fault-free, thermal-free, hook-free path.
+// stepInPlaceBody steps a node whose governor decides in place — a
+// lane policy over the node's GovLane, or an InPlaceTicker — on the
+// fault-free, thermal-free, hook-free path.
 func stepInPlaceBody(b *BatchState, i int) {
 	if b.tick[i] >= b.maxTicks[i] {
 		b.failTicks(i)
@@ -225,25 +226,35 @@ func stepInPlaceBody(b *BatchState, i int) {
 		b.emitFastRow(i, start, used, cur, trueW, meaW, instr, phName)
 		return
 	}
-	g := b.inplace[i]
 	ti := &b.tinfo[i]
 	ti.Now = b.now[i]
 	ti.Interval = used
 	ti.PState = b.states[i][cur]
 	ti.PStateIndex = cur
 	ti.MeasuredPowerW = meaW
-	want, degraded := g.TickP(ti)
-	if degraded {
-		b.noteDegradations(i, g.DrainDegradations())
+	var want int
+	if p := b.lpol[i]; p != nil {
+		st := &b.lanes[i]
+		var ev uint8
+		want, ev = p.TickLane(st, ti)
+		if ev != 0 {
+			b.noteDegradations(i, p.LaneDegradations(st, ev))
+		}
+	} else {
+		g := b.inplace[i]
+		var degraded bool
+		want, degraded = g.TickP(ti)
+		if degraded {
+			b.noteDegradations(i, g.DrainDegradations())
+		}
 	}
 	if want != cur {
-		d, err := b.acts[i].Set(want)
+		d, err := b.setPState(i, want)
 		if err != nil {
 			b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
 			return
 		}
 		b.pendStall[i] += d
-		b.curIdx[i] = int32(want)
 	}
 	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, phName)
 }
@@ -377,10 +388,16 @@ func stepGenericBody(b *BatchState, i int) {
 		return
 	}
 
-	// govern: the policy tick and its degradation drain.
-	g := b.govs[i]
-	if g != nil {
-		ts.WantIndex = g.Tick(TickInfo{
+	// govern: the policy tick and its degradation drain. A lane
+	// policy ticks the node's GovLane (a bound LaneGovernor's state).
+	// The record goes in the node's persistent TickInfo, which the
+	// rest of this tick does not read (the true sample is already in
+	// ts, and LastDPC reads the same observed sample), so handing it
+	// to TickLane by pointer costs no allocation.
+	g, p := b.govs[i], b.lpol[i]
+	if g != nil || p != nil {
+		info := &b.tinfo[i]
+		*info = TickInfo{
 			Now:            b.now[i],
 			Interval:       used,
 			Sample:         ts.Observed,
@@ -390,11 +407,24 @@ func stepGenericBody(b *BatchState, i int) {
 			MeasuredPowerW: ts.MeasuredPowerW,
 			TempC:          ts.TempC,
 			Duty:           ts.Duty,
-		})
-		if dr, ok := g.(DegradationReporter); ok {
-			for _, d := range dr.DrainDegradations() {
-				d.T = b.now[i]
-				b.emitDegradation(i, d)
+		}
+		if p != nil {
+			st := &b.lanes[i]
+			var ev uint8
+			ts.WantIndex, ev = p.TickLane(st, info)
+			if ev != 0 {
+				for _, d := range p.LaneDegradations(st, ev) {
+					d.T = b.now[i]
+					b.emitDegradation(i, d)
+				}
+			}
+		} else {
+			ts.WantIndex = g.Tick(*info)
+			if dr, ok := g.(DegradationReporter); ok {
+				for _, d := range dr.DrainDegradations() {
+					d.T = b.now[i]
+					b.emitDegradation(i, d)
+				}
 			}
 		}
 	}
@@ -403,26 +433,25 @@ func stepGenericBody(b *BatchState, i int) {
 	// actuate: the p-state transition (possibly through a faulted
 	// actuator) with its stall charged to upcoming intervals, then the
 	// next interval's clock-modulation duty.
-	if g != nil {
+	if g != nil || p != nil {
 		if ts.WantIndex != cur {
 			okT, extra := true, time.Duration(0)
 			if inj := b.injs[i]; inj != nil {
-				okT, extra = inj.Transition(b.acts[i].Latency())
+				okT, extra = inj.Transition(b.latency[i])
 				b.drainInjector(i, b.now[i])
 			}
 			if okT {
-				d, err := b.acts[i].Set(ts.WantIndex)
+				d, err := b.setPState(i, ts.WantIndex)
 				if err != nil {
 					b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
 					return
 				}
 				b.pendStall[i] += d + extra
-				b.curIdx[i] = int32(ts.WantIndex)
 				b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: true, Stall: d + extra})
 			} else {
 				// Transition abandoned: the actuator stays put and the
 				// failed attempt's stall time is still paid.
-				b.acts[i].RecordFailure(extra)
+				b.failed[i]++
 				b.pendStall[i] += extra
 				b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: false, Stall: extra})
 			}

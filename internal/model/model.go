@@ -17,6 +17,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"aapm/internal/paperref"
 	"aapm/internal/pstate"
@@ -41,8 +42,13 @@ func NewPowerModel(t *pstate.Table, fits []stats.Linear) (*PowerModel, error) {
 }
 
 // PaperPowerModel returns the published Table II coefficients for the
-// Pentium M 755 table (from package paperref).
-func PaperPowerModel() *PowerModel {
+// Pentium M 755 table (from package paperref). The model is built once
+// and shared by every caller: a PowerModel is immutable (as is its
+// p-state table), so a 10⁵-node fleet of PMs reads one model instead
+// of scattering a private copy per node across the heap.
+func PaperPowerModel() *PowerModel { return paperPowerModel() }
+
+var paperPowerModel = sync.OnceValue(func() *PowerModel {
 	t := pstate.PentiumM755()
 	fits := make([]stats.Linear, t.Len())
 	for i := 0; i < t.Len(); i++ {
@@ -57,7 +63,7 @@ func PaperPowerModel() *PowerModel {
 		panic("model: paper power model invalid: " + err.Error())
 	}
 	return m
-}
+})
 
 // Table returns the model's p-state table.
 func (m *PowerModel) Table() *pstate.Table { return m.table }

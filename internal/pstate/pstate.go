@@ -120,6 +120,14 @@ func (t *Table) States() []PState {
 	return out
 }
 
+// CheckIndex reports whether i indexes a state of the table.
+func (t *Table) CheckIndex(i int) error {
+	if i < 0 || i >= len(t.states) {
+		return fmt.Errorf("pstate: index %d out of range [0,%d)", i, len(t.states))
+	}
+	return nil
+}
+
 // Min returns the lowest-frequency p-state.
 func (t *Table) Min() PState { return t.states[0] }
 
