@@ -26,6 +26,7 @@ fuzz-short:
 	go test ./internal/phase -fuzz FuzzParseWorkloadJSON -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
+	go test ./internal/cache -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 
 # Refresh the golden trace fixtures after an intentional trace change:
 # the single-machine PM/PS traces and the shared-budget cluster fixture

@@ -30,6 +30,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: non-positive geometry %+v", c)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
+	case c.LineBytes < 4:
+		// A line's state bits live in the two low bits of its
+		// line-aligned address (see Cache).
+		return fmt.Errorf("cache: line size %d below 4 bytes", c.LineBytes)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
 		return fmt.Errorf("cache: size %d not divisible by ways*line %d", c.SizeBytes, c.Ways*c.LineBytes)
 	}
@@ -49,14 +53,6 @@ func PentiumML1D() Config { return Config{SizeBytes: 32 << 10, Ways: 8, LineByte
 // PentiumML2 returns the L2 geometry (2 MB, 8-way, 64 B).
 func PentiumML2() Config { return Config{SizeBytes: 2 << 20, Ways: 8, LineBytes: 64} }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set logical timestamp; larger = more recent.
-	lru uint64
-}
-
 // Stats counts the accesses a cache level served.
 type Stats struct {
 	Accesses   uint64
@@ -74,20 +70,45 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Cache is one set-associative, write-back, write-allocate level.
+// Cache is one set-associative, write-back, write-allocate level with
+// true-LRU replacement.
+//
+// Each way is one word: the line-aligned address of the line it
+// holds, with validBit and dirtyBit in the two low bits (which a
+// line-aligned address of a line of 4 or more bytes leaves zero). An
+// empty way is 0. A set keeps its ways most recent first, so a hit
+// moves its way to the front, a miss shifts every way back by one and
+// inserts at the front, and the way shifted out — the last — is the
+// victim. Lines are never invalidated, so empty ways only ever sit at
+// the back of a set, and a set is full exactly when its last way is
+// valid.
+//
+// This is the same replacement as stamping every touched line with a
+// fresh clock value and evicting the smallest stamp (empty ways
+// first): an Access or Fill that inserts or hits-and-refreshes a line
+// stamps exactly that line, Contains and a Fill that hits stamp none,
+// and the stamp order of a set's lines is its front-to-back order.
+// Which way of a set holds a line is not observable — a writeback
+// address comes from the line, not the way — so every Result and
+// Stats value is the same.
 type Cache struct {
 	cfg      Config
-	lines    []line // set-major: set i holds lines[i*ways : (i+1)*ways]
-	ways     int
+	ways     []uint64 // set-major: set i holds ways[i*nways : (i+1)*nways]
+	nways    int
 	setMask  uint64
 	lineBits uint
-	tagShift uint // bits of the set index, stripped from a line address
-	clock    uint64
+	lineMask uint64 // LineBytes-1
 	stats    Stats
 }
 
-// New builds a cache; it panics only on invalid configuration
-// (programmer error), reported via error instead.
+// The state bits of a way word.
+const (
+	validBit uint64 = 1 << iota
+	dirtyBit
+	stateBits = validBit | dirtyBit
+)
+
+// New builds a cache, or reports an invalid configuration.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -95,11 +116,11 @@ func New(cfg Config) (*Cache, error) {
 	nsets := cfg.Sets()
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, nsets*cfg.Ways),
-		ways:     cfg.Ways,
+		ways:     make([]uint64, nsets*cfg.Ways),
+		nways:    cfg.Ways,
 		setMask:  uint64(nsets - 1),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		tagShift: uint(bits.TrailingZeros(uint(nsets))),
+		lineMask: uint64(cfg.LineBytes - 1),
 	}, nil
 }
 
@@ -123,55 +144,30 @@ type Result struct {
 // marks the line dirty. The returned Result reports hit/miss and any
 // dirty eviction the allocation caused.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.clock++
 	c.stats.Accesses++
-	lineAddr := addr >> c.lineBits
-	set := c.set(lineAddr)
-	tag := lineAddr >> c.tagShift
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	set := c.set(addr)
+	key := addr&^c.lineMask | validBit
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
+	}
+	for i, w := range set {
+		if w&^dirtyBit == key {
 			c.stats.Hits++
-			set[i].lru = c.clock
-			if write {
-				set[i].dirty = true
-			}
+			moveToFront(set, i, w|dirty)
 			return Result{Hit: true}
 		}
 	}
 	c.stats.Misses++
-	// Victim: invalid way first, else least recently used.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	var res Result
-	if set[victim].valid {
-		c.stats.Evictions++
-		if set[victim].dirty {
-			c.stats.Writebacks++
-			res.Writeback = true
-			res.WritebackAddr = c.rebuild(set[victim].tag, lineAddr&c.setMask)
-		}
-	}
-	set[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
-	return res
+	return c.insert(set, key|dirty)
 }
 
 // Contains reports whether addr's line is resident, without touching
 // LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineBits
-	set := c.set(lineAddr)
-	tag := lineAddr >> c.tagShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	key := addr&^c.lineMask | validBit
+	for _, w := range c.set(addr) {
+		if w&^dirtyBit == key {
 			return true
 		}
 	}
@@ -180,47 +176,46 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Fill inserts addr's line without counting a demand access (used for
 // prefetches). It marks the line clean and returns any dirty eviction.
+// A line already present is left where it is in LRU order.
 func (c *Cache) Fill(addr uint64) Result {
-	c.clock++
-	lineAddr := addr >> c.lineBits
-	set := c.set(lineAddr)
-	tag := lineAddr >> c.tagShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	set := c.set(addr)
+	key := addr&^c.lineMask | validBit
+	for _, w := range set {
+		if w&^dirtyBit == key {
 			return Result{Hit: true}
 		}
 	}
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
+	return c.insert(set, key)
+}
+
+// insert puts way word w at the front of set, evicting the least
+// recently used line if the set is full.
+func (c *Cache) insert(set []uint64, w uint64) Result {
 	var res Result
-	if set[victim].valid {
+	if v := set[len(set)-1]; v&validBit != 0 {
 		c.stats.Evictions++
-		if set[victim].dirty {
+		if v&dirtyBit != 0 {
 			c.stats.Writebacks++
 			res.Writeback = true
-			res.WritebackAddr = c.rebuild(set[victim].tag, lineAddr&c.setMask)
+			res.WritebackAddr = v &^ stateBits
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, lru: c.clock}
+	moveToFront(set, len(set)-1, w)
 	return res
 }
 
-// set returns the ways of lineAddr's set.
-func (c *Cache) set(lineAddr uint64) []line {
-	i := int(lineAddr&c.setMask) * c.ways
-	return c.lines[i : i+c.ways]
+// moveToFront shifts set[:i] back by one way and stores w at the front.
+func moveToFront(set []uint64, i int, w uint64) {
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = w
 }
 
-func (c *Cache) rebuild(tag, setIdx uint64) uint64 {
-	return (tag<<c.tagShift | setIdx) << c.lineBits
+// set returns the ways of addr's set.
+func (c *Cache) set(addr uint64) []uint64 {
+	i := int(addr>>c.lineBits&c.setMask) * c.nways
+	return c.ways[i : i+c.nways]
 }
 
 // LineBytes returns the line size in bytes.

@@ -16,6 +16,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero ways", Config{1024, 0, 64}},
 		{"zero line", Config{1024, 2, 0}},
 		{"line not power of two", Config{1024, 2, 48}},
+		{"line below 4 bytes", Config{64, 2, 2}},
 		{"size not divisible", Config{1000, 2, 64}},
 		{"sets not power of two", Config{64 * 2 * 3, 2, 64}},
 	}

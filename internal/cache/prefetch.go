@@ -4,21 +4,26 @@ package cache
 // watches demand misses, detects ascending sequential streams and,
 // once a stream is confirmed, requests the next lines ahead of the
 // demand accesses.
+//
+// A stream is allocated on a miss that continues no tracked stream, so
+// the next miss that does continue it is its second sequential miss,
+// which confirms it: every such miss issues prefetches. Slots are
+// filled in index order and never freed. A miss continues the lowest
+// filled slot that expects it (two slots can expect the same line), and
+// a new stream replaces the least recently allocated-or-continued one,
+// read off the tail of a most-recent-first slot order.
 type StreamPrefetcher struct {
 	lineBytes uint64
-	streams   []stream
-	degree    int
-	clock     uint64
-	ahead     []uint64 // OnMiss's reused result buffer, degree long
+	next      []uint64 // per slot: the next expected miss line address
+	filled    int      // slots next[:filled] hold streams
+	// order lists every slot most recent first. Unfilled slots sit at
+	// the tail in ascending index order from the back, so the tail is
+	// always the slot a new stream takes: the lowest unfilled one, or
+	// the least recently used once all are filled.
+	order []int
+	ahead []uint64 // OnMiss's reused result buffer, degree long
 
 	issued uint64
-}
-
-type stream struct {
-	nextLine uint64 // next expected miss line address
-	conf     int    // confirmation count
-	valid    bool
-	lru      uint64
 }
 
 // NewStreamPrefetcher tracks up to nStreams concurrent streams and
@@ -31,10 +36,14 @@ func NewStreamPrefetcher(lineBytes, nStreams, degree int) *StreamPrefetcher {
 	if degree <= 0 {
 		degree = 2
 	}
+	order := make([]int, nStreams)
+	for i := range order {
+		order[i] = nStreams - 1 - i
+	}
 	return &StreamPrefetcher{
 		lineBytes: uint64(lineBytes),
-		streams:   make([]stream, nStreams),
-		degree:    degree,
+		next:      make([]uint64, nStreams),
+		order:     order,
 		ahead:     make([]uint64, degree),
 	}
 }
@@ -43,40 +52,41 @@ func NewStreamPrefetcher(lineBytes, nStreams, degree int) *StreamPrefetcher {
 // addresses the prefetcher wants fetched (possibly none). The returned
 // slice is valid only until the next call.
 func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
-	p.clock++
 	lineAddr := addr &^ (p.lineBytes - 1)
 	next := lineAddr + p.lineBytes
 
-	// Existing stream hit?
-	for i := range p.streams {
-		s := &p.streams[i]
-		if s.valid && lineAddr == s.nextLine {
-			s.conf++
-			s.nextLine = next
-			s.lru = p.clock
-			if s.conf >= 2 {
-				p.issued += uint64(p.degree)
-				for d := range p.ahead {
-					p.ahead[d] = next + uint64(d)*p.lineBytes
-				}
-				return p.ahead
+	for s, want := range p.next[:p.filled] {
+		if want == lineAddr {
+			p.next[s] = next
+			i := 0
+			for p.order[i] != s {
+				i++
 			}
-			return nil
+			p.toFront(i)
+			p.issued += uint64(len(p.ahead))
+			for d := range p.ahead {
+				p.ahead[d] = next + uint64(d)*p.lineBytes
+			}
+			return p.ahead
 		}
 	}
-	// Allocate a new stream over the LRU slot.
-	victim := 0
-	for i := range p.streams {
-		if !p.streams[i].valid {
-			victim = i
-			break
-		}
-		if p.streams[i].lru < p.streams[victim].lru {
-			victim = i
-		}
+	tail := len(p.order) - 1
+	p.next[p.order[tail]] = next
+	if p.filled < len(p.next) {
+		p.filled++
 	}
-	p.streams[victim] = stream{nextLine: next, conf: 1, valid: true, lru: p.clock}
+	p.toFront(tail)
 	return nil
+}
+
+// toFront moves the slot at position i of the recency order to the
+// front.
+func (p *StreamPrefetcher) toFront(i int) {
+	s := p.order[i]
+	for ; i > 0; i-- {
+		p.order[i] = p.order[i-1]
+	}
+	p.order[0] = s
 }
 
 // Issued returns the number of prefetch requests issued.

@@ -245,7 +245,8 @@ func toResponse(run *trace.Run, stageNanos [machine.NumStages]int64) runResponse
 			resp.Metrics.StageUs[machine.StageNames[i]] = float64(n) / 1e3
 		}
 	}
-	for _, row := range run.Rows {
+	for i := range run.Rows {
+		row := &run.Rows[i]
 		resp.Rows = append(resp.Rows, runRow{
 			TMs:     float64(row.T) / float64(time.Millisecond),
 			FreqMHz: row.FreqMHz,
@@ -254,7 +255,7 @@ func toResponse(run *trace.Run, stageNanos [machine.NumStages]int64) runResponse
 			DPC:     row.DPC,
 			TempC:   row.TempC,
 			Duty:    row.Duty,
-			Phase:   row.Phase,
+			Phase:   run.PhaseName(row),
 		})
 	}
 	return resp

@@ -244,9 +244,14 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		energyMeas: make([]power.Energy, n),
 		tinfo:      make([]TickInfo, n),
 	}
+	// Every node's run header lives in one slab: one allocation, and
+	// no per-object size-class rounding at fleet scale.
+	runs := make([]trace.Run, n)
 	statesCache := make(map[*pstate.Table][]pstate.PState)
 	freqCache := make(map[*pstate.Table][]float64)
 	behavCache := make(map[behavKey][]phase.Behavior)
+	// Phase-label tables, keyed by phase list alone (nil table).
+	labelCache := make(map[behavKey]*trace.PhaseLabels)
 	// Consecutive lane nodes of one policy starting from one state (a
 	// homogeneous fleet) share one name string.
 	var (
@@ -336,7 +341,22 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		b.maxTicks[i] = m.maxTicks
 		b.repeats[i] = int32(w.Repeats())
 		b.policy[i] = policy
-		b.runs[i] = &trace.Run{Workload: w.Name, Policy: policy}
+		var ph0 *phase.Params
+		if len(w.Phases) > 0 {
+			ph0 = &w.Phases[0]
+		}
+		lk := behavKey{phase0: ph0, n: len(w.Phases)}
+		labels, ok := labelCache[lk]
+		if !ok {
+			names := make([]string, len(w.Phases))
+			for pi := range w.Phases {
+				names[pi] = w.Phases[pi].Name
+			}
+			labels = trace.NewPhaseLabels(names...)
+			labelCache[lk] = labels
+		}
+		runs[i] = trace.Run{Workload: w.Name, Policy: policy, Phases: labels}
+		b.runs[i] = &runs[i]
 		if opts.Hooks != nil {
 			b.hooks[i] = opts.Hooks(i)
 			if len(b.hooks[i]) > 0 {
@@ -358,10 +378,6 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 			}
 			b.freqHz[i] = f
 			freqCache[b.tables[i]] = f
-		}
-		var ph0 *phase.Params
-		if len(w.Phases) > 0 {
-			ph0 = &w.Phases[0]
 		}
 		bk := behavKey{table: b.tables[i], phase0: ph0, n: len(w.Phases)}
 		if bv, ok := behavCache[bk]; ok {

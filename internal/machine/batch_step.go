@@ -36,10 +36,11 @@ func (b *BatchState) advancePhase(i int) {
 // jitter, charge pending stall and the stopped fraction of a modulated
 // clock, then walk phases accumulating cycles, instructions and
 // counter activity into the node's sample lane, and the interval's
-// stall and busy time into the run totals. ok is false when the
-// workload was already exhausted (zero-length interval, nothing
-// charged).
-func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, instr, jitter float64, phName string, ok bool) {
+// stall and busy time into the run totals. ph is the Row.Phase label
+// of the last phase the interval ran: 1 + its index, or 0 if it ran
+// none. ok is false when the workload was already exhausted
+// (zero-length interval, nothing charged).
+func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, instr, jitter float64, ph uint32, ok bool) {
 	jitter = 1.0
 	if b.jitter[i] > 0 {
 		jitter = jitterFactor(b.jitter[i], b.rngs[i].NormFloat64())
@@ -65,7 +66,7 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 	for remaining > 0 && !b.exhausted[i] {
 		pi := int(b.phaseIdx[i])
 		p := &phs[pi]
-		phName = p.Name
+		ph = uint32(pi) + 1
 		if p.Idle() {
 			idle := b.remIdle[i]
 			if idle > remaining {
@@ -142,7 +143,7 @@ func (b *BatchState) measureFast(i, cur int, used, busy time.Duration) (trueW, m
 // emitFastRow records the interval on the fault-free specialized
 // paths: instruction totals always, the trace row only under
 // RetainTraces. Rate divisions happen only when a row is kept.
-func (b *BatchState) emitFastRow(i int, start, used time.Duration, cur int, trueW, meaW, instr float64, phName string) {
+func (b *BatchState) emitFastRow(i int, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
 	b.instrTot[i] += instr
 	if !b.retain {
 		return
@@ -161,7 +162,7 @@ func (b *BatchState) emitFastRow(i int, start, used time.Duration, cur int, true
 		TruePowerW:     trueW,
 		MeasuredPowerW: meaW,
 		Instructions:   instr,
-		Phase:          phName,
+		Phase:          ph,
 		Duty:           1,
 	})
 }
@@ -186,7 +187,7 @@ func stepPinnedBody(b *BatchState, i int) {
 	b.tick[i]++
 	cur := int(b.curIdx[i])
 	start := b.now[i]
-	used, busy, _, instr, _, phName, ok := b.executeTick(i, cur)
+	used, busy, _, instr, _, ph, ok := b.executeTick(i, cur)
 	if !ok {
 		b.done[i] = true
 		return
@@ -198,7 +199,7 @@ func stepPinnedBody(b *BatchState, i int) {
 	if b.exhausted[i] {
 		b.done[i] = true
 	}
-	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, phName)
+	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, ph)
 }
 
 // stepInPlaceBody steps a node whose governor decides in place — a
@@ -212,7 +213,7 @@ func stepInPlaceBody(b *BatchState, i int) {
 	b.tick[i]++
 	cur := int(b.curIdx[i])
 	start := b.now[i]
-	used, busy, _, instr, _, phName, ok := b.executeTick(i, cur)
+	used, busy, _, instr, _, ph, ok := b.executeTick(i, cur)
 	if !ok {
 		b.done[i] = true
 		return
@@ -223,7 +224,7 @@ func stepInPlaceBody(b *BatchState, i int) {
 	b.seq[i]++
 	if b.exhausted[i] {
 		b.done[i] = true
-		b.emitFastRow(i, start, used, cur, trueW, meaW, instr, phName)
+		b.emitFastRow(i, start, used, cur, trueW, meaW, instr, ph)
 		return
 	}
 	ti := &b.tinfo[i]
@@ -256,13 +257,13 @@ func stepInPlaceBody(b *BatchState, i int) {
 		}
 		b.pendStall[i] += d
 	}
-	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, phName)
+	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, ph)
 }
 
 // emitTick records the generic body's interval — the trace row under
-// RetainTraces, instruction totals always — then fans it out to the
-// node's hooks in subscription order.
-func (b *BatchState) emitTick(i int, ts *TickState) {
+// RetainTraces, labelled with phase ph, instruction totals always —
+// then fans it out to the node's hooks in subscription order.
+func (b *BatchState) emitTick(i int, ts *TickState, ph uint32) {
 	b.instrTot[i] += ts.Instructions
 	if b.retain {
 		run := b.runs[i]
@@ -278,7 +279,7 @@ func (b *BatchState) emitTick(i int, ts *TickState) {
 			TruePowerW:     ts.TruePowerW,
 			MeasuredPowerW: ts.MeasuredPowerW,
 			Instructions:   ts.Instructions,
-			Phase:          ts.Phase,
+			Phase:          ph,
 			TempC:          ts.TempC,
 			Duty:           ts.Duty,
 		})
@@ -338,13 +339,13 @@ func stepGenericBody(b *BatchState, i int) {
 	clock.start()
 
 	// execute
-	used, busy, stall, instr, jitter, phName, ok := b.executeTick(i, cur)
+	used, busy, stall, instr, jitter, ph, ok := b.executeTick(i, cur)
 	if !ok {
 		b.done[i] = true
 		return
 	}
 	ts.Used, ts.Busy, ts.Stall = used, busy, stall
-	ts.Instructions, ts.Jitter, ts.Phase = instr, jitter, phName
+	ts.Instructions, ts.Jitter, ts.Phase = instr, jitter, b.runs[i].Phases.Name(ph)
 	ts.Sample = b.tinfo[i].Sample
 	clock.mark(&ts, StageExecute)
 
@@ -384,7 +385,7 @@ func stepGenericBody(b *BatchState, i int) {
 	if b.exhausted[i] {
 		ts.Final = true
 		b.done[i] = true
-		b.emitTick(i, &ts)
+		b.emitTick(i, &ts, ph)
 		return
 	}
 
@@ -462,5 +463,5 @@ func stepGenericBody(b *BatchState, i int) {
 		ts.NextDuty = b.duty[i]
 	}
 	clock.mark(&ts, StageActuate)
-	b.emitTick(i, &ts)
+	b.emitTick(i, &ts, ph)
 }

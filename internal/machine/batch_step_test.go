@@ -26,10 +26,12 @@ func mustSession(t *testing.T, cfg Config, w phase.Workload, g Governor) *Sessio
 	return s
 }
 
-// executeLane runs the execute stage on lane 0 at its current p-state.
+// executeLane runs the execute stage on lane 0 at its current p-state
+// and names the phase label it returns.
 func executeLane(s *Session) (used, busy, stall time.Duration, instr float64, phName string, ok bool) {
-	used, busy, stall, instr, _, phName, ok = s.b.executeTick(0, int(s.b.curIdx[0]))
-	return
+	var ph uint32
+	used, busy, stall, instr, _, ph, ok = s.b.executeTick(0, int(s.b.curIdx[0]))
+	return used, busy, stall, instr, s.b.runs[0].Phases.Name(ph), ok
 }
 
 func TestExecuteIdlePhase(t *testing.T) {

@@ -148,7 +148,7 @@ type generator struct {
 	loop  Loop
 	bytes uint64
 	i     uint64
-	n     uint64 // elements per array
+	mask  uint64 // elements per array - 1; every footprint's count is a power of two
 	rng   uint64 // LCG state for MLOAD_RAND
 	costs loopCosts
 	refs  [3]kernel.Ref // Next's reused reference buffer
@@ -159,12 +159,11 @@ type generator struct {
 func NewGenerator(l Loop, f Footprint) kernel.Generator {
 	total := uint64(f.Bytes())
 	g := &generator{loop: l, bytes: total, costs: l.costs()}
-	switch l {
-	case DAXPY, MCOPY:
-		g.n = total / 2 / elemBytes // two arrays share the footprint
-	default:
-		g.n = total / elemBytes
+	n := total / elemBytes
+	if l == DAXPY || l == MCOPY {
+		n /= 2 // two arrays share the footprint
 	}
+	g.mask = n - 1
 	g.Reset()
 	return g
 }
@@ -192,44 +191,35 @@ const (
 )
 
 // Next returns the next loop iteration. Its Refs alias the generator's
-// own buffer, so they are valid only until the next call.
+// own buffer, so they are valid only until the next call. Each case
+// returns one composite literal, so the Op is built in place in the
+// caller's result slot.
 func (g *generator) Next() Op {
-	c := g.costs
-	op := Op{Instrs: c.instrs, CoreCycles: c.coreCycles}
+	i := g.i
+	g.i = (i + 1) & g.mask
 	r := &g.refs
 	switch g.loop {
 	case DAXPY:
-		r[0] = kernel.Ref{Addr: baseA + g.i*elemBytes}
-		r[1] = kernel.Ref{Addr: baseB + g.i*elemBytes}
-		r[2] = kernel.Ref{Addr: baseB + g.i*elemBytes, Write: true}
-		op.Refs = r[:3]
+		r[0] = kernel.Ref{Addr: baseA + i*elemBytes}
+		r[1] = kernel.Ref{Addr: baseB + i*elemBytes}
+		r[2] = kernel.Ref{Addr: baseB + i*elemBytes, Write: true}
+		return Op{Refs: r[:3], Instrs: g.costs.instrs, CoreCycles: g.costs.coreCycles}
 	case FMA:
 		// adjacent pair a[2i], a[2i+1]; wrap at n elements.
-		idx := 2 * g.i
-		if idx >= g.n {
-			idx -= g.n
-		}
-		next := idx + 1
-		if next == g.n {
-			next = 0
-		}
+		idx := (2 * i) & g.mask
 		r[0] = kernel.Ref{Addr: baseA + idx*elemBytes}
-		r[1] = kernel.Ref{Addr: baseA + next*elemBytes}
-		op.Refs = r[:2]
+		r[1] = kernel.Ref{Addr: baseA + ((idx+1)&g.mask)*elemBytes}
+		return Op{Refs: r[:2], Instrs: g.costs.instrs, CoreCycles: g.costs.coreCycles}
 	case MCOPY:
-		r[0] = kernel.Ref{Addr: baseA + g.i*elemBytes}
-		r[1] = kernel.Ref{Addr: baseB + g.i*elemBytes, Write: true}
-		op.Refs = r[:2]
+		r[0] = kernel.Ref{Addr: baseA + i*elemBytes}
+		r[1] = kernel.Ref{Addr: baseB + i*elemBytes, Write: true}
+		return Op{Refs: r[:2], Instrs: g.costs.instrs, CoreCycles: g.costs.coreCycles}
 	case MLOADRand:
 		g.rng = g.rng*6364136223846793005 + 1442695040888963407
-		idx := (g.rng >> 17) % g.n
-		r[0] = kernel.Ref{Addr: baseA + idx*elemBytes}
-		op.Refs = r[:1]
+		r[0] = kernel.Ref{Addr: baseA + ((g.rng>>17)&g.mask)*elemBytes}
+		return Op{Refs: r[:1], Instrs: g.costs.instrs, CoreCycles: g.costs.coreCycles}
 	}
-	if g.i++; g.i == g.n {
-		g.i = 0
-	}
-	return op
+	return Op{Instrs: g.costs.instrs, CoreCycles: g.costs.coreCycles}
 }
 
 // Op re-exports kernel.Op for generator construction.

@@ -270,3 +270,27 @@ func TestCharacterizeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCharacterizeSerial characterizes all 12 configurations one
+// after another, each through a fresh hierarchy exactly as
+// Characterize does, and reports the cost per simulated memory access.
+func BenchmarkCharacterizeSerial(b *testing.B) {
+	var accesses uint64
+	for n := 0; n < b.N; n++ {
+		for _, c := range Configs() {
+			h, err := kernel.NewPentiumMHierarchy()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, err := kernel.Characterize(NewGenerator(c.Loop, c.Footprint), h, warmupOps, windowOps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Every loop issues the same number of references per
+			// operation, so the warmup's accesses scale with the
+			// window's.
+			accesses += prof.Accesses() * (warmupOps + windowOps) / windowOps
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+}

@@ -9,8 +9,10 @@ import (
 )
 
 // ReadCSV parses a trace previously written by WriteCSV, recovering
-// the per-interval rows (run-level totals are recomputed from them).
-// It is the import path for external analysis of dumped traces.
+// the per-interval rows (run-level totals are recomputed from them;
+// Ticks is the row count) and a phase-label table of the distinct
+// phase names in first-seen order. It is the import path for external
+// analysis of dumped traces.
 func ReadCSV(r io.Reader) (*Run, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 14
@@ -22,6 +24,8 @@ func ReadCSV(r io.Reader) (*Run, error) {
 		return nil, fmt.Errorf("trace: unrecognized CSV header %v", header)
 	}
 	run := &Run{}
+	var names []string
+	index := make(map[string]uint32)
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -34,12 +38,23 @@ func ReadCSV(r io.Reader) (*Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
+		if name := rec[11]; name != "" {
+			p, ok := index[name]
+			if !ok {
+				names = append(names, name)
+				p = uint32(len(names))
+				index[name] = p
+			}
+			row.Phase = p
+		}
 		run.Rows = append(run.Rows, row)
 		run.Duration += row.Interval
 		run.Instructions += row.Instructions
 		run.EnergyJ += row.TruePowerW * row.Interval.Seconds()
 		run.MeasuredEnergyJ += row.MeasuredPowerW * row.Interval.Seconds()
 	}
+	run.Ticks = len(run.Rows)
+	run.Phases = &PhaseLabels{names: names}
 	return run, nil
 }
 
@@ -67,7 +82,6 @@ func parseRow(rec []string) (Row, error) {
 		TruePowerW:     f[8],
 		MeasuredPowerW: f[9],
 		Instructions:   f[10],
-		Phase:          rec[11],
 		TempC:          f[12],
 		Duty:           f[13],
 	}, nil

@@ -8,7 +8,7 @@ import (
 
 func TestCSVRoundTrip(t *testing.T) {
 	orig := sampleRun()
-	orig.Rows[2].Phase = "other"
+	orig.Rows[2].Phase = 2
 	orig.Rows[3].TempC = 66.5
 	orig.Rows[3].Duty = 0.875
 	var sb strings.Builder
@@ -24,7 +24,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	for i := range orig.Rows {
 		a, b := orig.Rows[i], back.Rows[i]
-		if a.T != b.T || a.Interval != b.Interval || a.FreqMHz != b.FreqMHz || a.Phase != b.Phase {
+		if a.T != b.T || a.Interval != b.Interval || a.FreqMHz != b.FreqMHz || orig.PhaseName(&a) != back.PhaseName(&b) {
 			t.Errorf("row %d mismatch: %+v vs %+v", i, a, b)
 		}
 		if math.Abs(a.TruePowerW-b.TruePowerW) > 0.001 || math.Abs(a.TempC-b.TempC) > 0.1 {
@@ -33,6 +33,9 @@ func TestCSVRoundTrip(t *testing.T) {
 		if math.Abs(a.Duty-b.Duty) > 0.001 {
 			t.Errorf("row %d duty mismatch: %g vs %g", i, a.Duty, b.Duty)
 		}
+	}
+	if back.Ticks != orig.Ticks {
+		t.Errorf("ticks = %d, want %d", back.Ticks, orig.Ticks)
 	}
 	if math.Abs(back.Duration.Seconds()-orig.Duration.Seconds()) > 1e-9 {
 		t.Errorf("duration = %v, want %v", back.Duration, orig.Duration)

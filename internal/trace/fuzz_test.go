@@ -20,6 +20,9 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if run.Ticks != len(run.Rows) {
+			t.Fatalf("Ticks = %d, want the %d rows read", run.Ticks, len(run.Rows))
+		}
 		var dur float64
 		for _, r := range run.Rows {
 			dur += r.Interval.Seconds()

@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"aapm/internal/stats"
@@ -27,8 +28,12 @@ type Row struct {
 	MeasuredPowerW float64
 	// Instructions retired during the interval.
 	Instructions float64
-	// Phase labels the workload phase active at interval end.
-	Phase string
+	// Phase labels the workload phase active at interval end: 0 for
+	// none, otherwise 1 + an index into the run's phase-label table
+	// (Run.Phases). Run.PhaseName resolves it. An index rather than
+	// the name keeps Row free of pointers, so retained traces are
+	// never scanned by the garbage collector.
+	Phase uint32
 	// TempC is the thermal sensor reading at interval end (0 when the
 	// platform has no thermal model).
 	TempC float64
@@ -42,6 +47,9 @@ type Run struct {
 	Workload string
 	Policy   string
 	Rows     []Row
+	// Phases names the phases Rows[i].Phase refers to. Runs of one
+	// workload may share one table.
+	Phases *PhaseLabels
 
 	// Ticks counts the recorded monitoring intervals; Duration is
 	// their total virtual time, of which StallTime was halted
@@ -71,6 +79,27 @@ type Run struct {
 	Degradations      []Degradation
 	DegradationCounts map[string]int
 }
+
+// PhaseLabels is a run's phase-label table. It is immutable once
+// built, so any number of runs may share one.
+type PhaseLabels struct{ names []string }
+
+// NewPhaseLabels builds a table whose index i+1 names names[i].
+func NewPhaseLabels(names ...string) *PhaseLabels {
+	return &PhaseLabels{names: slices.Clone(names)}
+}
+
+// Name returns the label of Row.Phase value p: "" for 0, for an index
+// past the table, and on a nil table.
+func (l *PhaseLabels) Name(p uint32) string {
+	if l == nil || p == 0 || int(p) > len(l.names) {
+		return ""
+	}
+	return l.names[p-1]
+}
+
+// PhaseName returns the name of the phase row was labelled with.
+func (r *Run) PhaseName(row *Row) string { return r.Phases.Name(row.Phase) }
 
 // Degradation is one entry in a run's degradation log: either a fault
 // the platform injected (Source "sensor", "counters", "actuator") or
@@ -234,12 +263,13 @@ func (r *Run) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "t_ms,interval_ms,freq_mhz,dpc,ipc,dcu,l2pc,mempc,true_w,meas_w,instructions,phase,temp_c,duty"); err != nil {
 		return err
 	}
-	for _, row := range r.Rows {
+	for i := range r.Rows {
+		row := &r.Rows[i]
 		_, err := fmt.Fprintf(w, "%.1f,%.1f,%d,%.4f,%.4f,%.4f,%.5f,%.5f,%.3f,%.3f,%.0f,%s,%.1f,%.3f\n",
 			float64(row.T)/float64(time.Millisecond),
 			float64(row.Interval)/float64(time.Millisecond),
 			row.FreqMHz, row.DPC, row.IPC, row.DCU, row.L2PC, row.MemPC,
-			row.TruePowerW, row.MeasuredPowerW, row.Instructions, row.Phase,
+			row.TruePowerW, row.MeasuredPowerW, row.Instructions, r.PhaseName(row),
 			row.TempC, row.Duty)
 		if err != nil {
 			return err

@@ -8,7 +8,7 @@ import (
 )
 
 func sampleRun() *Run {
-	r := &Run{Workload: "w", Policy: "p"}
+	r := &Run{Workload: "w", Policy: "p", Phases: NewPhaseLabels("ph", "other")}
 	for i := 0; i < 4; i++ {
 		r.Rows = append(r.Rows, Row{
 			T:              time.Duration(i) * 10 * time.Millisecond,
@@ -19,9 +19,10 @@ func sampleRun() *Run {
 			TruePowerW:     float64(10 + i),
 			MeasuredPowerW: float64(10 + i),
 			Instructions:   2e7,
-			Phase:          "ph",
+			Phase:          1,
 		})
 	}
+	r.Ticks = 4
 	r.Duration = 40 * time.Millisecond
 	r.Instructions = 8e7
 	r.EnergyJ = 0.01 * (10 + 11 + 12 + 13)
@@ -186,5 +187,24 @@ func TestEnergyDelayProducts(t *testing.T) {
 	}
 	if got, want := r.ED2P(), 0.46*0.04*0.04; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ED2P = %g, want %g", got, want)
+	}
+}
+
+func TestPhaseLabels(t *testing.T) {
+	names := []string{"a", "b"}
+	l := NewPhaseLabels(names...)
+	names[0] = "mutated"
+	for p, want := range []string{"", "a", "b", ""} {
+		if got := l.Name(uint32(p)); got != want {
+			t.Errorf("Name(%d) = %q, want %q", p, got, want)
+		}
+	}
+	var none *PhaseLabels
+	if got := none.Name(1); got != "" {
+		t.Errorf("nil table Name(1) = %q", got)
+	}
+	r := &Run{Phases: l, Rows: []Row{{Phase: 2}}}
+	if got := r.PhaseName(&r.Rows[0]); got != "b" {
+		t.Errorf("PhaseName = %q, want b", got)
 	}
 }
