@@ -25,6 +25,7 @@ fuzz-short:
 	go test ./internal/trace -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	go test ./internal/phase -fuzz FuzzParseWorkloadJSON -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
+	go test ./internal/kernel -fuzz FuzzCharacterizeFastForward -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
 	go test ./internal/cache -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 

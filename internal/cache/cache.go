@@ -62,6 +62,17 @@ type Stats struct {
 	Writebacks uint64
 }
 
+// Sub returns the counts s gained since o.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Accesses:   s.Accesses - o.Accesses,
+		Hits:       s.Hits - o.Hits,
+		Misses:     s.Misses - o.Misses,
+		Evictions:  s.Evictions - o.Evictions,
+		Writebacks: s.Writebacks - o.Writebacks,
+	}
+}
+
 // MissRate returns Misses/Accesses, or 0 with no accesses.
 func (s Stats) MissRate() float64 {
 	if s.Accesses == 0 {
@@ -129,6 +140,21 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns the access counters so far.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// AppendState appends the cache's contents to dst: every way word, set
+// by set, most recent first. Two caches of one geometry whose states
+// are equal serve every later access stream identically.
+func (c *Cache) AppendState(dst []uint64) []uint64 { return append(dst, c.ways...) }
+
+// Skip accounts for n repetitions of a cycle of accesses that left the
+// contents as they were and moved the statistics by d.
+func (c *Cache) Skip(d Stats, n uint64) {
+	c.stats.Accesses += d.Accesses * n
+	c.stats.Hits += d.Hits * n
+	c.stats.Misses += d.Misses * n
+	c.stats.Evictions += d.Evictions * n
+	c.stats.Writebacks += d.Writebacks * n
+}
 
 // Result describes the outcome of one access.
 type Result struct {

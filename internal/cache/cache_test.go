@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -239,5 +240,53 @@ func TestStreamPrefetcherTracksMultipleStreams(t *testing.T) {
 	}
 	if got := p.OnMiss(1<<20 + 64); len(got) != 1 || got[0] != 1<<20+128 {
 		t.Errorf("stream B prefetch = %v", got)
+	}
+}
+
+func TestStreamPrefetcherCountsTies(t *testing.T) {
+	p := NewStreamPrefetcher(64, 4, 1)
+	p.OnMiss(0)    // slot 0 expects 64
+	p.OnMiss(4096) // slot 1 expects 4160
+	p.OnMiss(0)    // slot 2 expects 64 too
+	if p.Ties() != 0 {
+		t.Fatalf("Ties = %d before any tie", p.Ties())
+	}
+	if got := p.OnMiss(64); len(got) != 1 || got[0] != 128 {
+		t.Errorf("tied miss prefetched %v, want [128]", got)
+	}
+	if p.Ties() != 1 {
+		t.Errorf("Ties = %d, want 1", p.Ties())
+	}
+	// The lower slot continued: slot 0 now expects 128 and is the most
+	// recent; slot 2 still expects 64.
+	if got, want := p.AppendSlots(nil), []int{0, 2, 1, 3}; !slices.Equal(got, want) {
+		t.Errorf("slots %v, want %v", got, want)
+	}
+	if got, want := p.AppendState(nil), []uint64{3, 128, 64, 4160, 0}; !slices.Equal(got, want) {
+		t.Errorf("state %v, want %v", got, want)
+	}
+}
+
+func TestStreamPrefetcherSkipRenamesSlots(t *testing.T) {
+	p := NewStreamPrefetcher(64, 4, 2)
+	p.OnMiss(0)
+	p.OnMiss(4096)
+	p.OnMiss(8192)
+	// Rename 0->1->2->0 three times over (the identity) and then once.
+	perm := []int{1, 2, 0, 3}
+	state := p.AppendState(nil)
+	p.Skip(perm, 5, 3)
+	if got, want := p.AppendSlots(nil), []int{2, 1, 0, 3}; !slices.Equal(got, want) {
+		t.Errorf("slots after a full rotation %v, want %v", got, want)
+	}
+	p.Skip(perm, 5, 1)
+	if got, want := p.AppendSlots(nil), []int{0, 2, 1, 3}; !slices.Equal(got, want) {
+		t.Errorf("slots %v, want %v", got, want)
+	}
+	if got := p.AppendState(nil); !slices.Equal(got, state) {
+		t.Errorf("Skip changed the streams: %v, want %v", got, state)
+	}
+	if p.Issued() != 20 {
+		t.Errorf("Issued = %d, want 20", p.Issued())
 	}
 }

@@ -10,20 +10,27 @@ package cache
 // which confirms it: every such miss issues prefetches. Slots are
 // filled in index order and never freed. A miss continues the lowest
 // filled slot that expects it (two slots can expect the same line), and
-// a new stream replaces the least recently allocated-or-continued one,
-// read off the tail of a most-recent-first slot order.
+// a new stream replaces the least recently allocated-or-continued one.
+//
+// Streams are kept most recent first. The filled slots are the first
+// filled positions; the unfilled ones sit at the tail in ascending slot
+// order from the back, so the tail is always the slot a new stream
+// takes: the lowest unfilled one, or the least recently used once all
+// are filled.
 type StreamPrefetcher struct {
 	lineBytes uint64
-	next      []uint64 // per slot: the next expected miss line address
-	filled    int      // slots next[:filled] hold streams
-	// order lists every slot most recent first. Unfilled slots sit at
-	// the tail in ascending index order from the back, so the tail is
-	// always the slot a new stream takes: the lowest unfilled one, or
-	// the least recently used once all are filled.
-	order []int
-	ahead []uint64 // OnMiss's reused result buffer, degree long
+	streams   []stream
+	filled    int
+	ahead     []uint64 // OnMiss's reused result buffer, degree long
 
 	issued uint64
+	ties   uint64
+}
+
+// stream is one slot's stream: the miss line it expects next.
+type stream struct {
+	next uint64
+	slot int
 }
 
 // NewStreamPrefetcher tracks up to nStreams concurrent streams and
@@ -36,14 +43,13 @@ func NewStreamPrefetcher(lineBytes, nStreams, degree int) *StreamPrefetcher {
 	if degree <= 0 {
 		degree = 2
 	}
-	order := make([]int, nStreams)
-	for i := range order {
-		order[i] = nStreams - 1 - i
+	streams := make([]stream, nStreams)
+	for i := range streams {
+		streams[i].slot = nStreams - 1 - i
 	}
 	return &StreamPrefetcher{
 		lineBytes: uint64(lineBytes),
-		next:      make([]uint64, nStreams),
-		order:     order,
+		streams:   streams,
 		ahead:     make([]uint64, degree),
 	}
 }
@@ -55,39 +61,87 @@ func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
 	lineAddr := addr &^ (p.lineBytes - 1)
 	next := lineAddr + p.lineBytes
 
-	for s, want := range p.next[:p.filled] {
-		if want == lineAddr {
-			p.next[s] = next
-			i := 0
-			for p.order[i] != s {
-				i++
-			}
-			p.toFront(i)
-			p.issued += uint64(len(p.ahead))
-			for d := range p.ahead {
-				p.ahead[d] = next + uint64(d)*p.lineBytes
-			}
-			return p.ahead
+	hit, tie := -1, false
+	for i, st := range p.streams[:p.filled] {
+		if st.next != lineAddr {
+			continue
+		}
+		if hit < 0 {
+			hit = i
+			continue
+		}
+		tie = true
+		if st.slot < p.streams[hit].slot {
+			hit = i
 		}
 	}
-	tail := len(p.order) - 1
-	p.next[p.order[tail]] = next
-	if p.filled < len(p.next) {
-		p.filled++
+	if tie {
+		p.ties++
 	}
-	p.toFront(tail)
-	return nil
+	if hit < 0 {
+		if p.filled < len(p.streams) {
+			p.filled++
+		}
+		p.toFront(len(p.streams)-1, next)
+		return nil
+	}
+	p.toFront(hit, next)
+	p.issued += uint64(len(p.ahead))
+	for d := range p.ahead {
+		p.ahead[d] = next + uint64(d)*p.lineBytes
+	}
+	return p.ahead
 }
 
-// toFront moves the slot at position i of the recency order to the
-// front.
-func (p *StreamPrefetcher) toFront(i int) {
-	s := p.order[i]
+// toFront moves the stream at recency position i to the front, now
+// expecting line next.
+func (p *StreamPrefetcher) toFront(i int, next uint64) {
+	s := p.streams[i].slot
 	for ; i > 0; i-- {
-		p.order[i] = p.order[i-1]
+		p.streams[i] = p.streams[i-1]
 	}
-	p.order[0] = s
+	p.streams[0] = stream{next: next, slot: s}
 }
 
 // Issued returns the number of prefetch requests issued.
 func (p *StreamPrefetcher) Issued() uint64 { return p.issued }
+
+// Ties returns the number of misses that two or more tracked streams
+// expected. Only a tie consults slot labels (the lowest slot continues),
+// so between ties the prefetcher behaves the same under any renaming of
+// its slots.
+func (p *StreamPrefetcher) Ties() uint64 { return p.ties }
+
+// AppendState appends the prefetcher's state without its slot labels to
+// dst: the filled slot count, then each stream's expected line, most
+// recent first.
+func (p *StreamPrefetcher) AppendState(dst []uint64) []uint64 {
+	dst = append(dst, uint64(p.filled))
+	for _, st := range p.streams {
+		dst = append(dst, st.next)
+	}
+	return dst
+}
+
+// AppendSlots appends the slot labels, most recent first, to dst.
+func (p *StreamPrefetcher) AppendSlots(dst []int) []int {
+	for _, st := range p.streams {
+		dst = append(dst, st.slot)
+	}
+	return dst
+}
+
+// Skip accounts for n repetitions of a tie-free cycle of misses that
+// left the state unchanged up to slot labels: it renames every slot s
+// to perm[s], n times over, and adds n times issued to the issued
+// count. perm must fix the unfilled slots.
+func (p *StreamPrefetcher) Skip(perm []int, issued uint64, n int) {
+	for i := range p.streams {
+		s := p.streams[i].slot
+		for range n {
+			s = perm[s]
+		}
+		p.streams[i].slot = s
+	}
+	p.issued += issued * uint64(n)
+}

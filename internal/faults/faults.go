@@ -17,10 +17,10 @@
 //     (counters.Sample): missed reads (an all-zero delta, as when the
 //     driver's snapshot fails to update), 32-bit overflow wrap of one
 //     event, and saturation of all events at a ceiling.
-//   - ActuatorPlan corrupts p-state transitions (pstate.Actuator):
-//     transition requests fail with a probability and are retried a
-//     bounded number of times, each attempt costing (jittered) stall
-//     time.
+//   - ActuatorPlan corrupts p-state transitions (the tick engine's
+//     actuation lanes in package machine): transition requests fail
+//     with a probability and are retried a bounded number of times,
+//     each attempt costing (jittered) stall time.
 //
 // An Injector instantiates a Plan for one run. It draws environment
 // faults (sensor + counters) from one RNG stream with a fixed number

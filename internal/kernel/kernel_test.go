@@ -118,6 +118,9 @@ func TestCharacterizeErrors(t *testing.T) {
 	if _, err := Characterize(g, h, 0, 0); err == nil {
 		t.Error("zero window accepted")
 	}
+	if _, err := Characterize(g, h, -1, 10); err == nil {
+		t.Error("negative warmup accepted")
+	}
 }
 
 func TestEmptyProfileRates(t *testing.T) {

@@ -59,6 +59,15 @@ type Stats struct {
 	BytesXfr uint64
 }
 
+// Sub returns the counts s gained since o.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Accesses: s.Accesses - o.Accesses,
+		RowHits:  s.RowHits - o.RowHits,
+		BytesXfr: s.BytesXfr - o.BytesXfr,
+	}
+}
+
 // RowHitRate returns the open-row hit fraction.
 func (s Stats) RowHitRate() float64 {
 	if s.Accesses == 0 {
@@ -92,6 +101,27 @@ func (m *Memory) Config() Config { return m.cfg }
 
 // Stats returns DRAM activity counters.
 func (m *Memory) Stats() Stats { return m.stats }
+
+// AppendState appends the open row of every bank to dst, as a valid
+// flag and a row number per bank.
+func (m *Memory) AppendState(dst []uint64) []uint64 {
+	for b, row := range m.openRow {
+		var valid uint64
+		if m.rowValid[b] {
+			valid = 1
+		}
+		dst = append(dst, valid, row)
+	}
+	return dst
+}
+
+// Skip accounts for n repetitions of a cycle of accesses that left the
+// open rows as they were and moved the statistics by d.
+func (m *Memory) Skip(d Stats, n uint64) {
+	m.stats.Accesses += d.Accesses * n
+	m.stats.RowHits += d.RowHits * n
+	m.stats.BytesXfr += d.BytesXfr * n
+}
 
 // Access performs one line transfer of lineBytes at addr and returns
 // its latency in nanoseconds.

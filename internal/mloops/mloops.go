@@ -222,6 +222,20 @@ func (g *generator) Next() Op {
 	return Op{Instrs: g.costs.instrs, CoreCycles: g.costs.coreCycles}
 }
 
+// Period implements kernel.Periodic. DAXPY and MCOPY walk their n
+// elements one per op, so their stream repeats every n ops; FMA walks
+// them two per op, so every n/2 ops. MLOAD_RAND's addresses come from
+// an LCG and promise no period.
+func (g *generator) Period() int {
+	switch g.loop {
+	case DAXPY, MCOPY:
+		return int(g.mask + 1)
+	case FMA:
+		return int(g.mask+1) / 2
+	}
+	return 0
+}
+
 // Op re-exports kernel.Op for generator construction.
 type Op = kernel.Op
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"aapm/internal/kernel"
 	"aapm/internal/phase"
@@ -75,6 +76,45 @@ func TestGeneratorsProduceBoundedAddresses(t *testing.T) {
 			}
 			if len(op.Refs) == 0 {
 				t.Fatalf("%s: op without references", c)
+			}
+		}
+	}
+}
+
+// TestGeneratorPeriod checks the kernel.Periodic contract of every
+// configuration: after Reset, ops [P, 2P) repeat ops [0, P) exactly —
+// addresses, write flags and costs. Every sequential loop repeats once
+// per pass over its footprint, every 16 bytes (DAXPY and MCOPY walk two
+// arrays one element each per op, FMA one array two elements per op);
+// MLOAD_RAND promises no period.
+func TestGeneratorPeriod(t *testing.T) {
+	for _, c := range Configs() {
+		pg, ok := NewGenerator(c.Loop, c.Footprint).(kernel.Periodic)
+		if !ok {
+			t.Fatalf("%s: generator does not implement kernel.Periodic", c)
+		}
+		period := pg.Period()
+		want := c.Footprint.Bytes() / 16
+		if c.Loop == MLOADRand {
+			want = 0
+		}
+		if period != want {
+			t.Errorf("%s: Period() = %d, want %d", c, period, want)
+		}
+		if period == 0 {
+			continue
+		}
+		first, second := NewGenerator(c.Loop, c.Footprint), NewGenerator(c.Loop, c.Footprint)
+		first.Reset()
+		second.Reset()
+		for range period {
+			second.Next()
+		}
+		for i := range period {
+			a, b := first.Next(), second.Next()
+			if !slices.Equal(a.Refs, b.Refs) || math.Float64bits(a.Instrs) != math.Float64bits(b.Instrs) ||
+				math.Float64bits(a.CoreCycles) != math.Float64bits(b.CoreCycles) {
+				t.Fatalf("%s: op %d is %+v, op %d is %+v", c, period+i, b, i, a)
 			}
 		}
 	}
@@ -271,26 +311,50 @@ func TestCharacterizeAllocs(t *testing.T) {
 	}
 }
 
+// hidePeriod wraps a generator so it no longer implements
+// kernel.Periodic, which makes kernel.Characterize simulate every op.
+type hidePeriod struct{ kernel.Generator }
+
 // BenchmarkCharacterizeSerial characterizes all 12 configurations one
-// after another, each through a fresh hierarchy exactly as
-// Characterize does, and reports the cost per simulated memory access.
+// after another, each through a fresh hierarchy exactly as Characterize
+// does, twice: once with every generator's period hidden, so every
+// access is simulated, and once as Characterize runs them, skipping
+// the repeating cycles of the periodic loops. ns/access is the full
+// simulation's cost per simulated access; ff-ns/access divides the
+// second pass's wall time by the same access count.
 func BenchmarkCharacterizeSerial(b *testing.B) {
 	var accesses uint64
+	var full, ff time.Duration
 	for n := 0; n < b.N; n++ {
-		for _, c := range Configs() {
-			h, err := kernel.NewPentiumMHierarchy()
-			if err != nil {
-				b.Fatal(err)
+		for _, hide := range []bool{true, false} {
+			t := time.Now()
+			for _, c := range Configs() {
+				h, err := kernel.NewPentiumMHierarchy()
+				if err != nil {
+					b.Fatal(err)
+				}
+				g := NewGenerator(c.Loop, c.Footprint)
+				if hide {
+					g = hidePeriod{g}
+				}
+				prof, err := kernel.Characterize(g, h, warmupOps, windowOps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if hide {
+					// Every loop issues the same number of references
+					// per operation, so the warmup's accesses scale
+					// with the window's.
+					accesses += prof.Accesses() * (warmupOps + windowOps) / windowOps
+				}
 			}
-			prof, err := kernel.Characterize(NewGenerator(c.Loop, c.Footprint), h, warmupOps, windowOps)
-			if err != nil {
-				b.Fatal(err)
+			if hide {
+				full += time.Since(t)
+			} else {
+				ff += time.Since(t)
 			}
-			// Every loop issues the same number of references per
-			// operation, so the warmup's accesses scale with the
-			// window's.
-			accesses += prof.Accesses() * (warmupOps + windowOps) / windowOps
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+	b.ReportMetric(float64(full.Nanoseconds())/float64(accesses), "ns/access")
+	b.ReportMetric(float64(ff.Nanoseconds())/float64(accesses), "ff-ns/access")
 }

@@ -3,10 +3,10 @@
 //
 // A p-state is a voltage/frequency operating point. The table of
 // available p-states mirrors Table II of the paper: eight states from
-// 600 MHz / 0.998 V to 2000 MHz / 1.340 V. The package also provides
-// an Actuator that models the (small) latency of a DVFS transition,
-// matching the machine-specific-register + voltage-regulator sequencing
-// the paper's driver performs.
+// 600 MHz / 0.998 V to 2000 MHz / 1.340 V. The package also names the
+// (small) latency of a DVFS transition, matching the
+// machine-specific-register + voltage-regulator sequencing the paper's
+// driver performs; the tick engine charges it per p-state change.
 package pstate
 
 import (
@@ -176,97 +176,7 @@ func (t *Table) LowestAtOrAbove(freqMHz int) PState {
 	return t.states[len(t.states)-1]
 }
 
-// Actuator applies p-state changes with a transition latency, modeling
-// the PLL relock and voltage-regulator slew of a real DVFS transition.
-// The zero latency Actuator switches instantaneously.
-type Actuator struct {
-	table   *Table
-	current int // index into table
-	latency time.Duration
-
-	transitions int
-	failed      int
-	stallTotal  time.Duration
-}
-
 // DefaultTransitionLatency approximates an Enhanced SpeedStep
 // transition (PLL relock + VID ramp): tens of microseconds, negligible
 // against the 10 ms control interval, but not zero.
 const DefaultTransitionLatency = 30 * time.Microsecond
-
-// NewActuator returns an actuator positioned at the table's maximum
-// frequency with the default transition latency.
-func NewActuator(t *Table) *Actuator {
-	return &Actuator{table: t, current: t.Len() - 1, latency: DefaultTransitionLatency}
-}
-
-// SetTransitionLatency overrides the modeled DVFS transition latency.
-func (a *Actuator) SetTransitionLatency(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	a.latency = d
-}
-
-// Latency returns the modeled DVFS transition latency.
-func (a *Actuator) Latency() time.Duration { return a.latency }
-
-// RecordFailure charges the stall cost of an abandoned transition
-// attempt (fault injection) without moving the actuator.
-func (a *Actuator) RecordFailure(stall time.Duration) {
-	if stall < 0 {
-		stall = 0
-	}
-	a.failed++
-	a.stallTotal += stall
-}
-
-// Table returns the actuator's p-state table.
-func (a *Actuator) Table() *Table { return a.table }
-
-// Current returns the active p-state.
-func (a *Actuator) Current() PState { return a.table.At(a.current) }
-
-// CurrentIndex returns the active p-state's table index.
-func (a *Actuator) CurrentIndex() int { return a.current }
-
-// Set switches to the p-state at index i and returns the stall time the
-// transition costs. Setting the already-active state is free.
-func (a *Actuator) Set(i int) (time.Duration, error) {
-	if i < 0 || i >= a.table.Len() {
-		return 0, fmt.Errorf("pstate: index %d out of range [0,%d)", i, a.table.Len())
-	}
-	if i == a.current {
-		return 0, nil
-	}
-	a.current = i
-	a.transitions++
-	a.stallTotal += a.latency
-	return a.latency, nil
-}
-
-// SetFreq switches to the state with the given frequency.
-func (a *Actuator) SetFreq(freqMHz int) (time.Duration, error) {
-	i := a.table.IndexOf(freqMHz)
-	if i < 0 {
-		return 0, fmt.Errorf("pstate: no state with frequency %d MHz", freqMHz)
-	}
-	return a.Set(i)
-}
-
-// ResetStats zeroes the transition counters without moving the
-// actuator, e.g. after positioning it at a run's start state.
-func (a *Actuator) ResetStats() {
-	a.transitions = 0
-	a.failed = 0
-	a.stallTotal = 0
-}
-
-// Transitions returns the number of completed p-state changes.
-func (a *Actuator) Transitions() int { return a.transitions }
-
-// FailedTransitions returns the number of abandoned change attempts.
-func (a *Actuator) FailedTransitions() int { return a.failed }
-
-// StallTotal returns the cumulative transition stall time.
-func (a *Actuator) StallTotal() time.Duration { return a.stallTotal }

@@ -128,82 +128,3 @@ func TestPStateDerivedValues(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
-
-func TestActuatorTransitions(t *testing.T) {
-	tab := PentiumM755()
-	a := NewActuator(tab)
-	if a.CurrentIndex() != tab.Len()-1 {
-		t.Fatalf("new actuator at index %d, want max %d", a.CurrentIndex(), tab.Len()-1)
-	}
-	a.SetTransitionLatency(50 * time.Microsecond)
-
-	d, err := a.Set(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 50*time.Microsecond {
-		t.Errorf("transition stall = %v, want 50us", d)
-	}
-	if a.Current().FreqMHz != 600 {
-		t.Errorf("Current() = %v, want 600MHz", a.Current())
-	}
-	// Setting the same state is free and not counted.
-	d, err = a.Set(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("same-state transition stall = %v, want 0", d)
-	}
-	if a.Transitions() != 1 {
-		t.Errorf("Transitions() = %d, want 1", a.Transitions())
-	}
-	if a.StallTotal() != 50*time.Microsecond {
-		t.Errorf("StallTotal() = %v, want 50us", a.StallTotal())
-	}
-}
-
-func TestActuatorSetFreqAndErrors(t *testing.T) {
-	a := NewActuator(PentiumM755())
-	if _, err := a.Set(-1); err == nil {
-		t.Error("Set(-1) succeeded, want error")
-	}
-	if _, err := a.Set(99); err == nil {
-		t.Error("Set(99) succeeded, want error")
-	}
-	if _, err := a.SetFreq(1700); err == nil {
-		t.Error("SetFreq(1700) succeeded, want error")
-	}
-	if _, err := a.SetFreq(1000); err != nil {
-		t.Errorf("SetFreq(1000): %v", err)
-	}
-	if a.Current().FreqMHz != 1000 {
-		t.Errorf("after SetFreq(1000), Current() = %v", a.Current())
-	}
-}
-
-func TestActuatorResetStats(t *testing.T) {
-	a := NewActuator(PentiumM755())
-	if _, err := a.Set(0); err != nil {
-		t.Fatal(err)
-	}
-	a.ResetStats()
-	if a.Transitions() != 0 || a.StallTotal() != 0 {
-		t.Errorf("after ResetStats: transitions=%d stall=%v, want zeros", a.Transitions(), a.StallTotal())
-	}
-	if a.CurrentIndex() != 0 {
-		t.Errorf("ResetStats moved the actuator to %d", a.CurrentIndex())
-	}
-}
-
-func TestActuatorNegativeLatencyClamped(t *testing.T) {
-	a := NewActuator(PentiumM755())
-	a.SetTransitionLatency(-time.Second)
-	d, err := a.Set(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("stall = %v, want 0 after clamping negative latency", d)
-	}
-}
