@@ -192,12 +192,14 @@ serve-churn:
 	go test -race -run 'TestSustainedChurn|TestEvictionPrefersLRUAndSkipsLive|TestMaxResultBytesEviction' -count=1 ./internal/serve/
 
 # Allocation gate + fixture differential, exactly as CI runs them: the
-# specialized bodies must stay at zero heap allocations per tick, and
-# every body must reproduce the recorded reference fixture
-# (internal/kernel/testdata/staged_reference.json) bit for bit.
+# pm body must stay at zero heap allocations per tick, both bodies
+# must reproduce the recorded reference fixture
+# (internal/kernel/testdata/staged_reference.json) bit for bit, and a
+# wrapped governor's degradations must reach the run's log.
 .PHONY: tick-gate
 tick-gate:
 	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged' ./internal/kernel/
+	go test -run TestWrappersForwardDegradations ./internal/control/
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

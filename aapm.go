@@ -289,8 +289,8 @@ type BatchNode = machine.BatchNode
 type BatchOptions = machine.BatchOptions
 
 // BatchState is the tick engine: contiguous per-node tick state
-// stepped by per-run specialized loop bodies with zero heap
-// allocations per tick. It is the only implementation of the 10 ms
+// stepped by one of two loop bodies, chosen per run, the faster of
+// which makes zero heap allocations per tick. It is the only implementation of the 10 ms
 // loop — Platform.Run and Session step a one-lane BatchState — so a
 // node's run is byte-identical in any batch and alone. Step it with
 // StepNode/StepAll/Run and read results with Result; see the "Tick

@@ -544,7 +544,7 @@ func BenchmarkPMTick(b *testing.B) {
 	info := benchTickInfo()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pm.Tick(info)
+		pm.Tick(&info)
 	}
 }
 
@@ -557,7 +557,7 @@ func BenchmarkPSTick(b *testing.B) {
 	info := benchTickInfo()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.Tick(info)
+		ps.Tick(&info)
 	}
 }
 

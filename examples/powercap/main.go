@@ -30,7 +30,9 @@ type limitChange struct {
 
 func (s *limitSchedule) Name() string { return s.pm.Name() + "+schedule" }
 
-func (s *limitSchedule) Tick(info aapm.TickInfo) int {
+// Tick applies any limit change that is due, then lets PM decide,
+// passing PM's degradations through.
+func (s *limitSchedule) Tick(info *aapm.TickInfo) (int, []aapm.Degradation) {
 	for len(s.changes) > 0 && info.Now >= s.changes[0].at {
 		fmt.Printf("t=%5.1fs: power limit -> %.1f W\n",
 			info.Now.Seconds(), s.changes[0].limitW)

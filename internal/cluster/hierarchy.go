@@ -344,7 +344,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 	// The coordinator reads node observations through the engine's
 	// per-node accessors rather than a hook tap, so a run without
-	// Observe keeps the specialized (hook-free) step bodies.
+	// Observe keeps the hook-free pm step body.
 	bs, err := machine.NewBatch(bnodes, machine.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)

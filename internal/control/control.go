@@ -45,15 +45,8 @@ func NewStaticClock(i int, label string) *StaticClock {
 // Name returns the policy label.
 func (s *StaticClock) Name() string { return s.label }
 
-// Tick always returns the pinned index.
-func (s *StaticClock) Tick(machine.TickInfo) int { return s.Index }
-
-// TickP is Tick for the tick engine's in-place body; a pinned clock
-// never notes degradations.
-func (s *StaticClock) TickP(*machine.TickInfo) (int, bool) { return s.Index, false }
-
-// DrainDegradations reports nothing: a pinned clock never degrades.
-func (s *StaticClock) DrainDegradations() []trace.Degradation { return nil }
+// Tick always returns the pinned index; a pinned clock never degrades.
+func (s *StaticClock) Tick(*machine.TickInfo) (int, []trace.Degradation) { return s.Index, nil }
 
 // InitialIndex pins the run's starting p-state so a static run never
 // spends its first interval at the platform default.
@@ -91,8 +84,8 @@ type PMConfig struct {
 	// garbage, and while the power sensor is unreadable
 	// (NaN/Inf/non-positive readings) the guardband widens by
 	// DegradeGuardbandW and the feedback correction holds its last
-	// good value. Degradation decisions are logged and surfaced in
-	// trace.Run via the machine's DegradationReporter hook.
+	// good value. Each tick returns the degradation decisions it made,
+	// and the tick engine logs them in trace.Run.
 	Degrade bool
 	// DegradeGuardbandW is the extra guardband applied while the
 	// sensor is unreadable; 0 selects DefaultDegradeGuardbandW. Only
@@ -327,10 +320,9 @@ func (p *PMPolicy) LaneDesireW(st *machine.GovLane, table *pstate.Table, dpc flo
 // rebinds it to the batch's lane, and its methods then act on the
 // state the engine steps.
 type PerformanceMaximizer struct {
-	pol  *PMPolicy
-	st   *machine.GovLane
-	own  machine.GovLane
-	degr []trace.Degradation
+	pol *PMPolicy
+	st  *machine.GovLane
+	own machine.GovLane
 }
 
 // NewPerformanceMaximizer builds a PM with the given configuration.
@@ -375,23 +367,11 @@ func (pm *PerformanceMaximizer) BypassHysteresis() {
 // Limit returns the active power limit.
 func (pm *PerformanceMaximizer) Limit() float64 { return pm.st.LimitW }
 
-// Tick is PMPolicy.TickLane over the PM's lane, with the tick's
-// degradation events kept for DrainDegradations.
-func (pm *PerformanceMaximizer) Tick(info machine.TickInfo) int {
-	want, ev := pm.pol.TickLane(pm.st, &info)
-	if ev != 0 {
-		pm.degr = append(pm.degr, pm.pol.LaneDegradations(pm.st, ev)...)
-	}
-	return want
-}
-
-// DrainDegradations returns and clears degradation events recorded
-// since the last drain (machine.DegradationReporter). A PM bound to a
-// batch lane records none: the engine logs them in the run directly.
-func (pm *PerformanceMaximizer) DrainDegradations() []trace.Degradation {
-	d := pm.degr
-	pm.degr = nil
-	return d
+// Tick is PMPolicy.TickLane over the PM's lane, returning the tick's
+// degradation events rendered (nil for none).
+func (pm *PerformanceMaximizer) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
+	want, ev := pm.pol.TickLane(pm.st, info)
+	return want, pm.pol.LaneDegradations(pm.st, ev)
 }
 
 // EffectiveGuardbandW returns the guardband the most recent tick
@@ -480,7 +460,6 @@ type PowerSave struct {
 	haveGood bool
 	stale    int
 	mode     PSMode
-	degr     []trace.Degradation
 }
 
 // NewPowerSave builds a PS with the given configuration.
@@ -518,17 +497,10 @@ func (ps *PowerSave) Floor() float64 { return ps.cfg.Floor }
 // LastMode returns the decision path the most recent tick took.
 func (ps *PowerSave) LastMode() PSMode { return ps.mode }
 
-// note records a degradation event for the machine to drain.
-func (ps *PowerSave) note(kind, detail string) {
-	ps.degr = append(ps.degr, trace.Degradation{Source: "ps", Kind: kind, Detail: detail})
-}
-
-// DrainDegradations returns and clears degradation events recorded
-// since the last drain (machine.DegradationReporter).
-func (ps *PowerSave) DrainDegradations() []trace.Degradation {
-	d := ps.degr
-	ps.degr = nil
-	return d
+// psEvent is a PowerSave degradation event; the engine stamps the
+// time.
+func psEvent(kind, detail string) trace.Degradation {
+	return trace.Degradation{Source: "ps", Kind: kind, Detail: detail}
 }
 
 // sampleUsable reports whether the tick's counter-derived rates can
@@ -544,20 +516,10 @@ func sampleUsable(ipc, dcu float64) bool {
 //
 // With cfg.Degrade, stale counters (zero or implausible samples while
 // recently busy) replay the last good sample for up to StaleTicks
-// intervals, then fall back to the offline core-bound model.
-func (ps *PowerSave) Tick(info machine.TickInfo) int {
-	return ps.tick(&info)
-}
-
-// TickP is Tick without the TickInfo copy, for the tick engine's
-// in-place body (machine.InPlaceTicker): the same decision, plus
-// whether it noted degradation events to drain.
-func (ps *PowerSave) TickP(info *machine.TickInfo) (int, bool) {
-	want := ps.tick(info)
-	return want, len(ps.degr) != 0
-}
-
-func (ps *PowerSave) tick(info *machine.TickInfo) int {
+// intervals, then fall back to the offline core-bound model; the tick
+// that starts or ends an episode returns it as a degradation.
+func (ps *PowerSave) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
+	var degr []trace.Degradation
 	ipc := info.Sample.IPC()
 	dcu := info.Sample.DCUPerInst()
 	from := info.PState.FreqMHz
@@ -569,27 +531,27 @@ func (ps *PowerSave) tick(info *machine.TickInfo) int {
 			ps.goodIPC, ps.goodDCU, ps.goodFrom = ipc, dcu, from
 			ps.haveGood = true
 			if ps.stale > 0 {
-				ps.note("counters-restored", "")
+				degr = append(degr, psEvent("counters-restored", ""))
 			}
 			ps.stale = 0
 			ps.mode = PSNormal
 		case !ps.haveGood:
 			// Zero (or garbage) sample with no busy history: idle.
 			ps.mode = PSIdle
-			return 0
+			return 0, nil
 		default:
 			// Stale episode: hold the last good projection, then
 			// abandon the online model.
 			ps.stale++
 			if ps.stale == 1 {
-				ps.note("stale-counters", fmt.Sprintf("holding projection from %.3f IPC @%d MHz", ps.goodIPC, ps.goodFrom))
+				degr = append(degr, psEvent("stale-counters", fmt.Sprintf("holding projection from %.3f IPC @%d MHz", ps.goodIPC, ps.goodFrom)))
 			}
 			if ps.stale > ps.cfg.StaleTicks {
 				if ps.stale == ps.cfg.StaleTicks+1 {
-					ps.note("offline-fallback", fmt.Sprintf("stale for %d ticks; using offline core-bound floor", ps.stale))
+					degr = append(degr, psEvent("offline-fallback", fmt.Sprintf("stale for %d ticks; using offline core-bound floor", ps.stale)))
 				}
 				ps.mode = PSOffline
-				return ps.offlineIndex(info.Table)
+				return ps.offlineIndex(info.Table), degr
 			}
 			ps.mode = PSHold
 			ipc, dcu, from = ps.goodIPC, ps.goodDCU, ps.goodFrom
@@ -598,19 +560,19 @@ func (ps *PowerSave) tick(info *machine.TickInfo) int {
 		ps.mode = PSNormal
 		if !usable {
 			// Garbage rates would poison the projection; stand still.
-			return info.PStateIndex
+			return info.PStateIndex, nil
 		}
 		if ipc == 0 {
 			// Idle interval: any frequency meets the floor; save maximally.
 			ps.mode = PSIdle
-			return 0
+			return 0, nil
 		}
 	}
 	maxIdx := info.Table.Len() - 1
 	peak := ps.cfg.Perf.ProjectPerf(ipc, dcu, from, info.Table.At(maxIdx).FreqMHz)
 	if !(peak > 0) {
 		// Covers zero, negative and NaN projections alike.
-		return info.PStateIndex
+		return info.PStateIndex, degr
 	}
 	// The relative tolerance keeps exact-boundary states (e.g. 1600 MHz
 	// for an 80% floor on a 2000 MHz part) on the feasible side of
@@ -618,10 +580,10 @@ func (ps *PowerSave) tick(info *machine.TickInfo) int {
 	need := ps.cfg.Floor * peak * (1 - 1e-9)
 	for i := 0; i <= maxIdx; i++ {
 		if ps.cfg.Perf.ProjectPerf(ipc, dcu, from, info.Table.At(i).FreqMHz) >= need {
-			return i
+			return i, degr
 		}
 	}
-	return maxIdx
+	return maxIdx, degr
 }
 
 // offlineIndex is the degraded fallback when counters have been stale
@@ -662,10 +624,10 @@ func (o *OnDemand) threshold() float64 {
 }
 
 // Tick computes utilization as busy cycles over interval capacity.
-func (o *OnDemand) Tick(info machine.TickInfo) int {
+func (o *OnDemand) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
 	capacity := info.PState.FreqHz() * info.Interval.Seconds()
 	if capacity <= 0 {
-		return info.PStateIndex
+		return info.PStateIndex, nil
 	}
 	util := info.Sample.Cycles() / capacity
 	if util > 1 {
@@ -673,15 +635,15 @@ func (o *OnDemand) Tick(info machine.TickInfo) int {
 	}
 	th := o.threshold()
 	if util >= th {
-		return info.Table.Len() - 1
+		return info.Table.Len() - 1, nil
 	}
 	// Choose the lowest frequency that would run at ~threshold
 	// utilization for the same busy-cycle demand.
 	demand := util * float64(info.PState.FreqMHz)
 	for i := 0; i < info.Table.Len(); i++ {
 		if float64(info.Table.At(i).FreqMHz)*th >= demand {
-			return i
+			return i, nil
 		}
 	}
-	return info.Table.Len() - 1
+	return info.Table.Len() - 1, nil
 }

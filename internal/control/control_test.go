@@ -33,12 +33,18 @@ func tick(freqMHz int, dpc, ipc, dcuPerInst, measuredW float64) machine.TickInfo
 	}
 }
 
+// decide ticks g once on info and returns its decision.
+func decide(g machine.Governor, info machine.TickInfo) int {
+	want, _ := g.Tick(&info)
+	return want
+}
+
 func TestStaticClock(t *testing.T) {
 	s := NewStaticClock(3, "")
 	if s.Name() != "static[3]" {
 		t.Errorf("Name = %q", s.Name())
 	}
-	if got := s.Tick(tick(2000, 1, 1, 0, 0)); got != 3 {
+	if got := decide(s, tick(2000, 1, 1, 0, 0)); got != 3 {
 		t.Errorf("Tick = %d, want 3", got)
 	}
 	if got := s.InitialIndex(7); got != 3 {
@@ -85,7 +91,7 @@ func TestPMDropsImmediately(t *testing.T) {
 	pm, _ := NewPerformanceMaximizer(PMConfig{LimitW: 13.5})
 	// High decode rate at 2000 MHz: model predicts ~18 W, so PM must
 	// leave 2000 at once. est@1600 = 1.82*2 + 8.44 + 0.5 = 12.58.
-	got := pm.Tick(tick(2000, 2.0, 1.6, 0.1, 0))
+	got := decide(pm, tick(2000, 2.0, 1.6, 0.1, 0))
 	tab := pstate.PentiumM755()
 	if f := tab.At(got).FreqMHz; f != 1600 {
 		t.Errorf("PM chose %d MHz, want 1600", f)
@@ -98,11 +104,11 @@ func TestPMRaiseNeedsConsecutiveSamples(t *testing.T) {
 	i1800 := tab.IndexOf(1800)
 	low := tick(1800, 0.5, 0.5, 0.1, 0) // est@2000 = 2.93*0.5+12.61 ~ 14 W: feasible
 	for k := 0; k < DefaultRaiseTicks-1; k++ {
-		if got := pm.Tick(low); got != i1800 {
+		if got := decide(pm, low); got != i1800 {
 			t.Fatalf("raised after %d samples, want %d", k+1, DefaultRaiseTicks)
 		}
 	}
-	if got := pm.Tick(low); tab.At(got).FreqMHz != 2000 {
+	if got := decide(pm, low); tab.At(got).FreqMHz != 2000 {
 		t.Errorf("did not raise after %d consecutive samples", DefaultRaiseTicks)
 	}
 }
@@ -114,18 +120,18 @@ func TestPMRaiseCounterResetsOnContrarySample(t *testing.T) {
 	low := tick(1800, 0.5, 0.5, 0.1, 0)
 	high := tick(1800, 1.8, 1.5, 0.1, 0) // est@2000 ~ 17.9: stay at 1800
 	for k := 0; k < DefaultRaiseTicks-1; k++ {
-		pm.Tick(low)
+		decide(pm, low)
 	}
-	if got := pm.Tick(high); got != i1800 {
+	if got := decide(pm, high); got != i1800 {
 		t.Fatalf("contrary sample moved PM to index %d", got)
 	}
 	// The streak must restart.
 	for k := 0; k < DefaultRaiseTicks-1; k++ {
-		if got := pm.Tick(low); got != i1800 {
+		if got := decide(pm, low); got != i1800 {
 			t.Fatalf("raised after only %d samples post-reset", k+1)
 		}
 	}
-	if got := pm.Tick(low); tab.At(got).FreqMHz != 2000 {
+	if got := decide(pm, low); tab.At(got).FreqMHz != 2000 {
 		t.Error("did not raise after a full new streak")
 	}
 }
@@ -133,7 +139,7 @@ func TestPMRaiseCounterResetsOnContrarySample(t *testing.T) {
 func TestPMSetLimitTakesEffect(t *testing.T) {
 	pm, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5})
 	mid := tick(1800, 1.0, 0.9, 0.2, 0) // est@1800 = 13.04: fine at 17.5
-	if got := pm.Tick(mid); pstate.PentiumM755().At(got).FreqMHz != 1800 {
+	if got := decide(pm, mid); pstate.PentiumM755().At(got).FreqMHz != 1800 {
 		t.Fatalf("unexpected move at 17.5 W")
 	}
 	pm.SetLimit(10.5)
@@ -142,7 +148,7 @@ func TestPMSetLimitTakesEffect(t *testing.T) {
 	}
 	// est@1400 = 1.42+6.95+0.5 = 8.87 <= 10.5; est@1600 = 1.82+8.44+0.5
 	// = 10.76 > 10.5 -> drop to 1400 immediately.
-	got := pm.Tick(mid)
+	got := decide(pm, mid)
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 1400 {
 		t.Errorf("after SetLimit(10.5), chose %d MHz, want 1400", f)
 	}
@@ -150,7 +156,7 @@ func TestPMSetLimitTakesEffect(t *testing.T) {
 
 func TestPMInfeasibleLimitFallsToMinimum(t *testing.T) {
 	pm, _ := NewPerformanceMaximizer(PMConfig{LimitW: 1.0})
-	if got := pm.Tick(tick(2000, 1.5, 1.2, 0.1, 0)); got != 0 {
+	if got := decide(pm, tick(2000, 1.5, 1.2, 0.1, 0)); got != 0 {
 		t.Errorf("infeasible limit chose index %d, want 0", got)
 	}
 }
@@ -174,12 +180,12 @@ func TestPMFeedbackCorrectsUnderestimation(t *testing.T) {
 	plain, _ := NewPerformanceMaximizer(PMConfig{LimitW: 15.8})
 	fb, _ := NewPerformanceMaximizer(PMConfig{LimitW: 15.8, FeedbackGain: 0.5})
 	sample := tick(1800, 2.0, 1.6, 0.1, 17.0)
-	if got := plain.Tick(sample); pstate.PentiumM755().At(got).FreqMHz != 1800 {
+	if got := decide(plain, sample); pstate.PentiumM755().At(got).FreqMHz != 1800 {
 		t.Fatalf("plain PM left 1800 unexpectedly")
 	}
 	var got int
 	for k := 0; k < 10; k++ {
-		got = fb.Tick(sample)
+		got = decide(fb, sample)
 	}
 	if f := pstate.PentiumM755().At(got).FreqMHz; f >= 1800 {
 		t.Errorf("feedback PM stayed at %d MHz despite measured overdraw", f)
@@ -211,12 +217,12 @@ func TestPSValidation(t *testing.T) {
 func TestPSCoreBoundPicksExactFloorState(t *testing.T) {
 	ps, _ := NewPowerSave(PSConfig{Floor: 0.8})
 	// Core-bound at 2000: the 80% floor is exactly 1600 MHz.
-	got := ps.Tick(tick(2000, 1.5, 1.4, 0.1, 0))
+	got := decide(ps, tick(2000, 1.5, 1.4, 0.1, 0))
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 1600 {
 		t.Errorf("PS chose %d MHz, want 1600", f)
 	}
 	// And it is stable there.
-	got = ps.Tick(tick(1600, 1.5, 1.4, 0.1, 0))
+	got = decide(ps, tick(1600, 1.5, 1.4, 0.1, 0))
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 1600 {
 		t.Errorf("PS moved from 1600 to %d MHz", f)
 	}
@@ -226,7 +232,7 @@ func TestPSMemoryBoundDropsLow(t *testing.T) {
 	ps, _ := NewPowerSave(PSConfig{Floor: 0.8})
 	// Deep memory-bound: predicted perf ratio (f'/2000)^0.19 >= 0.8
 	// first holds at 800 MHz.
-	got := ps.Tick(tick(2000, 0.3, 0.2, 4.0, 0))
+	got := decide(ps, tick(2000, 0.3, 0.2, 4.0, 0))
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 800 {
 		t.Errorf("PS chose %d MHz, want 800", f)
 	}
@@ -234,7 +240,7 @@ func TestPSMemoryBoundDropsLow(t *testing.T) {
 
 func TestPSAltExponentIsLessAggressive(t *testing.T) {
 	ps, _ := NewPowerSave(PSConfig{Floor: 0.8, Perf: model.PaperPerfModelAlt()})
-	got := ps.Tick(tick(2000, 0.3, 0.2, 4.0, 0))
+	got := decide(ps, tick(2000, 0.3, 0.2, 4.0, 0))
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 1200 {
 		t.Errorf("PS(e=0.59) chose %d MHz, want 1200", f)
 	}
@@ -242,7 +248,7 @@ func TestPSAltExponentIsLessAggressive(t *testing.T) {
 
 func TestPSIdleGoesToMinimum(t *testing.T) {
 	ps, _ := NewPowerSave(PSConfig{Floor: 0.8})
-	if got := ps.Tick(tick(2000, 0, 0, 0, 0)); got != 0 {
+	if got := decide(ps, tick(2000, 0, 0, 0, 0)); got != 0 {
 		t.Errorf("idle tick chose index %d, want 0", got)
 	}
 }
@@ -259,7 +265,7 @@ func TestPSLowFloors(t *testing.T) {
 		{0.20, 600},
 	} {
 		ps, _ := NewPowerSave(PSConfig{Floor: c.floor})
-		got := ps.Tick(core)
+		got := decide(ps, core)
 		if f := tab.At(got).FreqMHz; f != c.want {
 			t.Errorf("floor %.0f%%: chose %d MHz, want %d", c.floor*100, f, c.want)
 		}
@@ -273,7 +279,7 @@ func TestOnDemandFullLoadPinsMax(t *testing.T) {
 	var s counters.Sample
 	s.SetCount(counters.Cycles, uint64(1000*1e6*0.01))
 	info.Sample = s
-	got := od.Tick(info)
+	got := decide(od, info)
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 2000 {
 		t.Errorf("ondemand at full load chose %d MHz, want 2000", f)
 	}
@@ -290,7 +296,7 @@ func TestOnDemandLowUtilizationDrops(t *testing.T) {
 	var s counters.Sample
 	s.SetCount(counters.Cycles, uint64(0.10*2e9*0.01))
 	info.Sample = s
-	got := od.Tick(info)
+	got := decide(od, info)
 	// Demand 200 MHz-equivalents / 0.8 -> lowest state covering 250.
 	if f := tab.At(got).FreqMHz; f != 600 {
 		t.Errorf("ondemand at 10%% load chose %d MHz, want 600", f)

@@ -5,6 +5,7 @@ import (
 
 	"aapm/internal/machine"
 	"aapm/internal/model"
+	"aapm/internal/trace"
 )
 
 // CruiseControlConfig parameterizes a CruiseControl governor.
@@ -59,10 +60,10 @@ func (cc *CruiseControl) Name() string {
 // Tick quantizes the sample's memory intensity and picks the lowest
 // frequency whose projected per-interval performance stays within the
 // slowdown tolerance of the projected maximum.
-func (cc *CruiseControl) Tick(info machine.TickInfo) int {
+func (cc *CruiseControl) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
 	ipc := info.Sample.IPC()
 	if ipc == 0 {
-		return 0
+		return 0, nil
 	}
 	// Coarse table index: DCU/IPC rounded down to 1/Quantize steps.
 	q := float64(cc.cfg.Quantize)
@@ -71,13 +72,13 @@ func (cc *CruiseControl) Tick(info machine.TickInfo) int {
 	maxIdx := info.Table.Len() - 1
 	peak := cc.cfg.Perf.ProjectPerf(ipc, dcu, from, info.Table.At(maxIdx).FreqMHz)
 	if peak <= 0 {
-		return info.PStateIndex
+		return info.PStateIndex, nil
 	}
 	need := (1 - cc.cfg.Slowdown) * peak * (1 - 1e-9)
 	for i := 0; i <= maxIdx; i++ {
 		if cc.cfg.Perf.ProjectPerf(ipc, dcu, from, info.Table.At(i).FreqMHz) >= need {
-			return i
+			return i, nil
 		}
 	}
-	return maxIdx
+	return maxIdx, nil
 }

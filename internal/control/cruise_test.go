@@ -20,7 +20,7 @@ func TestCruiseControlValidation(t *testing.T) {
 
 func TestCruiseControlCoreBoundHoldsHighFrequency(t *testing.T) {
 	cc, _ := NewCruiseControl(CruiseControlConfig{Slowdown: 0.1})
-	got := cc.Tick(tick(2000, 1.5, 1.4, 0.1, 0))
+	got := decide(cc, tick(2000, 1.5, 1.4, 0.1, 0))
 	// 10% tolerated slowdown, core-bound: lowest f with f/2000 >= 0.9
 	// is 1800.
 	if f := tickTable().At(got).FreqMHz; f != 1800 {
@@ -30,7 +30,7 @@ func TestCruiseControlCoreBoundHoldsHighFrequency(t *testing.T) {
 
 func TestCruiseControlMemoryBoundDropsFurther(t *testing.T) {
 	cc, _ := NewCruiseControl(CruiseControlConfig{Slowdown: 0.1})
-	got := cc.Tick(tick(2000, 0.3, 0.2, 4.0, 0))
+	got := decide(cc, tick(2000, 0.3, 0.2, 4.0, 0))
 	// Memory-bound with e=0.81: (f'/2000)^0.19 >= 0.9 first holds at
 	// f' >= 2000*0.9^(1/0.19) ~ 1148 -> 1200 MHz.
 	if f := tickTable().At(got).FreqMHz; f != 1200 {
@@ -44,13 +44,13 @@ func TestCruiseControlQuantizesIntensity(t *testing.T) {
 	// memory-bound sample as core-bound (the precision PS's direct
 	// model use avoids).
 	cc, _ := NewCruiseControl(CruiseControlConfig{Slowdown: 0.1})
-	got := cc.Tick(tick(2000, 0.5, 0.4, 1.24, 0))
+	got := decide(cc, tick(2000, 0.5, 0.4, 1.24, 0))
 	if f := tickTable().At(got).FreqMHz; f != 1800 {
 		t.Errorf("borderline sample chose %d MHz, want 1800 (quantized core-bound)", f)
 	}
 	// A finer table preserves the classification.
 	fine, _ := NewCruiseControl(CruiseControlConfig{Slowdown: 0.1, Quantize: 100})
-	got = fine.Tick(tick(2000, 0.5, 0.4, 1.24, 0))
+	got = decide(fine, tick(2000, 0.5, 0.4, 1.24, 0))
 	if f := tickTable().At(got).FreqMHz; f != 1200 {
 		t.Errorf("fine-table sample chose %d MHz, want 1200", f)
 	}
@@ -58,7 +58,7 @@ func TestCruiseControlQuantizesIntensity(t *testing.T) {
 
 func TestCruiseControlIdleGoesToMinimum(t *testing.T) {
 	cc, _ := NewCruiseControl(CruiseControlConfig{Slowdown: 0.1})
-	if got := cc.Tick(tick(2000, 0, 0, 0, 0)); got != 0 {
+	if got := decide(cc, tick(2000, 0, 0, 0, 0)); got != 0 {
 		t.Errorf("idle tick chose %d", got)
 	}
 }

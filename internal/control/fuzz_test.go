@@ -61,13 +61,11 @@ func FuzzGovernorDecisions(f *testing.F) {
 		govs := []machine.Governor{pm, pmDegrade, ps, psDegrade, cc, &OnDemand{}, NewStaticClock(idx, "")}
 		for _, g := range govs {
 			for k := 0; k < 3; k++ { // stateful governors see it repeatedly
-				got := g.Tick(info)
+				got, degr := g.Tick(&info)
 				if got < 0 || got >= tab.Len() {
 					t.Fatalf("%s returned out-of-range index %d", g.Name(), got)
 				}
-			}
-			if r, ok := g.(machine.DegradationReporter); ok {
-				for _, d := range r.DrainDegradations() {
+				for _, d := range degr {
 					if d.Source == "" || d.Kind == "" {
 						t.Fatalf("%s produced a degradation with empty source/kind: %+v", g.Name(), d)
 					}
@@ -95,7 +93,7 @@ func FuzzParseGovernorSpec(f *testing.F) {
 			return
 		}
 		info := tick(2000, 1.2, 1.0, 0.5, 12)
-		if got := g.Tick(info); got < 0 || got >= tab.Len() {
+		if got := decide(g, info); got < 0 || got >= tab.Len() {
 			t.Fatalf("Parse(%q) governor returned index %d", spec, got)
 		}
 	})

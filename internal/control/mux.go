@@ -5,6 +5,7 @@ import (
 
 	"aapm/internal/counters"
 	"aapm/internal/machine"
+	"aapm/internal/trace"
 )
 
 // Multiplexed wraps a governor so it observes counter samples through
@@ -14,6 +15,7 @@ import (
 type Multiplexed struct {
 	inner machine.Governor
 	mux   *counters.Multiplexer
+	info  machine.TickInfo // the inner governor's view of the interval
 }
 
 // NewMultiplexed schedules the listed events onto nphys physical
@@ -32,10 +34,13 @@ func NewMultiplexed(inner machine.Governor, nphys int, events []counters.Event) 
 // Name identifies the wrapped policy in traces.
 func (m *Multiplexed) Name() string { return m.inner.Name() + "+mux" }
 
-// Tick filters the sample through the multiplexer before delegating.
-func (m *Multiplexed) Tick(info machine.TickInfo) int {
-	info.Sample = m.mux.Observe(info.Sample)
-	return m.inner.Tick(info)
+// Tick filters the sample through the multiplexer into its own copy
+// of the record before delegating; the inner governor's degradations
+// pass through.
+func (m *Multiplexed) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
+	m.info = *info
+	m.info.Sample = m.mux.Observe(info.Sample)
+	return m.inner.Tick(&m.info)
 }
 
 // InitialIndex delegates if the inner governor pins a start state.

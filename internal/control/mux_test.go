@@ -29,7 +29,7 @@ func TestMultiplexedDelegates(t *testing.T) {
 	}
 	info := tick(2000, 1.5, 1.4, 0.1, 0)
 	ps2, _ := NewPowerSave(PSConfig{Floor: 0.8})
-	if got, want := mux.Tick(info), ps2.Tick(info); got != want {
+	if got, want := decide(mux, info), decide(ps2, info); got != want {
 		t.Errorf("transparent mux decision %d, want %d", got, want)
 	}
 }
@@ -41,7 +41,7 @@ func TestMultiplexedStaleEventChangesDecision(t *testing.T) {
 	ps, _ := NewPowerSave(PSConfig{Floor: 0.8})
 	mux, _ := NewMultiplexed(ps, 1, []counters.Event{counters.InstRetired, counters.DCUMissOutstanding})
 	memInfo := tick(2000, 0.3, 0.2, 4.0, 0)
-	got := mux.Tick(memInfo)
+	got := decide(mux, memInfo)
 	// Unwrapped PS would drop to 800 MHz (memory-classified); the
 	// muxed one, blind to DCU on this tick, treats it core-bound and
 	// picks 1600.
@@ -49,7 +49,7 @@ func TestMultiplexedStaleEventChangesDecision(t *testing.T) {
 		t.Errorf("stale-DCU tick chose %d MHz, want 1600", f)
 	}
 	// Next tick observes DCU and recovers the memory classification.
-	got = mux.Tick(memInfo)
+	got = decide(mux, memInfo)
 	if f := memInfo.Table.At(got).FreqMHz; f != 800 {
 		t.Errorf("post-rotation tick chose %d MHz, want 800", f)
 	}
@@ -66,7 +66,7 @@ func TestMultiplexedPassthroughInterfaces(t *testing.T) {
 	}
 	th, _ := NewThrottleSave(ThrottleSaveConfig{Floor: 0.5})
 	mux2, _ := NewMultiplexed(th, 2, []counters.Event{counters.InstRetired})
-	mux2.Tick(tick(2000, 1, 1, 0.1, 0))
+	decide(mux2, tick(2000, 1, 1, 0.1, 0))
 	if mux2.Duty() != 0.5 {
 		t.Errorf("throttling inner duty = %g", mux2.Duty())
 	}

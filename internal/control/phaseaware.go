@@ -5,6 +5,7 @@ import (
 
 	"aapm/internal/machine"
 	"aapm/internal/phasedetect"
+	"aapm/internal/trace"
 )
 
 // PhaseAwarePM wraps a PerformanceMaximizer with an online phase
@@ -46,8 +47,9 @@ func (p *PhaseAwarePM) Name() string { return p.pm.Name() + "+phase" }
 func (p *PhaseAwarePM) PhaseChanges() uint64 { return p.det.Changes() }
 
 // Tick feeds the detector and delegates to PM, bypassing the up-shift
-// hysteresis on a detected phase change.
-func (p *PhaseAwarePM) Tick(info machine.TickInfo) int {
+// hysteresis on a detected phase change. PM's degradations pass
+// through.
+func (p *PhaseAwarePM) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
 	if p.det.Observe(info.Sample.DPC()) {
 		p.pm.BypassHysteresis()
 	}

@@ -30,7 +30,7 @@ func TestBypassHysteresisArmsNextTick(t *testing.T) {
 	pm, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5})
 	low := tick(1800, 0.5, 0.5, 0.1, 0)
 	pm.BypassHysteresis()
-	if got := pm.Tick(low); tickTable().At(got).FreqMHz != 2000 {
+	if got := decide(pm, low); tickTable().At(got).FreqMHz != 2000 {
 		t.Errorf("armed PM did not raise on the next supporting sample (index %d)", got)
 	}
 }

@@ -44,7 +44,7 @@ func TestPropertyPMEstimateNeverExceedsLimit(t *testing.T) {
 				meas = 0
 			}
 			info := tick(tab.At(cur).FreqMHz, dpc, dpc, 0, meas)
-			got := pm.Tick(info)
+			got := decide(pm, info)
 			if got < 0 || got > top {
 				t.Fatalf("trial %d: index %d out of range", trial, got)
 			}
@@ -91,7 +91,7 @@ func TestPropertyPSNeverBelowFloorWhenFeasible(t *testing.T) {
 		// counter truncation), so the assertion uses PS's own inputs.
 		sIPC := info.Sample.IPC()
 		sDCU := info.Sample.DCUPerInst()
-		got := ps.Tick(info)
+		got := decide(ps, info)
 		if got < 0 || got > maxIdx {
 			t.Fatalf("trial %d: index %d out of range", trial, got)
 		}

@@ -6,6 +6,7 @@ import (
 	"aapm/internal/machine"
 	"aapm/internal/model"
 	"aapm/internal/thermal"
+	"aapm/internal/trace"
 )
 
 // ThermalGuardConfig parameterizes a ThermalGuard policy.
@@ -77,14 +78,14 @@ func (tg *ThermalGuard) Name() string {
 }
 
 // Tick chooses the next p-state from the sensor temperature.
-func (tg *ThermalGuard) Tick(info machine.TickInfo) int {
+func (tg *ThermalGuard) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
 	if tg.cfg.Reactive {
-		return tg.reactive(info)
+		return tg.reactive(info), nil
 	}
-	return tg.predictive(info)
+	return tg.predictive(info), nil
 }
 
-func (tg *ThermalGuard) reactive(info machine.TickInfo) int {
+func (tg *ThermalGuard) reactive(info *machine.TickInfo) int {
 	switch {
 	case info.TempC >= tg.cfg.LimitC:
 		tg.pendingUp = 0
@@ -109,7 +110,7 @@ func (tg *ThermalGuard) reactive(info machine.TickInfo) int {
 // sustained power that settles at the guarded limit, plus a transient
 // allowance for charging the remaining headroom over the horizon, then
 // picks the highest p-state whose predicted power fits.
-func (tg *ThermalGuard) predictive(info machine.TickInfo) int {
+func (tg *ThermalGuard) predictive(info *machine.TickInfo) int {
 	target := tg.cfg.LimitC - tg.cfg.GuardC
 	budget := tg.cfg.Thermal.PowerForC(target)
 	if head := target - info.TempC; head > 0 {

@@ -45,12 +45,12 @@ func TestThermalGuardValidation(t *testing.T) {
 
 func TestReactiveGuardStepsDownWhenHot(t *testing.T) {
 	tg, _ := NewThermalGuard(tgConfig(true))
-	got := tg.Tick(thermalTick(2000, 1.8, 76))
+	got := decide(tg, thermalTick(2000, 1.8, 76))
 	if got != 6 { // one step below the 2000 MHz index 7
 		t.Errorf("hot tick chose index %d, want 6", got)
 	}
 	// At the floor it stays put.
-	got = tg.Tick(thermalTick(600, 1.8, 80))
+	got = decide(tg, thermalTick(600, 1.8, 80))
 	if got != 0 {
 		t.Errorf("hot tick at min chose %d", got)
 	}
@@ -60,18 +60,18 @@ func TestReactiveGuardStepsUpSlowly(t *testing.T) {
 	tg, _ := NewThermalGuard(tgConfig(true))
 	cool := thermalTick(1600, 1.0, 70)
 	for k := 0; k < DefaultRaiseTicks-1; k++ {
-		if got := tg.Tick(cool); got != 5 {
+		if got := decide(tg, cool); got != 5 {
 			t.Fatalf("raised after %d cool samples", k+1)
 		}
 	}
-	if got := tg.Tick(cool); got != 6 {
+	if got := decide(tg, cool); got != 6 {
 		t.Errorf("did not raise after %d cool samples (got %d)", DefaultRaiseTicks, got)
 	}
 }
 
 func TestReactiveGuardHoldsInDeadband(t *testing.T) {
 	tg, _ := NewThermalGuard(tgConfig(true))
-	if got := tg.Tick(thermalTick(1600, 1.0, 74)); got != 5 {
+	if got := decide(tg, thermalTick(1600, 1.0, 74)); got != 5 {
 		t.Errorf("deadband tick moved to %d", got)
 	}
 }
@@ -80,12 +80,12 @@ func TestPredictiveGuardUsesHeadroom(t *testing.T) {
 	tg, _ := NewThermalGuard(tgConfig(false))
 	// Cold die: plenty of transient headroom, high states allowed even
 	// for a hot workload.
-	coldWant := tg.Tick(thermalTick(2000, 1.9, 46))
+	coldWant := decide(tg, thermalTick(2000, 1.9, 46))
 	// Near the limit: budget collapses to the sustained power for
 	// 74 °C = (74-45)/1.7 ~ 17 W; a 1.9-DPC workload (>17.6 W at
 	// 2000 MHz) must be capped below the top state.
 	tg2, _ := NewThermalGuard(tgConfig(false))
-	hotWant := tg2.Tick(thermalTick(2000, 1.9, 74))
+	hotWant := decide(tg2, thermalTick(2000, 1.9, 74))
 	if hotWant >= coldWant {
 		t.Errorf("predictive guard ignored temperature: cold->%d hot->%d", coldWant, hotWant)
 	}
@@ -98,11 +98,11 @@ func TestPredictiveGuardRaiseHysteresis(t *testing.T) {
 	tg, _ := NewThermalGuard(tgConfig(false))
 	cool := thermalTick(1400, 0.8, 50)
 	for k := 0; k < DefaultRaiseTicks-1; k++ {
-		if got := tg.Tick(cool); got != 4 {
+		if got := decide(tg, cool); got != 4 {
 			t.Fatalf("raised after only %d cool ticks (to %d)", k+1, got)
 		}
 	}
-	if got := tg.Tick(cool); got <= 4 {
+	if got := decide(tg, cool); got <= 4 {
 		t.Errorf("did not raise after %d cool ticks (got %d)", DefaultRaiseTicks, got)
 	}
 }
@@ -139,7 +139,7 @@ func TestThrottleSavePinsMaxAndSetsDuty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := ts.Tick(tick(2000, 1.5, 1.4, 0.1, 0))
+		got := decide(ts, tick(2000, 1.5, 1.4, 0.1, 0))
 		if got != 7 {
 			t.Errorf("floor %.2f: index %d, want max", c.floor, got)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aapm/internal/machine"
+	"aapm/internal/trace"
 )
 
 // ThrottleSaveConfig parameterizes a ThrottleSave policy.
@@ -51,7 +52,7 @@ func (ts *ThrottleSave) Name() string {
 // Tick pins the maximum frequency and selects the lowest duty level
 // that keeps delivered performance (proportional to duty) at or above
 // the floor.
-func (ts *ThrottleSave) Tick(info machine.TickInfo) int {
+func (ts *ThrottleSave) Tick(info *machine.TickInfo) (int, []trace.Degradation) {
 	n := ts.cfg.Levels
 	level := int(ts.cfg.Floor*float64(n) + 1 - 1e-9) // ceil(floor*n)
 	if level > n {
@@ -61,7 +62,7 @@ func (ts *ThrottleSave) Tick(info machine.TickInfo) int {
 		level = 1
 	}
 	ts.duty = float64(level) / float64(n)
-	return info.Table.Len() - 1
+	return info.Table.Len() - 1, nil
 }
 
 // Duty implements machine.Throttler.

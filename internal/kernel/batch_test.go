@@ -135,7 +135,7 @@ func diffCases() []diffCase {
 			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "ammp", 1) },
 			gov:      nilGov(),
 			cfg:      machine.Config{Seed: 3},
-			wantKind: "pinned",
+			wantKind: "pm",
 		},
 		{
 			name:     "gzip/static-min/ni",
@@ -177,7 +177,7 @@ func diffCases() []diffCase {
 			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "crafty", 1) },
 			gov:      onDemandGov(),
 			cfg:      machine.Config{Seed: 9},
-			wantKind: "generic",
+			wantKind: "pm",
 		},
 		{
 			name:     "gcc/throttlesave/ni",
@@ -195,7 +195,7 @@ func diffCases() []diffCase {
 		},
 		{
 			// Idle phases leave PS-degrade stale counters with no fault
-			// plan, so the specialized body drains degradation events.
+			// plan, so the pm body logs the degradations PS returns.
 			name:     "synthetic/psave-degrade/ni",
 			workload: func(t *testing.T) phase.Workload { return syntheticWorkload() },
 			gov:      psGov(0.8, true),
@@ -207,7 +207,7 @@ func diffCases() []diffCase {
 			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "ammp", 1) },
 			gov:      phaseAwareGov(14.5),
 			cfg:      machine.Config{Chain: ni, Seed: 12},
-			wantKind: "generic",
+			wantKind: "pm",
 		},
 	}
 
@@ -226,8 +226,8 @@ func diffCases() []diffCase {
 		{"psave", func(r *rand.Rand) govFactory { return psGov(0.6+0.3*r.Float64(), false) }, "pm"},
 		{"psave-degrade", func(r *rand.Rand) govFactory { return psGov(0.6+0.3*r.Float64(), true) }, "pm"},
 		{"static", func(r *rand.Rand) govFactory { return staticGov(r.Intn(6)) }, "pm"},
-		{"pinned", func(r *rand.Rand) govFactory { return nilGov() }, "pinned"},
-		{"ondemand", func(r *rand.Rand) govFactory { return onDemandGov() }, "generic"},
+		{"pinned", func(r *rand.Rand) govFactory { return nilGov() }, "pm"},
+		{"ondemand", func(r *rand.Rand) govFactory { return onDemandGov() }, "pm"},
 	}
 	for k := 0; k < 12; k++ {
 		wname := names[rng.Intn(len(names))]
@@ -544,9 +544,9 @@ func TestBatchMixedConfigMatchesSessions(t *testing.T) {
 	}
 }
 
-// TestBatchTickAllocs is the allocation-budget gate: on the
-// specialized (telemetry-off, faults-off) paths a tick allocates
-// nothing. Trace retention is off, as in the cluster's default
+// TestBatchTickAllocs is the allocation-budget gate: on the pm
+// (telemetry-off, faults-off) body a tick allocates nothing, for lane,
+// object and governor-less nodes alike. Trace retention is off, as in the cluster's default
 // steady-state configuration.
 func TestBatchTickAllocs(t *testing.T) {
 	build := func(t *testing.T, gf govFactory, wantKind string) *BatchState {
@@ -578,7 +578,8 @@ func TestBatchTickAllocs(t *testing.T) {
 	}{
 		{"pm", "pm", pmGov(13, 0.25, false)},
 		{"psave", "pm", psGov(0.8, false)},
-		{"pinned", "pinned", nilGov()},
+		{"pinned", "pm", nilGov()},
+		{"ondemand", "pm", onDemandGov()},
 	}
 	for _, k := range kinds {
 		k := k

@@ -29,8 +29,10 @@ import (
 // A governor selector with its top bit set steps a mixed batch instead
 // of one lane: PM lanes with and without feedback and Degrade at and
 // around the fuzzed limit (one of them a bare policy lane with no
-// handle), PowerSave lanes with and without Degrade and a static lane,
-// interleaved on one body; every lane must agree across the bodies.
+// handle), PowerSave lanes with and without Degrade, a static lane, a
+// lane with no governor, an OnDemand lane and a PhaseAwarePM over a
+// degrading PM, interleaved on one body; every lane must agree across
+// the bodies.
 func FuzzBatchStep(f *testing.F) {
 	bits := math.Float64bits
 	// Plausible spec, idle-only, NaN params, Inf intensity, huge
@@ -79,7 +81,7 @@ func FuzzBatchStep(f *testing.F) {
 		mixed := govSel&0x80 != 0
 		lanes := 1
 		if mixed {
-			lanes = 7
+			lanes = 10
 		}
 		pm := func(limitW, gain float64, degrade bool) (machine.Governor, error) {
 			return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW, FeedbackGain: gain, Degrade: degrade})
@@ -117,8 +119,17 @@ func FuzzBatchStep(f *testing.F) {
 				node.Governor, err = control.NewPowerSave(control.PSConfig{Floor: 0.8})
 			case 5:
 				node.Governor, err = control.NewPowerSave(control.PSConfig{Floor: 0.7, Degrade: true})
-			default:
+			case 6:
 				node.Governor = control.NewStaticClock(3, "static-fuzz")
+			case 7: // no governor
+			case 8:
+				node.Governor = &control.OnDemand{}
+			default:
+				var inner *control.PerformanceMaximizer
+				inner, err = control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, FeedbackGain: 0.25, Degrade: true})
+				if err == nil {
+					node.Governor, err = control.NewPhaseAwarePM(inner, 4, 0.2)
+				}
 			}
 			return err
 		}

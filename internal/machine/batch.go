@@ -17,30 +17,32 @@ import (
 )
 
 // The tick engine steps one or many nodes through their monitoring
-// intervals with a struct-of-arrays layout and per-run specialized
-// step bodies. It is the only implementation of the paper's 10 ms
-// loop: a Session is a one-lane BatchState, and the fleet, serve and
+// intervals with a struct-of-arrays layout and one of two step
+// bodies. It is the only implementation of the paper's 10 ms loop: a
+// Session is a one-lane BatchState, and the fleet, serve and
 // experiment paths step many-lane ones. All mutable per-node state
-// lives in contiguous parallel slices, and one of a small set of step
-// bodies is selected once per run:
+// lives in contiguous parallel slices, and the body is selected once
+// per run:
 //
-//	body      governor                          faults  thermal  hooks
-//	pinned    nil                               off     off      none
-//	pm        LanePolicy, or InPlaceTicker      off     off      none
-//	          that is not a Throttler
-//	generic   any                               any     any      any
+//	body      governor            faults  thermal  hooks  stage timing
+//	pm        any but Throttler   off     off      none   off
+//	generic   any                 any     any      any    any
 //
-// The pm body is named for its first user; PerformanceMaximizer (a
-// lane policy), PowerSave and StaticClock all take it. A lane-policy
-// node's governor state is a GovLane in the batch's lanes slab and its
-// actuator is three lanes (p-state index, transition and failure
-// counts, latency), so such a node owns no governor or actuator object
-// at all (see lane.go). The specialized bodies
-// allocate nothing per tick (TestBatchTickAllocs); the generic body
-// builds a TickState per interval and runs the full event order:
-// fault drains, throttling, stage timing and hook fan-out. Every body
-// reproduces the recorded reference outputs bit for bit
-// (internal/kernel's TestBatchMatchesStaged).
+// The pm body is named for its first user. Nodes with no governor,
+// lane-policy nodes (PerformanceMaximizer) and governor objects
+// (PowerSave, StaticClock, wrappers, user policies) share it, mixed in
+// any proportion. Both bodies run one govern step (govern): a lane
+// node ticks its GovLane, an object node its Governor, and a node
+// with no governor skips it. A lane-policy node's governor state is a
+// GovLane in the batch's lanes slab and its actuator is three lanes
+// (p-state index, transition and failure counts, latency), so such a
+// node owns no governor or actuator object at all (see lane.go). The
+// pm body allocates nothing per tick for governors that allocate
+// nothing (TestBatchTickAllocs); the generic body builds a TickState
+// per interval and runs the full event order: fault drains,
+// throttling, stage timing and hook fan-out. Both bodies reproduce
+// the recorded reference outputs bit for bit (internal/kernel's
+// TestBatchMatchesStaged).
 
 // BatchNode binds one node's machine, workload and governor. The
 // governor must be a fresh instance (its state is mutated by the run),
@@ -70,24 +72,19 @@ type BatchOptions struct {
 	Hooks func(i int) []Hook
 }
 
-// stepKind identifies the specialized step body a batch selected.
+// stepKind identifies the step body a batch selected.
 type stepKind uint8
 
 const (
 	stepGeneric stepKind = iota
-	stepPinned
 	stepInPlace
 )
 
 func (k stepKind) String() string {
-	switch k {
-	case stepPinned:
-		return "pinned"
-	case stepInPlace:
+	if k == stepInPlace {
 		return "pm"
-	default:
-		return "generic"
 	}
+	return "generic"
 }
 
 // BatchState holds the tick state of every node in a batch as
@@ -109,7 +106,6 @@ type BatchState struct {
 	// Immutable per-node wiring, fixed at construction.
 	truths   []*power.GroundTruth
 	govs     []Governor      // nil for pinned and lane-only nodes
-	inplace  []InPlaceTicker // set on the pm body only, if any node is not a lane node
 	lpol     []LanePolicy    // shared lane policy, nil for other nodes
 	latency  []time.Duration // actuator transition latency
 	rngs     []*rand.Rand
@@ -157,10 +153,10 @@ type BatchState struct {
 	energyTrue []power.Energy
 	energyMeas []power.Energy
 	// tinfo holds each node's persistent TickInfo: the true PMU sample
-	// is accumulated in place (never copied), and the constant fields
-	// (Table, Duty=1) are set once, so the specialized bodies only
-	// touch the per-tick fields before handing the record to TickLane
-	// or TickP.
+	// is accumulated in place (never copied), and the constant Table
+	// (and, on the pm body, Duty=1) is set once, so govern only touches
+	// the per-tick fields before handing the record to TickLane or
+	// Tick.
 	tinfo []TickInfo
 	obs   []counters.Sample // governor-visible sample; allocated only for batches with faults
 }
@@ -395,8 +391,8 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 
 		b.curIdx[i] = int32(start)
 		b.duty[i] = 1.0
-		// Constant TickInfo fields for the specialized bodies; the
-		// per-tick fields are written in place each interval.
+		// Constant TickInfo fields for the pm body; the per-tick
+		// fields are written in place each interval.
 		b.tinfo[i].Table = b.tables[i]
 		b.tinfo[i].Duty = 1
 		b.loadPhase(i)
@@ -405,54 +401,28 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 	return b, nil
 }
 
-// selectKind picks the most specialized step body that is exact for
-// every node in the batch. Any node that needs the full event order —
-// fault injection, a thermal model, observer hooks, a throttling
-// governor or one that is neither a lane policy nor has TickP —
-// demotes the whole batch to the generic body, and so does a mix of
-// pinned and governed nodes.
+// selectKind picks the pm body unless some node needs the full event
+// order: fault injection, a thermal model, observer hooks or a
+// throttling governor demote the whole batch to the generic body.
+// Stage timing demotes it later (Session.EnableStageTiming).
 func (b *BatchState) selectKind(anyHooks bool) stepKind {
 	if anyHooks {
 		return stepGeneric
 	}
-	kind := stepKind(0xff)
 	for i := 0; i < b.n; i++ {
-		if b.injs[i] != nil || b.tms[i] != nil {
-			return stepGeneric
-		}
-		k := stepPinned
-		if b.lpol[i] != nil {
-			k = stepInPlace
-		} else if g := b.govs[i]; g != nil {
-			t, ok := g.(InPlaceTicker)
-			if _, throttles := g.(Throttler); !ok || throttles {
-				return stepGeneric
-			}
-			if b.inplace == nil {
-				b.inplace = make([]InPlaceTicker, b.n)
-			}
-			b.inplace[i] = t
-			k = stepInPlace
-		}
-		if kind == 0xff {
-			kind = k
-		} else if kind != k {
+		if _, throttles := b.govs[i].(Throttler); throttles || b.injs[i] != nil || b.tms[i] != nil {
 			return stepGeneric
 		}
 	}
-	return kind
+	return stepInPlace
 }
 
 // setKind installs the step body for kind.
 func (b *BatchState) setKind(kind stepKind) {
 	b.kind = kind
-	switch kind {
-	case stepPinned:
-		b.step = stepPinnedBody
-	case stepInPlace:
+	b.step = stepGenericBody
+	if kind == stepInPlace {
 		b.step = stepInPlaceBody
-	default:
-		b.step = stepGenericBody
 	}
 }
 

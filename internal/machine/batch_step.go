@@ -11,9 +11,10 @@ import (
 
 // The step bodies in this file run one monitoring interval in the
 // paper's order — execute → measure → observe → govern → actuate. The
-// specialized bodies shed what their batch provably lacks (faults,
-// thermal model, hooks, throttling) but keep the generic body's float
-// operations in the same order, so every body produces the same bits.
+// pm body sheds what its batch provably lacks (faults, thermal model,
+// hooks, throttling) but keeps the generic body's float operations in
+// the same order, and both call the same govern step, so both bodies
+// produce the same bits.
 // The only other liberties are pure-value caches: Params.At per
 // (phase, p-state), PState.FreqHz per state, and period.Seconds() for
 // full intervals. Anything that would change float bits (reassociating
@@ -140,9 +141,9 @@ func (b *BatchState) measureFast(i, cur int, used, busy time.Duration) (trueW, m
 	return
 }
 
-// emitFastRow records the interval on the fault-free specialized
-// paths: instruction totals always, the trace row only under
-// RetainTraces. Rate divisions happen only when a row is kept.
+// emitFastRow records the interval on the fault-free pm body:
+// instruction totals always, the trace row only under RetainTraces.
+// Rate divisions happen only when a row is kept.
 func (b *BatchState) emitFastRow(i int, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
 	b.instrTot[i] += instr
 	if !b.retain {
@@ -167,44 +168,47 @@ func (b *BatchState) emitFastRow(i int, start, used time.Duration, cur int, true
 	})
 }
 
-// noteDegradations records governor degradation notes stamped at the
-// node's virtual time.
-func (b *BatchState) noteDegradations(i int, ds []trace.Degradation) {
-	for _, d := range ds {
+// govern is the govern stage of both step bodies. It completes node
+// i's persistent TickInfo for the interval that just ended at p-state
+// cur, asks the node's policy for the next p-state — TickLane over
+// the node's GovLane, or its Governor's Tick — and logs each
+// degradation the policy noted, stamped at the node's virtual time. A
+// node with no governor skips the stage and keeps cur.
+func (b *BatchState) govern(i, cur int, used time.Duration, measuredW float64) int {
+	// A lane node never reads govs: a fleet's bare lanes leave that
+	// slice cold.
+	p := b.lpol[i]
+	if p == nil && b.govs[i] == nil {
+		return cur
+	}
+	info := &b.tinfo[i]
+	info.Now = b.now[i]
+	info.Interval = used
+	info.PState = b.states[i][cur]
+	info.PStateIndex = cur
+	info.MeasuredPowerW = measuredW
+	var (
+		want int
+		degr []trace.Degradation
+	)
+	if p != nil {
+		st := &b.lanes[i]
+		var ev uint8
+		if want, ev = p.TickLane(st, info); ev != 0 {
+			degr = p.LaneDegradations(st, ev)
+		}
+	} else {
+		want, degr = b.govs[i].Tick(info)
+	}
+	for _, d := range degr {
 		d.T = b.now[i]
-		b.runs[i].AddDegradation(d)
+		b.emitDegradation(i, d)
 	}
+	return want
 }
 
-// stepPinnedBody steps a node with no governor (or a static clock
-// pinned at its start state): execute and measure only — govern and
-// actuate are provably no-ops.
-func stepPinnedBody(b *BatchState, i int) {
-	if b.tick[i] >= b.maxTicks[i] {
-		b.failTicks(i)
-		return
-	}
-	b.tick[i]++
-	cur := int(b.curIdx[i])
-	start := b.now[i]
-	used, busy, _, instr, _, ph, ok := b.executeTick(i, cur)
-	if !ok {
-		b.done[i] = true
-		return
-	}
-	trueW, meaW := b.measureFast(i, cur, used, busy)
-	b.now[i] = start + used
-	b.lastW[i] = meaW
-	b.seq[i]++
-	if b.exhausted[i] {
-		b.done[i] = true
-	}
-	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, ph)
-}
-
-// stepInPlaceBody steps a node whose governor decides in place — a
-// lane policy over the node's GovLane, or an InPlaceTicker — on the
-// fault-free, thermal-free, hook-free path.
+// stepInPlaceBody steps a node on the fault-free, thermal-free,
+// hook-free path, deciding from the node's persistent TickInfo.
 func stepInPlaceBody(b *BatchState, i int) {
 	if b.tick[i] >= b.maxTicks[i] {
 		b.failTicks(i)
@@ -224,32 +228,7 @@ func stepInPlaceBody(b *BatchState, i int) {
 	b.seq[i]++
 	if b.exhausted[i] {
 		b.done[i] = true
-		b.emitFastRow(i, start, used, cur, trueW, meaW, instr, ph)
-		return
-	}
-	ti := &b.tinfo[i]
-	ti.Now = b.now[i]
-	ti.Interval = used
-	ti.PState = b.states[i][cur]
-	ti.PStateIndex = cur
-	ti.MeasuredPowerW = meaW
-	var want int
-	if p := b.lpol[i]; p != nil {
-		st := &b.lanes[i]
-		var ev uint8
-		want, ev = p.TickLane(st, ti)
-		if ev != 0 {
-			b.noteDegradations(i, p.LaneDegradations(st, ev))
-		}
-	} else {
-		g := b.inplace[i]
-		var degraded bool
-		want, degraded = g.TickP(ti)
-		if degraded {
-			b.noteDegradations(i, g.DrainDegradations())
-		}
-	}
-	if want != cur {
+	} else if want := b.govern(i, cur, used, meaW); want != cur {
 		d, err := b.setPState(i, want)
 		if err != nil {
 			b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
@@ -314,9 +293,9 @@ func (b *BatchState) drainInjector(i int, t time.Duration) {
 }
 
 // stepGenericBody runs the full tick — fault injection, thermal model,
-// arbitrary governors (throttling included), stage timing and hook
-// fan-out — against the batch state lanes. It is the fallback whenever
-// a node needs anything the specialized bodies shed.
+// throttling governors, stage timing and hook fan-out — against the
+// batch state lanes. It is the fallback whenever a node needs anything
+// the pm body sheds.
 func stepGenericBody(b *BatchState, i int) {
 	if b.tick[i] >= b.maxTicks[i] {
 		b.failTicks(i)
@@ -389,79 +368,46 @@ func stepGenericBody(b *BatchState, i int) {
 		return
 	}
 
-	// govern: the policy tick and its degradation drain. A lane
-	// policy ticks the node's GovLane (a bound LaneGovernor's state).
-	// The record goes in the node's persistent TickInfo, which the
-	// rest of this tick does not read (the true sample is already in
-	// ts, and LastDPC reads the same observed sample), so handing it
-	// to TickLane by pointer costs no allocation.
-	g, p := b.govs[i], b.lpol[i]
-	if g != nil || p != nil {
-		info := &b.tinfo[i]
-		*info = TickInfo{
-			Now:            b.now[i],
-			Interval:       used,
-			Sample:         ts.Observed,
-			PState:         ts.PState,
-			PStateIndex:    cur,
-			Table:          b.tables[i],
-			MeasuredPowerW: ts.MeasuredPowerW,
-			TempC:          ts.TempC,
-			Duty:           ts.Duty,
-		}
-		if p != nil {
-			st := &b.lanes[i]
-			var ev uint8
-			ts.WantIndex, ev = p.TickLane(st, info)
-			if ev != 0 {
-				for _, d := range p.LaneDegradations(st, ev) {
-					d.T = b.now[i]
-					b.emitDegradation(i, d)
-				}
-			}
-		} else {
-			ts.WantIndex = g.Tick(*info)
-			if dr, ok := g.(DegradationReporter); ok {
-				for _, d := range dr.DrainDegradations() {
-					d.T = b.now[i]
-					b.emitDegradation(i, d)
-				}
-			}
-		}
-	}
+	// govern: the observed sample, sensor reading and duty go in the
+	// node's persistent TickInfo, which the rest of this tick does not
+	// read (the true sample is already in ts, and LastDPC reads the
+	// same observed sample).
+	info := &b.tinfo[i]
+	info.Sample = ts.Observed
+	info.TempC = ts.TempC
+	info.Duty = ts.Duty
+	ts.WantIndex = b.govern(i, cur, used, ts.MeasuredPowerW)
 	clock.mark(&ts, StageGovern)
 
 	// actuate: the p-state transition (possibly through a faulted
 	// actuator) with its stall charged to upcoming intervals, then the
 	// next interval's clock-modulation duty.
-	if g != nil || p != nil {
-		if ts.WantIndex != cur {
-			okT, extra := true, time.Duration(0)
-			if inj := b.injs[i]; inj != nil {
-				okT, extra = inj.Transition(b.latency[i])
-				b.drainInjector(i, b.now[i])
-			}
-			if okT {
-				d, err := b.setPState(i, ts.WantIndex)
-				if err != nil {
-					b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
-					return
-				}
-				b.pendStall[i] += d + extra
-				b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: true, Stall: d + extra})
-			} else {
-				// Transition abandoned: the actuator stays put and the
-				// failed attempt's stall time is still paid.
-				b.failed[i]++
-				b.pendStall[i] += extra
-				b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: false, Stall: extra})
-			}
+	if ts.WantIndex != cur {
+		okT, extra := true, time.Duration(0)
+		if inj := b.injs[i]; inj != nil {
+			okT, extra = inj.Transition(b.latency[i])
+			b.drainInjector(i, b.now[i])
 		}
-		if th, ok := g.(Throttler); ok {
-			b.duty[i] = clampDuty(th.Duty())
+		if okT {
+			d, err := b.setPState(i, ts.WantIndex)
+			if err != nil {
+				b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
+				return
+			}
+			b.pendStall[i] += d + extra
+			b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: true, Stall: d + extra})
+		} else {
+			// Transition abandoned: the actuator stays put and the
+			// failed attempt's stall time is still paid.
+			b.failed[i]++
+			b.pendStall[i] += extra
+			b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: false, Stall: extra})
 		}
-		ts.NextDuty = b.duty[i]
 	}
+	if th, ok := b.govs[i].(Throttler); ok {
+		b.duty[i] = clampDuty(th.Duty())
+	}
+	ts.NextDuty = b.duty[i]
 	clock.mark(&ts, StageActuate)
 	b.emitTick(i, &ts, ph)
 }

@@ -20,8 +20,10 @@ func mustRunOn(t *testing.T, m *Machine, w phase.Workload, g Governor) *trace.Ru
 // throttleGov pins max frequency at a fixed duty cycle.
 type throttleGov struct{ duty float64 }
 
-func (g *throttleGov) Name() string           { return "throttle" }
-func (g *throttleGov) Tick(info TickInfo) int { return info.Table.Len() - 1 }
+func (g *throttleGov) Name() string { return "throttle" }
+func (g *throttleGov) Tick(info *TickInfo) (int, []trace.Degradation) {
+	return info.Table.Len() - 1, nil
+}
 func (g *throttleGov) Duty() float64          { return g.duty }
 func (g *throttleGov) InitialIndex(d int) int { return d }
 

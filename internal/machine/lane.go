@@ -42,13 +42,15 @@ func (l *GovLane) SetLimit(w float64) {
 type LanePolicy interface {
 	// LaneName labels a node that starts from state st in traces.
 	LaneName(st *GovLane) string
-	// TickLane is Governor.Tick over the lane: it returns the desired
-	// p-state index for the next interval, updating st in place, and
-	// ev, the policy-defined set of degradation events the tick noted
-	// (0 for none).
+	// TickLane is Governor.Tick over the lane with the degradations
+	// left unrendered: it returns the desired p-state index for the
+	// next interval, updating st in place, and ev, the policy-defined
+	// set of degradation events the tick noted (0 for none), so a tick
+	// that notes none builds no slice.
 	TickLane(st *GovLane, info *TickInfo) (want int, ev uint8)
 	// LaneDegradations renders the events ev of the tick that just
-	// updated st, in the order the policy noted them.
+	// updated st, in the order the policy noted them; the engine calls
+	// it only when ev != 0.
 	LaneDegradations(st *GovLane, ev uint8) []trace.Degradation
 	// LaneDesireW is the power limit the node would need to run the
 	// table's top p-state at decode rate dpc: a budget coordinator's

@@ -7,8 +7,8 @@
 // batch_step.go) runs every interval: execute synthesizes the
 // interval's counter activity from the active phase and p-state,
 // measure computes true power and the sensed sample, observe exposes
-// the PMU/thermal view, govern asks the policy for the next p-state,
-// and actuate applies it. A Session is a one-lane view of that engine;
+// the PMU/thermal view, govern asks the policy for the next p-state
+// (and logs the degradations it notes), and actuate applies it. A Session is a one-lane view of that engine;
 // fleets and batches step many lanes at once. The engine totals each
 // run's counters (ticks, virtual, stall and busy time, energy,
 // transitions, degradations) into its trace.Run; live consumers —
@@ -65,8 +65,12 @@ type TickInfo struct {
 type Governor interface {
 	// Name labels the policy in traces.
 	Name() string
-	// Tick returns the desired p-state index for the next interval.
-	Tick(TickInfo) int
+	// Tick returns the desired p-state index for the next interval and
+	// the degradations the decision noted (nil for none), which the
+	// engine stamps with virtual time and logs in the run. info is the
+	// engine's own record of the interval: Tick must neither modify it
+	// nor retain it past the call.
+	Tick(info *TickInfo) (want int, degr []trace.Degradation)
 }
 
 // InitialStater is optionally implemented by governors that want a
@@ -85,29 +89,6 @@ type InitialStater interface {
 // power. Values outside (0,1] clamp.
 type Throttler interface {
 	Duty() float64
-}
-
-// DegradationReporter is optionally implemented by governors that
-// degrade gracefully under faulted inputs. The session drains the log
-// after every tick, stamps each entry with the virtual time, and
-// appends it to the run's degradation log.
-type DegradationReporter interface {
-	// DrainDegradations returns and clears the events accumulated
-	// since the last call.
-	DrainDegradations() []trace.Degradation
-}
-
-// InPlaceTicker is optionally implemented by governors that can decide
-// from the engine's persistent interval record instead of a copy. A
-// batch whose governors all implement it — and that has no hooks,
-// faults, thermal model or Throttler — runs on the allocation-free pm
-// step body.
-type InPlaceTicker interface {
-	// TickP returns what Tick returns for the same record, and whether
-	// the tick left events for DrainDegradations, so the hot path
-	// drains only when there is something to drain.
-	TickP(*TickInfo) (want int, degraded bool)
-	DegradationReporter
 }
 
 // Config describes a platform instance.

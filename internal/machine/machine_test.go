@@ -120,9 +120,9 @@ func TestEnergyIntegratesPower(t *testing.T) {
 // fixedGov pins a given index from the first tick.
 type fixedGov struct{ idx int }
 
-func (g *fixedGov) Name() string         { return "fixed" }
-func (g *fixedGov) Tick(TickInfo) int    { return g.idx }
-func (g *fixedGov) InitialIndex(int) int { return g.idx }
+func (g *fixedGov) Name() string                              { return "fixed" }
+func (g *fixedGov) Tick(*TickInfo) (int, []trace.Degradation) { return g.idx, nil }
+func (g *fixedGov) InitialIndex(int) int                      { return g.idx }
 
 func TestGovernorInitialIndexHonored(t *testing.T) {
 	m, _ := New(Config{Seed: 1})
@@ -144,12 +144,12 @@ func TestGovernorInitialIndexHonored(t *testing.T) {
 type flipGov struct{ n int }
 
 func (g *flipGov) Name() string { return "flip" }
-func (g *flipGov) Tick(info TickInfo) int {
+func (g *flipGov) Tick(info *TickInfo) (int, []trace.Degradation) {
 	g.n++
 	if g.n%2 == 0 {
-		return 0
+		return 0, nil
 	}
-	return info.Table.Len() - 1
+	return info.Table.Len() - 1, nil
 }
 
 func TestTransitionsCountedAndStallApplied(t *testing.T) {

@@ -74,7 +74,7 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 		policy = gov.Name()
 	}
 	// The observer hooks move the run onto the tick engine's generic
-	// body, whose trace is byte-identical to the specialized bodies' —
+	// body, whose trace is byte-identical to the pm body's —
 	// the golden-through-serve test pins that equivalence.
 	batch, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: gov}}, machine.BatchOptions{
 		RetainTraces: true,

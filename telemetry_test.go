@@ -71,11 +71,11 @@ func TestGoldenTraceWithTelemetry(t *testing.T) {
 }
 
 // tickCost measures the per-tick wall-clock of a full ammp run under
-// the OnDemand governor with the given extra hook (nil = none),
-// minimum over trials — the standard way to strip scheduler noise
-// from a microbenchmark. OnDemand has no in-place TickP, so both the
-// bare and the hooked run step the generic body and the difference is
-// the hook fan-out alone.
+// a full-duty ThrottleSave governor with the given extra hook (nil =
+// none), minimum over trials — the standard way to strip scheduler
+// noise from a microbenchmark. ThrottleSave is a Throttler, which
+// always steps the generic body, so both the bare and the hooked run
+// step it and the difference is the hook fan-out alone.
 func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 	t.Helper()
 	w, err := spec.ByName("ammp")
@@ -89,7 +89,11 @@ func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := m.NewSession(w, &OnDemand{})
+		gov, err := NewThrottleSave(ThrottleSaveConfig{Floor: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.NewSession(w, gov)
 		if err != nil {
 			t.Fatal(err)
 		}
