@@ -191,15 +191,18 @@ intent-race:
 serve-churn:
 	go test -race -run 'TestSustainedChurn|TestEvictionPrefersLRUAndSkipsLive|TestMaxResultBytesEviction' -count=1 ./internal/serve/
 
-# Allocation gate + fixture differential, exactly as CI runs them: the
-# pm body must stay at zero heap allocations per tick, both bodies
-# must reproduce the recorded reference fixture
-# (internal/kernel/testdata/staged_reference.json) bit for bit, and a
-# wrapped governor's degradations must reach the run's log.
+# Allocation gate + fixture differential, the same test list CI's
+# "Race (tick engine fixture differential)" step runs under -race: a
+# tick must stay at zero heap allocations, every run must reproduce the
+# recorded reference fixture
+# (internal/kernel/testdata/staged_reference.json) bit for bit with and
+# without the full event order, clean lanes of a full batch must match
+# their lean one-lane runs, a Multiplexed governor must select the
+# event order of its inner governor, and a wrapped governor's
+# degradations must reach the run's log.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged' ./internal/kernel/
-	go test -run TestWrappersForwardDegradations ./internal/control/
+	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster' ./internal/kernel/ ./internal/model/ ./internal/control/ .
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

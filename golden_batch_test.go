@@ -2,9 +2,9 @@ package aapm
 
 // Golden-trace acceptance for NewBatch at the facade level: the same
 // pinned fixtures Platform.Run is checked against, built as an explicit
-// batch so the test can also assert which step body was selected. The
-// specialized in-place body and the generic (hook-carrying) body must
-// both reproduce the fixtures byte-for-byte. The fixtures stay owned
+// batch so the test can also assert which event order was selected.
+// A bare batch (no full event order) and a hook-carrying one (full)
+// must both reproduce the fixtures byte-for-byte. The fixtures stay owned
 // by TestGoldenPMTrace and TestGoldenPSTrace, so -update runs skip
 // these.
 
@@ -40,7 +40,7 @@ func TestGoldenPMTraceBatch(t *testing.T) {
 	}
 	run, b := goldenBatchRun(t, pm, BatchOptions{})
 	if b.Kind() != "pm" {
-		t.Fatalf("golden PM run selected step body %q, want the specialized pm body", b.Kind())
+		t.Fatalf("golden PM run selected kind %q, want pm", b.Kind())
 	}
 	checkGolden(t, "golden_pm_ammp.csv", run)
 }
@@ -55,14 +55,14 @@ func TestGoldenPSTraceBatch(t *testing.T) {
 	}
 	run, b := goldenBatchRun(t, ps, BatchOptions{})
 	if b.Kind() != "pm" {
-		t.Fatalf("golden PS run selected step body %q, want the specialized pm body", b.Kind())
+		t.Fatalf("golden PS run selected kind %q, want pm", b.Kind())
 	}
 	checkGolden(t, "golden_ps_ammp.csv", run)
 }
 
 // TestGoldenTraceWithTelemetryBatch subscribes observers through
-// BatchOptions.Hooks rather than Session.Subscribe: the hooks demote
-// the batch to its generic body, which must still produce the fixture
+// BatchOptions.Hooks rather than Session.Subscribe: the hooks turn on
+// the batch's full event order, which must still produce the fixture
 // bytes with the exporters fully fed.
 func TestGoldenTraceWithTelemetryBatch(t *testing.T) {
 	if *update {
@@ -83,7 +83,7 @@ func TestGoldenTraceWithTelemetryBatch(t *testing.T) {
 		},
 	})
 	if b.Kind() != "generic" {
-		t.Fatalf("hook-carrying run selected step body %q, want generic", b.Kind())
+		t.Fatalf("hook-carrying run selected kind %q, want generic", b.Kind())
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)

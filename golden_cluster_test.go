@@ -51,8 +51,8 @@ func clusterFixture(t *testing.T, res *ClusterResult) []byte {
 // traces, energy, degradation-driven p-state choices and the budget
 // aggregates must reproduce the fixture byte for byte serially, across
 // the worker pool, and with coordinator telemetry plus per-node
-// observer hooks attached (which move the batch kernel onto its
-// generic body).
+// observer hooks attached (which turn on the batch's full event
+// order).
 func TestGoldenCluster(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

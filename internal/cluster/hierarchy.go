@@ -108,8 +108,8 @@ type FleetConfig struct {
 	// Observe, when non-nil, returns node i's observer hooks,
 	// subscribed before the run (an empty return leaves the node
 	// unobserved) — e.g. a telemetry.Observer or a TraceEventWriter
-	// run hook per node. Hooks move the tick engine onto its generic
-	// body; traces stay byte-identical.
+	// run hook per node. Hooks turn on the tick engine's full event
+	// order; traces stay byte-identical.
 	Observe func(i int) []machine.Hook
 }
 
@@ -344,7 +344,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 	// The coordinator reads node observations through the engine's
 	// per-node accessors rather than a hook tap, so a run without
-	// Observe keeps the hook-free pm step body.
+	// Observe stays off the full event order.
 	bs, err := machine.NewBatch(bnodes, machine.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)

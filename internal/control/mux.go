@@ -19,8 +19,11 @@ type Multiplexed struct {
 }
 
 // NewMultiplexed schedules the listed events onto nphys physical
-// counters in front of the inner governor.
-func NewMultiplexed(inner machine.Governor, nphys int, events []counters.Event) (*Multiplexed, error) {
+// counters in front of the inner governor. The wrapper is a
+// machine.Throttler exactly when inner is one, so multiplexing a
+// policy that does not throttle keeps its batch off the full event
+// order.
+func NewMultiplexed(inner machine.Governor, nphys int, events []counters.Event) (machine.Governor, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("control: nil inner governor")
 	}
@@ -28,7 +31,11 @@ func NewMultiplexed(inner machine.Governor, nphys int, events []counters.Event) 
 	if err != nil {
 		return nil, err
 	}
-	return &Multiplexed{inner: inner, mux: mux}, nil
+	m := &Multiplexed{inner: inner, mux: mux}
+	if th, ok := inner.(machine.Throttler); ok {
+		return &throttledMultiplexed{Multiplexed: m, th: th}, nil
+	}
+	return m, nil
 }
 
 // Name identifies the wrapped policy in traces.
@@ -51,10 +58,12 @@ func (m *Multiplexed) InitialIndex(def int) int {
 	return def
 }
 
-// Duty delegates clock modulation if the inner governor throttles.
-func (m *Multiplexed) Duty() float64 {
-	if th, ok := m.inner.(machine.Throttler); ok {
-		return th.Duty()
-	}
-	return 1
+// throttledMultiplexed is a Multiplexed over a throttling governor,
+// whose clock-modulation duty it forwards.
+type throttledMultiplexed struct {
+	*Multiplexed
+	th machine.Throttler
 }
+
+// Duty implements machine.Throttler with the inner governor's duty.
+func (m *throttledMultiplexed) Duty() float64 { return m.th.Duty() }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aapm/internal/counters"
+	"aapm/internal/machine"
 )
 
 func TestNewMultiplexedValidation(t *testing.T) {
@@ -58,16 +59,20 @@ func TestMultiplexedStaleEventChangesDecision(t *testing.T) {
 func TestMultiplexedPassthroughInterfaces(t *testing.T) {
 	sc := NewStaticClock(3, "s")
 	mux, _ := NewMultiplexed(sc, 2, []counters.Event{counters.InstRetired})
-	if mux.InitialIndex(7) != 3 {
+	if mux.(machine.InitialStater).InitialIndex(7) != 3 {
 		t.Error("InitialIndex not delegated")
 	}
-	if mux.Duty() != 1 {
-		t.Error("non-throttling inner reported duty != 1")
+	if _, ok := mux.(machine.Throttler); ok {
+		t.Error("non-throttling inner made the wrapper a Throttler")
 	}
 	th, _ := NewThrottleSave(ThrottleSaveConfig{Floor: 0.5})
 	mux2, _ := NewMultiplexed(th, 2, []counters.Event{counters.InstRetired})
 	decide(mux2, tick(2000, 1, 1, 0.1, 0))
-	if mux2.Duty() != 0.5 {
-		t.Errorf("throttling inner duty = %g", mux2.Duty())
+	th2, ok := mux2.(machine.Throttler)
+	if !ok {
+		t.Fatal("throttling inner's wrapper is not a Throttler")
+	}
+	if th2.Duty() != 0.5 {
+		t.Errorf("throttling inner duty = %g", th2.Duty())
 	}
 }

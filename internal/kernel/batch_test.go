@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aapm/internal/control"
+	pmu "aapm/internal/counters"
 	"aapm/internal/faults"
 	"aapm/internal/machine"
 	"aapm/internal/phase"
@@ -195,7 +196,7 @@ func diffCases() []diffCase {
 		},
 		{
 			// Idle phases leave PS-degrade stale counters with no fault
-			// plan, so the pm body logs the degradations PS returns.
+			// plan, so a lean run logs the degradations PS returns.
 			name:     "synthetic/psave-degrade/ni",
 			workload: func(t *testing.T) phase.Workload { return syntheticWorkload() },
 			gov:      psGov(0.8, true),
@@ -265,7 +266,7 @@ func multiNodeConfig() machine.Config {
 func multiNodeGov(i int) govFactory { return pmGov(11+float64(i), 0.25, false) }
 
 // runHooked runs one lane with an inert hook subscribed, so the batch
-// steps the generic body.
+// runs the full event order.
 func runHooked(t *testing.T, cfg machine.Config, w phase.Workload, g machine.Governor) *BatchState {
 	t.Helper()
 	m, err := machine.New(cfg)
@@ -288,8 +289,8 @@ func runHooked(t *testing.T, cfg machine.Config, w phase.Workload, g machine.Gov
 	return b
 }
 
-// recordAll re-records the fixture from the current engine (generic
-// body) for every differential and multi-node case.
+// recordAll re-records the fixture from the current engine (full event
+// order) for every differential and multi-node case.
 func recordAll(t *testing.T) {
 	var refs []reference
 	for _, tc := range diffCases() {
@@ -305,10 +306,10 @@ func recordAll(t *testing.T) {
 
 // TestBatchMatchesStaged is the tick engine's correctness anchor. The
 // fixture holds every case's outputs as recorded from the staged
-// engine the batch engine replaced; each case runs twice — bare (its
-// specialized body when eligible) and under an inert hook (the
-// generic body) — and both runs must reproduce the recording bit for
-// bit, metrics block included.
+// engine the batch engine replaced; each case runs twice — bare
+// (without the full event order when eligible) and under an inert hook
+// (with it) — and both runs must reproduce the recording bit for bit,
+// metrics block included.
 func TestBatchMatchesStaged(t *testing.T) {
 	if *update {
 		recordAll(t)
@@ -342,8 +343,8 @@ func TestBatchMatchesStaged(t *testing.T) {
 			if err := b.Run(); err != nil {
 				t.Fatal(err)
 			}
-			checkReference(t, "specialized", want, b.Result(0))
-			checkReference(t, "generic", want, runHooked(t, tc.cfg, w, tc.gov(t)).Result(0))
+			checkReference(t, "bare", want, b.Result(0))
+			checkReference(t, "hooked", want, runHooked(t, tc.cfg, w, tc.gov(t)).Result(0))
 		})
 	}
 }
@@ -369,7 +370,7 @@ func TestBatchMultiNodeMatchesStaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.Kind() != "pm" {
-		t.Fatalf("homogeneous PM batch should specialize, got %q", b.Kind())
+		t.Fatalf("homogeneous PM batch should stay off the full event order, got %q", b.Kind())
 	}
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
@@ -399,11 +400,13 @@ type mixedLane struct {
 
 // noisyChain reads often enough at or below zero on idle intervals
 // that a degrading PM notes sensor dropouts without any fault plan, so
-// its degradation path runs on the specialized body.
+// its degradation path runs without the full event order.
 var noisyChain = sensor.Chain{NoiseStdW: 4}
 
 func mixedLanes() []mixedLane {
 	ni := sensor.NIDefault()
+	plan := faults.Preset(0.04)
+	tc := thermal.PentiumMThermal()
 	spec := func(name string) func(t *testing.T) phase.Workload {
 		return func(t *testing.T) phase.Workload { return specWorkload(t, name, 1) }
 	}
@@ -427,16 +430,27 @@ func mixedLanes() []mixedLane {
 			pm: &control.PMConfig{LimitW: 12.5, Degrade: true}, bare: true},
 		{name: "psave", cfg: machine.Config{Chain: ni, Seed: 27}, workload: spec("art"), gov: psGov(0.8, false)},
 		{name: "psave-degrade", cfg: machine.Config{Chain: ni, Seed: 28}, workload: synth, gov: psGov(0.7, true)},
+		// Each of the last three lanes needs the full event order, so
+		// the batch runs it; every other lane's one-lane session does
+		// not.
+		{name: "pm-degrade-faults", cfg: machine.Config{Chain: ni, Seed: 29, Faults: &plan}, workload: spec("swim"),
+			pm: &control.PMConfig{LimitW: 13, FeedbackGain: 0.25, Degrade: true}, retarget: 14},
+		{name: "pm-thermal", cfg: machine.Config{Chain: ni, Seed: 30, Thermal: &tc}, workload: spec("lucas"),
+			pm: &control.PMConfig{LimitW: 14}},
+		{name: "throttlesave", cfg: machine.Config{Chain: ni, Seed: 31}, workload: spec("gcc"), gov: throttleGov(0.7)},
 	}
 }
 
 // TestBatchMixedConfigMatchesSessions steps one batch whose lanes run
 // different PM configurations — with and without feedback, with and
 // without Degrade, at different limits, as handles and as bare lanes,
-// some retargeted mid-run — next to PowerSave lanes, and checks every
-// lane bit for bit against its own one-lane Session under a fresh
-// governor. Each bare lane shares the policy of the handle lane with
-// its configuration, at its own limit: a policy is shared per
+// some retargeted mid-run — next to PowerSave lanes and a faulted, a
+// thermal and a throttled lane, and checks every lane bit for bit
+// against its own one-lane Session under a fresh governor. The last
+// three lanes put the batch on the full event order, while the clean
+// lanes' sessions run without it, so a clean lane must come out the
+// same either way. Each bare lane shares the policy of the handle lane
+// with its configuration, at its own limit: a policy is shared per
 // configuration, never across configurations, and holds no node's
 // state.
 func TestBatchMixedConfigMatchesSessions(t *testing.T) {
@@ -491,8 +505,8 @@ func TestBatchMixedConfigMatchesSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Kind() != "pm" {
-		t.Fatalf("mixed PM/PS batch should specialize, got %q", b.Kind())
+	if b.Kind() != "generic" {
+		t.Fatalf("a batch with faulted, thermal and throttled lanes should run the full event order, got %q", b.Kind())
 	}
 	for tick := 0; b.StepAll(); tick++ {
 		if tick != retargetTick {
@@ -544,6 +558,53 @@ func TestBatchMixedConfigMatchesSessions(t *testing.T) {
 	}
 }
 
+// TestBatchKindMultiplexed pins the event order a batch over a
+// Multiplexed governor selects: the wrapper throttles only when its
+// inner governor does, so multiplexed PowerSave needs no full event
+// order and multiplexed ThrottleSave does. Each run must also match
+// the same run under an inert hook bit for bit.
+func TestBatchKindMultiplexed(t *testing.T) {
+	mux := func(inner govFactory) govFactory {
+		return func(t *testing.T) machine.Governor {
+			t.Helper()
+			g, err := control.NewMultiplexed(inner(t), 1, []pmu.Event{pmu.InstRetired, pmu.DCUMissOutstanding})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		gov      govFactory
+		wantKind string
+	}{
+		{"mux/psave", mux(psGov(0.8, false)), "pm"},
+		{"mux/throttlesave", mux(throttleGov(0.7)), "generic"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := machine.Config{Chain: sensor.NIDefault(), Seed: 41}
+			w := specWorkload(t, "ammp", 1)
+			m, err := machine.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: tc.gov(t)}}, BatchOptions{RetainTraces: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Kind() != tc.wantKind {
+				t.Errorf("got kind %q, want %q", b.Kind(), tc.wantKind)
+			}
+			if err := b.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := recordRun(t, tc.name, b.Result(0))
+			checkReference(t, "hooked", want, runHooked(t, cfg, w, tc.gov(t)).Result(0))
+		})
+	}
+}
+
 // TestBatchTickAllocs is the allocation-budget gate: on the pm
 // (telemetry-off, faults-off) body a tick allocates nothing, for lane,
 // object and governor-less nodes alike. Trace retention is off, as in the cluster's default
@@ -589,7 +650,7 @@ func TestBatchTickAllocs(t *testing.T) {
 				b.StepAll()
 			})
 			if allocs != 0 {
-				t.Fatalf("%s on the %s step body allocates %.1f times per lockstep round, want 0", k.name, k.kind, allocs)
+				t.Fatalf("%s (kind %s) allocates %.1f times per lockstep round, want 0", k.name, k.kind, allocs)
 			}
 			if b.Done() {
 				t.Fatal("workload exhausted during the measurement window; grow it")

@@ -11,16 +11,17 @@ import (
 	"aapm/internal/machine"
 	"aapm/internal/phase"
 	"aapm/internal/sensor"
+	"aapm/internal/thermal"
 	"aapm/internal/trace"
 )
 
-// FuzzBatchStep is the fuzzing arm of the specialized-vs-generic
+// FuzzBatchStep is the fuzzing arm of the bare-vs-hooked
 // differential: arbitrary float bit patterns (NaN, infinities,
 // denormals, huge magnitudes) become phase parameters, jitter
 // amplitudes and governor limits, and whatever the bare run does with
-// them on its specialized body — reject the spec, error mid-run, or
-// complete — the same spec with a no-op hook attached (the generic
-// body) must do byte-for-byte the same. Counter and power corruption
+// them bare — reject the spec, error mid-run, or complete — the same
+// spec with a no-op hook attached (the full event order) must do
+// byte-for-byte the same. Counter and power corruption
 // is covered by routing part of the input space through fault plans,
 // whose injector writes NaN/Inf and wrapped counter values into the
 // governor-visible stream. It mirrors FuzzGovernorDecisions one layer
@@ -31,8 +32,13 @@ import (
 // around the fuzzed limit (one of them a bare policy lane with no
 // handle), PowerSave lanes with and without Degrade, a static lane, a
 // lane with no governor, an OnDemand lane and a PhaseAwarePM over a
-// degrading PM, interleaved on one body; every lane must agree across
-// the bodies.
+// degrading PM, interleaved in one batch; every lane must agree
+// between the bare and the hooked batch. With the next bit set too,
+// the mixed batch gains a faulted PM lane, a thermal PM lane and a
+// ThrottleSave lane, which put it on the full event order; then every
+// lane of the hooked batch must agree with the same lane stepped alone
+// in a bare one-lane batch, where a clean lane runs without the full
+// event order.
 func FuzzBatchStep(f *testing.F) {
 	bits := math.Float64bits
 	// Plausible spec, idle-only, NaN params, Inf intensity, huge
@@ -44,6 +50,7 @@ func FuzzBatchStep(f *testing.F) {
 	f.Add(bits(1e300), bits(1e-300), bits(50), bits(40), bits(0.5), bits(13.5), uint16(1), uint8(3), uint8(4), int64(5))
 	f.Add(bits(2e6), bits(1.0), bits(20), bits(5), bits(0.2), bits(12.0), uint16(7), uint8(7), uint8(0), int64(6))
 	f.Add(bits(30e6), bits(1.1), bits(8), bits(2), bits(0.2), bits(13.0), uint16(30), uint8(0), uint8(0x80), int64(7))
+	f.Add(bits(30e6), bits(1.1), bits(8), bits(2), bits(0.2), bits(13.0), uint16(30), uint8(0), uint8(0xc0), int64(8))
 
 	f.Fuzz(func(t *testing.T, instrBits, cpiBits, l2Bits, memBits, jitBits, limitBits uint64,
 		idleMs uint16, faultSel, govSel uint8, seed int64) {
@@ -79,8 +86,12 @@ func FuzzBatchStep(f *testing.F) {
 		}
 		limit := math.Float64frombits(limitBits)
 		mixed := govSel&0x80 != 0
+		fullMix := mixed && govSel&0x40 != 0
 		lanes := 1
-		if mixed {
+		switch {
+		case fullMix:
+			lanes = 13
+		case mixed:
 			lanes = 10
 		}
 		pm := func(limitW, gain float64, degrade bool) (machine.Governor, error) {
@@ -124,14 +135,37 @@ func FuzzBatchStep(f *testing.F) {
 			case 7: // no governor
 			case 8:
 				node.Governor = &control.OnDemand{}
-			default:
+			case 9:
 				var inner *control.PerformanceMaximizer
 				inner, err = control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, FeedbackGain: 0.25, Degrade: true})
 				if err == nil {
 					node.Governor, err = control.NewPhaseAwarePM(inner, 4, 0.2)
 				}
+			case 10: // faulted (laneConfig)
+				node.Governor, err = pm(limit, 0.25, true)
+			case 11: // thermal (laneConfig)
+				node.Governor, err = pm(limit, 0, false)
+			default:
+				node.Governor, err = control.NewThrottleSave(control.ThrottleSaveConfig{Floor: 0.7})
 			}
 			return err
+		}
+		// laneConfig is lane k's platform: its own seed, and a fault
+		// plan or a thermal model on the full mix's lanes 10 and 11.
+		heavy := faults.Preset(0.08)
+		tc := thermal.PentiumMThermal()
+		laneConfig := func(k int) machine.Config {
+			c := cfg
+			c.Seed += int64(k)
+			if fullMix {
+				switch k {
+				case 10:
+					c.Faults = &heavy
+				case 11:
+					c.Thermal = &tc
+				}
+			}
+			return c
 		}
 		for k := 0; k < lanes; k++ {
 			if err := mkNode(k, &BatchNode{}); err != nil {
@@ -142,12 +176,12 @@ func FuzzBatchStep(f *testing.F) {
 			}
 		}
 
-		run := func(hooked bool) ([]*trace.Run, []error, error) {
+		// run steps every lane, in one batch or, when solo, each in its
+		// own one-lane batch.
+		run := func(hooked, solo bool) ([]*trace.Run, []error, error) {
 			nodes := make([]BatchNode, lanes)
 			for k := range nodes {
-				c := cfg
-				c.Seed += int64(k)
-				m, err := machine.New(c)
+				m, err := machine.New(laneConfig(k))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -160,47 +194,63 @@ func FuzzBatchStep(f *testing.F) {
 			if hooked {
 				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
 			}
-			b, err := NewBatch(nodes, opts)
-			if err != nil {
-				return nil, nil, err
+			groups := [][]BatchNode{nodes}
+			if solo {
+				groups = groups[:0]
+				for k := range nodes {
+					groups = append(groups, nodes[k:k+1])
+				}
 			}
-			if hooked && b.Kind() != "generic" {
-				t.Fatalf("hooked batch stepped the %q body", b.Kind())
-			}
-			if mixed && !hooked && cfg.Faults == nil && b.Kind() != "pm" {
-				t.Fatalf("fault-free mixed batch stepped the %q body, want pm", b.Kind())
-			}
-			for b.StepAll() {
-			}
-			runs := make([]*trace.Run, lanes)
-			errs := make([]error, lanes)
-			for k := range runs {
-				if errs[k] = b.NodeErr(k); errs[k] == nil {
-					runs[k] = b.Result(k)
+			var runs []*trace.Run
+			var errs []error
+			for g, group := range groups {
+				b, err := NewBatch(group, opts)
+				if err != nil {
+					return nil, nil, err
+				}
+				if hooked && b.Kind() != "generic" {
+					t.Fatalf("hooked batch has kind %q, want generic", b.Kind())
+				}
+				if mixed && !fullMix && !hooked && cfg.Faults == nil && b.Kind() != "pm" {
+					t.Fatalf("fault-free mixed batch has kind %q, want pm", b.Kind())
+				}
+				if solo && g < 10 && cfg.Faults == nil && b.Kind() != "pm" {
+					t.Fatalf("clean lane %d stepped alone has kind %q, want pm", g, b.Kind())
+				}
+				for b.StepAll() {
+				}
+				for k := range group {
+					err := b.NodeErr(k)
+					errs = append(errs, err)
+					if err == nil {
+						runs = append(runs, b.Result(k))
+					} else {
+						runs = append(runs, nil)
+					}
 				}
 			}
 			return runs, errs, nil
 		}
 
-		want, wantErrs, errS := run(false)
-		got, gotErrs, errG := run(true)
+		want, wantErrs, errS := run(false, fullMix)
+		got, gotErrs, errG := run(true, false)
 		if (errS == nil) != (errG == nil) {
-			t.Fatalf("bodies disagree on construction: specialized err=%v, generic err=%v", errS, errG)
+			t.Fatalf("runs disagree on construction: bare err=%v, hooked err=%v", errS, errG)
 		}
 		if errS != nil {
 			if errS.Error() != errG.Error() {
-				t.Fatalf("bodies fail differently: specialized %q, generic %q", errS, errG)
+				t.Fatalf("runs fail differently: bare %q, hooked %q", errS, errG)
 			}
 			return
 		}
 		for k := range want {
 			errS, errG := wantErrs[k], gotErrs[k]
 			if (errS == nil) != (errG == nil) {
-				t.Fatalf("lane %d: bodies disagree on failure: specialized err=%v, generic err=%v", k, errS, errG)
+				t.Fatalf("lane %d: runs disagree on failure: bare err=%v, hooked err=%v", k, errS, errG)
 			}
 			if errS != nil {
 				if errS.Error() != errG.Error() {
-					t.Fatalf("lane %d: bodies fail differently: specialized %q, generic %q", k, errS, errG)
+					t.Fatalf("lane %d: runs fail differently: bare %q, hooked %q", k, errS, errG)
 				}
 				continue
 			}

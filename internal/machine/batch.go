@@ -17,32 +17,34 @@ import (
 )
 
 // The tick engine steps one or many nodes through their monitoring
-// intervals with a struct-of-arrays layout and one of two step
-// bodies. It is the only implementation of the paper's 10 ms loop: a
-// Session is a one-lane BatchState, and the fleet, serve and
-// experiment paths step many-lane ones. All mutable per-node state
-// lives in contiguous parallel slices, and the body is selected once
-// per run:
+// intervals with a struct-of-arrays layout and one step function
+// (step, batch_step.go). It is the only implementation of the paper's
+// 10 ms loop: a Session is a one-lane BatchState, and the fleet, serve
+// and experiment paths step many-lane ones. All mutable per-node state
+// lives in contiguous parallel slices. One batch flag, full, turns on
+// the parts of the event order most runs lack; it is set when the
+// batch is built, or later by Subscribe or EnableStageTiming, and Kind
+// names the two settings:
 //
-//	body      governor            faults  thermal  hooks  stage timing
-//	pm        any but Throttler   off     off      none   off
-//	generic   any                 any     any      any    any
+//	Kind      full  governor            faults  thermal  hooks  stage timing
+//	pm        off   any but Throttler   off     off      none   off
+//	generic   on    any                 any     any      any    any
 //
-// The pm body is named for its first user. Nodes with no governor,
+// "pm" is named for its first user. Nodes with no governor,
 // lane-policy nodes (PerformanceMaximizer) and governor objects
-// (PowerSave, StaticClock, wrappers, user policies) share it, mixed in
-// any proportion. Both bodies run one govern step (govern): a lane
+// (PowerSave, StaticClock, wrappers, user policies) share a batch,
+// mixed in any proportion, and run one govern step (govern): a lane
 // node ticks its GovLane, an object node its Governor, and a node
 // with no governor skips it. A lane-policy node's governor state is a
 // GovLane in the batch's lanes slab and its actuator is three lanes
 // (p-state index, transition and failure counts, latency), so such a
-// node owns no governor or actuator object at all (see lane.go). The
-// pm body allocates nothing per tick for governors that allocate
-// nothing (TestBatchTickAllocs); the generic body builds a TickState
-// per interval and runs the full event order: fault drains,
-// throttling, stage timing and hook fan-out. Both bodies reproduce
-// the recorded reference outputs bit for bit (internal/kernel's
-// TestBatchMatchesStaged).
+// node owns no governor or actuator object at all (see lane.go). A
+// tick allocates nothing for governors that allocate nothing
+// (TestBatchTickAllocs). A full batch also runs fault injection, the
+// thermal model, clock modulation, transition events and stage
+// timing, and builds a TickState record on every tick for hook
+// fan-out. Both settings reproduce the recorded reference outputs bit
+// for bit (internal/kernel's TestBatchMatchesStaged).
 
 // BatchNode binds one node's machine, workload and governor. The
 // governor must be a fresh instance (its state is mutated by the run),
@@ -67,24 +69,9 @@ type BatchOptions struct {
 	// the per-node Result carries only run-level totals.
 	RetainTraces bool
 	// Hooks, when non-nil, returns the observer hooks to subscribe for
-	// node i (nil for none). Any hook forces the generic step body for
-	// the whole batch.
+	// node i (nil for none). Any hook turns on the full event order
+	// for the whole batch.
 	Hooks func(i int) []Hook
-}
-
-// stepKind identifies the step body a batch selected.
-type stepKind uint8
-
-const (
-	stepGeneric stepKind = iota
-	stepInPlace
-)
-
-func (k stepKind) String() string {
-	if k == stepInPlace {
-		return "pm"
-	}
-	return "generic"
 }
 
 // BatchState holds the tick state of every node in a batch as
@@ -96,12 +83,11 @@ func (k stepKind) String() string {
 type BatchState struct {
 	n      int
 	retain bool
-	timing bool // stamp StageNanos on the generic body
-	kind   stepKind
-	step   func(b *BatchState, i int)
-	// stageNanos sums the generic body's per-stage wall-clock over
-	// every tick when timing is on (Session.StageNanos).
-	stageNanos [NumStages]int64
+	full   bool // run the full event order (see the table above)
+	timing bool // time stages; set only on a full one-lane batch
+	// clock times the stages when timing is on. Only a Session
+	// enables timing, so one clock per batch serves its one lane.
+	clock stageClock
 
 	// Immutable per-node wiring, fixed at construction.
 	truths   []*power.GroundTruth
@@ -152,13 +138,14 @@ type BatchState struct {
 
 	energyTrue []power.Energy
 	energyMeas []power.Energy
-	// tinfo holds each node's persistent TickInfo: the true PMU sample
-	// is accumulated in place (never copied), and the constant Table
-	// (and, on the pm body, Duty=1) is set once, so govern only touches
-	// the per-tick fields before handing the record to TickLane or
-	// Tick.
-	tinfo []TickInfo
-	obs   []counters.Sample // governor-visible sample; allocated only for batches with faults
+	// tinfo holds each node's persistent TickInfo: the PMU sample is
+	// accumulated in place (never copied), and the constant Table
+	// (and, until a full batch's observe stage writes it, Duty=1) is
+	// set once, so govern only touches the per-tick fields before
+	// handing the record to TickLane or Tick. A faulted node's Sample
+	// is the governor-visible one; its true sample is in trueSample.
+	tinfo      []TickInfo
+	trueSample []counters.Sample // allocated only for batches with faults
 }
 
 // behavKey identifies one node's pure-value behavior cache: nodes
@@ -255,7 +242,6 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		namedLane GovLane
 		laneName  string
 	)
-	anyHooks := false
 	for i, node := range nodes {
 		m, w, g, lp := node.Machine, node.Workload, node.Governor, node.Policy
 		if m == nil {
@@ -308,8 +294,8 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 				return nil, err
 			}
 			b.injs[i] = inj
-			if b.obs == nil {
-				b.obs = make([]counters.Sample, n)
+			if b.trueSample == nil {
+				b.trueSample = make([]counters.Sample, n)
 			}
 		}
 		b.truths[i] = m.truth
@@ -355,9 +341,11 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		b.runs[i] = &runs[i]
 		if opts.Hooks != nil {
 			b.hooks[i] = opts.Hooks(i)
-			if len(b.hooks[i]) > 0 {
-				anyHooks = true
-			}
+		}
+		// Fault injection, a thermal model, observer hooks or a
+		// throttling governor need the full event order.
+		if _, throttles := g.(Throttler); throttles || b.injs[i] != nil || b.tms[i] != nil || len(b.hooks[i]) > 0 {
+			b.full = true
 		}
 
 		// Behavior cache: Params.At is pure in (phase, p-state), so the
@@ -391,51 +379,30 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 
 		b.curIdx[i] = int32(start)
 		b.duty[i] = 1.0
-		// Constant TickInfo fields for the pm body; the per-tick
-		// fields are written in place each interval.
+		// Constant TickInfo fields; the per-tick fields are written in
+		// place each interval.
 		b.tinfo[i].Table = b.tables[i]
 		b.tinfo[i].Duty = 1
 		b.loadPhase(i)
 	}
-	b.setKind(b.selectKind(anyHooks))
 	return b, nil
 }
 
-// selectKind picks the pm body unless some node needs the full event
-// order: fault injection, a thermal model, observer hooks or a
-// throttling governor demote the whole batch to the generic body.
-// Stage timing demotes it later (Session.EnableStageTiming).
-func (b *BatchState) selectKind(anyHooks bool) stepKind {
-	if anyHooks {
-		return stepGeneric
-	}
-	for i := 0; i < b.n; i++ {
-		if _, throttles := b.govs[i].(Throttler); throttles || b.injs[i] != nil || b.tms[i] != nil {
-			return stepGeneric
-		}
-	}
-	return stepInPlace
-}
-
-// setKind installs the step body for kind.
-func (b *BatchState) setKind(kind stepKind) {
-	b.kind = kind
-	b.step = stepGenericBody
-	if kind == stepInPlace {
-		b.step = stepInPlaceBody
-	}
-}
-
-// subscribe appends h to node i's hooks, moving the batch onto the
-// generic body that fans events out to them.
+// subscribe appends h to node i's hooks and turns on the full event
+// order, which fans events out to them.
 func (b *BatchState) subscribe(i int, h Hook) {
 	b.hooks[i] = append(b.hooks[i], h)
-	b.setKind(stepGeneric)
+	b.full = true
 }
 
-// Kind reports which step body the batch selected (for tests and
-// diagnostics).
-func (b *BatchState) Kind() string { return b.kind.String() }
+// Kind names the batch's event order for tests and diagnostics:
+// "generic" when full, "pm" otherwise.
+func (b *BatchState) Kind() string {
+	if b.full {
+		return "generic"
+	}
+	return "pm"
+}
 
 // Len returns the number of nodes.
 func (b *BatchState) Len() int { return b.n }
@@ -473,7 +440,7 @@ func (b *BatchState) StepNode(i int) bool {
 	if b.done[i] || b.errs[i] != nil {
 		return false
 	}
-	b.step(b, i)
+	b.step(i)
 	return true
 }
 
@@ -535,12 +502,7 @@ func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
 
 // LastDPC returns the decode rate of node i's most recent
 // governor-visible sample.
-func (b *BatchState) LastDPC(i int) float64 {
-	if b.injs[i] != nil {
-		return b.obs[i].DPC()
-	}
-	return b.tinfo[i].Sample.DPC()
-}
+func (b *BatchState) LastDPC(i int) float64 { return b.tinfo[i].Sample.DPC() }
 
 // Ticks returns the number of intervals node i has executed.
 func (b *BatchState) Ticks(i int) int { return b.tick[i] }
@@ -563,17 +525,6 @@ func (b *BatchState) BudgetDesireW(i int, dpc float64) float64 {
 		return math.NaN()
 	}
 	return p.LaneDesireW(&b.lanes[i], b.tables[i], dpc)
-}
-
-// setPState moves node i's actuator to p-state index want (which
-// differs from the current one) and returns the transition's stall.
-func (b *BatchState) setPState(i, want int) (time.Duration, error) {
-	if err := b.tables[i].CheckIndex(want); err != nil {
-		return 0, err
-	}
-	b.curIdx[i] = int32(want)
-	b.trans[i]++
-	return b.latency[i], nil
 }
 
 // Result finalizes and returns node i's recorded run. Idempotent;

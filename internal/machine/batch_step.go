@@ -9,17 +9,85 @@ import (
 	"aapm/internal/trace"
 )
 
-// The step bodies in this file run one monitoring interval in the
-// paper's order — execute → measure → observe → govern → actuate. The
-// pm body sheds what its batch provably lacks (faults, thermal model,
-// hooks, throttling) but keeps the generic body's float operations in
-// the same order, and both call the same govern step, so both bodies
-// produce the same bits.
+// step is the tick engine's one step function: it runs one monitoring
+// interval of one node in the paper's order — execute → measure →
+// observe → govern → actuate — and records it. The batch's full flag
+// (batch.go) turns on the parts of the event order most runs lack:
+// fault injection, the thermal model, clock modulation, transition
+// events, stage timing and the TickState record hooks receive. Each of
+// those runs out of line, so a node of a batch without them pays one
+// predictable branch per stage. Either way the node runs the same
+// float operations in the same order, so it produces the same bits
+// (the recorded reference fixture enforces this).
+//
 // The only other liberties are pure-value caches: Params.At per
 // (phase, p-state), PState.FreqHz per state, and period.Seconds() for
 // full intervals. Anything that would change float bits (reassociating
 // sums, replacing divisions with reciprocal multiplies) is off the
-// table; the recorded reference fixture enforces this.
+// table.
+func (b *BatchState) step(i int) {
+	if b.tick[i] >= b.maxTicks[i] {
+		b.failTicks(i)
+		return
+	}
+	b.tick[i]++
+	full := b.full
+	if b.timing {
+		b.clock.start()
+	}
+	cur := int(b.curIdx[i])
+	start := b.now[i]
+
+	// execute
+	used, busy, stall, instr, jitter, ph, ok := b.executeTick(i, cur)
+	if !ok {
+		b.done[i] = true
+		return
+	}
+	b.mark(StageExecute)
+
+	// measure: ground truth, the chain's reading, fault corruption of
+	// what the governor sees, and both energy integrals. Dropped
+	// acquisitions (NaN) contribute no measured energy.
+	trueW := intervalPower(b.truths[i], cur, &b.tinfo[i].Sample, busy, used)
+	meaW := b.chains[i].Measure(trueW, b.rngs[i])
+	if full && b.injs[i] != nil {
+		meaW = b.injectFaults(i, start+used, meaW)
+	}
+	usedSec := used.Seconds()
+	if used == b.period[i] {
+		usedSec = b.perSec[i]
+	}
+	b.energyTrue[i].Add(trueW, usedSec)
+	if !math.IsNaN(meaW) {
+		b.energyMeas[i].Add(meaW, usedSec)
+	}
+	b.mark(StageMeasure)
+	if full {
+		b.observe(i, trueW, used)
+	}
+
+	b.now[i] = start + used
+	b.lastW[i] = meaW
+	b.seq[i]++
+	want := cur
+	if b.exhausted[i] {
+		b.done[i] = true
+	} else {
+		want = b.govern(i, cur, used, meaW)
+		b.mark(StageGovern)
+		if want != cur && !b.actuate(i, cur, want) {
+			return
+		}
+		if full {
+			b.modulate(i)
+		}
+	}
+	b.emitRow(i, start, used, cur, trueW, meaW, instr, ph)
+	if full {
+		b.emitRecord(i, cur, want, used, busy, stall, instr, jitter, trueW, ph)
+	}
+}
 
 // failTicks records the tick-bound error for node i.
 func (b *BatchState) failTicks(i int) {
@@ -125,55 +193,42 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 	return
 }
 
-// measureFast is the measure stage on the fault-free path: ground
-// truth, the chain's reading, and both energy integrals.
-func (b *BatchState) measureFast(i, cur int, used, busy time.Duration) (trueW, meaW float64) {
-	trueW = intervalPower(b.truths[i], cur, &b.tinfo[i].Sample, busy, used)
-	meaW = b.chains[i].Measure(trueW, b.rngs[i])
-	usedSec := used.Seconds()
-	if used == b.period[i] {
-		usedSec = b.perSec[i]
-	}
-	b.energyTrue[i].Add(trueW, usedSec)
-	if !math.IsNaN(meaW) {
-		b.energyMeas[i].Add(meaW, usedSec)
-	}
-	return
-}
-
-// emitFastRow records the interval on the fault-free pm body:
-// instruction totals always, the trace row only under RetainTraces.
-// Rate divisions happen only when a row is kept.
-func (b *BatchState) emitFastRow(i int, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
-	b.instrTot[i] += instr
-	if !b.retain {
-		return
-	}
+// injectFaults is the measure stage's fault corruption on a full
+// batch: node i's TickInfo gets the PMU sample the governor observes
+// (the true sample moves to the node's trueSample lane) and the
+// returned measured power is what the faulted sensor reports. The
+// injector's events are logged at virtual time t.
+func (b *BatchState) injectFaults(i int, t time.Duration, meaW float64) float64 {
+	inj := b.injs[i]
+	inj.BeginTick()
 	s := &b.tinfo[i].Sample
-	run := b.runs[i]
-	run.Rows = append(run.Rows, trace.Row{
-		T:              start,
-		Interval:       used,
-		FreqMHz:        b.states[i][cur].FreqMHz,
-		DPC:            s.DPC(),
-		IPC:            s.IPC(),
-		DCU:            s.DCU(),
-		L2PC:           s.L2PC(),
-		MemPC:          s.MemPC(),
-		TruePowerW:     trueW,
-		MeasuredPowerW: meaW,
-		Instructions:   instr,
-		Phase:          ph,
-		Duty:           1,
-	})
+	b.trueSample[i] = *s
+	*s = inj.Counters(*s)
+	meaW = inj.Sense(meaW)
+	b.drainInjector(i, t)
+	return meaW
 }
 
-// govern is the govern stage of both step bodies. It completes node
-// i's persistent TickInfo for the interval that just ended at p-state
-// cur, asks the node's policy for the next p-state — TickLane over
-// the node's GovLane, or its Governor's Tick — and logs each
-// degradation the policy noted, stamped at the node's virtual time. A
-// node with no governor skips the stage and keeps cur.
+// observe is the observe stage of a full batch: the thermal model
+// steps on the interval's true power, and the sensor reading and the
+// duty the interval ran at go in node i's TickInfo, where the
+// governor, the trace row and the record read them.
+func (b *BatchState) observe(i int, trueW float64, used time.Duration) {
+	info := &b.tinfo[i]
+	if tm := b.tms[i]; tm != nil {
+		tm.Step(trueW, used)
+		info.TempC = tm.SensorC()
+	}
+	info.Duty = b.duty[i]
+	b.mark(StageObserve)
+}
+
+// govern is the govern stage. It completes node i's persistent
+// TickInfo for the interval that just ended at p-state cur, asks the
+// node's policy for the next p-state — TickLane over the node's
+// GovLane, or its Governor's Tick — and logs each degradation the
+// policy noted, stamped at the node's virtual time. A node with no
+// governor skips the stage and keeps cur.
 func (b *BatchState) govern(i, cur int, used time.Duration, measuredW float64) int {
 	// A lane node never reads govs: a fleet's bare lanes leave that
 	// slice cold.
@@ -207,71 +262,125 @@ func (b *BatchState) govern(i, cur int, used time.Duration, measuredW float64) i
 	return want
 }
 
-// stepInPlaceBody steps a node on the fault-free, thermal-free,
-// hook-free path, deciding from the node's persistent TickInfo.
-func stepInPlaceBody(b *BatchState, i int) {
-	if b.tick[i] >= b.maxTicks[i] {
-		b.failTicks(i)
-		return
+// actuate is the actuate stage's p-state transition: node i's
+// actuator moves from cur to want, and the transition's stall is
+// charged to upcoming intervals. On a full batch a faulted actuator
+// may add stall or abandon the attempt, and the hooks hear the
+// outcome. actuate reports false when want is not in the node's table,
+// which fails the node.
+func (b *BatchState) actuate(i, cur, want int) bool {
+	ok, stall := true, time.Duration(0)
+	if b.full && b.injs[i] != nil {
+		ok, stall = b.injs[i].Transition(b.latency[i])
+		b.drainInjector(i, b.now[i])
 	}
-	b.tick[i]++
-	cur := int(b.curIdx[i])
-	start := b.now[i]
-	used, busy, _, instr, _, ph, ok := b.executeTick(i, cur)
-	if !ok {
-		b.done[i] = true
-		return
-	}
-	trueW, meaW := b.measureFast(i, cur, used, busy)
-	b.now[i] = start + used
-	b.lastW[i] = meaW
-	b.seq[i]++
-	if b.exhausted[i] {
-		b.done[i] = true
-	} else if want := b.govern(i, cur, used, meaW); want != cur {
-		d, err := b.setPState(i, want)
-		if err != nil {
+	if ok {
+		if err := b.tables[i].CheckIndex(want); err != nil {
 			b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
-			return
+			return false
 		}
-		b.pendStall[i] += d
+		b.curIdx[i] = int32(want)
+		b.trans[i]++
+		stall += b.latency[i]
+	} else {
+		// Transition abandoned: the actuator stays put and the failed
+		// attempt's stall time is still paid.
+		b.failed[i]++
 	}
-	b.emitFastRow(i, start, used, cur, trueW, meaW, instr, ph)
+	b.pendStall[i] += stall
+	if b.full {
+		tr := Transition{T: b.now[i], From: cur, To: want, OK: ok, Stall: stall}
+		for _, h := range b.hooks[i] {
+			h.OnTransition(tr)
+		}
+	}
+	return true
 }
 
-// emitTick records the generic body's interval — the trace row under
-// RetainTraces, labelled with phase ph, instruction totals always —
-// then fans it out to the node's hooks in subscription order.
-func (b *BatchState) emitTick(i int, ts *TickState, ph uint32) {
-	b.instrTot[i] += ts.Instructions
-	if b.retain {
-		run := b.runs[i]
-		run.Rows = append(run.Rows, trace.Row{
-			T:              ts.Start,
-			Interval:       ts.Used,
-			FreqMHz:        ts.PState.FreqMHz,
-			DPC:            ts.Observed.DPC(),
-			IPC:            ts.Observed.IPC(),
-			DCU:            ts.Observed.DCU(),
-			L2PC:           ts.Observed.L2PC(),
-			MemPC:          ts.Observed.MemPC(),
-			TruePowerW:     ts.TruePowerW,
-			MeasuredPowerW: ts.MeasuredPowerW,
-			Instructions:   ts.Instructions,
-			Phase:          ph,
-			TempC:          ts.TempC,
-			Duty:           ts.Duty,
-		})
+// modulate is the rest of a full batch's actuate stage: a throttling
+// governor sets node i's clock-modulation duty for the next interval.
+func (b *BatchState) modulate(i int) {
+	if th, ok := b.govs[i].(Throttler); ok {
+		b.duty[i] = clampDuty(th.Duty())
 	}
-	for _, h := range b.hooks[i] {
-		h.OnTick(*ts)
+	b.mark(StageActuate)
+}
+
+// mark closes stage on the stage clock when timing is on (only ever
+// on a full batch).
+func (b *BatchState) mark(stage int) {
+	if b.timing {
+		b.clock.mark(stage)
 	}
 }
 
-// emitTransition fans a resolved transition out to node i's hooks.
-func (b *BatchState) emitTransition(i int, tr Transition) {
+// emitRow records node i's interval: instruction totals always, the
+// trace row only under RetainTraces. The row reads the
+// governor-visible sample, the sensor reading and the duty from the
+// node's TickInfo. Rate divisions happen only when a row is kept.
+func (b *BatchState) emitRow(i int, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
+	b.instrTot[i] += instr
+	if !b.retain {
+		return
+	}
+	info := &b.tinfo[i]
+	s := &info.Sample
+	run := b.runs[i]
+	run.Rows = append(run.Rows, trace.Row{
+		T:              start,
+		Interval:       used,
+		FreqMHz:        b.states[i][cur].FreqMHz,
+		DPC:            s.DPC(),
+		IPC:            s.IPC(),
+		DCU:            s.DCU(),
+		L2PC:           s.L2PC(),
+		MemPC:          s.MemPC(),
+		TruePowerW:     trueW,
+		MeasuredPowerW: meaW,
+		Instructions:   instr,
+		Phase:          ph,
+		TempC:          info.TempC,
+		Duty:           info.Duty,
+	})
+}
+
+// emitRecord assembles node i's TickState for the interval a full
+// batch just recorded and fans it out to the node's hooks in
+// subscription order. The record is built on every tick of a full
+// batch, hooked or not, so subscribing a hook adds only its own
+// dispatch.
+func (b *BatchState) emitRecord(i, cur, want int, used, busy, stall time.Duration, instr, jitter, trueW float64, ph uint32) {
+	info := &b.tinfo[i]
+	ts := TickState{
+		Tick:           b.tick[i],
+		Start:          b.now[i] - used,
+		Interval:       b.period[i],
+		Used:           used,
+		PState:         b.states[i][cur],
+		PStateIndex:    cur,
+		Duty:           info.Duty,
+		Jitter:         jitter,
+		Stall:          stall,
+		Busy:           busy,
+		Instructions:   instr,
+		Phase:          b.runs[i].Phases.Name(ph),
+		Sample:         info.Sample,
+		Observed:       info.Sample,
+		TruePowerW:     trueW,
+		MeasuredPowerW: b.lastW[i],
+		TempC:          info.TempC,
+		WantIndex:      want,
+		NextDuty:       b.duty[i],
+		Final:          b.exhausted[i],
+	}
+	if b.injs[i] != nil {
+		ts.Sample = b.trueSample[i]
+	}
+	if b.timing {
+		ts.StageNanos = b.clock.tick
+	}
 	for _, h := range b.hooks[i] {
-		h.OnTransition(tr)
+		h.OnTick(ts)
 	}
 }
 
@@ -290,124 +399,4 @@ func (b *BatchState) drainInjector(i int, t time.Duration) {
 	for _, e := range b.injs[i].Drain() {
 		b.emitDegradation(i, trace.Degradation{T: t, Source: e.Source, Kind: e.Kind, Detail: e.Detail})
 	}
-}
-
-// stepGenericBody runs the full tick — fault injection, thermal model,
-// throttling governors, stage timing and hook fan-out — against the
-// batch state lanes. It is the fallback whenever a node needs anything
-// the pm body sheds.
-func stepGenericBody(b *BatchState, i int) {
-	if b.tick[i] >= b.maxTicks[i] {
-		b.failTicks(i)
-		return
-	}
-	b.tick[i]++
-	cur := int(b.curIdx[i])
-	ts := TickState{
-		Tick:        b.tick[i],
-		Start:       b.now[i],
-		Interval:    b.period[i],
-		PState:      b.states[i][cur],
-		PStateIndex: cur,
-		Duty:        b.duty[i],
-		Jitter:      1.0,
-	}
-	ts.WantIndex = cur
-	ts.NextDuty = ts.Duty
-	clock := stageClock{enabled: b.timing, total: &b.stageNanos}
-	clock.start()
-
-	// execute
-	used, busy, stall, instr, jitter, ph, ok := b.executeTick(i, cur)
-	if !ok {
-		b.done[i] = true
-		return
-	}
-	ts.Used, ts.Busy, ts.Stall = used, busy, stall
-	ts.Instructions, ts.Jitter, ts.Phase = instr, jitter, b.runs[i].Phases.Name(ph)
-	ts.Sample = b.tinfo[i].Sample
-	clock.mark(&ts, StageExecute)
-
-	// measure: ground truth, the chain's reading, fault corruption of
-	// what the governor sees, and both energy integrals. Dropped
-	// acquisitions (NaN) contribute no measured energy.
-	ts.TruePowerW = intervalPower(b.truths[i], cur, &b.tinfo[i].Sample, busy, used)
-	ts.MeasuredPowerW = b.chains[i].Measure(ts.TruePowerW, b.rngs[i])
-	ts.Observed = ts.Sample
-	if inj := b.injs[i]; inj != nil {
-		inj.BeginTick()
-		ts.Observed = inj.Counters(ts.Sample)
-		ts.MeasuredPowerW = inj.Sense(ts.MeasuredPowerW)
-		b.obs[i] = ts.Observed
-		b.drainInjector(i, ts.Start+used)
-	}
-	usedSec := used.Seconds()
-	if used == b.period[i] {
-		usedSec = b.perSec[i]
-	}
-	b.energyTrue[i].Add(ts.TruePowerW, usedSec)
-	if !math.IsNaN(ts.MeasuredPowerW) {
-		b.energyMeas[i].Add(ts.MeasuredPowerW, usedSec)
-	}
-	clock.mark(&ts, StageMeasure)
-
-	// observe: the thermal sensor reading at interval end.
-	if tm := b.tms[i]; tm != nil {
-		tm.Step(ts.TruePowerW, used)
-		ts.TempC = tm.SensorC()
-	}
-	clock.mark(&ts, StageObserve)
-
-	b.now[i] += used
-	b.lastW[i] = ts.MeasuredPowerW
-	b.seq[i]++
-	if b.exhausted[i] {
-		ts.Final = true
-		b.done[i] = true
-		b.emitTick(i, &ts, ph)
-		return
-	}
-
-	// govern: the observed sample, sensor reading and duty go in the
-	// node's persistent TickInfo, which the rest of this tick does not
-	// read (the true sample is already in ts, and LastDPC reads the
-	// same observed sample).
-	info := &b.tinfo[i]
-	info.Sample = ts.Observed
-	info.TempC = ts.TempC
-	info.Duty = ts.Duty
-	ts.WantIndex = b.govern(i, cur, used, ts.MeasuredPowerW)
-	clock.mark(&ts, StageGovern)
-
-	// actuate: the p-state transition (possibly through a faulted
-	// actuator) with its stall charged to upcoming intervals, then the
-	// next interval's clock-modulation duty.
-	if ts.WantIndex != cur {
-		okT, extra := true, time.Duration(0)
-		if inj := b.injs[i]; inj != nil {
-			okT, extra = inj.Transition(b.latency[i])
-			b.drainInjector(i, b.now[i])
-		}
-		if okT {
-			d, err := b.setPState(i, ts.WantIndex)
-			if err != nil {
-				b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
-				return
-			}
-			b.pendStall[i] += d + extra
-			b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: true, Stall: d + extra})
-		} else {
-			// Transition abandoned: the actuator stays put and the
-			// failed attempt's stall time is still paid.
-			b.failed[i]++
-			b.pendStall[i] += extra
-			b.emitTransition(i, Transition{T: b.now[i], From: cur, To: ts.WantIndex, OK: false, Stall: extra})
-		}
-	}
-	if th, ok := b.govs[i].(Throttler); ok {
-		b.duty[i] = clampDuty(th.Duty())
-	}
-	ts.NextDuty = b.duty[i]
-	clock.mark(&ts, StageActuate)
-	b.emitTick(i, &ts, ph)
 }

@@ -45,18 +45,17 @@ func (s *Session) Subscribe(h Hook) { s.b.subscribe(0, h) }
 // TickState.StageNanos the bus delivers and into the session total
 // StageNanos reports. Off by default (each tick costs a handful of
 // clock reads when on); purely observational, so virtual-time results
-// are unaffected either way. Only the generic step body times its
-// stages, so enabling timing moves the session onto it, as Subscribe
-// does.
+// are unaffected either way. Stages are timed only with the full
+// event order, so enabling timing turns it on, as Subscribe does.
 func (s *Session) EnableStageTiming() {
 	s.b.timing = true
-	s.b.setKind(stepGeneric)
+	s.b.full = true
 }
 
 // StageNanos returns the per-stage wall-clock summed over the ticks
 // stepped so far, in StageNames order; all zero unless stage timing is
 // enabled.
-func (s *Session) StageNanos() [NumStages]int64 { return s.b.stageNanos }
+func (s *Session) StageNanos() [NumStages]int64 { return s.b.clock.total }
 
 // Step advances the session by one monitoring interval and reports
 // whether the workload completed. Once done, Step is a no-op that

@@ -143,8 +143,8 @@ func TestSessionEarlyResultTruncates(t *testing.T) {
 }
 
 // The session's stage totals fill only when stage timing is on, and
-// timing alone (no subscriber) moves the session onto the generic body
-// that does the timing.
+// timing alone (no subscriber) turns on the full event order, which
+// does the timing.
 func TestSessionStageNanos(t *testing.T) {
 	for _, timed := range []bool{false, true} {
 		m, _ := New(Config{Seed: 1})
@@ -165,7 +165,7 @@ func TestSessionStageNanos(t *testing.T) {
 			total += n
 		}
 		if timed && (total <= 0 || s.b.Kind() != "generic") {
-			t.Errorf("timing on: stage total %d ns on the %s body, want > 0 on generic", total, s.b.Kind())
+			t.Errorf("timing on: stage total %d ns with kind %s, want > 0 with generic", total, s.b.Kind())
 		}
 		if !timed && total != 0 {
 			t.Errorf("timing off: stage total %d ns, want 0", total)

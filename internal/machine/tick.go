@@ -33,10 +33,9 @@ const (
 // StageNames labels the stages in StageNanos order.
 var StageNames = [NumStages]string{"execute", "measure", "observe", "govern", "actuate"}
 
-// TickState is the single record one monitoring interval accumulates
-// on the generic step body. Every stage reads what earlier stages
-// wrote and fills in its own fields; hooks receive the completed
-// record once per interval.
+// TickState is the record of one monitoring interval that a batch
+// running the full event order assembles once the interval is
+// recorded; hooks receive it once per interval.
 type TickState struct {
 	// Tick is the 1-based interval ordinal within the run.
 	Tick int
@@ -113,7 +112,7 @@ type Transition struct {
 // events in subscription order, after the run's own trace row and
 // degradation log entry are recorded; embed BaseHook to implement only
 // the events of interest. Hooks must not mutate the run they observe.
-// Any hook moves its batch onto the generic step body.
+// Any hook turns on its batch's full event order.
 type Hook interface {
 	// OnTick fires once per recorded interval, after every stage ran.
 	OnTick(TickState)
@@ -143,28 +142,26 @@ func (BaseHook) OnDegradation(trace.Degradation) {}
 // OnDone implements Hook.
 func (BaseHook) OnDone(*trace.Run) {}
 
-// stageClock stamps per-stage wall-clock into a TickState, and adds
-// it to the batch's running total, when enabled; disabled it costs one
-// branch per stage.
+// stageClock times one lane's stages: the current tick's split, which
+// the TickState record carries, and the running total
+// Session.StageNanos reports.
 type stageClock struct {
-	enabled bool
-	last    time.Time
-	total   *[NumStages]int64
+	last  time.Time
+	tick  [NumStages]int64
+	total [NumStages]int64
 }
 
+// start begins a tick: every stage reads zero until it is marked.
 func (c *stageClock) start() {
-	if c.enabled {
-		c.last = time.Now()
-	}
+	c.tick = [NumStages]int64{}
+	c.last = time.Now()
 }
 
-func (c *stageClock) mark(ts *TickState, stage int) {
-	if !c.enabled {
-		return
-	}
+// mark closes stage at the current wall-clock time.
+func (c *stageClock) mark(stage int) {
 	now := time.Now()
 	n := now.Sub(c.last).Nanoseconds()
-	ts.StageNanos[stage] = n
+	c.tick[stage] = n
 	c.total[stage] += n
 	c.last = now
 }

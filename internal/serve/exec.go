@@ -73,9 +73,9 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 	if gov != nil {
 		policy = gov.Name()
 	}
-	// The observer hooks move the run onto the tick engine's generic
-	// body, whose trace is byte-identical to the pm body's —
-	// the golden-through-serve test pins that equivalence.
+	// The observer hooks turn on the tick engine's full event order,
+	// whose trace is byte-identical to a bare run's — the
+	// golden-through-serve test pins that equivalence.
 	batch, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: gov}}, machine.BatchOptions{
 		RetainTraces: true,
 		Hooks: func(int) []machine.Hook {

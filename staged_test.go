@@ -3,8 +3,8 @@ package aapm
 // A Session stepped by hand, with hooks subscribed and stage timing
 // on, must reproduce the same pinned fixtures as Platform.Run. The
 // test names keep the "staged" prefix of the per-stage engine these
-// checks were first written against; Session now steps the one-lane
-// batch's generic body.
+// checks were first written against; Session now steps a one-lane
+// batch with the full event order on.
 
 import (
 	"bytes"

@@ -17,7 +17,7 @@ import (
 // TestGoldenTraceWithTelemetry re-runs the canonical golden
 // configuration as a Session with a telemetry observer and a
 // trace-event exporter subscribed and stage timing on —
-// the generic step body with everything observational switched on —
+// the full event order with everything observational switched on —
 // and compares against the same pinned fixture as the bare run:
 // observation must not perturb a single byte of the trace.
 func TestGoldenTraceWithTelemetry(t *testing.T) {
@@ -74,8 +74,9 @@ func TestGoldenTraceWithTelemetry(t *testing.T) {
 // a full-duty ThrottleSave governor with the given extra hook (nil =
 // none), minimum over trials — the standard way to strip scheduler
 // noise from a microbenchmark. ThrottleSave is a Throttler, which
-// always steps the generic body, so both the bare and the hooked run
-// step it and the difference is the hook fan-out alone.
+// always turns on the full event order, so both the bare and the
+// hooked run build the same per-tick record and the difference is the
+// hook fan-out alone.
 func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 	t.Helper()
 	w, err := spec.ByName("ammp")
@@ -128,9 +129,9 @@ func tickCost(t *testing.T, trials int, mkHook func() Hook) time.Duration {
 // TestTelemetryOffOverhead is the self-observation budget: with no
 // telemetry subscriber attached, the hook-bus dispatch a subscriber
 // would ride must cost ≤5% per tick versus a bare session on the same
-// (generic) step body. A no-op hook isolates exactly the fan-out path
+// (full) event order. A no-op hook isolates exactly the fan-out path
 // — the telemetry layer's cost floor when it is compiled in but
-// disabled. What a hook costs by moving a run off a specialized body
+// disabled. What a hook costs by turning on the full event order
 // is a different question, reported by perfbench as
 // kernel.demotion_ratio. Min-of-trials on both
 // sides (the standard way to strip scheduler noise), interleaved and
