@@ -379,8 +379,27 @@ func BenchmarkAblationPSExponent(b *testing.B) {
 
 // --- simulator micro-benches ---
 
-// BenchmarkMachineTick measures the per-interval simulation cost.
-func BenchmarkMachineTick(b *testing.B) {
+// benchSessionTicks steps sessions made by build one interval at a
+// time and stops at b.N intervals, so ns/op is the cost of one tick at
+// any b.N. A finished session is rebuilt with the timer stopped.
+func benchSessionTicks(b *testing.B, build func() *machine.Session) {
+	s := build()
+	b.ResetTimer()
+	for ticks := 0; ticks < b.N; ticks++ {
+		if s.Done() {
+			b.StopTimer()
+			s = build()
+			b.StartTimer()
+		}
+		if _, err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ammpSession returns a session builder for ammp on a seeded NI
+// machine; subscribe, when non-nil, adds a hook to each new session.
+func ammpSession(b *testing.B, subscribe func(*machine.Session)) func() *machine.Session {
 	w, err := spec.ByName("ammp")
 	if err != nil {
 		b.Fatal(err)
@@ -389,80 +408,38 @@ func BenchmarkMachineTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	ticks := 0
-	for ticks < b.N {
-		run, err := m.Run(w, nil)
+	return func() *machine.Session {
+		s, err := m.NewSession(w, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticks += len(run.Rows)
+		if subscribe != nil {
+			subscribe(s)
+		}
+		return s
 	}
+}
+
+// BenchmarkMachineTick measures the per-interval simulation cost of a
+// trace-retaining single run.
+func BenchmarkMachineTick(b *testing.B) {
+	benchSessionTicks(b, ammpSession(b, nil))
 }
 
 // BenchmarkTelemetryOff measures the per-interval cost with the
 // telemetry layer compiled in but no subscriber attached — the
 // partner of BenchmarkTelemetryOn.
 func BenchmarkTelemetryOff(b *testing.B) {
-	w, err := spec.ByName("ammp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{Chain: sensor.NIDefault(), Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	ticks := 0
-	for ticks < b.N {
-		s, err := m.NewSession(w, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			done, err := s.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if done {
-				break
-			}
-		}
-		ticks += len(s.Result().Rows)
-	}
+	benchSessionTicks(b, ammpSession(b, nil))
 }
 
 // BenchmarkTelemetryOn measures the per-interval cost with a registry
 // observer subscribed — what a scraped run actually pays.
 func BenchmarkTelemetryOn(b *testing.B) {
-	w, err := spec.ByName("ammp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{Chain: sensor.NIDefault(), Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
-	b.ResetTimer()
-	ticks := 0
-	for ticks < b.N {
-		s, err := m.NewSession(w, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchSessionTicks(b, ammpSession(b, func(s *machine.Session) {
 		s.Subscribe(telemetry.NewObserver(reg, "bench", "none"))
-		for {
-			done, err := s.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if done {
-				break
-			}
-		}
-		ticks += len(s.Result().Rows)
-	}
+	}))
 }
 
 // BenchmarkBatchTick measures the tick engine's cost per node-tick on

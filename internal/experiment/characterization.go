@@ -104,11 +104,11 @@ type MuxRow struct {
 func (c *Context) MultiplexStudy() (*MuxResult, error) {
 	res := &MuxResult{}
 	for _, name := range []string{"ammp", "swim", "crafty"} {
-		base, err := c.RunStatic(name, 2000)
+		base, err := c.staticRun(name, 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		ideal, err := c.RunPS(name, 0.8, model.PaperExponent)
+		ideal, err := c.psRun(name, 0.8, model.PaperExponent, totalsOnly)
 		if err != nil {
 			return nil, err
 		}

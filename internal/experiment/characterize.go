@@ -132,20 +132,20 @@ func (c *Context) Fig2PstatePerformance() (*Fig2Result, error) {
 		}
 	}
 	if err := c.forEachN(len(pairs), func(i int) error {
-		_, err := c.RunStatic(pairs[i].name, pairs[i].freq)
+		_, err := c.staticRun(pairs[i].name, pairs[i].freq, totalsOnly)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	res := &Fig2Result{Freqs: freqs}
 	for _, n := range names {
-		base, err := c.RunStatic(n, 2000)
+		base, err := c.staticRun(n, 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig2Row{Name: n}
 		for _, f := range freqs {
-			run, err := c.RunStatic(n, f)
+			run, err := c.staticRun(n, f, totalsOnly)
 			if err != nil {
 				return nil, err
 			}

@@ -48,7 +48,10 @@ type Options struct {
 	// workload and policy names; a non-nil hook it returns is
 	// subscribed to that run's session. Hooks on the bus are purely
 	// observational, so traces (and therefore cached results) are
-	// unchanged. Runs may execute concurrently — the factory and its
+	// unchanged. Each run key executes once per repetition, however
+	// many figures request it concurrently; a key first run for its
+	// totals alone executes again when a figure asks for its rows (see
+	// Context). Runs may execute concurrently — the factory and its
 	// hooks must tolerate that.
 	Observer func(workload, policy string) machine.Hook
 	// FleetNodes sizes the fleetscale experiment's population; 0
@@ -88,13 +91,22 @@ func (c *Context) ctxDone() <-chan struct{} {
 // Context owns the shared platform configuration and a cache of
 // completed runs, so figures that share baselines (e.g. the
 // unconstrained 2 GHz suite) don't recompute them.
+//
+// Each cached run either kept its per-interval trace rows or only its
+// totals (duration, energy, instructions, transitions, degradations).
+// Figures that read only totals request totals-only runs, which skip
+// the rows; a run with rows serves any request. A key cached
+// totals-only is run again with rows, replacing the entry, the first
+// time a figure asks for its rows; runs are deterministic, so the
+// totals are identical. Concurrent requests for one key share a
+// single execution.
 type Context struct {
 	opts  Options
 	table *pstate.Table
 	chain sensor.Chain
 
 	mu        sync.Mutex
-	runs      map[string]*trace.Run
+	runs      map[string]*runEntry
 	workloads map[string]phase.Workload
 
 	tableIIIOnce sync.Once
@@ -129,7 +141,7 @@ func NewContext(opts Options) (*Context, error) {
 		opts:      opts,
 		table:     pstate.PentiumM755(),
 		chain:     chain,
-		runs:      make(map[string]*trace.Run),
+		runs:      make(map[string]*runEntry),
 		workloads: byName,
 	}, nil
 }
@@ -153,16 +165,55 @@ func (c *Context) SuiteNames() []string { return spec.Names() }
 // A nil factory result means "no governor" (pinned start state).
 type govFactory func() (machine.Governor, error)
 
-// run executes the named workload under the factory's governor on a
-// fresh machine, caching by key.
-func (c *Context) run(key, workload string, f govFactory) (*trace.Run, error) {
-	c.mu.Lock()
-	if r, ok := c.runs[key]; ok {
-		c.mu.Unlock()
-		return r, nil
-	}
-	c.mu.Unlock()
+// A run request names whether its caller reads the run's trace rows
+// or only its totals.
+const (
+	totalsOnly = false
+	withRows   = true
+)
 
+// runEntry is one run key in the cache. done closes once run and err
+// are set; rows records whether the run keeps its trace rows.
+type runEntry struct {
+	done chan struct{}
+	rows bool
+	run  *trace.Run
+	err  error
+}
+
+// run returns the named workload's run under the factory's governor,
+// cached by key. A cached entry serves the request if it kept rows or
+// the request reads only totals; otherwise the key runs (again) on
+// fresh machines, and concurrent requests wait on that one execution.
+// Failed runs are not cached.
+func (c *Context) run(key, workload string, f govFactory, rows bool) (*trace.Run, error) {
+	c.mu.Lock()
+	e := c.runs[key]
+	if e != nil && (e.rows || !rows) {
+		c.mu.Unlock()
+		<-e.done
+		return e.run, e.err
+	}
+	e = &runEntry{done: make(chan struct{}), rows: rows}
+	c.runs[key] = e
+	c.mu.Unlock()
+	defer close(e.done)
+
+	e.run, e.err = c.execute(workload, f, rows)
+	if e.err != nil {
+		c.mu.Lock()
+		if c.runs[key] == e {
+			delete(c.runs, key)
+		}
+		c.mu.Unlock()
+	}
+	return e.run, e.err
+}
+
+// execute runs the workload once per repetition, each on a fresh
+// machine and governor, and returns the median run. rows keeps the
+// runs' trace rows; the totals are the same either way.
+func (c *Context) execute(workload string, f govFactory, rows bool) (*trace.Run, error) {
 	w, err := c.Workload(workload)
 	if err != nil {
 		return nil, err
@@ -189,27 +240,26 @@ func (c *Context) run(key, workload string, f govFactory) (*trace.Run, error) {
 				return nil, err
 			}
 		}
-		var hooks []machine.Hook
+		opts := machine.BatchOptions{RetainTraces: rows}
 		if c.opts.Observer != nil {
 			policy := "none"
 			if g != nil {
 				policy = g.Name()
 			}
 			if h := c.opts.Observer(w.Name, policy); h != nil {
-				hooks = append(hooks, h)
+				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{h} }
 			}
 		}
-		r, err := m.RunWith(w, g, hooks...)
+		b, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, r)
+		if err := b.Run(); err != nil {
+			return nil, err
+		}
+		runs = append(runs, b.Result(0))
 	}
-	r := medianByDuration(runs)
-	c.mu.Lock()
-	c.runs[key] = r
-	c.mu.Unlock()
-	return r, nil
+	return medianByDuration(runs), nil
 }
 
 // medianByDuration returns the run with the median execution time (the
@@ -224,8 +274,25 @@ func medianByDuration(runs []*trace.Run) *trace.Run {
 	return sorted[len(sorted)/2]
 }
 
-// RunStatic runs a workload pinned at freqMHz.
+// RunStatic runs a workload pinned at freqMHz. The run keeps its
+// trace rows.
 func (c *Context) RunStatic(workload string, freqMHz int) (*trace.Run, error) {
+	return c.staticRun(workload, freqMHz, withRows)
+}
+
+// RunPM runs a workload under PerformanceMaximizer at limitW. The run
+// keeps its trace rows.
+func (c *Context) RunPM(workload string, limitW float64) (*trace.Run, error) {
+	return c.pmRun(workload, limitW, withRows)
+}
+
+// RunPS runs a workload under PowerSave at the given floor using the
+// eq. 3 model with the given exponent. The run keeps its trace rows.
+func (c *Context) RunPS(workload string, floor, exponent float64) (*trace.Run, error) {
+	return c.psRun(workload, floor, exponent, withRows)
+}
+
+func (c *Context) staticRun(workload string, freqMHz int, rows bool) (*trace.Run, error) {
 	idx := c.table.IndexOf(freqMHz)
 	if idx < 0 {
 		return nil, fmt.Errorf("experiment: no p-state %d MHz", freqMHz)
@@ -233,27 +300,24 @@ func (c *Context) RunStatic(workload string, freqMHz int) (*trace.Run, error) {
 	key := fmt.Sprintf("%s/static%d", workload, freqMHz)
 	return c.run(key, workload, func() (machine.Governor, error) {
 		return control.NewStaticClock(idx, fmt.Sprintf("static%d", freqMHz)), nil
-	})
+	}, rows)
 }
 
-// RunPM runs a workload under PerformanceMaximizer at limitW.
-func (c *Context) RunPM(workload string, limitW float64) (*trace.Run, error) {
+func (c *Context) pmRun(workload string, limitW float64, rows bool) (*trace.Run, error) {
 	key := fmt.Sprintf("%s/pm%.1f", workload, limitW)
 	return c.run(key, workload, func() (machine.Governor, error) {
 		return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW})
-	})
+	}, rows)
 }
 
-// RunPS runs a workload under PowerSave at the given floor using the
-// eq. 3 model with the given exponent.
-func (c *Context) RunPS(workload string, floor, exponent float64) (*trace.Run, error) {
+func (c *Context) psRun(workload string, floor, exponent float64, rows bool) (*trace.Run, error) {
 	key := fmt.Sprintf("%s/ps%.2f/e%.2f", workload, floor, exponent)
 	return c.run(key, workload, func() (machine.Governor, error) {
 		return control.NewPowerSave(control.PSConfig{
 			Floor: floor,
 			Perf:  model.PerfModel{Threshold: model.PaperDCUThreshold, Exponent: exponent},
 		})
-	})
+	}, rows)
 }
 
 // forEach runs fn over the names with bounded parallelism, stopping

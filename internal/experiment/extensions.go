@@ -47,7 +47,7 @@ func (c *Context) FeedbackExtension() (*FeedbackResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := c.RunStatic("galgel", 2000)
+	base, err := c.staticRun("galgel", 2000, totalsOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -195,12 +195,12 @@ type ThrottleRow struct {
 func (c *Context) DVFSvsThrottling() (*ThrottleResult, error) {
 	res := &ThrottleResult{}
 	for _, name := range []string{"swim", "gap", "crafty"} {
-		base, err := c.RunStatic(name, 2000)
+		base, err := c.staticRun(name, 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
 		for _, floor := range []float64{0.75, 0.50} {
-			ps, err := c.RunPS(name, floor, model.PaperExponent)
+			ps, err := c.psRun(name, floor, model.PaperExponent, totalsOnly)
 			if err != nil {
 				return nil, err
 			}
@@ -351,7 +351,7 @@ func (c *Context) BaselineComparison() (*BaselineResult, error) {
 		{"cruise20", func() (machine.Governor, error) {
 			return control.NewCruiseControl(control.CruiseControlConfig{Slowdown: 0.20})
 		}},
-		{"ps80", nil}, // via RunPS for cache sharing
+		{"ps80", nil}, // via psRun for cache sharing
 	}
 	// Warm the baselines in parallel.
 	if err := c.forEachN(len(names)*(len(govs)+1), func(i int) error {
@@ -359,25 +359,25 @@ func (c *Context) BaselineComparison() (*BaselineResult, error) {
 		k := i % (len(govs) + 1)
 		switch {
 		case k == 0:
-			_, err := c.RunStatic(n, 2000)
+			_, err := c.staticRun(n, 2000, totalsOnly)
 			return err
 		case govs[k-1].f == nil:
-			_, err := c.RunPS(n, 0.8, model.PaperExponent)
+			_, err := c.psRun(n, 0.8, model.PaperExponent, totalsOnly)
 			return err
 		default:
 			g := govs[k-1]
-			_, err := c.run(fmt.Sprintf("%s/%s", n, g.key), n, g.f)
+			_, err := c.run(fmt.Sprintf("%s/%s", n, g.key), n, g.f, totalsOnly)
 			return err
 		}
 	}); err != nil {
 		return nil, err
 	}
 
-	baseT, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunStatic(n, 2000) })
+	baseT, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
-	baseE, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.RunStatic(n, 2000) })
+	baseE, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
@@ -386,9 +386,9 @@ func (c *Context) BaselineComparison() (*BaselineResult, error) {
 		g := g
 		get := func(n string) (*trace.Run, error) {
 			if g.f == nil {
-				return c.RunPS(n, 0.8, model.PaperExponent)
+				return c.psRun(n, 0.8, model.PaperExponent, totalsOnly)
 			}
-			return c.run(fmt.Sprintf("%s/%s", n, g.key), n, g.f)
+			return c.run(fmt.Sprintf("%s/%s", n, g.key), n, g.f, totalsOnly)
 		}
 		tt, err := c.suiteTime(get)
 		if err != nil {

@@ -82,11 +82,11 @@ func (c *Context) FaultSweep() (*FaultSweepResult, error) {
 		PM: make([]FaultRow, len(FaultRates())),
 		PS: make([]FaultRow, len(FaultRates())),
 	}
-	pmBase, err := c.RunStatic(pmWorkload, 2000)
+	pmBase, err := c.staticRun(pmWorkload, 2000, totalsOnly)
 	if err != nil {
 		return nil, err
 	}
-	psBase, err := c.RunStatic(psWorkload, 2000)
+	psBase, err := c.staticRun(psWorkload, 2000, totalsOnly)
 	if err != nil {
 		return nil, err
 	}

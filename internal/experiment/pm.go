@@ -99,16 +99,16 @@ func (c *Context) Fig6PerfVsPowerLimit() (*Fig6Result, error) {
 	if err := c.forEachN(len(jobs), func(i int) error {
 		j := jobs[i]
 		if j.limit > 0 {
-			_, err := c.RunPM(j.name, j.limit)
+			_, err := c.pmRun(j.name, j.limit, totalsOnly)
 			return err
 		}
-		_, err := c.RunStatic(j.name, j.freq)
+		_, err := c.staticRun(j.name, j.freq, totalsOnly)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	baseTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunStatic(n, 2000) })
+	baseTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +118,11 @@ func (c *Context) Fig6PerfVsPowerLimit() (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pmTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunPM(n, l) })
+		pmTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.pmRun(n, l, totalsOnly) })
 		if err != nil {
 			return nil, err
 		}
-		stTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunStatic(n, f) })
+		stTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, f, totalsOnly) })
 		if err != nil {
 			return nil, err
 		}
@@ -212,13 +212,13 @@ func (c *Context) Fig7PMSpeedup() (*Fig7Result, error) {
 		n := names[i/3]
 		switch i % 3 {
 		case 0:
-			_, err := c.RunStatic(n, staticMHz)
+			_, err := c.staticRun(n, staticMHz, totalsOnly)
 			return err
 		case 1:
-			_, err := c.RunStatic(n, 2000)
+			_, err := c.staticRun(n, 2000, totalsOnly)
 			return err
 		default:
-			_, err := c.RunPM(n, Fig7Limit)
+			_, err := c.pmRun(n, Fig7Limit, totalsOnly)
 			return err
 		}
 	}); err != nil {
@@ -229,15 +229,15 @@ func (c *Context) Fig7PMSpeedup() (*Fig7Result, error) {
 	order := map[string]float64{}
 	var totStatic, totPM, totMax float64
 	for _, n := range names {
-		st, err := c.RunStatic(n, staticMHz)
+		st, err := c.staticRun(n, staticMHz, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		pm, err := c.RunPM(n, Fig7Limit)
+		pm, err := c.pmRun(n, Fig7Limit, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		mx, err := c.RunStatic(n, 2000)
+		mx, err := c.staticRun(n, 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}

@@ -79,35 +79,35 @@ func (c *Context) Fig9PSSuite() (*Fig9Result, error) {
 		k := i % (len(floors) + 2)
 		switch k {
 		case 0:
-			_, err := c.RunStatic(n, 2000)
+			_, err := c.staticRun(n, 2000, totalsOnly)
 			return err
 		case 1:
-			_, err := c.RunStatic(n, 600)
+			_, err := c.staticRun(n, 600, totalsOnly)
 			return err
 		default:
-			_, err := c.RunPS(n, floors[k-2], model.PaperExponent)
+			_, err := c.psRun(n, floors[k-2], model.PaperExponent, totalsOnly)
 			return err
 		}
 	}); err != nil {
 		return nil, err
 	}
 
-	baseT, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunStatic(n, 2000) })
+	baseT, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
-	baseE, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.RunStatic(n, 2000) })
+	baseE, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig9Result{}
 	for _, f := range floors {
 		f := f
-		t, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunPS(n, f, model.PaperExponent) })
+		t, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.psRun(n, f, model.PaperExponent, totalsOnly) })
 		if err != nil {
 			return nil, err
 		}
-		e, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.RunPS(n, f, model.PaperExponent) })
+		e, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.psRun(n, f, model.PaperExponent, totalsOnly) })
 		if err != nil {
 			return nil, err
 		}
@@ -119,11 +119,11 @@ func (c *Context) Fig9PSSuite() (*Fig9Result, error) {
 		row.Violated = row.PerfReduction > (1-f)+1e-9
 		res.Rows = append(res.Rows, row)
 	}
-	tMin, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.RunStatic(n, 600) })
+	tMin, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 600, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
-	eMin, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.RunStatic(n, 600) })
+	eMin, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.staticRun(n, 600, totalsOnly) })
 	if err != nil {
 		return nil, err
 	}
@@ -184,17 +184,17 @@ func (c *Context) Fig10EnergySavings() (*Fig10Result, error) {
 	var sumBase, sum600 float64
 	sums := make([]float64, len(floors))
 	for _, n := range names {
-		base, err := c.RunStatic(n, 2000)
+		base, err := c.staticRun(n, 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		min, err := c.RunStatic(n, 600)
+		min, err := c.staticRun(n, 600, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig10Row{Name: n, At600: 1 - min.MeasuredEnergyJ/base.MeasuredEnergyJ}
 		for i, f := range floors {
-			ps, err := c.RunPS(n, f, model.PaperExponent)
+			ps, err := c.psRun(n, f, model.PaperExponent, totalsOnly)
 			if err != nil {
 				return nil, err
 			}
@@ -301,17 +301,17 @@ func (c *Context) Fig11PerfReduction() (*Fig11Result, error) {
 	var sumBase, sum600 float64
 	sums := make([]float64, len(floors))
 	for _, n := range names {
-		base, err := c.RunStatic(n, 2000)
+		base, err := c.staticRun(n, 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		min, err := c.RunStatic(n, 600)
+		min, err := c.staticRun(n, 600, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig11Row{Name: n, At600: 1 - base.Duration.Seconds()/min.Duration.Seconds()}
 		for i, f := range floors {
-			ps, err := c.RunPS(n, f, model.PaperExponent)
+			ps, err := c.psRun(n, f, model.PaperExponent, totalsOnly)
 			if err != nil {
 				return nil, err
 			}
@@ -319,7 +319,7 @@ func (c *Context) Fig11PerfReduction() (*Fig11Result, error) {
 			row.Reductions = append(row.Reductions, red)
 			sums[i] += ps.Duration.Seconds()
 			if red > (1-f)+violationSlack {
-				alt, err := c.RunPS(n, f, model.PaperExponentAlt)
+				alt, err := c.psRun(n, f, model.PaperExponentAlt, totalsOnly)
 				if err != nil {
 					return nil, err
 				}

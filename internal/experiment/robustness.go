@@ -52,11 +52,11 @@ func (c *Context) SeedSensitivity() (*SeedResult, error) {
 		metrics["galgel over-limit fraction at 13.5W"] = append(metrics["galgel over-limit fraction at 13.5W"],
 			trace.FractionAbove(galgel.MeasuredPowers(), 13.5))
 
-		base, err := ctx.RunStatic("art", 2000)
+		base, err := ctx.staticRun("art", 2000, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		ps, err := ctx.RunPS("art", 0.8, 0.81)
+		ps, err := ctx.psRun("art", 0.8, 0.81, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +112,7 @@ func (c *Context) GuardbandSweep() (*GuardbandSweepResult, error) {
 		Guardbands: []float64{-1, 0.25, 0.5, 1.0}, // -1 = disabled
 		Limits:     PowerLimits(),
 	}
-	base, err := c.RunStatic("galgel", 2000)
+	base, err := c.staticRun("galgel", 2000, totalsOnly)
 	if err != nil {
 		return nil, err
 	}

@@ -141,36 +141,66 @@ func FitPerfModel(points []TrainingPoint) (PerfFit, error) {
 	}
 	sort.Strings(names)
 
-	evalErr := func(m PerfModel) float64 {
-		var sum float64
-		var n int
-		for _, name := range names {
-			pts := byConfig[name]
-			for _, from := range pts {
-				for _, to := range pts {
-					if from.FreqMHz == to.FreqMHz || to.IPC == 0 {
-						continue
-					}
+	// A threshold only decides, per ordered pair, between the unscaled
+	// and the scaled IPC projection. So each pair's error term is
+	// computed once unscaled and once per grid exponent scaled, and a
+	// grid point sums the terms its threshold selects, in pair order —
+	// the same additions as projecting every pair at every point.
+	var exps []float64
+	for e := 0.30; e <= 1.20+1e-9; e += 0.01 {
+		exps = append(exps, e)
+	}
+	var (
+		dcu    []float64                      // per pair: the from-point's DCU/IPC
+		core   []float64                      // per pair: error of the unscaled projection
+		scaled = make([][]float64, len(exps)) // per exponent, per pair: error of the scaled one
+	)
+	// An infinite threshold never scales and a negative infinite one
+	// always does; ProjectIPC's input guards apply to both.
+	unscaledModel := PerfModel{Threshold: math.Inf(1)}
+	for _, name := range names {
+		pts := byConfig[name]
+		for _, from := range pts {
+			for _, to := range pts {
+				if from.FreqMHz == to.FreqMHz || to.IPC == 0 {
+					continue
+				}
+				dcu = append(dcu, from.DCUPerInst)
+				pred := unscaledModel.ProjectIPC(from.IPC, from.DCUPerInst, from.FreqMHz, to.FreqMHz)
+				core = append(core, math.Abs(pred-to.IPC)/to.IPC)
+				for k, e := range exps {
+					m := PerfModel{Threshold: math.Inf(-1), Exponent: e}
 					pred := m.ProjectIPC(from.IPC, from.DCUPerInst, from.FreqMHz, to.FreqMHz)
-					sum += math.Abs(pred-to.IPC) / to.IPC
-					n++
+					scaled[k] = append(scaled[k], math.Abs(pred-to.IPC)/to.IPC)
 				}
 			}
 		}
-		if n == 0 {
+	}
+	// evalErr is the mean error of PerfModel{th, exps[k]}.
+	evalErr := func(th float64, k int) float64 {
+		if len(dcu) == 0 {
 			return math.Inf(1)
 		}
-		return sum / float64(n)
+		var sum float64
+		for p, d := range dcu {
+			if d >= th {
+				sum += scaled[k][p]
+			} else {
+				sum += core[p]
+			}
+		}
+		return sum / float64(len(dcu))
 	}
 
 	best := PerfFit{MeanAbsRelErr: math.Inf(1)}
+	bestK := 0
 	for th := 0.10; th <= 3.0+1e-9; th += 0.05 {
-		for e := 0.30; e <= 1.20+1e-9; e += 0.01 {
-			m := PerfModel{Threshold: th, Exponent: e}
-			err := evalErr(m)
+		for k, e := range exps {
+			err := evalErr(th, k)
 			if err < best.MeanAbsRelErr {
-				best.Best = m
+				best.Best = PerfModel{Threshold: th, Exponent: e}
 				best.MeanAbsRelErr = err
+				bestK = k
 			}
 		}
 	}
@@ -179,7 +209,7 @@ func FitPerfModel(points []TrainingPoint) (PerfFit, error) {
 	// (the paper notes the same sparsity). Report the middle of the
 	// plateau containing the optimum rather than its first grid point.
 	tied := func(th float64) bool {
-		return evalErr(PerfModel{Threshold: th, Exponent: best.Best.Exponent}) <= best.MeanAbsRelErr+1e-12
+		return evalErr(th, bestK) <= best.MeanAbsRelErr+1e-12
 	}
 	lo, hi := best.Best.Threshold, best.Best.Threshold
 	for th := lo - 0.05; th >= 0.10-1e-9 && tied(th); th -= 0.05 {
@@ -190,14 +220,13 @@ func FitPerfModel(points []TrainingPoint) (PerfFit, error) {
 	}
 	best.Best.Threshold = (lo + hi) / 2
 	// Scan the exponent axis at the best threshold for local minima.
-	type ePt struct{ e, err float64 }
-	var curve []ePt
-	for e := 0.30; e <= 1.20+1e-9; e += 0.01 {
-		curve = append(curve, ePt{e, evalErr(PerfModel{Threshold: best.Best.Threshold, Exponent: e})})
+	curve := make([]float64, len(exps))
+	for k := range exps {
+		curve[k] = evalErr(best.Best.Threshold, k)
 	}
-	for i := 1; i < len(curve)-1; i++ {
-		if curve[i].err < curve[i-1].err && curve[i].err < curve[i+1].err {
-			best.ExponentMinima = append(best.ExponentMinima, curve[i].e)
+	for k := 1; k < len(curve)-1; k++ {
+		if curve[k] < curve[k-1] && curve[k] < curve[k+1] {
+			best.ExponentMinima = append(best.ExponentMinima, exps[k])
 		}
 	}
 	return best, nil
