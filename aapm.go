@@ -293,9 +293,14 @@ type BatchOptions = machine.BatchOptions
 // which makes zero heap allocations per tick. It is the only implementation of the 10 ms
 // loop — Platform.Run and Session step a one-lane BatchState — so a
 // node's run is byte-identical in any batch and alone. Step it with
-// StepNode/StepAll/Run and read results with Result; see the "Tick
-// engine and Hook bus" section of DESIGN.md.
+// StepNode/StepAll/Run from one goroutine, or disjoint nodes from
+// several goroutines with one Stepper each, and read results with
+// Result; see the "Tick engine and Hook bus" section of DESIGN.md.
 type BatchState = machine.BatchState
+
+// Stepper steps nodes of one BatchState from one goroutine
+// (BatchState.NewStepper).
+type Stepper = machine.Stepper
 
 // NewBatch builds a tick engine over the given nodes, each initialized
 // exactly as a Session of it would be.

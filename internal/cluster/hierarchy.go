@@ -301,12 +301,15 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		}
 	}
 
-	// One ground truth (and so one p-state table) for the whole fleet:
-	// the per-node values are identical to what machine.New would build
-	// per node, so traces match a standalone machine bit for bit, but a
-	// single shared table keeps the engine's interned behavior/frequency
-	// caches to one entry set instead of one per node.
-	truth := power.PentiumM755Truth()
+	// One machine for the whole fleet: node i's own seed,
+	// cfg.Seed + i*7919, is the shared seed plus its SeedOffset, so
+	// traces match a standalone machine per node bit for bit, while the
+	// engine interns one platform entry instead of one per node. A node
+	// with a fault plan gets a machine of its own that carries it.
+	shared, err := machine.New(machine.Config{Truth: power.PentiumM755Truth(), Chain: cfg.Chain, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
 	share := cfg.BudgetW / float64(n)
 	// One PM policy for the whole fleet: each node's PM state is a
 	// lane of the batch (SetLimit/BudgetDesireW go through the batch),
@@ -316,31 +319,23 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		return nil, err
 	}
 	lane := pol.Lane(share)
-	machines := make([]*machine.Machine, n)
 	names := make([]string, n)
+	bnodes := make([]machine.BatchNode, n)
 	for i, node := range cfg.Nodes {
 		name := node.Name
 		if name == "" {
 			name = node.Workload.Name
 		}
 		names[i] = name
-		mcfg := machine.Config{
-			Truth: truth,
-			Chain: cfg.Chain,
-			Seed:  cfg.Seed + int64(i)*7919,
-		}
+		m := shared
 		if cfg.Faults != nil {
-			mcfg.Faults = cfg.Faults(i)
+			if plan := cfg.Faults(i); plan != nil {
+				if m, err = machine.New(machine.Config{Truth: shared.Truth(), Chain: cfg.Chain, Seed: cfg.Seed, Faults: plan}); err != nil {
+					return nil, err
+				}
+			}
 		}
-		m, err := machine.New(mcfg)
-		if err != nil {
-			return nil, err
-		}
-		machines[i] = m
-	}
-	bnodes := make([]machine.BatchNode, n)
-	for i, node := range cfg.Nodes {
-		bnodes[i] = machine.BatchNode{Machine: machines[i], Workload: node.Workload, Policy: pol, Lane: lane}
+		bnodes[i] = machine.BatchNode{Machine: m, Workload: node.Workload, Policy: pol, Lane: lane, SeedOffset: int64(i) * 7919}
 	}
 	// The coordinator reads node observations through the engine's
 	// per-node accessors rather than a hook tap, so a run without
@@ -381,7 +376,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// spans nil and the per-tick loop does no span work at all — the
 	// nil-safe guard is the only cost, and the tracing-off budget test
 	// pins it.
-	spans := newCoordSpans(obs.FromContext(ctx), machines[0].SamplePeriod(), st, workers, shape.counts)
+	spans := newCoordSpans(obs.FromContext(ctx), shared.SamplePeriod(), st, workers, shape.counts)
 
 	res := &FleetResult{
 		Nodes: n, Levels: levels, Fanout: fanout,
@@ -608,7 +603,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			if ctl != nil {
 				dirGroups = runControlEpoch(ctl, controlEpochIn{
 					epoch: res.Epochs, tick: tick,
-					periodUS: float64(machines[0].SamplePeriod()) / float64(time.Microsecond),
+					periodUS: float64(shared.SamplePeriod()) / float64(time.Microsecond),
 					budgetW:  cfg.BudgetW, floorW: floor,
 					shape: shape, demands: demands, budgets: budgets,
 					ctlW: ctlW, ctlTicks: ctlTicks, nodeOv: nodeOv,
@@ -684,8 +679,8 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 // round-robin, each sized to retire in roughly ticks monitoring
 // intervals at the top p-state (2 GHz x 10 ms = 2e7 cycles per tick).
 // The three Workload values are shared across nodes, so the engine's
-// interned behavior caches hold three entries regardless of n, and
-// with zero jitter no node carries an RNG.
+// spec table holds three entries regardless of n, and with zero
+// jitter no node carries an RNG.
 func SyntheticFleet(n, ticks int) []Node {
 	const cyclesPerTick = 20e6
 	profiles := []phase.Workload{

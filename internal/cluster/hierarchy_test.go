@@ -9,8 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"aapm/internal/control"
+	"aapm/internal/faults"
+	"aapm/internal/machine"
+	"aapm/internal/power"
 	"aapm/internal/sensor"
 	"aapm/internal/telemetry"
+	"aapm/internal/trace"
 )
 
 // diffLines fails the test at the first diverging line of two trace
@@ -201,15 +206,96 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// runBits renders every field of r but its phase-label table (a
+// pointer) with %v, which prints each float in its shortest exact
+// form: two runs render alike only if they agree bit for bit.
+func runBits(r *trace.Run) string {
+	c := *r
+	c.Phases = nil
+	return fmt.Sprintf("%+v", c)
+}
+
+// TestFleetSharedPlatformMatchesMachines pins the fleet's node
+// construction: nodes of one shared Machine told apart by their seed
+// offsets, and fault-plan nodes on machines of their own, run exactly
+// as the same nodes built each on a Machine of its own at seed
+// Seed + i*7919. Chain noise and workload jitter make every node draw
+// from its stream, and the fault plans turn on the full event order
+// and the sparse injector lanes. The fleet is Static, so no
+// reallocation couples the nodes and each reference node runs alone.
+func TestFleetSharedPlatformMatchesMachines(t *testing.T) {
+	const n, seed = 24, 11
+	nodes := SyntheticFleet(n, 40)
+	for i := range nodes {
+		nodes[i].Workload.JitterPct = float64(1+i%3) * 0.04
+	}
+	plan := faults.Preset(0.05)
+	planOf := func(i int) *faults.Plan {
+		if i%5 == 2 {
+			return &plan
+		}
+		return nil
+	}
+	chain := sensor.NIDefault()
+	cfg := FleetConfig{
+		BudgetW: 14 * n, Nodes: nodes, Seed: seed, Chain: chain,
+		Static: true, Faults: planOf, Levels: 2, Fanout: 4, Workers: 2,
+		RetainTraces: true,
+	}
+	res, err := RunFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := control.NewPMPolicy(control.PMConfig{FeedbackGain: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := cfg.BudgetW / n
+	faulted := 0
+	for i, node := range nodes {
+		m, err := machine.New(machine.Config{
+			Truth: power.PentiumM755Truth(), Chain: chain,
+			Seed: seed + int64(i)*7919, Faults: planOf(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := machine.NewBatch([]machine.BatchNode{{
+			Machine: m, Workload: node.Workload, Policy: pol, Lane: pol.Lane(share),
+		}}, machine.BatchOptions{RetainTraces: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want, got := b.Result(0), res.Runs[i]
+		if len(want.Rows) == 0 {
+			t.Fatalf("node %d: reference run kept no rows", i)
+		}
+		if planOf(i) != nil && len(want.Degradations) > 0 {
+			faulted++
+		}
+		if g, w := runBits(got), runBits(want); g != w {
+			t.Errorf("node %d: fleet run differs from its own machine's:\n  fleet %.300s\n  own   %.300s", i, g, w)
+		}
+	}
+	if faulted == 0 {
+		t.Error("no fault-plan node logged a degradation")
+	}
+}
+
 // fleetBytesPerNodeBudget caps the per-node allocation cost of a
 // fleet run (cumulative bytes allocated during RunFleet divided by
 // the node count). The footprint is the BatchState's lanes (the PM
-// state included) plus one machine and one run header per node; the
-// budget sits just above the measured ~1.1 KiB, so a regression that
-// brings back a per-node governor, actuator or power model (a private
-// Table II model was ~650 B) — let alone per-node RNGs (~5 KiB each) —
-// fails loudly.
-const fleetBytesPerNodeBudget = 1200
+// state and two 4-byte indices into the shared wiring included), one
+// run header and one BatchNode per node, and the coordinator's
+// per-node records; the budget sits about 7% above the measured 673 B,
+// so a regression that brings back a per-node machine (~100 B),
+// per-node copies of the shared wiring (~280 B) or a per-node TickInfo
+// (128 B) — let alone a per-node governor, power model or RNG — fails
+// loudly.
+const fleetBytesPerNodeBudget = 720
 
 // TestFleetMemoryBudget is the scale gate: one process steps 100,000
 // nodes through a multi-epoch hierarchical run, within the per-node

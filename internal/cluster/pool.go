@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"aapm/internal/machine"
 	"aapm/internal/telemetry"
@@ -42,7 +43,7 @@ func shardBounds(n, workers int) []int {
 }
 
 // nodeAcc is one node's epoch accumulator, folded by the worker that
-// steps the node right after StepNode, while the node's lanes are
+// steps the node right after the step, while the node's lanes are
 // still in its cache. One packed 32-byte record per node (two per
 // cache line) instead of parallel slices: the fold touches one line
 // per pair of nodes, and shard boundaries on 64-node multiples keep
@@ -68,8 +69,8 @@ func (a *nodeAcc) reset() {
 	a.recentW, a.recentDPC, a.recentN, a.fresh = 0, 0, 0, false
 }
 
-// shardTally is worker k's report, padded to a cache line of its own
-// so the workers' per-tick writes never share one.
+// shardTally is worker k's report and its stepper, padded to cache
+// lines of its own so the workers' per-tick writes never share one.
 type shardTally struct {
 	// wall aggregates the worker's per-tick shard wall-clock (ticks
 	// where the shard stepped at least one node); the coordinator
@@ -80,15 +81,19 @@ type shardTally struct {
 	// flags that one of them returned an error.
 	stepped int
 	failed  bool
-	_       [cacheLine - 48]byte // the fields above take 48 bytes
+	// step steps the worker's nodes: it holds the govern stage's
+	// record, written for every node the worker steps.
+	step machine.Stepper
+	_    [3*cacheLine - 48 - unsafe.Sizeof(machine.Stepper{})]byte // wall, stepped and failed take 48 bytes
 }
 
 // stepper owns the per-tick stepping work. Each worker owns one
-// contiguous node range of the batch (shardBounds) for the whole run
-// and, per node it steps, folds the fresh observation into the node's
-// epoch accumulator and this tick's power lane — all writes to lines
-// no other worker touches, as the engine's concurrency contract
-// (disjoint index ranges) permits. The coordinator reads the tallies,
+// contiguous node range of the batch (shardBounds) for the whole run,
+// steps it through its own machine.Stepper and, per node it steps,
+// folds the fresh observation into the node's epoch accumulator and
+// this tick's power lane — all writes to lines no other worker
+// touches, as the engine's concurrency contract (disjoint index
+// ranges, one Stepper per goroutine) permits. The coordinator reads the tallies,
 // accumulators and power lane only after the tick barrier, and keeps
 // only the cross-node reads: the index-ordered power sums and, when a
 // shard flagged one, the first-error-by-index scan.
@@ -113,7 +118,7 @@ type stepper struct {
 
 func newStepper(bs *machine.BatchState, offline []NodeOverride, workers int) *stepper {
 	n := bs.Len()
-	return &stepper{
+	st := &stepper{
 		bs:      bs,
 		offline: offline,
 		bounds:  shardBounds(n, workers),
@@ -121,6 +126,10 @@ func newStepper(bs *machine.BatchState, offline []NodeOverride, workers int) *st
 		power:   make([]float64, n),
 		tally:   make([]shardTally, workers),
 	}
+	for k := range st.tally {
+		st.tally[k].step = bs.NewStepper()
+	}
+	return st
 }
 
 // shard steps worker k's nodes for one tick and folds each stepped
@@ -131,10 +140,11 @@ func newStepper(bs *machine.BatchState, offline []NodeOverride, workers int) *st
 func (st *stepper) shard(k int) {
 	start := time.Now()
 	bs, acc, power, offline := st.bs, st.acc, st.power, st.offline
+	t := &st.tally[k]
 	stepped, failed := 0, false
 	for i := st.bounds[k]; i < st.bounds[k+1]; i++ {
 		power[i] = 0
-		if offline != nil && offline[i] == NodeOffline || !bs.StepNode(i) {
+		if offline != nil && offline[i] == NodeOffline || !t.step.Step(i) {
 			continue
 		}
 		stepped++
@@ -158,7 +168,6 @@ func (st *stepper) shard(k int) {
 		a.recentN++
 		power[i] = w
 	}
-	t := &st.tally[k]
 	t.stepped, t.failed = stepped, failed
 	if stepped > 0 {
 		d := time.Since(start)

@@ -6,7 +6,6 @@ import (
 
 	"aapm/internal/control"
 	"aapm/internal/counters"
-	"aapm/internal/machine"
 	"aapm/internal/model"
 	"aapm/internal/trace"
 )
@@ -116,10 +115,6 @@ func (c *Context) MultiplexStudy() (*MuxResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
-		if err != nil {
-			return nil, err
-		}
 		inner, err := control.NewPowerSave(control.PSConfig{Floor: 0.8})
 		if err != nil {
 			return nil, err
@@ -130,7 +125,7 @@ func (c *Context) MultiplexStudy() (*MuxResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		mux, err := m.Run(w, gov)
+		mux, err := c.runTotals(w, gov)
 		if err != nil {
 			return nil, err
 		}

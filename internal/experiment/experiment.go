@@ -250,16 +250,36 @@ func (c *Context) execute(workload string, f govFactory, rows bool) (*trace.Run,
 				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{h} }
 			}
 		}
-		b, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
+		run, err := runLane(m, w, g, opts)
 		if err != nil {
 			return nil, err
 		}
-		if err := b.Run(); err != nil {
-			return nil, err
-		}
-		runs = append(runs, b.Result(0))
+		runs = append(runs, run)
 	}
 	return medianByDuration(runs), nil
+}
+
+// runTotals runs w once under g at the context's seed, outside the run
+// cache and keeping no trace rows: for the extension studies that
+// drive governors of their own and read only run totals.
+func (c *Context) runTotals(w phase.Workload, g machine.Governor) (*trace.Run, error) {
+	m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return runLane(m, w, g, machine.BatchOptions{})
+}
+
+// runLane runs w under g on m as a one-lane batch.
+func runLane(m *machine.Machine, w phase.Workload, g machine.Governor, opts machine.BatchOptions) (*trace.Run, error) {
+	b, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Run(); err != nil {
+		return nil, err
+	}
+	return b.Result(0), nil
 }
 
 // medianByDuration returns the run with the median execution time (the

@@ -208,15 +208,11 @@ func (c *Context) DVFSvsThrottling() (*ThrottleResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
-			if err != nil {
-				return nil, err
-			}
 			th, err := control.NewThrottleSave(control.ThrottleSaveConfig{Floor: floor})
 			if err != nil {
 				return nil, err
 			}
-			tr, err := m.Run(w, th)
+			tr, err := c.runTotals(w, th)
 			if err != nil {
 				return nil, err
 			}
@@ -272,18 +268,11 @@ type UtilizationRow struct {
 func (c *Context) UtilizationStudy() (*UtilizationResult, error) {
 	res := &UtilizationResult{}
 	for _, w := range mixes.All() {
-		run := func(g machine.Governor) (*trace.Run, error) {
-			m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
-			if err != nil {
-				return nil, err
-			}
-			return m.Run(w, g)
-		}
-		base, err := run(control.NewStaticClock(c.table.Len()-1, "static2000"))
+		base, err := c.runTotals(w, control.NewStaticClock(c.table.Len()-1, "static2000"))
 		if err != nil {
 			return nil, err
 		}
-		od, err := run(&control.OnDemand{})
+		od, err := c.runTotals(w, &control.OnDemand{})
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +280,7 @@ func (c *Context) UtilizationStudy() (*UtilizationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := run(psGov)
+		ps, err := c.runTotals(w, psGov)
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ import (
 // node ticks its GovLane, an object node its Governor, and a node
 // with no governor skips it. A lane-policy node's governor state is a
 // GovLane in the batch's lanes slab and its actuator is three lanes
-// (p-state index, transition and failure counts, latency), so such a
+// (p-state index, transition and failure counts), so such a
 // node owns no governor or actuator object at all (see lane.go). A
 // tick allocates nothing for governors that allocate nothing
 // (TestBatchTickAllocs). A full batch also runs fault injection, the
@@ -54,12 +54,18 @@ import (
 // leaving Governor nil: the node then has no governor object, only its
 // lane. A LaneGovernor passed as Governor is bound to its lane the
 // same way (see LaneGovernor).
+//
+// Nodes may share one Machine, which is immutable: SeedOffset gives
+// each of them its own noise, jitter and fault streams.
 type BatchNode struct {
 	Machine  *Machine
 	Workload phase.Workload
 	Governor Governor
 	Policy   LanePolicy
 	Lane     GovLane
+	// SeedOffset is added to the machine's seed for this node alone.
+	// Zero keeps the machine's seed.
+	SeedOffset int64
 }
 
 // BatchOptions configures a batch run.
@@ -76,10 +82,19 @@ type BatchOptions struct {
 
 // BatchState holds the tick state of every node in a batch as
 // parallel slices, stepped in lockstep by StepNode/StepAll. One
-// BatchState is single-coordinator: distinct index ranges may be
-// stepped concurrently (the cluster pool shards them), but each node
-// index must be stepped by one goroutine at a time with a
-// happens-before edge between rounds, as with Session.
+// BatchState is single-coordinator: StepNode, StepAll and Run belong
+// to one goroutine at a time, and distinct index ranges may be stepped
+// concurrently only through one Stepper per goroutine (the cluster
+// pool gives each worker one). Each node index must be stepped by one
+// goroutine at a time with a happens-before edge between rounds, as
+// with Session.
+//
+// A node owns only its lanes: the mutable tick state below, its run
+// header and two 4-byte indices. Everything a node shares with the
+// other nodes of its platform and workload shape is one entry of
+// specs (which points to the platform's entry of plats), and its lane
+// policy is one entry of lpols, so a homogeneous fleet of 10⁵ nodes
+// carries a handful of entries instead of 10⁵ copies of its wiring.
 type BatchState struct {
 	n      int
 	retain bool
@@ -88,29 +103,32 @@ type BatchState struct {
 	// clock times the stages when timing is on. Only a Session
 	// enables timing, so one clock per batch serves its one lane.
 	clock stageClock
+	// info is the govern stage's record for StepNode (see Stepper).
+	info TickInfo
 
-	// Immutable per-node wiring, fixed at construction.
-	truths   []*power.GroundTruth
-	govs     []Governor      // nil for pinned and lane-only nodes
-	lpol     []LanePolicy    // shared lane policy, nil for other nodes
-	latency  []time.Duration // actuator transition latency
-	rngs     []*rand.Rand
-	injs     []*faults.Injector
-	tms      []*thermal.Model
-	chains   []sensor.Prepared
-	tables   []*pstate.Table
-	states   [][]pstate.PState
-	freqHz   [][]float64
-	behav    [][]phase.Behavior // flat [state*nPhases+phase] cache of Params.At
-	phases   [][]phase.Params
-	period   []time.Duration
-	perSec   []float64 // period[i].Seconds(), cached for full intervals
-	jitter   []float64 // workload JitterPct
-	maxTicks []int
-	repeats  []int32
-	policy   []string
-	runs     []*trace.Run
-	hooks    [][]Hook
+	// Shared wiring, fixed at construction: node i runs the workload
+	// shape specs[spec[i]] on its platform under the lane policy
+	// lpols[pol[i]]. lpols[0] is nil, the entry of every node without
+	// a lane policy, and consecutive nodes of one policy share an
+	// entry.
+	spec  []uint32
+	specs []nodeSpec
+	plats []*platform
+	pol   []uint32
+	lpols []LanePolicy
+
+	// Optional per-node wiring, allocated only when some node of the
+	// batch needs it and nil otherwise.
+	govs  []Governor         // nodes with a Governor object
+	rngs  []*rand.Rand       // nodes with workload jitter or chain noise
+	injs  []*faults.Injector // nodes with a fault plan
+	tms   []*thermal.Model   // nodes with a thermal model
+	duty  []float64          // clock-modulation duty, when a governor throttles
+	hooks [][]Hook           // when observed (BatchOptions.Hooks, Subscribe)
+
+	// runs holds every node's run header in one slab: one allocation,
+	// and no per-object size-class rounding at fleet scale.
+	runs []trace.Run
 
 	// Hot mutable state, one lane per node. curIdx, trans and failed
 	// are the node's p-state actuator; lanes its lane-policy state.
@@ -121,7 +139,6 @@ type BatchState struct {
 	phaseIdx  []int32
 	iter      []int32
 	tick      []int
-	duty      []float64
 	remInstr  []float64
 	remIdle   []time.Duration
 	now       []time.Duration
@@ -138,38 +155,88 @@ type BatchState struct {
 
 	energyTrue []power.Energy
 	energyMeas []power.Energy
-	// tinfo holds each node's persistent TickInfo: the PMU sample is
-	// accumulated in place (never copied), and the constant Table
-	// (and, until a full batch's observe stage writes it, Duty=1) is
-	// set once, so govern only touches the per-tick fields before
-	// handing the record to TickLane or Tick. A faulted node's Sample
-	// is the governor-visible one; its true sample is in trueSample.
-	tinfo      []TickInfo
+	// samples holds each node's PMU sample of its last interval,
+	// accumulated in place by the execute stage. A faulted node's
+	// sample is the governor-visible one; its true sample is in
+	// trueSample.
+	samples    []counters.Sample
 	trueSample []counters.Sample // allocated only for batches with faults
 }
 
-// behavKey identifies one node's pure-value behavior cache: nodes
-// sharing a p-state table and a phase list (fleet runs repeat a few
-// workload profiles across 10⁵+ nodes) share one cache instead of
-// each carrying its own copy.
-type behavKey struct {
-	table  *pstate.Table
-	phase0 *phase.Params
-	n      int
+// platform is what the nodes on machines of one configuration share:
+// a Machine without its seed, plus the per-state caches the tick
+// reads. Distinct machines of one Config share an entry.
+type platform struct {
+	truth    *power.GroundTruth
+	table    *pstate.Table
+	states   []pstate.PState
+	freqHz   []float64 // states[s].FreqHz()
+	chain    sensor.Prepared
+	latency  time.Duration // actuator transition latency
+	period   time.Duration
+	perSec   float64 // period.Seconds(), cached for full intervals
+	maxTicks int
 }
+
+// platKey keys plats by the Machine fields a platform holds. The
+// seed, start state, thermal and fault configuration act per node at
+// construction, so they do not split an entry.
+type platKey struct {
+	truth           *power.GroundTruth
+	chain           sensor.Chain
+	latency, period time.Duration
+	maxTicks        int
+}
+
+// nodeSpec is what the nodes of one platform and workload shape
+// share.
+type nodeSpec struct {
+	plat    *platform
+	phases  []phase.Params
+	behav   []phase.Behavior // flat [state*nPhases+phase] cache of Params.At
+	labels  *trace.PhaseLabels
+	jitter  float64 // workload JitterPct
+	repeats int32
+}
+
+// specKey keys specs. A workload shape is its phase list (the first
+// element's address and the length) with its jitter and repeat count.
+type specKey struct {
+	plat    *platform
+	phase0  *phase.Params
+	nph     int
+	jitter  float64
+	repeats int32
+}
+
+// Stepper steps nodes of one batch from one goroutine. The govern
+// stage assembles the TickInfo a policy reads in the stepper's one
+// record rather than in a per-node lane, so goroutines that step
+// disjoint nodes of a batch concurrently each need a Stepper of their
+// own. StepNode, StepAll and Run step through the batch's own record.
+type Stepper struct {
+	b    *BatchState
+	info TickInfo
+}
+
+// NewStepper returns a Stepper over b.
+func (b *BatchState) NewStepper() Stepper { return Stepper{b: b} }
+
+// Step is StepNode through the stepper's own govern record.
+func (s *Stepper) Step(i int) bool { return s.b.stepNode(i, &s.info) }
 
 // NewBatch validates the nodes and builds a batch ready to step. Each
 // node's actuator starts at the machine's start state (or the
 // governor's InitialStater choice), and its noise/jitter RNG and fault
-// injector are seeded from the machine seed and the workload name, so
-// a node's run is the same in any batch and in a Session.
+// injector are seeded from the machine seed plus the node's
+// SeedOffset, XORed with the workload name's hash, so a node's run is
+// the same in any batch and in a Session.
 //
-// The per-node footprint is kept lean for fleet-scale batches: the
-// ~5 KB rand.Rand source is allocated only for nodes that can draw
-// from it (workload jitter or chain noise — without either, the
-// stream is never consumed, so a nil RNG is bit-identical), and the
-// p-state/behavior caches are interned per (table, phase list) so
-// homogeneous fleets share them.
+// The per-node footprint is kept lean for fleet-scale batches: a node
+// holds an index into the shared wiring, and the optional slices and
+// the ~5 KB rand.Rand source exist only for nodes that use them (a
+// node without workload jitter or chain noise never draws from its
+// stream, so a nil RNG is bit-identical).
 func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("machine: batch needs at least one node")
@@ -178,28 +245,10 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 	b := &BatchState{
 		n:      n,
 		retain: opts.RetainTraces,
-
-		truths:   make([]*power.GroundTruth, n),
-		govs:     make([]Governor, n),
-		lpol:     make([]LanePolicy, n),
-		latency:  make([]time.Duration, n),
-		rngs:     make([]*rand.Rand, n),
-		injs:     make([]*faults.Injector, n),
-		tms:      make([]*thermal.Model, n),
-		chains:   make([]sensor.Prepared, n),
-		tables:   make([]*pstate.Table, n),
-		states:   make([][]pstate.PState, n),
-		freqHz:   make([][]float64, n),
-		behav:    make([][]phase.Behavior, n),
-		phases:   make([][]phase.Params, n),
-		period:   make([]time.Duration, n),
-		perSec:   make([]float64, n),
-		jitter:   make([]float64, n),
-		maxTicks: make([]int, n),
-		repeats:  make([]int32, n),
-		policy:   make([]string, n),
-		runs:     make([]*trace.Run, n),
-		hooks:    make([][]Hook, n),
+		spec:   make([]uint32, n),
+		pol:    make([]uint32, n),
+		lpols:  []LanePolicy{nil},
+		runs:   make([]trace.Run, n),
 
 		curIdx:    make([]int32, n),
 		lanes:     make([]GovLane, n),
@@ -208,7 +257,6 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		phaseIdx:  make([]int32, n),
 		iter:      make([]int32, n),
 		tick:      make([]int, n),
-		duty:      make([]float64, n),
 		remInstr:  make([]float64, n),
 		remIdle:   make([]time.Duration, n),
 		now:       make([]time.Duration, n),
@@ -225,24 +273,26 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 
 		energyTrue: make([]power.Energy, n),
 		energyMeas: make([]power.Energy, n),
-		tinfo:      make([]TickInfo, n),
+		samples:    make([]counters.Sample, n),
 	}
-	// Every node's run header lives in one slab: one allocation, and
-	// no per-object size-class rounding at fleet scale.
-	runs := make([]trace.Run, n)
-	statesCache := make(map[*pstate.Table][]pstate.PState)
-	freqCache := make(map[*pstate.Table][]float64)
-	behavCache := make(map[behavKey][]phase.Behavior)
-	// Phase-label tables, keyed by phase list alone (nil table).
-	labelCache := make(map[behavKey]*trace.PhaseLabels)
-	// Consecutive lane nodes of one policy starting from one state (a
+	if opts.Hooks != nil {
+		b.hooks = make([][]Hook, n)
+	}
+	platIdx := make(map[platKey]*platform)
+	specIdx := make(map[specKey]uint32)
+	// Consecutive nodes of one machine share its platform lookup, and
+	// consecutive lane nodes of one policy starting from one state (a
 	// homogeneous fleet) share one name string.
 	var (
+		lastM     *Machine
+		plat      *platform
 		namedPol  LanePolicy
 		namedLane GovLane
 		laneName  string
+		throttles bool
 	)
-	for i, node := range nodes {
+	for i := range nodes {
+		node := &nodes[i]
 		m, w, g, lp := node.Machine, node.Workload, node.Governor, node.Policy
 		if m == nil {
 			return nil, fmt.Errorf("machine: batch node %d has no machine", i)
@@ -278,119 +328,149 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		case g != nil:
 			policy = g.Name()
 		}
+		if g != nil {
+			if b.govs == nil {
+				b.govs = make([]Governor, n)
+			}
+			b.govs[i] = g
+		}
 		if m.thermal != nil {
 			tm, err := thermal.New(*m.thermal)
 			if err != nil {
 				return nil, err
 			}
+			if b.tms == nil {
+				b.tms = make([]*thermal.Model, n)
+			}
 			b.tms[i] = tm
 		}
 		// The injector draws from its own stream (same seed, separate
 		// source), so enabling faults does not perturb noise or jitter.
-		seed := m.seed ^ int64(hashName(w.Name))
+		seed := (m.seed + node.SeedOffset) ^ int64(hashName(w.Name))
 		if m.faults != nil {
 			inj, err := faults.NewInjector(*m.faults, seed)
 			if err != nil {
 				return nil, err
 			}
-			b.injs[i] = inj
-			if b.trueSample == nil {
+			if b.injs == nil {
+				b.injs = make([]*faults.Injector, n)
 				b.trueSample = make([]counters.Sample, n)
 			}
+			b.injs[i] = inj
 		}
-		b.truths[i] = m.truth
-		b.govs[i] = g
-		b.lpol[i] = lp
-		b.latency[i] = m.translat
 		if w.JitterPct > 0 || m.chain.NoiseStdW > 0 {
 			// Only jitter draws and noise draws consume the stream;
 			// without either the RNG is dead weight (~5 KB/node at
 			// fleet scale) and a nil RNG is bit-identical.
+			if b.rngs == nil {
+				b.rngs = make([]*rand.Rand, n)
+			}
 			b.rngs[i] = rand.New(rand.NewSource(seed))
 		}
-		b.chains[i] = m.chain.Prepare()
-		b.tables[i] = m.table
-		if sts, ok := statesCache[b.tables[i]]; ok {
-			b.states[i] = sts
-		} else {
-			b.states[i] = m.table.States()
-			statesCache[b.tables[i]] = b.states[i]
+
+		if m != lastM {
+			lastM = m
+			pk := platKey{truth: m.truth, chain: m.chain, latency: m.translat, period: m.period, maxTicks: m.maxTicks}
+			if plat = platIdx[pk]; plat == nil {
+				plat = newPlatform(m)
+				platIdx[pk] = plat
+				b.plats = append(b.plats, plat)
+			}
 		}
-		b.phases[i] = w.Phases
-		b.period[i] = m.period
-		b.perSec[i] = m.period.Seconds()
-		b.jitter[i] = w.JitterPct
-		b.maxTicks[i] = m.maxTicks
-		b.repeats[i] = int32(w.Repeats())
-		b.policy[i] = policy
 		var ph0 *phase.Params
 		if len(w.Phases) > 0 {
 			ph0 = &w.Phases[0]
 		}
-		lk := behavKey{phase0: ph0, n: len(w.Phases)}
-		labels, ok := labelCache[lk]
+		sk := specKey{plat: plat, phase0: ph0, nph: len(w.Phases), jitter: w.JitterPct, repeats: int32(w.Repeats())}
+		si, ok := specIdx[sk]
 		if !ok {
-			names := make([]string, len(w.Phases))
-			for pi := range w.Phases {
-				names[pi] = w.Phases[pi].Name
-			}
-			labels = trace.NewPhaseLabels(names...)
-			labelCache[lk] = labels
+			si = uint32(len(b.specs))
+			specIdx[sk] = si
+			b.specs = append(b.specs, newSpec(sk, w.Phases))
 		}
-		runs[i] = trace.Run{Workload: w.Name, Policy: policy, Phases: labels}
-		b.runs[i] = &runs[i]
+		b.spec[i] = si
+		if lp != nil {
+			if lp != b.lpols[len(b.lpols)-1] {
+				b.lpols = append(b.lpols, lp)
+			}
+			b.pol[i] = uint32(len(b.lpols) - 1)
+		}
+		b.runs[i] = trace.Run{Workload: w.Name, Policy: policy, Phases: b.specs[si].labels}
 		if opts.Hooks != nil {
 			b.hooks[i] = opts.Hooks(i)
 		}
 		// Fault injection, a thermal model, observer hooks or a
 		// throttling governor need the full event order.
-		if _, throttles := g.(Throttler); throttles || b.injs[i] != nil || b.tms[i] != nil || len(b.hooks[i]) > 0 {
+		_, th := g.(Throttler)
+		throttles = throttles || th
+		if th || m.faults != nil || m.thermal != nil || len(b.hooksOf(i)) > 0 {
 			b.full = true
 		}
 
-		// Behavior cache: Params.At is pure in (phase, p-state), so the
-		// per-tick evaluation can be precomputed without changing a
-		// single float bit — and shared across every node
-		// with the same table and phase list.
-		sts := b.states[i]
-		if f, ok := freqCache[b.tables[i]]; ok {
-			b.freqHz[i] = f
-		} else {
-			f = make([]float64, len(sts))
-			for si, ps := range sts {
-				f[si] = ps.FreqHz()
-			}
-			b.freqHz[i] = f
-			freqCache[b.tables[i]] = f
-		}
-		bk := behavKey{table: b.tables[i], phase0: ph0, n: len(w.Phases)}
-		if bv, ok := behavCache[bk]; ok {
-			b.behav[i] = bv
-		} else {
-			bv = make([]phase.Behavior, len(sts)*len(w.Phases))
-			for si, ps := range sts {
-				for pi, p := range w.Phases {
-					bv[si*len(w.Phases)+pi] = p.At(ps)
-				}
-			}
-			b.behav[i] = bv
-			behavCache[bk] = bv
-		}
-
 		b.curIdx[i] = int32(start)
-		b.duty[i] = 1.0
-		// Constant TickInfo fields; the per-tick fields are written in
-		// place each interval.
-		b.tinfo[i].Table = b.tables[i]
-		b.tinfo[i].Duty = 1
 		b.loadPhase(i)
 	}
+	if throttles {
+		b.duty = make([]float64, n)
+		for i := range b.duty {
+			b.duty[i] = 1
+		}
+	}
 	return b, nil
+}
+
+// newPlatform builds m's platform entry.
+func newPlatform(m *Machine) *platform {
+	states := m.table.States()
+	freqHz := make([]float64, len(states))
+	for si, ps := range states {
+		freqHz[si] = ps.FreqHz()
+	}
+	return &platform{
+		truth:    m.truth,
+		table:    m.table,
+		states:   states,
+		freqHz:   freqHz,
+		chain:    m.chain.Prepare(),
+		latency:  m.translat,
+		period:   m.period,
+		perSec:   m.period.Seconds(),
+		maxTicks: m.maxTicks,
+	}
+}
+
+// newSpec builds the spec entry for key k over the phase list phs.
+func newSpec(k specKey, phs []phase.Params) nodeSpec {
+	names := make([]string, len(phs))
+	for pi := range phs {
+		names[pi] = phs[pi].Name
+	}
+	// Behavior cache: Params.At is pure in (phase, p-state), so the
+	// per-tick evaluation can be precomputed without changing a single
+	// float bit.
+	sts := k.plat.states
+	bv := make([]phase.Behavior, len(sts)*len(phs))
+	for si, ps := range sts {
+		for pi, p := range phs {
+			bv[si*len(phs)+pi] = p.At(ps)
+		}
+	}
+	return nodeSpec{
+		plat:    k.plat,
+		phases:  phs,
+		behav:   bv,
+		labels:  trace.NewPhaseLabels(names...),
+		jitter:  k.jitter,
+		repeats: k.repeats,
+	}
 }
 
 // subscribe appends h to node i's hooks and turns on the full event
 // order, which fans events out to them.
 func (b *BatchState) subscribe(i int, h Hook) {
+	if b.hooks == nil {
+		b.hooks = make([][]Hook, b.n)
+	}
 	b.hooks[i] = append(b.hooks[i], h)
 	b.full = true
 }
@@ -410,12 +490,13 @@ func (b *BatchState) Len() int { return b.n }
 // loadPhase positions node i at the next runnable phase, wrapping
 // repeats, or marks it exhausted.
 func (b *BatchState) loadPhase(i int) {
-	phs := b.phases[i]
+	sp := &b.specs[b.spec[i]]
+	phs := sp.phases
 	for {
 		if int(b.phaseIdx[i]) >= len(phs) {
 			b.phaseIdx[i] = 0
 			b.iter[i]++
-			if b.iter[i] >= b.repeats[i] {
+			if b.iter[i] >= sp.repeats {
 				b.exhausted[i] = true
 				return
 			}
@@ -436,11 +517,14 @@ func (b *BatchState) loadPhase(i int) {
 
 // StepNode advances node i by one monitoring interval, reporting
 // whether the node was stepped (false once it is done or errored).
-func (b *BatchState) StepNode(i int) bool {
+func (b *BatchState) StepNode(i int) bool { return b.stepNode(i, &b.info) }
+
+// stepNode is StepNode with info as the govern stage's record.
+func (b *BatchState) stepNode(i int, info *TickInfo) bool {
 	if b.done[i] || b.errs[i] != nil {
 		return false
 	}
-	b.step(i)
+	b.step(i, info)
 	return true
 }
 
@@ -502,14 +586,19 @@ func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
 
 // LastDPC returns the decode rate of node i's most recent
 // governor-visible sample.
-func (b *BatchState) LastDPC(i int) float64 { return b.tinfo[i].Sample.DPC() }
+func (b *BatchState) LastDPC(i int) float64 { return b.samples[i].DPC() }
 
 // Ticks returns the number of intervals node i has executed.
 func (b *BatchState) Ticks(i int) int { return b.tick[i] }
 
 // Governor returns node i's governor: nil for a pinned node and for a
 // lane-policy node built without a handle (BatchNode.Policy).
-func (b *BatchState) Governor(i int) Governor { return b.govs[i] }
+func (b *BatchState) Governor(i int) Governor {
+	if b.govs == nil {
+		return nil
+	}
+	return b.govs[i]
+}
 
 // SetLimit changes lane-policy node i's power limit, effective at its
 // next tick (GovLane.SetLimit). Like any retargeting it must happen
@@ -520,18 +609,18 @@ func (b *BatchState) SetLimit(i int, w float64) { b.lanes[i].SetLimit(w) }
 // to run its top p-state at decode rate dpc (LanePolicy.LaneDesireW),
 // or NaN for a node without a lane policy.
 func (b *BatchState) BudgetDesireW(i int, dpc float64) float64 {
-	p := b.lpol[i]
+	p := b.lpols[b.pol[i]]
 	if p == nil {
 		return math.NaN()
 	}
-	return p.LaneDesireW(&b.lanes[i], b.tables[i], dpc)
+	return p.LaneDesireW(&b.lanes[i], b.specs[b.spec[i]].plat.table, dpc)
 }
 
 // Result finalizes and returns node i's recorded run. Idempotent;
 // fires each subscribed hook's OnDone exactly once.
 func (b *BatchState) Result(i int) *trace.Run {
+	run := &b.runs[i]
 	if !b.finalized[i] {
-		run := b.runs[i]
 		run.Ticks = int(b.seq[i])
 		run.Duration = b.now[i]
 		run.StallTime = b.stallTot[i]
@@ -542,9 +631,35 @@ func (b *BatchState) Result(i int) *trace.Run {
 		run.FailedTransitions = b.failed[i]
 		run.Instructions = b.instrTot[i]
 		b.finalized[i] = true
-		for _, h := range b.hooks[i] {
+		for _, h := range b.hooksOf(i) {
 			h.OnDone(run)
 		}
 	}
-	return b.runs[i]
+	return run
+}
+
+// hooksOf returns node i's hooks.
+func (b *BatchState) hooksOf(i int) []Hook {
+	if b.hooks == nil {
+		return nil
+	}
+	return b.hooks[i]
+}
+
+// rng returns node i's noise and jitter stream, nil when it draws
+// from none.
+func (b *BatchState) rng(i int) *rand.Rand {
+	if b.rngs == nil {
+		return nil
+	}
+	return b.rngs[i]
+}
+
+// dutyOf returns the clock-modulation duty node i's next interval
+// runs at.
+func (b *BatchState) dutyOf(i int) float64 {
+	if b.duty == nil {
+		return 1
+	}
+	return b.duty[i]
 }

@@ -25,8 +25,14 @@ import (
 // full intervals. Anything that would change float bits (reassociating
 // sums, replacing divisions with reciprocal multiplies) is off the
 // table.
-func (b *BatchState) step(i int) {
-	if b.tick[i] >= b.maxTicks[i] {
+//
+// info is the stepping goroutine's record (Stepper): the step writes
+// the interval's sensor reading and duty into it, and the govern stage
+// the rest of what the policy reads.
+func (b *BatchState) step(i int, info *TickInfo) {
+	sp := &b.specs[b.spec[i]]
+	pl := sp.plat
+	if b.tick[i] >= pl.maxTicks {
 		b.failTicks(i)
 		return
 	}
@@ -49,22 +55,23 @@ func (b *BatchState) step(i int) {
 	// measure: ground truth, the chain's reading, fault corruption of
 	// what the governor sees, and both energy integrals. Dropped
 	// acquisitions (NaN) contribute no measured energy.
-	trueW := intervalPower(b.truths[i], cur, &b.tinfo[i].Sample, busy, used)
-	meaW := b.chains[i].Measure(trueW, b.rngs[i])
-	if full && b.injs[i] != nil {
+	trueW := intervalPower(pl.truth, cur, &b.samples[i], busy, used)
+	meaW := pl.chain.Measure(trueW, b.rng(i))
+	if full && b.injs != nil && b.injs[i] != nil {
 		meaW = b.injectFaults(i, start+used, meaW)
 	}
 	usedSec := used.Seconds()
-	if used == b.period[i] {
-		usedSec = b.perSec[i]
+	if used == pl.period {
+		usedSec = pl.perSec
 	}
 	b.energyTrue[i].Add(trueW, usedSec)
 	if !math.IsNaN(meaW) {
 		b.energyMeas[i].Add(meaW, usedSec)
 	}
 	b.mark(StageMeasure)
+	info.TempC, info.Duty = 0, b.dutyOf(i)
 	if full {
-		b.observe(i, trueW, used)
+		b.observe(i, info, trueW, used)
 	}
 
 	b.now[i] = start + used
@@ -74,25 +81,26 @@ func (b *BatchState) step(i int) {
 	if b.exhausted[i] {
 		b.done[i] = true
 	} else {
-		want = b.govern(i, cur, used, meaW)
+		want = b.govern(i, info, sp, cur, used, meaW)
 		b.mark(StageGovern)
-		if want != cur && !b.actuate(i, cur, want) {
+		if want != cur && !b.actuate(i, sp, cur, want) {
 			return
 		}
 		if full {
 			b.modulate(i)
 		}
 	}
-	b.emitRow(i, start, used, cur, trueW, meaW, instr, ph)
+	b.emitRow(i, info, start, used, cur, trueW, meaW, instr, ph)
 	if full {
-		b.emitRecord(i, cur, want, used, busy, stall, instr, jitter, trueW, ph)
+		b.emitRecord(i, info, cur, want, used, busy, stall, instr, jitter, trueW, ph)
 	}
 }
 
 // failTicks records the tick-bound error for node i.
 func (b *BatchState) failTicks(i int) {
+	run := &b.runs[i]
 	b.errs[i] = fmt.Errorf("machine: run %s/%s exceeded %d ticks",
-		b.runs[i].Workload, b.policy[i], b.maxTicks[i])
+		run.Workload, run.Policy, b.specs[b.spec[i]].plat.maxTicks)
 }
 
 // advancePhase moves node i past its current phase.
@@ -110,26 +118,28 @@ func (b *BatchState) advancePhase(i int) {
 // none. ok is false when the workload was already exhausted
 // (zero-length interval, nothing charged).
 func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, instr, jitter float64, ph uint32, ok bool) {
+	sp := &b.specs[b.spec[i]]
+	pl := sp.plat
 	jitter = 1.0
-	if b.jitter[i] > 0 {
-		jitter = jitterFactor(b.jitter[i], b.rngs[i].NormFloat64())
+	if sp.jitter > 0 {
+		jitter = jitterFactor(sp.jitter, b.rngs[i].NormFloat64())
 	}
-	interval := b.period[i]
+	interval := pl.period
 	stall = b.pendStall[i]
 	if stall > interval {
 		stall = interval
 	}
 	b.pendStall[i] -= stall
-	if duty := b.duty[i]; duty < 1 {
+	if duty := b.dutyOf(i); duty < 1 {
 		stall += time.Duration(float64(interval-stall) * (1 - duty))
 	}
 	remaining := interval - stall
 
-	freq := b.freqHz[i][cur]
-	phs := b.phases[i]
+	freq := pl.freqHz[cur]
+	phs := sp.phases
 	nph := len(phs)
-	bRow := b.behav[i][cur*nph : cur*nph+nph]
-	sample := &b.tinfo[i].Sample
+	bRow := sp.behav[cur*nph : cur*nph+nph]
+	sample := &b.samples[i]
 	*sample = counters.Sample{}
 	zero := true
 	for remaining > 0 && !b.exhausted[i] {
@@ -152,7 +162,7 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 		ipcEff := bb.IPC * jitter
 		remSec := remaining.Seconds()
 		if remaining == interval {
-			remSec = b.perSec[i]
+			remSec = pl.perSec
 		}
 		cyclesAvail := freq * remSec
 		instrPossible := cyclesAvail * ipcEff
@@ -194,14 +204,14 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 }
 
 // injectFaults is the measure stage's fault corruption on a full
-// batch: node i's TickInfo gets the PMU sample the governor observes
-// (the true sample moves to the node's trueSample lane) and the
+// batch: node i's sample becomes the one the governor observes (the
+// true sample moves to the node's trueSample lane) and the
 // returned measured power is what the faulted sensor reports. The
 // injector's events are logged at virtual time t.
 func (b *BatchState) injectFaults(i int, t time.Duration, meaW float64) float64 {
 	inj := b.injs[i]
 	inj.BeginTick()
-	s := &b.tinfo[i].Sample
+	s := &b.samples[i]
 	b.trueSample[i] = *s
 	*s = inj.Counters(*s)
 	meaW = inj.Sense(meaW)
@@ -210,37 +220,36 @@ func (b *BatchState) injectFaults(i int, t time.Duration, meaW float64) float64 
 }
 
 // observe is the observe stage of a full batch: the thermal model
-// steps on the interval's true power, and the sensor reading and the
-// duty the interval ran at go in node i's TickInfo, where the
-// governor, the trace row and the record read them.
-func (b *BatchState) observe(i int, trueW float64, used time.Duration) {
-	info := &b.tinfo[i]
-	if tm := b.tms[i]; tm != nil {
-		tm.Step(trueW, used)
-		info.TempC = tm.SensorC()
+// steps on the interval's true power, and its sensor reading goes in
+// info, where the governor, the trace row and the record read it.
+func (b *BatchState) observe(i int, info *TickInfo, trueW float64, used time.Duration) {
+	if b.tms != nil {
+		if tm := b.tms[i]; tm != nil {
+			tm.Step(trueW, used)
+			info.TempC = tm.SensorC()
+		}
 	}
-	info.Duty = b.duty[i]
 	b.mark(StageObserve)
 }
 
-// govern is the govern stage. It completes node i's persistent
-// TickInfo for the interval that just ended at p-state cur, asks the
-// node's policy for the next p-state — TickLane over the node's
-// GovLane, or its Governor's Tick — and logs each degradation the
-// policy noted, stamped at the node's virtual time. A node with no
-// governor skips the stage and keeps cur.
-func (b *BatchState) govern(i, cur int, used time.Duration, measuredW float64) int {
-	// A lane node never reads govs: a fleet's bare lanes leave that
-	// slice cold.
-	p := b.lpol[i]
-	if p == nil && b.govs[i] == nil {
+// govern is the govern stage. It completes info for node i's interval
+// that just ended at p-state cur, asks the node's policy for the next
+// p-state — TickLane over the node's GovLane, or its Governor's Tick —
+// and logs each degradation the policy noted, stamped at the node's
+// virtual time. A node with no governor skips the stage and keeps cur.
+func (b *BatchState) govern(i int, info *TickInfo, sp *nodeSpec, cur int, used time.Duration, measuredW float64) int {
+	// A lane node never reads govs: a fleet's bare lanes leave it nil.
+	p := b.lpols[b.pol[i]]
+	if p == nil && (b.govs == nil || b.govs[i] == nil) {
 		return cur
 	}
-	info := &b.tinfo[i]
+	pl := sp.plat
 	info.Now = b.now[i]
 	info.Interval = used
-	info.PState = b.states[i][cur]
+	info.Sample = b.samples[i]
+	info.PState = pl.states[cur]
 	info.PStateIndex = cur
+	info.Table = pl.table
 	info.MeasuredPowerW = measuredW
 	var (
 		want int
@@ -268,20 +277,21 @@ func (b *BatchState) govern(i, cur int, used time.Duration, measuredW float64) i
 // may add stall or abandon the attempt, and the hooks hear the
 // outcome. actuate reports false when want is not in the node's table,
 // which fails the node.
-func (b *BatchState) actuate(i, cur, want int) bool {
+func (b *BatchState) actuate(i int, sp *nodeSpec, cur, want int) bool {
+	pl := sp.plat
 	ok, stall := true, time.Duration(0)
-	if b.full && b.injs[i] != nil {
-		ok, stall = b.injs[i].Transition(b.latency[i])
+	if b.full && b.injs != nil && b.injs[i] != nil {
+		ok, stall = b.injs[i].Transition(pl.latency)
 		b.drainInjector(i, b.now[i])
 	}
 	if ok {
-		if err := b.tables[i].CheckIndex(want); err != nil {
-			b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.policy[i], err)
+		if err := pl.table.CheckIndex(want); err != nil {
+			b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.runs[i].Policy, err)
 			return false
 		}
 		b.curIdx[i] = int32(want)
 		b.trans[i]++
-		stall += b.latency[i]
+		stall += pl.latency
 	} else {
 		// Transition abandoned: the actuator stays put and the failed
 		// attempt's stall time is still paid.
@@ -290,7 +300,7 @@ func (b *BatchState) actuate(i, cur, want int) bool {
 	b.pendStall[i] += stall
 	if b.full {
 		tr := Transition{T: b.now[i], From: cur, To: want, OK: ok, Stall: stall}
-		for _, h := range b.hooks[i] {
+		for _, h := range b.hooksOf(i) {
 			h.OnTransition(tr)
 		}
 	}
@@ -300,8 +310,11 @@ func (b *BatchState) actuate(i, cur, want int) bool {
 // modulate is the rest of a full batch's actuate stage: a throttling
 // governor sets node i's clock-modulation duty for the next interval.
 func (b *BatchState) modulate(i int) {
-	if th, ok := b.govs[i].(Throttler); ok {
-		b.duty[i] = clampDuty(th.Duty())
+	// duty exists only when some node's governor throttles.
+	if b.duty != nil {
+		if th, ok := b.govs[i].(Throttler); ok {
+			b.duty[i] = clampDuty(th.Duty())
+		}
 	}
 	b.mark(StageActuate)
 }
@@ -315,21 +328,20 @@ func (b *BatchState) mark(stage int) {
 }
 
 // emitRow records node i's interval: instruction totals always, the
-// trace row only under RetainTraces. The row reads the
-// governor-visible sample, the sensor reading and the duty from the
-// node's TickInfo. Rate divisions happen only when a row is kept.
-func (b *BatchState) emitRow(i int, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
+// trace row only under RetainTraces. The row reads the node's
+// governor-visible sample, and the sensor reading and the duty from
+// info. Rate divisions happen only when a row is kept.
+func (b *BatchState) emitRow(i int, info *TickInfo, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
 	b.instrTot[i] += instr
 	if !b.retain {
 		return
 	}
-	info := &b.tinfo[i]
-	s := &info.Sample
-	run := b.runs[i]
+	s := &b.samples[i]
+	run := &b.runs[i]
 	run.Rows = append(run.Rows, trace.Row{
 		T:              start,
 		Interval:       used,
-		FreqMHz:        b.states[i][cur].FreqMHz,
+		FreqMHz:        b.specs[b.spec[i]].plat.states[cur].FreqMHz,
 		DPC:            s.DPC(),
 		IPC:            s.IPC(),
 		DCU:            s.DCU(),
@@ -349,14 +361,14 @@ func (b *BatchState) emitRow(i int, start, used time.Duration, cur int, trueW, m
 // subscription order. The record is built on every tick of a full
 // batch, hooked or not, so subscribing a hook adds only its own
 // dispatch.
-func (b *BatchState) emitRecord(i, cur, want int, used, busy, stall time.Duration, instr, jitter, trueW float64, ph uint32) {
-	info := &b.tinfo[i]
+func (b *BatchState) emitRecord(i int, info *TickInfo, cur, want int, used, busy, stall time.Duration, instr, jitter, trueW float64, ph uint32) {
+	pl := b.specs[b.spec[i]].plat
 	ts := TickState{
 		Tick:           b.tick[i],
 		Start:          b.now[i] - used,
-		Interval:       b.period[i],
+		Interval:       pl.period,
 		Used:           used,
-		PState:         b.states[i][cur],
+		PState:         pl.states[cur],
 		PStateIndex:    cur,
 		Duty:           info.Duty,
 		Jitter:         jitter,
@@ -364,22 +376,22 @@ func (b *BatchState) emitRecord(i, cur, want int, used, busy, stall time.Duratio
 		Busy:           busy,
 		Instructions:   instr,
 		Phase:          b.runs[i].Phases.Name(ph),
-		Sample:         info.Sample,
-		Observed:       info.Sample,
+		Sample:         b.samples[i],
+		Observed:       b.samples[i],
 		TruePowerW:     trueW,
 		MeasuredPowerW: b.lastW[i],
 		TempC:          info.TempC,
 		WantIndex:      want,
-		NextDuty:       b.duty[i],
+		NextDuty:       b.dutyOf(i),
 		Final:          b.exhausted[i],
 	}
-	if b.injs[i] != nil {
+	if b.injs != nil && b.injs[i] != nil {
 		ts.Sample = b.trueSample[i]
 	}
 	if b.timing {
 		ts.StageNanos = b.clock.tick
 	}
-	for _, h := range b.hooks[i] {
+	for _, h := range b.hooksOf(i) {
 		h.OnTick(ts)
 	}
 }
@@ -388,7 +400,7 @@ func (b *BatchState) emitRecord(i, cur, want int, used, busy, stall time.Duratio
 // fans it out to the hooks.
 func (b *BatchState) emitDegradation(i int, d trace.Degradation) {
 	b.runs[i].AddDegradation(d)
-	for _, h := range b.hooks[i] {
+	for _, h := range b.hooksOf(i) {
 		h.OnDegradation(d)
 	}
 }

@@ -7,6 +7,10 @@ import (
 
 	"aapm/internal/faults"
 	"aapm/internal/phase"
+	"aapm/internal/power"
+	"aapm/internal/pstate"
+	"aapm/internal/sensor"
+	"aapm/internal/thermal"
 	"aapm/internal/trace"
 )
 
@@ -47,8 +51,8 @@ func TestExecuteIdlePhase(t *testing.T) {
 	if !ok {
 		t.Fatal("execute reported exhausted on a fresh workload")
 	}
-	if used != s.b.period[0] {
-		t.Errorf("idle interval used = %v, want full %v", used, s.b.period[0])
+	if used != s.b.plats[0].period {
+		t.Errorf("idle interval used = %v, want full %v", used, s.b.plats[0].period)
 	}
 	if busy != 0 {
 		t.Errorf("idle interval busy = %v, want 0", busy)
@@ -102,7 +106,7 @@ func TestExecuteChargesPendingStall(t *testing.T) {
 	if s.b.pendStall[0] != 0 {
 		t.Errorf("pending stall not consumed: %v", s.b.pendStall[0])
 	}
-	if busy > s.b.period[0]-stall {
+	if busy > s.b.plats[0].period-stall {
 		t.Errorf("busy %v exceeds interval minus stall", busy)
 	}
 }
@@ -226,8 +230,8 @@ func (h *busTap) OnDone(*trace.Run) { h.dones++ }
 func TestHookBusOrderAndCounts(t *testing.T) {
 	s := mustSession(t, Config{Seed: 1}, testWorkload(3e8), &flipGov{})
 	var order []string
-	a := &busTap{name: "a", order: &order, run: s.b.runs[0], t: t}
-	b := &busTap{name: "b", order: &order, run: s.b.runs[0], t: t}
+	a := &busTap{name: "a", order: &order, run: &s.b.runs[0], t: t}
+	b := &busTap{name: "b", order: &order, run: &s.b.runs[0], t: t}
 	s.Subscribe(a)
 	s.Subscribe(b)
 	for {
@@ -324,3 +328,125 @@ func TestStageTimingGated(t *testing.T) {
 		t.Errorf("stage timing changed virtual duration: %v vs %v", d1, d2)
 	}
 }
+
+// TestNewBatchSharedWiring pins the batch's per-node footprint:
+// distinct machines of one configuration share one platform entry and
+// nodes of one workload shape one spec entry, and the optional
+// per-node slices exist only once some node needs them.
+func TestNewBatchSharedWiring(t *testing.T) {
+	const n = 6
+	truth := power.PentiumM755Truth()
+	w := testWorkload(1e9)
+	build := func(t *testing.T, cfg func(i int) Config, node func(i int, b *BatchNode), opts BatchOptions) *BatchState {
+		t.Helper()
+		nodes := make([]BatchNode, n)
+		for i := range nodes {
+			m, err := New(cfg(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[i] = BatchNode{Machine: m, Workload: w}
+			if node != nil {
+				node(i, &nodes[i])
+			}
+		}
+		b, err := NewBatch(nodes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	bare := func(i int) Config { return Config{Truth: truth, Seed: int64(i)} }
+
+	b := build(t, bare, nil, BatchOptions{})
+	if len(b.plats) != 1 || len(b.specs) != 1 || len(b.lpols) != 1 {
+		t.Errorf("%d machines of one config: %d platforms, %d specs, %d lane policies, want 1, 1 and 1 (nil)",
+			n, len(b.plats), len(b.specs), len(b.lpols))
+	}
+	if b.govs != nil || b.rngs != nil || b.injs != nil || b.tms != nil || b.duty != nil || b.hooks != nil || b.trueSample != nil {
+		t.Error("a bare batch allocated optional per-node slices")
+	}
+	if b.Kind() != "pm" {
+		t.Errorf("bare batch kind %q, want pm", b.Kind())
+	}
+
+	// A second workload shape adds a spec on the same platform; a
+	// second transition latency adds a platform.
+	other := testWorkload(2e9)
+	b = build(t, func(i int) Config {
+		c := bare(i)
+		if i >= n/2 {
+			c.TransitionLatency = time.Millisecond
+		}
+		return c
+	}, func(i int, nd *BatchNode) {
+		if i%2 == 1 {
+			nd.Workload = other
+		}
+	}, BatchOptions{})
+	if len(b.plats) != 2 || len(b.specs) != 4 {
+		t.Errorf("2 configs x 2 workloads: %d platforms, %d specs, want 2 and 4", len(b.plats), len(b.specs))
+	}
+
+	// Lane nodes of one policy share its entry; a node without one
+	// keeps entry 0.
+	pol := &stubLanePolicy{}
+	b = build(t, bare, func(i int, nd *BatchNode) {
+		if i > 0 {
+			nd.Policy = pol
+		}
+	}, BatchOptions{})
+	if len(b.lpols) != 2 || b.pol[0] != 0 || b.pol[n-1] != 1 || len(b.specs) != 1 {
+		t.Errorf("one lane policy: lpols %v, pol %v, %d specs", b.lpols, b.pol, len(b.specs))
+	}
+
+	// Each optional slice appears with the first node that needs it,
+	// sized for the whole batch; nodes without one keep nil entries.
+	tc := thermal.PentiumMThermal()
+	plan := faults.Preset(0.05)
+	b = build(t, func(i int) Config {
+		c := bare(i)
+		switch i {
+		case 1:
+			c.Chain = sensor.NIDefault()
+		case 2:
+			c.Faults = &plan
+		case 3:
+			c.Thermal = &tc
+		}
+		return c
+	}, nil, BatchOptions{Hooks: func(i int) []Hook {
+		if i == 4 {
+			return []Hook{BaseHook{}}
+		}
+		return nil
+	}})
+	if b.rng(1) == nil || b.rng(0) != nil {
+		t.Error("rngs: want a stream for the noisy node only")
+	}
+	if len(b.injs) != n || b.injs[2] == nil || b.injs[0] != nil || len(b.trueSample) != n {
+		t.Error("injs: want an injector and a true-sample lane for the faulted node only")
+	}
+	if len(b.tms) != n || b.tms[3] == nil || b.tms[0] != nil {
+		t.Error("tms: want a thermal model for the thermal node only")
+	}
+	if len(b.hooksOf(4)) != 1 || len(b.hooksOf(0)) != 0 {
+		t.Error("hooks: want one hook on node 4 only")
+	}
+	if b.govs != nil || b.duty != nil {
+		t.Error("a governor-less batch allocated governor or duty lanes")
+	}
+	if len(b.plats) != 2 {
+		t.Errorf("noisy chain: %d platforms, want 2 (the fault and thermal configs act per node)", len(b.plats))
+	}
+}
+
+// stubLanePolicy is a lane policy that keeps its node's p-state.
+type stubLanePolicy struct{}
+
+func (*stubLanePolicy) LaneName(*GovLane) string { return "stub" }
+func (*stubLanePolicy) TickLane(_ *GovLane, info *TickInfo) (int, uint8) {
+	return info.PStateIndex, 0
+}
+func (*stubLanePolicy) LaneDegradations(*GovLane, uint8) []trace.Degradation { return nil }
+func (*stubLanePolicy) LaneDesireW(*GovLane, *pstate.Table, float64) float64 { return 0 }

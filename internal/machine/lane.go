@@ -38,7 +38,8 @@ func (l *GovLane) SetLimit(w float64) {
 // Its methods read and write only the lane they are handed, so one
 // policy may serve any number of nodes, stepped concurrently.
 // Implementations must be comparable (pointer types, typically):
-// NewBatch compares them to reuse a name across consecutive nodes.
+// NewBatch compares them to share a name and a policy-table entry
+// across consecutive nodes.
 type LanePolicy interface {
 	// LaneName labels a node that starts from state st in traces.
 	LaneName(st *GovLane) string

@@ -72,7 +72,7 @@ func (s *Session) Done() bool { return s.b.done[0] }
 func (s *Session) Now() time.Duration { return s.b.now[0] }
 
 // Governor returns the session's policy (nil for a pinned run).
-func (s *Session) Governor() Governor { return s.b.govs[0] }
+func (s *Session) Governor() Governor { return s.b.Governor(0) }
 
 // LastRow returns the most recent trace row, if any interval completed.
 func (s *Session) LastRow() (trace.Row, bool) {
