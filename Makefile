@@ -26,6 +26,7 @@ fuzz-short:
 	go test ./internal/phase -fuzz FuzzParseWorkloadJSON -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzCharacterizeFastForward -fuzztime $(FUZZTIME)
+	go test ./internal/kernel -fuzz FuzzCharacterizeResident -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
 	go test ./internal/cache -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 

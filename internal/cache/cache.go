@@ -156,6 +156,62 @@ func (c *Cache) Skip(d Stats, n uint64) {
 	c.stats.Writebacks += d.Writebacks * n
 }
 
+// ResidentLines returns how many lines of the address range [lo, hi)
+// are resident.
+func (c *Cache) ResidentLines(lo, hi uint64) int {
+	lo &^= c.lineMask
+	n := 0
+	for _, w := range c.ways {
+		if a := w &^ stateBits; w&validBit != 0 && a >= lo && a < hi {
+			n++
+		}
+	}
+	return n
+}
+
+// ApplyHits accounts for a run of n accesses that all hit, to lines
+// from the line-aligned address lo on: last[i] is the 1-based position
+// in the run of the last access to line lo+i*LineBytes, or 0 if the run
+// did not touch it, and written[i] reports whether any access wrote it.
+// Every touched line must be resident. A hit moves its line to the
+// front of its set, so each set ends with its touched lines by last
+// access, most recent first, ahead of its other lines in their old
+// order, and the written lines dirty: exactly as Access would leave
+// it.
+func (c *Cache) ApplyHits(lo uint64, last []uint64, written []bool, n uint64) {
+	c.stats.Accesses += n
+	c.stats.Hits += n
+	hi := lo + uint64(len(last))<<c.lineBits
+	stamp := func(w uint64) uint64 {
+		if a := w &^ stateBits; w&validBit != 0 && a >= lo && a < hi {
+			return last[(a-lo)>>c.lineBits]
+		}
+		return 0
+	}
+	for s := 0; s < len(c.ways); s += c.nways {
+		set := c.ways[s : s+c.nways]
+		// set[:k] holds the touched ways seen so far, most recent
+		// first; set[k:i] the untouched ones, in their old order.
+		k := 0
+		for i, w := range set {
+			t := stamp(w)
+			if t == 0 {
+				continue
+			}
+			if written[(w&^stateBits-lo)>>c.lineBits] {
+				w |= dirtyBit
+			}
+			j := k
+			for j > 0 && stamp(set[j-1]) < t {
+				j--
+			}
+			copy(set[j+1:i+1], set[j:i])
+			set[j] = w
+			k++
+		}
+	}
+}
+
 // Result describes the outcome of one access.
 type Result struct {
 	// Hit reports whether the line was present.

@@ -58,8 +58,21 @@ func NewStreamPrefetcher(lineBytes, nStreams, degree int) *StreamPrefetcher {
 // addresses the prefetcher wants fetched (possibly none). The returned
 // slice is valid only until the next call.
 func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
+	next, issued := p.miss(addr)
+	if !issued {
+		return nil
+	}
+	for d := range p.ahead {
+		p.ahead[d] = next + uint64(d)*p.lineBytes
+	}
+	return p.ahead
+}
+
+// miss records a demand miss at addr and reports whether it continued
+// a stream, which issues prefetches of the lines from next on.
+func (p *StreamPrefetcher) miss(addr uint64) (next uint64, issued bool) {
 	lineAddr := addr &^ (p.lineBytes - 1)
-	next := lineAddr + p.lineBytes
+	next = lineAddr + p.lineBytes
 
 	hit, tie := -1, false
 	for i, st := range p.streams[:p.filled] {
@@ -83,15 +96,42 @@ func (p *StreamPrefetcher) OnMiss(addr uint64) []uint64 {
 			p.filled++
 		}
 		p.toFront(len(p.streams)-1, next)
-		return nil
+		return next, false
 	}
 	p.toFront(hit, next)
 	p.issued += uint64(len(p.ahead))
-	for d := range p.ahead {
-		p.ahead[d] = next + uint64(d)*p.lineBytes
-	}
-	return p.ahead
+	return next, true
 }
+
+// Replay records the demand misses of log in order, as OnMiss does.
+// Each word of log is a miss address with its low bit set if that miss
+// issued prefetches when it was logged, so the line size must be at
+// least 2 bytes. Replay stops after the first miss that issues
+// differently now and returns its index, or len(log) if every miss
+// issued as logged.
+func (p *StreamPrefetcher) Replay(log []uint64) int {
+	for i, w := range log {
+		if _, issued := p.miss(w &^ 1); issued != (w&1 != 0) {
+			return i
+		}
+	}
+	return len(log)
+}
+
+// CopyFrom makes p an exact copy of src: its streams with their slot
+// labels, the filled count and the issued and tie counts. It allocates
+// only when p has fewer slots or a different degree than src.
+func (p *StreamPrefetcher) CopyFrom(src *StreamPrefetcher) {
+	p.lineBytes = src.lineBytes
+	p.streams = append(p.streams[:0], src.streams...)
+	if len(p.ahead) != len(src.ahead) {
+		p.ahead = make([]uint64, len(src.ahead))
+	}
+	p.filled, p.issued, p.ties = src.filled, src.issued, src.ties
+}
+
+// LineBytes returns the line size the prefetcher tracks streams in.
+func (p *StreamPrefetcher) LineBytes() int { return int(p.lineBytes) }
 
 // toFront moves the stream at recency position i to the front, now
 // expecting line next.

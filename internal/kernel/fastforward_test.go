@@ -85,6 +85,9 @@ func (g geometry) hierarchy(t testing.TB) *Hierarchy {
 type ffResult struct {
 	skipped  bool // some cycles were accounted for without simulating them
 	relabels bool // the repeating cycle renames prefetcher slots
+	replayed bool // some cycles replayed only the prefetcher
+	diverged bool // some replay issued differently and its cycle was simulated
+	straddle bool // the cycle holding the warmup boundary was replayed
 }
 
 // checkFastForward characterizes g through a fresh hierarchy of geo
@@ -103,12 +106,7 @@ func checkFastForward(t *testing.T, geo geometry, g *loopGen, warmup, window int
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := math.Float64bits
-	if got.ServedL1 != want.ServedL1 || got.ServedL2 != want.ServedL2 || got.ServedMem != want.ServedMem ||
-		got.MemTraffic != want.MemTraffic || bits(got.Instructions) != bits(want.Instructions) ||
-		bits(got.CoreCycles) != bits(want.CoreCycles) || bits(got.RowHitRate) != bits(want.RowHitRate) {
-		t.Fatalf("warmup %d window %d: fast-forward profile %+v, full simulation %+v", warmup, window, got, want)
-	}
+	compareProfiles(t, warmup, window, got, want)
 	compareHierarchies(t, "after Characterize", ff, full)
 
 	var res ffResult
@@ -118,6 +116,9 @@ func checkFastForward(t *testing.T, geo geometry, g *loopGen, warmup, window int
 			res.relabels = res.relabels || s != to
 		}
 	}
+	res.replayed = ff.steady.replays > 0
+	res.diverged = ff.steady.replayMisses > 0
+	res.straddle = ff.steady.replayWarmup
 	ties := full.Pref.Ties()
 	step := 0
 	tieStream(full, geo, func(addr uint64, write bool) {
@@ -131,6 +132,18 @@ func checkFastForward(t *testing.T, geo geometry, g *loopGen, warmup, window int
 	}
 	compareHierarchies(t, "after the follow-up", ff, full)
 	return res
+}
+
+// compareProfiles fails unless got and want are equal, floats bit for
+// bit.
+func compareProfiles(t *testing.T, warmup, window int, got, want Profile) {
+	t.Helper()
+	bits := math.Float64bits
+	if got.ServedL1 != want.ServedL1 || got.ServedL2 != want.ServedL2 || got.ServedMem != want.ServedMem ||
+		got.MemTraffic != want.MemTraffic || bits(got.Instructions) != bits(want.Instructions) ||
+		bits(got.CoreCycles) != bits(want.CoreCycles) || bits(got.RowHitRate) != bits(want.RowHitRate) {
+		t.Fatalf("warmup %d window %d: fast-forward profile %+v, full simulation %+v", warmup, window, got, want)
+	}
 }
 
 // compareHierarchies fails unless got and want have equal counters and
@@ -176,7 +189,9 @@ func tieStream(h *Hierarchy, geo geometry, access func(addr uint64, write bool))
 // the fast-forward path and a full simulation of the same stream: the
 // Profile bits, every counter and the final labelled state must agree,
 // including warmup 0, windows shorter than one period and warmup or
-// window lengths that are not multiples of the period.
+// window lengths that are not multiples of the period. Each case
+// requires its skipped and replayed outcomes exactly, and the relabels,
+// diverged and straddle outcomes when set.
 func TestCharacterizeFastForwardMatchesFull(t *testing.T) {
 	small := geometry{l1Ways: 2, l1Sets: 4, l2Sets: 16, streams: 8, degree: 2}
 	seq := func(period int, strides ...uint64) *loopGen {
@@ -188,33 +203,55 @@ func TestCharacterizeFastForwardMatchesFull(t *testing.T) {
 	}
 	withWrites := func(g *loopGen, w uint8) *loopGen { g.writes = w; return g }
 	varying := func(g *loopGen) *loopGen { g.vary = true; return g }
+	const dramP = 24_576 // two 64-byte-stride arrays of dramP lines overflow the 2 MB L2
 	cases := []struct {
 		name           string
 		geo            geometry
 		gen            *loopGen
 		warmup, window int
-		skip, relabel  bool // required of the fast-forwarded run
+		want           ffResult
 	}{
-		{"L1-resident", pentiumM, seq(512, 8, 8), 10_000, 20_000, true, false},
-		{"L1-resident warmup 0", pentiumM, seq(512, 8, 8), 0, 30_001, true, false},
-		{"window shorter than period", pentiumM, seq(512, 8, 8), 9_000, 300, true, false},
-		{"L2 streaming", pentiumM, withWrites(seq(8192, 8, 8), 2), 50_003, 70_001, true, true},
-		{"DRAM streaming", small, withWrites(seq(600, 8, 8), 2), 3_333, 12_345, true, true},
-		{"varying costs", small, varying(seq(96, 8, 64)), 1_001, 4_999, true, true},
-		{"varying costs warmup 0", small, varying(withWrites(seq(40, 24), 1)), 0, 777, true, false},
-		{"strided conflicts", small, withWrites(seq(64, 256, 320), 3), 5_000, 5_000, true, false},
-		{"one op period", small, seq(1, 0), 3, 10, true, false},
-		{"too short to skip", small, seq(600, 8, 8), 100, 1_000, false, false},
-		{"descending", small, seq(300, ^uint64(7), 8), 2_000, 2_000, true, true},
+		{"L1-resident", pentiumM, seq(512, 8, 8), 10_000, 20_000, ffResult{skipped: true}},
+		{"L1-resident warmup 0", pentiumM, seq(512, 8, 8), 0, 30_001, ffResult{skipped: true}},
+		{"window shorter than period", pentiumM, seq(512, 8, 8), 9_000, 300, ffResult{skipped: true}},
+		{"L2 streaming", pentiumM, withWrites(seq(8192, 8, 8), 2), 50_003, 70_001, ffResult{skipped: true, relabels: true, replayed: true}},
+		// Each wrap leaves two dead streams expecting the lines past the
+		// arrays' ends, so the caches repeat cycles before the
+		// prefetcher does: those cycles replay only the prefetcher.
+		{"DRAM streaming", small, withWrites(seq(600, 8, 8), 2), 3_333, 12_345, ffResult{skipped: true, relabels: true, replayed: true, straddle: true}},
+		{"DRAM streaming, dead streams", pentiumM, withWrites(seq(dramP, 64, 64), 2), 2*dramP + 1_234, 6 * dramP, ffResult{skipped: true, relabels: true, replayed: true, straddle: true}},
+		{"varying costs", small, varying(seq(96, 8, 64)), 1_001, 4_999, ffResult{skipped: true, relabels: true, replayed: true}},
+		{"varying costs warmup 0", small, varying(withWrites(seq(40, 24), 1)), 0, 777, ffResult{skipped: true, relabels: true, replayed: true}},
+		{"strided conflicts", small, withWrites(seq(64, 256, 320), 3), 5_000, 5_000, ffResult{skipped: true}},
+		{"one op period", small, seq(1, 0), 3, 10, ffResult{skipped: true}},
+		{"too short to skip", small, seq(600, 8, 8), 100, 1_000, ffResult{}},
+		{"descending", small, seq(300, ^uint64(7), 8), 2_000, 2_000, ffResult{skipped: true, relabels: true}},
+		// Three arrays' dead streams never let the whole state repeat
+		// inside the window, so every cycle after the second replays,
+		// the one holding the warmup boundary too.
+		{"replay across warmup", small, seq(300, 8, 8, 8), 4*300 + 150, 4 * 300, ffResult{replayed: true, straddle: true}},
+		{"replay warmup 0", small, seq(300, 8, 8, 8), 0, 8 * 300, ffResult{replayed: true}},
+		// Some replay issues prefetches on a miss that issued none in
+		// the logged cycle (or the reverse), so that cycle is simulated.
+		{"replay diverges", geometry{l1Ways: 1, l1Sets: 8, l2Sets: 8, streams: 6, degree: 2}, withWrites(seq(102, 16, 24, 128), 2), 5_142, 2_296, ffResult{replayed: true, diverged: true, straddle: true}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			res := checkFastForward(t, c.geo, c.gen, c.warmup, c.window)
-			if res.skipped != c.skip {
-				t.Errorf("skipped = %v, want %v", res.skipped, c.skip)
+			if res.skipped != c.want.skipped {
+				t.Errorf("skipped = %v, want %v", res.skipped, c.want.skipped)
 			}
-			if c.relabel && !res.relabels {
+			if res.replayed != c.want.replayed {
+				t.Errorf("replayed = %v, want %v", res.replayed, c.want.replayed)
+			}
+			if c.want.relabels && !res.relabels {
 				t.Error("the repeating cycle renamed no prefetcher slot; this case should exercise renaming")
+			}
+			if c.want.diverged && !res.diverged {
+				t.Error("every replay issued as logged; this case should exercise a diverging replay")
+			}
+			if c.want.straddle && !res.straddle {
+				t.Error("the cycle holding the warmup boundary was not replayed")
 			}
 		})
 	}
@@ -241,12 +278,17 @@ func TestCharacterizeFastForwardSkipsNext(t *testing.T) {
 // TestCharacterizeFastForwardMatchesFull: small hierarchies, one to
 // three streams with arbitrary strides (zero, sub-line, conflicting,
 // descending) and write masks, constant or varying costs, and arbitrary
-// periods, warmups and windows.
+// periods, warmups and windows. Sub-line strides over several arrays
+// leave dead prefetcher streams at every wrap, which is what takes the
+// replay tier, diverging replays included.
 func FuzzCharacterizeFastForward(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(8), uint16(8), uint16(8), uint16(99), uint8(0x12), false, uint16(1000), uint16(3000))
 	f.Add(uint8(5), uint8(4), uint16(64), uint16(72), uint16(0), uint16(7), uint8(0x25), true, uint16(0), uint16(50))
 	f.Add(uint8(26), uint8(3), uint16(0x8008), uint16(24), uint16(4096), uint16(511), uint8(0x03), false, uint16(777), uint16(8191))
 	f.Add(uint8(31), uint8(0x14), uint16(8), uint16(8), uint16(8), uint16(0), uint8(0x2f), true, uint16(5), uint16(1))
+	// Replays across the warmup boundary; a replay that diverges.
+	f.Add(uint8(13), uint8(19), uint16(8), uint16(8), uint16(8), uint16(299), uint8(0x20), false, uint16(1350), uint16(1199))
+	f.Add(uint8(6), uint8(17), uint16(16), uint16(24), uint16(128), uint16(101), uint8(0x22), false, uint16(5142), uint16(2295))
 	f.Fuzz(func(t *testing.T, geo, streams uint8, s0, s1, s2, period uint16, shape uint8, vary bool, warmup, window uint16) {
 		g := &loopGen{period: 1 + int(period%512), writes: shape & 7, vary: vary}
 		for i, s := range []uint16{s0, s1, s2}[:1+int(shape>>4)%3] {
