@@ -120,12 +120,6 @@ obs-race:
 	go test -race -count=1 -run 'TestTraceFollowsFleetJob|TestHealthzFlipsOnSLOBurn|TestTenantSeriesCapCollapsesToOther' ./internal/serve/
 	go test -race -count=1 -run 'TestClusterTraceSpans|TestFleetTraceSpansPerLevel' ./internal/cluster/
 
-# Submit-latency benchmark for the run service's cache-hit path; the
-# committed BENCH_serve.json tracks datapoints over time.
-.PHONY: serve-bench
-serve-bench:
-	go test -run '^$$' -bench BenchmarkServeSubmitLatency -benchtime 2s ./internal/serve/
-
 # Sustained-load smoke: aapm-loadgen drives a bounded two-tenant
 # aapm-serve with open-loop arrivals and gates on zero 5xx plus a p99
 # submit-latency bound. Short by design; lengthen -duration and raise

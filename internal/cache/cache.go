@@ -146,14 +146,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 // are equal serve every later access stream identically.
 func (c *Cache) AppendState(dst []uint64) []uint64 { return append(dst, c.ways...) }
 
-// Skip accounts for n repetitions of a cycle of accesses that left the
-// contents as they were and moved the statistics by d.
-func (c *Cache) Skip(d Stats, n uint64) {
-	c.stats.Accesses += d.Accesses * n
-	c.stats.Hits += d.Hits * n
-	c.stats.Misses += d.Misses * n
-	c.stats.Evictions += d.Evictions * n
-	c.stats.Writebacks += d.Writebacks * n
+// Add accounts for a run of accesses that left the contents as they
+// were and moved the statistics by d.
+func (c *Cache) Add(d Stats) {
+	c.stats.Accesses += d.Accesses
+	c.stats.Hits += d.Hits
+	c.stats.Misses += d.Misses
+	c.stats.Evictions += d.Evictions
+	c.stats.Writebacks += d.Writebacks
 }
 
 // ResidentLines returns how many lines of the address range [lo, hi)

@@ -266,27 +266,3 @@ func TestStreamPrefetcherCountsTies(t *testing.T) {
 		t.Errorf("state %v, want %v", got, want)
 	}
 }
-
-func TestStreamPrefetcherSkipRenamesSlots(t *testing.T) {
-	p := NewStreamPrefetcher(64, 4, 2)
-	p.OnMiss(0)
-	p.OnMiss(4096)
-	p.OnMiss(8192)
-	// Rename 0->1->2->0 three times over (the identity) and then once.
-	perm := []int{1, 2, 0, 3}
-	state := p.AppendState(nil)
-	p.Skip(perm, 5, 3)
-	if got, want := p.AppendSlots(nil), []int{2, 1, 0, 3}; !slices.Equal(got, want) {
-		t.Errorf("slots after a full rotation %v, want %v", got, want)
-	}
-	p.Skip(perm, 5, 1)
-	if got, want := p.AppendSlots(nil), []int{0, 2, 1, 3}; !slices.Equal(got, want) {
-		t.Errorf("slots %v, want %v", got, want)
-	}
-	if got := p.AppendState(nil); !slices.Equal(got, state) {
-		t.Errorf("Skip changed the streams: %v, want %v", got, state)
-	}
-	if p.Issued() != 20 {
-		t.Errorf("Issued = %d, want 20", p.Issued())
-	}
-}

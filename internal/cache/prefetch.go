@@ -147,9 +147,7 @@ func (p *StreamPrefetcher) toFront(i int, next uint64) {
 func (p *StreamPrefetcher) Issued() uint64 { return p.issued }
 
 // Ties returns the number of misses that two or more tracked streams
-// expected. Only a tie consults slot labels (the lowest slot continues),
-// so between ties the prefetcher behaves the same under any renaming of
-// its slots.
+// expected. Only a tie consults slot labels: the lowest slot continues.
 func (p *StreamPrefetcher) Ties() uint64 { return p.ties }
 
 // AppendState appends the prefetcher's state without its slot labels to
@@ -169,19 +167,4 @@ func (p *StreamPrefetcher) AppendSlots(dst []int) []int {
 		dst = append(dst, st.slot)
 	}
 	return dst
-}
-
-// Skip accounts for n repetitions of a tie-free cycle of misses that
-// left the state unchanged up to slot labels: it renames every slot s
-// to perm[s], n times over, and adds n times issued to the issued
-// count. perm must fix the unfilled slots.
-func (p *StreamPrefetcher) Skip(perm []int, issued uint64, n int) {
-	for i := range p.streams {
-		s := p.streams[i].slot
-		for range n {
-			s = perm[s]
-		}
-		p.streams[i].slot = s
-	}
-	p.issued += issued * uint64(n)
 }

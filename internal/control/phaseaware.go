@@ -43,9 +43,6 @@ func NewPhaseAwarePM(pm *PerformanceMaximizer, window int, relDelta float64) (*P
 // Name identifies the policy in traces.
 func (p *PhaseAwarePM) Name() string { return p.pm.Name() + "+phase" }
 
-// PhaseChanges returns how many regime switches the detector reported.
-func (p *PhaseAwarePM) PhaseChanges() uint64 { return p.det.Changes() }
-
 // Tick feeds the detector and delegates to PM, bypassing the up-shift
 // hysteresis on a detected phase change. PM's degradations pass
 // through.

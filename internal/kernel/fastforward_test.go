@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"math"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"aapm/internal/cache"
@@ -83,12 +85,34 @@ func (g geometry) hierarchy(t testing.TB) *Hierarchy {
 
 // ffResult reports what the fast-forwarded run of checkFastForward did.
 type ffResult struct {
-	skipped  bool // some cycles were accounted for without simulating them
-	relabels bool // the repeating cycle renames prefetcher slots
-	replayed bool // some cycles replayed only the prefetcher
-	diverged bool // some replay issued differently and its cycle was simulated
-	straddle bool // the cycle holding the warmup boundary was replayed
+	// trace has a letter per steady.trace outcome: r if the cycle
+	// replayed, x if its replay diverged, s if none was tried; upper case
+	// if the cycle holds the warmup boundary.
+	trace string
+	slots []int // the prefetcher's slot labels after Characterize
 }
+
+// replays counts the replayed cycles, and chained those replayed right
+// after another, without comparing the caches and DRAM.
+func (r ffResult) replays() int { return strings.Count(strings.ToLower(r.trace), "r") }
+func (r ffResult) chained() (n int) {
+	trace := strings.ToLower(r.trace)
+	for i := 1; i < len(trace); i++ {
+		if trace[i-1:i+1] == "rr" {
+			n++
+		}
+	}
+	return n
+}
+
+// diverged reports that some replay issued differently and its cycle
+// was simulated; straddle, that the cycle holding the warmup boundary
+// was replayed.
+func (r ffResult) diverged() bool { return strings.ContainsAny(r.trace, "xX") }
+func (r ffResult) straddle() bool { return strings.Contains(r.trace, "R") }
+
+// firstReplay returns the index of the first replayed cycle, or -1.
+func (r ffResult) firstReplay() int { return strings.IndexAny(r.trace, "rR") }
 
 // checkFastForward characterizes g through a fresh hierarchy of geo
 // twice, once with its period hidden, and fails unless the Profile, every
@@ -102,6 +126,7 @@ func checkFastForward(t *testing.T, geo geometry, g *loopGen, warmup, window int
 	if err != nil {
 		t.Fatal(err)
 	}
+	ff.steady.trace = []outcome{}
 	got, err := Characterize(g, ff, warmup, window)
 	if err != nil {
 		t.Fatal(err)
@@ -109,16 +134,20 @@ func checkFastForward(t *testing.T, geo geometry, g *loopGen, warmup, window int
 	compareProfiles(t, warmup, window, got, want)
 	compareHierarchies(t, "after Characterize", ff, full)
 
-	var res ffResult
-	if perm := ff.steady.perm; perm != nil {
-		res.skipped = true
-		for s, to := range perm {
-			res.relabels = res.relabels || s != to
+	res := ffResult{slots: ff.Pref.AppendSlots(nil)}
+	for _, o := range ff.steady.trace {
+		c := byte('s')
+		if o.tried {
+			c = 'x'
 		}
+		if o.replayed {
+			c = 'r'
+		}
+		if o.straddle {
+			c -= 'a' - 'A'
+		}
+		res.trace += string(c)
 	}
-	res.replayed = ff.steady.replays > 0
-	res.diverged = ff.steady.replayMisses > 0
-	res.straddle = ff.steady.replayWarmup
 	ties := full.Pref.Ties()
 	step := 0
 	tieStream(full, geo, func(addr uint64, write bool) {
@@ -153,7 +182,7 @@ func compareHierarchies(t *testing.T, when string, got, want *Hierarchy) {
 	if g, w := got.counters(), want.counters(); g != w {
 		t.Fatalf("%s: fast-forward counters %+v, full simulation %+v", when, g, w)
 	}
-	if !slices.Equal(got.appendState(nil), want.appendState(nil)) {
+	if !slices.Equal(got.Pref.AppendState(got.appendCaches(nil)), want.Pref.AppendState(want.appendCaches(nil))) {
 		t.Fatalf("%s: fast-forward cache, DRAM or prefetcher state differs", when)
 	}
 	if g, w := got.Pref.AppendSlots(nil), want.Pref.AppendSlots(nil); !slices.Equal(g, w) {
@@ -190,8 +219,8 @@ func tieStream(h *Hierarchy, geo geometry, access func(addr uint64, write bool))
 // Profile bits, every counter and the final labelled state must agree,
 // including warmup 0, windows shorter than one period and warmup or
 // window lengths that are not multiples of the period. Each case
-// requires its skipped and replayed outcomes exactly, and the relabels,
-// diverged and straddle outcomes when set.
+// requires its replayed outcome exactly, at least its count of chained
+// replays, and the other outcomes when set.
 func TestCharacterizeFastForwardMatchesFull(t *testing.T) {
 	small := geometry{l1Ways: 2, l1Sets: 4, l2Sets: 16, streams: 8, degree: 2}
 	seq := func(period int, strides ...uint64) *loopGen {
@@ -204,54 +233,76 @@ func TestCharacterizeFastForwardMatchesFull(t *testing.T) {
 	withWrites := func(g *loopGen, w uint8) *loopGen { g.writes = w; return g }
 	varying := func(g *loopGen) *loopGen { g.vary = true; return g }
 	const dramP = 24_576 // two 64-byte-stride arrays of dramP lines overflow the 2 MB L2
+	type want struct {
+		replayed bool   // some cycle replayed
+		chained  int    // at least this many cycles replayed right after a replay
+		diverged bool   // some replay diverged
+		straddle bool   // the cycle holding the warmup boundary replayed
+		rotates  bool   // the slot labels after the run differ from those at the first replay
+		shape    string // a regexp the trace must match
+	}
 	cases := []struct {
 		name           string
 		geo            geometry
 		gen            *loopGen
 		warmup, window int
-		want           ffResult
+		want           want
 	}{
-		{"L1-resident", pentiumM, seq(512, 8, 8), 10_000, 20_000, ffResult{skipped: true}},
-		{"L1-resident warmup 0", pentiumM, seq(512, 8, 8), 0, 30_001, ffResult{skipped: true}},
-		{"window shorter than period", pentiumM, seq(512, 8, 8), 9_000, 300, ffResult{skipped: true}},
-		{"L2 streaming", pentiumM, withWrites(seq(8192, 8, 8), 2), 50_003, 70_001, ffResult{skipped: true, relabels: true, replayed: true}},
+		{"L1-resident", pentiumM, seq(512, 8, 8), 10_000, 20_000, want{replayed: true, chained: 50}},
+		{"L1-resident warmup 0", pentiumM, seq(512, 8, 8), 0, 30_001, want{replayed: true, chained: 50}},
+		{"window shorter than period", pentiumM, seq(512, 8, 8), 9_000, 300, want{replayed: true, chained: 10}},
+		// Two streams are allocated anew every cycle, so each replay
+		// moves the slot labels and tieStream checks where they end.
+		{"L2 streaming", pentiumM, withWrites(seq(8192, 8, 8), 2), 50_003, 70_001, want{replayed: true, chained: 10, straddle: true, rotates: true}},
 		// Each wrap leaves two dead streams expecting the lines past the
-		// arrays' ends, so the caches repeat cycles before the
-		// prefetcher does: those cycles replay only the prefetcher.
-		{"DRAM streaming", small, withWrites(seq(600, 8, 8), 2), 3_333, 12_345, ffResult{skipped: true, relabels: true, replayed: true, straddle: true}},
-		{"DRAM streaming, dead streams", pentiumM, withWrites(seq(dramP, 64, 64), 2), 2*dramP + 1_234, 6 * dramP, ffResult{skipped: true, relabels: true, replayed: true, straddle: true}},
-		{"varying costs", small, varying(seq(96, 8, 64)), 1_001, 4_999, ffResult{skipped: true, relabels: true, replayed: true}},
-		{"varying costs warmup 0", small, varying(withWrites(seq(40, 24), 1)), 0, 777, ffResult{skipped: true, relabels: true, replayed: true}},
-		{"strided conflicts", small, withWrites(seq(64, 256, 320), 3), 5_000, 5_000, ffResult{skipped: true}},
-		{"one op period", small, seq(1, 0), 3, 10, ffResult{skipped: true}},
-		{"too short to skip", small, seq(600, 8, 8), 100, 1_000, ffResult{}},
-		{"descending", small, seq(300, ^uint64(7), 8), 2_000, 2_000, ffResult{skipped: true, relabels: true}},
-		// Three arrays' dead streams never let the whole state repeat
-		// inside the window, so every cycle after the second replays,
-		// the one holding the warmup boundary too.
-		{"replay across warmup", small, seq(300, 8, 8, 8), 4*300 + 150, 4 * 300, ffResult{replayed: true, straddle: true}},
-		{"replay warmup 0", small, seq(300, 8, 8, 8), 0, 8 * 300, ffResult{replayed: true}},
+		// arrays' ends; replays carry them along.
+		{"DRAM streaming", small, withWrites(seq(600, 8, 8), 2), 3_333, 12_345, want{replayed: true, chained: 10, straddle: true}},
+		{"DRAM streaming, dead streams", pentiumM, withWrites(seq(dramP, 64, 64), 2), 2*dramP + 1_234, 6 * dramP, want{replayed: true, chained: 4, straddle: true}},
+		{"varying costs", small, varying(seq(96, 8, 64)), 1_001, 4_999, want{replayed: true, chained: 40}},
+		{"varying costs warmup 0", small, varying(withWrites(seq(40, 24), 1)), 0, 777, want{replayed: true, chained: 10}},
+		{"strided conflicts", small, withWrites(seq(64, 256, 320), 3), 5_000, 5_000, want{replayed: true, chained: 100}},
+		{"one op period", small, seq(1, 0), 3, 10, want{replayed: true, chained: 5}},
+		{"too short to replay", small, seq(600, 8, 8), 100, 1_000, want{}},
+		{"descending", small, seq(300, ^uint64(7), 8), 2_000, 2_000, want{replayed: true, chained: 5}},
+		{"replay across warmup", small, seq(300, 8, 8, 8), 4*300 + 150, 4 * 300, want{replayed: true, chained: 3, straddle: true}},
+		{"replay warmup 0", small, seq(300, 8, 8, 8), 0, 8 * 300, want{replayed: true, chained: 4}},
 		// Some replay issues prefetches on a miss that issued none in
 		// the logged cycle (or the reverse), so that cycle is simulated.
-		{"replay diverges", geometry{l1Ways: 1, l1Sets: 8, l2Sets: 8, streams: 6, degree: 2}, withWrites(seq(102, 16, 24, 128), 2), 5_142, 2_296, ffResult{replayed: true, diverged: true, straddle: true}},
+		{"replay diverges", geometry{l1Ways: 1, l1Sets: 8, l2Sets: 8, streams: 6, degree: 2}, withWrites(seq(102, 16, 24, 128), 2), 5_142, 2_296, want{replayed: true, diverged: true, straddle: true}},
+		// A replay diverges after chained ones; the simulated cycle ends
+		// where the chain started, so the next one replays its log.
+		{"chain diverges and rejoins", geometry{l1Ways: 1, l1Sets: 4, l2Sets: 16, streams: 8, degree: 2}, withWrites(seq(357, 16, 320, 72), 4), 3_115, 4_434, want{replayed: true, chained: 2, diverged: true, straddle: true, shape: `[rR]{3,}[xX][rR]`}},
+		// A cycle simulated after a diverged replay need not end with the
+		// caches as it started them, so the next cycle must compare
+		// again; here they differ, and replaying unchecked miscounts.
+		{"diverged cycle moves the caches", geometry{l1Ways: 2, l1Sets: 2, l2Sets: 64, streams: 8, degree: 2}, withWrites(seq(249, 151, 8, 16), 5), 3_065, 2_940, want{replayed: true, diverged: true, shape: `[xX][sS].`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			res := checkFastForward(t, c.geo, c.gen, c.warmup, c.window)
-			if res.skipped != c.want.skipped {
-				t.Errorf("skipped = %v, want %v", res.skipped, c.want.skipped)
+			if got := res.replays() > 0; got != c.want.replayed {
+				t.Errorf("replayed = %v, want %v (trace %s)", got, c.want.replayed, res.trace)
 			}
-			if res.replayed != c.want.replayed {
-				t.Errorf("replayed = %v, want %v", res.replayed, c.want.replayed)
+			if got := res.chained(); got < c.want.chained {
+				t.Errorf("%d chained replays, want at least %d (trace %s)", got, c.want.chained, res.trace)
 			}
-			if c.want.relabels && !res.relabels {
-				t.Error("the repeating cycle renamed no prefetcher slot; this case should exercise renaming")
+			if c.want.diverged && !res.diverged() {
+				t.Errorf("every replay issued as logged; this case should exercise a diverging replay (trace %s)", res.trace)
 			}
-			if c.want.diverged && !res.diverged {
-				t.Error("every replay issued as logged; this case should exercise a diverging replay")
+			if c.want.straddle && !res.straddle() {
+				t.Errorf("the cycle holding the warmup boundary was not replayed (trace %s)", res.trace)
 			}
-			if c.want.straddle && !res.straddle {
-				t.Error("the cycle holding the warmup boundary was not replayed")
+			if c.want.shape != "" && !regexp.MustCompile(c.want.shape).MatchString(res.trace) {
+				t.Errorf("trace %s does not match %s", res.trace, c.want.shape)
+			}
+			if c.want.rotates {
+				start := c.geo.hierarchy(t)
+				if _, err := Characterize(opaque{c.gen}, start, 0, res.firstReplay()*c.gen.period); err != nil {
+					t.Fatal(err)
+				}
+				if first := start.Pref.AppendSlots(nil); slices.Equal(first, res.slots) {
+					t.Errorf("slot labels %v at the end equal those at the first replay; this case should exercise moving labels", first)
+				}
 			}
 		})
 	}
@@ -289,6 +340,10 @@ func FuzzCharacterizeFastForward(f *testing.F) {
 	// Replays across the warmup boundary; a replay that diverges.
 	f.Add(uint8(13), uint8(19), uint16(8), uint16(8), uint16(8), uint16(299), uint8(0x20), false, uint16(1350), uint16(1199))
 	f.Add(uint8(6), uint8(17), uint16(16), uint16(24), uint16(128), uint16(101), uint8(0x22), false, uint16(5142), uint16(2295))
+	// A replay that diverges after chained replays, then one whose
+	// simulated cycle moves the caches.
+	f.Add(uint8(172), uint8(189), uint16(16), uint16(320), uint16(72), uint16(356), uint8(0x24), false, uint16(3115), uint16(4433))
+	f.Add(uint8(91), uint8(184), uint16(151), uint16(8), uint16(16), uint16(248), uint8(0x25), false, uint16(3065), uint16(2939))
 	f.Fuzz(func(t *testing.T, geo, streams uint8, s0, s1, s2, period uint16, shape uint8, vary bool, warmup, window uint16) {
 		g := &loopGen{period: 1 + int(period%512), writes: shape & 7, vary: vary}
 		for i, s := range []uint16{s0, s1, s2}[:1+int(shape>>4)%3] {

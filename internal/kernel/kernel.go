@@ -80,7 +80,8 @@ type Bounded interface {
 // repeats. Period promises that after Reset the Op stream repeats every
 // Period() calls to Next: addresses, write flags, Instrs and CoreCycles
 // alike. 0 means the stream has no period. Characterize uses the period
-// to skip whole cycles once the hierarchy's state repeats as well.
+// to replay whole cycles through the prefetcher alone once the caches
+// and DRAM repeat as well.
 type Periodic interface {
 	Period() int
 }
@@ -121,7 +122,7 @@ type Hierarchy struct {
 	prefMem     uint64               // prefetch fills fetched from DRAM
 	served      [LevelMem + 1]uint64 // accesses by serving level
 
-	steady steady   // Characterize's fast-forward buffers, allocated on first use
+	steady steady   // Characterize's replay buffers, allocated on first use
 	res    resident // the L1-resident shortcut's buffers, allocated on first use
 }
 
@@ -148,6 +149,10 @@ func NewPentiumMHierarchy() (*Hierarchy, error) {
 }
 
 // Access performs one data access and returns the serving level.
+//
+// A dirty line L1 evicts is dropped: its writeback reaches neither L2
+// nor DRAM, so L2 writes back only lines that a write missing L1 dirtied
+// (DAXPY-8MB records none). The recorded training set depends on this.
 func (h *Hierarchy) Access(addr uint64, write bool) Level {
 	if h.L1.Access(addr, write).Hit {
 		h.served[LevelL1]++
@@ -243,12 +248,11 @@ func (p Profile) MemAPKI() float64 {
 // full simulation of every access leaves them, whatever shortcut the
 // generator's optional interfaces allow:
 //
-//   - If g implements Periodic, Characterize compares the hierarchy's
-//     state at every multiple of the period with its state one period
-//     earlier. Once the two match, every later cycle repeats the last
-//     one, so whole cycles are accounted for without simulating them
-//     (see steady). Once only the caches and DRAM match, a cycle feeds
-//     just the prefetcher the last cycle's L1 misses (see replay).
+//   - If g implements Periodic, Characterize logs a cycle's L1 misses
+//     and compares the caches and DRAM at its end with their state at
+//     its start. Once the two match, each later cycle feeds just the
+//     prefetcher the logged misses, for as long as they issue
+//     prefetches as logged (see steady).
 //   - Otherwise, if g implements Bounded and its range fits in L1, the
 //     accesses after every line of the range is resident are only
 //     counted (see resident).
@@ -461,25 +465,9 @@ func (c counters) sub(o counters) counters {
 
 // steady is Characterize's fast-forward state for a periodic generator.
 //
-// Why skipping is exact: the state that decides how an access is
+// Why replaying is exact: the state that decides how an access is
 // served is the L1 and L2 way words, the DRAM open rows and the
-// prefetcher's streams. The op stream repeats every period, so if the
-// state at the end of a cycle equals the state at its start, the next
-// cycle sees the same ops from the same state and does exactly what the
-// last one did, and so on. The one exception is the prefetcher's slot
-// labels. They rotate as streams are allocated, so they are compared
-// only up to a renaming: the recency-ordered expected lines must match,
-// and a cycle's renaming perm maps each slot at one recency position to
-// the slot at the same position a period later. Labels decide nothing
-// unless two streams expect the same missing line (a tie, where the
-// lower slot continues), so a cycle with no tie behaves the same under
-// any renaming; it must also rename the same way again. A cycle is
-// therefore skipped by adding its counter deltas and applying perm to
-// the slots, which leaves every label where a full simulation puts it.
-// The profile's floating-point sums are still added one op at a time in
-// the original order, so their rounding matches too.
-//
-// Why replaying is exact: L1 sees only demand accesses, so a cycle that
+// prefetcher's streams. L1 sees only demand accesses, so a cycle that
 // starts from the logged cycle's L1 state misses L1 at the same
 // addresses in the same order. L2 and DRAM see, per L1 miss, the
 // prefetches it issues and then the demand access; the prefetched lines
@@ -490,17 +478,18 @@ func (c counters) sub(o counters) counters {
 // started. The cycle then adds the logged deltas of every counter but
 // the prefetcher's, which the replay itself counts, and leaves the
 // prefetcher, labels and all, as the replay did.
+//
+// Why chaining is exact: a cycle is replayed only after the logged
+// cycle ended with the caches and DRAM as it started them. A replay
+// therefore ends with them as it started them too, which is the logged
+// cycle's start state again, so the next cycle can replay without
+// comparing. After a replay that diverges, prev still holds the caches
+// and DRAM the cycle starts from: every replay before it kept them.
 type steady struct {
-	snapped             bool     // prev holds the state exactly one period ago
-	prev, cur           []uint64 // label-free state a period ago and now
-	caches              int      // length of the caches-and-DRAM prefix of prev and cur
-	prevSlots, curSlots []int    // prefetcher slot labels, most recent first, at the same points
-	since               counters // counters a period ago
-	cycle               counters // one repeating cycle's counter deltas
-	perm                []int    // the slot renaming one cycle applies
+	prev, cur []uint64 // caches and DRAM at the logged cycle's start and now
 
 	logging  bool                   // Access appends every L1 miss to log
-	logged   bool                   // log holds the cycle that just ended, which started from prev's caches and DRAM
+	logged   bool                   // log holds a cycle that started from prev
 	log      []uint64               // one word per L1 miss: its address, low bit set if it issued prefetches
 	logStart counters               // counters at the start of the logged cycle
 	logCycle counters               // the logged cycle's counter deltas
@@ -508,13 +497,17 @@ type steady struct {
 	logMidAt int                    // the misses it logged before that offset
 	spare    cache.StreamPrefetcher // the prefetcher before a replay, restored if the replay diverges
 
-	costsKnown   bool // every op costs instrs and cycles
-	instrs       float64
-	cycles       float64
-	replays      int  // cycles the last Characterize replayed
-	replayMisses int  // replays it abandoned on a prefetcher mismatch
-	replayWarmup bool // it replayed the cycle holding the warmup boundary
+	costsKnown bool // every op costs instrs and cycles
+	instrs     float64
+	cycles     float64
+
+	trace []outcome // if not nil (tests set it), gets each cycle started at a multiple of the period
 }
+
+// outcome is what a cycle started at a multiple of the period did:
+// whether a replay was tried, whether it replayed, and whether the cycle
+// holds the warmup boundary.
+type outcome struct{ tried, replayed, straddle bool }
 
 // fastForward runs warmup and then window ops of src, whose stream
 // repeats every period ops, adding the window's op costs to p. It
@@ -524,9 +517,8 @@ func (h *Hierarchy) fastForward(src source, period, warmup, window int, p *Profi
 	end := warmup + window
 	mid := warmup % period // the warmup boundary's offset in its cycle
 	canLog := h.Pref.LineBytes() >= 2
-	s.snapped, s.logging, s.logged, s.costsKnown = false, false, false, false
-	s.replays, s.replayMisses, s.replayWarmup = 0, 0, false
-	found := false
+	s.logging, s.logged, s.costsKnown, s.trace = false, false, false, s.trace[:0]
+	chained := false // the last cycle replayed
 	for t := 0; ; {
 		if t == warmup {
 			atWarmup = h.counters()
@@ -546,40 +538,23 @@ func (h *Hierarchy) fastForward(src source, period, warmup, window int, p *Profi
 		}
 		if off == 0 {
 			// A snapshot or a log is worth taking only if a whole cycle
-			// could still be skipped or replayed after the next boundary.
-			keep := t+2*period <= end
-			repeat := false
-			if !found {
-				found, repeat = h.observe(keep)
-			}
-			if found {
-				// Skip whole cycles up to the next boundary.
-				stop := end
-				if t < warmup {
-					stop = warmup
-				}
-				if n := (stop - t) / period; n > 0 {
-					h.advance(&s.cycle, uint64(n))
-					h.Pref.Skip(s.perm, s.cycle.issued, n)
-					if t >= warmup {
-						h.addCosts(src, p, 0, n*period, period)
-					}
-					t += n * period
-					continue
-				}
-			}
+			// could still be replayed after the next boundary.
+			keep := canLog && t+2*period <= end
 			straddle := t < warmup && warmup < t+period
-			if repeat && t+period <= end && h.replay(straddle, &atWarmup) {
-				if t >= warmup {
-					h.addCosts(src, p, 0, period, period)
-				} else if straddle {
-					h.addCosts(src, p, mid, period-mid, period)
+			tried := (chained || h.observe(keep)) && t+period <= end
+			chained = tried && h.replay(straddle, &atWarmup)
+			if s.trace != nil {
+				s.trace = append(s.trace, outcome{tried, chained, straddle})
+			}
+			if chained {
+				if t+period > warmup {
+					h.addCosts(src, p, max(warmup-t, 0), period)
 				}
 				t += period
 				continue
 			}
 			s.logged = false
-			if canLog && keep && !found {
+			if keep {
 				// Log this cycle's misses for replays from the next
 				// boundary on.
 				s.logging = true
@@ -602,49 +577,21 @@ func (h *Hierarchy) fastForward(src source, period, warmup, window int, p *Profi
 	}
 }
 
-// observe runs at a multiple of the period. It compares the hierarchy
-// with the snapshot taken one period earlier, if there is one, and
-// reports whether the cycle between them repeats from here on (found),
-// and whether the logged cycle can be replayed from here (repeat: the
-// caches and DRAM match). If not found, it takes a new snapshot when
-// keep is set.
-func (h *Hierarchy) observe(keep bool) (found, repeat bool) {
+// observe runs at a multiple of the period. It reports whether the
+// logged cycle can be replayed from here: one is logged, and the caches
+// and DRAM equal its start state in prev. If keep is set it leaves the
+// current state in prev, for a log that starts here.
+func (h *Hierarchy) observe(keep bool) (repeat bool) {
 	s := &h.steady
-	if !s.snapped && !keep {
-		return false, false
+	if !s.logged && !keep {
+		return false
 	}
 	s.cur = h.appendCaches(s.cur[:0])
-	s.caches = len(s.cur)
-	s.cur = h.Pref.AppendState(s.cur)
-	s.curSlots = h.Pref.AppendSlots(s.curSlots[:0])
-	now := h.counters()
-	if s.snapped {
-		same := slices.Equal(s.cur[:s.caches], s.prev[:s.caches])
-		repeat = same && s.logged
-		if d := now.sub(s.since); same && d.ties == 0 && slices.Equal(s.cur[s.caches:], s.prev[s.caches:]) {
-			s.cycle = d
-			if len(s.perm) != len(s.curSlots) {
-				s.perm = make([]int, len(s.curSlots))
-			}
-			for i, from := range s.prevSlots {
-				s.perm[from] = s.curSlots[i]
-			}
-			return true, repeat
-		}
-	}
-	s.snapped = keep
+	repeat = s.logged && slices.Equal(s.cur, s.prev)
 	if keep {
 		s.prev, s.cur = s.cur, s.prev
-		s.prevSlots, s.curSlots = s.curSlots, s.prevSlots
-		s.since = now
 	}
-	return false, repeat
-}
-
-// appendState appends the hierarchy's state, without prefetcher slot
-// labels, to dst.
-func (h *Hierarchy) appendState(dst []uint64) []uint64 {
-	return h.Pref.AppendState(h.appendCaches(dst))
+	return repeat
 }
 
 // appendCaches appends the state of the caches and DRAM to dst.
@@ -671,71 +618,61 @@ func (h *Hierarchy) replay(straddle bool, atWarmup *counters) bool {
 	issued, ties := h.Pref.Issued(), h.Pref.Ties()
 	if !ok || h.Pref.Replay(s.log[split:]) != len(s.log)-split {
 		h.Pref.CopyFrom(&s.spare)
-		s.replayMisses++
 		return false
 	}
-	s.replays++
 	if straddle {
-		s.replayWarmup = true
-		h.advance(&s.logMid, 1)
+		h.advance(&s.logMid)
 		*atWarmup = h.counters()
 		atWarmup.issued, atWarmup.ties = issued, ties
 		rest := s.logCycle.sub(s.logMid)
-		h.advance(&rest, 1)
+		h.advance(&rest)
 	} else {
-		h.advance(&s.logCycle, 1)
+		h.advance(&s.logCycle)
 	}
 	return true
 }
 
-// advance adds n times the deltas c of every counter but the
-// prefetcher's.
-func (h *Hierarchy) advance(c *counters, n uint64) {
-	h.L1.Skip(c.l1, n)
-	h.L2.Skip(c.l2, n)
-	h.Mem.Skip(c.mem, n)
-	h.memAccesses += c.memAccesses * n
-	h.prefMem += c.prefMem * n
+// advance adds the deltas c of every counter but the prefetcher's.
+func (h *Hierarchy) advance(c *counters) {
+	h.L1.Add(c.l1)
+	h.L2.Add(c.l2)
+	h.Mem.Add(c.mem)
+	h.memAccesses += c.memAccesses
+	h.prefMem += c.prefMem
 	for l := range h.served {
-		h.served[l] += c.served[l] * n
+		h.served[l] += c.served[l]
 	}
 }
 
-// addCosts walks the next skip+n ops of src, a whole number of periods
-// with skip below one, and adds the costs of the last n of them to p one
-// op at a time, in stream order, so the sums round exactly as a full
-// simulation's do. Once a whole period's ops are known to cost the same,
-// later ones are added as those constants without reading src: the
-// stream repeats, so they cost the same too.
-func (h *Hierarchy) addCosts(src source, p *Profile, skip, n, period int) {
+// addCosts walks the next period ops of src and adds the costs of those
+// from skip on to p one op at a time, in stream order, so the sums
+// round exactly as a full simulation's do. Once a whole period's ops
+// are known to cost the same, later calls add those constants without
+// reading src: the stream repeats, so they cost the same too.
+func (h *Hierarchy) addCosts(src source, p *Profile, skip, period int) {
 	s := &h.steady
-	k := 0 // ops walked
-	if !s.costsKnown {
-		uniform := true
-		for k < skip+n && (k < period || !uniform) {
-			// Stop at the first period's end, where uniform is decided.
-			want := skip + n - k
-			if k < period {
-				want = min(want, period-k)
-			}
-			b := src.next(want)
-			if k == 0 {
-				s.instrs, s.cycles = b.Instrs, b.CoreCycles
-			}
-			uniform = uniform &&
-				math.Float64bits(b.Instrs) == math.Float64bits(s.instrs) &&
-				math.Float64bits(b.CoreCycles) == math.Float64bits(s.cycles)
-			next := k + b.Ops
-			if from := max(k, skip); from < next {
-				b.Ops = next - from
-				b.addTo(p)
-			}
-			k = next
+	if s.costsKnown {
+		for range period - skip {
+			p.Instructions += s.instrs
+			p.CoreCycles += s.cycles
 		}
-		s.costsKnown = uniform
+		return
 	}
-	for k = max(k, skip); k < skip+n; k++ {
-		p.Instructions += s.instrs
-		p.CoreCycles += s.cycles
+	uniform := true
+	for k := 0; k < period; {
+		b := src.next(period - k)
+		if k == 0 {
+			s.instrs, s.cycles = b.Instrs, b.CoreCycles
+		}
+		uniform = uniform &&
+			math.Float64bits(b.Instrs) == math.Float64bits(s.instrs) &&
+			math.Float64bits(b.CoreCycles) == math.Float64bits(s.cycles)
+		next := k + b.Ops
+		if from := max(k, skip); from < next {
+			b.Ops = next - from
+			b.addTo(p)
+		}
+		k = next
 	}
+	s.costsKnown = uniform
 }

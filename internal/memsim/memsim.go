@@ -125,12 +125,12 @@ func (m *Memory) AppendState(dst []uint64) []uint64 {
 	return dst
 }
 
-// Skip accounts for n repetitions of a cycle of accesses that left the
-// open rows as they were and moved the statistics by d.
-func (m *Memory) Skip(d Stats, n uint64) {
-	m.stats.Accesses += d.Accesses * n
-	m.stats.RowHits += d.RowHits * n
-	m.stats.BytesXfr += d.BytesXfr * n
+// Add accounts for a run of accesses that left the open rows as they
+// were and moved the statistics by d.
+func (m *Memory) Add(d Stats) {
+	m.stats.Accesses += d.Accesses
+	m.stats.RowHits += d.RowHits
+	m.stats.BytesXfr += d.BytesXfr
 }
 
 // Access performs one line transfer of lineBytes at addr and returns

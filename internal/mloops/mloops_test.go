@@ -439,11 +439,11 @@ type simulated struct {
 // after another, each through a fresh hierarchy exactly as Characterize
 // does, twice: once with every generator's period and bounds hidden, so
 // every access is simulated, and once as Characterize runs them,
-// skipping or replaying the repeating cycles of the periodic loops and
-// only counting the L1-resident accesses of MLOAD_RAND-16KB. Both
-// passes read ops in blocks. ns/access is the full simulation's cost
-// per simulated access; ff-ns/access divides the second pass's wall
-// time by the same access count.
+// replaying the repeating cycles of the periodic loops through the
+// prefetcher alone and only counting the L1-resident accesses of
+// MLOAD_RAND-16KB. Both passes read ops in blocks. ns/access is the
+// full simulation's cost per simulated access; ff-ns/access divides the
+// second pass's wall time by the same access count.
 func BenchmarkCharacterizeSerial(b *testing.B) {
 	var accesses uint64
 	var full, ff time.Duration
