@@ -49,8 +49,9 @@ telemetry-smoke:
 	go test -run '^$$' -bench 'BenchmarkTelemetry' -benchtime 1x .
 
 # End-to-end smoke of the run service: build aapm-serve, start it on a
-# loopback port, submit the golden-config job over HTTP, poll until
-# done, and assert the result and the serve metrics look sane.
+# loopback port, check the dashboard page and its workload list, submit
+# the golden-config job over HTTP, poll until done, and assert the
+# result and the serve metrics look sane.
 SERVE_SMOKE_ADDR ?= 127.0.0.1:18080
 .PHONY: serve-smoke
 serve-smoke:
@@ -59,6 +60,10 @@ serve-smoke:
 	/tmp/aapm-serve -addr $(SERVE_SMOKE_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 50); do curl -sf $(SERVE_SMOKE_ADDR)/metrics >/dev/null && break; sleep 0.1; done; \
+	curl -sf $(SERVE_SMOKE_ADDR)/ | grep -q 'aapm dashboard' \
+		|| { echo "dashboard page missing at /"; exit 1; }; \
+	n=$$(curl -sf $(SERVE_SMOKE_ADDR)/api/workloads | jq length); \
+	[ "$$n" = 26 ] || { echo "/api/workloads lists $$n names, want 26"; exit 1; }; \
 	id=$$(curl -sf -X POST $(SERVE_SMOKE_ADDR)/api/jobs \
 		-d '{"workload":"ammp","governor":"pm:limit=14.5","seed":1,"iterations":1}' | jq -r .id); \
 	echo "submitted $$id"; \

@@ -1,8 +1,9 @@
 // Command aapm-serve runs the asynchronous run service: submit
 // simulation jobs over HTTP, poll or stream their progress, and fetch
-// cached results. The interactive dashboard and the Prometheus
-// /metrics endpoint share the same mux and telemetry registry, so one
-// scrape sees the service, every job's run, and the Go runtime.
+// cached results. The browser dashboard at / submits its runs as jobs
+// and plots their results; it and the Prometheus /metrics endpoint
+// share the mux and telemetry registry, so one scrape sees the service,
+// every job's run, and the Go runtime.
 //
 // Usage:
 //
@@ -23,6 +24,9 @@
 //	curl -s localhost:8080/api/jobs/<id>            # poll status
 //	curl -sN localhost:8080/api/jobs/<id>/events    # stream progress
 //	curl -s localhost:8080/api/jobs/<id>/result     # cached result
+//
+// The dashboard at http://localhost:8080/ runs the same jobs from the
+// browser and plots their power, frequency and temperature traces.
 //
 // With -fleet-nodes > 0 the service hosts a resident synthetic fleet
 // and mounts the declarative intent API:
@@ -116,20 +120,7 @@ func main() {
 		Fleet:            fleetOptions(*fleetNodes, *fleetLevels, *fleetFanout, *fleetBudget, *fleetEpochTicks, *fleetTicks, *fleetDeadline),
 	})
 
-	// One mux: the job API, the dashboard (which also serves /metrics
-	// and /api/telemetry from the shared registry), and optionally
-	// pprof via the dash options.
-	mux := http.NewServeMux()
-	mux.Handle("/api/jobs", svc.Handler())
-	mux.Handle("/api/jobs/", svc.Handler())
-	mux.Handle("/api/trace/", svc.Handler())
-	mux.Handle("/api/slo", svc.Handler())
-	mux.Handle("/api/intents", svc.Handler())
-	mux.Handle("/api/intents/", svc.Handler())
-	mux.Handle("/healthz", svc.Handler())
-	mux.Handle("/", dash.NewHandler(dash.Options{Telemetry: reg, PProf: *pprofOn}))
-
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: newMux(svc, reg, *pprofOn)}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
@@ -138,11 +129,15 @@ func main() {
 		host = "localhost" + host
 	}
 	fmt.Printf("aapm run service listening on %s (%d workers, queue %d)\n", *addr, svc.Workers(), *queue)
-	fmt.Printf("  submit:  POST http://%s/api/jobs\n", host)
-	fmt.Printf("  metrics: http://%s/metrics\n", host)
-	fmt.Printf("  health:  http://%s/healthz  (SLO burn: /api/slo, traces: /api/trace/{job})\n", host)
+	fmt.Printf("  dashboard: http://%s/\n", host)
+	fmt.Printf("  submit:    POST http://%s/api/jobs\n", host)
+	fmt.Printf("  metrics:   http://%s/metrics\n", host)
+	fmt.Printf("  health:    http://%s/healthz  (SLO burn: /api/slo, traces: /api/trace/{job})\n", host)
+	if *pprofOn {
+		fmt.Printf("  profiling: http://%s/debug/pprof/\n", host)
+	}
 	if *fleetNodes > 0 {
-		fmt.Printf("  intents: POST http://%s/api/intents  (resident fleet: %d nodes)\n", host, *fleetNodes)
+		fmt.Printf("  intents:   POST http://%s/api/intents  (resident fleet: %d nodes)\n", host, *fleetNodes)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -162,6 +157,19 @@ func main() {
 	if err := svc.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "aapm-serve: drain timed out; running jobs aborted")
 	}
+}
+
+// newMux assembles the one mux aapm-serve listens on: the job API and
+// the dashboard, which also serves /metrics and /api/telemetry from the
+// registry the jobs feed and, with pprof, /debug/pprof/.
+func newMux(svc *serve.Service, reg *telemetry.Registry, pprof bool) *http.ServeMux {
+	api := svc.Handler()
+	mux := http.NewServeMux()
+	for _, path := range []string{"/api/jobs", "/api/jobs/", "/api/trace/", "/api/slo", "/api/intents", "/api/intents/", "/healthz"} {
+		mux.Handle(path, api)
+	}
+	mux.Handle("/", dash.NewHandler(dash.Options{Telemetry: reg, PProf: pprof}))
+	return mux
 }
 
 // fleetOptions builds the resident-fleet config, or nil when no fleet

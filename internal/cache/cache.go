@@ -73,14 +73,6 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// MissRate returns Misses/Accesses, or 0 with no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative, write-back, write-allocate level with
 // true-LRU replacement.
 //

@@ -153,17 +153,6 @@ func TestFillInsertsCleanWithoutDemandStats(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty MissRate != 0")
-	}
-	s = Stats{Accesses: 4, Misses: 1}
-	if s.MissRate() != 0.25 {
-		t.Errorf("MissRate = %g, want 0.25", s.MissRate())
-	}
-}
-
 // Property: hits + misses == accesses for arbitrary access streams.
 func TestStatsConservation(t *testing.T) {
 	f := func(addrs []uint16, writes []bool) bool {

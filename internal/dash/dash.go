@@ -1,8 +1,10 @@
-// Package dash serves an interactive dashboard over the simulated
-// platform: pick a workload and a governor spec, run it, and see the
-// power/frequency/temperature timeline rendered in the browser. The
-// handler is plain net/http with inline SVG — no external assets — so
-// cmd/aapm-dash stays a single static binary.
+// Package dash serves the browser dashboard of the run service: pick
+// a workload and a governor spec, submit it as a job to /api/jobs, and
+// see the power/frequency/temperature timeline of its result rendered
+// in the browser. The handler also serves the workload list, and the
+// shared telemetry registry as /metrics and /api/telemetry. It is plain
+// net/http with inline SVG — no external assets — and cmd/aapm-serve
+// mounts it next to the job API.
 package dash
 
 import (
@@ -10,23 +12,16 @@ import (
 	"html/template"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"time"
 
-	"aapm/internal/control"
-	"aapm/internal/machine"
-	"aapm/internal/sensor"
 	"aapm/internal/spec"
 	"aapm/internal/telemetry"
-	"aapm/internal/thermal"
-	"aapm/internal/trace"
 )
 
 // Options configures the dashboard handler.
 type Options struct {
-	// Telemetry backs /metrics and /api/telemetry; nil allocates a
-	// registry private to this handler. Every /api/run feeds it, so
-	// scrapes see counters accumulated across requests.
+	// Telemetry backs /metrics and /api/telemetry and must be non-nil:
+	// it is the registry the run service's jobs feed, so scrapes see
+	// the service, every job's run and the Go runtime.
 	Telemetry *telemetry.Registry
 	// PProf additionally mounts the net/http/pprof handlers under
 	// /debug/pprof/ for live profiling of the simulator.
@@ -38,19 +33,16 @@ type server struct {
 	reg *telemetry.Registry
 }
 
-// Handler returns the dashboard's HTTP handler with default options.
-func Handler() http.Handler { return NewHandler(Options{}) }
-
-// NewHandler returns the dashboard's HTTP handler.
+// NewHandler returns the dashboard's HTTP handler. It panics without a
+// registry.
 func NewHandler(opts Options) http.Handler {
-	srv := &server{reg: opts.Telemetry}
-	if srv.reg == nil {
-		srv.reg = telemetry.NewRegistry()
+	if opts.Telemetry == nil {
+		panic("dash: NewHandler needs a telemetry registry")
 	}
+	srv := &server{reg: opts.Telemetry}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", index)
 	mux.HandleFunc("/api/workloads", apiWorkloads)
-	mux.HandleFunc("/api/run", srv.apiRun)
 	mux.HandleFunc("/api/telemetry", srv.apiTelemetry)
 	mux.HandleFunc("/metrics", srv.metrics)
 	if opts.PProf {
@@ -63,8 +55,7 @@ func NewHandler(opts Options) http.Handler {
 	return mux
 }
 
-// requireGet answers non-GET requests with 405 + Allow, the same
-// contract as /api/run.
+// requireGet answers non-GET requests with 405 + Allow.
 func requireGet(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -95,44 +86,6 @@ func (srv *server) apiTelemetry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, srv.reg.Snapshot())
 }
 
-// runRow is the JSON shape of one trace interval.
-type runRow struct {
-	TMs     float64 `json:"t_ms"`
-	FreqMHz int     `json:"freq_mhz"`
-	PowerW  float64 `json:"power_w"`
-	IPC     float64 `json:"ipc"`
-	DPC     float64 `json:"dpc"`
-	TempC   float64 `json:"temp_c,omitempty"`
-	Duty    float64 `json:"duty,omitempty"`
-	Phase   string  `json:"phase"`
-}
-
-// runMetrics is the engine-counter block of /api/run: the run's own
-// totals and the session's per-stage wall-clock.
-type runMetrics struct {
-	Ticks             int     `json:"ticks"`
-	Transitions       int     `json:"transitions"`
-	FailedTransitions int     `json:"failed_transitions,omitempty"`
-	StallMs           float64 `json:"stall_ms"`
-	Degradations      int     `json:"degradations,omitempty"`
-	// StageUs is per-stage wall-clock (microseconds, summed over the
-	// run) keyed by machine.StageNames — real time spent simulating,
-	// not virtual time.
-	StageUs map[string]float64 `json:"stage_us,omitempty"`
-}
-
-// runResponse is the JSON payload of /api/run.
-type runResponse struct {
-	Workload    string     `json:"workload"`
-	Policy      string     `json:"policy"`
-	DurationSec float64    `json:"duration_sec"`
-	EnergyJ     float64    `json:"energy_j"`
-	AvgPowerW   float64    `json:"avg_power_w"`
-	Transitions int        `json:"transitions"`
-	Metrics     runMetrics `json:"metrics"`
-	Rows        []runRow   `json:"rows"`
-}
-
 func apiWorkloads(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
@@ -140,134 +93,9 @@ func apiWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, spec.Names())
 }
 
-// maxRunSeconds bounds a dashboard run so a request cannot hold the
-// server arbitrarily long (simulated seconds, not wall-clock; the
-// simulator covers a minute of virtual time in well under a second).
-const maxRunSeconds = 300
-
-func (srv *server) apiRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	q := r.URL.Query()
-	name := q.Get("workload")
-	if name == "" {
-		httpError(w, http.StatusBadRequest, "missing workload parameter")
-		return
-	}
-	wl, err := spec.ByName(name)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	govSpec := q.Get("gov")
-	if govSpec == "" {
-		govSpec = "none"
-	}
-	var seed int64 = 7
-	if s := q.Get("seed"); s != "" {
-		// ParseInt rejects trailing garbage ("7abc") that Sscanf's %d
-		// would silently accept.
-		seed, err = strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad seed")
-			return
-		}
-	}
-	tc := thermal.PentiumMThermal()
-	m, err := machine.New(machine.Config{
-		Chain:    sensor.NIDefault(),
-		Seed:     seed,
-		Thermal:  &tc,
-		MaxTicks: maxRunSeconds * 100,
-	})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	gov, err := control.Parse(govSpec, m.Table())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s, err := m.NewSession(wl, gov)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	policy := "none"
-	if gov != nil {
-		policy = gov.Name()
-	}
-	s.Subscribe(telemetry.NewObserver(srv.reg, name, policy))
-	s.EnableStageTiming()
-	ctx := r.Context()
-	for {
-		// A disconnected client cancels the request context: abandon
-		// the simulation instead of burning a core to completion for
-		// a response nobody will read.
-		if ctx.Err() != nil {
-			return
-		}
-		done, err := s.Step()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if done {
-			break
-		}
-	}
-	writeJSON(w, toResponse(s.Result(), s.StageNanos()))
-}
-
-func toResponse(run *trace.Run, stageNanos [machine.NumStages]int64) runResponse {
-	resp := runResponse{
-		Workload:    run.Workload,
-		Policy:      run.Policy,
-		DurationSec: run.Duration.Seconds(),
-		EnergyJ:     run.EnergyJ,
-		AvgPowerW:   run.AvgPowerW(),
-		Transitions: run.Transitions,
-		Metrics: runMetrics{
-			Ticks:             run.Ticks,
-			Transitions:       run.Transitions,
-			FailedTransitions: run.FailedTransitions,
-			StallMs:           float64(run.StallTime) / float64(time.Millisecond),
-			Degradations:      run.DegradationTotal(),
-		},
-	}
-	if stageNanos != ([machine.NumStages]int64{}) {
-		resp.Metrics.StageUs = make(map[string]float64, machine.NumStages)
-		for i, n := range stageNanos {
-			resp.Metrics.StageUs[machine.StageNames[i]] = float64(n) / 1e3
-		}
-	}
-	for i := range run.Rows {
-		row := &run.Rows[i]
-		resp.Rows = append(resp.Rows, runRow{
-			TMs:     float64(row.T) / float64(time.Millisecond),
-			FreqMHz: row.FreqMHz,
-			PowerW:  row.MeasuredPowerW,
-			IPC:     row.IPC,
-			DPC:     row.DPC,
-			TempC:   row.TempC,
-			Duty:    row.Duty,
-			Phase:   run.PhaseName(row),
-		})
-	}
-	return resp
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// Headers are out; nothing more to do than drop the conn.
-		return
-	}
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
@@ -317,7 +145,7 @@ async function init() {
   }
   sel.value = 'ammp';
 }
-function poly(svg, xs, ys) {
+function poly(svg, ys) {
   svg.innerHTML = '';
   if (!ys.length) return;
   const lo = Math.min(...ys), hi = Math.max(...ys), span = (hi - lo) || 1;
@@ -336,9 +164,8 @@ function poly(svg, xs, ys) {
   label.textContent = lo.toFixed(1) + ' … ' + hi.toFixed(1);
   svg.appendChild(label);
 }
-// The SLO panel only appears when the dashboard shares a mux with the
-// run service (cmd/aapm-serve): a standalone dash has no /api/slo, the
-// fetch 404s, and the panel stays hidden.
+// The SLO panel stays hidden until /api/slo answers; the run service
+// mounts it next to this page.
 async function slo() {
   let data;
   try {
@@ -365,21 +192,46 @@ async function slo() {
   document.getElementById('slo').style.display = '';
   setTimeout(slo, 5000);
 }
+// A run is a job: submit the spec, read its event stream to the end
+// (the stream closes when the job reaches a terminal state), then fetch
+// the result summary and the per-interval CSV trace.
+async function call(url, opts) {
+  const data = await (await fetch(url, opts)).json();
+  if (data.error) throw new Error(data.error);
+  return data;
+}
+function columns(csv) {
+  const lines = csv.trim().split('\n');
+  const head = lines.shift().split(',');
+  const rows = lines.map(l => l.split(','));
+  return name => { const i = head.indexOf(name); return rows.map(r => +r[i]); };
+}
 document.getElementById('go').onclick = async () => {
-  const w = document.getElementById('workload').value;
-  const g = encodeURIComponent(document.getElementById('gov').value);
-  const s = document.getElementById('seed').value;
-  const resp = await fetch('/api/run?workload=' + w + '&gov=' + g + '&seed=' + s);
-  const data = await resp.json();
-  if (data.error) { document.getElementById('summary').textContent = 'error: ' + data.error; return; }
-  document.getElementById('summary').textContent =
-    data.policy + ': ' + data.duration_sec.toFixed(2) + 's, ' +
-    data.energy_j.toFixed(1) + 'J, avg ' + data.avg_power_w.toFixed(2) + 'W, ' +
-    data.transitions + ' transitions, ' + data.metrics.ticks + ' ticks, ' +
-    data.metrics.stall_ms.toFixed(1) + 'ms stalled';
-  poly(document.getElementById('power'), null, data.rows.map(r => r.power_w));
-  poly(document.getElementById('freq'), null, data.rows.map(r => r.freq_mhz));
-  poly(document.getElementById('temp'), null, data.rows.map(r => r.temp_c));
+  const summary = document.getElementById('summary');
+  const seed = Number(document.getElementById('seed').value);
+  if (!Number.isSafeInteger(seed)) { summary.textContent = 'error: bad seed'; return; }
+  summary.textContent = 'running…';
+  try {
+    const job = await call('/api/jobs', {method: 'POST', body: JSON.stringify({
+      workload: document.getElementById('workload').value,
+      governor: document.getElementById('gov').value,
+      seed: seed,
+      thermal: true,
+    })});
+    const base = '/api/jobs/' + job.id;
+    await (await fetch(base + '/events')).text();
+    const data = await call(base + '/result');
+    const col = columns(await (await fetch(base + '/result?format=csv')).text());
+    summary.textContent =
+      data.policy + ': ' + data.duration_sec.toFixed(2) + 's, ' +
+      data.energy_j.toFixed(1) + 'J, avg ' + data.avg_power_w.toFixed(2) + 'W, ' +
+      (data.transitions || 0) + ' transitions, ' + data.ticks + ' ticks';
+    poly(document.getElementById('power'), col('meas_w'));
+    poly(document.getElementById('freq'), col('freq_mhz'));
+    poly(document.getElementById('temp'), col('temp_c'));
+  } catch (e) {
+    summary.textContent = 'error: ' + e.message;
+  }
 };
 init();
 slo();

@@ -292,9 +292,7 @@ func Characterize(g Generator, h *Hierarchy, warmup, window int) (Profile, error
 	p.ServedL2 = d.served[LevelL2]
 	p.ServedMem = d.served[LevelMem]
 	p.MemTraffic = d.mem.Accesses
-	if d.mem.Accesses > 0 {
-		p.RowHitRate = float64(d.mem.RowHits) / float64(d.mem.Accesses)
-	}
+	p.RowHitRate = d.mem.RowHitRate()
 	return p, nil
 }
 

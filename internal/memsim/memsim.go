@@ -148,9 +148,3 @@ func (m *Memory) Access(addr uint64, lineBytes int) float64 {
 	m.rowValid[bank] = true
 	return m.cfg.LatencyNs
 }
-
-// MinTransferNs returns the bandwidth-limited minimum time to move
-// n bytes, used to throttle streaming kernels beyond latency effects.
-func (m *Memory) MinTransferNs(n uint64) float64 {
-	return float64(n) / m.cfg.PeakBandwidthGBs // bytes / (GB/s) == ns
-}

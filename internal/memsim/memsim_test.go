@@ -1,7 +1,6 @@
 package memsim
 
 import (
-	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -86,14 +85,6 @@ func TestBanksAreIndependent(t *testing.T) {
 	m.Access(b, 64)
 	if got := m.Access(a+64, 64); got != cfg.RowHitLatencyNs {
 		t.Errorf("bank-0 row closed by bank-1 access: latency %g", got)
-	}
-}
-
-func TestMinTransferNs(t *testing.T) {
-	m, _ := New(DDR333())
-	got := m.MinTransferNs(2700)
-	if math.Abs(got-1000) > 1e-9 {
-		t.Errorf("MinTransferNs(2700B at 2.7GB/s) = %g, want 1000", got)
 	}
 }
 

@@ -42,11 +42,12 @@ func chainFor(name string) sensor.Chain {
 }
 
 // runSingle executes one workload under one governor on a fresh
-// machine — the same entry points aapm-run and the dash use, stepped
-// here so the job's context is honored between intervals. The trace
-// is identical to a direct machine run of the same spec (the hooks on
-// the bus are purely observational), which the golden-through-serve
-// test pins byte-for-byte.
+// machine — the same entry points aapm-run uses, stepped here so the
+// job's context is honored between intervals; the dashboard's runs
+// come through here as jobs too. The trace is identical to a direct
+// machine run of the same spec (the hooks on the bus are purely
+// observational), which the golden-through-serve test pins
+// byte-for-byte.
 func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, error) {
 	js := j.Spec
 	w, err := spec.ByName(js.Workload)

@@ -34,7 +34,7 @@ import (
 //	GET    /healthz               200 healthy / 503 + breach reasons
 //
 // Mount it alongside the dash handler and /metrics on one mux (see
-// cmd/aapm-serve).
+// newMux in cmd/aapm-serve).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/jobs", s.handleJobs)

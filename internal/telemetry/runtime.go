@@ -8,7 +8,7 @@ import (
 // runtimeSamples maps a curated set of runtime/metrics samples onto
 // exposition-friendly gauge names. Kept small on purpose: the dash
 // scrapes these on every /metrics hit, and the full runtime set is
-// pprof's job (aapm-dash -pprof).
+// pprof's job (aapm-serve -pprof).
 var runtimeSamples = []struct {
 	runtime string // runtime/metrics sample name
 	name    string // exposition family name
