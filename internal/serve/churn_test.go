@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -205,7 +206,7 @@ func TestTenantRateLimit(t *testing.T) {
 		TenantRatePerSec: 1,
 		TenantBurst:      1,
 		now:              clk.now,
-		beforeRun:        func(*Job) { <-gate },
+		beforeRun:        func(context.Context, *Job) { <-gate },
 	})
 
 	spec := func(seed int64) JobSpec {
@@ -267,7 +268,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 	defer close(gate)
 	started := make(chan struct{}, 8)
 	svc, ts := newTestService(t, Config{Workers: 2, QueueDepth: 64,
-		beforeRun: func(*Job) { started <- struct{}{}; <-gate }})
+		beforeRun: func(context.Context, *Job) { started <- struct{}{}; <-gate }})
 	workers := svc.Workers()
 
 	// No observation yet: the 1 s floor.
@@ -323,7 +324,7 @@ func TestTenantFairShareCompletionOrder(t *testing.T) {
 		Workers:       1,
 		QueueDepth:    32,
 		TenantWeights: map[string]int{"a": 3, "b": 1},
-		beforeRun: func(j *Job) {
+		beforeRun: func(_ context.Context, j *Job) {
 			mu.Lock()
 			wasFirst := first
 			first = false

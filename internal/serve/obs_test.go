@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -184,7 +185,7 @@ func TestHealthzFlipsOnSLOBurn(t *testing.T) {
 	svc, ts := newTestService(t, Config{
 		Workers:    1,
 		JobTimeout: time.Millisecond,
-		beforeRun:  func(*Job) { time.Sleep(20 * time.Millisecond) },
+		beforeRun:  func(ctx context.Context, _ *Job) { <-ctx.Done() },
 		SLOObjectives: []obs.Objective{{
 			Name: SLOErrorRate, Kind: obs.KindEvents,
 			Budget: 0.001, BurnThreshold: 1, MinSamples: 1,

@@ -140,10 +140,11 @@ type Config struct {
 	Fleet *FleetOptions
 
 	// beforeRun, when non-nil, runs in the worker goroutine after a
-	// job turns running and before it executes — a seam for tests in
-	// this package to hold workers at a known point. Unexported on
-	// purpose: not part of the service's contract.
-	beforeRun func(*Job)
+	// job turns running and before it executes, with the run's context
+	// — a seam for tests in this package to hold workers at a known
+	// point or outlast the job's deadline. Unexported on purpose: not
+	// part of the service's contract.
+	beforeRun func(context.Context, *Job)
 	// now, when non-nil, replaces time.Now for the intake rate
 	// limiter — a seam so rate-limit tests advance a fake clock
 	// instead of sleeping.
@@ -434,20 +435,21 @@ func (s *Service) admitLocked(j *Job) error {
 	return nil
 }
 
-// noteTerminal records a terminal transition in the bounded store:
-// the job becomes evictable carrying resultLen cached bytes, its wall
-// time (if it ran) feeds the drain-rate EWMA, and the store trims back
-// under its bounds. Callers must not hold j.mu.
-func (s *Service) noteTerminal(j *Job, resultLen int) {
+// noteTerminal records a terminal transition written outside s.mu
+// (Shutdown's aborts) in the bounded store: the job becomes evictable
+// and the store trims back under its bounds. runJob and Cancel write
+// the state and this mark in one s.mu section instead. Callers must
+// not hold j.mu.
+func (s *Service) noteTerminal(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A concurrent resubmission may have re-enqueued the job between
-	// the worker's state write and this bookkeeping; a live job must
-	// not be marked evictable.
+	// the state write and this bookkeeping; a live job must not be
+	// marked evictable.
 	if !j.State().Terminal() {
 		return
 	}
-	s.store.markTerminal(j.ID, resultLen)
+	s.store.markTerminal(j.ID, 0)
 	s.evictLocked()
 }
 
@@ -487,8 +489,8 @@ func (s *Service) List() []Status {
 func (s *Service) Cancel(id string) (State, error) {
 	s.mu.Lock()
 	j, ok := s.store.get(id)
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		return "", ErrUnknownJob
 	}
 	j.mu.Lock()
@@ -496,6 +498,7 @@ func (s *Service) Cancel(id string) (State, error) {
 	case StateQueued:
 		// Best-effort queue removal; if a worker popped the job but
 		// has not started it, the state check in runJob skips it.
+		// As in runJob, s.mu spans the state write and the store mark.
 		s.q.remove(id)
 		j.state = StateCanceled
 		j.err = "canceled before start"
@@ -503,10 +506,12 @@ func (s *Service) Cancel(id string) (State, error) {
 		j.announceLocked(StateCanceled, j.err)
 		ev, fl := j.events, j.flight
 		j.mu.Unlock()
+		s.store.markTerminal(j.ID, 0)
+		s.evictLocked()
+		s.mu.Unlock()
 		ev.close()
 		s.tel.transition(StateQueued, StateCanceled)
 		s.dumpFlight(j, fl, StateCanceled)
-		s.noteTerminal(j, 0)
 		return StateCanceled, nil
 	case StateRunning:
 		j.cancelled = true
@@ -514,10 +519,12 @@ func (s *Service) Cancel(id string) (State, error) {
 			j.cancel()
 		}
 		j.mu.Unlock()
+		s.mu.Unlock()
 		return StateRunning, nil
 	default:
 		st := j.state
 		j.mu.Unlock()
+		s.mu.Unlock()
 		return st, nil
 	}
 }
@@ -560,7 +567,7 @@ func (s *Service) runJob(j *Job) {
 	})
 	s.tel.transition(StateQueued, StateRunning)
 	if s.cfg.beforeRun != nil {
-		s.cfg.beforeRun(j)
+		s.cfg.beforeRun(ctx, j)
 	}
 
 	ctx = obs.NewContext(ctx, tr)
@@ -599,6 +606,10 @@ func (s *Service) runJob(j *Job) {
 		}
 	}
 
+	// The terminal state and the store's evictable mark are written in
+	// one s.mu section: a client that sees the job terminal must never
+	// see a submission evict some more recently used job instead of it.
+	s.mu.Lock()
 	j.mu.Lock()
 	j.wall = wall
 	j.state = to
@@ -620,6 +631,9 @@ func (s *Service) runJob(j *Job) {
 	j.announceLocked(to, detail)
 	ev, fl := j.events, j.flight
 	j.mu.Unlock()
+	s.store.markTerminal(j.ID, resultLen)
+	s.evictLocked()
+	s.mu.Unlock()
 	ev.close()
 	s.tel.transition(StateRunning, to)
 	if to == StateDone {
@@ -635,7 +649,6 @@ func (s *Service) runJob(j *Job) {
 		s.slo.ObserveKey(SLOTenantFairness, tenantLabel(j.Spec.Tenant))
 	}
 	s.dumpFlight(j, fl, to)
-	s.noteTerminal(j, resultLen)
 }
 
 // dumpFlight persists the attempt's flight-recorder ring into the job
@@ -683,7 +696,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		ev.close()
 		s.tel.transition(StateQueued, StateAborted)
 		s.dumpFlight(j, fl, StateAborted)
-		s.noteTerminal(j, 0)
+		s.noteTerminal(j)
 	}
 	drained := make(chan struct{})
 	go func() {
