@@ -27,6 +27,7 @@ fuzz-short:
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzCharacterizeFastForward -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzCharacterizeResident -fuzztime $(FUZZTIME)
+	go test ./internal/kernel -fuzz FuzzAddRepeated -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
 	go test ./internal/cache -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"aapm/internal/machine"
 	"aapm/internal/serve"
 	"aapm/internal/telemetry"
 )
@@ -144,12 +145,20 @@ func TestDashboardRun(t *testing.T) {
 
 // TestDashboardRunNoGovernor pins the governor "none" path:
 // control.Parse returns a nil governor there, which once panicked when
-// building the telemetry observer's policy label.
+// building the telemetry observer's policy label. The run records the
+// static policy, and its telemetry carries the same label.
 func TestDashboardRunNoGovernor(t *testing.T) {
 	ts := newTestServer(t)
 	run := runLikeDashboard(t, ts.URL, `{"workload":"gzip","governor":"none","seed":3,"thermal":true}`)
 	if run.result.Workload != "gzip" || run.result.Ticks == 0 {
 		t.Errorf("degenerate run payload: %+v", run.result)
+	}
+	if run.result.Policy != machine.StaticPolicy {
+		t.Errorf("result policy %q, want %q", run.result.Policy, machine.StaticPolicy)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	if line, want := tickLine(body), fmt.Sprintf(`governor=%q}`, run.result.Policy); !strings.Contains(line, want) {
+		t.Errorf("tick line %q does not carry the result's policy (%s)", line, want)
 	}
 }
 

@@ -53,7 +53,8 @@ func PentiumML1D() Config { return Config{SizeBytes: 32 << 10, Ways: 8, LineByte
 // PentiumML2 returns the L2 geometry (2 MB, 8-way, 64 B).
 func PentiumML2() Config { return Config{SizeBytes: 2 << 20, Ways: 8, LineBytes: 64} }
 
-// Stats counts the accesses a cache level served.
+// Stats counts the accesses a cache level served. Every access hits or
+// misses, so Accesses is always Hits + Misses.
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
@@ -89,8 +90,8 @@ func (s Stats) Sub(o Stats) Stats {
 // This is the same replacement as stamping every touched line with a
 // fresh clock value and evicting the smallest stamp (empty ways
 // first): an Access or Fill that inserts or hits-and-refreshes a line
-// stamps exactly that line, Contains and a Fill that hits stamp none,
-// and the stamp order of a set's lines is its front-to-back order.
+// stamps exactly that line, a Fill that hits stamps none, and the
+// stamp order of a set's lines is its front-to-back order.
 // Which way of a set holds a line is not observable — a writeback
 // address comes from the line, not the way — so every Result and
 // Stats value is the same.
@@ -101,7 +102,7 @@ type Cache struct {
 	setMask  uint64
 	lineBits uint
 	lineMask uint64 // LineBytes-1
-	stats    Stats
+	stats    Stats  // Accesses unused: Stats derives it
 }
 
 // The state bits of a way word.
@@ -131,7 +132,11 @@ func New(cfg Config) (*Cache, error) {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns the access counters so far.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats {
+	s := c.stats
+	s.Accesses = s.Hits + s.Misses
+	return s
+}
 
 // AppendState appends the cache's contents to dst: every way word, set
 // by set, most recent first. Two caches of one geometry whose states
@@ -139,9 +144,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) AppendState(dst []uint64) []uint64 { return append(dst, c.ways...) }
 
 // Add accounts for a run of accesses that left the contents as they
-// were and moved the statistics by d.
+// were and moved the statistics by d. d.Accesses is not read: Stats
+// derives it from the hits and misses.
 func (c *Cache) Add(d Stats) {
-	c.stats.Accesses += d.Accesses
 	c.stats.Hits += d.Hits
 	c.stats.Misses += d.Misses
 	c.stats.Evictions += d.Evictions
@@ -171,7 +176,6 @@ func (c *Cache) ResidentLines(lo, hi uint64) int {
 // order, and the written lines dirty: exactly as Access would leave
 // it.
 func (c *Cache) ApplyHits(lo uint64, last []uint64, written []bool, n uint64) {
-	c.stats.Accesses += n
 	c.stats.Hits += n
 	hi := lo + uint64(len(last))<<c.lineBits
 	stamp := func(w uint64) uint64 {
@@ -218,34 +222,27 @@ type Result struct {
 // marks the line dirty. The returned Result reports hit/miss and any
 // dirty eviction the allocation caused.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.stats.Accesses++
 	set := c.set(addr)
 	key := addr&^c.lineMask | validBit
 	var dirty uint64
 	if write {
 		dirty = dirtyBit
 	}
+	// One pass finds the line and shifts the ways before it back: prev
+	// is the word that moves into way i. A miss ends with every way
+	// shifted, the new line at the front and the old last way in prev.
+	prev := key | dirty
 	for i, w := range set {
+		set[i] = prev
 		if w&^dirtyBit == key {
 			c.stats.Hits++
-			moveToFront(set, i, w|dirty)
+			set[0] = w | dirty
 			return Result{Hit: true}
 		}
+		prev = w
 	}
 	c.stats.Misses++
-	return c.insert(set, key|dirty)
-}
-
-// Contains reports whether addr's line is resident, without touching
-// LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
-	key := addr&^c.lineMask | validBit
-	for _, w := range c.set(addr) {
-		if w&^dirtyBit == key {
-			return true
-		}
-	}
-	return false
+	return c.evict(prev)
 }
 
 // Fill inserts addr's line without counting a demand access (used for
@@ -259,14 +256,19 @@ func (c *Cache) Fill(addr uint64) Result {
 			return Result{Hit: true}
 		}
 	}
-	return c.insert(set, key)
+	// Shift every way back, the last one out, and insert at the front.
+	res := c.evict(set[len(set)-1])
+	for i := len(set) - 1; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = key
+	return res
 }
 
-// insert puts way word w at the front of set, evicting the least
-// recently used line if the set is full.
-func (c *Cache) insert(set []uint64, w uint64) Result {
+// evict accounts for way word v leaving its set, if it holds a line.
+func (c *Cache) evict(v uint64) Result {
 	var res Result
-	if v := set[len(set)-1]; v&validBit != 0 {
+	if v&validBit != 0 {
 		c.stats.Evictions++
 		if v&dirtyBit != 0 {
 			c.stats.Writebacks++
@@ -274,16 +276,7 @@ func (c *Cache) insert(set []uint64, w uint64) Result {
 			res.WritebackAddr = v &^ stateBits
 		}
 	}
-	moveToFront(set, len(set)-1, w)
 	return res
-}
-
-// moveToFront shifts set[:i] back by one way and stores w at the front.
-func moveToFront(set []uint64, i int, w uint64) {
-	for ; i > 0; i-- {
-		set[i] = set[i-1]
-	}
-	set[0] = w
 }
 
 // set returns the ways of addr's set.

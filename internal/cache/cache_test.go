@@ -1,12 +1,35 @@
 package cache
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func small() Config { return Config{SizeBytes: 1024, Ways: 2, LineBytes: 64} } // 8 sets
+
+// newPrefetcher builds a stream prefetcher or fails tb.
+func newPrefetcher(tb testing.TB, lineBytes, nStreams, degree int) *StreamPrefetcher {
+	tb.Helper()
+	p, err := NewStreamPrefetcher(lineBytes, nStreams, degree)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// holds reports whether addr's line is resident, without touching LRU
+// state or statistics.
+func holds(c *Cache, addr uint64) bool {
+	key := addr&^c.lineMask | validBit
+	for _, w := range c.set(addr) {
+		if w&^dirtyBit == key {
+			return true
+		}
+	}
+	return false
+}
 
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
@@ -73,13 +96,13 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(b, false)
 	c.Access(a, false) // a is now MRU
 	c.Access(d, false) // evicts b (LRU)
-	if !c.Contains(a) {
+	if !holds(c, a) {
 		t.Error("a evicted, want kept (MRU)")
 	}
-	if c.Contains(b) {
+	if holds(c, b) {
 		t.Error("b kept, want evicted (LRU)")
 	}
-	if !c.Contains(d) {
+	if !holds(c, d) {
 		t.Error("d not inserted")
 	}
 }
@@ -115,31 +138,13 @@ func TestWriteMarksDirtyOnHit(t *testing.T) {
 	}
 }
 
-func TestContainsDoesNotDisturbState(t *testing.T) {
-	c, _ := New(small())
-	c.Access(0, false)
-	c.Access(512, false)
-	// Probing a (LRU) must not refresh it.
-	if !c.Contains(0) {
-		t.Fatal("line 0 missing")
-	}
-	c.Access(1024, false) // should still evict 0 as LRU
-	if c.Contains(0) {
-		t.Error("Contains refreshed LRU state")
-	}
-	st := c.Stats()
-	if st.Accesses != 3 {
-		t.Errorf("Contains counted as access: %+v", st)
-	}
-}
-
 func TestFillInsertsCleanWithoutDemandStats(t *testing.T) {
 	c, _ := New(small())
 	c.Fill(0)
 	if got := c.Stats().Accesses; got != 0 {
 		t.Errorf("Fill counted as access: %d", got)
 	}
-	if !c.Contains(0) {
+	if !holds(c, 0) {
 		t.Error("Fill did not insert line")
 	}
 	if r := c.Fill(0); !r.Hit {
@@ -150,6 +155,28 @@ func TestFillInsertsCleanWithoutDemandStats(t *testing.T) {
 	r := c.Fill(1024)
 	if r.Writeback {
 		t.Error("clean fill evicted with writeback")
+	}
+}
+
+// TestFillOfResidentLineChangesNothing pins a Fill of a resident line:
+// it reports a hit, leaves the line where it is in LRU order (and
+// dirty) and moves no statistic, so the line is still the set's victim.
+func TestFillOfResidentLineChangesNothing(t *testing.T) {
+	c, _ := New(small())
+	c.Access(0, true) // dirty, and the LRU way of set 0 after the next access
+	c.Access(512, false)
+	state, stats := c.AppendState(nil), c.Stats()
+	if r := c.Fill(0); !r.Hit || r.Writeback {
+		t.Fatalf("Fill of a resident line = %+v, want a hit", r)
+	}
+	if got := c.AppendState(nil); !slices.Equal(got, state) {
+		t.Errorf("Fill of a resident line moved the set: %#x, was %#x", got, state)
+	}
+	if got := c.Stats(); got != stats {
+		t.Errorf("Fill of a resident line moved the stats: %+v, was %+v", got, stats)
+	}
+	if r := c.Access(1024, false); !r.Writeback || r.WritebackAddr != 0 {
+		t.Errorf("next miss in the set = %+v, want it to write back line 0", r)
 	}
 }
 
@@ -195,8 +222,44 @@ func TestNoCapacityMissesWithinWays(t *testing.T) {
 	}
 }
 
+// TestStreamPrefetcherLimits checks every stream count the constructor
+// takes: with all slots filled, the least recent one is replaced, and
+// counts above maxStreams or line sizes without a free low bit are
+// errors.
+func TestStreamPrefetcherLimits(t *testing.T) {
+	for n := 1; n <= maxStreams; n++ {
+		p := newPrefetcher(t, 64, n, 1)
+		// Fill every slot, then continue each stream in reverse, so slot 0
+		// is the most recent and slot n-1 the least.
+		for s := range n {
+			p.OnMiss(uint64(s) << 20)
+		}
+		for s := n - 1; s >= 0; s-- {
+			if got := p.OnMiss(uint64(s)<<20 + 64); len(got) != 1 {
+				t.Fatalf("%d streams: stream %d not continued", n, s)
+			}
+		}
+		p.OnMiss(1 << 40) // replaces slot n-1
+		want := []int{n - 1}
+		for s := range n - 1 {
+			want = append(want, s)
+		}
+		if got := p.AppendSlots(nil); !slices.Equal(got, want) {
+			t.Errorf("%d streams: slots %v, want %v", n, got, want)
+		}
+		if p.OnMiss(uint64(n-1)<<20+128) != nil {
+			t.Errorf("%d streams: the replaced stream was continued", n)
+		}
+	}
+	for _, bad := range []struct{ line, streams int }{{64, maxStreams + 1}, {1, 8}, {48, 8}, {0, 8}} {
+		if _, err := NewStreamPrefetcher(bad.line, bad.streams, 1); err == nil {
+			t.Errorf("NewStreamPrefetcher(%d, %d, 1) succeeded, want error", bad.line, bad.streams)
+		}
+	}
+}
+
 func TestStreamPrefetcherDetectsSequentialStream(t *testing.T) {
-	p := NewStreamPrefetcher(64, 4, 2)
+	p := newPrefetcher(t, 64, 4, 2)
 	if got := p.OnMiss(0); got != nil {
 		t.Errorf("first miss prefetched %v", got)
 	}
@@ -211,7 +274,7 @@ func TestStreamPrefetcherDetectsSequentialStream(t *testing.T) {
 }
 
 func TestStreamPrefetcherIgnoresRandomMisses(t *testing.T) {
-	p := NewStreamPrefetcher(64, 4, 2)
+	p := newPrefetcher(t, 64, 4, 2)
 	addrs := []uint64{0, 4096, 10240, 512, 900000}
 	for _, a := range addrs {
 		if got := p.OnMiss(a); got != nil {
@@ -221,7 +284,7 @@ func TestStreamPrefetcherIgnoresRandomMisses(t *testing.T) {
 }
 
 func TestStreamPrefetcherTracksMultipleStreams(t *testing.T) {
-	p := NewStreamPrefetcher(64, 4, 1)
+	p := newPrefetcher(t, 64, 4, 1)
 	p.OnMiss(0)
 	p.OnMiss(1 << 20)
 	if got := p.OnMiss(64); len(got) != 1 || got[0] != 128 {
@@ -232,19 +295,16 @@ func TestStreamPrefetcherTracksMultipleStreams(t *testing.T) {
 	}
 }
 
-func TestStreamPrefetcherCountsTies(t *testing.T) {
-	p := NewStreamPrefetcher(64, 4, 1)
+func TestStreamPrefetcherTieContinuesLowerSlot(t *testing.T) {
+	p := newPrefetcher(t, 64, 4, 1)
 	p.OnMiss(0)    // slot 0 expects 64
 	p.OnMiss(4096) // slot 1 expects 4160
 	p.OnMiss(0)    // slot 2 expects 64 too
-	if p.Ties() != 0 {
-		t.Fatalf("Ties = %d before any tie", p.Ties())
+	if got, want := p.AppendState(nil), []uint64{3, 64, 4160, 64, 0}; !slices.Equal(got, want) {
+		t.Fatalf("state before the tie %v, want %v", got, want)
 	}
 	if got := p.OnMiss(64); len(got) != 1 || got[0] != 128 {
 		t.Errorf("tied miss prefetched %v, want [128]", got)
-	}
-	if p.Ties() != 1 {
-		t.Errorf("Ties = %d, want 1", p.Ties())
 	}
 	// The lower slot continued: slot 0 now expects 128 and is the most
 	// recent; slot 2 still expects 64.
@@ -253,5 +313,30 @@ func TestStreamPrefetcherCountsTies(t *testing.T) {
 	}
 	if got, want := p.AppendState(nil), []uint64{3, 128, 64, 4160, 0}; !slices.Equal(got, want) {
 		t.Errorf("state %v, want %v", got, want)
+	}
+}
+
+// BenchmarkStreamPrefetcherMiss times one demand miss through the
+// Pentium M prefetcher (8 streams, degree 2): random lines, each of
+// which allocates a stream, and four interleaved sequential streams,
+// each miss of which continues one.
+func BenchmarkStreamPrefetcherMiss(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(1))
+	random, streaming := make([]uint64, n), make([]uint64, n)
+	for i := range n {
+		random[i] = uint64(rng.Int63n(1<<23)) &^ 63
+		streaming[i] = uint64(i%4)<<30 + uint64(i/4)*64
+	}
+	for _, bc := range []struct {
+		name  string
+		addrs []uint64
+	}{{"random", random}, {"streaming", streaming}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := newPrefetcher(b, 64, 8, 2)
+			for i := range b.N {
+				p.OnMiss(bc.addrs[i%n])
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ func newPair(t *testing.T, cfg Config, nStreams, degree int) *pair {
 	}
 	return &pair{
 		t: t, c: c, ref: ref,
-		p:    NewStreamPrefetcher(cfg.LineBytes, nStreams, degree),
+		p:    newPrefetcher(t, cfg.LineBytes, nStreams, degree),
 		refP: newRefStreamPrefetcher(cfg.LineBytes, nStreams, degree),
 	}
 }
@@ -40,7 +40,6 @@ const (
 	opRead = iota
 	opWrite
 	opFill
-	opContains
 	opMiss
 	numOps
 )
@@ -58,8 +57,6 @@ func (p *pair) do(op int, addr uint64) {
 		if got, want := p.c.Fill(addr), p.ref.Fill(addr); got != want {
 			p.t.Fatalf("step %d: Fill(%#x) = %+v, reference %+v", p.step, addr, got, want)
 		}
-	case opContains:
-		// Compared below for every step.
 	case opMiss:
 		if got, want := p.p.OnMiss(addr), p.refP.OnMiss(addr); !slices.Equal(got, want) {
 			p.t.Fatalf("step %d: OnMiss(%#x) = %v, reference %v", p.step, addr, got, want)
@@ -68,8 +65,8 @@ func (p *pair) do(op int, addr uint64) {
 			p.t.Fatalf("step %d: Issued = %d, reference %d", p.step, got, want)
 		}
 	}
-	if got, want := p.c.Contains(addr), p.ref.Contains(addr); got != want {
-		p.t.Fatalf("step %d: Contains(%#x) = %v, reference %v", p.step, addr, got, want)
+	if got, want := holds(p.c, addr), p.ref.Contains(addr); got != want {
+		p.t.Fatalf("step %d: line %#x resident = %v, reference %v", p.step, addr, got, want)
 	}
 	if got, want := p.c.Stats(), p.ref.Stats(); got != want {
 		p.t.Fatalf("step %d: Stats = %+v, reference %+v", p.step, got, want)
@@ -87,7 +84,7 @@ func fuzzConfig(ways, lineLog, setLog uint8) Config {
 // FuzzCacheMatchesReference drives the cache and the stream prefetcher
 // beside verbatim copies of the timestamp-LRU implementation they
 // replaced (reference_test.go) and requires identical Results, Stats,
-// Contains answers and prefetch lists at every step. Each 3-byte group
+// residency of the accessed line and prefetch lists at every step. Each 3-byte group
 // of prog is one operation: byte 0 picks the operation (low bits) and
 // the address's top four bits (high nibble), bytes 1-2 the low 16
 // address bits, so accesses collide in small sets and tags span the
@@ -103,7 +100,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 	}
 	f.Add(uint8(1), uint8(4), uint8(3), uint8(8), uint8(2), seq(opMiss, 40))
 	f.Add(uint8(7), uint8(4), uint8(0), uint8(8), uint8(2), append(seq(opWrite, 20), seq(opRead, 20)...))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), []byte{opWrite, 0, 0, 0x10 | opRead, 0, 0, opFill, 0, 4, opContains, 0, 0})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), []byte{opWrite, 0, 0, 0x10 | opRead, 0, 0, opFill, 0, 4, opFill, 0, 0})
 	// Two streams expecting the same line (0 missed twice, with
 	// another stream allocated in between): the miss at 64 must
 	// continue the lower slot, or the stale duplicate ages past the

@@ -112,15 +112,17 @@ func (l Level) String() string {
 
 // Hierarchy couples the two cache levels, the stream prefetcher and
 // the DRAM model into the platform's memory system.
+//
+// Its counts are read from the parts' own statistics, which is exact as
+// long as L2 and DRAM see only the accesses Access makes: an access is
+// served by L1 if it hits L1, by L2 if it hits L2, by DRAM if it misses
+// L2, and every DRAM access is a demand L2 miss, an L2 writeback or a
+// prefetch fill.
 type Hierarchy struct {
 	L1   *cache.Cache
 	L2   *cache.Cache
 	Pref *cache.StreamPrefetcher
 	Mem  *memsim.Memory
-
-	memAccesses uint64               // demand L2 misses + writebacks reaching DRAM
-	prefMem     uint64               // prefetch fills fetched from DRAM
-	served      [LevelMem + 1]uint64 // accesses by serving level
 
 	steady steady   // Characterize's replay buffers, allocated on first use
 	res    resident // the L1-resident shortcut's buffers, allocated on first use
@@ -140,12 +142,11 @@ func NewPentiumMHierarchy() (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kernel: mem: %w", err)
 	}
-	return &Hierarchy{
-		L1:   l1,
-		L2:   l2,
-		Pref: cache.NewStreamPrefetcher(l1.LineBytes(), 8, 2),
-		Mem:  mem,
-	}, nil
+	pref, err := cache.NewStreamPrefetcher(l1.LineBytes(), 8, 2)
+	if err != nil {
+		return nil, fmt.Errorf("kernel: prefetcher: %w", err)
+	}
+	return &Hierarchy{L1: l1, L2: l2, Pref: pref, Mem: mem}, nil
 }
 
 // Access performs one data access and returns the serving level.
@@ -155,7 +156,6 @@ func NewPentiumMHierarchy() (*Hierarchy, error) {
 // (DAXPY-8MB records none). The recorded training set depends on this.
 func (h *Hierarchy) Access(addr uint64, write bool) Level {
 	if h.L1.Access(addr, write).Hit {
-		h.served[LevelL1]++
 		return LevelL1
 	}
 	// L1 miss: consult L2 (demand), train the prefetcher.
@@ -167,38 +167,37 @@ func (h *Hierarchy) Access(addr uint64, write bool) Level {
 		}
 		h.steady.log = append(h.steady.log, addr&^1|issued)
 	}
+	// A prefetch of a resident line does nothing; one of an absent
+	// line reads it from DRAM before any writeback its fill causes.
 	for _, pf := range pfs {
-		if !h.L2.Contains(pf) {
+		if r := h.L2.Fill(pf); !r.Hit {
 			h.Mem.Access(pf, h.L2.LineBytes())
-			h.prefMem++
-			if r := h.L2.Fill(pf); r.Writeback {
+			if r.Writeback {
 				h.Mem.Access(r.WritebackAddr, h.L2.LineBytes())
-				h.memAccesses++
 			}
 		}
 	}
 	res := h.L2.Access(addr, write)
 	if res.Writeback {
 		h.Mem.Access(res.WritebackAddr, h.L2.LineBytes())
-		h.memAccesses++
 	}
 	if res.Hit {
-		h.served[LevelL2]++
 		return LevelL2
 	}
 	h.Mem.Access(addr, h.L2.LineBytes())
-	h.memAccesses++
-	h.served[LevelMem]++
 	return LevelMem
 }
 
 // MemAccesses returns demand+writeback DRAM accesses (prefetches
-// excluded).
-func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
+// excluded): every L2 miss and every L2 writeback.
+func (h *Hierarchy) MemAccesses() uint64 {
+	l2 := h.L2.Stats()
+	return l2.Misses + l2.Writebacks
+}
 
 // PrefetchMemAccesses returns DRAM accesses made on behalf of the
-// prefetcher.
-func (h *Hierarchy) PrefetchMemAccesses() uint64 { return h.prefMem }
+// prefetcher: every DRAM access but the demand and writeback ones.
+func (h *Hierarchy) PrefetchMemAccesses() uint64 { return h.Mem.Stats().Accesses - h.MemAccesses() }
 
 // Profile is the distilled characterization of a kernel window.
 type Profile struct {
@@ -288,9 +287,9 @@ func Characterize(g Generator, h *Hierarchy, warmup, window int) (Profile, error
 		h.run(src, window, &p)
 	}
 	d := h.counters().sub(before)
-	p.ServedL1 = d.served[LevelL1]
-	p.ServedL2 = d.served[LevelL2]
-	p.ServedMem = d.served[LevelMem]
+	p.ServedL1 = d.l1.Hits
+	p.ServedL2 = d.l2.Hits
+	p.ServedMem = d.l2.Misses
 	p.MemTraffic = d.mem.Accesses
 	p.RowHitRate = d.mem.RowHitRate()
 	return p, nil
@@ -311,14 +310,90 @@ func (s source) next(max int) Block {
 	return Block{Refs: op.Refs, Ops: 1, Instrs: op.Instrs, CoreCycles: op.CoreCycles}
 }
 
-// addTo adds the block's op costs to p one op at a time, so the sums
-// round exactly as adding op by op does. A value receiver lets a caller
-// keep its block in registers.
+// addTo adds the block's op costs to p, rounding exactly as adding them
+// op by op does. A value receiver lets a caller keep its block in
+// registers.
 func (b Block) addTo(p *Profile) {
+	if b.Ops >= closedFormMin {
+		b.addClosedForm(p)
+		return
+	}
 	for range b.Ops {
 		p.Instructions += b.Instrs
 		p.CoreCycles += b.CoreCycles
 	}
+}
+
+// addClosedForm is addTo for a block of closedFormMin or more ops, out
+// of line so that addTo inlines.
+func (b Block) addClosedForm(p *Profile) {
+	p.Instructions = addRepeated(p.Instructions, b.Instrs, b.Ops)
+	p.CoreCycles = addRepeated(p.CoreCycles, b.CoreCycles, b.Ops)
+}
+
+// closedFormMin is the fewest additions addRepeated does in closed
+// form: below it, the per-binade arithmetic costs more than the adds.
+const closedFormMin = 32
+
+// addRepeated returns s after n additions s += c, bit for bit.
+//
+// Let u be the ulp of a positive normal s, in binade [2^e, 2^(e+1)).
+// s is a multiple of u, so s+c rounds to s+r, where r is the multiple
+// of u nearest c, for every s of the binade, unless c lies exactly
+// halfway between two multiples of u (then the rounding goes to the
+// even multiple, which depends on s). So every addition whose result
+// stays below 2^(e+1) adds exactly r, and one multiply adds them all;
+// the addition that leaves the binade is made as it is. Ties, a sum
+// that is not positive, normal and finite, a c that is not, and small
+// n take the additions one at a time.
+func addRepeated(s, c float64, n int) float64 {
+	if n < closedFormMin || !(c >= 0x1p-1022 && c <= math.MaxFloat64) {
+		for range n {
+			s += c
+		}
+		return s
+	}
+	for n > 0 {
+		b := math.Float64bits(s)
+		exp := b >> 52 // biased; a negative s sets the sign bit above it
+		if exp == 0 || exp >= 0x7ff {
+			s += c
+			n--
+			continue
+		}
+		u := math.Ldexp(1, int(exp)-1075)
+		x := c / u // exact, or below 2^-1022 where r is 0 anyway
+		if x >= 1<<53 {
+			// r alone reaches past the binade.
+			s += c
+			n--
+			continue
+		}
+		q := math.Floor(x)
+		switch frac := x - q; {
+		case frac == 0.5:
+			for top := math.Float64frombits((exp + 1) << 52); n > 0 && s < top; n-- {
+				s += c
+			}
+			continue
+		case frac > 0.5:
+			q++
+		}
+		if q == 0 {
+			return s // every addition rounds back to s
+		}
+		// s = a·u with 2^52 <= a < 2^53, r = k·u: the first m additions
+		// keep a + m·k below 2^53, in the binade.
+		a, k := b&(1<<52-1)|1<<52, uint64(q)
+		m := min((1<<53-1-a)/k, uint64(n))
+		s += float64(m*k) * u
+		n -= int(m)
+		if n > 0 {
+			s += c
+			n--
+		}
+	}
+	return s
 }
 
 // run simulates the next n ops of src. If sum is not nil, it adds each
@@ -341,12 +416,12 @@ func (h *Hierarchy) run(src source, n int, sum *Profile) {
 		if sum != nil {
 			b.addTo(sum)
 		}
-		hits := h.served[LevelL1]
+		misses := h.L1.Stats().Misses
 		for _, r := range b.Refs {
 			h.Access(r.Addr, r.Write)
 		}
 		if h.res.on {
-			clean = h.served[LevelL1]-hits == uint64(len(b.Refs))
+			clean = h.L1.Stats().Misses == misses
 			missed = missed || !clean
 		}
 	}
@@ -419,46 +494,23 @@ func (h *Hierarchy) resident(src source, n int, sum *Profile) {
 		}
 	}
 	h.L1.ApplyHits(r.lo, r.last, r.written, k)
-	h.served[LevelL1] += k
 }
 
-// counters is every count a simulated access can move.
+// counters is every count a simulated access can move; the hierarchy's
+// own counts derive from them (see Hierarchy).
 type counters struct {
-	l1, l2               cache.Stats
-	mem                  memsim.Stats
-	issued, ties         uint64 // prefetcher
-	memAccesses, prefMem uint64
-	served               [LevelMem + 1]uint64
+	l1, l2 cache.Stats
+	mem    memsim.Stats
+	issued uint64 // prefetch requests
 }
 
 func (h *Hierarchy) counters() counters {
-	return counters{
-		l1:          h.L1.Stats(),
-		l2:          h.L2.Stats(),
-		mem:         h.Mem.Stats(),
-		issued:      h.Pref.Issued(),
-		ties:        h.Pref.Ties(),
-		memAccesses: h.memAccesses,
-		prefMem:     h.prefMem,
-		served:      h.served,
-	}
+	return counters{l1: h.L1.Stats(), l2: h.L2.Stats(), mem: h.Mem.Stats(), issued: h.Pref.Issued()}
 }
 
 // sub returns the counts c gained since o.
 func (c counters) sub(o counters) counters {
-	d := counters{
-		l1:          c.l1.Sub(o.l1),
-		l2:          c.l2.Sub(o.l2),
-		mem:         c.mem.Sub(o.mem),
-		issued:      c.issued - o.issued,
-		ties:        c.ties - o.ties,
-		memAccesses: c.memAccesses - o.memAccesses,
-		prefMem:     c.prefMem - o.prefMem,
-	}
-	for l := range d.served {
-		d.served[l] = c.served[l] - o.served[l]
-	}
-	return d
+	return counters{l1: c.l1.Sub(o.l1), l2: c.l2.Sub(o.l2), mem: c.mem.Sub(o.mem), issued: c.issued - o.issued}
 }
 
 // steady is Characterize's fast-forward state for a periodic generator.
@@ -514,7 +566,6 @@ func (h *Hierarchy) fastForward(src source, period, warmup, window int, p *Profi
 	s := &h.steady
 	end := warmup + window
 	mid := warmup % period // the warmup boundary's offset in its cycle
-	canLog := h.Pref.LineBytes() >= 2
 	s.logging, s.logged, s.costsKnown, s.trace = false, false, false, s.trace[:0]
 	chained := false // the last cycle replayed
 	for t := 0; ; {
@@ -537,7 +588,7 @@ func (h *Hierarchy) fastForward(src source, period, warmup, window int, p *Profi
 		if off == 0 {
 			// A snapshot or a log is worth taking only if a whole cycle
 			// could still be replayed after the next boundary.
-			keep := canLog && t+2*period <= end
+			keep := t+2*period <= end
 			straddle := t < warmup && warmup < t+period
 			tried := (chained || h.observe(keep)) && t+period <= end
 			chained = tried && h.replay(straddle, &atWarmup)
@@ -613,7 +664,7 @@ func (h *Hierarchy) replay(straddle bool, atWarmup *counters) bool {
 		split = s.logMidAt
 	}
 	ok := h.Pref.Replay(s.log[:split]) == split
-	issued, ties := h.Pref.Issued(), h.Pref.Ties()
+	issued := h.Pref.Issued()
 	if !ok || h.Pref.Replay(s.log[split:]) != len(s.log)-split {
 		h.Pref.CopyFrom(&s.spare)
 		return false
@@ -621,7 +672,7 @@ func (h *Hierarchy) replay(straddle bool, atWarmup *counters) bool {
 	if straddle {
 		h.advance(&s.logMid)
 		*atWarmup = h.counters()
-		atWarmup.issued, atWarmup.ties = issued, ties
+		atWarmup.issued = issued
 		rest := s.logCycle.sub(s.logMid)
 		h.advance(&rest)
 	} else {
@@ -635,25 +686,18 @@ func (h *Hierarchy) advance(c *counters) {
 	h.L1.Add(c.l1)
 	h.L2.Add(c.l2)
 	h.Mem.Add(c.mem)
-	h.memAccesses += c.memAccesses
-	h.prefMem += c.prefMem
-	for l := range h.served {
-		h.served[l] += c.served[l]
-	}
 }
 
 // addCosts walks the next period ops of src and adds the costs of those
-// from skip on to p one op at a time, in stream order, so the sums
-// round exactly as a full simulation's do. Once a whole period's ops
-// are known to cost the same, later calls add those constants without
-// reading src: the stream repeats, so they cost the same too.
+// from skip on to p in stream order, so the sums round exactly as a
+// full simulation's do. Once a whole period's ops are known to cost the
+// same, later calls add those constants without reading src, in closed
+// form (addRepeated): the stream repeats, so they cost the same too.
 func (h *Hierarchy) addCosts(src source, p *Profile, skip, period int) {
 	s := &h.steady
 	if s.costsKnown {
-		for range period - skip {
-			p.Instructions += s.instrs
-			p.CoreCycles += s.cycles
-		}
+		p.Instructions = addRepeated(p.Instructions, s.instrs, period-skip)
+		p.CoreCycles = addRepeated(p.CoreCycles, s.cycles, period-skip)
 		return
 	}
 	uniform := true

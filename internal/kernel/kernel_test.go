@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"testing"
 )
 
@@ -147,4 +148,43 @@ func TestWritebackReachesDRAM(t *testing.T) {
 	if h.Mem.Stats().BytesXfr == 0 {
 		t.Error("no DRAM bytes transferred")
 	}
+}
+
+// FuzzAddRepeated holds addRepeated to the loop it replaces, bit for
+// bit: n additions s += c one at a time.
+func FuzzAddRepeated(f *testing.F) {
+	const half = 0x1p-53 // half an ulp of 1
+	for _, seed := range []struct {
+		s, c float64
+		n    uint32
+	}{
+		{0, 6, 1_000_000},
+		{1, half, 100},                // a tie that rounds down to the even 1
+		{1 + 2*half, half, 100},       // a tie that rounds up to the even neighbour
+		{1, 3 * half, 1_000},          // ties at 1.5 ulp, then none past 2
+		{1, half / 2, 1_000},          // below half an ulp: nothing moves
+		{1, 0.1, 100_000},             // binade crossings
+		{0x1p-1074, 0x1p-1074, 1_000}, // subnormal cost
+		{0x1p-1060, 0x1p-1022, 1_000}, // subnormal sum
+		{-100, 3, 1_000},              // negative sum
+		{0, 2.2, 524_288},             // a replayed 8 MB cycle
+		{1e300, 1e300, 100},           // overflow
+		{1, 1e20, 100},                // every addition leaves the binade
+		// The MS-Loops costs.
+		{6, 5, 999_999}, {0, 3, 1_000_000}, {0, 4, 1_000_000},
+		{0, 1.6, 1_000_000}, {0, 2.4, 1_000_000}, {1234.5, 2.2, 40},
+	} {
+		f.Add(seed.s, seed.c, seed.n)
+	}
+	f.Fuzz(func(t *testing.T, s, c float64, n uint32) {
+		n %= 1_000_001
+		want := s
+		for range n {
+			want += c
+		}
+		got := addRepeated(s, c, int(n))
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("addRepeated(%v, %v, %d) = %v, adding one at a time gives %v", s, c, n, got, want)
+		}
+	})
 }

@@ -46,6 +46,10 @@ import (
 // fan-out. Both settings reproduce the recorded reference outputs bit
 // for bit (internal/kernel's TestBatchMatchesStaged).
 
+// StaticPolicy is the policy a run records for a node with neither a
+// governor nor a lane policy: it stays at its start p-state.
+const StaticPolicy = "static"
+
 // BatchNode binds one node's machine, workload and governor. The
 // governor must be a fresh instance (its state is mutated by the run),
 // exactly as with NewSession.
@@ -317,7 +321,7 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		} else if lp != nil {
 			b.lanes[i] = node.Lane
 		}
-		policy := "static"
+		policy := StaticPolicy
 		switch {
 		case lp != nil:
 			if lp != namedPol || b.lanes[i] != namedLane {

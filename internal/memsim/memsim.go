@@ -1,6 +1,6 @@
 // Package memsim models the off-chip DRAM main memory of the
 // simulated platform: a fixed wall-clock access latency with a simple
-// open-row bonus and a bandwidth ceiling.
+// open-row bonus.
 //
 // DRAM timing is frequency-independent in wall-clock terms, which is
 // the physical root of the paper's core observation: memory-bound
@@ -24,19 +24,16 @@ type Config struct {
 	RowBytes uint64
 	// Banks is the number of independent banks, a power of two.
 	Banks int
-	// PeakBandwidthGBs caps sustained transfer bandwidth.
-	PeakBandwidthGBs float64
 }
 
 // DDR333 returns timing for the DDR-333 memory of the paper's
 // platform era: ~90 ns closed-page latency, ~45 ns open-page.
 func DDR333() Config {
 	return Config{
-		LatencyNs:        90,
-		RowHitLatencyNs:  45,
-		RowBytes:         4096,
-		Banks:            4,
-		PeakBandwidthGBs: 2.7,
+		LatencyNs:       90,
+		RowHitLatencyNs: 45,
+		RowBytes:        4096,
+		Banks:           4,
 	}
 }
 
@@ -52,8 +49,6 @@ func (c Config) Validate() error {
 	case c.RowBytes&(c.RowBytes-1) != 0 || c.Banks&(c.Banks-1) != 0:
 		// An address's row and bank are then a shift and a mask.
 		return fmt.Errorf("memsim: row bytes %d or banks %d not a power of two", c.RowBytes, c.Banks)
-	case c.PeakBandwidthGBs <= 0:
-		return fmt.Errorf("memsim: non-positive bandwidth")
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ func TestConfigValidation(t *testing.T) {
 		{"zero banks", func(c *Config) { c.Banks = 0 }},
 		{"row bytes not a power of two", func(c *Config) { c.RowBytes = 3000 }},
 		{"banks not a power of two", func(c *Config) { c.Banks = 3 }},
-		{"zero bandwidth", func(c *Config) { c.PeakBandwidthGBs = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

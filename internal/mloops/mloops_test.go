@@ -322,7 +322,7 @@ func hierarchyBits(h *kernel.Hierarchy) []uint64 {
 		l1.Accesses, l1.Hits, l1.Misses, l1.Evictions, l1.Writebacks,
 		l2.Accesses, l2.Hits, l2.Misses, l2.Evictions, l2.Writebacks,
 		mem.Accesses, mem.RowHits, mem.BytesXfr,
-		h.Pref.Issued(), h.Pref.Ties(), h.MemAccesses(), h.PrefetchMemAccesses(),
+		h.Pref.Issued(), h.MemAccesses(), h.PrefetchMemAccesses(),
 	}
 	out = h.L1.AppendState(out)
 	out = h.L2.AppendState(out)

@@ -70,7 +70,8 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 	if err != nil {
 		return Result{}, nil, err
 	}
-	policy := "none"
+	// Label telemetry with the policy the run records.
+	policy := machine.StaticPolicy
 	if gov != nil {
 		policy = gov.Name()
 	}
