@@ -22,7 +22,6 @@ fuzz-short:
 	go test ./internal/control -fuzz FuzzGovernorDecisions -fuzztime $(FUZZTIME)
 	go test ./internal/control -fuzz FuzzParseGovernorSpec -fuzztime $(FUZZTIME)
 	go test ./internal/faults -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME)
-	go test ./internal/trace -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	go test ./internal/phase -fuzz FuzzParseWorkloadJSON -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzCharacterizeFastForward -fuzztime $(FUZZTIME)

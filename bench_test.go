@@ -620,47 +620,6 @@ func BenchmarkExtUtilization(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPhaseAware contrasts plain PM with the phase-aware
-// wrapper that bypasses up-shift hysteresis on detected regime
-// changes, on the phase-alternating ammp workload at 14.5 W.
-func BenchmarkAblationPhaseAware(b *testing.B) {
-	for _, aware := range []bool{false, true} {
-		label := "plain"
-		if aware {
-			label = "phase-aware"
-		}
-		b.Run(label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w, err := spec.ByName("ammp")
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, err := machine.New(machine.Config{Chain: sensor.NIDefault(), Seed: 7})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: 14.5})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var gov machine.Governor = pm
-				if aware {
-					gov, err = control.NewPhaseAwarePM(pm, 0, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				run, err := m.Run(w, gov)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(run.Duration.Seconds(), "sim-seconds")
-				b.ReportMetric(trace.FractionAbove(run.MeasuredPowers(), 14.5)*100, "%overlimit")
-			}
-		})
-	}
-}
-
 // BenchmarkEnergyDelayProducts reports PS's EDP/ED2P gains over full
 // speed on a memory-bound workload — the voltage-scaling payoff in the
 // standard efficiency metrics.

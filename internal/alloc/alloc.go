@@ -243,16 +243,6 @@ func (al *Allocator) waterfill(budget, floor float64, desires []float64) []float
 	return limits
 }
 
-// Waterfill is the standalone scalar-floor waterfill, for callers and
-// tests that want the pure function without an Allocator.
-func Waterfill(budget, floor float64, desires []float64) []float64 {
-	var al Allocator
-	lims := al.waterfill(budget, floor, desires)
-	out := make([]float64, len(lims))
-	copy(out, lims)
-	return out
-}
-
 // MinTotalW is the budget needed to honor a set of guaranteed minima:
 // entry i contributes max(mins[i], floorW*units[i]), where units[i] is
 // how many scalar-floor leaves the entry spans (1 for a leaf, the leaf

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// waterfill runs a fresh Allocator's scalar-floor water-fill and copies
+// the limits out of its scratch.
+func waterfill(budget, floor float64, desires []float64) []float64 {
+	var al Allocator
+	return append([]float64(nil), al.waterfill(budget, floor, desires)...)
+}
+
 // Property: water-filling never over-commits the shared budget
 // (whenever the floor is coverable), never starves a node below the
 // floor, and never hands a node more than it asked for.
@@ -20,7 +27,7 @@ func TestPropertyWaterfillRespectsBudget(t *testing.T) {
 		for i := range desires {
 			desires[i] = rng.Float64() * 30
 		}
-		limits := Waterfill(budget, floor, desires)
+		limits := waterfill(budget, floor, desires)
 		if len(limits) != n {
 			t.Fatalf("trial %d: %d limits for %d nodes", trial, len(limits), n)
 		}
@@ -49,7 +56,7 @@ func TestPropertyWaterfillRespectsBudget(t *testing.T) {
 // asked for (clamped to the floor).
 func TestWaterfillSatisfiesAllWhenAmple(t *testing.T) {
 	desires := []float64{5, 12, 8.5, 3}
-	limits := Waterfill(100, 4, desires)
+	limits := waterfill(100, 4, desires)
 	want := []float64{5, 12, 8.5, 4}
 	for i := range want {
 		if limits[i] != want[i] {
@@ -61,7 +68,7 @@ func TestWaterfillSatisfiesAllWhenAmple(t *testing.T) {
 // When everyone wants more than an even share, the level is exactly
 // budget/n.
 func TestWaterfillEvenSplitUnderUniformPressure(t *testing.T) {
-	limits := Waterfill(30, 4, []float64{20, 25, 30})
+	limits := waterfill(30, 4, []float64{20, 25, 30})
 	for i, l := range limits {
 		if diff := l - 10; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("node %d limit %.6f, want 10", i, l)
@@ -70,8 +77,8 @@ func TestWaterfillEvenSplitUnderUniformPressure(t *testing.T) {
 }
 
 func TestWaterfillEmpty(t *testing.T) {
-	if got := Waterfill(10, 1, nil); len(got) != 0 {
-		t.Fatalf("Waterfill(nil) = %v", got)
+	if got := waterfill(10, 1, nil); len(got) != 0 {
+		t.Fatalf("waterfill(nil) = %v", got)
 	}
 }
 
@@ -88,7 +95,7 @@ func TestWaterfillAtFleetScale(t *testing.T) {
 	}
 	const floor = 4.0
 	budget := floor*n + 150_000.0 // tight: well under the ~1.25e6 W total ask
-	limits := Waterfill(budget, floor, desires)
+	limits := waterfill(budget, floor, desires)
 	var sum float64
 	for i, l := range limits {
 		sum += l
@@ -120,12 +127,12 @@ func TestPropertyWaterfillMonotoneInDesire(t *testing.T) {
 		for i := range desires {
 			desires[i] = rng.Float64() * 25
 		}
-		base := Waterfill(budget, floor, desires)
+		base := waterfill(budget, floor, desires)
 		j := rng.Intn(n)
 		bumped := make([]float64, n)
 		copy(bumped, desires)
 		bumped[j] += rng.Float64() * 10
-		next := Waterfill(budget, floor, bumped)
+		next := waterfill(budget, floor, bumped)
 		if next[j] < base[j]-1e-9 {
 			t.Fatalf("trial %d: raising node %d's desire lowered its grant %.6f -> %.6f",
 				trial, j, base[j], next[j])
@@ -385,7 +392,7 @@ func FuzzWaterfill(f *testing.F) {
 			mins[i] = rng.Float64() * floor
 			sumMin += mins[i]
 		}
-		limits := Waterfill(budget, floor, desires)
+		limits := waterfill(budget, floor, desires)
 		var sum float64
 		for i, l := range limits {
 			sum += l

@@ -148,9 +148,6 @@ func (p *StreamPrefetcher) CopyFrom(src *StreamPrefetcher) {
 	p.order, p.lru, p.issued = src.order, src.lru, src.issued
 }
 
-// LineBytes returns the line size the prefetcher tracks streams in.
-func (p *StreamPrefetcher) LineBytes() int { return int(p.lineBytes) }
-
 // Issued returns the number of prefetch requests issued.
 func (p *StreamPrefetcher) Issued() uint64 { return p.issued }
 

@@ -358,8 +358,8 @@ func (pm *PerformanceMaximizer) SetLimit(w float64) { pm.st.SetLimit(w) }
 
 // BypassHysteresis arms the next tick to raise immediately if its
 // estimate permits, instead of waiting out the full RaiseTicks streak.
-// Phase-aware wrappers call it when the workload demonstrably switched
-// regimes, making the conservative streak requirement moot.
+// A caller that knows the workload has switched regimes calls it,
+// making the conservative streak requirement moot.
 func (pm *PerformanceMaximizer) BypassHysteresis() {
 	pm.st.PendingUp = int32(pm.pol.cfg.RaiseTicks - 1)
 }

@@ -136,6 +136,15 @@ func TestPMRaiseCounterResetsOnContrarySample(t *testing.T) {
 	}
 }
 
+func TestBypassHysteresisArmsNextTick(t *testing.T) {
+	pm, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5})
+	low := tick(1800, 0.5, 0.5, 0.1, 0)
+	pm.BypassHysteresis()
+	if got := decide(pm, low); tickTable().At(got).FreqMHz != 2000 {
+		t.Errorf("armed PM did not raise on the next supporting sample (index %d)", got)
+	}
+}
+
 func TestPMSetLimitTakesEffect(t *testing.T) {
 	pm, _ := NewPerformanceMaximizer(PMConfig{LimitW: 17.5})
 	mid := tick(1800, 1.0, 0.9, 0.2, 0) // est@1800 = 13.04: fine at 17.5
@@ -239,7 +248,7 @@ func TestPSMemoryBoundDropsLow(t *testing.T) {
 }
 
 func TestPSAltExponentIsLessAggressive(t *testing.T) {
-	ps, _ := NewPowerSave(PSConfig{Floor: 0.8, Perf: model.PaperPerfModelAlt()})
+	ps, _ := NewPowerSave(PSConfig{Floor: 0.8, Perf: model.PerfModel{Threshold: model.PaperDCUThreshold, Exponent: model.PaperExponentAlt}})
 	got := decide(ps, tick(2000, 0.3, 0.2, 4.0, 0))
 	if f := pstate.PentiumM755().At(got).FreqMHz; f != 1200 {
 		t.Errorf("PS(e=0.59) chose %d MHz, want 1200", f)

@@ -239,23 +239,24 @@ func hasDegradation(ds []trace.Degradation, source, kind string) bool {
 	return false
 }
 
-// TestWrappersForwardDegradations runs a degrading PM behind
-// PhaseAwarePM and a degrading PS behind Multiplexed under a fault
-// plan. A wrapper returns its inner governor's Tick result, so the
-// inner governor's degradations must reach the run's log, and a
-// wrapper's Tick called by hand must return them.
+// TestWrappersForwardDegradations runs a degrading PM and a degrading
+// PS, each behind Multiplexed, under a fault plan. A wrapper returns
+// its inner governor's Tick result, so the inner governor's
+// degradations must reach the run's log, and a wrapper's Tick called
+// by hand must return them.
 func TestWrappersForwardDegradations(t *testing.T) {
 	psEvents := []counters.Event{counters.InstRetired, counters.DCUMissOutstanding}
-	phaseAware := func(t *testing.T) machine.Governor {
+	pmEvents := []counters.Event{counters.InstDecoded, counters.DCUMissOutstanding}
+	pmMultiplexed := func(t *testing.T) machine.Governor {
 		pm, err := NewPerformanceMaximizer(PMConfig{LimitW: 13.5, Degrade: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pa, err := NewPhaseAwarePM(pm, 0, 0)
+		mux, err := NewMultiplexed(pm, 2, pmEvents)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pa
+		return mux
 	}
 	multiplexed := func(t *testing.T) machine.Governor {
 		ps, err := NewPowerSave(PSConfig{Floor: 0.8, Degrade: true})
@@ -278,7 +279,7 @@ func TestWrappersForwardDegradations(t *testing.T) {
 	for _, c := range []struct {
 		source string
 		gov    func(t *testing.T) machine.Governor
-	}{{"pm", phaseAware}, {"ps", multiplexed}} {
+	}{{"pm", pmMultiplexed}, {"ps", multiplexed}} {
 		m, err := machine.New(machine.Config{Chain: sensor.NIDefault(), Seed: 5, Faults: &plan})
 		if err != nil {
 			t.Fatal(err)
@@ -298,11 +299,11 @@ func TestWrappersForwardDegradations(t *testing.T) {
 		}
 	}
 
-	// By hand: a sensor dropout through PhaseAwarePM, and a stale
-	// sample after a busy one through Multiplexed.
+	// By hand: a sensor dropout through the multiplexed PM, and a
+	// stale sample after a busy one through the multiplexed PS.
 	dropout := nanTick(2000, 1.0, 1.0, 0)
-	if _, d := phaseAware(t).Tick(&dropout); !hasDegradation(d, "pm", "sensor-dropout") {
-		t.Errorf("PhaseAwarePM tick returned %v, want pm/sensor-dropout", d)
+	if _, d := pmMultiplexed(t).Tick(&dropout); !hasDegradation(d, "pm", "sensor-dropout") {
+		t.Errorf("multiplexed PM tick returned %v, want pm/sensor-dropout", d)
 	}
 	mux := multiplexed(t)
 	busy := tick(2000, 1.0, 1.0, 0, 12)

@@ -59,49 +59,6 @@ func (e Event) String() string {
 	return eventNames[e]
 }
 
-// Bank accumulates event counts. It is the simulated analogue of the
-// PMU MSRs: monotonically increasing 64-bit counters.
-type Bank struct {
-	counts [numEvents]uint64
-}
-
-// Add increments event e by n.
-func (b *Bank) Add(e Event, n uint64) { b.counts[e] += n }
-
-// Read returns the running total for event e.
-func (b *Bank) Read(e Event) uint64 { return b.counts[e] }
-
-// Snapshot captures all counters at one instant.
-func (b *Bank) Snapshot() Snapshot {
-	var s Snapshot
-	copy(s.counts[:], b.counts[:])
-	return s
-}
-
-// Reset zeroes every counter.
-func (b *Bank) Reset() { b.counts = [numEvents]uint64{} }
-
-// Snapshot is a point-in-time copy of all counters.
-type Snapshot struct {
-	counts [numEvents]uint64
-}
-
-// Read returns the snapshot value for event e.
-func (s Snapshot) Read(e Event) uint64 { return s.counts[e] }
-
-// Delta returns the per-event difference now - prev as a Sample.
-// Counters are monotonic, so a negative delta indicates misuse and
-// saturates to zero rather than wrapping.
-func Delta(prev, now Snapshot) Sample {
-	var d Sample
-	for i := range d.counts {
-		if now.counts[i] >= prev.counts[i] {
-			d.counts[i] = now.counts[i] - prev.counts[i]
-		}
-	}
-	return d
-}
-
 // Sample is the event activity within one monitoring interval.
 type Sample struct {
 	counts [numEvents]uint64

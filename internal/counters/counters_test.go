@@ -25,45 +25,6 @@ func TestEventNames(t *testing.T) {
 	}
 }
 
-func TestBankAccumulatesAndResets(t *testing.T) {
-	var b Bank
-	b.Add(Cycles, 100)
-	b.Add(Cycles, 50)
-	b.Add(InstRetired, 70)
-	if got := b.Read(Cycles); got != 150 {
-		t.Errorf("Read(Cycles) = %d, want 150", got)
-	}
-	if got := b.Read(InstRetired); got != 70 {
-		t.Errorf("Read(InstRetired) = %d, want 70", got)
-	}
-	b.Reset()
-	if got := b.Read(Cycles); got != 0 {
-		t.Errorf("after Reset, Read(Cycles) = %d", got)
-	}
-}
-
-func TestSnapshotDelta(t *testing.T) {
-	var b Bank
-	b.Add(Cycles, 1000)
-	b.Add(InstDecoded, 900)
-	s1 := b.Snapshot()
-	b.Add(Cycles, 500)
-	b.Add(InstDecoded, 450)
-	s2 := b.Snapshot()
-	d := Delta(s1, s2)
-	if got := d.Count(Cycles); got != 500 {
-		t.Errorf("delta cycles = %d, want 500", got)
-	}
-	if got := d.Count(InstDecoded); got != 450 {
-		t.Errorf("delta decoded = %d, want 450", got)
-	}
-	// Reversed order saturates to zero instead of wrapping.
-	rev := Delta(s2, s1)
-	if got := rev.Count(Cycles); got != 0 {
-		t.Errorf("reversed delta cycles = %d, want 0", got)
-	}
-}
-
 func TestSampleRates(t *testing.T) {
 	var s Sample
 	s.SetCount(Cycles, 2000)
@@ -119,28 +80,6 @@ func TestSampleAccumulate(t *testing.T) {
 	}
 	if got := a.IPC(); got != 1.0 {
 		t.Errorf("accumulated IPC = %g, want 1.0", got)
-	}
-}
-
-// Property: for any additions, Delta(before, after) returns exactly the
-// added amounts.
-func TestDeltaMatchesAdditions(t *testing.T) {
-	f := func(adds [7]uint32) bool {
-		var b Bank
-		before := b.Snapshot()
-		for e, n := range adds {
-			b.Add(Event(e), uint64(n))
-		}
-		d := Delta(before, b.Snapshot())
-		for e, n := range adds {
-			if d.Count(Event(e)) != uint64(n) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

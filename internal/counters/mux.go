@@ -21,8 +21,6 @@ type Multiplexer struct {
 	// interval; seen marks events observed at least once.
 	lastRate [numEvents]float64
 	seen     [numEvents]bool
-
-	rotations uint64
 }
 
 // NewMultiplexer builds a rotation schedule packing the given events
@@ -61,18 +59,6 @@ func NewMultiplexer(nphys int, events []Event) (*Multiplexer, error) {
 	return &Multiplexer{groups: groups}, nil
 }
 
-// Groups returns the rotation schedule.
-func (m *Multiplexer) Groups() [][]Event {
-	out := make([][]Event, len(m.groups))
-	for i, g := range m.groups {
-		out[i] = append([]Event(nil), g...)
-	}
-	return out
-}
-
-// Rotations returns how many interval rotations have occurred.
-func (m *Multiplexer) Rotations() uint64 { return m.rotations }
-
 // Observe consumes the interval's true sample (what ideal hardware
 // would have counted) and returns the driver's view under
 // multiplexing, then rotates to the next group.
@@ -100,6 +86,5 @@ func (m *Multiplexer) Observe(truth Sample) Sample {
 		}
 	}
 	m.cur = (m.cur + 1) % len(m.groups)
-	m.rotations++
 	return out
 }

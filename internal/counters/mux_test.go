@@ -27,7 +27,7 @@ func TestMultiplexerGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := m.Groups()
+	g := m.groups
 	if len(g) != 3 {
 		t.Fatalf("groups = %v", g)
 	}
@@ -69,8 +69,8 @@ func TestObserveRotatesAndHoldsRates(t *testing.T) {
 	if s2.Count(InstRetired) != 1600 { // 0.8 held rate * 2000 cycles
 		t.Errorf("interval 2 retired = %d, want 1600 (held rate)", s2.Count(InstRetired))
 	}
-	if m.Rotations() != 2 {
-		t.Errorf("rotations = %d", m.Rotations())
+	if m.cur != 0 {
+		t.Errorf("after two intervals over two groups, group = %d, want 0", m.cur)
 	}
 }
 

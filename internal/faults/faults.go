@@ -192,7 +192,6 @@ type Injector struct {
 	gain      float64
 
 	events []Event
-	counts map[string]int
 }
 
 // NewInjector validates the plan and builds an injector whose fault
@@ -207,7 +206,6 @@ func NewInjector(plan Plan, seed int64) (*Injector, error) {
 		envRng: rand.New(rand.NewSource(seed ^ 0x5eed_fa01)),
 		actRng: rand.New(rand.NewSource(seed ^ 0x0ac7_0a70)),
 		gain:   1,
-		counts: make(map[string]int),
 	}, nil
 }
 
@@ -216,7 +214,6 @@ func NewInjector(plan Plan, seed int64) (*Injector, error) {
 func (in *Injector) BeginTick() { in.tick++ }
 
 func (in *Injector) log(source, kind, detail string) {
-	in.counts[source+"/"+kind]++
 	in.events = append(in.events, Event{Tick: in.tick, Source: source, Kind: kind, Detail: detail})
 }
 
@@ -354,13 +351,4 @@ func (in *Injector) Drain() []Event {
 	ev := in.events
 	in.events = nil
 	return ev
-}
-
-// Counts returns cumulative fault tallies keyed "source/kind".
-func (in *Injector) Counts() map[string]int {
-	out := make(map[string]int, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
 }

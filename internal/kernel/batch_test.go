@@ -58,21 +58,6 @@ func throttleGov(floor float64) govFactory {
 	}
 }
 
-func phaseAwareGov(limitW float64) govFactory {
-	return func(t *testing.T) machine.Governor {
-		t.Helper()
-		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, err := control.NewPhaseAwarePM(pm, 8, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pa
-	}
-}
-
 func nilGov() govFactory {
 	return func(t *testing.T) machine.Governor { return nil }
 }
@@ -201,13 +186,6 @@ func diffCases() []diffCase {
 			workload: func(t *testing.T) phase.Workload { return syntheticWorkload() },
 			gov:      psGov(0.8, true),
 			cfg:      machine.Config{Chain: ni, Seed: 13},
-			wantKind: "pm",
-		},
-		{
-			name:     "ammp/phaseaware/ni",
-			workload: func(t *testing.T) phase.Workload { return specWorkload(t, "ammp", 1) },
-			gov:      phaseAwareGov(14.5),
-			cfg:      machine.Config{Chain: ni, Seed: 12},
 			wantKind: "pm",
 		},
 	}

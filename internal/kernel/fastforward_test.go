@@ -163,7 +163,7 @@ func checkFastForward(t *testing.T, geo geometry, g *loopGen, warmup, window int
 		}
 		// A miss reaches the prefetcher; it is a tie if two filled
 		// slots expected its line just before it.
-		if lf != LevelL1 && expecting(state, addr&^uint64(full.Pref.LineBytes()-1)) >= 2 {
+		if lf != LevelL1 && expecting(state, addr&^uint64(full.L1.LineBytes()-1)) >= 2 {
 			tied = true
 		}
 	})

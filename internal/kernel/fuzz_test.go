@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aapm/internal/control"
+	pmu "aapm/internal/counters"
 	"aapm/internal/faults"
 	"aapm/internal/machine"
 	"aapm/internal/phase"
@@ -31,8 +32,8 @@ import (
 // of one lane: PM lanes with and without feedback and Degrade at and
 // around the fuzzed limit (one of them a bare policy lane with no
 // handle), PowerSave lanes with and without Degrade, a static lane, a
-// lane with no governor, an OnDemand lane and a PhaseAwarePM over a
-// degrading PM, interleaved in one batch; every lane must agree
+// lane with no governor, an OnDemand lane and a Multiplexed PM over a
+// degrading feedback PM, interleaved in one batch; every lane must agree
 // between the bare and the hooked batch. With the next bit set too,
 // the mixed batch gains a faulted PM lane, a thermal PM lane and a
 // ThrottleSave lane, which put it on the full event order; then every
@@ -139,7 +140,7 @@ func FuzzBatchStep(f *testing.F) {
 				var inner *control.PerformanceMaximizer
 				inner, err = control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, FeedbackGain: 0.25, Degrade: true})
 				if err == nil {
-					node.Governor, err = control.NewPhaseAwarePM(inner, 4, 0.2)
+					node.Governor, err = control.NewMultiplexed(inner, 2, []pmu.Event{pmu.InstDecoded, pmu.DCUMissOutstanding})
 				}
 			case 10: // faulted (laneConfig)
 				node.Governor, err = pm(limit, 0.25, true)

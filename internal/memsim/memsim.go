@@ -101,9 +101,6 @@ func New(cfg Config) (*Memory, error) {
 	}, nil
 }
 
-// Config returns the DRAM configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // Stats returns DRAM activity counters.
 func (m *Memory) Stats() Stats { return m.stats }
 

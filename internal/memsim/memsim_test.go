@@ -62,7 +62,7 @@ func TestRowHitLatency(t *testing.T) {
 
 func TestRowConflictReopensRow(t *testing.T) {
 	m, _ := New(DDR333())
-	cfg := m.Config()
+	cfg := m.cfg
 	// Two rows mapping to the same bank: rows r and r+banks.
 	a := uint64(0)
 	b := uint64(cfg.RowBytes) * uint64(cfg.Banks)
@@ -77,7 +77,7 @@ func TestRowConflictReopensRow(t *testing.T) {
 
 func TestBanksAreIndependent(t *testing.T) {
 	m, _ := New(DDR333())
-	cfg := m.Config()
+	cfg := m.cfg
 	a := uint64(0)                // bank 0
 	b := uint64(cfg.RowBytes * 1) // bank 1
 	m.Access(a, 64)
@@ -102,7 +102,7 @@ func TestLatencyValuesAreWellFormed(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg := m.Config()
+		cfg := m.cfg
 		hits := uint64(0)
 		for _, a := range addrs {
 			lat := m.Access(uint64(a), 64)

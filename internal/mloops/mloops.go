@@ -339,25 +339,6 @@ func Characterize(c Config, instructions float64) (phase.Params, error) {
 // as a workload: long enough for hundreds of 10 ms samples at 2 GHz.
 const DefaultInstructions = 20e9
 
-// Workload returns the configuration as a runnable single-phase
-// workload. Microbenchmarks are steady by construction (zero jitter),
-// matching the paper's observation that their behaviour is stable
-// within and across runs.
-func Workload(c Config) (phase.Workload, error) {
-	p, err := Characterize(c, DefaultInstructions)
-	if err != nil {
-		return phase.Workload{}, err
-	}
-	w := phase.Workload{
-		Name:   c.String(),
-		Phases: []phase.Params{p},
-	}
-	if err := w.Validate(); err != nil {
-		return phase.Workload{}, err
-	}
-	return w, nil
-}
-
 var trainingCache struct {
 	once   sync.Once
 	params []phase.Params

@@ -200,22 +200,6 @@ func TestTrainingSetIsCached(t *testing.T) {
 	}
 }
 
-func TestWorkloadIsRunnable(t *testing.T) {
-	w, err := Workload(Config{Loop: FMA, Footprint: FootprintL2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Name != "FMA-256KB" || len(w.Phases) != 1 {
-		t.Errorf("workload = %+v", w)
-	}
-	if w.JitterPct != 0 {
-		t.Error("microbenchmark has jitter; the paper's loops are stable")
-	}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // paramsBits flattens every numeric field of p to its exact bits.
 func paramsBits(p phase.Params) []uint64 {
 	return []uint64{

@@ -124,11 +124,6 @@ func PaperPerfModel() PerfModel {
 	return PerfModel{Threshold: PaperDCUThreshold, Exponent: PaperExponent}
 }
 
-// PaperPerfModelAlt returns the repaired model with exponent 0.59.
-func PaperPerfModelAlt() PerfModel {
-	return PerfModel{Threshold: PaperDCUThreshold, Exponent: PaperExponentAlt}
-}
-
 // MemoryBound classifies a sample by its DCU/IPC ratio.
 func (m PerfModel) MemoryBound(dcuPerInst float64) bool {
 	return dcuPerInst >= m.Threshold

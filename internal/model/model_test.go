@@ -80,8 +80,8 @@ func TestPerfModelClassification(t *testing.T) {
 	if !m.MemoryBound(1.21) {
 		t.Error("1.21 classified core-bound")
 	}
-	if alt := PaperPerfModelAlt(); alt.Exponent != 0.59 {
-		t.Errorf("alt exponent = %g", alt.Exponent)
+	if PaperExponentAlt != 0.59 {
+		t.Errorf("alt exponent = %g", PaperExponentAlt)
 	}
 }
 

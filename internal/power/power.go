@@ -175,13 +175,6 @@ func (g *GroundTruth) PowerFromRates(i int, dpc, l2pc, mempc, dcu float64) float
 	return g.coeffs[i].Eval(dpc, l2pc, mempc, dcu)
 }
 
-// Dynamic returns the textbook CMOS dynamic power alpha*C*V^2*f
-// (equation 1 of the paper) for documentation and sanity tests;
-// f is in MHz and C in nF so the result is in watts.
-func Dynamic(activity, capNF, voltageV float64, freqMHz int) float64 {
-	return activity * capNF * 1e-9 * voltageV * voltageV * float64(freqMHz) * 1e6
-}
-
 // Energy accumulates joules from a sequence of (power, duration)
 // contributions, the way the paper integrates 10 ms power samples.
 type Energy struct {

@@ -90,14 +90,6 @@ func TestNewGroundTruthRejectsUnknownFrequency(t *testing.T) {
 	}
 }
 
-func TestDynamicCMOSFormula(t *testing.T) {
-	// P = a*C*V^2*f: 0.5 activity, 1 nF, 1.2 V, 1000 MHz = 0.72 W.
-	got := Dynamic(0.5, 1.0, 1.2, 1000)
-	if math.Abs(got-0.72) > 1e-12 {
-		t.Errorf("Dynamic = %g, want 0.72", got)
-	}
-}
-
 func TestEnergyAccumulation(t *testing.T) {
 	var e Energy
 	e.Add(10, 0.5)

@@ -26,9 +26,6 @@ type Chain struct {
 	QuantStepW float64
 }
 
-// Ideal returns a noiseless, perfectly calibrated chain.
-func Ideal() Chain { return Chain{} }
-
 // NIDefault returns the default chain calibrated to the paper's setup:
 // a 16-bit DAQ over a ~30 W full-scale range gives sub-milliwatt
 // quantization; board-level noise dominates at a few tens of

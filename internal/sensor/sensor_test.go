@@ -7,8 +7,8 @@ import (
 )
 
 func TestChainValidation(t *testing.T) {
-	if err := Ideal().Validate(); err != nil {
-		t.Errorf("Ideal invalid: %v", err)
+	if err := (Chain{}).Validate(); err != nil {
+		t.Errorf("zero chain invalid: %v", err)
 	}
 	if err := NIDefault().Validate(); err != nil {
 		t.Errorf("NIDefault invalid: %v", err)
@@ -27,7 +27,7 @@ func TestChainValidation(t *testing.T) {
 }
 
 func TestIdealChainIsExact(t *testing.T) {
-	c := Ideal()
+	var c Chain // the zero chain is noiseless and perfectly calibrated
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range []float64{0, 3.86, 17.78} {
 		if got := c.Measure(w, rng); got != w {
@@ -84,5 +84,39 @@ func TestMeasureClampsNegative(t *testing.T) {
 	c := Chain{GainError: -0.5}
 	if got := c.Measure(0.0001, nil); got < 0 {
 		t.Errorf("negative measurement %g", got)
+	}
+}
+
+// TestPreparedMatchesChain checks that the folded chain the tick engine
+// measures through reads bit for bit what Chain.Measure reads: gain
+// error, noise from two equally seeded RNGs, quantization, the
+// negative clamp and a nil RNG.
+func TestPreparedMatchesChain(t *testing.T) {
+	chains := []Chain{
+		{},
+		{GainError: 0.013},
+		{GainError: -0.5},
+		{NoiseStdW: 0.8},
+		{QuantStepW: 0.25},
+		{GainError: -0.02, NoiseStdW: 3, QuantStepW: 0.001},
+		NIDefault(),
+	}
+	inputs := []float64{0, 1e-4, 0.3, 3.86, 10.30, 17.78, -0.7, -20}
+	for _, c := range chains {
+		p := c.Prepare()
+		for _, seeded := range []bool{true, false} {
+			var rc, rp *rand.Rand
+			if seeded {
+				rc, rp = rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			}
+			for round := 0; round < 50; round++ {
+				for _, w := range inputs {
+					want, got := c.Measure(w, rc), p.Measure(w, rp)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%+v, rng %v: Prepared.Measure(%g) = %v, Chain.Measure = %v", c, seeded, w, got, want)
+					}
+				}
+			}
+		}
 	}
 }

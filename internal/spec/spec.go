@@ -32,7 +32,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"aapm/internal/phase"
 	"aapm/internal/pstate"
@@ -76,13 +75,6 @@ type seg struct {
 	c, l2, mem float64
 	mlp, spec  float64
 	stall      float64
-}
-
-// specIntNames is the SPECint subset; the rest of the suite is SPECfp.
-var specIntNames = map[string]bool{
-	"gzip": true, "vpr": true, "gcc": true, "mcf": true, "crafty": true,
-	"parser": true, "eon": true, "perlbmk": true, "gap": true,
-	"vortex": true, "bzip2": true, "twolf": true,
 }
 
 // bench is one benchmark definition.
@@ -282,13 +274,6 @@ func Names() []string {
 	return out
 }
 
-// SortedNames returns the names alphabetically.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
-	return out
-}
-
 // ClassOf returns the paper's qualitative class for a benchmark.
 func ClassOf(name string) (Class, error) {
 	for _, b := range benches {
@@ -297,16 +282,6 @@ func ClassOf(name string) (Class, error) {
 		}
 	}
 	return 0, fmt.Errorf("spec: unknown benchmark %q", name)
-}
-
-// IsInteger reports whether the benchmark is in SPECint (vs SPECfp).
-func IsInteger(name string) (bool, error) {
-	for _, b := range benches {
-		if b.name == name {
-			return specIntNames[name], nil
-		}
-	}
-	return false, fmt.Errorf("spec: unknown benchmark %q", name)
 }
 
 // ByName materializes one benchmark.

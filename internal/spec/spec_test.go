@@ -32,35 +32,6 @@ func TestSuiteHas26UniqueBenchmarks(t *testing.T) {
 			t.Errorf("missing benchmark %q", n)
 		}
 	}
-	sorted := SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] >= sorted[i] {
-			t.Fatalf("SortedNames not sorted at %d", i)
-		}
-	}
-}
-
-func TestSPECintMembership(t *testing.T) {
-	isInt, err := IsInteger("gcc")
-	if err != nil || !isInt {
-		t.Errorf("gcc integer = %v, %v", isInt, err)
-	}
-	isInt, err = IsInteger("swim")
-	if err != nil || isInt {
-		t.Errorf("swim integer = %v, %v", isInt, err)
-	}
-	if _, err := IsInteger("nope"); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	n := 0
-	for _, name := range Names() {
-		if ok, _ := IsInteger(name); ok {
-			n++
-		}
-	}
-	if n != 12 {
-		t.Errorf("SPECint count = %d, want 12", n)
-	}
 }
 
 func TestAllWorkloadsValidate(t *testing.T) {

@@ -100,18 +100,6 @@ func fitWeighted(xs, ys, w []float64) (Linear, error) {
 	return Linear{Alpha: a, Beta: b}, nil
 }
 
-// MeanAbsError returns the mean |y - f(x)| over the points.
-func MeanAbsError(f Linear, xs, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range xs {
-		s += math.Abs(ys[i] - f.Eval(xs[i]))
-	}
-	return s / float64(len(xs))
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -210,12 +198,6 @@ func (w *Window) Push(x float64) {
 	}
 }
 
-// Len returns the number of samples currently held.
-func (w *Window) Len() int { return w.n }
-
-// Full reports whether the window holds capacity samples.
-func (w *Window) Full() bool { return w.n == len(w.buf) }
-
 // Mean returns the mean of held samples (0 when empty).
 func (w *Window) Mean() float64 {
 	if w.n == 0 {
@@ -226,26 +208,6 @@ func (w *Window) Mean() float64 {
 		s += w.buf[i]
 	}
 	return s / float64(w.n)
-}
-
-// Max returns the maximum held sample (-Inf when empty).
-func (w *Window) Max() float64 {
-	if w.n == 0 {
-		return math.Inf(-1)
-	}
-	m := math.Inf(-1)
-	for i := 0; i < w.n; i++ {
-		if w.buf[i] > m {
-			m = w.buf[i]
-		}
-	}
-	return m
-}
-
-// Reset empties the window.
-func (w *Window) Reset() {
-	w.n = 0
-	w.next = 0
 }
 
 // Summary captures descriptive statistics of a series.

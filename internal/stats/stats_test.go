@@ -63,17 +63,6 @@ func TestFitLeastAbsRobustToOutlier(t *testing.T) {
 	}
 }
 
-func TestMeanAbsError(t *testing.T) {
-	f := Linear{Alpha: 1, Beta: 0}
-	got := MeanAbsError(f, []float64{0, 1, 2}, []float64{0.5, 1, 2.5})
-	if math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Errorf("MeanAbsError = %g, want 1/3", got)
-	}
-	if MeanAbsError(f, nil, nil) != 0 {
-		t.Error("empty MeanAbsError != 0")
-	}
-}
-
 func TestSummaryStatistics(t *testing.T) {
 	xs := []float64{4, 1, 3, 2, 5}
 	s := Summarize(xs)
@@ -114,14 +103,14 @@ func TestMinMaxEmpty(t *testing.T) {
 
 func TestWindowEviction(t *testing.T) {
 	w := NewWindow(3)
-	if w.Full() {
+	if w.n == len(w.buf) {
 		t.Error("empty window reports full")
 	}
 	w.Push(1)
 	w.Push(2)
 	w.Push(3)
-	if !w.Full() || w.Len() != 3 {
-		t.Errorf("window not full after 3 pushes: len=%d", w.Len())
+	if w.n != len(w.buf) || w.n != 3 {
+		t.Errorf("window not full after 3 pushes: len=%d", w.n)
 	}
 	if w.Mean() != 2 {
 		t.Errorf("Mean = %g, want 2", w.Mean())
@@ -130,15 +119,8 @@ func TestWindowEviction(t *testing.T) {
 	if w.Mean() != 5 {
 		t.Errorf("Mean after eviction = %g, want 5", w.Mean())
 	}
-	if w.Max() != 10 {
-		t.Errorf("Max = %g, want 10", w.Max())
-	}
-	w.Reset()
-	if w.Len() != 0 {
-		t.Error("Reset did not empty window")
-	}
-	if !math.IsInf(w.Max(), -1) {
-		t.Error("empty window Max not -Inf")
+	if m := Max(w.buf[:w.n]); m != 10 {
+		t.Errorf("max held sample = %g, want 10", m)
 	}
 }
 
@@ -190,7 +172,7 @@ func TestWindowMeanBounds(t *testing.T) {
 			w.Push(v)
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		start := len(vals) - w.Len()
+		start := len(vals) - w.n
 		for _, v := range vals[start:] {
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)

@@ -106,12 +106,6 @@ func New(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg, tempC: t}, nil
 }
 
-// Config returns the model's thermal path.
-func (m *Model) Config() Config { return m.cfg }
-
-// TempC returns the exact die temperature.
-func (m *Model) TempC() float64 { return m.tempC }
-
 // SensorC returns the quantized digital-thermal-sensor reading.
 func (m *Model) SensorC() float64 {
 	s := m.cfg.SensorStepC

@@ -52,33 +52,33 @@ func TestModelStartsAtAmbient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TempC() != 45 {
-		t.Errorf("initial temp = %g, want ambient 45", m.TempC())
+	if m.tempC != 45 {
+		t.Errorf("initial temp = %g, want ambient 45", m.tempC)
 	}
 	m2, _ := New(Config{AmbientC: 45, ResistanceCW: 1.7, CapacitanceJC: 7, InitialC: 60})
-	if m2.TempC() != 60 {
-		t.Errorf("explicit initial temp = %g", m2.TempC())
+	if m2.tempC != 60 {
+		t.Errorf("explicit initial temp = %g", m2.tempC)
 	}
 }
 
 func TestStepConvergesToSteadyState(t *testing.T) {
 	m, _ := New(PentiumMThermal())
-	want := m.Config().SteadyC(15)
+	want := m.cfg.SteadyC(15)
 	for i := 0; i < 20000; i++ {
 		m.Step(15, 10*time.Millisecond)
 	}
-	if math.Abs(m.TempC()-want) > 0.01 {
-		t.Errorf("temp after long run = %g, want steady %g", m.TempC(), want)
+	if math.Abs(m.tempC-want) > 0.01 {
+		t.Errorf("temp after long run = %g, want steady %g", m.tempC, want)
 	}
 }
 
 func TestStepExponentialResponse(t *testing.T) {
 	m, _ := New(PentiumMThermal())
-	tau := m.Config().TimeConstant()
+	tau := m.cfg.TimeConstant()
 	m.Step(15, tau) // one time constant: ~63.2% of the way
-	want := 45 + (m.Config().SteadyC(15)-45)*(1-math.Exp(-1))
-	if math.Abs(m.TempC()-want) > 1e-9 {
-		t.Errorf("temp after 1 tau = %g, want %g", m.TempC(), want)
+	want := 45 + (m.cfg.SteadyC(15)-45)*(1-math.Exp(-1))
+	if math.Abs(m.tempC-want) > 1e-9 {
+		t.Errorf("temp after 1 tau = %g, want %g", m.tempC, want)
 	}
 }
 
@@ -87,18 +87,18 @@ func TestStepLargeDtStable(t *testing.T) {
 	// A huge step must land exactly at steady state, never overshoot
 	// (the closed form is unconditionally stable).
 	m.Step(15, time.Hour)
-	if math.Abs(m.TempC()-m.Config().SteadyC(15)) > 1e-9 {
-		t.Errorf("temp after 1h = %g", m.TempC())
+	if math.Abs(m.tempC-m.cfg.SteadyC(15)) > 1e-9 {
+		t.Errorf("temp after 1h = %g", m.tempC)
 	}
 	m.Step(0, time.Hour)
-	if math.Abs(m.TempC()-45) > 1e-9 {
-		t.Errorf("cooldown temp = %g, want ambient", m.TempC())
+	if math.Abs(m.tempC-45) > 1e-9 {
+		t.Errorf("cooldown temp = %g, want ambient", m.tempC)
 	}
 }
 
 func TestStepZeroDt(t *testing.T) {
 	m, _ := New(PentiumMThermal())
-	before := m.TempC()
+	before := m.tempC
 	if got := m.Step(100, 0); got != before {
 		t.Errorf("zero-dt step changed temp to %g", got)
 	}
@@ -120,7 +120,7 @@ func TestNoOvershoot(t *testing.T) {
 			return false
 		}
 		p := float64(p8) / 10 // 0..25.5 W
-		target := m.Config().SteadyC(p)
+		target := m.cfg.SteadyC(p)
 		lo, hi := 45.0, target
 		if lo > hi {
 			lo, hi = hi, lo

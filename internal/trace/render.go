@@ -115,46 +115,6 @@ func downsample(xs []float64, width int) []float64 {
 	return out
 }
 
-// RenderBars draws a horizontal ASCII bar chart: one labelled bar per
-// (label, value) pair, scaled to maxWidth columns.
-func RenderBars(w io.Writer, title string, labels []string, values []float64, maxWidth int) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("trace: %d labels vs %d values", len(labels), len(values))
-	}
-	if maxWidth < 10 {
-		maxWidth = 10
-	}
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	hi := stats.Max(values)
-	lo := stats.Min(values)
-	if lo > 0 {
-		lo = 0
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	wide := 0
-	for _, l := range labels {
-		if len(l) > wide {
-			wide = len(l)
-		}
-	}
-	for i, l := range labels {
-		n := int((values[i] - lo) / span * float64(maxWidth))
-		if n < 0 {
-			n = 0
-		}
-		bar := strings.Repeat("=", n)
-		if _, err := fmt.Fprintf(w, "  %-*s |%s %.3f\n", wide, l, bar, values[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TimelineSummary prints a compact numeric digest of a run: duration,
 // energy, average power/frequency, and residency per p-state.
 func (r *Run) TimelineSummary(w io.Writer) error {

@@ -155,20 +155,6 @@ func TestRenderASCIIDownsamples(t *testing.T) {
 	}
 }
 
-func TestRenderBars(t *testing.T) {
-	var sb strings.Builder
-	err := RenderBars(&sb, "bars", []string{"aa", "b"}, []float64{1, 2}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "aa") || !strings.Contains(sb.String(), "==") {
-		t.Errorf("bars output:\n%s", sb.String())
-	}
-	if err := RenderBars(&sb, "bad", []string{"a"}, []float64{1, 2}, 20); err == nil {
-		t.Error("mismatched labels/values accepted")
-	}
-}
-
 func TestTimelineSummary(t *testing.T) {
 	var sb strings.Builder
 	if err := sampleRun().TimelineSummary(&sb); err != nil {
