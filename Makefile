@@ -208,12 +208,14 @@ tick-gate:
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must
 # finish and stay inside the tested per-node memory budget (the
 # TotalAlloc gate in TestFleetMemoryBudget), plus the one-level golden
-# fixture and the multi-level determinism differential.
+# fixture, the multi-level determinism differential and one 100k-node
+# batch build (BenchmarkNewBatchFleet, B/node).
 .PHONY: fleet-smoke
 fleet-smoke:
 	go test -run TestGoldenCluster .
 	go test -run TestFleetMultiLevelDeterministic ./internal/cluster/
 	go test -run TestFleetMemoryBudget -count=1 ./internal/cluster/
+	go test -run '^$$' -bench BenchmarkNewBatchFleet -benchtime 1x -benchmem ./internal/machine/
 
 .PHONY: all
 all: vet test race

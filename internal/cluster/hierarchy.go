@@ -14,10 +14,11 @@
 // worker count (testdata/golden_cluster.csv pins the flat case).
 //
 // Memory: the per-node footprint is the BatchState's lanes (the PM
-// state included: the fleet shares one PM policy) plus one machine and
-// one run header — no per-node governors, actuators, goroutines, hooks,
-// RNGs (unless the workload jitters or the chain is noisy) or retained
-// trace rows unless FleetConfig.RetainTraces asks for them.
+// state included: the fleet shares one PM policy and one machine) plus
+// one run header — no per-node machines, governors, actuators,
+// goroutines, hooks, RNGs (unless the workload jitters or the chain is
+// noisy) or retained trace rows unless FleetConfig.RetainTraces asks
+// for them.
 // TestFleetMemoryBudget pins the measured bytes/node.
 package cluster
 
@@ -320,8 +321,14 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 	lane := pol.Lane(share)
 	names := make([]string, n)
-	bnodes := make([]machine.BatchNode, n)
-	for i, node := range cfg.Nodes {
+	// The engine reads each node as it builds its lanes, so no
+	// per-node BatchNode outlives its iteration. The coordinator reads
+	// node observations through the engine's per-node accessors rather
+	// than a hook tap, so a run without Observe stays off the full
+	// event order.
+	var machineErr error
+	bs, err := machine.NewBatchFunc(n, func(i int) (machine.BatchNode, error) {
+		node := &cfg.Nodes[i]
 		name := node.Name
 		if name == "" {
 			name = node.Workload.Name
@@ -330,18 +337,17 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		m := shared
 		if cfg.Faults != nil {
 			if plan := cfg.Faults(i); plan != nil {
-				if m, err = machine.New(machine.Config{Truth: shared.Truth(), Chain: cfg.Chain, Seed: cfg.Seed, Faults: plan}); err != nil {
-					return nil, err
+				if m, machineErr = machine.New(machine.Config{Truth: shared.Truth(), Chain: cfg.Chain, Seed: cfg.Seed, Faults: plan}); machineErr != nil {
+					return machine.BatchNode{}, machineErr
 				}
 			}
 		}
-		bnodes[i] = machine.BatchNode{Machine: m, Workload: node.Workload, Policy: pol, Lane: lane, SeedOffset: int64(i) * 7919}
-	}
-	// The coordinator reads node observations through the engine's
-	// per-node accessors rather than a hook tap, so a run without
-	// Observe stays off the full event order.
-	bs, err := machine.NewBatch(bnodes, machine.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
-	if err != nil {
+		return machine.BatchNode{Machine: m, Workload: node.Workload, Policy: pol, Lane: lane, SeedOffset: int64(i) * 7919}, nil
+	}, machine.BatchOptions{RetainTraces: cfg.RetainTraces, Hooks: cfg.Observe})
+	switch {
+	case machineErr != nil:
+		return nil, machineErr // a faulted node's machine, as machine.New reported it
+	case err != nil:
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 

@@ -285,17 +285,41 @@ func TestFleetSharedPlatformMatchesMachines(t *testing.T) {
 	}
 }
 
+// TestFleetFaultedMachineError checks that a node whose fault plan
+// machine.New rejects fails the fleet with machine.New's own error, as
+// the engine reads the nodes one at a time.
+func TestFleetFaultedMachineError(t *testing.T) {
+	const n = 8
+	bad := faults.Plan{Sensor: faults.SensorPlan{DropoutProb: 2}}
+	_, want := machine.New(machine.Config{Truth: power.PentiumM755Truth(), Seed: 1, Faults: &bad})
+	if want == nil {
+		t.Fatal("machine.New accepted a dropout probability of 2")
+	}
+	_, err := RunFleet(FleetConfig{
+		BudgetW: 30 * n, Nodes: SyntheticFleet(n, 10), Seed: 1,
+		Faults: func(i int) *faults.Plan {
+			if i == 5 {
+				return &bad
+			}
+			return nil
+		},
+	})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("RunFleet error %v, want %v", err, want)
+	}
+}
+
 // fleetBytesPerNodeBudget caps the per-node allocation cost of a
 // fleet run (cumulative bytes allocated during RunFleet divided by
 // the node count). The footprint is the BatchState's lanes (the PM
 // state and two 4-byte indices into the shared wiring included), one
-// run header and one BatchNode per node, and the coordinator's
-// per-node records; the budget sits about 7% above the measured 673 B,
-// so a regression that brings back a per-node machine (~100 B),
-// per-node copies of the shared wiring (~280 B) or a per-node TickInfo
-// (128 B) — let alone a per-node governor, power model or RNG — fails
-// loudly.
-const fleetBytesPerNodeBudget = 720
+// run header per node, and the coordinator's per-node records; the
+// budget sits about 7% above the measured 459 B, so a regression that
+// brings back a per-node machine (~100 B), a per-node BatchNode
+// (136 B), per-node copies of the shared wiring (~280 B), a per-node
+// TickInfo (128 B) or counter sample (56 B) — let alone a per-node
+// governor, power model or RNG — fails loudly.
+const fleetBytesPerNodeBudget = 490
 
 // TestFleetMemoryBudget is the scale gate: one process steps 100,000
 // nodes through a multi-epoch hierarchical run, within the per-node

@@ -81,10 +81,13 @@ type shardTally struct {
 	// flags that one of them returned an error.
 	stepped int
 	failed  bool
-	// step steps the worker's nodes: it holds the govern stage's
-	// record, written for every node the worker steps.
+	// step steps the worker's nodes: it holds the tick record (the
+	// interval's sample and the govern input), written for every node
+	// the worker steps.
 	step machine.Stepper
-	_    [3*cacheLine - 48 - unsafe.Sizeof(machine.Stepper{})]byte // wall, stepped and failed take 48 bytes
+	// wall, stepped and failed take 48 bytes; the pad rounds the
+	// tally up to whole cache lines.
+	_ [(cacheLine - (48+unsafe.Sizeof(machine.Stepper{}))%cacheLine) % cacheLine]byte
 }
 
 // stepper owns the per-tick stepping work. Each worker owns one

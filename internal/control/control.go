@@ -122,6 +122,9 @@ func sensorReadingOK(w float64) bool {
 // (machine.LanePolicy).
 type PMPolicy struct {
 	cfg PMConfig
+	// class is the name every lane shares before its limit:
+	// "PM", then "+fb" with feedback and "+dg" with degradation.
+	class string
 }
 
 // NewPMPolicy validates cfg and returns a policy every node of that
@@ -153,7 +156,14 @@ func NewPMPolicy(cfg PMConfig) (*PMPolicy, error) {
 	if cfg.Degrade && cfg.DegradeGuardbandW == 0 {
 		cfg.DegradeGuardbandW = DefaultDegradeGuardbandW
 	}
-	return &PMPolicy{cfg: cfg}, nil
+	class := "PM"
+	if cfg.FeedbackGain > 0 {
+		class += "+fb"
+	}
+	if cfg.Degrade {
+		class += "+dg"
+	}
+	return &PMPolicy{cfg: cfg, class: class}, nil
 }
 
 // Lane returns a fresh node state under the policy with power limit
@@ -178,15 +188,12 @@ const (
 
 // LaneName identifies the policy in traces.
 func (p *PMPolicy) LaneName(st *machine.GovLane) string {
-	suffix := ""
-	if p.cfg.Degrade {
-		suffix = "+dg"
-	}
-	if p.cfg.FeedbackGain > 0 {
-		return fmt.Sprintf("PM+fb%s(%.1fW)", suffix, st.LimitW)
-	}
-	return fmt.Sprintf("PM%s(%.1fW)", suffix, st.LimitW)
+	return fmt.Sprintf("%s(%.1fW)", p.class, st.LimitW)
 }
+
+// NameClass names the policy's naming rule (machine.LanePolicy): its
+// names differ from another PM's only in the options they show.
+func (p *PMPolicy) NameClass() string { return p.class }
 
 // guardbandW is the guardband a lane's most recent tick applied:
 // cfg.GuardbandW, widened by cfg.DegradeGuardbandW during a sensor

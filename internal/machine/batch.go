@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"aapm/internal/counters"
@@ -99,6 +100,9 @@ type BatchOptions struct {
 // specs (which points to the platform's entry of plats), and its lane
 // policy is one entry of lpols, so a homogeneous fleet of 10⁵ nodes
 // carries a handful of entries instead of 10⁵ copies of its wiring.
+// What only the tick that writes it reads — the interval's counter
+// sample, and a faulted node's true sample — lives in the stepping
+// goroutine's record (tickRec), not in a lane.
 type BatchState struct {
 	n      int
 	retain bool
@@ -107,8 +111,8 @@ type BatchState struct {
 	// clock times the stages when timing is on. Only a Session
 	// enables timing, so one clock per batch serves its one lane.
 	clock stageClock
-	// info is the govern stage's record for StepNode (see Stepper).
-	info TickInfo
+	// rec is the tick record for StepNode (see Stepper).
+	rec tickRec
 
 	// Shared wiring, fixed at construction: node i runs the workload
 	// shape specs[spec[i]] on its platform under the lane policy
@@ -138,11 +142,11 @@ type BatchState struct {
 	// are the node's p-state actuator; lanes its lane-policy state.
 	curIdx    []int32
 	lanes     []GovLane
-	trans     []int
-	failed    []int
+	trans     []int32
+	failed    []int32
 	phaseIdx  []int32
 	iter      []int32
-	tick      []int
+	tick      []int32
 	remInstr  []float64
 	remIdle   []time.Duration
 	now       []time.Duration
@@ -152,19 +156,39 @@ type BatchState struct {
 	busyTot   []time.Duration
 	lastW     []float64
 	seq       []uint64
-	exhausted []bool
-	done      []bool
-	finalized []bool
-	errs      []error
+	flags     []uint8 // nodeExhausted, nodeDone, nodeFailed, nodeFinalized
+	// dpc is the decode rate of each node's last governor-visible
+	// sample: what LastDPC and a coordinator's demand read between
+	// ticks.
+	dpc []float64
 
 	energyTrue []power.Energy
 	energyMeas []power.Energy
-	// samples holds each node's PMU sample of its last interval,
-	// accumulated in place by the execute stage. A faulted node's
-	// sample is the governor-visible one; its true sample is in
-	// trueSample.
-	samples    []counters.Sample
-	trueSample []counters.Sample // allocated only for batches with faults
+
+	// errs records the error of each failed node (nodeFailed set).
+	// Failures are rare and may happen on concurrent steppers, so the
+	// record is sparse and locked.
+	errMu sync.Mutex
+	errs  map[int]error
+}
+
+// Node flag bits, one byte per node.
+const (
+	nodeExhausted uint8 = 1 << iota // the workload has no phase left
+	nodeDone                        // the run completed
+	nodeFailed                      // stepping failed; the error is in errs
+	nodeFinalized                   // Result has filled in the run totals
+)
+
+// tickRec is one stepping goroutine's record of the interval it is
+// stepping. The execute stage accumulates the interval's counter
+// sample into info.Sample in place, the measure stage corrupts it
+// there on a faulted node (keeping the true sample in trueSample), and
+// the govern stage completes info for the policy. Nothing in it
+// outlives the tick.
+type tickRec struct {
+	info       TickInfo
+	trueSample counters.Sample
 }
 
 // platform is what the nodes on machines of one configuration share:
@@ -213,39 +237,47 @@ type specKey struct {
 	repeats int32
 }
 
-// Stepper steps nodes of one batch from one goroutine. The govern
-// stage assembles the TickInfo a policy reads in the stepper's one
-// record rather than in a per-node lane, so goroutines that step
-// disjoint nodes of a batch concurrently each need a Stepper of their
-// own. StepNode, StepAll and Run step through the batch's own record.
+// Stepper steps nodes of one batch from one goroutine. The execute
+// and govern stages assemble the sample and the TickInfo a policy
+// reads in the stepper's one record rather than in per-node lanes, so
+// goroutines that step disjoint nodes of a batch concurrently each
+// need a Stepper of their own. StepNode, StepAll and Run step through
+// the batch's own record.
 type Stepper struct {
-	b    *BatchState
-	info TickInfo
+	b   *BatchState
+	rec tickRec
 }
 
 // NewStepper returns a Stepper over b.
 func (b *BatchState) NewStepper() Stepper { return Stepper{b: b} }
 
-// Step is StepNode through the stepper's own govern record.
-func (s *Stepper) Step(i int) bool { return s.b.stepNode(i, &s.info) }
+// Step is StepNode through the stepper's own record.
+func (s *Stepper) Step(i int) bool { return s.b.stepNode(i, &s.rec) }
 
-// NewBatch validates the nodes and builds a batch ready to step. Each
-// node's actuator starts at the machine's start state (or the
-// governor's InitialStater choice), and its noise/jitter RNG and fault
-// injector are seeded from the machine seed plus the node's
-// SeedOffset, XORed with the workload name's hash, so a node's run is
-// the same in any batch and in a Session.
-//
-// The per-node footprint is kept lean for fleet-scale batches: a node
-// holds an index into the shared wiring, and the optional slices and
-// the ~5 KB rand.Rand source exist only for nodes that use them (a
-// node without workload jitter or chain noise never draws from its
-// stream, so a nil RNG is bit-identical).
+// NewBatch builds a batch over nodes (NewBatchFunc reading the slice).
 func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
-	if len(nodes) == 0 {
+	return NewBatchFunc(len(nodes), func(i int) (BatchNode, error) { return nodes[i], nil }, opts)
+}
+
+// NewBatchFunc validates n nodes and builds a batch ready to step,
+// reading node i from node(i) once, in index order; an error from
+// node fails the build with that error. Each node's actuator starts at
+// the machine's start state (or the governor's InitialStater choice),
+// and its noise/jitter RNG and fault injector are seeded from the
+// machine seed plus the node's SeedOffset, XORed with the workload
+// name's hash, so a node's run is the same in any batch and in a
+// Session.
+//
+// The per-node footprint is kept lean for fleet-scale batches: no
+// BatchNode outlives its iteration, a node holds an index into the
+// shared wiring, and the optional slices and the ~5 KB rand.Rand
+// source exist only for nodes that use them (a node without workload
+// jitter or chain noise never draws from its stream, so a nil RNG is
+// bit-identical).
+func NewBatchFunc(n int, node func(i int) (BatchNode, error), opts BatchOptions) (*BatchState, error) {
+	if n <= 0 {
 		return nil, fmt.Errorf("machine: batch needs at least one node")
 	}
-	n := len(nodes)
 	b := &BatchState{
 		n:      n,
 		retain: opts.RetainTraces,
@@ -256,11 +288,11 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 
 		curIdx:    make([]int32, n),
 		lanes:     make([]GovLane, n),
-		trans:     make([]int, n),
-		failed:    make([]int, n),
+		trans:     make([]int32, n),
+		failed:    make([]int32, n),
 		phaseIdx:  make([]int32, n),
 		iter:      make([]int32, n),
-		tick:      make([]int, n),
+		tick:      make([]int32, n),
 		remInstr:  make([]float64, n),
 		remIdle:   make([]time.Duration, n),
 		now:       make([]time.Duration, n),
@@ -270,43 +302,79 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		busyTot:   make([]time.Duration, n),
 		lastW:     make([]float64, n),
 		seq:       make([]uint64, n),
-		exhausted: make([]bool, n),
-		done:      make([]bool, n),
-		finalized: make([]bool, n),
-		errs:      make([]error, n),
+		flags:     make([]uint8, n),
+		dpc:       make([]float64, n),
 
 		energyTrue: make([]power.Energy, n),
 		energyMeas: make([]power.Energy, n),
-		samples:    make([]counters.Sample, n),
 	}
 	if opts.Hooks != nil {
 		b.hooks = make([][]Hook, n)
 	}
 	platIdx := make(map[platKey]*platform)
 	specIdx := make(map[specKey]uint32)
+	laneNames := make(map[laneNameKey]string)
+	// hashes[si] is the name hash of the last node of spec si, so the
+	// nodes of one workload hash its name once even when workloads
+	// interleave.
+	type nameHash struct {
+		name string
+		hash uint32
+	}
+	var hashes []nameHash
 	// Consecutive nodes of one machine share its platform lookup, and
-	// consecutive lane nodes of one policy starting from one state (a
-	// homogeneous fleet) share one name string.
+	// of one lane name class and starting lane their name string (a
+	// homogeneous fleet looks each up once).
 	var (
 		lastM     *Machine
 		plat      *platform
-		namedPol  LanePolicy
-		namedLane GovLane
+		lastNK    laneNameKey
 		laneName  string
 		throttles bool
 	)
-	for i := range nodes {
-		node := &nodes[i]
-		m, w, g, lp := node.Machine, node.Workload, node.Governor, node.Policy
+	for i := 0; i < n; i++ {
+		nd, err := node(i)
+		if err != nil {
+			return nil, err
+		}
+		m, w, g, lp := nd.Machine, nd.Workload, nd.Governor, nd.Policy
 		if m == nil {
 			return nil, fmt.Errorf("machine: batch node %d has no machine", i)
 		}
 		if g != nil && lp != nil {
 			return nil, fmt.Errorf("machine: batch node %d has both a governor and a lane policy", i)
 		}
-		if err := w.Validate(); err != nil {
-			return nil, err
+		if m != lastM {
+			lastM = m
+			pk := platKey{truth: m.truth, chain: m.chain, latency: m.translat, period: m.period, maxTicks: m.maxTicks}
+			if plat = platIdx[pk]; plat == nil {
+				plat = newPlatform(m)
+				platIdx[pk] = plat
+				b.plats = append(b.plats, plat)
+			}
 		}
+		// A workload shape is validated once, when its spec entry is
+		// made: a later node of that shape differs at most in its name,
+		// which only has to be non-empty.
+		var ph0 *phase.Params
+		if len(w.Phases) > 0 {
+			ph0 = &w.Phases[0]
+		}
+		sk := specKey{plat: plat, phase0: ph0, nph: len(w.Phases), jitter: w.JitterPct, repeats: int32(w.Repeats())}
+		si, known := specIdx[sk]
+		if !known || w.Name == "" {
+			if err := w.Validate(); err != nil {
+				return nil, err
+			}
+		}
+		if !known {
+			si = uint32(len(b.specs))
+			specIdx[sk] = si
+			b.specs = append(b.specs, newSpec(sk, w.Phases))
+			hashes = append(hashes, nameHash{})
+		}
+		b.spec[i] = si
+
 		start := m.startIdx
 		if is, ok := g.(InitialStater); ok {
 			start = is.InitialIndex(start)
@@ -319,14 +387,19 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 			lp = lg.Policy()
 			lg.BindLane(&b.lanes[i])
 		} else if lp != nil {
-			b.lanes[i] = node.Lane
+			b.lanes[i] = nd.Lane
 		}
 		policy := StaticPolicy
 		switch {
 		case lp != nil:
-			if lp != namedPol || b.lanes[i] != namedLane {
-				namedPol, namedLane = lp, b.lanes[i]
-				laneName = lp.LaneName(&b.lanes[i])
+			// laneName is empty until the first lane node names it.
+			if nk := laneNameKeyOf(lp, &b.lanes[i]); nk != lastNK || laneName == "" {
+				lastNK = nk
+				var ok bool
+				if laneName, ok = laneNames[nk]; !ok {
+					laneName = lp.LaneName(&b.lanes[i])
+					laneNames[nk] = laneName
+				}
 			}
 			policy = laneName
 		case g != nil:
@@ -350,7 +423,10 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		}
 		// The injector draws from its own stream (same seed, separate
 		// source), so enabling faults does not perturb noise or jitter.
-		seed := (m.seed + node.SeedOffset) ^ int64(hashName(w.Name))
+		if h := &hashes[si]; w.Name != h.name {
+			h.name, h.hash = w.Name, hashName(w.Name)
+		}
+		seed := (m.seed + nd.SeedOffset) ^ int64(hashes[si].hash)
 		if m.faults != nil {
 			inj, err := faults.NewInjector(*m.faults, seed)
 			if err != nil {
@@ -358,7 +434,6 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 			}
 			if b.injs == nil {
 				b.injs = make([]*faults.Injector, n)
-				b.trueSample = make([]counters.Sample, n)
 			}
 			b.injs[i] = inj
 		}
@@ -372,27 +447,6 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 			b.rngs[i] = rand.New(rand.NewSource(seed))
 		}
 
-		if m != lastM {
-			lastM = m
-			pk := platKey{truth: m.truth, chain: m.chain, latency: m.translat, period: m.period, maxTicks: m.maxTicks}
-			if plat = platIdx[pk]; plat == nil {
-				plat = newPlatform(m)
-				platIdx[pk] = plat
-				b.plats = append(b.plats, plat)
-			}
-		}
-		var ph0 *phase.Params
-		if len(w.Phases) > 0 {
-			ph0 = &w.Phases[0]
-		}
-		sk := specKey{plat: plat, phase0: ph0, nph: len(w.Phases), jitter: w.JitterPct, repeats: int32(w.Repeats())}
-		si, ok := specIdx[sk]
-		if !ok {
-			si = uint32(len(b.specs))
-			specIdx[sk] = si
-			b.specs = append(b.specs, newSpec(sk, w.Phases))
-		}
-		b.spec[i] = si
 		if lp != nil {
 			if lp != b.lpols[len(b.lpols)-1] {
 				b.lpols = append(b.lpols, lp)
@@ -421,6 +475,29 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 		}
 	}
 	return b, nil
+}
+
+// laneNameKey keys the lane names NewBatchFunc formats: a policy's
+// name class and the bits of the lane it names (bits, so that lanes
+// that compare equal but format differently, such as -0 and +0
+// limits, get names of their own).
+type laneNameKey struct {
+	class            string
+	limit, corr, dpc uint64
+	pendingUp        int32
+	flags            uint8
+}
+
+// laneNameKeyOf returns the name key of lane st under policy p.
+func laneNameKeyOf(p LanePolicy, st *GovLane) laneNameKey {
+	return laneNameKey{
+		class:     p.NameClass(),
+		limit:     math.Float64bits(st.LimitW),
+		corr:      math.Float64bits(st.Corr),
+		dpc:       math.Float64bits(st.DPC),
+		pendingUp: st.PendingUp,
+		flags:     st.Flags,
+	}
 }
 
 // newPlatform builds m's platform entry.
@@ -501,7 +578,7 @@ func (b *BatchState) loadPhase(i int) {
 			b.phaseIdx[i] = 0
 			b.iter[i]++
 			if b.iter[i] >= sp.repeats {
-				b.exhausted[i] = true
+				b.flags[i] |= nodeExhausted
 				return
 			}
 		}
@@ -521,14 +598,14 @@ func (b *BatchState) loadPhase(i int) {
 
 // StepNode advances node i by one monitoring interval, reporting
 // whether the node was stepped (false once it is done or errored).
-func (b *BatchState) StepNode(i int) bool { return b.stepNode(i, &b.info) }
+func (b *BatchState) StepNode(i int) bool { return b.stepNode(i, &b.rec) }
 
-// stepNode is StepNode with info as the govern stage's record.
-func (b *BatchState) stepNode(i int, info *TickInfo) bool {
-	if b.done[i] || b.errs[i] != nil {
+// stepNode is StepNode with r as the tick's record.
+func (b *BatchState) stepNode(i int, r *tickRec) bool {
+	if b.flags[i]&(nodeDone|nodeFailed) != 0 {
 		return false
 	}
-	b.step(i, info)
+	b.step(i, r)
 	return true
 }
 
@@ -557,8 +634,8 @@ func (b *BatchState) Run() error {
 
 // Done reports whether every node has completed (or errored).
 func (b *BatchState) Done() bool {
-	for i := 0; i < b.n; i++ {
-		if !b.done[i] && b.errs[i] == nil {
+	for _, f := range b.flags {
+		if f&(nodeDone|nodeFailed) == 0 {
 			return false
 		}
 	}
@@ -566,19 +643,39 @@ func (b *BatchState) Done() bool {
 }
 
 // NodeDone reports whether node i has completed.
-func (b *BatchState) NodeDone(i int) bool { return b.done[i] }
+func (b *BatchState) NodeDone(i int) bool { return b.flags[i]&nodeDone != 0 }
 
 // NodeErr returns node i's error, if stepping failed.
-func (b *BatchState) NodeErr(i int) error { return b.errs[i] }
+func (b *BatchState) NodeErr(i int) error {
+	if b.flags[i]&nodeFailed == 0 {
+		return nil
+	}
+	b.errMu.Lock()
+	defer b.errMu.Unlock()
+	return b.errs[i]
+}
 
-// Err returns the first node error by index, or nil.
+// Err returns the first node error by index, or nil. Run calls it
+// after every round, so it scans the flags and takes the lock only
+// for a failed node.
 func (b *BatchState) Err() error {
-	for i := 0; i < b.n; i++ {
-		if b.errs[i] != nil {
-			return b.errs[i]
+	for i, f := range b.flags {
+		if f&nodeFailed != 0 {
+			return b.NodeErr(i)
 		}
 	}
 	return nil
+}
+
+// fail records err as node i's error, which ends its run.
+func (b *BatchState) fail(i int, err error) {
+	b.errMu.Lock()
+	if b.errs == nil {
+		b.errs = make(map[int]error)
+	}
+	b.errs[i] = err
+	b.errMu.Unlock()
+	b.flags[i] |= nodeFailed
 }
 
 // Seq returns the count of recorded intervals of node i. It advances
@@ -590,10 +687,10 @@ func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
 
 // LastDPC returns the decode rate of node i's most recent
 // governor-visible sample.
-func (b *BatchState) LastDPC(i int) float64 { return b.samples[i].DPC() }
+func (b *BatchState) LastDPC(i int) float64 { return b.dpc[i] }
 
 // Ticks returns the number of intervals node i has executed.
-func (b *BatchState) Ticks(i int) int { return b.tick[i] }
+func (b *BatchState) Ticks(i int) int { return int(b.tick[i]) }
 
 // Governor returns node i's governor: nil for a pinned node and for a
 // lane-policy node built without a handle (BatchNode.Policy).
@@ -624,17 +721,17 @@ func (b *BatchState) BudgetDesireW(i int, dpc float64) float64 {
 // fires each subscribed hook's OnDone exactly once.
 func (b *BatchState) Result(i int) *trace.Run {
 	run := &b.runs[i]
-	if !b.finalized[i] {
+	if b.flags[i]&nodeFinalized == 0 {
 		run.Ticks = int(b.seq[i])
 		run.Duration = b.now[i]
 		run.StallTime = b.stallTot[i]
 		run.BusyTime = b.busyTot[i]
 		run.EnergyJ = b.energyTrue[i].Joules()
 		run.MeasuredEnergyJ = b.energyMeas[i].Joules()
-		run.Transitions = b.trans[i]
-		run.FailedTransitions = b.failed[i]
+		run.Transitions = int(b.trans[i])
+		run.FailedTransitions = int(b.failed[i])
 		run.Instructions = b.instrTot[i]
-		b.finalized[i] = true
+		b.flags[i] |= nodeFinalized
 		for _, h := range b.hooksOf(i) {
 			h.OnDone(run)
 		}

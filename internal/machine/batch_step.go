@@ -26,13 +26,15 @@ import (
 // sums, replacing divisions with reciprocal multiplies) is off the
 // table.
 //
-// info is the stepping goroutine's record (Stepper): the step writes
-// the interval's sensor reading and duty into it, and the govern stage
-// the rest of what the policy reads.
-func (b *BatchState) step(i int, info *TickInfo) {
+// r is the stepping goroutine's record (Stepper): the execute stage
+// accumulates the interval's counter sample in r.info.Sample, the step
+// writes the sensor reading and duty into r.info, and the govern stage
+// the rest of what the policy reads. Only the sample's decode rate
+// outlives the tick, in the node's dpc lane.
+func (b *BatchState) step(i int, r *tickRec) {
 	sp := &b.specs[b.spec[i]]
 	pl := sp.plat
-	if b.tick[i] >= pl.maxTicks {
+	if int(b.tick[i]) >= pl.maxTicks {
 		b.failTicks(i)
 		return
 	}
@@ -45,9 +47,11 @@ func (b *BatchState) step(i int, info *TickInfo) {
 	start := b.now[i]
 
 	// execute
-	used, busy, stall, instr, jitter, ph, ok := b.executeTick(i, cur)
+	info := &r.info
+	used, busy, stall, instr, jitter, ph, ok := b.executeTick(i, cur, &info.Sample)
 	if !ok {
-		b.done[i] = true
+		b.dpc[i] = 0 // the decode rate of the interval's empty sample
+		b.flags[i] |= nodeDone
 		return
 	}
 	b.mark(StageExecute)
@@ -55,11 +59,12 @@ func (b *BatchState) step(i int, info *TickInfo) {
 	// measure: ground truth, the chain's reading, fault corruption of
 	// what the governor sees, and both energy integrals. Dropped
 	// acquisitions (NaN) contribute no measured energy.
-	trueW := intervalPower(pl.truth, cur, &b.samples[i], busy, used)
+	trueW := intervalPower(pl.truth, cur, &info.Sample, busy, used)
 	meaW := pl.chain.Measure(trueW, b.rng(i))
 	if full && b.injs != nil && b.injs[i] != nil {
-		meaW = b.injectFaults(i, start+used, meaW)
+		meaW = b.injectFaults(i, r, start+used, meaW)
 	}
+	b.dpc[i] = info.Sample.DPC()
 	usedSec := used.Seconds()
 	if used == pl.period {
 		usedSec = pl.perSec
@@ -78,8 +83,8 @@ func (b *BatchState) step(i int, info *TickInfo) {
 	b.lastW[i] = meaW
 	b.seq[i]++
 	want := cur
-	if b.exhausted[i] {
-		b.done[i] = true
+	if b.flags[i]&nodeExhausted != 0 {
+		b.flags[i] |= nodeDone
 	} else {
 		want = b.govern(i, info, sp, cur, used, meaW)
 		b.mark(StageGovern)
@@ -92,15 +97,15 @@ func (b *BatchState) step(i int, info *TickInfo) {
 	}
 	b.emitRow(i, info, start, used, cur, trueW, meaW, instr, ph)
 	if full {
-		b.emitRecord(i, info, cur, want, used, busy, stall, instr, jitter, trueW, ph)
+		b.emitRecord(i, r, cur, want, used, busy, stall, instr, jitter, trueW, ph)
 	}
 }
 
 // failTicks records the tick-bound error for node i.
 func (b *BatchState) failTicks(i int) {
 	run := &b.runs[i]
-	b.errs[i] = fmt.Errorf("machine: run %s/%s exceeded %d ticks",
-		run.Workload, run.Policy, b.specs[b.spec[i]].plat.maxTicks)
+	b.fail(i, fmt.Errorf("machine: run %s/%s exceeded %d ticks",
+		run.Workload, run.Policy, b.specs[b.spec[i]].plat.maxTicks))
 }
 
 // advancePhase moves node i past its current phase.
@@ -112,12 +117,12 @@ func (b *BatchState) advancePhase(i int) {
 // executeTick is the execute stage: draw the interval's intensity
 // jitter, charge pending stall and the stopped fraction of a modulated
 // clock, then walk phases accumulating cycles, instructions and
-// counter activity into the node's sample lane, and the interval's
-// stall and busy time into the run totals. ph is the Row.Phase label
-// of the last phase the interval ran: 1 + its index, or 0 if it ran
-// none. ok is false when the workload was already exhausted
-// (zero-length interval, nothing charged).
-func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, instr, jitter float64, ph uint32, ok bool) {
+// counter activity into sample, and the interval's stall and busy time
+// into the run totals. ph is the Row.Phase label of the last phase the
+// interval ran: 1 + its index, or 0 if it ran none. ok is false when
+// the workload was already exhausted (zero-length interval, nothing
+// charged).
+func (b *BatchState) executeTick(i, cur int, sample *counters.Sample) (used, busy, stall time.Duration, instr, jitter float64, ph uint32, ok bool) {
 	sp := &b.specs[b.spec[i]]
 	pl := sp.plat
 	jitter = 1.0
@@ -139,10 +144,9 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 	phs := sp.phases
 	nph := len(phs)
 	bRow := sp.behav[cur*nph : cur*nph+nph]
-	sample := &b.samples[i]
 	*sample = counters.Sample{}
 	zero := true
-	for remaining > 0 && !b.exhausted[i] {
+	for remaining > 0 && b.flags[i]&nodeExhausted == 0 {
 		pi := int(b.phaseIdx[i])
 		p := &phs[pi]
 		ph = uint32(pi) + 1
@@ -204,15 +208,15 @@ func (b *BatchState) executeTick(i, cur int) (used, busy, stall time.Duration, i
 }
 
 // injectFaults is the measure stage's fault corruption on a full
-// batch: node i's sample becomes the one the governor observes (the
-// true sample moves to the node's trueSample lane) and the
-// returned measured power is what the faulted sensor reports. The
-// injector's events are logged at virtual time t.
-func (b *BatchState) injectFaults(i int, t time.Duration, meaW float64) float64 {
+// batch: node i's sample in r becomes the one the governor observes
+// (the true sample moves to r.trueSample) and the returned measured
+// power is what the faulted sensor reports. The injector's events are
+// logged at virtual time t.
+func (b *BatchState) injectFaults(i int, r *tickRec, t time.Duration, meaW float64) float64 {
 	inj := b.injs[i]
 	inj.BeginTick()
-	s := &b.samples[i]
-	b.trueSample[i] = *s
+	s := &r.info.Sample
+	r.trueSample = *s
 	*s = inj.Counters(*s)
 	meaW = inj.Sense(meaW)
 	b.drainInjector(i, t)
@@ -246,7 +250,6 @@ func (b *BatchState) govern(i int, info *TickInfo, sp *nodeSpec, cur int, used t
 	pl := sp.plat
 	info.Now = b.now[i]
 	info.Interval = used
-	info.Sample = b.samples[i]
 	info.PState = pl.states[cur]
 	info.PStateIndex = cur
 	info.Table = pl.table
@@ -286,7 +289,7 @@ func (b *BatchState) actuate(i int, sp *nodeSpec, cur, want int) bool {
 	}
 	if ok {
 		if err := pl.table.CheckIndex(want); err != nil {
-			b.errs[i] = fmt.Errorf("machine: governor %s: %w", b.runs[i].Policy, err)
+			b.fail(i, fmt.Errorf("machine: governor %s: %w", b.runs[i].Policy, err))
 			return false
 		}
 		b.curIdx[i] = int32(want)
@@ -329,14 +332,14 @@ func (b *BatchState) mark(stage int) {
 
 // emitRow records node i's interval: instruction totals always, the
 // trace row only under RetainTraces. The row reads the node's
-// governor-visible sample, and the sensor reading and the duty from
-// info. Rate divisions happen only when a row is kept.
+// governor-visible sample, the sensor reading and the duty from info.
+// Rate divisions happen only when a row is kept.
 func (b *BatchState) emitRow(i int, info *TickInfo, start, used time.Duration, cur int, trueW, meaW, instr float64, ph uint32) {
 	b.instrTot[i] += instr
 	if !b.retain {
 		return
 	}
-	s := &b.samples[i]
+	s := &info.Sample
 	run := &b.runs[i]
 	run.Rows = append(run.Rows, trace.Row{
 		T:              start,
@@ -361,10 +364,11 @@ func (b *BatchState) emitRow(i int, info *TickInfo, start, used time.Duration, c
 // subscription order. The record is built on every tick of a full
 // batch, hooked or not, so subscribing a hook adds only its own
 // dispatch.
-func (b *BatchState) emitRecord(i int, info *TickInfo, cur, want int, used, busy, stall time.Duration, instr, jitter, trueW float64, ph uint32) {
+func (b *BatchState) emitRecord(i int, r *tickRec, cur, want int, used, busy, stall time.Duration, instr, jitter, trueW float64, ph uint32) {
 	pl := b.specs[b.spec[i]].plat
+	info := &r.info
 	ts := TickState{
-		Tick:           b.tick[i],
+		Tick:           int(b.tick[i]),
 		Start:          b.now[i] - used,
 		Interval:       pl.period,
 		Used:           used,
@@ -376,17 +380,17 @@ func (b *BatchState) emitRecord(i int, info *TickInfo, cur, want int, used, busy
 		Busy:           busy,
 		Instructions:   instr,
 		Phase:          b.runs[i].Phases.Name(ph),
-		Sample:         b.samples[i],
-		Observed:       b.samples[i],
+		Sample:         info.Sample,
+		Observed:       info.Sample,
 		TruePowerW:     trueW,
 		MeasuredPowerW: b.lastW[i],
 		TempC:          info.TempC,
 		WantIndex:      want,
 		NextDuty:       b.dutyOf(i),
-		Final:          b.exhausted[i],
+		Final:          b.flags[i]&nodeExhausted != 0,
 	}
 	if b.injs != nil && b.injs[i] != nil {
-		ts.Sample = b.trueSample[i]
+		ts.Sample = r.trueSample
 	}
 	if b.timing {
 		ts.StageNanos = b.clock.tick

@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,7 +37,7 @@ func mustSession(t *testing.T, cfg Config, w phase.Workload, g Governor) *Sessio
 // and names the phase label it returns.
 func executeLane(s *Session) (used, busy, stall time.Duration, instr float64, phName string, ok bool) {
 	var ph uint32
-	used, busy, stall, instr, _, ph, ok = s.b.executeTick(0, int(s.b.curIdx[0]))
+	used, busy, stall, instr, _, ph, ok = s.b.executeTick(0, int(s.b.curIdx[0]), &s.b.rec.info.Sample)
 	return used, busy, stall, instr, s.b.runs[0].Phases.Name(ph), ok
 }
 
@@ -363,7 +366,7 @@ func TestNewBatchSharedWiring(t *testing.T) {
 		t.Errorf("%d machines of one config: %d platforms, %d specs, %d lane policies, want 1, 1 and 1 (nil)",
 			n, len(b.plats), len(b.specs), len(b.lpols))
 	}
-	if b.govs != nil || b.rngs != nil || b.injs != nil || b.tms != nil || b.duty != nil || b.hooks != nil || b.trueSample != nil {
+	if b.govs != nil || b.rngs != nil || b.injs != nil || b.tms != nil || b.duty != nil || b.hooks != nil {
 		t.Error("a bare batch allocated optional per-node slices")
 	}
 	if b.Kind() != "pm" {
@@ -424,8 +427,8 @@ func TestNewBatchSharedWiring(t *testing.T) {
 	if b.rng(1) == nil || b.rng(0) != nil {
 		t.Error("rngs: want a stream for the noisy node only")
 	}
-	if len(b.injs) != n || b.injs[2] == nil || b.injs[0] != nil || len(b.trueSample) != n {
-		t.Error("injs: want an injector and a true-sample lane for the faulted node only")
+	if len(b.injs) != n || b.injs[2] == nil || b.injs[0] != nil {
+		t.Error("injs: want an injector for the faulted node only")
 	}
 	if len(b.tms) != n || b.tms[3] == nil || b.tms[0] != nil {
 		t.Error("tms: want a thermal model for the thermal node only")
@@ -445,8 +448,173 @@ func TestNewBatchSharedWiring(t *testing.T) {
 type stubLanePolicy struct{}
 
 func (*stubLanePolicy) LaneName(*GovLane) string { return "stub" }
+func (*stubLanePolicy) NameClass() string        { return "stub" }
 func (*stubLanePolicy) TickLane(_ *GovLane, info *TickInfo) (int, uint8) {
 	return info.PStateIndex, 0
 }
 func (*stubLanePolicy) LaneDegradations(*GovLane, uint8) []trace.Degradation { return nil }
 func (*stubLanePolicy) LaneDesireW(*GovLane, *pstate.Table, float64) float64 { return 0 }
+
+// TestNewBatchFuncInvalidNode checks that a batch validating each
+// workload shape once still fails at the first invalid node, with that
+// node's own Validate error: node k of a 10-node batch is invalid in
+// turn by an empty name (its shape already validated), by jitter out of
+// range, and by a phase of its own that is invalid.
+func TestNewBatchFuncInvalidNode(t *testing.T) {
+	const n, k = 10, 7
+	m, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := testWorkload(1e8)
+	cases := map[string]func(w *phase.Workload){
+		"empty name": func(w *phase.Workload) { w.Name = "" },
+		"jitter":     func(w *phase.Workload) { w.JitterPct = 0.9 },
+		"phase": func(w *phase.Workload) {
+			w.Phases = []phase.Params{{Name: "bad", Instructions: -1, CPICore: 1, MLP: 1, SpecFactor: 1}}
+		},
+	}
+	for name, spoil := range cases {
+		t.Run(name, func(t *testing.T) {
+			bad := shared
+			bad.Name = fmt.Sprintf("w%d", k)
+			spoil(&bad)
+			want := bad.Validate()
+			if want == nil {
+				t.Fatal("spoiled workload validates")
+			}
+			read := 0
+			_, err := NewBatchFunc(n, func(i int) (BatchNode, error) {
+				read++
+				w := shared
+				w.Name = fmt.Sprintf("w%d", i)
+				if i == k {
+					w = bad
+				}
+				return BatchNode{Machine: m, Workload: w}, nil
+			}, BatchOptions{})
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("error %v, want %v", err, want)
+			}
+			if read != k+1 {
+				t.Errorf("read %d nodes, want the build to stop at node %d", read, k)
+			}
+		})
+	}
+
+	// An error from the node source fails the build with that error.
+	srcErr := errors.New("no such node")
+	if _, err := NewBatchFunc(n, func(i int) (BatchNode, error) {
+		if i == k {
+			return BatchNode{}, srcErr
+		}
+		return BatchNode{Machine: m, Workload: shared}, nil
+	}, BatchOptions{}); err != srcErr {
+		t.Errorf("source error: got %v, want %v", err, srcErr)
+	}
+}
+
+// namingPolicy is a stub lane policy that counts its LaneName calls.
+type namingPolicy struct {
+	stubLanePolicy
+	calls *int
+}
+
+func (p *namingPolicy) LaneName(st *GovLane) string {
+	*p.calls++
+	return fmt.Sprintf("n(%.1f)", st.LimitW)
+}
+func (*namingPolicy) NameClass() string { return "n" }
+
+// TestNewBatchInternsLaneNames checks that nodes with policies of their
+// own but one name class format one name per distinct starting lane,
+// and that lanes which compare equal but format differently (-0 and +0
+// limits) keep their own names.
+func TestNewBatchInternsLaneNames(t *testing.T) {
+	m, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	limits := []float64{10, 10, 12, 10, math.Copysign(0, -1), 0, 12}
+	nodes := make([]BatchNode, len(limits))
+	for i, l := range limits {
+		nodes[i] = BatchNode{Machine: m, Workload: testWorkload(1e8), Policy: &namingPolicy{calls: &calls}, Lane: GovLane{LimitW: l}}
+	}
+	b, err := NewBatch(nodes, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"n(10.0)", "n(10.0)", "n(12.0)", "n(10.0)", "n(-0.0)", "n(0.0)", "n(12.0)"}
+	for i, w := range want {
+		if got := b.runs[i].Policy; got != w {
+			t.Errorf("node %d policy %q, want %q", i, got, w)
+		}
+	}
+	if calls != 4 {
+		t.Errorf("%d LaneName calls, want 4 (one per distinct limit)", calls)
+	}
+}
+
+// TestBatchNodeErrors checks the sparse error record: nodes that fail,
+// stepped concurrently through steppers of their own, report their own
+// errors through NodeErr, and Err returns the first by index.
+func TestBatchNodeErrors(t *testing.T) {
+	const n = 6
+	nodes := make([]BatchNode, n)
+	for i := range nodes {
+		cfg := Config{Seed: int64(i)}
+		if i == 1 || i == 4 {
+			cfg.MaxTicks = 3 + i
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := testWorkload(1e10) // about 250 ticks
+		w.Name = fmt.Sprintf("w%d", i)
+		nodes[i] = BatchNode{Machine: m, Workload: w}
+	}
+	b, err := NewBatch(nodes, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, lo := range []int{0, n / 2} {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			s := b.NewStepper()
+			for active := true; active; {
+				active = false
+				for i := lo; i < lo+n/2; i++ {
+					active = s.Step(i) || active
+				}
+			}
+		}(lo)
+	}
+	wg.Wait()
+	if !b.Done() {
+		t.Fatal("batch not done after every node stopped stepping")
+	}
+	for i := 0; i < n; i++ {
+		err := b.NodeErr(i)
+		switch i {
+		case 1, 4:
+			want := fmt.Sprintf("machine: run w%d/static exceeded %d ticks", i, 3+i)
+			if err == nil || err.Error() != want {
+				t.Errorf("node %d error %v, want %q", i, err, want)
+			}
+			if b.NodeDone(i) {
+				t.Errorf("failed node %d reports done", i)
+			}
+		default:
+			if err != nil || !b.NodeDone(i) {
+				t.Errorf("node %d: error %v, done %v; want nil and done", i, err, b.NodeDone(i))
+			}
+		}
+	}
+	if err := b.Err(); err != b.NodeErr(1) {
+		t.Errorf("Err() = %v, want node 1's error", err)
+	}
+}

@@ -38,11 +38,16 @@ func (l *GovLane) SetLimit(w float64) {
 // Its methods read and write only the lane they are handed, so one
 // policy may serve any number of nodes, stepped concurrently.
 // Implementations must be comparable (pointer types, typically):
-// NewBatch compares them to share a name and a policy-table entry
-// across consecutive nodes.
+// NewBatch compares them to share a policy-table entry across
+// consecutive nodes.
 type LanePolicy interface {
 	// LaneName labels a node that starts from state st in traces.
 	LaneName(st *GovLane) string
+	// NameClass names the policy's naming rule: two policies of one
+	// class give equal lanes equal LaneNames, so NewBatch formats one
+	// name per class and starting lane, however many policy objects
+	// share them.
+	NameClass() string
 	// TickLane is Governor.Tick over the lane with the degradations
 	// left unrendered: it returns the desired p-state index for the
 	// next interval, updating st in place, and ev, the policy-defined

@@ -21,6 +21,7 @@ package machine
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"time"
 
 	"aapm/internal/counters"
@@ -122,7 +123,8 @@ type Config struct {
 	// highest state (matching how the paper's runs begin at full
 	// speed). Any other value must name a table state.
 	StartFreqMHz int
-	// MaxTicks bounds a run; 0 selects a generous default.
+	// MaxTicks bounds a run; 0 selects a generous default. It may not
+	// exceed math.MaxInt32.
 	MaxTicks int
 }
 
@@ -193,6 +195,10 @@ func New(cfg Config) (*Machine, error) {
 	maxTicks := cfg.MaxTicks
 	if maxTicks <= 0 {
 		maxTicks = defaultMaxTicks
+	}
+	if maxTicks > math.MaxInt32 {
+		// A batch counts each node's ticks in 32 bits.
+		return nil, fmt.Errorf("machine: MaxTicks %d exceeds %d", maxTicks, math.MaxInt32)
 	}
 	if cfg.Thermal != nil {
 		if err := cfg.Thermal.Validate(); err != nil {

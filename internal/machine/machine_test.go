@@ -41,6 +41,9 @@ func TestNewConfigResolution(t *testing.T) {
 	if _, err := New(Config{Chain: sensor.Chain{NoiseStdW: -1}}); err == nil {
 		t.Error("invalid chain accepted")
 	}
+	if _, err := New(Config{MaxTicks: math.MaxInt32 + 1}); err == nil {
+		t.Error("MaxTicks beyond the 32-bit tick counter accepted")
+	}
 	if _, err := New(Config{Table: pstate.PentiumM755()}); err != nil {
 		t.Errorf("table-only config rejected: %v", err)
 	}

@@ -62,11 +62,11 @@ func (s *Session) StageNanos() [NumStages]int64 { return s.b.clock.total }
 // keeps reporting true.
 func (s *Session) Step() (bool, error) {
 	s.b.StepNode(0)
-	return s.b.done[0], s.b.errs[0]
+	return s.b.NodeDone(0), s.b.NodeErr(0)
 }
 
 // Done reports whether the workload has completed.
-func (s *Session) Done() bool { return s.b.done[0] }
+func (s *Session) Done() bool { return s.b.NodeDone(0) }
 
 // Now returns the session's virtual time.
 func (s *Session) Now() time.Duration { return s.b.now[0] }

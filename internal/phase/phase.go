@@ -97,8 +97,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Idle reports whether the phase is an idle (halted) period.
-func (p Params) Idle() bool { return p.Instructions == 0 }
+// Idle reports whether the phase is an idle (halted) period. The
+// receiver is a pointer because the tick engine asks on every phase it
+// visits, and an inlined call on a value receiver still copies the
+// whole Params.
+func (p *Params) Idle() bool { return p.Instructions == 0 }
 
 // Behavior is the closed-form per-cycle behaviour of a phase at one
 // p-state.

@@ -47,7 +47,7 @@ func newJobEventLog(capacity int, job, trace string) *eventLog {
 
 // emit stamps e with the log's identity and the next sequence number,
 // marshals it, and publishes the line. All serve-side events flow
-// through here; publish stays the raw primitive underneath.
+// through here.
 func (l *eventLog) emit(e progressEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -61,20 +61,11 @@ func (l *eventLog) emit(e progressEvent) {
 	l.publishLocked(marshalEvent(e))
 }
 
-// publish appends one marshaled line to the ring and offers it to
-// every live subscriber. No-op once closed. Once the ring is full each
-// publish overwrites the oldest slot and advances the head index —
-// O(1), where the round-1 ring shifted the whole buffer with an
-// O(capacity) copy on every line.
-func (l *eventLog) publish(line []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.publishLocked(line)
-}
-
+// publishLocked appends one marshaled line to the ring and offers it
+// to every live subscriber; l.mu must be held and the log open. Once
+// the ring is full each line overwrites the oldest slot and advances
+// the head index — O(1), where the round-1 ring shifted the whole
+// buffer with an O(capacity) copy on every line.
 func (l *eventLog) publishLocked(line []byte) {
 	if len(l.ring) < l.cap {
 		l.ring = append(l.ring, line)

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// publish appends line to l's ring under l.mu, as emit does.
+func publish(l *eventLog, line string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.publishLocked([]byte(line))
+}
+
 // lines renders a replay for failure messages.
 func lines(replay [][]byte) []string {
 	out := make([]string, len(replay))
@@ -19,8 +26,8 @@ func lines(replay [][]byte) []string {
 // the ring holds replay verbatim, in publish order.
 func TestEventLogReplayBelowCapacity(t *testing.T) {
 	l := newEventLog(4)
-	l.publish([]byte("1"))
-	l.publish([]byte("2"))
+	publish(l, "1")
+	publish(l, "2")
 	replay, _, cancel := l.subscribe()
 	defer cancel()
 	if len(replay) != 2 || string(replay[0]) != "1" || string(replay[1]) != "2" {
@@ -36,7 +43,7 @@ func TestEventLogReplayAcrossWrap(t *testing.T) {
 	for published := capacity; published <= 3*capacity+1; published++ {
 		l := newEventLog(capacity)
 		for i := 1; i <= published; i++ {
-			l.publish([]byte(fmt.Sprintf("%d", i)))
+			publish(l, fmt.Sprintf("%d", i))
 		}
 		replay, _, cancel := l.subscribe()
 		cancel()
@@ -58,14 +65,14 @@ func TestEventLogReplayAcrossWrap(t *testing.T) {
 func TestEventLogLiveDeliveryAfterWrap(t *testing.T) {
 	l := newEventLog(2)
 	for i := 1; i <= 5; i++ {
-		l.publish([]byte(fmt.Sprintf("%d", i)))
+		publish(l, fmt.Sprintf("%d", i))
 	}
 	replay, ch, cancel := l.subscribe()
 	defer cancel()
 	if len(replay) != 2 || string(replay[0]) != "4" || string(replay[1]) != "5" {
 		t.Fatalf("replay = %v, want [4 5]", lines(replay))
 	}
-	l.publish([]byte("6"))
+	publish(l, "6")
 	if got := <-ch; !bytes.Equal(got, []byte("6")) {
 		t.Fatalf("live line = %q, want 6", got)
 	}

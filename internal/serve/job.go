@@ -140,6 +140,9 @@ func (js JobSpec) Validate() error {
 	if js.MaxTicks < 0 {
 		return fmt.Errorf("serve: negative max_ticks")
 	}
+	if js.MaxTicks > math.MaxInt32 {
+		return fmt.Errorf("serve: max_ticks %d exceeds %d", js.MaxTicks, math.MaxInt32)
+	}
 	if js.Scale != 0 {
 		return fmt.Errorf("serve: scale applies only to experiment jobs")
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,7 @@ func TestSpecValidate(t *testing.T) {
 		"unknown chain":                {Workload: "ammp", Chain: "usb"},
 		"negative iterations":          {Workload: "ammp", Iterations: -1},
 		"negative max_ticks":           {Workload: "ammp", MaxTicks: -1},
+		"max_ticks beyond int32":       {Workload: "ammp", MaxTicks: math.MaxInt32 + 1},
 		"scale on workload job":        {Workload: "ammp", Scale: 4},
 		"budget on single machine":     {Workload: "ammp", BudgetW: 20},
 		"cluster without budget":       {Workload: "ammp", Nodes: 2},
