@@ -6,6 +6,7 @@ import (
 
 	"aapm/internal/control"
 	"aapm/internal/counters"
+	"aapm/internal/machine"
 	"aapm/internal/model"
 	"aapm/internal/trace"
 )
@@ -34,18 +35,13 @@ type CharacterizationRow struct {
 // benchmark at 2 GHz.
 func (c *Context) WorkloadCharacterization() (*CharacterizationResult, error) {
 	names := c.SuiteNames()
-	if err := c.forEach(names, func(n string) error {
-		_, err := c.RunStatic(n, 2000)
-		return err
-	}); err != nil {
+	runs, err := c.runSet(withRows, names, c.staticSpec(2000))
+	if err != nil {
 		return nil, err
 	}
 	res := &CharacterizationResult{}
-	for _, n := range names {
-		run, err := c.RunStatic(n, 2000)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range names {
+		run := runs[0][i]
 		row := CharacterizationRow{
 			Name:       n,
 			DPC:        avgRow(run, func(r trace.Row) float64 { return r.DPC }),
@@ -101,16 +97,14 @@ type MuxRow struct {
 // instructions and DCU stalls rotate), measuring what event staleness
 // costs.
 func (c *Context) MultiplexStudy() (*MuxResult, error) {
+	names := []string{"ammp", "swim", "crafty"}
+	runs, err := c.runSet(totalsOnly, names, c.staticSpec(2000), psSpec(0.8, model.PaperExponent))
+	if err != nil {
+		return nil, err
+	}
 	res := &MuxResult{}
-	for _, name := range []string{"ammp", "swim", "crafty"} {
-		base, err := c.staticRun(name, 2000, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		ideal, err := c.psRun(name, 0.8, model.PaperExponent, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range names {
+		base, ideal := runs[0][i], runs[1][i]
 		w, err := c.Workload(name)
 		if err != nil {
 			return nil, err
@@ -125,7 +119,7 @@ func (c *Context) MultiplexStudy() (*MuxResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		mux, err := c.runTotals(w, gov)
+		mux, err := c.runUncached(machine.Config{}, w, gov, totalsOnly)
 		if err != nil {
 			return nil, err
 		}

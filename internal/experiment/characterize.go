@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"aapm/internal/machine"
 	"aapm/internal/mloops"
@@ -44,19 +43,14 @@ type Fig1Row struct {
 // the measured 10 ms power samples.
 func (c *Context) Fig1PowerVariation() (*Fig1Result, error) {
 	names := c.SuiteNames()
-	if err := c.forEach(names, func(n string) error {
-		_, err := c.RunStatic(n, 2000)
-		return err
-	}); err != nil {
+	runs, err := c.runSet(withRows, names, c.staticSpec(2000))
+	if err != nil {
 		return nil, err
 	}
 	res := &Fig1Result{}
 	first := true
-	for _, n := range names {
-		run, err := c.RunStatic(n, 2000)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range names {
+		run := runs[0][i]
 		ps := run.MeasuredPowers()
 		s := stats.Summarize(ps)
 		row := Fig1Row{
@@ -120,36 +114,21 @@ func Fig2Workloads() []string { return []string{"swim", "gap", "sixtrack"} }
 // highest p-states.
 func (c *Context) Fig2PstatePerformance() (*Fig2Result, error) {
 	freqs := []int{1600, 1800, 2000}
+	specs := make([]runSpec, len(freqs))
+	for i, f := range freqs {
+		specs[i] = c.staticSpec(f)
+	}
 	names := Fig2Workloads()
-	type key struct {
-		name string
-		freq int
-	}
-	var pairs []key
-	for _, n := range names {
-		for _, f := range freqs {
-			pairs = append(pairs, key{n, f})
-		}
-	}
-	if err := c.forEachN(len(pairs), func(i int) error {
-		_, err := c.staticRun(pairs[i].name, pairs[i].freq, totalsOnly)
-		return err
-	}); err != nil {
+	runs, err := c.runSet(totalsOnly, names, specs...)
+	if err != nil {
 		return nil, err
 	}
+	base := runs[len(freqs)-1] // 2000 MHz
 	res := &Fig2Result{Freqs: freqs}
-	for _, n := range names {
-		base, err := c.staticRun(n, 2000, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
+	for w, n := range names {
 		row := Fig2Row{Name: n}
-		for _, f := range freqs {
-			run, err := c.staticRun(n, f, totalsOnly)
-			if err != nil {
-				return nil, err
-			}
-			row.RelPerf = append(row.RelPerf, base.Duration.Seconds()/run.Duration.Seconds())
+		for i := range freqs {
+			row.RelPerf = append(row.RelPerf, base[w].Duration.Seconds()/runs[i][w].Duration.Seconds())
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -392,16 +371,7 @@ func (c *Context) tableIIIWorstCase() (*TableIIIResult, error) {
 	res := &TableIIIResult{}
 	for i := 0; i < c.table.Len(); i++ {
 		st := c.table.At(i)
-		m, err := machine.New(machine.Config{
-			Chain:        c.chain,
-			Seed:         c.opts.Seed,
-			StartFreqMHz: st.FreqMHz,
-		})
-		if err != nil {
-			return nil, err
-		}
-		w := phaseWorkload(p)
-		run, err := m.Run(w, nil)
+		run, err := c.runUncached(machine.Config{StartFreqMHz: st.FreqMHz}, phaseWorkload(p), nil, withRows)
 		if err != nil {
 			return nil, err
 		}
@@ -529,16 +499,4 @@ func runDCUPerInst(r *trace.Run) float64 {
 
 func meanMeasured(r *trace.Run) float64 {
 	return avgRow(r, func(row trace.Row) float64 { return row.MeasuredPowerW })
-}
-
-func sortByValue(names []string, vals map[string]float64, ascending bool) []string {
-	out := make([]string, len(names))
-	copy(out, names)
-	sort.SliceStable(out, func(i, j int) bool {
-		if ascending {
-			return vals[out[i]] < vals[out[j]]
-		}
-		return vals[out[i]] > vals[out[j]]
-	})
-	return out
 }

@@ -82,15 +82,11 @@ func (c *Context) EngineMetrics() (*EngineMetricsResult, error) {
 		}},
 	}
 	for _, p := range policies {
-		m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
-		if err != nil {
-			return nil, err
-		}
 		g, err := p.mk()
 		if err != nil {
 			return nil, err
 		}
-		run, err := m.Run(w, g)
+		run, err := c.runUncached(machine.Config{}, w, g, withRows)
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"aapm/internal/control"
 	"aapm/internal/machine"
@@ -63,7 +64,7 @@ type Options struct {
 	// selects the fleet default (64).
 	FleetFanout int
 	// Ctx, when non-nil, cancels in-flight experiment work: once it
-	// is done, no new run is started (forEach stops launching and run
+	// is done, no new run is started (forEachN stops launching and run
 	// repetitions stop between executions) and the context's error is
 	// returned. Results are unchanged for work that did complete —
 	// cancellation only cuts the computation short. nil means never
@@ -99,7 +100,8 @@ func (c *Context) ctxDone() <-chan struct{} {
 // totals-only is run again with rows, replacing the entry, the first
 // time a figure asks for its rows; runs are deterministic, so the
 // totals are identical. Concurrent requests for one key share a
-// single execution.
+// single execution. An entry asks for its cached runs in one runSet
+// call; runs outside the cache go through runUncached.
 type Context struct {
 	opts  Options
 	table *pstate.Table
@@ -165,6 +167,42 @@ func (c *Context) SuiteNames() []string { return spec.Names() }
 // A nil factory result means "no governor" (pinned start state).
 type govFactory func() (machine.Governor, error)
 
+// runSpec is one policy setting of a run grid: the run cache key's
+// suffix after "<workload>/" and the factory of its governor.
+type runSpec struct {
+	key string
+	gov govFactory
+}
+
+// staticSpec pins the run at freqMHz.
+func (c *Context) staticSpec(freqMHz int) runSpec {
+	name := fmt.Sprintf("static%d", freqMHz)
+	idx := c.table.IndexOf(freqMHz)
+	return runSpec{name, func() (machine.Governor, error) {
+		if idx < 0 {
+			return nil, fmt.Errorf("experiment: no p-state %d MHz", freqMHz)
+		}
+		return control.NewStaticClock(idx, name), nil
+	}}
+}
+
+// pmSpec runs PerformanceMaximizer at limitW.
+func pmSpec(limitW float64) runSpec {
+	return runSpec{fmt.Sprintf("pm%.1f", limitW), func() (machine.Governor, error) {
+		return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW})
+	}}
+}
+
+// psSpec runs PowerSave at floor with the eq. 3 model's exponent.
+func psSpec(floor, exponent float64) runSpec {
+	return runSpec{fmt.Sprintf("ps%.2f/e%.2f", floor, exponent), func() (machine.Governor, error) {
+		return control.NewPowerSave(control.PSConfig{
+			Floor: floor,
+			Perf:  model.PerfModel{Threshold: model.PaperDCUThreshold, Exponent: exponent},
+		})
+	}}
+}
+
 // A run request names whether its caller reads the run's trace rows
 // or only its totals.
 const (
@@ -181,12 +219,33 @@ type runEntry struct {
 	err  error
 }
 
-// run returns the named workload's run under the factory's governor,
-// cached by key. A cached entry serves the request if it kept rows or
-// the request reads only totals; otherwise the key runs (again) on
-// fresh machines, and concurrent requests wait on that one execution.
-// Failed runs are not cached.
-func (c *Context) run(key, workload string, f govFactory, rows bool) (*trace.Run, error) {
+// runSet requests the run of every workload under every spec in one
+// parallel wave through the run cache and returns them indexed
+// [spec][workload]. rows says whether the caller reads the runs' trace
+// rows.
+func (c *Context) runSet(rows bool, workloads []string, specs ...runSpec) ([][]*trace.Run, error) {
+	out := make([][]*trace.Run, len(specs))
+	for s := range out {
+		out[s] = make([]*trace.Run, len(workloads))
+	}
+	err := c.forEachN(len(workloads)*len(specs), func(i int) (err error) {
+		w, s := i/len(specs), i%len(specs)
+		out[s][w], err = c.run(rows, workloads[w], specs[s])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run returns the workload's run under s, cached by key. A cached
+// entry serves the request if it kept rows or the request reads only
+// totals; otherwise the key runs (again) on fresh machines, and
+// concurrent requests wait on that one execution. Failed runs are not
+// cached.
+func (c *Context) run(rows bool, workload string, s runSpec) (*trace.Run, error) {
+	key := workload + "/" + s.key
 	c.mu.Lock()
 	e := c.runs[key]
 	if e != nil && (e.rows || !rows) {
@@ -199,7 +258,7 @@ func (c *Context) run(key, workload string, f govFactory, rows bool) (*trace.Run
 	c.mu.Unlock()
 	defer close(e.done)
 
-	e.run, e.err = c.execute(workload, f, rows)
+	e.run, e.err = c.execute(workload, s.gov, rows)
 	if e.err != nil {
 		c.mu.Lock()
 		if c.runs[key] == e {
@@ -229,16 +288,9 @@ func (c *Context) execute(workload string, f govFactory, rows bool) (*trace.Run,
 		}
 		// Each repetition gets its own noise/jitter stream; governors
 		// are stateful, so each gets a fresh instance too.
-		m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed + int64(rep)*1_000_003})
+		g, err := f()
 		if err != nil {
 			return nil, err
-		}
-		var g machine.Governor
-		if f != nil {
-			g, err = f()
-			if err != nil {
-				return nil, err
-			}
 		}
 		opts := machine.BatchOptions{RetainTraces: rows}
 		if c.opts.Observer != nil {
@@ -250,7 +302,7 @@ func (c *Context) execute(workload string, f govFactory, rows bool) (*trace.Run,
 				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{h} }
 			}
 		}
-		run, err := runLane(m, w, g, opts)
+		run, err := c.runLane(machine.Config{Seed: c.opts.Seed + int64(rep)*1_000_003}, w, g, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -259,19 +311,24 @@ func (c *Context) execute(workload string, f govFactory, rows bool) (*trace.Run,
 	return medianByDuration(runs), nil
 }
 
-// runTotals runs w once under g at the context's seed, outside the run
-// cache and keeping no trace rows: for the extension studies that
-// drive governors of their own and read only run totals.
-func (c *Context) runTotals(w phase.Workload, g machine.Governor) (*trace.Run, error) {
-	m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
+// runUncached runs w once under g at the context's seed, outside the
+// run cache, so Options.Observer does not see it: for the studies that
+// drive governors or machines of their own. cfg sets only the machine
+// fields the study changes (start frequency, thermal model, fault
+// plan); rows keeps the run's trace rows.
+func (c *Context) runUncached(cfg machine.Config, w phase.Workload, g machine.Governor, rows bool) (*trace.Run, error) {
+	cfg.Seed = c.opts.Seed
+	return c.runLane(cfg, w, g, machine.BatchOptions{RetainTraces: rows})
+}
+
+// runLane runs w under g as a one-lane batch on a fresh machine built
+// from cfg with the context's measurement chain.
+func (c *Context) runLane(cfg machine.Config, w phase.Workload, g machine.Governor, opts machine.BatchOptions) (*trace.Run, error) {
+	cfg.Chain = c.chain
+	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runLane(m, w, g, machine.BatchOptions{})
-}
-
-// runLane runs w under g on m as a one-lane batch.
-func runLane(m *machine.Machine, w phase.Workload, g machine.Governor, opts machine.BatchOptions) (*trace.Run, error) {
 	b, err := machine.NewBatch([]machine.BatchNode{{Machine: m, Workload: w, Governor: g}}, opts)
 	if err != nil {
 		return nil, err
@@ -297,53 +354,35 @@ func medianByDuration(runs []*trace.Run) *trace.Run {
 // RunStatic runs a workload pinned at freqMHz. The run keeps its
 // trace rows.
 func (c *Context) RunStatic(workload string, freqMHz int) (*trace.Run, error) {
-	return c.staticRun(workload, freqMHz, withRows)
+	return c.run(withRows, workload, c.staticSpec(freqMHz))
 }
 
 // RunPM runs a workload under PerformanceMaximizer at limitW. The run
 // keeps its trace rows.
 func (c *Context) RunPM(workload string, limitW float64) (*trace.Run, error) {
-	return c.pmRun(workload, limitW, withRows)
+	return c.run(withRows, workload, pmSpec(limitW))
 }
 
 // RunPS runs a workload under PowerSave at the given floor using the
 // eq. 3 model with the given exponent. The run keeps its trace rows.
 func (c *Context) RunPS(workload string, floor, exponent float64) (*trace.Run, error) {
-	return c.psRun(workload, floor, exponent, withRows)
+	return c.run(withRows, workload, psSpec(floor, exponent))
 }
 
-func (c *Context) staticRun(workload string, freqMHz int, rows bool) (*trace.Run, error) {
-	idx := c.table.IndexOf(freqMHz)
-	if idx < 0 {
-		return nil, fmt.Errorf("experiment: no p-state %d MHz", freqMHz)
+// suiteTime and suiteEnergy total the runs' execution times and
+// measured energies.
+func suiteTime(runs []*trace.Run) (total time.Duration) {
+	for _, r := range runs {
+		total += r.Duration
 	}
-	key := fmt.Sprintf("%s/static%d", workload, freqMHz)
-	return c.run(key, workload, func() (machine.Governor, error) {
-		return control.NewStaticClock(idx, fmt.Sprintf("static%d", freqMHz)), nil
-	}, rows)
+	return total
 }
 
-func (c *Context) pmRun(workload string, limitW float64, rows bool) (*trace.Run, error) {
-	key := fmt.Sprintf("%s/pm%.1f", workload, limitW)
-	return c.run(key, workload, func() (machine.Governor, error) {
-		return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW})
-	}, rows)
-}
-
-func (c *Context) psRun(workload string, floor, exponent float64, rows bool) (*trace.Run, error) {
-	key := fmt.Sprintf("%s/ps%.2f/e%.2f", workload, floor, exponent)
-	return c.run(key, workload, func() (machine.Governor, error) {
-		return control.NewPowerSave(control.PSConfig{
-			Floor: floor,
-			Perf:  model.PerfModel{Threshold: model.PaperDCUThreshold, Exponent: exponent},
-		})
-	}, rows)
-}
-
-// forEach runs fn over the names with bounded parallelism, stopping
-// early on error.
-func (c *Context) forEach(names []string, fn func(name string) error) error {
-	return c.forEachN(len(names), func(i int) error { return fn(names[i]) })
+func suiteEnergy(runs []*trace.Run) (total float64) {
+	for _, r := range runs {
+		total += r.MeasuredEnergyJ
+	}
+	return total
 }
 
 // forEachN runs fn over 0..n-1 with bounded parallelism. The first

@@ -47,21 +47,17 @@ func (c *Context) FeedbackExtension() (*FeedbackResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := c.staticRun("galgel", 2000, totalsOnly)
+	base, err := c.run(totalsOnly, "galgel", c.staticSpec(2000))
 	if err != nil {
 		return nil, err
 	}
 	res := &FeedbackResult{Limit: limit}
 	for _, gain := range []float64{0, 0.1, 0.3} {
-		m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
-		if err != nil {
-			return nil, err
-		}
 		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, FeedbackGain: gain})
 		if err != nil {
 			return nil, err
 		}
-		run, err := m.Run(w, pm)
+		run, err := c.runUncached(machine.Config{}, w, pm, withRows)
 		if err != nil {
 			return nil, err
 		}
@@ -115,30 +111,18 @@ func (c *Context) ThermalStudy() (*ThermalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func() (*machine.Machine, error) {
-		return machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed, Thermal: &tc})
+	reactive, err := control.NewThermalGuard(control.ThermalGuardConfig{LimitC: limitC, Thermal: tc, Reactive: true})
+	if err != nil {
+		return nil, err
 	}
-	govs := []func() (machine.Governor, error){
-		func() (machine.Governor, error) { return nil, nil },
-		func() (machine.Governor, error) {
-			return control.NewThermalGuard(control.ThermalGuardConfig{LimitC: limitC, Thermal: tc, Reactive: true})
-		},
-		func() (machine.Governor, error) {
-			return control.NewThermalGuard(control.ThermalGuardConfig{LimitC: limitC, Thermal: tc})
-		},
+	predictive, err := control.NewThermalGuard(control.ThermalGuardConfig{LimitC: limitC, Thermal: tc})
+	if err != nil {
+		return nil, err
 	}
 	res := &ThermalResult{LimitC: limitC}
 	var baseDur time.Duration
-	for i, gf := range govs {
-		m, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		g, err := gf()
-		if err != nil {
-			return nil, err
-		}
-		run, err := m.Run(w, g)
+	for i, g := range []machine.Governor{nil, reactive, predictive} {
+		run, err := c.runUncached(machine.Config{Thermal: &tc}, w, g, withRows)
 		if err != nil {
 			return nil, err
 		}
@@ -193,26 +177,30 @@ type ThrottleRow struct {
 // drops with frequency (eq. 1); throttling saves roughly linearly at
 // best.
 func (c *Context) DVFSvsThrottling() (*ThrottleResult, error) {
+	names := []string{"swim", "gap", "crafty"}
+	floors := []float64{0.75, 0.50}
+	specs := []runSpec{c.staticSpec(2000)}
+	for _, f := range floors {
+		specs = append(specs, psSpec(f, model.PaperExponent))
+	}
+	runs, err := c.runSet(totalsOnly, names, specs...)
+	if err != nil {
+		return nil, err
+	}
 	res := &ThrottleResult{}
-	for _, name := range []string{"swim", "gap", "crafty"} {
-		base, err := c.staticRun(name, 2000, totalsOnly)
+	for i, name := range names {
+		base := runs[0][i]
+		w, err := c.Workload(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, floor := range []float64{0.75, 0.50} {
-			ps, err := c.psRun(name, floor, model.PaperExponent, totalsOnly)
-			if err != nil {
-				return nil, err
-			}
-			w, err := c.Workload(name)
-			if err != nil {
-				return nil, err
-			}
+		for j, floor := range floors {
+			ps := runs[1+j][i]
 			th, err := control.NewThrottleSave(control.ThrottleSaveConfig{Floor: floor})
 			if err != nil {
 				return nil, err
 			}
-			tr, err := c.runTotals(w, th)
+			tr, err := c.runUncached(machine.Config{}, w, th, totalsOnly)
 			if err != nil {
 				return nil, err
 			}
@@ -268,11 +256,11 @@ type UtilizationRow struct {
 func (c *Context) UtilizationStudy() (*UtilizationResult, error) {
 	res := &UtilizationResult{}
 	for _, w := range mixes.All() {
-		base, err := c.runTotals(w, control.NewStaticClock(c.table.Len()-1, "static2000"))
+		base, err := c.runUncached(machine.Config{}, w, control.NewStaticClock(c.table.Len()-1, "static2000"), totalsOnly)
 		if err != nil {
 			return nil, err
 		}
-		od, err := c.runTotals(w, &control.OnDemand{})
+		od, err := c.runUncached(machine.Config{}, w, &control.OnDemand{}, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +268,7 @@ func (c *Context) UtilizationStudy() (*UtilizationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := c.runTotals(w, psGov)
+		ps, err := c.runUncached(machine.Config{}, w, psGov, totalsOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -328,73 +316,24 @@ type BaselineRow struct {
 
 // BaselineComparison runs the full suite under each governor.
 func (c *Context) BaselineComparison() (*BaselineResult, error) {
-	names := c.SuiteNames()
-	govs := []struct {
-		key string
-		f   govFactory
-	}{
-		{"ondemand", func() (machine.Governor, error) { return &control.OnDemand{}, nil }},
-		{"cruise10", func() (machine.Governor, error) {
-			return control.NewCruiseControl(control.CruiseControlConfig{Slowdown: 0.10})
-		}},
-		{"cruise20", func() (machine.Governor, error) {
-			return control.NewCruiseControl(control.CruiseControlConfig{Slowdown: 0.20})
-		}},
-		{"ps80", nil}, // via psRun for cache sharing
+	ondemand := runSpec{"ondemand", func() (machine.Governor, error) { return &control.OnDemand{}, nil }}
+	cruise := func(key string, slowdown float64) runSpec {
+		return runSpec{key, func() (machine.Governor, error) {
+			return control.NewCruiseControl(control.CruiseControlConfig{Slowdown: slowdown})
+		}}
 	}
-	// Warm the baselines in parallel.
-	if err := c.forEachN(len(names)*(len(govs)+1), func(i int) error {
-		n := names[i/(len(govs)+1)]
-		k := i % (len(govs) + 1)
-		switch {
-		case k == 0:
-			_, err := c.staticRun(n, 2000, totalsOnly)
-			return err
-		case govs[k-1].f == nil:
-			_, err := c.psRun(n, 0.8, model.PaperExponent, totalsOnly)
-			return err
-		default:
-			g := govs[k-1]
-			_, err := c.run(fmt.Sprintf("%s/%s", n, g.key), n, g.f, totalsOnly)
-			return err
-		}
-	}); err != nil {
-		return nil, err
-	}
-
-	baseT, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
+	runs, err := c.runSet(totalsOnly, c.SuiteNames(), c.staticSpec(2000),
+		ondemand, cruise("cruise10", 0.10), cruise("cruise20", 0.20), psSpec(0.8, model.PaperExponent))
 	if err != nil {
 		return nil, err
 	}
-	baseE, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
-	if err != nil {
-		return nil, err
-	}
+	baseT, baseE := suiteTime(runs[0]).Seconds(), suiteEnergy(runs[0])
 	res := &BaselineResult{}
-	for _, g := range govs {
-		g := g
-		get := func(n string) (*trace.Run, error) {
-			if g.f == nil {
-				return c.psRun(n, 0.8, model.PaperExponent, totalsOnly)
-			}
-			return c.run(fmt.Sprintf("%s/%s", n, g.key), n, g.f, totalsOnly)
-		}
-		tt, err := c.suiteTime(get)
-		if err != nil {
-			return nil, err
-		}
-		ee, err := c.suiteEnergy(get)
-		if err != nil {
-			return nil, err
-		}
-		label := g.key
-		if g.f == nil {
-			label = "PS(80%)"
-		}
+	for i, label := range []string{"ondemand", "cruise10", "cruise20", "PS(80%)"} {
 		res.Rows = append(res.Rows, BaselineRow{
 			Policy: label,
-			Loss:   1 - baseT.Seconds()/tt.Seconds(),
-			Save:   1 - ee/baseE,
+			Loss:   1 - baseT/suiteTime(runs[1+i]).Seconds(),
+			Save:   1 - suiteEnergy(runs[1+i])/baseE,
 		})
 	}
 	return res, nil

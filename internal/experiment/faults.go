@@ -30,6 +30,15 @@ type FaultRow struct {
 	NaiveEvents, DegradedEvents int
 }
 
+// record sets the naive or the degraded variant's outcome.
+func (r *FaultRow) record(degraded bool, viol, perf float64, events int) {
+	if degraded {
+		r.DegradedViol, r.DegradedPerf, r.DegradedEvents = viol, perf, events
+	} else {
+		r.NaiveViol, r.NaivePerf, r.NaiveEvents = viol, perf, events
+	}
+}
+
 // FaultSweepResult is the robustness experiment: how the PM and PS
 // governors hold their guarantees as fault rates rise, with and
 // without graceful degradation.
@@ -41,26 +50,6 @@ type FaultSweepResult struct {
 	PSWorkload string
 	Floor      float64
 	PS         []FaultRow
-}
-
-// runFaulted executes workload under the factory's governor on a fresh
-// machine with the given fault plan. Faulted runs are not cached: the
-// run cache keys don't encode plans, and the sweep visits each
-// configuration once.
-func (c *Context) runFaulted(workload string, plan faults.Plan, f govFactory) (*trace.Run, error) {
-	w, err := c.Workload(workload)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed, Faults: &plan})
-	if err != nil {
-		return nil, err
-	}
-	g, err := f()
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(w, g)
 }
 
 // FaultSweep sweeps fault rates over the hardest PM workload (galgel
@@ -82,24 +71,25 @@ func (c *Context) FaultSweep() (*FaultSweepResult, error) {
 		PM: make([]FaultRow, len(FaultRates())),
 		PS: make([]FaultRow, len(FaultRates())),
 	}
-	pmBase, err := c.staticRun(pmWorkload, 2000, totalsOnly)
+	base, err := c.runSet(totalsOnly, []string{pmWorkload, psWorkload}, c.staticSpec(2000))
 	if err != nil {
 		return nil, err
 	}
-	psBase, err := c.staticRun(psWorkload, 2000, totalsOnly)
+	pmBase, psBase := base[0][0], base[0][1]
+	pmW, err := c.Workload(pmWorkload)
 	if err != nil {
 		return nil, err
 	}
-	pmGov := func(degrade bool) govFactory {
-		return func() (machine.Governor, error) {
-			return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW, Degrade: degrade})
-		}
+	psW, err := c.Workload(psWorkload)
+	if err != nil {
+		return nil, err
 	}
-	psGov := func(degrade bool) govFactory {
-		return func() (machine.Governor, error) {
-			return control.NewPowerSave(control.PSConfig{Floor: floor, Degrade: degrade})
-		}
+	// relPerf is a run's instruction rate relative to its clean base.
+	relPerf := func(run, base *trace.Run) float64 {
+		return run.Instructions / run.Duration.Seconds() / (base.Instructions / base.Duration.Seconds())
 	}
+	// Faulted runs bypass the run cache, whose keys do not encode fault
+	// plans; the sweep visits each configuration once.
 	rates := FaultRates()
 	err = c.forEachN(len(rates), func(i int) error {
 		rate := rates[i]
@@ -108,51 +98,29 @@ func (c *Context) FaultSweep() (*FaultSweepResult, error) {
 		pmPlan := faults.Plan{Sensor: faults.SensorPlan{DropoutProb: rate, DropoutTicks: 10}}
 		// PS: missed counter reads starve the performance projection.
 		psPlan := faults.Plan{Counter: faults.CounterPlan{MissProb: rate}}
-
-		row := FaultRow{Rate: rate}
-		for _, v := range []struct {
-			degrade bool
-			viol    *float64
-			perf    *float64
-			events  *int
-		}{
-			{false, &row.NaiveViol, &row.NaivePerf, &row.NaiveEvents},
-			{true, &row.DegradedViol, &row.DegradedPerf, &row.DegradedEvents},
-		} {
-			run, err := c.runFaulted(pmWorkload, pmPlan, pmGov(v.degrade))
+		res.PM[i].Rate, res.PS[i].Rate = rate, rate
+		for _, degrade := range []bool{false, true} {
+			pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: limitW, Degrade: degrade})
 			if err != nil {
 				return err
 			}
-			*v.viol = trace.FractionAbove(run.TruePowers(), limitW)
-			*v.perf = run.Instructions / run.Duration.Seconds() /
-				(pmBase.Instructions / pmBase.Duration.Seconds())
-			*v.events = run.DegradationTotal()
-		}
-		res.PM[i] = row
-
-		row = FaultRow{Rate: rate}
-		for _, v := range []struct {
-			degrade bool
-			viol    *float64
-			perf    *float64
-			events  *int
-		}{
-			{false, &row.NaiveViol, &row.NaivePerf, &row.NaiveEvents},
-			{true, &row.DegradedViol, &row.DegradedPerf, &row.DegradedEvents},
-		} {
-			run, err := c.runFaulted(psWorkload, psPlan, psGov(v.degrade))
+			pmRun, err := c.runUncached(machine.Config{Faults: &pmPlan}, pmW, pm, withRows)
 			if err != nil {
 				return err
 			}
-			perf := run.Instructions / run.Duration.Seconds() /
-				(psBase.Instructions / psBase.Duration.Seconds())
-			*v.perf = perf
-			if short := floor - perf; short > 0 {
-				*v.viol = short
+			ps, err := control.NewPowerSave(control.PSConfig{Floor: floor, Degrade: degrade})
+			if err != nil {
+				return err
 			}
-			*v.events = run.DegradationTotal()
+			psRun, err := c.runUncached(machine.Config{Faults: &psPlan}, psW, ps, totalsOnly)
+			if err != nil {
+				return err
+			}
+			res.PM[i].record(degrade, trace.FractionAbove(pmRun.TruePowers(), limitW),
+				relPerf(pmRun, pmBase), pmRun.DegradationTotal())
+			psPerf := relPerf(psRun, psBase)
+			res.PS[i].record(degrade, max(floor-psPerf, 0), psPerf, psRun.DegradationTotal())
 		}
-		res.PS[i] = row
 		return nil
 	})
 	if err != nil {

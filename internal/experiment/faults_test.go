@@ -21,10 +21,16 @@ func TestPMDegradationBeatsNaiveUnderDropout(t *testing.T) {
 	}
 	plan := faults.Plan{Sensor: faults.SensorPlan{DropoutProb: 0.05, DropoutTicks: 10}}
 	const limit = 13.5
+	w, err := c.Workload("galgel")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(degrade bool) *trace.Run {
-		r, err := c.runFaulted("galgel", plan, func() (machine.Governor, error) {
-			return control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, Degrade: degrade})
-		})
+		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, Degrade: degrade})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.runUncached(machine.Config{Faults: &plan}, w, pm, withRows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,10 +72,16 @@ func TestPSDegradationHoldsFloorUnderCounterMiss(t *testing.T) {
 	}
 	plan := faults.Plan{Counter: faults.CounterPlan{MissProb: 0.3}}
 	const floor = 0.8
+	w, err := c.Workload("art")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(degrade bool) *trace.Run {
-		r, err := c.runFaulted("art", plan, func() (machine.Governor, error) {
-			return control.NewPowerSave(control.PSConfig{Floor: floor, Degrade: degrade})
-		})
+		ps, err := control.NewPowerSave(control.PSConfig{Floor: floor, Degrade: degrade})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.runUncached(machine.Config{Faults: &plan}, w, ps, withRows)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"time"
+	"sort"
 
 	"aapm/internal/stats"
 	"aapm/internal/trace"
@@ -19,16 +19,11 @@ type Fig5Result struct {
 
 // Fig5PMTimeline runs the three ammp configurations.
 func (c *Context) Fig5PMTimeline() (*Fig5Result, error) {
-	res := &Fig5Result{}
-	jobs := []func() error{
-		func() (err error) { res.Unconstrained, err = c.RunStatic("ammp", 2000); return },
-		func() (err error) { res.PM145, err = c.RunPM("ammp", 14.5); return },
-		func() (err error) { res.PM105, err = c.RunPM("ammp", 10.5); return },
-	}
-	if err := c.forEachN(len(jobs), func(i int) error { return jobs[i]() }); err != nil {
+	runs, err := c.runSet(withRows, []string{"ammp"}, c.staticSpec(2000), pmSpec(14.5), pmSpec(10.5))
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Fig5Result{Unconstrained: runs[0][0], PM145: runs[1][0], PM105: runs[2][0]}, nil
 }
 
 // Print renders the three timelines as ASCII charts plus summaries.
@@ -75,89 +70,31 @@ func (c *Context) Fig6PerfVsPowerLimit() (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := c.SuiteNames()
 	limits := PowerLimits()
-
-	// Pre-run everything in parallel: unconstrained, statics, PMs.
-	type job struct {
-		name  string
-		limit float64 // 0 = static at freq
-		freq  int
-	}
-	var jobs []job
-	for _, n := range names {
-		jobs = append(jobs, job{name: n, freq: 2000})
-		for _, l := range limits {
-			f, err := t4.StaticFreqFor(l)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, job{name: n, freq: f})
-			jobs = append(jobs, job{name: n, limit: l})
+	// Unconstrained, then each limit's Table IV static frequency and PM.
+	freqs := make([]int, len(limits))
+	specs := []runSpec{c.staticSpec(2000)}
+	for i, l := range limits {
+		if freqs[i], err = t4.StaticFreqFor(l); err != nil {
+			return nil, err
 		}
+		specs = append(specs, c.staticSpec(freqs[i]), pmSpec(l))
 	}
-	if err := c.forEachN(len(jobs), func(i int) error {
-		j := jobs[i]
-		if j.limit > 0 {
-			_, err := c.pmRun(j.name, j.limit, totalsOnly)
-			return err
-		}
-		_, err := c.staticRun(j.name, j.freq, totalsOnly)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	baseTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
+	runs, err := c.runSet(totalsOnly, c.SuiteNames(), specs...)
 	if err != nil {
 		return nil, err
 	}
+	base := suiteTime(runs[0]).Seconds()
 	res := &Fig6Result{}
-	for _, l := range limits {
-		f, err := t4.StaticFreqFor(l)
-		if err != nil {
-			return nil, err
-		}
-		pmTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.pmRun(n, l, totalsOnly) })
-		if err != nil {
-			return nil, err
-		}
-		stTotal, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, f, totalsOnly) })
-		if err != nil {
-			return nil, err
-		}
+	for i, l := range limits {
 		res.Rows = append(res.Rows, Fig6Row{
 			LimitW:         l,
-			StaticMHz:      f,
-			NormPerfPM:     baseTotal.Seconds() / pmTotal.Seconds(),
-			NormPerfStatic: baseTotal.Seconds() / stTotal.Seconds(),
+			StaticMHz:      freqs[i],
+			NormPerfPM:     base / suiteTime(runs[2+2*i]).Seconds(),
+			NormPerfStatic: base / suiteTime(runs[1+2*i]).Seconds(),
 		})
 	}
 	return res, nil
-}
-
-func (c *Context) suiteTime(get func(name string) (*trace.Run, error)) (time.Duration, error) {
-	var total time.Duration
-	for _, n := range c.SuiteNames() {
-		r, err := get(n)
-		if err != nil {
-			return 0, err
-		}
-		total += r.Duration
-	}
-	return total, nil
-}
-
-func (c *Context) suiteEnergy(get func(name string) (*trace.Run, error)) (float64, error) {
-	var total float64
-	for _, n := range c.SuiteNames() {
-		r, err := get(n)
-		if err != nil {
-			return 0, err
-		}
-		total += r.MeasuredEnergyJ
-	}
-	return total, nil
 }
 
 // Print writes the Figure 6 series.
@@ -208,60 +145,21 @@ func (c *Context) Fig7PMSpeedup() (*Fig7Result, error) {
 		return nil, err
 	}
 	names := c.SuiteNames()
-	if err := c.forEachN(3*len(names), func(i int) error {
-		n := names[i/3]
-		switch i % 3 {
-		case 0:
-			_, err := c.staticRun(n, staticMHz, totalsOnly)
-			return err
-		case 1:
-			_, err := c.staticRun(n, 2000, totalsOnly)
-			return err
-		default:
-			_, err := c.pmRun(n, Fig7Limit, totalsOnly)
-			return err
-		}
-	}); err != nil {
+	runs, err := c.runSet(totalsOnly, names, c.staticSpec(staticMHz), c.staticSpec(2000), pmSpec(Fig7Limit))
+	if err != nil {
 		return nil, err
 	}
-
 	res := &Fig7Result{}
-	order := map[string]float64{}
 	var totStatic, totPM, totMax float64
-	for _, n := range names {
-		st, err := c.staticRun(n, staticMHz, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		pm, err := c.pmRun(n, Fig7Limit, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		mx, err := c.staticRun(n, 2000, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig7Row{
-			Name:       n,
-			SpeedupPM:  st.Duration.Seconds()/pm.Duration.Seconds() - 1,
-			SpeedupMax: st.Duration.Seconds()/mx.Duration.Seconds() - 1,
-		}
-		res.Rows = append(res.Rows, row)
-		order[n] = row.SpeedupMax
-		totStatic += st.Duration.Seconds()
-		totPM += pm.Duration.Seconds()
-		totMax += mx.Duration.Seconds()
+	for i, n := range names {
+		st, mx, pm := runs[0][i].Duration.Seconds(), runs[1][i].Duration.Seconds(), runs[2][i].Duration.Seconds()
+		res.Rows = append(res.Rows, Fig7Row{Name: n, SpeedupPM: st/pm - 1, SpeedupMax: st/mx - 1})
+		totStatic += st
+		totPM += pm
+		totMax += mx
 	}
 	// Sort rows by unconstrained speedup, as the paper plots them.
-	sorted := sortByValue(names, order, true)
-	byName := map[string]Fig7Row{}
-	for _, r := range res.Rows {
-		byName[r.Name] = r
-	}
-	res.Rows = res.Rows[:0]
-	for _, n := range sorted {
-		res.Rows = append(res.Rows, byName[n])
-	}
+	sort.SliceStable(res.Rows, func(i, j int) bool { return res.Rows[i].SpeedupMax < res.Rows[j].SpeedupMax })
 	res.SuiteSpeedupPM = totStatic/totPM - 1
 	res.SuiteSpeedupMax = totStatic/totMax - 1
 	if res.SuiteSpeedupMax > 0 {
@@ -316,20 +214,18 @@ const adherenceWindow = 10
 func (c *Context) PMLimitAdherence() (*AdherenceResult, error) {
 	names := c.SuiteNames()
 	limits := PowerLimits()
-	if err := c.forEachN(len(names)*len(limits), func(i int) error {
-		_, err := c.RunPM(names[i/len(limits)], limits[i%len(limits)])
-		return err
-	}); err != nil {
+	specs := make([]runSpec, len(limits))
+	for i, l := range limits {
+		specs[i] = pmSpec(l)
+	}
+	runs, err := c.runSet(withRows, names, specs...)
+	if err != nil {
 		return nil, err
 	}
 	res := &AdherenceResult{}
-	for _, n := range names {
-		for _, l := range limits {
-			run, err := c.RunPM(n, l)
-			if err != nil {
-				return nil, err
-			}
-			meas := run.MeasuredPowers()
+	for w, n := range names {
+		for i, l := range limits {
+			meas := runs[i][w].MeasuredPowers()
 			win := trace.MovingAvg(meas, adherenceWindow)
 			// Skip warm-up partial windows: only averages over a full
 			// ten samples count toward enforcement.

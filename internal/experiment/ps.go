@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"aapm/internal/model"
 	"aapm/internal/trace"
@@ -17,15 +18,11 @@ type Fig8Result struct {
 
 // Fig8PSTimeline runs ammp unconstrained and under PS at 80%.
 func (c *Context) Fig8PSTimeline() (*Fig8Result, error) {
-	res := &Fig8Result{}
-	jobs := []func() error{
-		func() (err error) { res.Unconstrained, err = c.RunStatic("ammp", 2000); return },
-		func() (err error) { res.PS80, err = c.RunPS("ammp", 0.80, model.PaperExponent); return },
-	}
-	if err := c.forEachN(len(jobs), func(i int) error { return jobs[i]() }); err != nil {
+	runs, err := c.runSet(withRows, []string{"ammp"}, c.staticSpec(2000), psSpec(0.80, model.PaperExponent))
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Fig8Result{Unconstrained: runs[0][0], PS80: runs[1][0]}, nil
 }
 
 // Print renders the PS timeline.
@@ -68,69 +65,36 @@ type Fig9Row struct {
 	Violated bool
 }
 
-// Fig9PSSuite sweeps the four floors over the full suite with the
-// published eq. 3 model (exponent 0.81).
-func (c *Context) Fig9PSSuite() (*Fig9Result, error) {
-	names := c.SuiteNames()
-	floors := Floors()
-	// 2 GHz + 600 MHz + each floor, per benchmark.
-	if err := c.forEachN(len(names)*(len(floors)+2), func(i int) error {
-		n := names[i/(len(floors)+2)]
-		k := i % (len(floors) + 2)
-		switch k {
-		case 0:
-			_, err := c.staticRun(n, 2000, totalsOnly)
-			return err
-		case 1:
-			_, err := c.staticRun(n, 600, totalsOnly)
-			return err
-		default:
-			_, err := c.psRun(n, floors[k-2], model.PaperExponent, totalsOnly)
-			return err
-		}
-	}); err != nil {
-		return nil, err
+// psSuiteRuns runs the suite unconstrained (runs[0]), at 600 MHz
+// (runs[1]) and under PS at each floor (runs[2:]) with the published
+// eq. 3 model (exponent 0.81): the runs of Figures 9-11.
+func (c *Context) psSuiteRuns() ([][]*trace.Run, error) {
+	specs := []runSpec{c.staticSpec(2000), c.staticSpec(600)}
+	for _, f := range Floors() {
+		specs = append(specs, psSpec(f, model.PaperExponent))
 	}
+	return c.runSet(totalsOnly, c.SuiteNames(), specs...)
+}
 
-	baseT, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
+// Fig9PSSuite sweeps the four floors over the full suite.
+func (c *Context) Fig9PSSuite() (*Fig9Result, error) {
+	runs, err := c.psSuiteRuns()
 	if err != nil {
 		return nil, err
 	}
-	baseE, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.staticRun(n, 2000, totalsOnly) })
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig9Result{}
-	for _, f := range floors {
-		f := f
-		t, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.psRun(n, f, model.PaperExponent, totalsOnly) })
-		if err != nil {
-			return nil, err
+	baseT, baseE := suiteTime(runs[0]).Seconds(), suiteEnergy(runs[0])
+	row := func(floor float64, suite []*trace.Run) Fig9Row {
+		return Fig9Row{
+			Floor:         floor,
+			PerfReduction: 1 - baseT/suiteTime(suite).Seconds(),
+			EnergySavings: 1 - suiteEnergy(suite)/baseE,
 		}
-		e, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.psRun(n, f, model.PaperExponent, totalsOnly) })
-		if err != nil {
-			return nil, err
-		}
-		row := Fig9Row{
-			Floor:         f,
-			PerfReduction: 1 - baseT.Seconds()/t.Seconds(),
-			EnergySavings: 1 - e/baseE,
-		}
-		row.Violated = row.PerfReduction > (1-f)+1e-9
-		res.Rows = append(res.Rows, row)
 	}
-	tMin, err := c.suiteTime(func(n string) (*trace.Run, error) { return c.staticRun(n, 600, totalsOnly) })
-	if err != nil {
-		return nil, err
-	}
-	eMin, err := c.suiteEnergy(func(n string) (*trace.Run, error) { return c.staticRun(n, 600, totalsOnly) })
-	if err != nil {
-		return nil, err
-	}
-	res.MinFreq = Fig9Row{
-		Floor:         0,
-		PerfReduction: 1 - baseT.Seconds()/tMin.Seconds(),
-		EnergySavings: 1 - eMin/baseE,
+	res := &Fig9Result{MinFreq: row(0, runs[1])}
+	for i, f := range Floors() {
+		r := row(f, runs[2+i])
+		r.Violated = r.PerfReduction > (1-f)+1e-9
+		res.Rows = append(res.Rows, r)
 	}
 	return res, nil
 }
@@ -174,50 +138,25 @@ type Fig10Row struct {
 
 // Fig10EnergySavings computes the per-workload savings table.
 func (c *Context) Fig10EnergySavings() (*Fig10Result, error) {
-	if _, err := c.Fig9PSSuite(); err != nil { // ensures all runs exist
+	runs, err := c.psSuiteRuns()
+	if err != nil {
 		return nil, err
 	}
-	names := c.SuiteNames()
 	floors := Floors()
 	res := &Fig10Result{Floors: floors}
-	order := map[string]float64{}
-	var sumBase, sum600 float64
-	sums := make([]float64, len(floors))
-	for _, n := range names {
-		base, err := c.staticRun(n, 2000, totalsOnly)
-		if err != nil {
-			return nil, err
+	for w, n := range c.SuiteNames() {
+		base := runs[0][w].MeasuredEnergyJ
+		row := Fig10Row{Name: n, At600: 1 - runs[1][w].MeasuredEnergyJ/base}
+		for i := range floors {
+			row.Savings = append(row.Savings, 1-runs[2+i][w].MeasuredEnergyJ/base)
 		}
-		min, err := c.staticRun(n, 600, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig10Row{Name: n, At600: 1 - min.MeasuredEnergyJ/base.MeasuredEnergyJ}
-		for i, f := range floors {
-			ps, err := c.psRun(n, f, model.PaperExponent, totalsOnly)
-			if err != nil {
-				return nil, err
-			}
-			row.Savings = append(row.Savings, 1-ps.MeasuredEnergyJ/base.MeasuredEnergyJ)
-			sums[i] += ps.MeasuredEnergyJ
-		}
-		order[n] = row.At600
-		sumBase += base.MeasuredEnergyJ
-		sum600 += min.MeasuredEnergyJ
 		res.Rows = append(res.Rows, row)
 	}
-	sorted := sortByValue(names, order, false)
-	byName := map[string]Fig10Row{}
-	for _, r := range res.Rows {
-		byName[r.Name] = r
-	}
-	res.Rows = res.Rows[:0]
-	for _, n := range sorted {
-		res.Rows = append(res.Rows, byName[n])
-	}
-	res.AllBench = Fig10Row{Name: "ALLBENCH", At600: 1 - sum600/sumBase}
+	sort.SliceStable(res.Rows, func(i, j int) bool { return res.Rows[i].At600 > res.Rows[j].At600 })
+	sumBase := suiteEnergy(runs[0])
+	res.AllBench = Fig10Row{Name: "ALLBENCH", At600: 1 - suiteEnergy(runs[1])/sumBase}
 	for i := range floors {
-		res.AllBench.Savings = append(res.AllBench.Savings, 1-sums[i]/sumBase)
+		res.AllBench.Savings = append(res.AllBench.Savings, 1-suiteEnergy(runs[2+i])/sumBase)
 	}
 	return res, nil
 }
@@ -291,60 +230,40 @@ const violationSlack = 0.01
 // Fig11PerfReduction computes the per-workload reduction table and
 // the art/mcf exponent ablation.
 func (c *Context) Fig11PerfReduction() (*Fig11Result, error) {
-	if _, err := c.Fig9PSSuite(); err != nil {
+	runs, err := c.psSuiteRuns()
+	if err != nil {
 		return nil, err
 	}
-	names := c.SuiteNames()
 	floors := Floors()
 	res := &Fig11Result{Floors: floors}
-	order := map[string]float64{}
 	var sumBase, sum600 float64
 	sums := make([]float64, len(floors))
-	for _, n := range names {
-		base, err := c.staticRun(n, 2000, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		min, err := c.staticRun(n, 600, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig11Row{Name: n, At600: 1 - base.Duration.Seconds()/min.Duration.Seconds()}
+	for w, n := range c.SuiteNames() {
+		base, min := runs[0][w].Duration.Seconds(), runs[1][w].Duration.Seconds()
+		row := Fig11Row{Name: n, At600: 1 - base/min}
 		for i, f := range floors {
-			ps, err := c.psRun(n, f, model.PaperExponent, totalsOnly)
-			if err != nil {
-				return nil, err
-			}
-			red := 1 - base.Duration.Seconds()/ps.Duration.Seconds()
+			ps := runs[2+i][w].Duration.Seconds()
+			red := 1 - base/ps
 			row.Reductions = append(row.Reductions, red)
-			sums[i] += ps.Duration.Seconds()
+			sums[i] += ps
 			if red > (1-f)+violationSlack {
-				alt, err := c.psRun(n, f, model.PaperExponentAlt, totalsOnly)
+				alt, err := c.run(totalsOnly, n, psSpec(f, model.PaperExponentAlt))
 				if err != nil {
 					return nil, err
 				}
 				res.Violations = append(res.Violations, Violation{
 					Name: n, Floor: f,
 					Reduction081: red,
-					Reduction059: 1 - base.Duration.Seconds()/alt.Duration.Seconds(),
+					Reduction059: 1 - base/alt.Duration.Seconds(),
 					Allowed:      1 - f,
 				})
 			}
 		}
-		order[n] = row.At600
-		sumBase += base.Duration.Seconds()
-		sum600 += min.Duration.Seconds()
+		sumBase += base
+		sum600 += min
 		res.Rows = append(res.Rows, row)
 	}
-	sorted := sortByValue(names, order, true)
-	byName := map[string]Fig11Row{}
-	for _, r := range res.Rows {
-		byName[r.Name] = r
-	}
-	res.Rows = res.Rows[:0]
-	for _, n := range sorted {
-		res.Rows = append(res.Rows, byName[n])
-	}
+	sort.SliceStable(res.Rows, func(i, j int) bool { return res.Rows[i].At600 < res.Rows[j].At600 })
 	res.AllBench = Fig11Row{Name: "ALLBENCH", At600: 1 - sumBase/sum600}
 	for i := range floors {
 		res.AllBench.Reductions = append(res.AllBench.Reductions, 1-sumBase/sums[i])

@@ -52,16 +52,12 @@ func (c *Context) SeedSensitivity() (*SeedResult, error) {
 		metrics["galgel over-limit fraction at 13.5W"] = append(metrics["galgel over-limit fraction at 13.5W"],
 			trace.FractionAbove(galgel.MeasuredPowers(), 13.5))
 
-		base, err := ctx.staticRun("art", 2000, totalsOnly)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := ctx.psRun("art", 0.8, 0.81, totalsOnly)
+		art, err := ctx.runSet(totalsOnly, []string{"art"}, ctx.staticSpec(2000), psSpec(0.8, 0.81))
 		if err != nil {
 			return nil, err
 		}
 		metrics["art loss at 80% floor (e=0.81)"] = append(metrics["art loss at 80% floor (e=0.81)"],
-			1-base.Duration.Seconds()/ps.Duration.Seconds())
+			1-art[0][0].Duration.Seconds()/art[1][0].Duration.Seconds())
 	}
 	for _, name := range []string{
 		"PM fraction of possible speedup",
@@ -112,7 +108,7 @@ func (c *Context) GuardbandSweep() (*GuardbandSweepResult, error) {
 		Guardbands: []float64{-1, 0.25, 0.5, 1.0}, // -1 = disabled
 		Limits:     PowerLimits(),
 	}
-	base, err := c.staticRun("galgel", 2000, totalsOnly)
+	base, err := c.run(totalsOnly, "galgel", c.staticSpec(2000))
 	if err != nil {
 		return nil, err
 	}
@@ -123,15 +119,11 @@ func (c *Context) GuardbandSweep() (*GuardbandSweepResult, error) {
 	for _, gb := range res.Guardbands {
 		var overs, perfs []float64
 		for _, limit := range res.Limits {
-			m, err := machine.New(machine.Config{Chain: c.chain, Seed: c.opts.Seed})
-			if err != nil {
-				return nil, err
-			}
 			pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: limit, GuardbandW: gb})
 			if err != nil {
 				return nil, err
 			}
-			run, err := m.Run(w, pm)
+			run, err := c.runUncached(machine.Config{}, w, pm, withRows)
 			if err != nil {
 				return nil, err
 			}

@@ -49,10 +49,13 @@ func sameTotals(a, b *trace.Run) bool {
 // rows and the same totals.
 func TestTotalsOnlyMatchesRows(t *testing.T) {
 	type req func(c *Context, rows bool) (*trace.Run, error)
+	spec := func(workload string, s func(c *Context) runSpec) req {
+		return func(c *Context, rows bool) (*trace.Run, error) { return c.run(rows, workload, s(c)) }
+	}
 	keys := map[string]req{
-		"static": func(c *Context, rows bool) (*trace.Run, error) { return c.staticRun("ammp", 1400, rows) },
-		"pm":     func(c *Context, rows bool) (*trace.Run, error) { return c.pmRun("galgel", 13.5, rows) },
-		"ps":     func(c *Context, rows bool) (*trace.Run, error) { return c.psRun("art", 0.8, model.PaperExponent, rows) },
+		"static": spec("ammp", func(c *Context) runSpec { return c.staticSpec(1400) }),
+		"pm":     spec("galgel", func(*Context) runSpec { return pmSpec(13.5) }),
+		"ps":     spec("art", func(*Context) runSpec { return psSpec(0.8, model.PaperExponent) }),
 	}
 	for name, run := range keys {
 		var nTotals, nRows atomic.Int64
@@ -140,5 +143,63 @@ func TestRunOncePerKey(t *testing.T) {
 	}
 	if len(c.runs) != keys {
 		t.Errorf("cached %d keys, want %d", len(c.runs), keys)
+	}
+}
+
+// TestEntryRunCounts pins which runs each paper entry requests, and
+// whether it reads their rows: in registry order on one context, the
+// cumulative executed runs (Observer calls, three per key at Repeats 3)
+// and cached keys after each entry. adherence re-runs with rows the
+// 206 PM keys that Figure 6 ran totals-only (Figure 5 already ran two
+// with rows), so its executed count grows by 618 while the cache does
+// not; a plan that declares every entry's runs up front lowers that
+// number on purpose.
+func TestEntryRunCounts(t *testing.T) {
+	want := map[string]struct{ runs, keys int }{
+		"fig1":      {78, 26},
+		"fig2":      {96, 32},
+		"table1":    {96, 32},
+		"table2":    {96, 32},
+		"table3":    {96, 32},
+		"table4":    {96, 32},
+		"fig5":      {102, 34},
+		"fig6":      {936, 312},
+		"fig7":      {936, 312},
+		"adherence": {1554, 312},
+		"fig8":      {1557, 313},
+		"fig9":      {1944, 442},
+		"fig10":     {1944, 442},
+		"fig11":     {1953, 445},
+		"baselines": {2187, 523},
+	}
+	var runs atomic.Int64
+	c := countingCtx(t, 4, &runs)
+	seen := 0
+	for _, e := range Registry() {
+		w, ok := want[e.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		if _, err := e.Run(c); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if got := runs.Load(); got != int64(w.runs) || len(c.runs) != w.keys {
+			t.Errorf("after %s: %d runs executed, %d keys cached; want %d and %d",
+				e.Name, got, len(c.runs), w.runs, w.keys)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("ran %d of the %d pinned entries", seen, len(want))
+	}
+	// The counts hold under a consistent rename; pin each spec kind's
+	// key string too.
+	for _, key := range []string{
+		"ammp/static2000", "galgel/pm13.5", "art/ps0.80/e0.81", "art/ps0.80/e0.59",
+		"gzip/ondemand", "gzip/cruise10", "gzip/cruise20",
+	} {
+		if c.runs[key] == nil {
+			t.Errorf("no run cached under %q", key)
+		}
 	}
 }

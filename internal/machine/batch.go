@@ -261,12 +261,13 @@ func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 
 // NewBatchFunc validates n nodes and builds a batch ready to step,
 // reading node i from node(i) once, in index order; an error from
-// node fails the build with that error. Each node's actuator starts at
-// the machine's start state (or the governor's InitialStater choice),
-// and its noise/jitter RNG and fault injector are seeded from the
-// machine seed plus the node's SeedOffset, XORed with the workload
-// name's hash, so a node's run is the same in any batch and in a
-// Session.
+// node fails the build with that error, and an invalid workload with
+// its Validate error wrapped with the node's index. Each node's
+// actuator starts at the machine's start state (or the governor's
+// InitialStater choice), and its noise/jitter RNG and fault injector
+// are seeded from the machine seed plus the node's SeedOffset, XORed
+// with the workload name's hash, so a node's run is the same in any
+// batch and in a Session.
 //
 // The per-node footprint is kept lean for fleet-scale batches: no
 // BatchNode outlives its iteration, a node holds an index into the
@@ -364,7 +365,7 @@ func NewBatchFunc(n int, node func(i int) (BatchNode, error), opts BatchOptions)
 		si, known := specIdx[sk]
 		if !known || w.Name == "" {
 			if err := w.Validate(); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("machine: batch node %d: %w", i, err)
 			}
 		}
 		if !known {

@@ -457,9 +457,10 @@ func (*stubLanePolicy) LaneDesireW(*GovLane, *pstate.Table, float64) float64 { r
 
 // TestNewBatchFuncInvalidNode checks that a batch validating each
 // workload shape once still fails at the first invalid node, with that
-// node's own Validate error: node k of a 10-node batch is invalid in
-// turn by an empty name (its shape already validated), by jitter out of
-// range, and by a phase of its own that is invalid.
+// node's index wrapping its own Validate error: node k of a 10-node
+// batch is invalid in turn by an empty name (its shape already
+// validated), by jitter out of range, and by a phase of its own that
+// is invalid.
 func TestNewBatchFuncInvalidNode(t *testing.T) {
 	const n, k = 10, 7
 	m, err := New(Config{Seed: 1})
@@ -493,8 +494,11 @@ func TestNewBatchFuncInvalidNode(t *testing.T) {
 				}
 				return BatchNode{Machine: m, Workload: w}, nil
 			}, BatchOptions{})
-			if err == nil || err.Error() != want.Error() {
-				t.Fatalf("error %v, want %v", err, want)
+			if err == nil || err.Error() != fmt.Sprintf("machine: batch node %d: %v", k, want) {
+				t.Fatalf("error %v, want node %d's %v", err, k, want)
+			}
+			if got := errors.Unwrap(err); got == nil || got.Error() != want.Error() {
+				t.Errorf("unwrapped error %v, want Validate's %v", got, want)
 			}
 			if read != k+1 {
 				t.Errorf("read %d nodes, want the build to stop at node %d", read, k)
