@@ -362,11 +362,6 @@ type SharedBudgetResult struct {
 	// OverFracDyn/OverFracStatic are budget-violation interval
 	// fractions for the two modes.
 	OverFracDyn, OverFracStatic float64
-	// Workers is the stepping-goroutine count each coordinator used;
-	// TickWallUs is the demand-aware run's mean per-worker shard-step
-	// wall-clock in microseconds (merged across workers).
-	Workers    int
-	TickWallUs float64
 }
 
 // SharedBudgetRow is one node's completion times under both modes.
@@ -413,8 +408,6 @@ func (c *Context) SharedBudget() (*SharedBudgetResult, error) {
 		Speedup:        st.MachineSeconds / dyn.MachineSeconds,
 		OverFracDyn:    dyn.OverFrac,
 		OverFracStatic: st.OverFrac,
-		Workers:        dyn.Workers,
-		TickWallUs:     float64(dyn.TickWall.Avg().Nanoseconds()) / 1e3,
 	}
 	for i := range dyn.Runs {
 		res.Rows = append(res.Rows, SharedBudgetRow{
@@ -426,21 +419,24 @@ func (c *Context) SharedBudget() (*SharedBudgetResult, error) {
 	return res, nil
 }
 
-// Print writes the shared-budget comparison.
+// Print writes the shared-budget comparison. It prints only virtual
+// time and power, so its output is fixed by the seed; the
+// clusterscale and fleetscale studies report the coordinator's
+// wall-clock.
 func (r *SharedBudgetResult) Print(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "Shared %.0f W budget across four machines: equal vs demand-aware PM limits\n", r.BudgetW); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-8s %12s %12s\n", "node", "equal (s)", "demand (s)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-8s %12.2f %12.2f\n", row.Node, row.EqualSec, row.DemandSec)
-	}
-	if _, err := fmt.Fprintf(w, "demand-aware completes the set %.1f%% faster; budget exceeded %.1f%% (dyn) / %.1f%% (equal) of intervals\n",
-		(r.Speedup-1)*100, r.OverFracDyn*100, r.OverFracStatic*100); err != nil {
+	if _, err := fmt.Fprintf(w, "%-8s %12s %12s\n", "node", "equal (s)", "demand (s)"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "coordinator: %d stepping worker(s), %.1f us mean wall-clock per shard-step\n",
-		r.Workers, r.TickWallUs)
+	for _, row := range r.Rows {
+		if _, err := fmt.Fprintf(w, "%-8s %12.2f %12.2f\n", row.Node, row.EqualSec, row.DemandSec); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "demand-aware completes the set %.1f%% faster; budget exceeded %.1f%% (dyn) / %.1f%% (equal) of intervals\n",
+		(r.Speedup-1)*100, r.OverFracDyn*100, r.OverFracStatic*100)
 	return err
 }
 

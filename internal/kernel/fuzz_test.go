@@ -52,6 +52,11 @@ func FuzzBatchStep(f *testing.F) {
 	f.Add(bits(2e6), bits(1.0), bits(20), bits(5), bits(0.2), bits(12.0), uint16(7), uint8(7), uint8(0), int64(6))
 	f.Add(bits(30e6), bits(1.1), bits(8), bits(2), bits(0.2), bits(13.0), uint16(30), uint8(0), uint8(0x80), int64(7))
 	f.Add(bits(30e6), bits(1.1), bits(8), bits(2), bits(0.2), bits(13.0), uint16(30), uint8(0), uint8(0xc0), int64(8))
+	// Zero jitter: the nodes read their mid-phase intervals from the
+	// steady-interval table, a single PM lane and both mixed batches.
+	f.Add(bits(3e8), bits(0.9), bits(3.0), bits(1.5), bits(0), bits(13.5), uint16(20), uint8(0), uint8(0), int64(9))
+	f.Add(bits(3e8), bits(1.1), bits(8), bits(2), bits(0), bits(13.0), uint16(30), uint8(0), uint8(0x80), int64(10))
+	f.Add(bits(3e8), bits(1.1), bits(8), bits(2), bits(0), bits(13.0), uint16(30), uint8(0), uint8(0xc0), int64(11))
 
 	f.Fuzz(func(t *testing.T, instrBits, cpiBits, l2Bits, memBits, jitBits, limitBits uint64,
 		idleMs uint16, faultSel, govSel uint8, seed int64) {

@@ -46,6 +46,16 @@ import (
 // timing, and builds a TickState record on every tick for hook
 // fan-out. Both settings reproduce the recorded reference outputs bit
 // for bit (internal/kernel's TestBatchMatchesStaged).
+//
+// Besides the Params.At behavior, frequency and period caches, each
+// node spec of a workload without jitter carries a steady-interval
+// table: per (p-state, phase), the sample, instructions, true power
+// and decode rate of one full interval inside that busy phase. A tick
+// reads its entry, instead of recomputing those values, when the
+// interval is full and stall-free, the node is not exhausted, and the
+// phase does not finish within the interval; every other stage runs
+// as before. TestSteadyTickMatchesGeneral steps each batch with and
+// without the table and requires the same bits.
 
 // StaticPolicy is the policy a run records for a node with neither a
 // governor nor a lane policy: it stays at its start p-state.
@@ -219,12 +229,28 @@ type platKey struct {
 // nodeSpec is what the nodes of one platform and workload shape
 // share.
 type nodeSpec struct {
-	plat    *platform
-	phases  []phase.Params
-	behav   []phase.Behavior // flat [state*nPhases+phase] cache of Params.At
+	plat   *platform
+	phases []phase.Params
+	behav  []phase.Behavior // flat [state*nPhases+phase] cache of Params.At
+	// steady is the flat [state*nPhases+phase] table of steady
+	// intervals, nil for a workload with jitter (see steadyTick).
+	steady  []steadyTick
 	labels  *trace.PhaseLabels
 	jitter  float64 // workload JitterPct
 	repeats int32
+}
+
+// steadyTick is what one full, stall-free interval computes inside
+// one busy phase at one p-state when the workload has no jitter: the
+// same bits on every such interval, so the execute and measure stages
+// read them instead of recomputing them. busy is false for an idle
+// phase, whose entry is empty.
+type steadyTick struct {
+	sample counters.Sample
+	instr  float64 // instructions retired
+	trueW  float64 // intervalPower of sample over the full interval
+	dpc    float64 // sample.DPC()
+	busy   bool
 }
 
 // specKey keys specs. A workload shape is its phase list (the first
@@ -541,10 +567,42 @@ func newSpec(k specKey, phs []phase.Params) nodeSpec {
 		plat:    k.plat,
 		phases:  phs,
 		behav:   bv,
+		steady:  newSteady(k, phs, bv),
 		labels:  trace.NewPhaseLabels(names...),
 		jitter:  k.jitter,
 		repeats: k.repeats,
 	}
+}
+
+// newSteady builds the steady-interval table of a workload without
+// jitter over the phase list phs and its behavior cache bv, or returns
+// nil when the workload has jitter. Each busy phase's entry runs the
+// arithmetic of executeTick's uncompleted-phase branch and of step's
+// measure stage on a full interval with jitter 1.0, through the same
+// functions, so an entry holds exactly the bits the general path
+// computes.
+func newSteady(k specKey, phs []phase.Params, bv []phase.Behavior) []steadyTick {
+	if k.jitter != 0 {
+		return nil
+	}
+	pl := k.plat
+	st := make([]steadyTick, len(bv))
+	for si := range pl.states {
+		cycles := pl.freqHz[si] * pl.perSec
+		for pi := range phs {
+			if phs[pi].Idle() {
+				continue
+			}
+			e, bb := &st[si*len(phs)+pi], &bv[si*len(phs)+pi]
+			const jitter = 1.0
+			setActivityP(&e.sample, bb, jitter, cycles)
+			e.instr = cycles * (bb.IPC * jitter)
+			e.trueW = intervalPower(pl.truth, si, &e.sample, pl.period, pl.period)
+			e.dpc = e.sample.DPC()
+			e.busy = true
+		}
+	}
+	return st
 }
 
 // subscribe appends h to node i's hooks and turns on the full event

@@ -21,10 +21,16 @@ import (
 // (the recorded reference fixture enforces this).
 //
 // The only other liberties are pure-value caches: Params.At per
-// (phase, p-state), PState.FreqHz per state, and period.Seconds() for
-// full intervals. Anything that would change float bits (reassociating
-// sums, replacing divisions with reciprocal multiplies) is off the
-// table.
+// (phase, p-state), PState.FreqHz per state, period.Seconds() for
+// full intervals, and the spec's steady-interval table (steadyTick).
+// The table exists only for a workload without jitter, and the
+// execute stage reads an entry only for an interval that is full and
+// stall-free (no pending stall, no stopped clock), on a node that is
+// not exhausted, in a busy phase that this interval does not finish.
+// Each entry was computed by the functions the general path calls,
+// on the same inputs. Anything that would change float bits
+// (reassociating sums, replacing divisions with reciprocal
+// multiplies) is off the table.
 //
 // r is the stepping goroutine's record (Stepper): the execute stage
 // accumulates the interval's counter sample in r.info.Sample, the step
@@ -48,7 +54,7 @@ func (b *BatchState) step(i int, r *tickRec) {
 
 	// execute
 	info := &r.info
-	used, busy, stall, instr, jitter, ph, ok := b.executeTick(i, cur, &info.Sample)
+	used, busy, stall, instr, jitter, ph, st, ok := b.executeTick(i, cur, &info.Sample)
 	if !ok {
 		b.dpc[i] = 0 // the decode rate of the interval's empty sample
 		b.flags[i] |= nodeDone
@@ -58,13 +64,25 @@ func (b *BatchState) step(i int, r *tickRec) {
 
 	// measure: ground truth, the chain's reading, fault corruption of
 	// what the governor sees, and both energy integrals. Dropped
-	// acquisitions (NaN) contribute no measured energy.
-	trueW := intervalPower(pl.truth, cur, &info.Sample, busy, used)
+	// acquisitions (NaN) contribute no measured energy. A steady
+	// interval (st) carries its true power and its sample's decode
+	// rate; a faulted sample's decode rate is the corrupted one's.
+	var trueW float64
+	if st != nil {
+		trueW = st.trueW
+	} else {
+		trueW = intervalPower(pl.truth, cur, &info.Sample, busy, used)
+	}
 	meaW := pl.chain.Measure(trueW, b.rng(i))
 	if full && b.injs != nil && b.injs[i] != nil {
 		meaW = b.injectFaults(i, r, start+used, meaW)
+		st = nil
 	}
-	b.dpc[i] = info.Sample.DPC()
+	if st != nil {
+		b.dpc[i] = st.dpc
+	} else {
+		b.dpc[i] = info.Sample.DPC()
+	}
 	usedSec := used.Seconds()
 	if used == pl.period {
 		usedSec = pl.perSec
@@ -122,7 +140,13 @@ func (b *BatchState) advancePhase(i int) {
 // interval ran: 1 + its index, or 0 if it ran none. ok is false when
 // the workload was already exhausted (zero-length interval, nothing
 // charged).
-func (b *BatchState) executeTick(i, cur int, sample *counters.Sample) (used, busy, stall time.Duration, instr, jitter float64, ph uint32, ok bool) {
+//
+// A full, stall-free interval that stays inside one busy phase of a
+// workload without jitter is a steady one: executeTick copies its
+// sample from the spec's steady table and returns the entry as st,
+// nil otherwise. The copy keeps the shared table out of reach of the
+// fault stage, which corrupts the sample in place.
+func (b *BatchState) executeTick(i, cur int, sample *counters.Sample) (used, busy, stall time.Duration, instr, jitter float64, ph uint32, st *steadyTick, ok bool) {
 	sp := &b.specs[b.spec[i]]
 	pl := sp.plat
 	jitter = 1.0
@@ -140,9 +164,18 @@ func (b *BatchState) executeTick(i, cur int, sample *counters.Sample) (used, bus
 	}
 	remaining := interval - stall
 
-	freq := pl.freqHz[cur]
 	phs := sp.phases
 	nph := len(phs)
+	if sp.steady != nil && remaining == interval && b.flags[i]&nodeExhausted == 0 {
+		pi := int(b.phaseIdx[i])
+		if e := &sp.steady[cur*nph+pi]; e.busy && e.instr < b.remInstr[i] {
+			*sample = e.sample
+			b.remInstr[i] -= e.instr
+			b.busyTot[i] += interval
+			return interval, interval, 0, e.instr, jitter, uint32(pi) + 1, e, true
+		}
+	}
+	freq := pl.freqHz[cur]
 	bRow := sp.behav[cur*nph : cur*nph+nph]
 	*sample = counters.Sample{}
 	zero := true

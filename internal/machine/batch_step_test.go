@@ -37,7 +37,7 @@ func mustSession(t *testing.T, cfg Config, w phase.Workload, g Governor) *Sessio
 // and names the phase label it returns.
 func executeLane(s *Session) (used, busy, stall time.Duration, instr float64, phName string, ok bool) {
 	var ph uint32
-	used, busy, stall, instr, _, ph, ok = s.b.executeTick(0, int(s.b.curIdx[0]), &s.b.rec.info.Sample)
+	used, busy, stall, instr, _, ph, _, ok = s.b.executeTick(0, int(s.b.curIdx[0]), &s.b.rec.info.Sample)
 	return used, busy, stall, instr, s.b.runs[0].Phases.Name(ph), ok
 }
 

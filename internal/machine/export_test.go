@@ -1,0 +1,15 @@
+package machine
+
+// ClearSteady removes the steady-interval table from every spec of b,
+// which puts each of its nodes on the general execute and measure
+// path, and returns how many tables it removed.
+func ClearSteady(b *BatchState) int {
+	n := 0
+	for k := range b.specs {
+		if b.specs[k].steady != nil {
+			b.specs[k].steady = nil
+			n++
+		}
+	}
+	return n
+}
