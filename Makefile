@@ -202,7 +202,7 @@ serve-churn:
 # degradations must reach the run's log.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ .
+	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ .
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

@@ -217,6 +217,9 @@ func (p *PMPolicy) guardbandW(st *machine.GovLane) float64 {
 // holds a good rate), and while the sensor is unreadable the
 // guardband widens by cfg.DegradeGuardbandW and the feedback
 // correction freezes at its last good value.
+//
+// It reads only the info fields machine.LanePolicy names (Sample,
+// MeasuredPowerW, PStateIndex, PState and Table) and writes only st.
 func (p *PMPolicy) TickLane(st *machine.GovLane, info *machine.TickInfo) (int, uint8) {
 	cfg := &p.cfg
 	var ev uint8
@@ -360,7 +363,8 @@ func (pm *PerformanceMaximizer) BindLane(l *machine.GovLane) {
 
 // SetLimit changes the power limit, effective at the next tick — the
 // simulation analogue of the SIGUSR1/SIGUSR2 runtime limit changes the
-// prototype accepts.
+// prototype accepts. Like every write from outside the policy it goes
+// through a GovLane method, which un-settles a lane the engine steps.
 func (pm *PerformanceMaximizer) SetLimit(w float64) { pm.st.SetLimit(w) }
 
 // BypassHysteresis arms the next tick to raise immediately if its
@@ -368,7 +372,7 @@ func (pm *PerformanceMaximizer) SetLimit(w float64) { pm.st.SetLimit(w) }
 // A caller that knows the workload has switched regimes calls it,
 // making the conservative streak requirement moot.
 func (pm *PerformanceMaximizer) BypassHysteresis() {
-	pm.st.PendingUp = int32(pm.pol.cfg.RaiseTicks - 1)
+	pm.st.SetPendingUp(int32(pm.pol.cfg.RaiseTicks - 1))
 }
 
 // Limit returns the active power limit.

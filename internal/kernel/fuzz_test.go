@@ -25,7 +25,9 @@ import (
 // byte-for-byte the same. Counter and power corruption
 // is covered by routing part of the input space through fault plans,
 // whose injector writes NaN/Inf and wrapped counter values into the
-// governor-visible stream. It mirrors FuzzGovernorDecisions one layer
+// governor-visible stream, and with bit 4 of the fault selector set
+// the nodes measure through the ideal chain, whose repeated readings
+// let PM lanes settle. It mirrors FuzzGovernorDecisions one layer
 // up: there a single Tick is probed, here the whole tick loop.
 //
 // A governor selector with its top bit set steps a mixed batch instead
@@ -57,6 +59,10 @@ func FuzzBatchStep(f *testing.F) {
 	f.Add(bits(3e8), bits(0.9), bits(3.0), bits(1.5), bits(0), bits(13.5), uint16(20), uint8(0), uint8(0), int64(9))
 	f.Add(bits(3e8), bits(1.1), bits(8), bits(2), bits(0), bits(13.0), uint16(30), uint8(0), uint8(0x80), int64(10))
 	f.Add(bits(3e8), bits(1.1), bits(8), bits(2), bits(0), bits(13.0), uint16(30), uint8(0), uint8(0xc0), int64(11))
+	// Zero jitter behind the ideal chain: PM lanes settle and skip
+	// their policy on steady ticks, alone and in the full mix.
+	f.Add(bits(3e9), bits(0.9), bits(3.0), bits(1.5), bits(0), bits(13.5), uint16(20), uint8(0x10), uint8(0), int64(12))
+	f.Add(bits(3e9), bits(1.1), bits(8), bits(2), bits(0), bits(13.0), uint16(30), uint8(0x10), uint8(0xc0), int64(13))
 
 	f.Fuzz(func(t *testing.T, instrBits, cpiBits, l2Bits, memBits, jitBits, limitBits uint64,
 		idleMs uint16, faultSel, govSel uint8, seed int64) {
@@ -86,6 +92,9 @@ func FuzzBatchStep(f *testing.F) {
 		// itself is part of the differential (both bodies must trip it
 		// identically).
 		cfg := machine.Config{Chain: sensor.NIDefault(), Seed: seed, MaxTicks: 500}
+		if faultSel&0x10 != 0 {
+			cfg.Chain = sensor.Chain{}
+		}
 		if faultSel%4 != 0 {
 			plan := faults.Preset(float64(faultSel%4) * 0.04)
 			cfg.Faults = &plan

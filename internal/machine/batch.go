@@ -54,8 +54,11 @@ import (
 // reads its entry, instead of recomputing those values, when the
 // interval is full and stall-free, the node is not exhausted, and the
 // phase does not finish within the interval; every other stage runs
-// as before. TestSteadyTickMatchesGeneral steps each batch with and
-// without the table and requires the same bits.
+// as before, except that a lane-policy node whose lane is settled (its
+// last steady tick left it at its policy's fixed point) skips the
+// govern stage while it reads the same power (see step).
+// TestSteadyTickMatchesGeneral steps each batch with and without the
+// table, and so with and without the skip, and requires the same bits.
 
 // StaticPolicy is the policy a run records for a node with neither a
 // governor nor a lane policy: it stays at its start p-state.
@@ -416,6 +419,9 @@ func NewBatchFunc(n int, node func(i int) (BatchNode, error), opts BatchOptions)
 		} else if lp != nil {
 			b.lanes[i] = nd.Lane
 		}
+		// A lane copied from a handle another batch stepped keeps no
+		// memo of that batch's ticks.
+		b.lanes[i].settled = false
 		policy := StaticPolicy
 		switch {
 		case lp != nil:
@@ -704,11 +710,17 @@ func (b *BatchState) Done() bool {
 // NodeDone reports whether node i has completed.
 func (b *BatchState) NodeDone(i int) bool { return b.flags[i]&nodeDone != 0 }
 
-// NodeErr returns node i's error, if stepping failed.
+// NodeErr returns node i's error, if stepping failed. The flag check
+// inlines into a stepping loop; only a failed node takes the lock.
 func (b *BatchState) NodeErr(i int) error {
 	if b.flags[i]&nodeFailed == 0 {
 		return nil
 	}
+	return b.nodeErr(i)
+}
+
+// nodeErr looks up failed node i's error under the lock.
+func (b *BatchState) nodeErr(i int) error {
 	b.errMu.Lock()
 	defer b.errMu.Unlock()
 	return b.errs[i]

@@ -20,7 +20,7 @@ import (
 // float operations in the same order, so it produces the same bits
 // (the recorded reference fixture enforces this).
 //
-// The only other liberties are pure-value caches: Params.At per
+// The other liberties are pure-value caches: Params.At per
 // (phase, p-state), PState.FreqHz per state, period.Seconds() for
 // full intervals, and the spec's steady-interval table (steadyTick).
 // The table exists only for a workload without jitter, and the
@@ -28,9 +28,21 @@ import (
 // stall-free (no pending stall, no stopped clock), on a node that is
 // not exhausted, in a busy phase that this interval does not finish.
 // Each entry was computed by the functions the general path calls,
-// on the same inputs. Anything that would change float bits
-// (reassociating sums, replacing divisions with reciprocal
-// multiplies) is off the table.
+// on the same inputs.
+//
+// The one other liberty is a memo, the settled lane: a lane-policy
+// node skips the govern stage, keeping cur, on a tick that read a
+// steady entry when its lane is settled and the tick's measured power
+// has the previous tick's bits. govern settles a lane after a steady
+// tick whose TickLane kept cur, noted no event and left the lane's
+// bits unchanged; any other lane tick, and every GovLane setter,
+// un-settles it. A settled lane was not actuated and a steady tick
+// does not advance the phase, so the next steady tick reads the same
+// entry: TickLane would see the same sample, p-state, table and power
+// over the same lane (LanePolicy's read contract), and return the same.
+//
+// Anything that would change float bits (reassociating sums,
+// replacing divisions with reciprocal multiplies) is off the table.
 //
 // r is the stepping goroutine's record (Stepper): the execute stage
 // accumulates the interval's counter sample in r.info.Sample, the step
@@ -83,9 +95,9 @@ func (b *BatchState) step(i int, r *tickRec) {
 	} else {
 		b.dpc[i] = info.Sample.DPC()
 	}
-	usedSec := used.Seconds()
-	if used == pl.period {
-		usedSec = pl.perSec
+	usedSec := pl.perSec
+	if used != pl.period {
+		usedSec = used.Seconds()
 	}
 	b.energyTrue[i].Add(trueW, usedSec)
 	if !math.IsNaN(meaW) {
@@ -98,13 +110,21 @@ func (b *BatchState) step(i int, r *tickRec) {
 	}
 
 	b.now[i] = start + used
+	prevW := b.lastW[i]
 	b.lastW[i] = meaW
 	b.seq[i]++
 	want := cur
 	if b.flags[i]&nodeExhausted != 0 {
 		b.flags[i] |= nodeDone
 	} else {
-		want = b.govern(i, info, sp, cur, used, meaW)
+		if st != nil && b.lanes[i].settled && math.Float64bits(meaW) == math.Float64bits(prevW) {
+			// A settled lane on a steady tick that read the previous
+			// tick's power: the policy's inputs and lane hold the bits
+			// of a call that kept cur, noted nothing and changed
+			// nothing, so it would again. want stays cur.
+		} else {
+			want = b.govern(i, info, sp, cur, used, meaW, st != nil)
+		}
 		b.mark(StageGovern)
 		if want != cur && !b.actuate(i, sp, cur, want) {
 			return
@@ -274,7 +294,9 @@ func (b *BatchState) observe(i int, info *TickInfo, trueW float64, used time.Dur
 // p-state — TickLane over the node's GovLane, or its Governor's Tick —
 // and logs each degradation the policy noted, stamped at the node's
 // virtual time. A node with no governor skips the stage and keeps cur.
-func (b *BatchState) govern(i int, info *TickInfo, sp *nodeSpec, cur int, used time.Duration, measuredW float64) int {
+// On a steady interval a lane tick settles or un-settles the lane (see
+// step); any other lane tick only un-settles it.
+func (b *BatchState) govern(i int, info *TickInfo, sp *nodeSpec, cur int, used time.Duration, measuredW float64, steady bool) int {
 	// A lane node never reads govs: a fleet's bare lanes leave it nil.
 	p := b.lpols[b.pol[i]]
 	if p == nil && (b.govs == nil || b.govs[i] == nil) {
@@ -294,7 +316,15 @@ func (b *BatchState) govern(i int, info *TickInfo, sp *nodeSpec, cur int, used t
 	if p != nil {
 		st := &b.lanes[i]
 		var ev uint8
-		if want, ev = p.TickLane(st, info); ev != 0 {
+		if steady {
+			prev := *st
+			want, ev = p.TickLane(st, info)
+			st.settled = want == cur && ev == 0 && st.sameBits(&prev)
+		} else {
+			st.settled = false
+			want, ev = p.TickLane(st, info)
+		}
+		if ev != 0 {
 			degr = p.LaneDegradations(st, ev)
 		}
 	} else {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aapm/internal/faults"
 	"aapm/internal/phase"
@@ -620,5 +621,68 @@ func TestBatchNodeErrors(t *testing.T) {
 	}
 	if err := b.Err(); err != b.NodeErr(1) {
 		t.Errorf("Err() = %v, want node 1's error", err)
+	}
+}
+
+// stubHandle is a LaneGovernor over stubLanePolicy.
+type stubHandle struct {
+	st  *GovLane
+	own GovLane
+}
+
+func (h *stubHandle) Name() string                              { return "stub" }
+func (h *stubHandle) Tick(*TickInfo) (int, []trace.Degradation) { return 0, nil }
+func (h *stubHandle) Policy() LanePolicy                        { return &stubLanePolicy{} }
+func (h *stubHandle) BindLane(l *GovLane) {
+	*l = *h.st
+	h.st = l
+}
+
+// TestSettledLaneWrites checks the settled marker's bookkeeping: it
+// fits in GovLane's padding, every GovLane setter clears it, and a
+// lane that enters a batch starts without it, even when its handle
+// was bound to a batch that had settled it.
+func TestSettledLaneWrites(t *testing.T) {
+	if got := unsafe.Sizeof(GovLane{}); got != 32 {
+		t.Errorf("GovLane is %d bytes, want 32", got)
+	}
+	l := GovLane{LimitW: 12, PendingUp: 3, settled: true}
+	l.SetLimit(13)
+	if l.settled || l.LimitW != 13 || l.PendingUp != 0 {
+		t.Errorf("after SetLimit: %+v, want limit 13, no streak, not settled", l)
+	}
+	l.settled = true
+	l.SetPendingUp(9)
+	if l.settled || l.PendingUp != 9 {
+		t.Errorf("after SetPendingUp: %+v, want streak 9, not settled", l)
+	}
+
+	m, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &stubHandle{}
+	h.st = &h.own
+	a, err := NewBatch([]BatchNode{{Machine: m, Workload: testWorkload(1e8), Governor: h}}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.lanes[0].settled = true
+	b, err := NewBatch([]BatchNode{
+		{Machine: m, Workload: testWorkload(1e8), Governor: h},
+		{Machine: m, Workload: testWorkload(1e8), Policy: &stubLanePolicy{}, Lane: GovLane{settled: true}},
+	}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < b.Len(); i++ {
+		if b.lanes[i].settled {
+			t.Errorf("node %d entered the batch settled", i)
+		}
+	}
+	b.lanes[0].settled = true
+	b.SetLimit(0, 10)
+	if b.lanes[0].settled {
+		t.Error("BatchState.SetLimit left the lane settled")
 	}
 }

@@ -13,3 +13,9 @@ func ClearSteady(b *BatchState) int {
 	}
 	return n
 }
+
+// LaneOf returns node i's governor lane and whether the engine has
+// marked it settled.
+func LaneOf(b *BatchState, i int) (GovLane, bool) {
+	return b.lanes[i], b.lanes[i].settled
+}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math"
+
 	"aapm/internal/pstate"
 	"aapm/internal/trace"
 )
@@ -19,12 +21,25 @@ import (
 // package control: the power limit, the feedback correction, the
 // decode rate the last tick evaluated and the up-shift streak. Flags
 // are policy-defined bits (e.g. degradation episodes in progress).
+//
+// Write contract: inside a batch, the lane's policy writes it through
+// TickLane, and everything else writes it through GovLane's methods
+// (SetLimit, SetPendingUp) between the node's steps. The methods also
+// clear the lane's settled marker, the engine's memo that the lane sits
+// at its policy's fixed point (see step): a lane written any other way
+// while it is bound into a batch may be stepped as if it had not
+// changed.
 type GovLane struct {
 	LimitW    float64
 	Corr      float64
 	DPC       float64
 	PendingUp int32
 	Flags     uint8
+	// settled is set by the engine after a steady tick whose TickLane
+	// kept the p-state, noted no event and left every other field's
+	// bits unchanged. It lives in the struct's padding: GovLane stays
+	// 32 bytes.
+	settled bool
 }
 
 // SetLimit changes the lane's power limit, effective at its next tick.
@@ -32,6 +47,23 @@ type GovLane struct {
 func (l *GovLane) SetLimit(w float64) {
 	l.LimitW = w
 	l.PendingUp = 0
+	l.settled = false
+}
+
+// SetPendingUp sets the lane's up-shift streak, effective at its next
+// tick.
+func (l *GovLane) SetPendingUp(n int32) {
+	l.PendingUp = n
+	l.settled = false
+}
+
+// sameBits reports whether the lanes' policy fields hold the same bits
+// (the settled marker aside).
+func (l *GovLane) sameBits(o *GovLane) bool {
+	return math.Float64bits(l.LimitW) == math.Float64bits(o.LimitW) &&
+		math.Float64bits(l.Corr) == math.Float64bits(o.Corr) &&
+		math.Float64bits(l.DPC) == math.Float64bits(o.DPC) &&
+		l.PendingUp == o.PendingUp && l.Flags == o.Flags
 }
 
 // LanePolicy is the shared, immutable part of a lane-backed governor.
@@ -53,6 +85,14 @@ type LanePolicy interface {
 	// next interval, updating st in place, and ev, the policy-defined
 	// set of degradation events the tick noted (0 for none), so a tick
 	// that notes none builds no slice.
+	//
+	// Read contract: TickLane is a pure function of st and of the
+	// info fields Sample, MeasuredPowerW, PStateIndex, PState and
+	// Table; it reads no other field and keeps no state outside st.
+	// The engine relies on this to skip the call on a settled lane
+	// (see step): when those inputs and st hold the bits of a previous
+	// call that returned the node's own p-state, noted no event and
+	// left st unchanged, the call would do so again.
 	TickLane(st *GovLane, info *TickInfo) (want int, ev uint8)
 	// LaneDegradations renders the events ev of the tick that just
 	// updated st, in the order the policy noted them; the engine calls
@@ -69,7 +109,8 @@ type LanePolicy interface {
 // the batch's lane and rebinds the handle to it, so the engine steps
 // the lane directly while the handle's own methods (a limit setter, a
 // Session's Governor) keep reading and writing the state the engine
-// steps.
+// steps. Those writes go through GovLane's methods (GovLane's write
+// contract), and the engine alone ticks a bound lane.
 //
 // A LaneGovernor's Name must equal its policy's LaneName of its lane.
 type LaneGovernor interface {
