@@ -198,11 +198,12 @@ serve-churn:
 # (internal/kernel/testdata/staged_reference.json) bit for bit with and
 # without the full event order, clean lanes of a full batch must match
 # their lean one-lane runs, a Multiplexed governor must select the
-# event order of its inner governor, and a wrapped governor's
-# degradations must reach the run's log.
+# event order of its inner governor, a wrapped governor's
+# degradations must reach the run's log, and coasting nodes must match
+# a batch with no steady table and a fleet on the full event order.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ .
+	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestCoastMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster|TestFleetCoastMatchesObserved|TestShardCoastFold' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ ./internal/cluster/ .
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

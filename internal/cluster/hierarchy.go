@@ -14,12 +14,14 @@
 // worker count (testdata/golden_cluster.csv pins the flat case).
 //
 // Memory: the per-node footprint is the BatchState's lanes (the PM
-// state included: the fleet shares one PM policy and one machine) plus
-// one run header — no per-node machines, governors, actuators,
-// goroutines, hooks, RNGs (unless the workload jitters or the chain is
-// noisy) or retained trace rows unless FleetConfig.RetainTraces asks
-// for them.
-// TestFleetMemoryBudget pins the measured bytes/node.
+// state included: the fleet shares one PM policy and one machine, and
+// a 4-byte coast counter) plus one run header, and the coordinator's
+// per-node records (an epoch accumulator, a power entry, a demand, a
+// limit and an allocation adapter) — no per-node machines, governors,
+// actuators, goroutines, hooks, RNGs (unless the workload jitters or
+// the chain is noisy) or retained trace rows unless
+// FleetConfig.RetainTraces asks for them. TestFleetMemoryBudget pins
+// the measured bytes/node: 463 at 100,000 nodes.
 package cluster
 
 import (
@@ -519,10 +521,14 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 
 	var intervals, overIntervals, contended, overContended int
+	// plainW is the last tick's power sum on the plain path.
+	var plainW float64
 	for tick := 0; ; tick++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fleet: abandoned after %d ticks: %w", tick, err)
 		}
+		epochTick := !cfg.Static && tick > 0 && tick%epoch == 0
+		st.epochFold = epochTick
 		if pool != nil {
 			pool.tick()
 		} else {
@@ -534,10 +540,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		// the coordinator goroutine so the aggregate state is identical
 		// for every worker count. The first error by node index wins,
 		// deterministically.
-		stepped, failed := 0, false
+		stepped, failed, changed := 0, false, false
 		for k := range st.tally {
 			stepped += st.tally[k].stepped
 			failed = failed || st.tally[k].failed
+			changed = changed || st.tally[k].changed
 		}
 		if failed {
 			for i := 0; i < n; i++ {
@@ -551,16 +558,21 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		res.NodeTicks += int64(stepped)
 		// The power sums stay serial and in index order: per-shard
 		// partial sums would reassociate the float additions and make
-		// PeakTotalW/OverFrac depend on the worker count.
+		// PeakTotalW/OverFrac depend on the worker count. On the plain
+		// path a tick that changed no entry has the last tick's sum.
 		var totalW float64
 		var groupW []float64
 		if ft != nil && levels > 1 {
 			groupW = ft.groupW[1]
 		}
 		if groupW == nil && ctlW == nil {
-			for _, w := range st.power {
-				totalW += w
+			if changed {
+				for _, w := range st.power {
+					totalW += w
+				}
+				plainW = totalW
 			}
+			totalW = plainW
 		} else {
 			for g := 0; g < shape.counts[1]; g++ {
 				lo, hi := shape.childRange(1, g)
@@ -601,7 +613,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			ctlTicks++
 		}
 
-		if !cfg.Static && tick > 0 && tick%epoch == 0 {
+		if epochTick {
 			for i := range demands {
 				done := bs.NodeDone(i) || nodeOv != nil && nodeOv[i] == NodeOffline
 				assembleDemand(&demands[i], done, &st.acc[i], bs, i)

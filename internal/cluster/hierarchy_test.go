@@ -314,7 +314,7 @@ func TestFleetFaultedMachineError(t *testing.T) {
 // the node count). The footprint is the BatchState's lanes (the PM
 // state and two 4-byte indices into the shared wiring included), one
 // run header per node, and the coordinator's per-node records; the
-// budget sits about 7% above the measured 459 B, so a regression that
+// budget sits about 6% above the measured 463 B, so a regression that
 // brings back a per-node machine (~100 B), a per-node BatchNode
 // (136 B), per-node copies of the shared wiring (~280 B), a per-node
 // TickInfo (128 B) or counter sample (56 B) — let alone a per-node

@@ -3,13 +3,17 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"aapm/internal/control"
 	"aapm/internal/machine"
+	"aapm/internal/phase"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
+	"aapm/internal/telemetry"
 )
 
 // eightNodes builds an 8-node population over the suite's spread of
@@ -175,11 +179,208 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
+// TestFleetCoastMatchesObserved holds a fleet whose settled nodes
+// coast to the same fleet observed: a no-op hook on every node puts
+// the batch on the full event order, where no node coasts, and a
+// telemetry registry puts the coordinator's power sum on its
+// per-group loop, which sums every tick. Every run total, the power
+// aggregates, the epoch and node-tick counts must agree bit for bit,
+// serially and across two workers. The ideal chain and zero-jitter
+// workloads let the plain fleet's nodes settle and coast, many across
+// reallocations that leave their limits' bits alone, and multi-phase
+// nodes end coasts at phase ends mid-epoch, where their reading
+// changes. A second pair of runs attaches a control plane that takes
+// every fifth node offline for one epoch in three and then puts it back
+// in service, so coasting nodes leave and rejoin the power sums, and
+// the epochs' group observations must agree too.
+func TestFleetCoastMatchesObserved(t *testing.T) {
+	const n, ticks = 600, 150
+	nodes := SyntheticFleet(n, ticks)
+	multi := phase.Workload{Name: "fleet-multi", Phases: []phase.Params{
+		{Name: "cpu", Instructions: 35 * 20e6, CPICore: 1, MLP: 1, SpecFactor: 1.05},
+		{Name: "mem", Instructions: 25 * 20e6 / 3, CPICore: 3, MLP: 1, SpecFactor: 1.05},
+		{Name: "mid", Instructions: 40 * 20e6 / 2, CPICore: 2, MLP: 1, SpecFactor: 1.05},
+	}}
+	for i := 0; i < n; i += 4 {
+		nodes[i] = Node{Workload: multi}
+	}
+	run := func(workers int, observed bool, ctl *offlineCycle) *FleetResult {
+		cfg := FleetConfig{
+			BudgetW:    13 * n,
+			Nodes:      nodes,
+			Seed:       5,
+			Workers:    workers,
+			Levels:     3,
+			Fanout:     8,
+			EpochTicks: 25,
+		}
+		if observed {
+			cfg.Observe = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
+			cfg.Telemetry = telemetry.NewRegistry()
+		}
+		if ctl != nil {
+			cfg.Control = ctl
+		}
+		res, err := RunFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	bits := func(res *FleetResult) string {
+		return fmt.Sprintf("peak %#x over %#x contended %#x epochs %d node-ticks %d",
+			math.Float64bits(res.PeakTotalW), math.Float64bits(res.OverFrac),
+			math.Float64bits(res.ContendedOverFrac), res.Epochs, res.NodeTicks)
+	}
+	for _, controlled := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			var plainCtl, observedCtl *offlineCycle
+			if controlled {
+				plainCtl, observedCtl = &offlineCycle{}, &offlineCycle{}
+			}
+			plain, observed := run(workers, false, plainCtl), run(workers, true, observedCtl)
+			if res := observed; res.Epochs < 5 || res.NodeTicks < n*ticks/2 || res.PeakTotalW == 0 {
+				t.Fatalf("control=%v workers=%d: %d epochs, %d node-ticks, peak %v W; want a multi-epoch run", controlled, workers, res.Epochs, res.NodeTicks, res.PeakTotalW)
+			}
+			if p, o := bits(plain), bits(observed); p != o {
+				t.Errorf("control=%v workers=%d: plain %s, observed %s", controlled, workers, p, o)
+			}
+			if controlled {
+				if observedCtl.returned == 0 {
+					t.Fatalf("workers=%d: no node came back into service", workers)
+				}
+				if p, o := plainCtl.obs.String(), observedCtl.obs.String(); p != o {
+					t.Errorf("workers=%d: plain group observations %.300s, observed %.300s", workers, p, o)
+				}
+			}
+			for i := range plain.Runs {
+				if p, o := runBits(plain.Runs[i]), runBits(observed.Runs[i]); p != o {
+					t.Fatalf("control=%v workers=%d node %d: plain run %.300s, observed %.300s", controlled, workers, i, p, o)
+				}
+			}
+		}
+	}
+}
+
+// offlineCycle is a control plane that takes every fifth node offline
+// on every third epoch and puts it back in service on the next one,
+// recording the bits of each epoch's group observations.
+type offlineCycle struct {
+	nodes    []NodeOverride
+	obs      strings.Builder
+	returned int
+}
+
+func (c *offlineCycle) Epoch(o FleetEpochObs) FleetDirectives {
+	for _, g := range o.Groups {
+		fmt.Fprintf(&c.obs, "%d:%#x/%d ", o.Epoch, math.Float64bits(g.AvgPowerW), g.Active)
+	}
+	if c.nodes == nil {
+		c.nodes = make([]NodeOverride, len(o.NodeActive))
+	}
+	for i := 0; i < len(c.nodes); i += 5 {
+		switch {
+		case o.Epoch%3 == 1:
+			c.nodes[i] = NodeOffline
+		case c.nodes[i] == NodeOffline:
+			c.nodes[i] = NodeAuto
+			c.returned++
+		}
+	}
+	return FleetDirectives{Nodes: c.nodes}
+}
+
+// TestShardCoastFold holds the shards' late fold of coast intervals
+// to the fold of the same nodes on the full event order, where none
+// coasts: after every tick each power entry, and after every epoch
+// tick each accumulator, must have the same bits. Multi-phase nodes
+// end coasts at phase ends, where the reading changes, and between
+// epochs half the nodes get a new limit and half their own, which
+// keeps them coasting across the epoch.
+func TestShardCoastFold(t *testing.T) {
+	const n, epoch = 16, 15
+	w := phase.Workload{Name: "fold-multi", Iterations: 2, Phases: []phase.Params{
+		{Name: "cpu", Instructions: 40 * 20e6, CPICore: 1, MLP: 1, SpecFactor: 1.05},
+		{Name: "mem", Instructions: 30 * 20e6 / 3, CPICore: 3, MLP: 1, SpecFactor: 1.05},
+	}}
+	pol, err := control.NewPMPolicy(control.PMConfig{FeedbackGain: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := func(i, e int) float64 { return 11 + float64(i%4) + float64(e%2*(i%2)) }
+	build := func(full bool) *stepper {
+		m, err := machine.New(machine.Config{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := make([]machine.BatchNode, n)
+		for i := range nodes {
+			nodes[i] = machine.BatchNode{Machine: m, Workload: w, Policy: pol, Lane: pol.Lane(limit(i, 0)), SeedOffset: int64(i)}
+		}
+		var opts machine.BatchOptions
+		if full {
+			opts.Hooks = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
+		}
+		bs, err := machine.NewBatch(nodes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newStepper(bs, nil, 2)
+	}
+	coast, full := build(false), build(true)
+	accBits := func(a nodeAcc) string {
+		return fmt.Sprintf("%#x %#x %d %d %v", math.Float64bits(a.recentW), math.Float64bits(a.recentDPC), a.lastSeq, a.recentN, a.fresh)
+	}
+	lagged := 0
+	for tick := 1; ; tick++ {
+		coast.epochFold = tick%epoch == 0
+		full.epochFold = coast.epochFold
+		stepped := 0
+		for k := range coast.tally {
+			coast.shard(k)
+			full.shard(k)
+			stepped += coast.tally[k].stepped
+			if coast.tally[k].stepped != full.tally[k].stepped {
+				t.Fatalf("tick %d shard %d: stepped %d coasting, %d on the full order", tick, k, coast.tally[k].stepped, full.tally[k].stepped)
+			}
+		}
+		if stepped == 0 {
+			break
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(coast.power[i]) != math.Float64bits(full.power[i]) {
+				t.Fatalf("tick %d node %d: power %v coasting, %v on the full order", tick, i, coast.power[i], full.power[i])
+			}
+			if coast.acc[i].lastSeq != coast.bs.Seq(i) {
+				lagged++
+			}
+		}
+		if !coast.epochFold {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			if a, b := accBits(coast.acc[i]), accBits(full.acc[i]); a != b {
+				t.Fatalf("tick %d node %d: accumulator %s coasting, %s on the full order", tick, i, a, b)
+			}
+			coast.acc[i].reset()
+			full.acc[i].reset()
+			l := limit(i, tick/epoch)
+			coast.bs.SetLimit(i, l)
+			full.bs.SetLimit(i, l)
+		}
+	}
+	if lagged < 1000 {
+		t.Errorf("accumulators lagged the engine on %d node-ticks, want at least 1000 coast intervals folded late", lagged)
+	}
+}
+
 // TestShardFold pins the per-node fold the workers run: each stepped
 // node's fresh interval lands in its accumulator and the power lane, a
 // node that is not stepped (offlined here) holds +0 in the lane, the
 // accumulator's sequence tracks the engine's, and a node that fails
-// mid-step raises its own shard's error flag and no other.
+// mid-step raises its own shard's error flag and no other. A coasting
+// node folds its coast intervals late, so each tick's checks run after
+// the fold every worker makes on an epoch tick (foldShard).
 func TestShardFold(t *testing.T) {
 	w := SyntheticFleet(1, 50)[0].Workload
 	var nodes []machine.BatchNode
@@ -208,6 +409,8 @@ func TestShardFold(t *testing.T) {
 	for tick := 1; tick <= 4; tick++ {
 		st.shard(0)
 		st.shard(1)
+		st.foldShard(0)
+		st.foldShard(1)
 		if st.tally[0].stepped != 1 || st.tally[1].stepped != 2 {
 			t.Fatalf("tick %d: stepped %d/%d, want 1/2", tick, st.tally[0].stepped, st.tally[1].stepped)
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -56,8 +57,10 @@ type nodeAcc struct {
 	// produced no usable observation the whole epoch.
 	recentW   float64
 	recentDPC float64
-	// lastSeq is the engine sequence at the node's last fold; it
-	// equals BatchState.Seq after every tick.
+	// lastSeq is the engine sequence at the node's last fold. It
+	// equals BatchState.Seq after every regular step; the intervals a
+	// coasting node adds past it are folded before its next regular
+	// step and on every epoch tick (stepper.fold).
 	lastSeq uint64
 	recentN int32
 	// fresh records that the sequence advanced at all this epoch.
@@ -78,9 +81,11 @@ type shardTally struct {
 	// run.
 	wall WallClock
 	// stepped counts the nodes the shard stepped this tick; failed
-	// flags that one of them returned an error.
+	// flags that one of them returned an error, and changed that the
+	// shard wrote a power entry with new bits.
 	stepped int
 	failed  bool
+	changed bool
 	// step steps the worker's nodes: it holds the tick record (the
 	// interval's sample and the govern input), written for every node
 	// the worker steps.
@@ -102,6 +107,11 @@ type shardTally struct {
 // shard flagged one, the first-error-by-index scan.
 type stepper struct {
 	bs *machine.BatchState
+	// epochFold, set by the coordinator before it releases a tick that
+	// ends with a reallocation, has every worker fold all its nodes'
+	// coast intervals after stepping, so the epoch reads whole
+	// accumulators.
+	epochFold bool
 	// offline, when a control plane is attached, gates stepping: an
 	// offlined node is skipped like a finished one.
 	offline []NodeOverride
@@ -109,9 +119,10 @@ type stepper struct {
 	acc     []nodeAcc
 	// power[i] is node i's usable measured power this tick, or +0 when
 	// the node did not contribute (not stepped, no fresh interval, or
-	// an unusable reading). Summed in index order post-barrier, the +0
-	// entries leave every float bit of the sum as it would be without
-	// them.
+	// an unusable reading). A coast tick repeats the node's last
+	// interval, so it leaves the entry as it is. Summed in index order
+	// post-barrier, the +0 entries leave every float bit of the sum as
+	// it would be without them.
 	power []float64
 	tally []shardTally
 	// shardWall[k], when telemetry is enabled, receives worker k's
@@ -139,45 +150,88 @@ func newStepper(bs *machine.BatchState, offline []NodeOverride, workers int) *st
 // node's observation, timing the shard when it did any work. Only a
 // node refreshed by this tick contributes: one that stepped into
 // completion without emitting an interval would otherwise replay its
-// previous tick's power.
+// previous tick's power. A coast tick touches neither the node's
+// accumulator nor its power entry; its interval is folded later.
 func (st *stepper) shard(k int) {
 	start := time.Now()
 	bs, acc, power, offline := st.bs, st.acc, st.power, st.offline
 	t := &st.tally[k]
-	stepped, failed := 0, false
-	for i := st.bounds[k]; i < st.bounds[k+1]; i++ {
-		power[i] = 0
-		if offline != nil && offline[i] == NodeOffline || !t.step.Step(i) {
+	lo, hi := st.bounds[k], st.bounds[k+1]
+	stepped, failed, changed := 0, false, false
+	for i := lo; i < hi; i++ {
+		var w float64
+		switch {
+		case offline != nil && offline[i] == NodeOffline:
+			// Not stepped: the node contributes +0, and its coast ends
+			// so that its first tick back in service is a regular step
+			// that writes its entry.
+			t.step.EndCoast(i)
+		case t.step.Coast(i):
+			stepped++
 			continue
+		default:
+			// The node's coast intervals read its current power, which
+			// the step is about to replace.
+			a := &acc[i]
+			st.fold(a, i)
+			if !t.step.StepRegular(i) {
+				break
+			}
+			stepped++
+			if bs.NodeErr(i) != nil {
+				failed = true
+				break
+			}
+			w = st.fold(a, i)
 		}
-		stepped++
-		if bs.NodeErr(i) != nil {
-			failed = true
-			continue
+		if math.Float64bits(w) != math.Float64bits(power[i]) {
+			power[i] = w
+			changed = true
 		}
-		a := &acc[i]
-		seq := bs.Seq(i)
-		if seq == a.lastSeq {
-			continue
-		}
-		a.lastSeq = seq
-		a.fresh = true
-		w, dpc := bs.LastPowerW(i), bs.LastDPC(i)
-		if !usable(w) || !usable(dpc) {
-			continue
-		}
-		a.recentW += w
-		a.recentDPC += dpc
-		a.recentN++
-		power[i] = w
 	}
-	t.stepped, t.failed = stepped, failed
+	if st.epochFold {
+		st.foldShard(k)
+	}
+	t.stepped, t.failed, t.changed = stepped, failed, changed
 	if stepped > 0 {
 		d := time.Since(start)
 		t.wall.Add(d)
 		if st.shardWall != nil {
 			st.shardWall[k].Observe(d.Seconds())
 		}
+	}
+}
+
+// fold folds node i's intervals since a.lastSeq into its accumulator
+// and returns the power the latest one contributes to the tick's sum
+// (+0 for none). Every such interval reads the node's current measured
+// power and decode rate: there is one when the node has just stepped,
+// and more when it coasted since its last fold, all repeating one
+// reading. Each adds its own terms, in tick order.
+func (st *stepper) fold(a *nodeAcc, i int) float64 {
+	seq := st.bs.Seq(i)
+	if seq == a.lastSeq {
+		return 0
+	}
+	d := seq - a.lastSeq
+	a.lastSeq, a.fresh = seq, true
+	w, dpc := st.bs.LastPowerW(i), st.bs.LastDPC(i)
+	if !usable(w) || !usable(dpc) {
+		return 0
+	}
+	for j := uint64(0); j < d; j++ {
+		a.recentW += w
+		a.recentDPC += dpc
+	}
+	a.recentN += int32(d)
+	return w
+}
+
+// foldShard folds every node of worker k's shard up to its current
+// interval.
+func (st *stepper) foldShard(k int) {
+	for i := st.bounds[k]; i < st.bounds[k+1]; i++ {
+		st.fold(&st.acc[i], i)
 	}
 }
 

@@ -59,6 +59,15 @@ import (
 // govern stage while it reads the same power (see step).
 // TestSteadyTickMatchesGeneral steps each batch with and without the
 // table, and so with and without the skip, and requires the same bits.
+//
+// A settled node of a batch that is not full and retains no rows, and
+// that draws from no random stream, then coasts: each later tick only
+// bumps the node's coast counter, until the steady guard would fail,
+// its lane is written, the batch turns full or a reader needs the
+// deferred state, and one function replays the deferred ticks in
+// order (see coastTick). Seq and Ticks count them without replaying;
+// Result replays first. A Session retains rows, so it never coasts.
+// TestCoastMatchesGeneral holds the coast to the cleared-table twin.
 
 // StaticPolicy is the policy a run records for a node with neither a
 // governor nor a lane policy: it stays at its start p-state.
@@ -170,6 +179,9 @@ type BatchState struct {
 	lastW     []float64
 	seq       []uint64
 	flags     []uint8 // nodeExhausted, nodeDone, nodeFailed, nodeFinalized
+	// coasts holds each node's coast: the settled ticks it has
+	// deferred and the most it may defer (see coastTick).
+	coasts []coast
 	// dpc is the decode rate of each node's last governor-visible
 	// sample: what LastDPC and a coordinator's demand read between
 	// ticks.
@@ -283,6 +295,21 @@ func (b *BatchState) NewStepper() Stepper { return Stepper{b: b} }
 // Step is StepNode through the stepper's own record.
 func (s *Stepper) Step(i int) bool { return s.b.stepNode(i, &s.rec) }
 
+// Coast takes node i's tick as a coast tick when its coast goes on,
+// reporting whether it did; Step would have done the same. A caller
+// that keeps per-interval state of its own reads Seq to learn how
+// many intervals a node's coast ticks added.
+func (s *Stepper) Coast(i int) bool { return s.b.coastTick(i) }
+
+// StepRegular is Step without the coast: it replays node i's deferred
+// ticks and steps it. Step does the same when Coast reports false.
+func (s *Stepper) StepRegular(i int) bool { return s.b.stepRegular(i, &s.rec) }
+
+// EndCoast replays node i's deferred ticks and ends its coast, for a
+// caller that passes over the node's tick: its next tick is a regular
+// step.
+func (s *Stepper) EndCoast(i int) { s.b.flush(i) }
+
 // NewBatch builds a batch over nodes (NewBatchFunc reading the slice).
 func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
 	return NewBatchFunc(len(nodes), func(i int) (BatchNode, error) { return nodes[i], nil }, opts)
@@ -333,6 +360,7 @@ func NewBatchFunc(n int, node func(i int) (BatchNode, error), opts BatchOptions)
 		lastW:     make([]float64, n),
 		seq:       make([]uint64, n),
 		flags:     make([]uint8, n),
+		coasts:    make([]coast, n),
 		dpc:       make([]float64, n),
 
 		energyTrue: make([]power.Energy, n),
@@ -665,11 +693,18 @@ func (b *BatchState) loadPhase(i int) {
 // whether the node was stepped (false once it is done or errored).
 func (b *BatchState) StepNode(i int) bool { return b.stepNode(i, &b.rec) }
 
-// stepNode is StepNode with r as the tick's record.
+// stepNode is StepNode with r as the tick's record: a coast tick when
+// node i's coast goes on, else the deferred ticks' replay and a step.
 func (b *BatchState) stepNode(i int, r *tickRec) bool {
+	return b.coastTick(i) || b.stepRegular(i, r)
+}
+
+// stepRegular is stepNode without the coast tick.
+func (b *BatchState) stepRegular(i int, r *tickRec) bool {
 	if b.flags[i]&(nodeDone|nodeFailed) != 0 {
 		return false
 	}
+	b.flush(i)
 	b.step(i, r)
 	return true
 }
@@ -750,8 +785,8 @@ func (b *BatchState) fail(i int, err error) {
 }
 
 // Seq returns the count of recorded intervals of node i. It advances
-// exactly once per emitted interval.
-func (b *BatchState) Seq(i int) uint64 { return b.seq[i] }
+// exactly once per emitted interval, coast ticks included.
+func (b *BatchState) Seq(i int) uint64 { return b.seq[i] + uint64(b.coasts[i].deferred) }
 
 // LastPowerW returns node i's most recent measured power.
 func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
@@ -760,8 +795,9 @@ func (b *BatchState) LastPowerW(i int) float64 { return b.lastW[i] }
 // governor-visible sample.
 func (b *BatchState) LastDPC(i int) float64 { return b.dpc[i] }
 
-// Ticks returns the number of intervals node i has executed.
-func (b *BatchState) Ticks(i int) int { return int(b.tick[i]) }
+// Ticks returns the number of intervals node i has executed, coast
+// ticks included.
+func (b *BatchState) Ticks(i int) int { return int(b.tick[i]) + int(b.coasts[i].deferred) }
 
 // Governor returns node i's governor: nil for a pinned node and for a
 // lane-policy node built without a handle (BatchNode.Policy).
@@ -793,6 +829,7 @@ func (b *BatchState) BudgetDesireW(i int, dpc float64) float64 {
 func (b *BatchState) Result(i int) *trace.Run {
 	run := &b.runs[i]
 	if b.flags[i]&nodeFinalized == 0 {
+		b.flush(i)
 		run.Ticks = int(b.seq[i])
 		run.Duration = b.now[i]
 		run.StallTime = b.stallTot[i]

@@ -41,6 +41,11 @@ import (
 // entry: TickLane would see the same sample, p-state, table and power
 // over the same lane (LanePolicy's read contract), and return the same.
 //
+// On a node that coasts (coastTick) a settled tick is settledTicks,
+// which applies exactly the lane effects this function would, and
+// the deferred ticks of a coast replay through it too, so a settled
+// steady tick has one definition.
+//
 // Anything that would change float bits (reassociating sums,
 // replacing divisions with reciprocal multiplies) is off the table.
 //
@@ -54,6 +59,11 @@ func (b *BatchState) step(i int, r *tickRec) {
 	pl := sp.plat
 	if int(b.tick[i]) >= pl.maxTicks {
 		b.failTicks(i)
+		return
+	}
+	if e := b.settledEntry(i, sp); e != nil {
+		b.settledTicks(i, pl, e, 1)
+		b.startCoast(i, pl, e)
 		return
 	}
 	b.tick[i]++
@@ -110,14 +120,14 @@ func (b *BatchState) step(i int, r *tickRec) {
 	}
 
 	b.now[i] = start + used
-	prevW := b.lastW[i]
+	skip := st != nil && b.repeats(i, meaW)
 	b.lastW[i] = meaW
 	b.seq[i]++
 	want := cur
 	if b.flags[i]&nodeExhausted != 0 {
 		b.flags[i] |= nodeDone
 	} else {
-		if st != nil && b.lanes[i].settled && math.Float64bits(meaW) == math.Float64bits(prevW) {
+		if skip {
 			// A settled lane on a steady tick that read the previous
 			// tick's power: the policy's inputs and lane hold the bits
 			// of a call that kept cur, noted nothing and changed
@@ -137,6 +147,125 @@ func (b *BatchState) step(i int, r *tickRec) {
 	if full {
 		b.emitRecord(i, r, cur, want, used, busy, stall, instr, jitter, trueW, ph)
 	}
+}
+
+// coast is one node's coast (see coastTick): the settled ticks it has
+// deferred and the most it may defer.
+type coast struct{ deferred, horizon uint16 }
+
+// coastTick takes node i's tick as a coast tick when its coast goes
+// on, reporting whether it did. A coast starts after a settled tick in
+// the lean order (settledEntry): the batch is not full and retains no
+// rows, and the node draws from no random stream. Such a tick repeats
+// the previous one's entry, reading and lane effects, so every later
+// tick repeats it too while the node's lane stays settled, the batch
+// stays lean and the steady guard holds, which last is the horizon
+// startCoast computes. A coast tick bumps the deferred count and
+// nothing else. flush replays the deferred ticks through settledTicks
+// before the node's next regular step, when a caller passes over the
+// node (Stepper.EndCoast) and before Result reads them; Seq and Ticks
+// add them in without replaying.
+func (b *BatchState) coastTick(i int) bool {
+	c := &b.coasts[i]
+	if c.deferred < c.horizon && b.lanes[i].settled && !b.full {
+		c.deferred++
+		return true
+	}
+	return false
+}
+
+// settledEntry returns the steady entry node i's next tick reads when
+// that tick is a settled one in the lean order, or nil: the batch is
+// neither full nor retaining (so it has no clock modulation), the
+// node draws from no stream, its lane is settled, the interval passes
+// executeTick's steady guard with no pending stall, and the chain
+// reads the previous tick's power from the entry.
+func (b *BatchState) settledEntry(i int, sp *nodeSpec) *steadyTick {
+	if b.full || b.retain || b.rng(i) != nil || b.pendStall[i] != 0 {
+		return nil
+	}
+	e := b.steadyEntry(i, int(b.curIdx[i]), sp)
+	if e == nil || !b.repeats(i, sp.plat.chain.Measure(e.trueW, nil)) {
+		return nil
+	}
+	return e
+}
+
+// steadyEntry returns the steady entry a full, stall-free interval of
+// node i at p-state cur reads, or nil when the general path must run:
+// the spec has no table, the node is exhausted, or the phase is idle
+// or ends within the interval.
+func (b *BatchState) steadyEntry(i, cur int, sp *nodeSpec) *steadyTick {
+	if sp.steady == nil || b.flags[i]&nodeExhausted != 0 {
+		return nil
+	}
+	e := &sp.steady[cur*len(sp.phases)+int(b.phaseIdx[i])]
+	if !e.busy || !(e.instr < b.remInstr[i]) {
+		return nil
+	}
+	return e
+}
+
+// repeats reports whether a steady tick of node i measuring meaW may
+// skip the govern stage: its lane is settled and meaW has the bits of
+// the previous tick's reading.
+func (b *BatchState) repeats(i int, meaW float64) bool {
+	return b.lanes[i].settled && math.Float64bits(meaW) == math.Float64bits(b.lastW[i])
+}
+
+// settledTicks applies k settled ticks of node i that read steady
+// entry e: the lane effects of step's execute, measure and record
+// stages on that entry with the govern stage skipped, as the settled
+// skip leaves them. Each float lane takes its k updates in tick order
+// through the calls step makes (Energy.Add once per tick, never a
+// hoisted product), so k ticks here leave the bits k steps would.
+func (b *BatchState) settledTicks(i int, pl *platform, e *steadyTick, k int) {
+	meaW := b.lastW[i]
+	rem, instr := b.remInstr[i], b.instrTot[i]
+	et, em := b.energyTrue[i], b.energyMeas[i]
+	for j := 0; j < k; j++ {
+		rem -= e.instr
+		et.Add(e.trueW, pl.perSec)
+		if !math.IsNaN(meaW) {
+			em.Add(meaW, pl.perSec)
+		}
+		instr += e.instr
+	}
+	b.remInstr[i], b.instrTot[i] = rem, instr
+	b.energyTrue[i], b.energyMeas[i] = et, em
+	d := time.Duration(k) * pl.period
+	b.busyTot[i] += d
+	b.now[i] += d
+	b.tick[i] += int32(k)
+	b.seq[i] += uint64(k)
+	b.dpc[i] = e.dpc
+}
+
+// startCoast starts node i's coast after a settled tick that read e.
+// Its horizon counts the later ticks whose steady guard holds, by
+// repeating the replay's remInstr -= e.instr under the guard's exact
+// comparison. It is capped so that the tick that trips the machine's
+// tick bound is a regular step, and by the counter's width.
+func (b *BatchState) startCoast(i int, pl *platform, e *steadyTick) {
+	h, most := 0, min(pl.maxTicks-int(b.tick[i]), math.MaxUint16)
+	for rem := b.remInstr[i]; h < most && e.instr < rem; h++ {
+		rem -= e.instr
+	}
+	b.coasts[i] = coast{horizon: uint16(h)}
+}
+
+// flush replays node i's deferred coast ticks and ends its coast.
+func (b *BatchState) flush(i int) {
+	c := &b.coasts[i]
+	if *c == (coast{}) {
+		return
+	}
+	if c.deferred > 0 {
+		sp := &b.specs[b.spec[i]]
+		e := &sp.steady[int(b.curIdx[i])*len(sp.phases)+int(b.phaseIdx[i])]
+		b.settledTicks(i, sp.plat, e, int(c.deferred))
+	}
+	*c = coast{}
 }
 
 // failTicks records the tick-bound error for node i.
@@ -186,13 +315,12 @@ func (b *BatchState) executeTick(i, cur int, sample *counters.Sample) (used, bus
 
 	phs := sp.phases
 	nph := len(phs)
-	if sp.steady != nil && remaining == interval && b.flags[i]&nodeExhausted == 0 {
-		pi := int(b.phaseIdx[i])
-		if e := &sp.steady[cur*nph+pi]; e.busy && e.instr < b.remInstr[i] {
+	if remaining == interval {
+		if e := b.steadyEntry(i, cur, sp); e != nil {
 			*sample = e.sample
 			b.remInstr[i] -= e.instr
 			b.busyTot[i] += interval
-			return interval, interval, 0, e.instr, jitter, uint32(pi) + 1, e, true
+			return interval, interval, 0, e.instr, jitter, uint32(b.phaseIdx[i]) + 1, e, true
 		}
 	}
 	freq := pl.freqHz[cur]

@@ -639,9 +639,10 @@ func (h *stubHandle) BindLane(l *GovLane) {
 }
 
 // TestSettledLaneWrites checks the settled marker's bookkeeping: it
-// fits in GovLane's padding, every GovLane setter clears it, and a
-// lane that enters a batch starts without it, even when its handle
-// was bound to a batch that had settled it.
+// fits in GovLane's padding, every GovLane setter that changes the
+// lane clears it, a SetLimit that leaves the lane bit-identical keeps
+// it, and a lane that enters a batch starts without it, even when its
+// handle was bound to a batch that had settled it.
 func TestSettledLaneWrites(t *testing.T) {
 	if got := unsafe.Sizeof(GovLane{}); got != 32 {
 		t.Errorf("GovLane is %d bytes, want 32", got)
@@ -650,6 +651,31 @@ func TestSettledLaneWrites(t *testing.T) {
 	l.SetLimit(13)
 	if l.settled || l.LimitW != 13 || l.PendingUp != 0 {
 		t.Errorf("after SetLimit: %+v, want limit 13, no streak, not settled", l)
+	}
+	// The limit's bits decide, not its value: a lane is settled for
+	// the bits its policy read.
+	for _, c := range []struct {
+		name        string
+		from, to    float64
+		pendingUp   int32
+		keepSettled bool
+	}{
+		{"equal bits", 13, 13, 0, true},
+		{"equal -0", math.Copysign(0, -1), math.Copysign(0, -1), 0, true},
+		{"different bits", 13, math.Nextafter(13, 14), 0, false},
+		{"+0 to -0", 0, math.Copysign(0, -1), 0, false},
+		{"-0 to +0", math.Copysign(0, -1), 0, 0, false},
+		{"equal bits with a streak", 13, 13, 2, false},
+	} {
+		l := GovLane{LimitW: c.from, Corr: 0.5, PendingUp: c.pendingUp, settled: true}
+		l.SetLimit(c.to)
+		if l.settled != c.keepSettled {
+			t.Errorf("%s: SetLimit(%v) from %v with streak %d left settled %v, want %v",
+				c.name, c.to, c.from, c.pendingUp, l.settled, c.keepSettled)
+		}
+		if math.Float64bits(l.LimitW) != math.Float64bits(c.to) || l.PendingUp != 0 || l.Corr != 0.5 {
+			t.Errorf("%s: after SetLimit(%v): %+v, want that limit's bits, no streak, the same correction", c.name, c.to, l)
+		}
 	}
 	l.settled = true
 	l.SetPendingUp(9)

@@ -19,3 +19,13 @@ func ClearSteady(b *BatchState) int {
 func LaneOf(b *BatchState, i int) (GovLane, bool) {
 	return b.lanes[i], b.lanes[i].settled
 }
+
+// CoastOf returns node i's coast: the ticks it has deferred and the
+// most it may defer.
+func CoastOf(b *BatchState, i int) (deferred, horizon int) {
+	c := b.coasts[i]
+	return int(c.deferred), int(c.horizon)
+}
+
+// Subscribe adds h to node i's hooks, as Session.Subscribe does.
+func Subscribe(b *BatchState, i int, h Hook) { b.subscribe(i, h) }

@@ -24,11 +24,11 @@ import (
 //
 // Write contract: inside a batch, the lane's policy writes it through
 // TickLane, and everything else writes it through GovLane's methods
-// (SetLimit, SetPendingUp) between the node's steps. The methods also
-// clear the lane's settled marker, the engine's memo that the lane sits
-// at its policy's fixed point (see step): a lane written any other way
-// while it is bound into a batch may be stepped as if it had not
-// changed.
+// (SetLimit, SetPendingUp) between the node's steps. A method that
+// changes the lane also clears its settled marker, the engine's memo
+// that the lane sits at its policy's fixed point (see step), which
+// ends a coast (see coastTick): a lane written any other way while it
+// is bound into a batch may be stepped as if it had not changed.
 type GovLane struct {
 	LimitW    float64
 	Corr      float64
@@ -43,8 +43,13 @@ type GovLane struct {
 }
 
 // SetLimit changes the lane's power limit, effective at its next tick.
-// A new limit restarts the up-shift streak.
+// A new limit restarts the up-shift streak. A limit with the bits of
+// the current one on a lane with no streak leaves the lane
+// bit-identical, so it stays settled.
 func (l *GovLane) SetLimit(w float64) {
+	if math.Float64bits(w) == math.Float64bits(l.LimitW) && l.PendingUp == 0 {
+		return
+	}
 	l.LimitW = w
 	l.PendingUp = 0
 	l.settled = false
