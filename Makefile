@@ -33,14 +33,17 @@ fuzz-short:
 # Refresh the golden trace fixtures after an intentional trace change:
 # the single-machine PM/PS traces and the shared-budget cluster fixture
 # (TestGoldenCluster, testdata/golden_cluster.csv). Also covers the
-# Prometheus exposition fixture in internal/telemetry and the tick
+# Prometheus exposition fixture in internal/telemetry, the tick
 # engine's differential reference (internal/kernel/testdata/
-# staged_reference.json, every TestBatchMatchesStaged case).
+# staged_reference.json, every TestBatchMatchesStaged case) and the
+# aapm-eval registry output at seed 7, scale 16 (TestGoldenEval,
+# internal/experiment/testdata/golden_eval.txt).
 .PHONY: golden-update
 golden-update:
 	go test . -run TestGolden -update
 	go test ./internal/telemetry -run TestPrometheusGolden -update
 	go test ./internal/kernel -run TestBatchMatchesStaged -update
+	go test ./internal/experiment -run TestGoldenEval -update
 
 # One-iteration telemetry overhead smoke: the hook-bus/observer cost
 # benchmarks compile and run.
@@ -183,7 +186,7 @@ intent-smoke:
 .PHONY: intent-race
 intent-race:
 	go test -race -count=1 ./internal/intent/
-	go test -race -count=1 -run 'TestIntentAPI|TestFleetHost|TestFleetHeterogeneousFloors|TestFleetGroupsValidation' ./internal/serve/ ./internal/cluster/
+	go test -race -count=1 -run 'TestIntentAPI|TestFleetHost|TestFleetHeterogeneousFloors' ./internal/serve/ ./internal/cluster/
 
 # Sustained-churn regression (bounded store under ≫MaxJobs distinct
 # specs) under the race detector, exactly as CI runs it.

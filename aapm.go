@@ -235,16 +235,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) { return cluster.RunFleet(c
 // benchmarks.
 func SyntheticFleetNodes(n, ticks int) []ClusterNode { return cluster.SyntheticFleet(n, ticks) }
 
-// FleetGroupSpec declares a static per-group constraint (today a
-// guaranteed minimum budget) for one level-1 group of a fleet, via
-// FleetConfig.Groups.
-type FleetGroupSpec = cluster.GroupSpec
-
 // FleetControl is the fleet's control-plane seam: an implementation
 // observes per-group aggregates at every epoch barrier and answers
-// with budget directives and per-node overrides. IntentController is
-// the stock implementation; see the "Intent orchestration" section of
-// DESIGN.md.
+// with budget directives (group minima, caps, weights) and per-node
+// overrides. IntentController is the stock implementation; see the
+// "Intent orchestration" section of DESIGN.md.
 type FleetControl = cluster.FleetControl
 
 // IntentSpec declares one fleet intent: a power cap, minimum-

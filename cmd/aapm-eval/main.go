@@ -4,7 +4,7 @@
 // Usage:
 //
 //	aapm-eval [-seed N] [-scale N] [-repeats N] [-par N] [-exp list]
-//	          [-nodes N] [-levels N] [-fanout N] [-markdown] [-list]
+//	          [-markdown] [-list]
 //
 // -exp selects a comma-separated subset by registry name (see -list);
 // the default runs everything. -markdown emits one consolidated report
@@ -30,9 +30,6 @@ func main() {
 	repeats := flag.Int("repeats", 1, "runs per configuration; median reported (paper uses 3)")
 	par := flag.Int("par", 0, "bound on concurrent runs and cluster stepping workers (0 = GOMAXPROCS)")
 	exps := flag.String("exp", "", "comma-separated experiment subset (default: all)")
-	fleetNodes := flag.Int("nodes", 0, "fleetscale population size (0 = 100000, divided by -scale)")
-	fleetLevels := flag.Int("levels", 0, "fleetscale allocation-tree depth (0 = 3)")
-	fleetFanout := flag.Int("fanout", 0, "fleetscale children per group (0 = 64)")
 	markdown := flag.Bool("markdown", false, "emit a single markdown report instead of per-experiment text")
 	traceOut := flag.String("trace-out", "", "write every run's intervals as one Chrome trace-event JSON file (load in Perfetto)")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -49,7 +46,6 @@ func main() {
 
 	opts := experiment.Options{
 		Seed: *seed, ScaleDown: *scale, Repeats: *repeats, Parallelism: *par,
-		FleetNodes: *fleetNodes, FleetLevels: *fleetLevels, FleetFanout: *fleetFanout,
 	}
 	var tw *telemetry.TraceEventWriter
 	if *traceOut != "" {

@@ -243,24 +243,6 @@ func (al *Allocator) waterfill(budget, floor float64, desires []float64) []float
 	return limits
 }
 
-// MinTotalW is the budget needed to honor a set of guaranteed minima:
-// entry i contributes max(mins[i], floorW*units[i]), where units[i] is
-// how many scalar-floor leaves the entry spans (1 for a leaf, the leaf
-// count for an interior group). Admission layers use it to check that
-// declared floors fit under a cap before the water-fill ever sees
-// them; mins may be nil (pure scalar floors).
-func MinTotalW(floorW float64, units []int, mins []float64) float64 {
-	var total float64
-	for i, u := range units {
-		m := floorW * float64(u)
-		if mins != nil && mins[i] > m {
-			m = mins[i]
-		}
-		total += m
-	}
-	return total
-}
-
 // breakpoint is one slope-change event of the heterogeneous-floor
 // water level sweep.
 type breakpoint struct {

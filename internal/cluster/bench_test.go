@@ -34,9 +34,9 @@ func BenchmarkClusterTick(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ticks += res.TickWall.N
+				ticks += shardSteps(res)
 			}
-			// TickWall.N counts per-worker shard-steps (== ticks for
+			// shardSteps counts per-worker shard-steps (== ticks for
 			// the serial run).
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/step")
 			b.ReportMetric(float64(ticks)/float64(b.N), "steps/run")

@@ -98,15 +98,6 @@ type FleetControl interface {
 	Epoch(FleetEpochObs) FleetDirectives
 }
 
-// GroupSpec is a static per-group definition on FleetConfig (the
-// first interior level): today a guaranteed minimum, the heterogeneous
-// floor the water-fill honors through alloc.Aggregate.MinW.
-type GroupSpec struct {
-	// MinW is the group's guaranteed minimum allocation; values below
-	// the sum of the group's leaf floors have no effect.
-	MinW float64
-}
-
 // pinLimitW is the governor limit applied to NodePinned leaves: below
 // any p-state's power, so the governor selects the bottom state.
 const pinLimitW = 1e-3

@@ -82,11 +82,6 @@ type FleetConfig struct {
 	// Fanout is the maximum children per group (consecutive node
 	// indices); 0 selects 64. Must be >= 2 when Levels > 1.
 	Fanout int
-	// Groups, when non-nil, defines the first interior level's groups
-	// (length must equal the level-1 group count, requires Levels >=
-	// 2): heterogeneous per-group guaranteed minima plumbed into the
-	// water-fill through alloc.Aggregate.MinW.
-	Groups []GroupSpec
 	// Control, when non-nil, is the control-plane hook: called at
 	// every reallocation epoch with the fleet's group observations,
 	// its directives (group floors/caps/weights, node pins/offlines)
@@ -160,15 +155,11 @@ type FleetResult struct {
 	Epochs    int
 	NodeTicks int64
 
-	// Workers is the stepping-goroutine count the run used. TickWall
-	// is the per-worker shard-stepping wall-clock, merged across all
-	// workers (WallClock.Merge) so the distribution tails —
-	// the fastest and slowest shard-ticks — survive aggregation;
-	// WorkerWall keeps the unmerged per-worker aggregates. CoordWall
+	// Workers is the stepping-goroutine count the run used.
+	// WorkerWall[k] is worker k's shard-stepping wall-clock; CoordWall
 	// times the coordinator's post-barrier work per tick (aggregation
 	// and reallocation). All purely observational wall-clock.
 	Workers    int
-	TickWall   WallClock
 	WorkerWall []WallClock
 	CoordWall  WallClock
 }
@@ -280,29 +271,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		workers = n
 	}
 	shape := fleetShapeOf(n, levels, fanout)
-
-	var staticMin []float64
-	if cfg.Groups != nil {
-		if levels < 2 {
-			return nil, fmt.Errorf("fleet: Groups requires Levels >= 2 (got %d)", levels)
-		}
-		if len(cfg.Groups) != shape.counts[1] {
-			return nil, fmt.Errorf("fleet: %d group specs for %d level-1 groups", len(cfg.Groups), shape.counts[1])
-		}
-		staticMin = make([]float64, len(cfg.Groups))
-		units := make([]int, len(cfg.Groups))
-		for g, gs := range cfg.Groups {
-			if gs.MinW < 0 || gs.MinW != gs.MinW {
-				return nil, fmt.Errorf("fleet: group %d MinW %g invalid", g, gs.MinW)
-			}
-			staticMin[g] = gs.MinW
-			lo := g * shape.spanSize[1]
-			units[g] = min(lo+shape.spanSize[1], n) - lo
-		}
-		if need := alloc.MinTotalW(floor, units, staticMin); need > cfg.BudgetW {
-			return nil, fmt.Errorf("fleet: budget %.1f W cannot cover the %.1f W of group minima", cfg.BudgetW, need)
-		}
-	}
 
 	// One machine for the whole fleet: node i's own seed,
 	// cfg.Seed + i*7919, is the shared seed plus its SeedOffset, so
@@ -462,10 +430,10 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 	// aggregate rebuilds the interior summaries bottom-up from the
 	// fresh demand records. Stale leaves fold their held share into
-	// both ask and min; interior children are never stale. Static
-	// group minima and the control plane's epoch directives fold in
-	// after the child sums — with neither configured the loop is the
-	// plain sum, byte-identical to a control-free run.
+	// both ask and min; interior children are never stale. The
+	// control plane's epoch directives fold in after the child sums —
+	// without them the loop is the plain sum, byte-identical to a
+	// control-free run.
 	var dirGroups [][]GroupDirective
 	aggregate := func() {
 		for l := 1; l < levels; l++ {
@@ -494,9 +462,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 					}
 					ga.minW += c.MinW(floor)
 					ga.askW += leaf.al.EffectiveDesireW(c, floor)
-				}
-				if l == 1 && staticMin != nil && ga.minW < staticMin[g] {
-					ga.minW = staticMin[g]
 				}
 				if dirs != nil {
 					d := dirs[g]
@@ -664,13 +629,9 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		res.CoordWall.Add(time.Since(t0))
 	}
 
-	// Fold every worker's shard timing into one aggregate; Merge
-	// keeps the Min/Max tails, so a straggler worker stays visible in
-	// the merged distribution.
 	res.WorkerWall = make([]WallClock, workers)
 	for k := range st.tally {
 		res.WorkerWall[k] = st.tally[k].wall
-		res.TickWall.Merge(st.tally[k].wall)
 	}
 	res.Intervals = intervals
 	res.Runs = make([]*trace.Run, n)

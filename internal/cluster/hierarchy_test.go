@@ -464,8 +464,10 @@ func TestFleetTelemetry(t *testing.T) {
 }
 
 // budgetRecorder observes per-epoch level-1 budgets through the
-// control-plane seam without issuing directives.
+// control-plane seam; with minW0 set it also directs group 0's
+// guaranteed minimum to minW0 at every epoch.
 type budgetRecorder struct {
+	minW0   float64
 	budgets [][]float64
 }
 
@@ -475,17 +477,23 @@ func (r *budgetRecorder) Epoch(o FleetEpochObs) FleetDirectives {
 		row[g] = gr.BudgetW
 	}
 	r.budgets = append(r.budgets, row)
-	return FleetDirectives{}
+	if r.minW0 == 0 {
+		return FleetDirectives{}
+	}
+	dirs := make([]GroupDirective, len(o.Groups))
+	dirs[0].MinW = r.minW0
+	return FleetDirectives{Groups: [][]GroupDirective{nil, dirs}}
 }
 
 // TestFleetHeterogeneousFloors pins the per-group minima path: a
-// static GroupSpec floor flows through alloc.Aggregate.MinW into the
-// water-fill, the floored group's grant never dips below its minimum
-// under budget scarcity, and the heterogeneous-floor allocation stays
-// byte-deterministic at any worker count.
+// control-plane GroupDirective.MinW flows through
+// alloc.Aggregate.MinW into the water-fill, the floored group's grant
+// never dips below its minimum under budget scarcity, and the
+// heterogeneous-floor allocation stays byte-deterministic at any
+// worker count.
 func TestFleetHeterogeneousFloors(t *testing.T) {
-	run := func(workers int, groups []GroupSpec) (*FleetResult, *budgetRecorder, []byte) {
-		rec := &budgetRecorder{}
+	run := func(workers int, minW0 float64) (*FleetResult, *budgetRecorder, []byte) {
+		rec := &budgetRecorder{minW0: minW0}
 		res, err := RunFleet(FleetConfig{
 			BudgetW:      180,
 			Nodes:        SyntheticFleet(16, 120),
@@ -495,7 +503,6 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 			Levels:       2,
 			Fanout:       4,
 			EpochTicks:   10,
-			Groups:       groups,
 			Control:      rec,
 			RetainTraces: true,
 		})
@@ -504,8 +511,7 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 		}
 		return res, rec, tracesCSV(t, res)
 	}
-	floors := []GroupSpec{{MinW: 80}, {}, {}, {}}
-	ref, rec, refCSV := run(1, floors)
+	ref, rec, refCSV := run(1, 80)
 	if ref.Epochs < 3 {
 		t.Fatalf("degenerate run: %d epochs", ref.Epochs)
 	}
@@ -517,7 +523,7 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 		}
 	}
 	// The floor binds: without it, scarcity leaves group 0 below 80 W.
-	_, base, _ := run(1, nil)
+	_, base, _ := run(1, 0)
 	bound := false
 	for _, row := range base.budgets[1:] {
 		if row[0] < 80-1e-9 {
@@ -528,7 +534,7 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 		t.Error("floor never bound: group 0 held >= 80 W even without it")
 	}
 	for _, workers := range []int{5, 8} {
-		res, rec2, csv := run(workers, floors)
+		res, rec2, csv := run(workers, 80)
 		diffLines(t, fmt.Sprintf("floors workers 1 vs %d", workers), refCSV, csv)
 		if res.MachineSeconds != ref.MachineSeconds || res.Epochs != ref.Epochs ||
 			res.PeakTotalW != ref.PeakTotalW {
@@ -545,26 +551,5 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFleetGroupsValidation pins the GroupSpec config error paths.
-func TestFleetGroupsValidation(t *testing.T) {
-	nodes := SyntheticFleet(8, 5)
-	if _, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 1,
-		Groups: []GroupSpec{{}}}); err == nil {
-		t.Error("Groups with one level accepted")
-	}
-	if _, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 2, Fanout: 4,
-		Groups: []GroupSpec{{}}}); err == nil {
-		t.Error("wrong Groups length accepted")
-	}
-	if _, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 2, Fanout: 4,
-		Groups: []GroupSpec{{MinW: -1}, {}}}); err == nil {
-		t.Error("negative group minimum accepted")
-	}
-	if _, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 2, Fanout: 4,
-		Groups: []GroupSpec{{MinW: 90}, {MinW: 90}}}); err == nil {
-		t.Error("group minima exceeding the budget accepted")
 	}
 }

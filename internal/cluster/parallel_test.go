@@ -95,6 +95,35 @@ func TestParallelMatchesSerial(t *testing.T) {
 				serial.ContendedIntervals != par.ContendedIntervals {
 				t.Errorf("budget accounting diverges: serial %+v, parallel %+v", serial, par)
 			}
+
+			// A one-level fleet at the default worker count, rows
+			// discarded, is the same coordinator: its aggregates and
+			// per-node totals match the serial reference bit for bit.
+			fleet, err := RunFleet(FleetConfig{
+				BudgetW: 104,
+				Nodes:   eightNodes(t),
+				Seed:    seed,
+				Chain:   sensor.NIDefault(),
+				Levels:  1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(fleet.MachineSeconds) != math.Float64bits(serial.MachineSeconds) ||
+				fleet.Makespan != serial.Makespan ||
+				math.Float64bits(fleet.PeakTotalW) != math.Float64bits(serial.PeakTotalW) ||
+				math.Float64bits(fleet.OverFrac) != math.Float64bits(serial.OverFrac) ||
+				math.Float64bits(fleet.ContendedOverFrac) != math.Float64bits(serial.ContendedOverFrac) {
+				t.Errorf("one-level fleet aggregates diverge from the flat serial run: fleet %+v, flat %+v", fleet, serial)
+			}
+			for i, got := range fleet.Runs {
+				want := serial.Runs[i]
+				if math.Float64bits(got.EnergyJ) != math.Float64bits(want.EnergyJ) ||
+					got.Duration != want.Duration || got.Transitions != want.Transitions {
+					t.Errorf("node %d: fleet energy/duration/transitions %v/%v/%d, flat %v/%v/%d", i,
+						got.EnergyJ, got.Duration, got.Transitions, want.EnergyJ, want.Duration, want.Transitions)
+				}
+			}
 		})
 	}
 }
@@ -119,8 +148,10 @@ func TestParallelEightNodeRace(t *testing.T) {
 			t.Errorf("node %s degenerate run", res.Names[i])
 		}
 	}
-	if res.TickWall.N == 0 || res.TickWall.Total <= 0 {
-		t.Errorf("coordinator wall-clock not collected: %+v", res.TickWall)
+	for k, w := range res.WorkerWall {
+		if w.N == 0 || w.Total <= 0 {
+			t.Errorf("worker %d wall-clock not collected: %+v", k, w)
+		}
 	}
 }
 

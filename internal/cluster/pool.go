@@ -77,8 +77,7 @@ func (a *nodeAcc) reset() {
 type shardTally struct {
 	// wall aggregates the worker's per-tick shard wall-clock (ticks
 	// where the shard stepped at least one node); the coordinator
-	// merges the workers' aggregates into Result.TickWall after the
-	// run.
+	// copies it into Result.WorkerWall[k] after the run.
 	wall WallClock
 	// stepped counts the nodes the shard stepped this tick; failed
 	// flags that one of them returned an error, and changed that the
@@ -90,9 +89,9 @@ type shardTally struct {
 	// interval's sample and the govern input), written for every node
 	// the worker steps.
 	step machine.Stepper
-	// wall, stepped and failed take 48 bytes; the pad rounds the
-	// tally up to whole cache lines.
-	_ [(cacheLine - (48+unsafe.Sizeof(machine.Stepper{}))%cacheLine) % cacheLine]byte
+	// wall, stepped and the two flags take 32 bytes; the pad rounds
+	// the tally up to whole cache lines.
+	_ [(cacheLine - (32+unsafe.Sizeof(machine.Stepper{}))%cacheLine) % cacheLine]byte
 }
 
 // stepper owns the per-tick stepping work. Each worker owns one

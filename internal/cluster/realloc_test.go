@@ -244,8 +244,8 @@ func TestTailPhaseAccounting(t *testing.T) {
 	}
 }
 
-// TestTickWallCollected pins that the coordinator publishes its
-// per-tick wall-clock through WallClock.
+// TestTickWallCollected pins that the coordinator publishes each
+// worker's per-tick shard wall-clock through WorkerWall.
 func TestTickWallCollected(t *testing.T) {
 	ws := nodes(t, "gzip", "gcc")
 	ws[0].Workload.Iterations = 1
@@ -254,16 +254,18 @@ func TestTickWallCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TickWall.N == 0 {
-		t.Fatal("no wall-clock samples")
+	if len(res.WorkerWall) != res.Workers {
+		t.Fatalf("%d worker wall-clocks for %d workers", len(res.WorkerWall), res.Workers)
 	}
-	if res.TickWall.Total <= 0 || res.TickWall.Max <= 0 || res.TickWall.Avg() <= 0 {
-		t.Errorf("degenerate wall-clock aggregate: %+v", res.TickWall)
-	}
-	if res.TickWall.Avg() > res.TickWall.Max {
-		t.Errorf("avg %v exceeds max %v", res.TickWall.Avg(), res.TickWall.Max)
-	}
-	if res.TickWall.Total > time.Minute {
-		t.Errorf("implausible total %v for a short run", res.TickWall.Total)
+	for k, w := range res.WorkerWall {
+		if w.N == 0 {
+			t.Fatalf("worker %d: no wall-clock samples", k)
+		}
+		if w.Total <= 0 {
+			t.Errorf("worker %d: degenerate wall-clock aggregate: %+v", k, w)
+		}
+		if w.Total > time.Minute {
+			t.Errorf("worker %d: implausible total %v for a short run", k, w.Total)
+		}
 	}
 }

@@ -102,7 +102,7 @@ func TestClusterTelemetry(t *testing.T) {
 	}
 
 	// Shard wall-clock histograms: one series per worker, and their
-	// total observation count matches the merged TickWall.
+	// total observation count matches the workers' shard-step count.
 	shard, ok := get("aapm_fleet_shard_wall_seconds")
 	if !ok || len(shard.Series) == 0 {
 		t.Fatal("no shard wall-clock series")
@@ -111,8 +111,8 @@ func TestClusterTelemetry(t *testing.T) {
 	for _, s := range shard.Series {
 		shardObs += s.Count
 	}
-	if int(shardObs) != res.TickWall.N {
-		t.Errorf("shard histogram observations %d != merged TickWall.N %d", shardObs, res.TickWall.N)
+	if steps := shardSteps(res); int(shardObs) != steps {
+		t.Errorf("shard histogram observations %d != %d worker shard-steps", shardObs, steps)
 	}
 
 	// Per-node observer series: one ticks counter per node, matching

@@ -55,14 +55,6 @@ type Options struct {
 	// Context). Runs may execute concurrently — the factory and its
 	// hooks must tolerate that.
 	Observer func(workload, policy string) machine.Hook
-	// FleetNodes sizes the fleetscale experiment's population; 0
-	// selects 100,000 nodes.
-	FleetNodes int
-	// FleetLevels is the fleetscale allocation-tree depth; 0 selects 3.
-	FleetLevels int
-	// FleetFanout is the fleetscale children-per-group bound; 0
-	// selects the fleet default (64).
-	FleetFanout int
 	// Ctx, when non-nil, cancels in-flight experiment work: once it
 	// is done, no new run is started (forEachN stops launching and run
 	// repetitions stop between executions) and the context's error is

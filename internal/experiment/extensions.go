@@ -420,9 +420,7 @@ func (c *Context) SharedBudget() (*SharedBudgetResult, error) {
 }
 
 // Print writes the shared-budget comparison. It prints only virtual
-// time and power, so its output is fixed by the seed; the
-// clusterscale and fleetscale studies report the coordinator's
-// wall-clock.
+// time and power, so its output is fixed by the seed.
 func (r *SharedBudgetResult) Print(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "Shared %.0f W budget across four machines: equal vs demand-aware PM limits\n", r.BudgetW); err != nil {
 		return err
@@ -437,99 +435,5 @@ func (r *SharedBudgetResult) Print(w io.Writer) error {
 	}
 	_, err := fmt.Fprintf(w, "demand-aware completes the set %.1f%% faster; budget exceeded %.1f%% (dyn) / %.1f%% (equal) of intervals\n",
 		(r.Speedup-1)*100, r.OverFracDyn*100, r.OverFracStatic*100)
-	return err
-}
-
-// ClusterScaleResult is the parallel-coordinator scaling study: one
-// 8-node shared-budget run per worker count, with the coordinator's
-// per-tick wall-clock and a determinism cross-check against the
-// serial reference.
-type ClusterScaleResult struct {
-	Nodes   int
-	BudgetW float64
-	Rows    []ClusterScaleRow
-	// Deterministic is true when every worker count reproduced the
-	// serial reference's aggregates exactly.
-	Deterministic bool
-}
-
-// ClusterScaleRow is one worker count's stepping cost: the merged
-// per-worker shard wall-clock (Result.TickWall), tails included.
-type ClusterScaleRow struct {
-	Workers     int
-	Steps       int
-	AvgStepUs   float64
-	MinStepUs   float64
-	MaxStepUs   float64
-	MakespanSec float64
-}
-
-// ClusterScale runs the 8-node shared-budget co-simulation at worker
-// counts 1, 2, 4 and 8 and reports the coordinator's per-tick
-// wall-clock at each. The serial run is the reference; the study also
-// verifies the parallel runs reproduce its schedule exactly, so the
-// table doubles as a determinism check on real workloads.
-func (c *Context) ClusterScale() (*ClusterScaleResult, error) {
-	const budget = 104.0
-	names := []string{"swim", "mcf", "lucas", "crafty", "gzip", "gcc", "art", "ammp"}
-	mk := func(workers int) (*cluster.Result, error) {
-		var ns []cluster.Node
-		for _, name := range names {
-			w, err := c.Workload(name)
-			if err != nil {
-				return nil, err
-			}
-			ns = append(ns, cluster.Node{Workload: w})
-		}
-		return cluster.Run(cluster.Config{
-			BudgetW: budget,
-			Nodes:   ns,
-			Seed:    c.opts.Seed,
-			Chain:   c.chain,
-			Workers: workers,
-		})
-	}
-	counts := []int{1, 2, 4, 8}
-	results := make([]*cluster.Result, len(counts))
-	if err := c.forEachN(len(counts), func(i int) error {
-		r, err := mk(counts[i])
-		results[i] = r
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	res := &ClusterScaleResult{Nodes: len(names), BudgetW: budget, Deterministic: true}
-	ref := results[0]
-	for _, r := range results {
-		if r.MachineSeconds != ref.MachineSeconds || r.Makespan != ref.Makespan ||
-			r.PeakTotalW != ref.PeakTotalW || r.OverFrac != ref.OverFrac {
-			res.Deterministic = false
-		}
-		res.Rows = append(res.Rows, ClusterScaleRow{
-			Workers:     r.Workers,
-			Steps:       r.TickWall.N,
-			AvgStepUs:   float64(r.TickWall.Avg().Nanoseconds()) / 1e3,
-			MinStepUs:   float64(r.TickWall.Min.Nanoseconds()) / 1e3,
-			MaxStepUs:   float64(r.TickWall.Max.Nanoseconds()) / 1e3,
-			MakespanSec: r.Makespan.Seconds(),
-		})
-	}
-	return res, nil
-}
-
-// Print writes the scaling table.
-func (r *ClusterScaleResult) Print(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Parallel coordinator scaling: %d nodes under a shared %.0f W budget\n", r.Nodes, r.BudgetW); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %8s %12s %12s %12s %13s\n", "workers", "steps", "avg us/step", "min us/step", "max us/step", "makespan (s)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%8d %8d %12.1f %12.1f %12.1f %13.2f\n", row.Workers, row.Steps, row.AvgStepUs, row.MinStepUs, row.MaxStepUs, row.MakespanSec)
-	}
-	verdict := "identical to serial (deterministic)"
-	if !r.Deterministic {
-		verdict = "DIVERGED from serial — determinism violated"
-	}
-	_, err := fmt.Fprintf(w, "all worker counts %s\n", verdict)
 	return err
 }

@@ -276,29 +276,6 @@ func TestSharedBudget(t *testing.T) {
 	}
 }
 
-// TestSharedBudgetPrintDeterministic runs the study on two fresh
-// contexts at one seed: the printed result must be the same bytes, so
-// no host wall-clock reading leaks into it.
-func TestSharedBudgetPrintDeterministic(t *testing.T) {
-	var outs [2]strings.Builder
-	for k := range outs {
-		c, err := NewContext(Options{Seed: 3, ScaleDown: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := c.SharedBudget()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Print(&outs[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a, b := outs[0].String(), outs[1].String(); a != b {
-		t.Errorf("sharedbudget output differs between two runs at one seed:\n%s\n---\n%s", a, b)
-	}
-}
-
 func TestScorecardAllPass(t *testing.T) {
 	sc, err := sharedCtx(t).PaperComparison()
 	if err != nil {

@@ -43,8 +43,6 @@ func Registry() []Named {
 		{"mux", "PS under two-counter PMU multiplexing", func(c *Context) (Printable, error) { return c.MultiplexStudy() }},
 		{"baselines", "ondemand and cruise-control baselines", func(c *Context) (Printable, error) { return c.BaselineComparison() }},
 		{"sharedbudget", "closed-loop shared power budget", func(c *Context) (Printable, error) { return c.SharedBudget() }},
-		{"clusterscale", "parallel coordinator scaling + determinism", func(c *Context) (Printable, error) { return c.ClusterScale() }},
-		{"fleetscale", "hierarchical fleet coordinator at 10^5 nodes", func(c *Context) (Printable, error) { return c.FleetScale() }},
 		{"thermal", "thermal envelope control", func(c *Context) (Printable, error) { return c.ThermalStudy() }},
 		{"throttle", "DVFS vs T-state clock throttling", func(c *Context) (Printable, error) { return c.DVFSvsThrottling() }},
 		{"utilization", "governors across the utilization axis", func(c *Context) (Printable, error) { return c.UtilizationStudy() }},

@@ -3,13 +3,12 @@ package intent
 import (
 	"fmt"
 
-	"aapm/internal/alloc"
 	"aapm/internal/cluster"
 )
 
 // Capability is the fleet's aggregate ability, the fixed side of the
 // admission check: tree geometry, the root budget, the per-node floor
-// and ceiling, and any static per-group minima.
+// and ceiling.
 type Capability struct {
 	// Nodes/Levels/Fanout describe the allocation tree (defaults
 	// resolve as cluster.RunFleet's: Levels 0 → 1, Fanout 0 → 64).
@@ -23,28 +22,18 @@ type Capability struct {
 	// MaxNodeW bounds one node's achievable power (top p-state);
 	// 0 → 25 W, generous for the Pentium M platform.
 	MaxNodeW float64
-	// GroupMinW mirrors FleetConfig.Groups: static level-1 minima
-	// (nil = none).
-	GroupMinW []float64
 }
 
 // CapabilityOf derives the capability from a fleet config, resolving
 // the same defaults RunFleet does.
 func CapabilityOf(cfg cluster.FleetConfig) Capability {
-	c := Capability{
+	return Capability{
 		Nodes:   len(cfg.Nodes),
 		Levels:  cfg.Levels,
 		Fanout:  cfg.Fanout,
 		BudgetW: cfg.BudgetW,
 		FloorW:  cfg.FloorW,
-	}
-	if cfg.Groups != nil {
-		c.GroupMinW = make([]float64, len(cfg.Groups))
-		for g, gs := range cfg.Groups {
-			c.GroupMinW[g] = gs.MinW
-		}
-	}
-	return c.withDefaults()
+	}.withDefaults()
 }
 
 func (c Capability) withDefaults() Capability {
@@ -118,8 +107,8 @@ func admit(c Capability, shape cluster.TreeShape, admitted []Spec, cand Spec) *R
 	}
 
 	// Bottom-up sweep: minW is the guaranteed minimum the water-fill
-	// must honor (child sums raised by static minima and floor
-	// intents; drained leaves release their floors), achW the most
+	// must honor (child sums raised by floor intents; drained leaves
+	// release their floors), achW the most
 	// power the subtree could draw (live leaves at the node ceiling,
 	// clamped by each cap on the way up). Any group where minW
 	// exceeds achW — or the root, where minW must also fit the
@@ -141,9 +130,6 @@ func admit(c Capability, shape cluster.TreeShape, admitted []Spec, cand Spec) *R
 			for k := lo; k < hi; k++ {
 				m += minW[k]
 				a += achW[k]
-			}
-			if l == 1 && c.GroupMinW != nil && c.GroupMinW[g] > m {
-				m = c.GroupMinW[g]
 			}
 			if f, ok := floorAt[[2]int{l, g}]; ok && f > m {
 				m = f
@@ -198,13 +184,9 @@ func groupName(s Spec) string {
 }
 
 // groupMinOf is the guaranteed minimum of level-1 group g with no
-// intents applied: max(static minimum, leaf span × floor). The drain
-// controller caps a draining group at this value.
+// intents applied: its leaf span × floor. The drain controller caps a
+// draining group at this value.
 func (c Capability) groupMinOf(shape cluster.TreeShape, g int) float64 {
 	lo, hi := shape.LeafRange(1, g)
-	m := alloc.MinTotalW(c.FloorW, []int{hi - lo}, nil)
-	if c.GroupMinW != nil && c.GroupMinW[g] > m {
-		m = c.GroupMinW[g]
-	}
-	return m
+	return c.FloorW * float64(hi-lo)
 }

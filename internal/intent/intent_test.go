@@ -146,22 +146,4 @@ func TestAdmissionFeasibility(t *testing.T) {
 		check(t, []Spec{d0, d1}, d2, "")
 		check(t, []Spec{d0, d1, d2}, Spec{Kind: KindDrain, Level: 1, Group: 3}, ReasonDrainNoCapacity)
 	})
-
-	t.Run("static group minima participate", func(t *testing.T) {
-		cg := c
-		cg.GroupMinW = []float64{60, 0, 0, 0}
-		// A cap on group 0 below its static 60 W minimum is rejected
-		// even though the leaf floors alone would allow it.
-		check2 := func(cand Spec, want string) {
-			t.Helper()
-			r := admit(cg, shape, nil, cand)
-			if want == "" && r != nil {
-				t.Errorf("want admitted, got %v", r)
-			} else if want != "" && (r == nil || r.Code != want) {
-				t.Errorf("want %s, got %v", want, r)
-			}
-		}
-		check2(Spec{Kind: KindCap, Level: 1, Group: 0, Watts: 50}, ReasonCapBelowFloor)
-		check2(Spec{Kind: KindCap, Level: 1, Group: 0, Watts: 60}, "")
-	})
 }
