@@ -27,6 +27,7 @@ fuzz-short:
 	go test ./internal/kernel -fuzz FuzzCharacterizeFastForward -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzCharacterizeResident -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzAddRepeated -fuzztime $(FUZZTIME)
+	go test ./internal/machine -fuzz FuzzCoastHorizon -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
 	go test ./internal/cache -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 
@@ -206,7 +207,7 @@ serve-churn:
 # a batch with no steady table and a fleet on the full event order.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestCoastMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster|TestFleetCoastMatchesObserved|TestShardCoastFold' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ ./internal/cluster/ .
+	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestCoastMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster|TestFleetCoastMatchesObserved|TestShardCoastFold|FuzzCoastHorizon' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ ./internal/cluster/ .
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

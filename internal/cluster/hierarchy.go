@@ -17,11 +17,12 @@
 // state included: the fleet shares one PM policy and one machine, and
 // a 4-byte coast counter) plus one run header, and the coordinator's
 // per-node records (an epoch accumulator, a power entry, a demand, a
-// limit and an allocation adapter) — no per-node machines, governors,
-// actuators, goroutines, hooks, RNGs (unless the workload jitters or
-// the chain is noisy) or retained trace rows unless
-// FleetConfig.RetainTraces asks for them. TestFleetMemoryBudget pins
-// the measured bytes/node: 463 at 100,000 nodes.
+// limit and an allocation adapter; the shards add 16 bytes per 64-node
+// block) — no per-node machines, governors, actuators, goroutines,
+// hooks, RNGs (unless the workload jitters or the chain is noisy) or
+// retained trace rows unless FleetConfig.RetainTraces asks for them.
+// TestFleetMemoryBudget pins the measured bytes/node: 463 at 100,000
+// nodes.
 package cluster
 
 import (
@@ -162,6 +163,9 @@ type FleetResult struct {
 	Workers    int
 	WorkerWall []WallClock
 	CoordWall  WallClock
+
+	// blockSkips counts the block-ticks the shards passed over.
+	blockSkips int64
 }
 
 // fleetShape is the static tree geometry: counts[0] is the node
@@ -336,11 +340,19 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			ctlW = make([]float64, shape.counts[1])
 		}
 	}
+	// groupW[g] is level-1 group g's power sum this tick, for the
+	// telemetry and the control plane: the group's entries summed in
+	// index order, kept from tick to tick and re-summed only when a
+	// shard changed one of them.
+	var groupW []float64
+	if levels > 1 && (cfg.Telemetry != nil || ctl != nil) {
+		groupW = make([]float64, shape.counts[1])
+	}
 
 	st := newStepper(bs, nodeOv, workers)
 	var ft *fleetTelemetry
 	if cfg.Telemetry != nil {
-		ft = newFleetTelemetry(cfg.Telemetry, cfg.BudgetW, workers, shape)
+		ft = newFleetTelemetry(cfg.Telemetry, cfg.BudgetW, workers, shape, groupW)
 		st.shardWall = ft.shardWall
 	}
 	var pool *workerPool
@@ -486,8 +498,8 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 
 	var intervals, overIntervals, contended, overContended int
-	// plainW is the last tick's power sum on the plain path.
-	var plainW float64
+	// totalW is the power sum over every entry, kept from tick to tick.
+	var totalW float64
 	for tick := 0; ; tick++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fleet: abandoned after %d ticks: %w", tick, err)
@@ -499,6 +511,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		} else {
 			st.shard(0)
 		}
+		st.wakeAll = false
 		t0 := time.Now()
 		// Post-barrier: the shards have folded their own nodes; what
 		// remains are the cross-node reads, made in node-index order on
@@ -523,34 +536,20 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		res.NodeTicks += int64(stepped)
 		// The power sums stay serial and in index order: per-shard
 		// partial sums would reassociate the float additions and make
-		// PeakTotalW/OverFrac depend on the worker count. On the plain
-		// path a tick that changed no entry has the last tick's sum.
-		var totalW float64
-		var groupW []float64
-		if ft != nil && levels > 1 {
-			groupW = ft.groupW[1]
+		// PeakTotalW/OverFrac depend on the worker count. A sum whose
+		// entries no shard changed has the bits it had: it would add
+		// the same terms again.
+		if changed {
+			totalW = 0
+			for _, w := range st.power {
+				totalW += w
+			}
+			if groupW != nil {
+				st.sumGroups(groupW, fanout)
+			}
 		}
-		if groupW == nil && ctlW == nil {
-			if changed {
-				for _, w := range st.power {
-					totalW += w
-				}
-				plainW = totalW
-			}
-			totalW = plainW
-		} else {
-			for g := 0; g < shape.counts[1]; g++ {
-				lo, hi := shape.childRange(1, g)
-				for _, w := range st.power[lo:hi] {
-					totalW += w
-					if groupW != nil {
-						groupW[g] += w
-					}
-					if ctlW != nil {
-						ctlW[g] += w
-					}
-				}
-			}
+		for g := range ctlW {
+			ctlW[g] += groupW[g]
 		}
 		if !anyActive {
 			res.CoordWall.Add(time.Since(t0))
@@ -618,6 +617,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 				}
 			}
 			res.Epochs++
+			st.wakeAll = true
 			spans.fleetEpoch(tick, cfg.BudgetW, st.acc)
 			for i := range st.acc {
 				st.acc[i].reset()
@@ -632,6 +632,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	res.WorkerWall = make([]WallClock, workers)
 	for k := range st.tally {
 		res.WorkerWall[k] = st.tally[k].wall
+		res.blockSkips += st.tally[k].skips
 	}
 	res.Intervals = intervals
 	res.Runs = make([]*trace.Run, n)
@@ -714,13 +715,15 @@ type fleetTelemetry struct {
 	epochWall []*telemetry.Series
 	shardWall []*telemetry.Series
 
-	// groupW[l][g] accumulates the current tick's measured power per
-	// group; wallAcc[l] the current epoch's allocation wall.
+	// groupW[l][g] is the current tick's measured power of group g at
+	// level l: level 1 is the coordinator's sums, each level above
+	// rolled up from the one below. wallAcc[l] is the current epoch's
+	// allocation wall.
 	groupW  [][]float64
 	wallAcc []time.Duration
 }
 
-func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, shape fleetShape) *fleetTelemetry {
+func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, shape fleetShape, groupW []float64) *fleetTelemetry {
 	ft := &fleetTelemetry{shape: shape}
 	reg.Gauge("aapm_fleet_nodes", "Leaf nodes in the hierarchical co-simulation.").With().Set(float64(shape.counts[0]))
 	reg.Gauge("aapm_fleet_levels", "Allocation-tree depth above the leaves.").With().Set(float64(shape.levels))
@@ -743,7 +746,10 @@ func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, sha
 		}
 	}
 	for l := 1; l < shape.levels; l++ {
-		ft.groupW[l] = make([]float64, shape.counts[l])
+		ft.groupW[l] = groupW
+		if l > 1 {
+			ft.groupW[l] = make([]float64, shape.counts[l])
+		}
 		if shape.counts[l] > maxGroupSeries {
 			ft.overAll[l] = over.With(fmt.Sprint(l), "all")
 			continue
@@ -765,8 +771,8 @@ func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, sha
 	return ft
 }
 
-// tick publishes one lockstep interval's aggregates and drains the
-// per-group power accumulators against the current group budgets.
+// tick publishes one lockstep interval's aggregates and judges the
+// per-group power sums against the current group budgets.
 func (ft *fleetTelemetry) tick(totalW float64, over, allActive bool, budgets [][]float64) {
 	ft.totalW.Set(totalW)
 	ft.intervals.Inc()
@@ -798,9 +804,6 @@ func (ft *fleetTelemetry) tick(totalW float64, over, allActive bool, budgets [][
 				ft.overAll[l].Inc()
 			}
 		}
-	}
-	for l := 1; l < ft.shape.levels; l++ {
-		clear(ft.groupW[l])
 	}
 }
 

@@ -285,7 +285,7 @@ func TestFleetGroupSeriesCap(t *testing.T) {
 	if shape.counts[1] <= maxGroupSeries {
 		t.Fatalf("test geometry under the cap: %d groups", shape.counts[1])
 	}
-	ft := newFleetTelemetry(reg, 400, 2, shape)
+	ft := newFleetTelemetry(reg, 400, 2, shape, make([]float64, shape.counts[1]))
 	if ft.overBy[1] != nil || ft.budgetBy[1] != nil {
 		t.Fatal("per-group series minted past the cap")
 	}
@@ -318,7 +318,7 @@ func TestFleetGroupSeriesCap(t *testing.T) {
 	// Below the cap the same geometry gets real per-group series.
 	reg2 := telemetry.NewRegistry()
 	shape2 := fleetShapeOf(64, 2, 2) // counts[1] = 32
-	ft2 := newFleetTelemetry(reg2, 400, 2, shape2)
+	ft2 := newFleetTelemetry(reg2, 400, 2, shape2, make([]float64, shape2.counts[1]))
 	if len(ft2.overBy[1]) != shape2.counts[1] || len(ft2.budgetBy[1]) != shape2.counts[1] {
 		t.Errorf("below-cap level minted %d/%d series, want %d",
 			len(ft2.overBy[1]), len(ft2.budgetBy[1]), shape2.counts[1])

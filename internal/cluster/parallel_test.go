@@ -211,19 +211,26 @@ func TestShardBounds(t *testing.T) {
 }
 
 // TestFleetCoastMatchesObserved holds a fleet whose settled nodes
-// coast to the same fleet observed: a no-op hook on every node puts
-// the batch on the full event order, where no node coasts, and a
-// telemetry registry puts the coordinator's power sum on its
-// per-group loop, which sums every tick. Every run total, the power
-// aggregates, the epoch and node-tick counts must agree bit for bit,
-// serially and across two workers. The ideal chain and zero-jitter
-// workloads let the plain fleet's nodes settle and coast, many across
-// reallocations that leave their limits' bits alone, and multi-phase
-// nodes end coasts at phase ends mid-epoch, where their reading
-// changes. A second pair of runs attaches a control plane that takes
-// every fifth node offline for one epoch in three and then puts it back
-// in service, so coasting nodes leave and rejoin the power sums, and
-// the epochs' group observations must agree too.
+// coast, and whose shards pass over blocks where every node coasts, to
+// the same fleet observed: a no-op hook on every node puts the batch on
+// the full event order, where no node coasts and so no block with a
+// live node sleeps. Every run total, the power aggregates, the epoch
+// and node-tick counts must agree bit for bit, at one, two and three
+// workers. The ideal chain and zero-jitter workloads let the plain
+// fleet's nodes settle and coast, many across reallocations that leave
+// their limits' bits alone; multi-phase nodes end coasts at phase ends
+// mid-epoch, where their reading changes, and nodes of five lengths
+// finish on different ticks inside one block. The node count is no
+// multiple of 64, so the last block of the last shard is short.
+//
+// A second set of runs attaches a control plane that takes every fifth
+// node offline and pins every seventh, each for one epoch in three, and
+// then puts them back in service, so coasting nodes leave and rejoin
+// the power sums. There both sides also carry a telemetry registry:
+// the epochs' group observations and the registry's exposition (wall
+// clocks aside) must agree too, so the level-1 group sums that only
+// changed groups re-sum hold to the full order's. The plain runs must
+// have passed over at least a set number of block-ticks.
 func TestFleetCoastMatchesObserved(t *testing.T) {
 	const n, ticks = 600, 150
 	nodes := SyntheticFleet(n, ticks)
@@ -235,7 +242,13 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 	for i := 0; i < n; i += 4 {
 		nodes[i] = Node{Workload: multi}
 	}
-	run := func(workers int, observed bool, ctl *offlineCycle) *FleetResult {
+	for i := 2; i < n; i += 4 {
+		k := float64(i/4%5 + 1)
+		nodes[i] = Node{Workload: phase.Workload{Name: fmt.Sprintf("fleet-len%v", k), Phases: []phase.Params{
+			{Name: "mid", Instructions: (60 + 12*k) * 20e6 / 2, CPICore: 2, MLP: 1, SpecFactor: 1.05},
+		}}}
+	}
+	run := func(workers int, observed bool, ctl *overrideCycle) (*FleetResult, string) {
 		cfg := FleetConfig{
 			BudgetW:    13 * n,
 			Nodes:      nodes,
@@ -247,16 +260,24 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 		}
 		if observed {
 			cfg.Observe = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
-			cfg.Telemetry = telemetry.NewRegistry()
 		}
 		if ctl != nil {
 			cfg.Control = ctl
+			cfg.Telemetry = telemetry.NewRegistry()
 		}
 		res, err := RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		var text []string
+		if cfg.Telemetry != nil {
+			for _, line := range strings.Split(string(exposition(t, cfg.Telemetry)), "\n") {
+				if !strings.Contains(line, "_wall_") {
+					text = append(text, line)
+				}
+			}
+		}
+		return res, strings.Join(text, "\n")
 	}
 	bits := func(res *FleetResult) string {
 		return fmt.Sprintf("peak %#x over %#x contended %#x epochs %d node-ticks %d",
@@ -264,24 +285,34 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 			math.Float64bits(res.ContendedOverFrac), res.Epochs, res.NodeTicks)
 	}
 	for _, controlled := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			var plainCtl, observedCtl *offlineCycle
+		for _, workers := range []int{1, 2, 3} {
+			var plainCtl, observedCtl *overrideCycle
 			if controlled {
-				plainCtl, observedCtl = &offlineCycle{}, &offlineCycle{}
+				plainCtl, observedCtl = &overrideCycle{}, &overrideCycle{}
 			}
-			plain, observed := run(workers, false, plainCtl), run(workers, true, observedCtl)
+			plain, plainText := run(workers, false, plainCtl)
+			observed, observedText := run(workers, true, observedCtl)
 			if res := observed; res.Epochs < 5 || res.NodeTicks < n*ticks/2 || res.PeakTotalW == 0 {
 				t.Fatalf("control=%v workers=%d: %d epochs, %d node-ticks, peak %v W; want a multi-epoch run", controlled, workers, res.Epochs, res.NodeTicks, res.PeakTotalW)
 			}
 			if p, o := bits(plain), bits(observed); p != o {
 				t.Errorf("control=%v workers=%d: plain %s, observed %s", controlled, workers, p, o)
 			}
+			t.Logf("control=%v workers=%d: %d block-ticks passed over, %d intervals", controlled, workers, plain.blockSkips, plain.Intervals)
+			// Each plain node coasts most of its ticks; a block sleeps
+			// between the ends of its nodes' coasts.
+			if plain.blockSkips < int64(n/blockSize*ticks/2) {
+				t.Errorf("control=%v workers=%d: the plain run passed over %d block-ticks, want at least %d", controlled, workers, plain.blockSkips, n/blockSize*ticks/2)
+			}
 			if controlled {
-				if observedCtl.returned == 0 {
-					t.Fatalf("workers=%d: no node came back into service", workers)
+				if observedCtl.returned == 0 || observedCtl.pinned == 0 {
+					t.Fatalf("workers=%d: %d nodes came back into service after %d pins", workers, observedCtl.returned, observedCtl.pinned)
 				}
 				if p, o := plainCtl.obs.String(), observedCtl.obs.String(); p != o {
 					t.Errorf("workers=%d: plain group observations %.300s, observed %.300s", workers, p, o)
+				}
+				if plainText != observedText {
+					t.Errorf("workers=%d: plain telemetry\n%.2000s\nobserved\n%.2000s", workers, plainText, observedText)
 				}
 			}
 			for i := range plain.Runs {
@@ -293,27 +324,31 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 	}
 }
 
-// offlineCycle is a control plane that takes every fifth node offline
-// on every third epoch and puts it back in service on the next one,
-// recording the bits of each epoch's group observations.
-type offlineCycle struct {
-	nodes    []NodeOverride
-	obs      strings.Builder
-	returned int
+// overrideCycle is a control plane that, on every third epoch, takes
+// every fifth node offline and pins every seventh one, and puts them
+// back in service on the next epoch, recording the bits of each
+// epoch's group observations.
+type overrideCycle struct {
+	nodes            []NodeOverride
+	obs              strings.Builder
+	pinned, returned int
 }
 
-func (c *offlineCycle) Epoch(o FleetEpochObs) FleetDirectives {
+func (c *overrideCycle) Epoch(o FleetEpochObs) FleetDirectives {
 	for _, g := range o.Groups {
 		fmt.Fprintf(&c.obs, "%d:%#x/%d ", o.Epoch, math.Float64bits(g.AvgPowerW), g.Active)
 	}
 	if c.nodes == nil {
 		c.nodes = make([]NodeOverride, len(o.NodeActive))
 	}
-	for i := 0; i < len(c.nodes); i += 5 {
+	for i := range c.nodes {
 		switch {
-		case o.Epoch%3 == 1:
+		case o.Epoch%3 == 1 && i%5 == 0:
 			c.nodes[i] = NodeOffline
-		case c.nodes[i] == NodeOffline:
+		case o.Epoch%3 == 1 && i%7 == 3:
+			c.nodes[i] = NodePinned
+			c.pinned++
+		case c.nodes[i] != NodeAuto:
 			c.nodes[i] = NodeAuto
 			c.returned++
 		}
@@ -321,87 +356,119 @@ func (c *offlineCycle) Epoch(o FleetEpochObs) FleetDirectives {
 	return FleetDirectives{Nodes: c.nodes}
 }
 
-// TestShardCoastFold holds the shards' late fold of coast intervals
-// to the fold of the same nodes on the full event order, where none
-// coasts: after every tick each power entry, and after every epoch
-// tick each accumulator, must have the same bits. Multi-phase nodes
-// end coasts at phase ends, where the reading changes, and between
-// epochs half the nodes get a new limit and half their own, which
-// keeps them coasting across the epoch.
+// TestShardCoastFold holds the shards' late fold of coast intervals,
+// and their passing over blocks, to the fold of the same nodes on the
+// full event order, where none coasts: after every tick each shard's
+// stepped count, each power entry and each sum of a group of three
+// entries must have the same bits, the group sums that only changed
+// groups re-sum equal to the group's entries summed afresh, and after
+// every epoch tick each accumulator must too. Multi-phase nodes end
+// coasts at phase ends, where the reading changes, nodes of five
+// lengths finish on different ticks, and between epochs half the nodes
+// get a new limit and half their own, which keeps them coasting across
+// the epoch. 16 nodes over two workers are one block per shard; 200
+// are two blocks and a short third.
 func TestShardCoastFold(t *testing.T) {
-	const n, epoch = 16, 15
-	w := phase.Workload{Name: "fold-multi", Iterations: 2, Phases: []phase.Params{
-		{Name: "cpu", Instructions: 40 * 20e6, CPICore: 1, MLP: 1, SpecFactor: 1.05},
-		{Name: "mem", Instructions: 30 * 20e6 / 3, CPICore: 3, MLP: 1, SpecFactor: 1.05},
-	}}
+	const epoch, fanout = 15, 3
 	pol, err := control.NewPMPolicy(control.PMConfig{FeedbackGain: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	limit := func(i, e int) float64 { return 11 + float64(i%4) + float64(e%2*(i%2)) }
-	build := func(full bool) *stepper {
-		m, err := machine.New(machine.Config{Seed: 3})
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{16, 200} {
+		build := func(full bool) *stepper {
+			m, err := machine.New(machine.Config{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := make([]machine.BatchNode, n)
+			for i := range nodes {
+				k := float64(i % 5)
+				w := phase.Workload{Name: fmt.Sprintf("fold-multi%v", k), Iterations: 2, Phases: []phase.Params{
+					{Name: "cpu", Instructions: (30 + 5*k) * 20e6, CPICore: 1, MLP: 1, SpecFactor: 1.05},
+					{Name: "mem", Instructions: 30 * 20e6 / 3, CPICore: 3, MLP: 1, SpecFactor: 1.05},
+				}}
+				nodes[i] = machine.BatchNode{Machine: m, Workload: w, Policy: pol, Lane: pol.Lane(limit(i, 0)), SeedOffset: int64(i)}
+			}
+			var opts machine.BatchOptions
+			if full {
+				opts.Hooks = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
+			}
+			bs, err := machine.NewBatch(nodes, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newStepper(bs, nil, 2)
 		}
-		nodes := make([]machine.BatchNode, n)
-		for i := range nodes {
-			nodes[i] = machine.BatchNode{Machine: m, Workload: w, Policy: pol, Lane: pol.Lane(limit(i, 0)), SeedOffset: int64(i)}
+		coast, full := build(false), build(true)
+		groups := (n + fanout - 1) / fanout
+		coastW, fullW := make([]float64, groups), make([]float64, groups)
+		accBits := func(a nodeAcc) string {
+			return fmt.Sprintf("%#x %#x %d %d %v", math.Float64bits(a.recentW), math.Float64bits(a.recentDPC), a.lastSeq, a.recentN, a.fresh)
 		}
-		var opts machine.BatchOptions
-		if full {
-			opts.Hooks = func(int) []machine.Hook { return []machine.Hook{machine.BaseHook{}} }
+		lagged := 0
+		for tick := 1; ; tick++ {
+			coast.epochFold = tick%epoch == 0
+			full.epochFold = coast.epochFold
+			stepped := 0
+			for k := range coast.tally {
+				coast.shard(k)
+				full.shard(k)
+				stepped += coast.tally[k].stepped
+				if coast.tally[k].stepped != full.tally[k].stepped {
+					t.Fatalf("n=%d tick %d shard %d: stepped %d coasting, %d on the full order", n, tick, k, coast.tally[k].stepped, full.tally[k].stepped)
+				}
+			}
+			coast.wakeAll, full.wakeAll = false, false
+			if stepped == 0 {
+				break
+			}
+			for i := 0; i < n; i++ {
+				if math.Float64bits(coast.power[i]) != math.Float64bits(full.power[i]) {
+					t.Fatalf("n=%d tick %d node %d: power %v coasting, %v on the full order", n, tick, i, coast.power[i], full.power[i])
+				}
+				if coast.acc[i].lastSeq != coast.bs.Seq(i) {
+					lagged++
+				}
+			}
+			coast.sumGroups(coastW, fanout)
+			full.sumGroups(fullW, fanout)
+			for g := range coastW {
+				var sum float64
+				for _, w := range coast.power[g*fanout : min((g+1)*fanout, n)] {
+					sum += w
+				}
+				c, f, s := math.Float64bits(coastW[g]), math.Float64bits(fullW[g]), math.Float64bits(sum)
+				if c != s || f != s {
+					t.Fatalf("n=%d tick %d group %d: sum %v coasting, %v on the full order, %v afresh", n, tick, g, coastW[g], fullW[g], sum)
+				}
+			}
+			if !coast.epochFold {
+				continue
+			}
+			for i := 0; i < n; i++ {
+				if a, b := accBits(coast.acc[i]), accBits(full.acc[i]); a != b {
+					t.Fatalf("n=%d tick %d node %d: accumulator %s coasting, %s on the full order", n, tick, i, a, b)
+				}
+				coast.acc[i].reset()
+				full.acc[i].reset()
+				l := limit(i, tick/epoch)
+				coast.bs.SetLimit(i, l)
+				full.bs.SetLimit(i, l)
+			}
+			coast.wakeAll, full.wakeAll = true, true
 		}
-		bs, err := machine.NewBatch(nodes, opts)
-		if err != nil {
-			t.Fatal(err)
+		if lagged < 60*n {
+			t.Errorf("n=%d: accumulators lagged the engine on %d node-ticks, want at least %d coast intervals folded late", n, lagged, 60*n)
 		}
-		return newStepper(bs, nil, 2)
-	}
-	coast, full := build(false), build(true)
-	accBits := func(a nodeAcc) string {
-		return fmt.Sprintf("%#x %#x %d %d %v", math.Float64bits(a.recentW), math.Float64bits(a.recentDPC), a.lastSeq, a.recentN, a.fresh)
-	}
-	lagged := 0
-	for tick := 1; ; tick++ {
-		coast.epochFold = tick%epoch == 0
-		full.epochFold = coast.epochFold
-		stepped := 0
+		var skips int64
 		for k := range coast.tally {
-			coast.shard(k)
-			full.shard(k)
-			stepped += coast.tally[k].stepped
-			if coast.tally[k].stepped != full.tally[k].stepped {
-				t.Fatalf("tick %d shard %d: stepped %d coasting, %d on the full order", tick, k, coast.tally[k].stepped, full.tally[k].stepped)
-			}
+			skips += coast.tally[k].skips
 		}
-		if stepped == 0 {
-			break
+		t.Logf("n=%d: %d node-ticks folded late, %d block-ticks passed over", n, lagged, skips)
+		if skips < 100 {
+			t.Errorf("n=%d: the shards passed over %d block-ticks, want at least 100", n, skips)
 		}
-		for i := 0; i < n; i++ {
-			if math.Float64bits(coast.power[i]) != math.Float64bits(full.power[i]) {
-				t.Fatalf("tick %d node %d: power %v coasting, %v on the full order", tick, i, coast.power[i], full.power[i])
-			}
-			if coast.acc[i].lastSeq != coast.bs.Seq(i) {
-				lagged++
-			}
-		}
-		if !coast.epochFold {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if a, b := accBits(coast.acc[i]), accBits(full.acc[i]); a != b {
-				t.Fatalf("tick %d node %d: accumulator %s coasting, %s on the full order", tick, i, a, b)
-			}
-			coast.acc[i].reset()
-			full.acc[i].reset()
-			l := limit(i, tick/epoch)
-			coast.bs.SetLimit(i, l)
-			full.bs.SetLimit(i, l)
-		}
-	}
-	if lagged < 1000 {
-		t.Errorf("accumulators lagged the engine on %d node-ticks, want at least 1000 coast intervals folded late", lagged)
 	}
 }
 

@@ -72,26 +72,59 @@ func (a *nodeAcc) reset() {
 	a.recentW, a.recentDPC, a.recentN, a.fresh = 0, 0, 0, false
 }
 
-// shardTally is worker k's report and its stepper, padded to cache
-// lines of its own so the workers' per-tick writes never share one.
+// shardTally is worker k's report, its stepper and its blocks, padded
+// to cache lines of its own so the workers' per-tick writes never
+// share one. The pad leads: a zero-size last field would add a word.
 type shardTally struct {
+	_ [(cacheLine - unsafe.Sizeof(shardState{})%cacheLine) % cacheLine]byte
+	shardState
+}
+
+// shardState is the content of a shardTally.
+type shardState struct {
 	// wall aggregates the worker's per-tick shard wall-clock (ticks
 	// where the shard stepped at least one node); the coordinator
 	// copies it into Result.WorkerWall[k] after the run.
 	wall WallClock
-	// stepped counts the nodes the shard stepped this tick; failed
-	// flags that one of them returned an error, and changed that the
-	// shard wrote a power entry with new bits.
+	// stepped counts the nodes the shard stepped this tick, coast
+	// ticks included; failed flags that one of them returned an error,
+	// and changed that the shard wrote a power entry with new bits.
 	stepped int
 	failed  bool
 	changed bool
+	// tick counts the shard's ticks: the first is 1.
+	tick int32
+	// skips counts the blocks the shard passed over, one per block per
+	// tick.
+	skips int64
 	// step steps the worker's nodes: it holds the tick record (the
 	// interval's sample and the govern input), written for every node
 	// the worker steps.
 	step machine.Stepper
-	// wall, stepped and the two flags take 32 bytes; the pad rounds
-	// the tally up to whole cache lines.
-	_ [(cacheLine - (32+unsafe.Sizeof(machine.Stepper{}))%cacheLine) % cacheLine]byte
+	// blocks splits the worker's range into blockSize-node blocks, in
+	// index order.
+	blocks []block
+}
+
+// blockSize is the node count of a block: the unit a shard passes over
+// while all its nodes coast. A shard's range starts on a multiple of
+// it (shardAlign), so no block spans two workers; a range smaller than
+// a block, in a fleet too small to align, is one block.
+const blockSize = shardAlign
+
+// block is the state of blockSize consecutive nodes of one shard: a
+// shard visits the block's nodes only on the tick it is due and, in
+// between, credits each of its coasting nodes one step per tick.
+type block struct {
+	// next is the shard tick the block is due on, last the tick of its
+	// latest visit.
+	next, last int32
+	// live counts the nodes not done after the latest visit: while the
+	// block is not due, each of them coasts.
+	live int32
+	// changed records that the latest visit wrote a power entry with
+	// new bits.
+	changed bool
 }
 
 // stepper owns the per-tick stepping work. Each worker owns one
@@ -107,10 +140,14 @@ type shardTally struct {
 type stepper struct {
 	bs *machine.BatchState
 	// epochFold, set by the coordinator before it releases a tick that
-	// ends with a reallocation, has every worker fold all its nodes'
-	// coast intervals after stepping, so the epoch reads whole
-	// accumulators.
+	// ends with a reallocation, has every worker visit every block and
+	// fold all its nodes' coast intervals after stepping, so the epoch
+	// reads whole accumulators and current engine state.
 	epochFold bool
+	// wakeAll, set by the coordinator for the tick after its epoch
+	// work, has every worker visit every block: that work may have
+	// written any lane or node override.
+	wakeAll bool
 	// offline, when a control plane is attached, gates stepping: an
 	// offlined node is skipped like a finished one.
 	offline []NodeOverride
@@ -140,53 +177,38 @@ func newStepper(bs *machine.BatchState, offline []NodeOverride, workers int) *st
 		tally:   make([]shardTally, workers),
 	}
 	for k := range st.tally {
-		st.tally[k].step = bs.NewStepper()
+		t := &st.tally[k]
+		t.step = bs.NewStepper()
+		t.blocks = make([]block, (st.bounds[k+1]-st.bounds[k]+blockSize-1)/blockSize)
 	}
 	return st
 }
 
 // shard steps worker k's nodes for one tick and folds each stepped
-// node's observation, timing the shard when it did any work. Only a
-// node refreshed by this tick contributes: one that stepped into
-// completion without emitting an interval would otherwise replay its
-// previous tick's power. A coast tick touches neither the node's
-// accumulator nor its power entry; its interval is folded later.
+// node's observation, timing the shard when it did any work. It
+// visits a block only when it is due (see visit) or the coordinator
+// has every block visited; a block it passes over has only coasting
+// nodes and finished ones, whose power entries stay as they are, and
+// adds its coasting nodes to the stepped count.
 func (st *stepper) shard(k int) {
 	start := time.Now()
-	bs, acc, power, offline := st.bs, st.acc, st.power, st.offline
 	t := &st.tally[k]
-	lo, hi := st.bounds[k], st.bounds[k+1]
+	t.tick++
+	now, all := t.tick, st.epochFold || st.wakeAll
 	stepped, failed, changed := 0, false, false
-	for i := lo; i < hi; i++ {
-		var w float64
-		switch {
-		case offline != nil && offline[i] == NodeOffline:
-			// Not stepped: the node contributes +0, and its coast ends
-			// so that its first tick back in service is a regular step
-			// that writes its entry.
-			t.step.EndCoast(i)
-		case t.step.Coast(i):
-			stepped++
+	lo, hi := st.bounds[k], st.bounds[k+1]
+	for j := range t.blocks {
+		blk := &t.blocks[j]
+		if !all && now < blk.next {
+			stepped += int(blk.live)
+			t.skips++
 			continue
-		default:
-			// The node's coast intervals read its current power, which
-			// the step is about to replace.
-			a := &acc[i]
-			st.fold(a, i)
-			if !t.step.StepRegular(i) {
-				break
-			}
-			stepped++
-			if bs.NodeErr(i) != nil {
-				failed = true
-				break
-			}
-			w = st.fold(a, i)
 		}
-		if math.Float64bits(w) != math.Float64bits(power[i]) {
-			power[i] = w
-			changed = true
-		}
+		blo := lo + j*blockSize
+		s, f := st.visit(t, blk, blo, min(blo+blockSize, hi))
+		stepped += s
+		failed = failed || f
+		changed = changed || blk.changed
 	}
 	if st.epochFold {
 		st.foldShard(k)
@@ -201,12 +223,105 @@ func (st *stepper) shard(k int) {
 	}
 }
 
+// visit steps block blk, nodes [lo, hi), on shard tick t.tick. Each
+// coasting node first gets every tick since the block's latest visit
+// in one Coast call. Only a node refreshed by this tick contributes:
+// one that stepped into completion without emitting an interval would
+// otherwise replay its previous tick's power. A coast tick touches
+// neither the node's accumulator nor its power entry; its interval is
+// folded later.
+//
+// The block is next due one tick after the end of its shortest coast.
+// It is due on the next tick when one of its nodes will step
+// regularly, is offline, or is done with a power entry still to clear.
+// visit returns the nodes it stepped and whether one of them failed.
+func (st *stepper) visit(t *shardTally, blk *block, lo, hi int) (stepped int, failed bool) {
+	bs, acc, power, offline := st.bs, st.acc, st.power, st.offline
+	now := t.tick
+	n := int(now - blk.last)
+	next := int32(math.MaxInt32)
+	live, changed := int32(0), false
+	for i := lo; i < hi; i++ {
+		var w float64
+		if offline != nil && offline[i] == NodeOffline {
+			// Not stepped: the node contributes +0, and its coast ends
+			// so that its first tick back in service is a regular step
+			// that writes its entry.
+			t.step.EndCoast(i)
+			next = now + 1
+		} else if left := t.step.Coast(i, n); left >= 0 {
+			stepped++
+			live++
+			next = min(next, now+1+int32(left))
+			continue
+		} else {
+			// The node's coast, if any, ended with the tick before this
+			// one. Its coast intervals read its current power, which
+			// the step is about to replace.
+			a := &acc[i]
+			st.fold(a, i)
+			if t.step.StepRegular(i) {
+				stepped++
+				if bs.NodeErr(i) != nil {
+					failed = true
+				} else {
+					w = st.fold(a, i)
+				}
+			}
+			switch {
+			case !bs.NodeDone(i):
+				live++
+				next = min(next, now+1+int32(t.step.Coast(i, 0)))
+			case math.Float64bits(w) != 0:
+				// Done with this tick's power in its entry, which the
+				// next tick clears.
+				next = now + 1
+			}
+		}
+		if math.Float64bits(w) != math.Float64bits(power[i]) {
+			power[i] = w
+			changed = true
+		}
+	}
+	blk.next, blk.last, blk.live, blk.changed = next, now, live, changed
+	return stepped, failed
+}
+
+// sumGroups re-sums groupW[g], the power entries of nodes
+// [g·fanout, (g+1)·fanout) in index order, for each group that overlaps
+// a block whose visit this tick wrote an entry with new bits. Every
+// other group keeps the bits of its last sum, which adding the same
+// entries again would give.
+func (st *stepper) sumGroups(groupW []float64, fanout int) {
+	last := -1 // the last group re-summed: blocks come in index order
+	for k := range st.tally {
+		t := &st.tally[k]
+		lo, hi := st.bounds[k], st.bounds[k+1]
+		for j, blk := range t.blocks {
+			if blk.last != t.tick || !blk.changed {
+				continue
+			}
+			blo := lo + j*blockSize
+			bhi := min(blo+blockSize, hi)
+			for g := max(blo/fanout, last+1); g <= (bhi-1)/fanout; g++ {
+				var sum float64
+				for _, w := range st.power[g*fanout : min((g+1)*fanout, len(st.power))] {
+					sum += w
+				}
+				groupW[g] = sum
+				last = g
+			}
+		}
+	}
+}
+
 // fold folds node i's intervals since a.lastSeq into its accumulator
 // and returns the power the latest one contributes to the tick's sum
 // (+0 for none). Every such interval reads the node's current measured
 // power and decode rate: there is one when the node has just stepped,
 // and more when it coasted since its last fold, all repeating one
-// reading. Each adds its own terms, in tick order.
+// reading. Each adds its own terms, in tick order, to sums kept in
+// locals.
 func (st *stepper) fold(a *nodeAcc, i int) float64 {
 	seq := st.bs.Seq(i)
 	if seq == a.lastSeq {
@@ -218,10 +333,12 @@ func (st *stepper) fold(a *nodeAcc, i int) float64 {
 	if !usable(w) || !usable(dpc) {
 		return 0
 	}
+	rw, rd := a.recentW, a.recentDPC
 	for j := uint64(0); j < d; j++ {
-		a.recentW += w
-		a.recentDPC += dpc
+		rw += w
+		rd += dpc
 	}
+	a.recentW, a.recentDPC = rw, rd
 	a.recentN += int32(d)
 	return w
 }

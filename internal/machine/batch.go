@@ -65,8 +65,8 @@ import (
 // bumps the node's coast counter, until the steady guard would fail,
 // its lane is written, the batch turns full or a reader needs the
 // deferred state, and one function replays the deferred ticks in
-// order (see coastTick). Seq and Ticks count them without replaying;
-// Result replays first. A Session retains rows, so it never coasts.
+// order (see BatchState.coast). Seq and Ticks count them without
+// replaying; Result replays first. A Session retains rows, so it never coasts.
 // TestCoastMatchesGeneral holds the coast to the cleared-table twin.
 
 // StaticPolicy is the policy a run records for a node with neither a
@@ -180,7 +180,7 @@ type BatchState struct {
 	seq       []uint64
 	flags     []uint8 // nodeExhausted, nodeDone, nodeFailed, nodeFinalized
 	// coasts holds each node's coast: the settled ticks it has
-	// deferred and the most it may defer (see coastTick).
+	// deferred and the most it may defer (see BatchState.coast).
 	coasts []coast
 	// dpc is the decode rate of each node's last governor-visible
 	// sample: what LastDPC and a coordinator's demand read between
@@ -295,14 +295,19 @@ func (b *BatchState) NewStepper() Stepper { return Stepper{b: b} }
 // Step is StepNode through the stepper's own record.
 func (s *Stepper) Step(i int) bool { return s.b.stepNode(i, &s.rec) }
 
-// Coast takes node i's tick as a coast tick when its coast goes on,
-// reporting whether it did; Step would have done the same. A caller
-// that keeps per-interval state of its own reads Seq to learn how
-// many intervals a node's coast ticks added.
-func (s *Stepper) Coast(i int) bool { return s.b.coastTick(i) }
+// Coast takes up to n of node i's ticks as coast ticks and returns the
+// coast ticks left after them, negative when the coast ended short of
+// n (see BatchState.coast); Step would take the same ticks. Coast(i, 1)
+// < 0 is a tick for StepRegular, and Coast(i, 0) reads how long the
+// coast goes on. A caller that visits the node every tick and one that
+// passes over it while its coast lasts, then hands it every tick it
+// passed over, make the same call. A caller that keeps per-interval
+// state of its own reads Seq to learn how many intervals the coast
+// ticks added.
+func (s *Stepper) Coast(i, n int) int { return s.b.coast(i, n) }
 
 // StepRegular is Step without the coast: it replays node i's deferred
-// ticks and steps it. Step does the same when Coast reports false.
+// ticks and steps it. Step does the same when Coast(i, 1) is negative.
 func (s *Stepper) StepRegular(i int) bool { return s.b.stepRegular(i, &s.rec) }
 
 // EndCoast replays node i's deferred ticks and ends its coast, for a
@@ -696,7 +701,7 @@ func (b *BatchState) StepNode(i int) bool { return b.stepNode(i, &b.rec) }
 // stepNode is StepNode with r as the tick's record: a coast tick when
 // node i's coast goes on, else the deferred ticks' replay and a step.
 func (b *BatchState) stepNode(i int, r *tickRec) bool {
-	return b.coastTick(i) || b.stepRegular(i, r)
+	return b.coast(i, 1) >= 0 || b.stepRegular(i, r)
 }
 
 // stepRegular is stepNode without the coast tick.

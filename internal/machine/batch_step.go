@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aapm/internal/counters"
+	"aapm/internal/power"
 	"aapm/internal/trace"
 )
 
@@ -41,10 +42,10 @@ import (
 // entry: TickLane would see the same sample, p-state, table and power
 // over the same lane (LanePolicy's read contract), and return the same.
 //
-// On a node that coasts (coastTick) a settled tick is settledTicks,
-// which applies exactly the lane effects this function would, and
-// the deferred ticks of a coast replay through it too, so a settled
-// steady tick has one definition.
+// On a node that coasts (BatchState.coast) a settled tick is
+// settledTicks, which applies exactly the lane effects this function
+// would, and the deferred ticks of a coast replay through it too, so a
+// settled steady tick has one definition.
 //
 // Anything that would change float bits (reassociating sums,
 // replacing divisions with reciprocal multiplies) is off the table.
@@ -149,29 +150,36 @@ func (b *BatchState) step(i int, r *tickRec) {
 	}
 }
 
-// coast is one node's coast (see coastTick): the settled ticks it has
-// deferred and the most it may defer.
+// coast is one node's coast (see BatchState.coast): the settled ticks
+// it has deferred and the most it may defer.
 type coast struct{ deferred, horizon uint16 }
 
-// coastTick takes node i's tick as a coast tick when its coast goes
-// on, reporting whether it did. A coast starts after a settled tick in
-// the lean order (settledEntry): the batch is not full and retains no
-// rows, and the node draws from no random stream. Such a tick repeats
-// the previous one's entry, reading and lane effects, so every later
-// tick repeats it too while the node's lane stays settled, the batch
-// stays lean and the steady guard holds, which last is the horizon
-// startCoast computes. A coast tick bumps the deferred count and
-// nothing else. flush replays the deferred ticks through settledTicks
-// before the node's next regular step, when a caller passes over the
-// node (Stepper.EndCoast) and before Result reads them; Seq and Ticks
-// add them in without replaying.
-func (b *BatchState) coastTick(i int) bool {
+// coast takes up to n of node i's ticks as coast ticks, as many as its
+// coast goes on for, and returns the coast ticks left after those n. A
+// negative count -m means the coast ended m ticks short of n: it took
+// the first n-m, and the other m are still to step. So coast(i, 1) >= 0
+// is a tick taken as a coast tick, and coast(i, 0) reads how many more
+// ticks the coast goes on for (0 for a node that does not coast).
+//
+// A coast starts after a settled tick in the lean order (settledEntry):
+// the batch is not full and retains no rows, and the node draws from
+// no random stream. Such a tick repeats the previous one's entry,
+// reading and lane effects, so every later tick repeats it too while
+// the node's lane stays settled, the batch stays lean and the steady
+// guard holds, which last is the horizon startCoast computes. A coast
+// tick adds to the deferred count and nothing else. flush replays the
+// deferred ticks through settledTicks before the node's next regular
+// step, when a caller passes over the node (Stepper.EndCoast) and
+// before Result reads them; Seq and Ticks add them in without
+// replaying.
+func (b *BatchState) coast(i, n int) int {
 	c := &b.coasts[i]
-	if c.deferred < c.horizon && b.lanes[i].settled && !b.full {
-		c.deferred++
-		return true
+	left := 0
+	if b.lanes[i].settled && !b.full {
+		left = int(c.horizon) - int(c.deferred)
 	}
-	return false
+	c.deferred += uint16(min(left, n))
+	return left - n
 }
 
 // settledEntry returns the steady entry node i's next tick reads when
@@ -216,20 +224,22 @@ func (b *BatchState) repeats(i int, meaW float64) bool {
 // settledTicks applies k settled ticks of node i that read steady
 // entry e: the lane effects of step's execute, measure and record
 // stages on that entry with the govern stage skipped, as the settled
-// skip leaves them. Each float lane takes its k updates in tick order
-// through the calls step makes (Energy.Add once per tick, never a
-// hoisted product), so k ticks here leave the bits k steps would.
+// skip leaves them. Each float lane adds one tick's term k times, in
+// tick order, in one loop over locals, so k ticks here leave the bits
+// k steps would. The energy terms are the products step's Energy.Add
+// computes (power.Joules), each computed once: Add's guards act
+// through them, a skipped contribution being +0, which leaves an
+// energy sum's bits alone.
 func (b *BatchState) settledTicks(i int, pl *platform, e *steadyTick, k int) {
-	meaW := b.lastW[i]
+	ei := e.instr
+	jt, jm := power.Joules(e.trueW, pl.perSec), power.Joules(b.lastW[i], pl.perSec)
 	rem, instr := b.remInstr[i], b.instrTot[i]
 	et, em := b.energyTrue[i], b.energyMeas[i]
 	for j := 0; j < k; j++ {
-		rem -= e.instr
-		et.Add(e.trueW, pl.perSec)
-		if !math.IsNaN(meaW) {
-			em.Add(meaW, pl.perSec)
-		}
-		instr += e.instr
+		rem -= ei
+		instr += ei
+		et = et.Plus(jt)
+		em = em.Plus(jm)
 	}
 	b.remInstr[i], b.instrTot[i] = rem, instr
 	b.energyTrue[i], b.energyMeas[i] = et, em
@@ -241,17 +251,41 @@ func (b *BatchState) settledTicks(i int, pl *platform, e *steadyTick, k int) {
 	b.dpc[i] = e.dpc
 }
 
-// startCoast starts node i's coast after a settled tick that read e.
-// Its horizon counts the later ticks whose steady guard holds, by
-// repeating the replay's remInstr -= e.instr under the guard's exact
-// comparison. It is capped so that the tick that trips the machine's
-// tick bound is a regular step, and by the counter's width.
+// startCoast starts node i's coast after a settled tick that read e,
+// with coastHorizon's horizon. It is capped so that the tick that trips
+// the machine's tick bound is a regular step, and by the counter's
+// width.
 func (b *BatchState) startCoast(i int, pl *platform, e *steadyTick) {
-	h, most := 0, min(pl.maxTicks-int(b.tick[i]), math.MaxUint16)
-	for rem := b.remInstr[i]; h < most && e.instr < rem; h++ {
-		rem -= e.instr
+	most := min(pl.maxTicks-int(b.tick[i]), math.MaxUint16)
+	b.coasts[i] = coast{horizon: uint16(coastHorizon(b.remInstr[i], e.instr, most))}
+}
+
+// exactSteps reports whether rem and instr are integers in [1, 2^53),
+// where coastHorizon counts without walking.
+func exactSteps(rem, instr float64) bool {
+	return instr >= 1 && rem >= 1 && rem < exactInt && instr < exactInt &&
+		rem == math.Trunc(rem) && instr == math.Trunc(instr)
+}
+
+// exactInt bounds the integers a float64 holds exactly, and so the
+// ones whose differences are exact too.
+const exactInt = 1 << 53
+
+// coastHorizon counts the later ticks whose steady guard holds, up to
+// most: how often the replay's rem -= instr runs under the guard's
+// exact instr < rem. When rem and instr are integers below 2^53 every
+// subtraction is exact, so the guard holds while (h+1)·instr < rem,
+// which is (h+1)·instr <= rem-1, and the count is (rem-1)/instr. Any
+// other input walks the subtractions as the replay rounds them.
+func coastHorizon(rem, instr float64, most int) int {
+	if exactSteps(rem, instr) {
+		return int(min((int64(rem)-1)/int64(instr), int64(max(most, 0))))
 	}
-	b.coasts[i] = coast{horizon: uint16(h)}
+	h := 0
+	for ; h < most && instr < rem; h++ {
+		rem -= instr
+	}
+	return h
 }
 
 // flush replays node i's deferred coast ticks and ends its coast.

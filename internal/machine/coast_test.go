@@ -40,8 +40,10 @@ type coastAct struct {
 // through a handle, by BypassHysteresis and by a
 // Subscribe that puts the batch on the full event order; a limit write
 // with the lane's own bits must not cut one. A lane behind a noisy
-// chain must never coast, and the as-built twin must coast at least a
-// set number of node-ticks.
+// chain must never coast; one behind a quantizing chain without noise
+// must, on a reading that is not its true power, so the true and the
+// measured energy replay different terms. The as-built twin must coast
+// at least a set number of node-ticks.
 func TestCoastMatchesGeneral(t *testing.T) {
 	long := phase.Workload{
 		Name:   "coast-long",
@@ -60,6 +62,7 @@ func TestCoastMatchesGeneral(t *testing.T) {
 	ideal := machine.Config{Seed: 21}
 	bounded := machine.Config{Seed: 22, MaxTicks: 260}
 	coarse := machine.Config{Seed: 23, Chain: sensor.Chain{NoiseStdW: 0.03, QuantStepW: 0.25}}
+	quantized := machine.Config{Seed: 24, Chain: sensor.Chain{QuantStepW: 0.25}}
 
 	pm := func(limitW, gain float64) func() (machine.Governor, error) {
 		return func() (machine.Governor, error) {
@@ -84,12 +87,14 @@ func TestCoastMatchesGeneral(t *testing.T) {
 		5: {cfg: ideal, w: multi, lane: bare(12.5)},
 		6: {cfg: coarse, w: long, gov: pm(13, 1)},
 		7: {cfg: ideal, w: long},
+		8: {cfg: quantized, w: multi, gov: pm(13.5, 0.25)},
 	}
 	const (
 		multiLane  = 2 // coasts cut by phase ends
 		boundLane  = 3 // a coast cut by the tick bound
 		noisyLane  = 6 // never coasts
 		pinnedLane = 7 // no governor: never settles
+		quantLane  = 8 // coasts on a reading that is not its true power
 	)
 	write := func(f func(b *machine.BatchState, k int)) func(b *machine.BatchState, k int) string {
 		return func(b *machine.BatchState, k int) string { f(b, k); return "" }
@@ -236,6 +241,9 @@ func TestCoastMatchesGeneral(t *testing.T) {
 	}
 	if total < 5000 {
 		t.Errorf("coasted %d node-ticks, want at least 5000", total)
+	}
+	if coastTicks[quantLane] == 0 {
+		t.Error("the quantized lane never coasted")
 	}
 	if coastTicks[noisyLane] != 0 || coastTicks[pinnedLane] != 0 {
 		t.Errorf("noisy lane coasted %d ticks and pinned lane %d, want none", coastTicks[noisyLane], coastTicks[pinnedLane])

@@ -27,8 +27,9 @@ import (
 // (SetLimit, SetPendingUp) between the node's steps. A method that
 // changes the lane also clears its settled marker, the engine's memo
 // that the lane sits at its policy's fixed point (see step), which
-// ends a coast (see coastTick): a lane written any other way while it
-// is bound into a batch may be stepped as if it had not changed.
+// ends a coast (see BatchState.coast): a lane written any other way
+// while it is bound into a batch may be stepped as if it had not
+// changed.
 type GovLane struct {
 	LimitW    float64
 	Corr      float64

@@ -28,8 +28,8 @@ type Session struct {
 
 // NewSession validates the workload and prepares an incremental run
 // that records every interval's trace row. A batch that retains rows
-// never coasts (see coastTick), so a session's clock and totals are
-// always current.
+// never coasts (see BatchState.coast), so a session's clock and
+// totals are always current.
 func (m *Machine) NewSession(w phase.Workload, g Governor) (*Session, error) {
 	b, err := NewBatch([]BatchNode{{Machine: m, Workload: w, Governor: g}}, BatchOptions{RetainTraces: true})
 	if err != nil {

@@ -177,16 +177,36 @@ func (g *GroundTruth) PowerFromRates(i int, dpc, l2pc, mempc, dcu float64) float
 
 // Energy accumulates joules from a sequence of (power, duration)
 // contributions, the way the paper integrates 10 ms power samples.
+// The sum starts at +0, and a sum that starts at +0 is never -0, so
+// adding +0 leaves its bits as they are.
 type Energy struct {
 	joules float64
 }
 
+// Joules returns the energy Add adds for watts drawn over seconds: the
+// product, rounded on its own, or +0 when Add skips the contribution
+// (negative seconds, NaN watts). The conversion pins the rounding: Go
+// may fuse a product into the addition that consumes it (arm64's
+// FMADDD rounds once) unless the product is converted explicitly.
+func Joules(watts, seconds float64) float64 {
+	if seconds < 0 || math.IsNaN(watts) {
+		return 0
+	}
+	return float64(watts * seconds)
+}
+
 // Add accumulates watts over seconds.
 func (e *Energy) Add(watts, seconds float64) {
-	if seconds < 0 || math.IsNaN(watts) {
-		return
-	}
-	e.joules += watts * seconds
+	e.joules += Joules(watts, seconds)
+}
+
+// Plus returns e with j joules added, j being a value Joules returned:
+// k Plus calls leave the bits of k Adds of Joules' inputs, and the
+// product is computed once. A value method, so a loop keeps the sum in
+// a register.
+func (e Energy) Plus(j float64) Energy {
+	e.joules += j
+	return e
 }
 
 // Joules returns the accumulated energy.
