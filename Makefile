@@ -28,6 +28,7 @@ fuzz-short:
 	go test ./internal/kernel -fuzz FuzzCharacterizeResident -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzAddRepeated -fuzztime $(FUZZTIME)
 	go test ./internal/machine -fuzz FuzzCoastHorizon -fuzztime $(FUZZTIME)
+	go test ./internal/machine -fuzz FuzzRepeatMemos -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
 	go test ./internal/cache -fuzz FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 
@@ -203,11 +204,13 @@ serve-churn:
 # without the full event order, clean lanes of a full batch must match
 # their lean one-lane runs, a Multiplexed governor must select the
 # event order of its inner governor, a wrapped governor's
-# degradations must reach the run's log, and coasting nodes must match
-# a batch with no steady table and a fleet on the full event order.
+# degradations must reach the run's log, coasting nodes must match
+# a batch with no steady table and a fleet on the full event order,
+# the repeat memos must match their loops, and a fleet whose epochs
+# repeat must match one that allocates every epoch.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestCoastMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster|TestFleetCoastMatchesObserved|TestShardCoastFold|FuzzCoastHorizon' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ ./internal/cluster/ .
+	go test -run 'TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged|TestBatchMixedConfigMatchesSessions|TestBatchKindMultiplexed|TestBatchTickAllocs|TestSteadyTickMatchesGeneral|TestCoastMatchesGeneral|TestSettledLaneWrites|TestPaperPowerModelShared|TestWrappersForwardDegradations|TestGoldenCluster|TestFleetCoastMatchesObserved|TestShardCoastFold|FuzzCoastHorizon|FuzzRepeatMemos|TestFleetRepeatEpochs|TestAssembleDemandRepeats' ./internal/kernel/ ./internal/machine/ ./internal/model/ ./internal/control/ ./internal/cluster/ .
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

@@ -38,7 +38,10 @@ const DefaultMarginW = 0.5
 
 // Aggregate is one child's epoch summary as its parent's allocator
 // sees it: a leaf node reports its own demand signals; an interior
-// group reports sums over its subtree.
+// group reports sums over its subtree. Every method is an input of
+// Allocate and EffectiveDesireW, and they read nothing else of the
+// child, so two children whose methods return the same bits are
+// allocated alike.
 type Aggregate interface {
 	// Active reports whether the child still has work; inactive
 	// children receive nothing and their previous share is released.
@@ -56,10 +59,6 @@ type Aggregate interface {
 	// RecentPowerW is the epoch-average measured draw (0 when
 	// unknown); it lower-bounds the effective desire.
 	RecentPowerW() float64
-	// RecentDPC is the epoch-average decode rate behind DesireW
-	// (informational: telemetry and diagnostics; the allocator
-	// consumes the already-projected DesireW).
-	RecentDPC() float64
 	// MinW is the child's guaranteed minimum at the given per-leaf
 	// floor: the floor itself for a leaf, the sum of its subtree's
 	// guarantees (held shares included) for a group.

@@ -217,7 +217,6 @@ func (a *agg) Stale() bool           { return a.stale }
 func (a *agg) HeldW() float64        { return a.heldW }
 func (a *agg) DesireW() float64      { return a.desireW }
 func (a *agg) RecentPowerW() float64 { return a.recentW }
-func (a *agg) RecentDPC() float64    { return 0 }
 func (a *agg) MinW(floorW float64) float64 {
 	if a.minW > 0 {
 		return a.minW

@@ -74,10 +74,10 @@ type demand struct {
 	// hold keeps the node's previous share: it is active but produced
 	// no fresh observation all epoch, so its tap is stale.
 	hold bool
-	// useDPC marks dpc as valid; dpc is the epoch-average (or, as a
-	// fallback, last-tap) decode rate the desire is evaluated at.
-	useDPC bool
-	dpc    float64
+	// desire is the node's budget desire (BudgetDesireW) at its
+	// epoch-average (or, as a fallback, last-tap) decode rate, NaN
+	// when it has no usable rate.
+	desire float64
 	// avgW is the epoch-average measured power (0 when unknown): a
 	// lower bound on the node's demand, since it was drawn at the
 	// current — possibly capped — p-state.
@@ -85,35 +85,40 @@ type demand struct {
 }
 
 // assembleDemand builds node i's reallocation input from its epoch
-// accumulator a. The engine's LastDPC is read only in the fallback
-// case that needs it, so an epoch does not walk every node's sample
-// record.
-func assembleDemand(d *demand, done bool, a *nodeAcc, bs *machine.BatchState, i int) {
-	*d = demand{active: !done}
-	if !d.active {
-		return
-	}
-	switch {
-	case a.recentN > 0:
-		// The epoch average, not the last tick: a one-tick
-		// spike must not swing a whole epoch's shares.
-		d.useDPC = true
-		d.dpc = a.recentDPC / float64(a.recentN)
-		d.avgW = a.recentW / float64(a.recentN)
-	case !a.fresh && a.lastSeq > 0:
-		// The tap was last written in an earlier epoch: the
-		// node has effectively gone dark (e.g. degraded
-		// offline mid-epoch). Hold its previous share rather
-		// than reallocating on stale data.
-		d.hold = true
-	case a.lastSeq > 0:
-		// Fresh tap but no full-epoch average (e.g. power
-		// readings dropped all epoch): fall back to the tap.
-		if dpc := bs.LastDPC(i); usable(dpc) {
-			d.useDPC = true
-			d.dpc = dpc
+// accumulator a into *d, and reports whether the new record has the
+// bits of the one it replaces. The engine's LastDPC is read only in
+// the fallback case that needs it, so an epoch does not walk every
+// node's sample record. The desire is evaluated here, on the lane as
+// the epoch's last tick left it: only TickLane writes the Corr it
+// reads, and no node steps between assembly and allocation.
+func assembleDemand(d *demand, done bool, a *nodeAcc, bs *machine.BatchState, i int) bool {
+	nd := demand{active: !done, desire: math.NaN()}
+	if nd.active {
+		switch {
+		case a.recentN > 0:
+			// The epoch average, not the last tick: a one-tick
+			// spike must not swing a whole epoch's shares.
+			nd.desire = bs.BudgetDesireW(i, a.recentDPC/float64(a.recentN))
+			nd.avgW = a.recentW / float64(a.recentN)
+		case !a.fresh && a.lastSeq > 0:
+			// The tap was last written in an earlier epoch: the
+			// node has effectively gone dark (e.g. degraded
+			// offline mid-epoch). Hold its previous share rather
+			// than reallocating on stale data.
+			nd.hold = true
+		case a.lastSeq > 0:
+			// Fresh tap but no full-epoch average (e.g. power
+			// readings dropped all epoch): fall back to the tap.
+			if dpc := bs.LastDPC(i); usable(dpc) {
+				nd.desire = bs.BudgetDesireW(i, dpc)
+			}
 		}
 	}
+	same := nd.active == d.active && nd.hold == d.hold &&
+		math.Float64bits(nd.desire) == math.Float64bits(d.desire) &&
+		math.Float64bits(nd.avgW) == math.Float64bits(d.avgW)
+	*d = nd
+	return same
 }
 
 // budgetMarginW is the small headroom added to each node's desire so
@@ -130,18 +135,11 @@ type nodeAgg struct {
 	i  int
 }
 
-func (a *nodeAgg) Active() bool   { return a.la.demands[a.i].active }
-func (a *nodeAgg) Stale() bool    { return a.la.demands[a.i].hold }
-func (a *nodeAgg) HeldW() float64 { return a.la.limits[a.i] }
-func (a *nodeAgg) DesireW() float64 {
-	d := &a.la.demands[a.i]
-	if !d.useDPC {
-		return math.NaN()
-	}
-	return a.la.bs.BudgetDesireW(a.i, d.dpc)
-}
+func (a *nodeAgg) Active() bool                { return a.la.demands[a.i].active }
+func (a *nodeAgg) Stale() bool                 { return a.la.demands[a.i].hold }
+func (a *nodeAgg) HeldW() float64              { return a.la.limits[a.i] }
+func (a *nodeAgg) DesireW() float64            { return a.la.demands[a.i].desire }
 func (a *nodeAgg) RecentPowerW() float64       { return a.la.demands[a.i].avgW }
-func (a *nodeAgg) RecentDPC() float64          { return a.la.demands[a.i].dpc }
 func (a *nodeAgg) MinW(floorW float64) float64 { return floorW }
 
 // leafAlloc is the coordinator's level-0 allocation: one
@@ -187,13 +185,28 @@ func (la *leafAlloc) allocate(budget, floor float64, lo, hi int) {
 	})
 }
 
+// reapply sets each fresh node's recorded limit again, as an
+// allocation's apply would: an allocation applies a grant to every
+// fresh node, and SetLimit restarts the node's up-shift streak.
+func (la *leafAlloc) reapply() {
+	for i := range la.demands {
+		if d := &la.demands[i]; d.active && !d.hold {
+			la.bs.SetLimit(i, la.limits[i])
+		}
+	}
+}
+
 // debugHook, when set by tests, receives each reallocation decision.
+// An epoch that repeats the previous one's demands (see RunFleetContext)
+// allocates nothing, so it sends none.
 var debugHook func(node int, desire, limit float64)
 
 // shardWallBuckets are the per-worker shard-step histogram bounds in
-// seconds: a shard-tick takes microseconds on a small cluster and
-// milliseconds on a 10⁵-node fleet (on a 2-CPU host the fleet's
-// shard-ticks average 1.7 ms serially and 0.8 ms on each of two
-// workers), with a long tail under contention and on ticks where many
-// nodes replay their coasts at once.
+// seconds: a shard-tick takes microseconds on a small cluster and on
+// most ticks of a 10⁵-node fleet, whose shards pass over sleeping
+// blocks, and milliseconds on the few fleet ticks where every node
+// steps, folds or replays (on a 2-CPU host the perfbench fleet's
+// shard-ticks averaged 0.31–0.34 ms serially and 0.19–0.25 ms on each
+// of two workers, over a median tick of about 5 µs), with a long tail
+// under contention.
 var shardWallBuckets = []float64{1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2}

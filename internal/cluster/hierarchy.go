@@ -18,9 +18,10 @@
 // a 4-byte coast counter) plus one run header, and the coordinator's
 // per-node records (an epoch accumulator, a power entry, a demand, a
 // limit and an allocation adapter; the shards add 16 bytes per 64-node
-// block) — no per-node machines, governors, actuators, goroutines,
-// hooks, RNGs (unless the workload jitters or the chain is noisy) or
-// retained trace rows unless FleetConfig.RetainTraces asks for them.
+// block, and each worker about 6 KB of repeat memos) — no per-node
+// machines, governors, actuators, goroutines, hooks, RNGs (unless the
+// workload jitters or the chain is noisy) or retained trace rows
+// unless FleetConfig.RetainTraces asks for them.
 // TestFleetMemoryBudget pins the measured bytes/node: 463 at 100,000
 // nodes.
 package cluster
@@ -164,8 +165,12 @@ type FleetResult struct {
 	WorkerWall []WallClock
 	CoordWall  WallClock
 
-	// blockSkips counts the block-ticks the shards passed over.
-	blockSkips int64
+	// blockSkips counts the block-ticks the shards passed over,
+	// repeatEpochs the epochs that repeated the previous one's demands,
+	// and memos[k] worker k's memo lookups and hits.
+	blockSkips   int64
+	repeatEpochs int
+	memos        []machine.MemoStats
 }
 
 // fleetShape is the static tree geometry: counts[0] is the node
@@ -217,7 +222,6 @@ func (g *groupAgg) Stale() bool                 { return false }
 func (g *groupAgg) HeldW() float64              { return 0 }
 func (g *groupAgg) DesireW() float64            { return g.askW }
 func (g *groupAgg) RecentPowerW() float64       { return 0 }
-func (g *groupAgg) RecentDPC() float64          { return 0 }
 func (g *groupAgg) MinW(floorW float64) float64 { return g.minW }
 
 // RunFleet executes the co-simulation to completion.
@@ -578,9 +582,13 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		}
 
 		if epochTick {
+			// repeat holds while every demand record has the bits of
+			// the previous epoch's.
+			repeat := res.Epochs > 0 && ctl == nil
 			for i := range demands {
 				done := bs.NodeDone(i) || nodeOv != nil && nodeOv[i] == NodeOffline
-				assembleDemand(&demands[i], done, &st.acc[i], bs, i)
+				same := assembleDemand(&demands[i], done, &st.acc[i], bs, i)
+				repeat = repeat && same
 			}
 			if ctl != nil {
 				dirGroups = runControlEpoch(ctl, controlEpochIn{
@@ -602,9 +610,20 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 					}
 				}
 			}
-			if levels == 1 {
+			switch {
+			case repeat:
+				// The previous epoch allocated over records with these
+				// bits, and no control plane moves a directive or an
+				// override. Allocate is a pure function of the summaries
+				// it reads (package alloc), and the only other state they
+				// read, a held node's limit, has not changed since, so
+				// every grant would repeat. Each fresh node gets its limit
+				// again.
+				leaf.reapply()
+				res.repeatEpochs++
+			case levels == 1:
 				distribute(0, 0, n, cfg.BudgetW)
-			} else {
+			default:
 				aggregate()
 				distribute(levels-1, 0, shape.counts[levels-1], cfg.BudgetW)
 			}
@@ -630,9 +649,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 
 	res.WorkerWall = make([]WallClock, workers)
+	res.memos = make([]machine.MemoStats, workers)
 	for k := range st.tally {
 		res.WorkerWall[k] = st.tally[k].wall
 		res.blockSkips += st.tally[k].skips
+		res.memos[k] = st.tally[k].step.MemoStats()
 	}
 	res.Intervals = intervals
 	res.Runs = make([]*trace.Run, n)

@@ -231,8 +231,17 @@ func TestShardBounds(t *testing.T) {
 // clocks aside) must agree too, so the level-1 group sums that only
 // changed groups re-sum hold to the full order's. The plain runs must
 // have passed over at least a set number of block-ticks.
+//
+// The plain runs must also have hit each repeat memo (coast replays,
+// horizons and folds), which the observed runs, where nothing coasts,
+// never look up. The SyntheticFleet nodes outlive the others by
+// about a hundred ticks, so without a control plane the plain runs'
+// last epochs repeat the one before and skip their allocation; the
+// observed runs there carry a control plane that directs nothing
+// (epochMarks), which turns the skip off, so they allocate every
+// epoch.
 func TestFleetCoastMatchesObserved(t *testing.T) {
-	const n, ticks = 600, 150
+	const n, ticks = 600, 250
 	nodes := SyntheticFleet(n, ticks)
 	multi := phase.Workload{Name: "fleet-multi", Phases: []phase.Params{
 		{Name: "cpu", Instructions: 35 * 20e6, CPICore: 1, MLP: 1, SpecFactor: 1.05},
@@ -264,6 +273,8 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 		if ctl != nil {
 			cfg.Control = ctl
 			cfg.Telemetry = telemetry.NewRegistry()
+		} else if observed {
+			cfg.Control = &epochMarks{}
 		}
 		res, err := RunFleet(cfg)
 		if err != nil {
@@ -298,7 +309,19 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 			if p, o := bits(plain), bits(observed); p != o {
 				t.Errorf("control=%v workers=%d: plain %s, observed %s", controlled, workers, p, o)
 			}
-			t.Logf("control=%v workers=%d: %d block-ticks passed over, %d intervals", controlled, workers, plain.blockSkips, plain.Intervals)
+			memos := memoTotals(plain.memos)
+			t.Logf("control=%v workers=%d: %d block-ticks passed over, %d intervals, %d of %d epochs repeated, memos %+v", controlled, workers, plain.blockSkips, plain.Intervals, plain.repeatEpochs, plain.Epochs, memos)
+			for _, c := range []machine.MemoCount{memos.Replay, memos.Horizon, memos.Fold} {
+				if c.Hits == 0 {
+					t.Errorf("control=%v workers=%d: a memo was never hit: %+v", controlled, workers, memos)
+				}
+			}
+			if o := memoTotals(observed.memos); o != (machine.MemoStats{}) {
+				t.Errorf("control=%v workers=%d: the observed run looked memos up: %+v", controlled, workers, o)
+			}
+			if observed.repeatEpochs != 0 || controlled != (plain.repeatEpochs == 0) {
+				t.Errorf("control=%v workers=%d: %d epochs repeated plain, %d observed", controlled, workers, plain.repeatEpochs, observed.repeatEpochs)
+			}
 			// Each plain node coasts most of its ticks; a block sleeps
 			// between the ends of its nodes' coasts.
 			if plain.blockSkips < int64(n/blockSize*ticks/2) {
@@ -322,6 +345,18 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 			}
 		}
 	}
+}
+
+// memoTotals sums the workers' memo counts.
+func memoTotals(ms []machine.MemoStats) machine.MemoStats {
+	var t machine.MemoStats
+	for _, m := range ms {
+		for _, c := range []struct{ sum, add *machine.MemoCount }{{&t.Replay, &m.Replay}, {&t.Horizon, &m.Horizon}, {&t.Fold, &m.Fold}} {
+			c.sum.Lookups += c.add.Lookups
+			c.sum.Hits += c.add.Hits
+		}
+	}
+	return t
 }
 
 // overrideCycle is a control plane that, on every third epoch, takes
@@ -367,7 +402,9 @@ func (c *overrideCycle) Epoch(o FleetEpochObs) FleetDirectives {
 // lengths finish on different ticks, and between epochs half the nodes
 // get a new limit and half their own, which keeps them coasting across
 // the epoch. 16 nodes over two workers are one block per shard; 200
-// are two blocks and a short third.
+// are two blocks and a short third. In the 200-node fleet, where each
+// shard has several nodes of one length and limit, each repeat memo
+// (coast replays, horizons and folds) must have been hit.
 func TestShardCoastFold(t *testing.T) {
 	const epoch, fanout = 15, 3
 	pol, err := control.NewPMPolicy(control.PMConfig{FeedbackGain: 0.25})
@@ -465,9 +502,21 @@ func TestShardCoastFold(t *testing.T) {
 		for k := range coast.tally {
 			skips += coast.tally[k].skips
 		}
-		t.Logf("n=%d: %d node-ticks folded late, %d block-ticks passed over", n, lagged, skips)
+		ms := make([]machine.MemoStats, len(coast.tally))
+		for k := range coast.tally {
+			ms[k] = coast.tally[k].step.MemoStats()
+		}
+		memos := memoTotals(ms)
+		t.Logf("n=%d: %d node-ticks folded late, %d block-ticks passed over, memos %+v", n, lagged, skips, memos)
 		if skips < 100 {
 			t.Errorf("n=%d: the shards passed over %d block-ticks, want at least 100", n, skips)
+		}
+		// Nodes of one length and limit repeat every 20 indices: only
+		// the larger fleet has two of a kind in one shard.
+		for _, c := range []machine.MemoCount{memos.Replay, memos.Horizon, memos.Fold} {
+			if n > 40 && c.Hits == 0 {
+				t.Errorf("n=%d: a memo was never hit: %+v", n, memos)
+			}
 		}
 	}
 }

@@ -259,13 +259,13 @@ func (st *stepper) visit(t *shardTally, blk *block, lo, hi int) (stepped int, fa
 			// one. Its coast intervals read its current power, which
 			// the step is about to replace.
 			a := &acc[i]
-			st.fold(a, i)
+			st.fold(&t.step, a, i)
 			if t.step.StepRegular(i) {
 				stepped++
 				if bs.NodeErr(i) != nil {
 					failed = true
 				} else {
-					w = st.fold(a, i)
+					w = st.fold(&t.step, a, i)
 				}
 			}
 			switch {
@@ -315,14 +315,14 @@ func (st *stepper) sumGroups(groupW []float64, fanout int) {
 	}
 }
 
-// fold folds node i's intervals since a.lastSeq into its accumulator
-// and returns the power the latest one contributes to the tick's sum
-// (+0 for none). Every such interval reads the node's current measured
-// power and decode rate: there is one when the node has just stepped,
-// and more when it coasted since its last fold, all repeating one
-// reading. Each adds its own terms, in tick order, to sums kept in
-// locals.
-func (st *stepper) fold(a *nodeAcc, i int) float64 {
+// fold folds node i's intervals since a.lastSeq into its accumulator,
+// through worker stepper s, and returns the power the latest one
+// contributes to the tick's sum (+0 for none). Every such interval
+// reads the node's current measured power and decode rate: there is
+// one when the node has just stepped, and more when it coasted since
+// its last fold, all repeating one reading. Each adds its own terms,
+// in tick order (Stepper.Fold).
+func (st *stepper) fold(s *machine.Stepper, a *nodeAcc, i int) float64 {
 	seq := st.bs.Seq(i)
 	if seq == a.lastSeq {
 		return 0
@@ -333,12 +333,7 @@ func (st *stepper) fold(a *nodeAcc, i int) float64 {
 	if !usable(w) || !usable(dpc) {
 		return 0
 	}
-	rw, rd := a.recentW, a.recentDPC
-	for j := uint64(0); j < d; j++ {
-		rw += w
-		rd += dpc
-	}
-	a.recentW, a.recentDPC = rw, rd
+	a.recentW, a.recentDPC = s.Fold(a.recentW, a.recentDPC, w, dpc, int(d))
 	a.recentN += int32(d)
 	return w
 }
@@ -346,8 +341,9 @@ func (st *stepper) fold(a *nodeAcc, i int) float64 {
 // foldShard folds every node of worker k's shard up to its current
 // interval.
 func (st *stepper) foldShard(k int) {
+	s := &st.tally[k].step
 	for i := st.bounds[k]; i < st.bounds[k+1]; i++ {
-		st.fold(&st.acc[i], i)
+		st.fold(s, &st.acc[i], i)
 	}
 }
 

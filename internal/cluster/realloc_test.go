@@ -44,22 +44,22 @@ func testPMs(t *testing.T, n int, limitW float64) (*machine.BatchState, []*contr
 // average unchanged cannot move the shares (the regression the old
 // last-tap-only coordinator had).
 func TestReallocateConsumesAverageNotTap(t *testing.T) {
-	mk := func() ([]demand, []float64) {
+	mk := func(bs *machine.BatchState) ([]demand, []float64) {
 		return []demand{
-			{active: true, useDPC: true, dpc: 0.5},
-			{active: true, useDPC: true, dpc: 0.5},
+			{active: true, desire: bs.BudgetDesireW(0, 0.5)},
+			{active: true, desire: bs.BudgetDesireW(1, 0.5)},
 		}, []float64{15, 15}
 	}
 
-	steady, steadyLimits := mk()
 	bs, _ := testPMs(t, 2, 15)
+	steady, steadyLimits := mk(bs)
 	newLeafAlloc(bs, steady, steadyLimits).allocate(30, 4, 0, len(steady))
 
 	// Same epoch averages; node 0's tap spiked on the final tick of
 	// the epoch. The demand record is built from the averages, so the
 	// allocator's output must be bit-identical.
-	spiked, spikedLimits := mk()
 	bs, _ = testPMs(t, 2, 15)
+	spiked, spikedLimits := mk(bs)
 	newLeafAlloc(bs, spiked, spikedLimits).allocate(30, 4, 0, len(spiked))
 	for i := range steadyLimits {
 		if steadyLimits[i] != spikedLimits[i] {
@@ -87,7 +87,7 @@ func TestReallocateAvgPowerFloorsDesire(t *testing.T) {
 
 	bs, pms := testPMs(t, 1, 15)
 	modelDesire := pms[0].BudgetDesireW(table, 0.1) + budgetMarginW
-	demands := []demand{{active: true, useDPC: true, dpc: 0.1, avgW: modelDesire + 5}}
+	demands := []demand{{active: true, desire: bs.BudgetDesireW(0, 0.1), avgW: modelDesire + 5}}
 	limits := []float64{15}
 	newLeafAlloc(bs, demands, limits).allocate(40, 4, 0, len(demands))
 	if gotDesire != modelDesire+5 {
@@ -103,9 +103,9 @@ func TestReallocateAvgPowerFloorsDesire(t *testing.T) {
 func TestReallocateHoldsStaleNode(t *testing.T) {
 	bs, pms := testPMs(t, 3, 10)
 	demands := []demand{
-		{active: true, useDPC: true, dpc: 2.0}, // fresh, hungry
-		{active: true, hold: true},             // active but dark
-		{active: false},                        // finished
+		{active: true, desire: bs.BudgetDesireW(0, 2.0)}, // fresh, hungry
+		{active: true, hold: true},                       // active but dark
+		{active: false},                                  // finished
 	}
 	limits := []float64{10, 12, 8}
 	newLeafAlloc(bs, demands, limits).allocate(30, 4, 0, len(demands))
@@ -134,7 +134,7 @@ func TestReallocateHoldsStaleNode(t *testing.T) {
 func TestReallocateHoldRespectsFloorGuarantee(t *testing.T) {
 	bs, _ := testPMs(t, 2, 10)
 	demands := []demand{
-		{active: true, useDPC: true, dpc: 0.1},
+		{active: true, desire: bs.BudgetDesireW(0, 0.1)},
 		{active: true, hold: true},
 	}
 	limits := []float64{4, 18}

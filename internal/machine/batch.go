@@ -214,6 +214,9 @@ const (
 type tickRec struct {
 	info       TickInfo
 	trueSample counters.Sample
+	// memos are the goroutine's repeat memos (memo.go), which coast
+	// replays, horizons and Stepper.Fold go through.
+	memos memos
 }
 
 // platform is what the nodes on machines of one configuration share:
@@ -313,7 +316,14 @@ func (s *Stepper) StepRegular(i int) bool { return s.b.stepRegular(i, &s.rec) }
 // EndCoast replays node i's deferred ticks and ends its coast, for a
 // caller that passes over the node's tick: its next tick is a regular
 // step.
-func (s *Stepper) EndCoast(i int) { s.b.flush(i) }
+func (s *Stepper) EndCoast(i int) { s.b.flush(i, &s.rec.memos) }
+
+// Fold adds w to sumW and dpc to sumDPC d times each, in order, and
+// returns the sums: a coordinator's fold of d intervals that repeat one
+// reading into its epoch sums, through the stepper's memo.
+func (s *Stepper) Fold(sumW, sumDPC, w, dpc float64, d int) (float64, float64) {
+	return s.rec.memos.fold(sumW, sumDPC, w, dpc, d)
+}
 
 // NewBatch builds a batch over nodes (NewBatchFunc reading the slice).
 func NewBatch(nodes []BatchNode, opts BatchOptions) (*BatchState, error) {
@@ -709,7 +719,7 @@ func (b *BatchState) stepRegular(i int, r *tickRec) bool {
 	if b.flags[i]&(nodeDone|nodeFailed) != 0 {
 		return false
 	}
-	b.flush(i)
+	b.flush(i, &r.memos)
 	b.step(i, r)
 	return true
 }
@@ -834,7 +844,7 @@ func (b *BatchState) BudgetDesireW(i int, dpc float64) float64 {
 func (b *BatchState) Result(i int) *trace.Run {
 	run := &b.runs[i]
 	if b.flags[i]&nodeFinalized == 0 {
-		b.flush(i)
+		b.flush(i, &b.rec.memos)
 		run.Ticks = int(b.seq[i])
 		run.Duration = b.now[i]
 		run.StallTime = b.stallTot[i]

@@ -45,7 +45,10 @@ import (
 // On a node that coasts (BatchState.coast) a settled tick is
 // settledTicks, which applies exactly the lane effects this function
 // would, and the deferred ticks of a coast replay through it too, so a
-// settled steady tick has one definition.
+// settled steady tick has one definition. A replay of more than a few
+// ticks, and a coast's horizon, come from the stepping goroutine's
+// repeat memos (memo.go) when another node of the shape had the same
+// inputs.
 //
 // Anything that would change float bits (reassociating sums,
 // replacing divisions with reciprocal multiplies) is off the table.
@@ -63,8 +66,8 @@ func (b *BatchState) step(i int, r *tickRec) {
 		return
 	}
 	if e := b.settledEntry(i, sp); e != nil {
-		b.settledTicks(i, pl, e, 1)
-		b.startCoast(i, pl, e)
+		b.settledTicks(i, pl, e, 1, &r.memos)
+		b.startCoast(i, pl, e, &r.memos)
 		return
 	}
 	b.tick[i]++
@@ -225,24 +228,16 @@ func (b *BatchState) repeats(i int, meaW float64) bool {
 // entry e: the lane effects of step's execute, measure and record
 // stages on that entry with the govern stage skipped, as the settled
 // skip leaves them. Each float lane adds one tick's term k times, in
-// tick order, in one loop over locals, so k ticks here leave the bits
-// k steps would. The energy terms are the products step's Energy.Add
-// computes (power.Joules), each computed once: Add's guards act
-// through them, a skipped contribution being +0, which leaves an
+// tick order (replayTicks, through m's table), so k ticks here leave
+// the bits k steps would. The energy terms are the products step's
+// Energy.Add computes (power.Joules), each computed once: Add's guards
+// act through them, a skipped contribution being +0, which leaves an
 // energy sum's bits alone.
-func (b *BatchState) settledTicks(i int, pl *platform, e *steadyTick, k int) {
-	ei := e.instr
+func (b *BatchState) settledTicks(i int, pl *platform, e *steadyTick, k int, m *memos) {
 	jt, jm := power.Joules(e.trueW, pl.perSec), power.Joules(b.lastW[i], pl.perSec)
-	rem, instr := b.remInstr[i], b.instrTot[i]
-	et, em := b.energyTrue[i], b.energyMeas[i]
-	for j := 0; j < k; j++ {
-		rem -= ei
-		instr += ei
-		et = et.Plus(jt)
-		em = em.Plus(jm)
-	}
-	b.remInstr[i], b.instrTot[i] = rem, instr
-	b.energyTrue[i], b.energyMeas[i] = et, em
+	l := m.replay(replayLanes{b.remInstr[i], b.instrTot[i], b.energyTrue[i], b.energyMeas[i]}, e.instr, jt, jm, k)
+	b.remInstr[i], b.instrTot[i] = l.rem, l.instr
+	b.energyTrue[i], b.energyMeas[i] = l.et, l.em
 	d := time.Duration(k) * pl.period
 	b.busyTot[i] += d
 	b.now[i] += d
@@ -252,35 +247,20 @@ func (b *BatchState) settledTicks(i int, pl *platform, e *steadyTick, k int) {
 }
 
 // startCoast starts node i's coast after a settled tick that read e,
-// with coastHorizon's horizon. It is capped so that the tick that trips
-// the machine's tick bound is a regular step, and by the counter's
-// width.
-func (b *BatchState) startCoast(i int, pl *platform, e *steadyTick) {
+// with coastHorizon's horizon, through m's table. It is capped so that
+// the tick that trips the machine's tick bound is a regular step, and
+// by the counter's width.
+func (b *BatchState) startCoast(i int, pl *platform, e *steadyTick, m *memos) {
 	most := min(pl.maxTicks-int(b.tick[i]), math.MaxUint16)
-	b.coasts[i] = coast{horizon: uint16(coastHorizon(b.remInstr[i], e.instr, most))}
+	b.coasts[i] = coast{horizon: uint16(m.horizon(b.remInstr[i], e.instr, most))}
 }
-
-// exactSteps reports whether rem and instr are integers in [1, 2^53),
-// where coastHorizon counts without walking.
-func exactSteps(rem, instr float64) bool {
-	return instr >= 1 && rem >= 1 && rem < exactInt && instr < exactInt &&
-		rem == math.Trunc(rem) && instr == math.Trunc(instr)
-}
-
-// exactInt bounds the integers a float64 holds exactly, and so the
-// ones whose differences are exact too.
-const exactInt = 1 << 53
 
 // coastHorizon counts the later ticks whose steady guard holds, up to
 // most: how often the replay's rem -= instr runs under the guard's
-// exact instr < rem. When rem and instr are integers below 2^53 every
-// subtraction is exact, so the guard holds while (h+1)·instr < rem,
-// which is (h+1)·instr <= rem-1, and the count is (rem-1)/instr. Any
-// other input walks the subtractions as the replay rounds them.
+// exact instr < rem, walking the subtractions as the replay rounds
+// them. The nodes of one workload shape walk the same inputs, so the
+// walk runs behind a memo (memos.horizon).
 func coastHorizon(rem, instr float64, most int) int {
-	if exactSteps(rem, instr) {
-		return int(min((int64(rem)-1)/int64(instr), int64(max(most, 0))))
-	}
 	h := 0
 	for ; h < most && instr < rem; h++ {
 		rem -= instr
@@ -288,8 +268,9 @@ func coastHorizon(rem, instr float64, most int) int {
 	return h
 }
 
-// flush replays node i's deferred coast ticks and ends its coast.
-func (b *BatchState) flush(i int) {
+// flush replays node i's deferred coast ticks, through m's table, and
+// ends its coast.
+func (b *BatchState) flush(i int, m *memos) {
 	c := &b.coasts[i]
 	if *c == (coast{}) {
 		return
@@ -297,7 +278,7 @@ func (b *BatchState) flush(i int) {
 	if c.deferred > 0 {
 		sp := &b.specs[b.spec[i]]
 		e := &sp.steady[int(b.curIdx[i])*len(sp.phases)+int(b.phaseIdx[i])]
-		b.settledTicks(i, sp.plat, e, int(c.deferred))
+		b.settledTicks(i, sp.plat, e, int(c.deferred), m)
 	}
 	*c = coast{}
 }

@@ -5,24 +5,15 @@ import (
 	"testing"
 )
 
-// walkHorizon is the horizon as the replay reaches it: rem -= instr,
-// rounded, while the steady guard instr < rem holds, at most most
-// times.
-func walkHorizon(rem, instr float64, most int) int {
-	h := 0
-	for ; h < most && instr < rem; h++ {
-		rem -= instr
-	}
-	return h
-}
-
-// FuzzCoastHorizon holds coastHorizon to the walk, for every input: the
-// counted horizon of integer inputs below 2^53 and the walk it falls
-// back to for any other. Seeds: exact multiples, where the last
-// subtraction lands on instr itself and the guard then fails; integers
-// next to 2^53 on both sides; each kind of most cap (none left, one,
-// the count itself and one either side, the counter's width); and
-// non-integer inputs, which must take the walk.
+// FuzzCoastHorizon holds the coast horizon to the replay it bounds:
+// for h = coastHorizon(rem, instr, most), the steady guard instr < rem
+// holds before each of the first h ticks replayTicks applies to rem,
+// and, unless most capped the count, fails after them. Seeds: exact
+// multiples, where the last subtraction lands on instr itself and the
+// guard then fails; integers next to 2^53 on both sides, where the
+// subtraction rounds; each kind of most cap (none left, one, the count
+// itself and one either side, the counter's width); non-integer
+// inputs; and inputs the guard never or always admits.
 func FuzzCoastHorizon(f *testing.F) {
 	b := math.Float64bits
 	const top = 1 << 53
@@ -61,11 +52,16 @@ func FuzzCoastHorizon(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, remBits, instrBits uint64, most uint16) {
 		rem, instr := math.Float64frombits(remBits), math.Float64frombits(instrBits)
-		if got, want := coastHorizon(rem, instr, int(most)), walkHorizon(rem, instr, int(most)); got != want {
-			t.Fatalf("coastHorizon(%v, %v, %d) = %d, the walk gives %d", rem, instr, most, got, want)
+		h := coastHorizon(rem, instr, int(most))
+		l := replayLanes{rem: rem}
+		for j := 0; j < h; j++ {
+			if !(instr < l.rem) {
+				t.Fatalf("coastHorizon(%v, %v, %d) = %d, but the guard fails before tick %d at rem %v", rem, instr, most, h, j, l.rem)
+			}
+			l = replayTicks(l, instr, 0, 0, 1)
 		}
-		if exactSteps(rem, instr) && (rem != math.Trunc(rem) || instr != math.Trunc(instr) || rem >= top || instr >= top) {
-			t.Fatalf("(%v, %v): counted without walking, but not integers below 2^53", rem, instr)
+		if h < int(most) && instr < l.rem {
+			t.Fatalf("coastHorizon(%v, %v, %d) = %d, but the guard still holds at rem %v", rem, instr, most, h, l.rem)
 		}
 	})
 }
