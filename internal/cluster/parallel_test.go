@@ -349,12 +349,15 @@ func TestFleetCoastMatchesObserved(t *testing.T) {
 
 // memoTotals sums the workers' memo counts.
 func memoTotals(ms []machine.MemoStats) machine.MemoStats {
+	add := func(sum *machine.MemoCount, c machine.MemoCount) {
+		sum.Lookups += c.Lookups
+		sum.Hits += c.Hits
+	}
 	var t machine.MemoStats
 	for _, m := range ms {
-		for _, c := range []struct{ sum, add *machine.MemoCount }{{&t.Replay, &m.Replay}, {&t.Horizon, &m.Horizon}, {&t.Fold, &m.Fold}} {
-			c.sum.Lookups += c.add.Lookups
-			c.sum.Hits += c.add.Hits
-		}
+		add(&t.Replay, m.Replay)
+		add(&t.Horizon, m.Horizon)
+		add(&t.Fold, m.Fold)
 	}
 	return t
 }

@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"strings"
+	"slices"
 	"testing"
 
 	"aapm/internal/control"
@@ -59,7 +58,7 @@ func TestFleetRepeatEpochs(t *testing.T) {
 		{Name: "mem", Instructions: 60 * 20e6 / 3, CPICore: 3, MLP: 1, SpecFactor: 1.05},
 	}}}
 	// run returns each epoch's decisions, keyed by epoch number.
-	run := func(workers int, ctl FleetControl) (*FleetResult, map[int]string) {
+	run := func(workers int, ctl FleetControl) (*FleetResult, map[int][]decision) {
 		ctx := &tickCount{Context: context.Background()}
 		decs := map[int][]decision{}
 		debugHook = func(node int, desire, limit float64) {
@@ -80,11 +79,7 @@ func TestFleetRepeatEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[int]string{}
-		for e, d := range decs {
-			out[e] = fmt.Sprint(d)
-		}
-		return res, out
+		return res, decs
 	}
 	for _, workers := range []int{1, 2} {
 		marks := &epochMarks{}
@@ -96,15 +91,15 @@ func TestFleetRepeatEpochs(t *testing.T) {
 		if got.Epochs != ref.Epochs || got.repeatEpochs+len(gotDecs) != got.Epochs {
 			t.Fatalf("workers=%d: %d epochs, %d allocated and %d repeated; the reference had %d", workers, got.Epochs, len(gotDecs), got.repeatEpochs, ref.Epochs)
 		}
-		first, late := strings.Count(refDecs[0], "{"), -1
+		first, late := len(refDecs[0]), -1
 		for e := 0; e < ref.Epochs; e++ {
 			d, ok := gotDecs[e]
 			switch {
-			case !ok && (e == 0 || refDecs[e] != refDecs[e-1]):
+			case !ok && (e == 0 || !slices.Equal(refDecs[e], refDecs[e-1])):
 				t.Fatalf("workers=%d epoch %d: repeated, but the reference's decisions changed", workers, e)
-			case ok && d != refDecs[e]:
-				t.Fatalf("workers=%d epoch %d: decisions %.200s, the reference's %.200s", workers, e, d, refDecs[e])
-			case ok && e > ref.Epochs/2 && late < 0 && strings.Count(d, "{") == first:
+			case ok && !slices.Equal(d, refDecs[e]):
+				t.Fatalf("workers=%d epoch %d: decisions %.200v, the reference's %.200v", workers, e, d, refDecs[e])
+			case ok && e > ref.Epochs/2 && late < 0 && len(d) == first:
 				late = e
 			}
 		}
